@@ -54,6 +54,9 @@ const RELAXED_ALLOWLIST: &[&str] = &[
     "crates/runtime/src/chunked.rs",
     "crates/runtime/src/flags.rs",
     "crates/runtime/src/lib.rs",
+    // Child lists: relaxed link stores and head loads, published by the
+    // push's release CAS and acquired by the take's swap (module docs).
+    "crates/runtime/src/lists.rs",
 ];
 
 /// Path prefixes where `std::thread::spawn` / `Mutex` / `Condvar` /

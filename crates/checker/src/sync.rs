@@ -112,6 +112,7 @@ int_atomic!(
     |v: isize| v as i64 as u64,
     |v: u64| v as i64 as isize
 );
+int_atomic!(AtomicU32, u32, "u32", |v: u32| v as u64, |v: u64| v as u32);
 int_atomic!(AtomicU64, u64, "u64", |v: u64| v, |v: u64| v);
 
 pub struct AtomicBool {

@@ -66,10 +66,11 @@ pub enum Semantics {
     /// asynchronously update a subset of edges"): subset tests observe
     /// concurrent updates as soon as they are published and lowest-parent
     /// chains cascade within an iteration. Always produces a chordal
-    /// subgraph (ownership of a vertex's chordal set is transferred
-    /// release/acquire through its lowest-parent word); with the serial
-    /// engine the run is deterministic, with parallel engines the exact edge
-    /// set may vary slightly between schedules.
+    /// subgraph (ownership of a vertex's chordal set moves with the vertex
+    /// from one parent's child list to the next: a release CAS pushes it,
+    /// an acquire swap takes it); with the serial engine the run is
+    /// deterministic, with parallel engines the exact edge set may vary
+    /// slightly between schedules.
     Asynchronous,
 }
 

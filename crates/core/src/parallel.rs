@@ -5,7 +5,9 @@
 //!
 //! The extraction keeps, for every vertex `w`:
 //!
-//! * `lp[w]` — the current lowest parent (an [`AtomicU32`]);
+//! * a place on the *child list* of its current lowest parent — intrusive
+//!   lists of [`ListHeads`] and [`ListLinks`], so a parent's step visits
+//!   exactly the children due to it instead of rescanning its neighbours;
 //! * `cursor[w]` — for the Opt variant, the index of the current parent in
 //!   `w`'s sorted adjacency list;
 //! * `C[w]` — the chordal-neighbour set, stored in a CSR-shaped arena of
@@ -15,31 +17,45 @@
 //! ([`ChordalExtractor::extract_into`]), so repeated extractions over
 //! same-sized graphs reuse the buffers instead of reallocating them.
 //!
-//! Within one iteration, vertex `w` is processed by exactly one task: the
-//! one handling `v = LP[w]` (lowest parents are unique). That task is the
-//! only writer of `C[w]`, `cursor[w]` and `lp[w]` during the iteration, so
-//! plain relaxed stores suffice for the data and a release store on the
-//! published length (or the lowest-parent word, for the asynchronous
-//! semantics) transfers ownership to whoever observes it next.
+//! **Who owns `w`.** The task whose take of a child list returned `w` owns
+//! it: that task alone writes `C[w]` and `cursor[w]`, runs the subset test
+//! and moves `w` on. Moving `w` is a push onto the list of its next parent,
+//! which gives `w` up; from the push until some parent's take returns it,
+//! no task touches `w`'s state. The push is a release CAS on the list head
+//! and the take an acquire swap (`chordal_runtime::lists`), so the next
+//! owner sees everything the previous one wrote: plain relaxed accesses
+//! suffice for `C[w]` and `cursor[w]`. Lowest parents are unique, so every
+//! vertex sits on at most one list.
 //!
-//! The subset test `C[w] ⊆ C[v]` reads *another* vertex's set. Under
-//! [`Semantics::Synchronous`] the reader uses the length of `C[v]` frozen at
-//! the start of the iteration (the prefix below that length is immutable —
-//! sets are append-only), which makes the algorithm entirely deterministic:
-//! every engine, thread count and schedule returns the same edge set as
+//! **The frontier.** A push also flags the new parent in [`AtomicFlags`].
+//! The next iteration's queue is the set of flagged parents, drained in
+//! ascending order between parallel regions. The drain needs no ordering
+//! of its own: the join of the region that set the flags happens before it,
+//! and it happens before the start of the next region.
+//!
+//! **Reading another vertex's set.** The subset test `C[w] ⊆ C[v]` reads
+//! `C[v]`, which `v`'s own owner may be extending concurrently. Under
+//! [`Semantics::Synchronous`] each queue entry's `|C[v]|` is frozen when the
+//! iteration starts (the prefix below it is immutable — sets are
+//! append-only), and children moved during iteration `t` join the second
+//! head array, which becomes the current one in iteration `t + 1`. That makes
+//! the algorithm entirely deterministic: every engine, thread count and
+//! schedule returns the same edge set as
 //! [`crate::reference::extract_reference`]. Under the default
-//! [`Semantics::Asynchronous`] the reader observes the live length, which
+//! [`Semantics::Asynchronous`] the reader acquires the live length (paired
+//! with the owner's release store of `clen`), and moved children join the
+//! live lists, so a parent later in the same sweep picks them up. That
 //! matches the paper's "asynchronous update" wording; the output is still a
 //! maximal chordal subgraph but the exact edge set may vary between runs.
 
 use crate::config::{AdjacencyMode, ExtractorConfig, Semantics};
 use crate::extractor::ChordalExtractor;
-use crate::parent::{first_parent_scan, first_parent_sorted, next_parent_scan, next_parent_sorted};
+use crate::parent::{first_parent_scan, next_parent_scan};
 use crate::result::ChordalResult;
 use crate::stats::IterationStats;
 use crate::workspace::Workspace;
-use chordal_graph::{GraphRef, VertexId, NO_VERTEX};
-use chordal_runtime::AtomicFlags;
+use chordal_graph::{Edge, GraphRef, VertexId, NO_VERTEX};
+use chordal_runtime::{AtomicFlags, ListHeads, ListLinks};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// Multithreaded maximal chordal subgraph extractor (Algorithm 1 of the
@@ -70,107 +86,83 @@ impl MaximalChordalExtractor {
 
     fn run(&self, graph: GraphRef<'_>, workspace: &mut Workspace) -> ChordalResult {
         let n = graph.num_vertices();
+        let mut stats = self.config.record_stats.then(IterationStats::new);
         if n == 0 {
-            return ChordalResult::new(
-                0,
-                Vec::new(),
-                0,
-                self.config.record_stats.then(IterationStats::new),
-            );
+            return ChordalResult::new(0, Vec::new(), 0, stats);
         }
         let engine = &self.config.engine;
-        workspace.prepare_atomic_from(graph);
-        // Reusable frozen snapshots for the synchronous semantics; taken out
-        // of the workspace so the shared state can borrow it immutably.
-        let mut frozen_lp = std::mem::take(&mut workspace.ids_a);
+        let sync = self.config.semantics == Semantics::Synchronous;
+        workspace.prepare_atomic_from(graph, sync);
+        // Plain buffers, taken out of the workspace so the shared state can
+        // borrow it immutably.
+        let mut queue = std::mem::take(&mut workspace.queue_a);
         let mut frozen_clen = std::mem::take(&mut workspace.ids_b);
-        frozen_lp.clear();
-        frozen_clen.clear();
+        let mut starts = std::mem::take(&mut workspace.starts);
 
-        let state = SharedState::borrowed(workspace, n, graph.num_directed_edges());
-        let flags = workspace.flags();
+        let state = SharedState::borrowed(workspace, graph, self.config.adjacency);
+        let mut current = &workspace.heads;
+        let mut next = if sync {
+            &workspace.next_heads
+        } else {
+            &workspace.heads
+        };
 
-        // Initialisation: every vertex determines its lowest parent; the
-        // initial queue holds each distinct lowest parent once.
-        let adjacency = self.config.adjacency;
-        let mut queue: Vec<VertexId> = engine.parallel_collect(n, |v_idx, out| {
-            let v = v_idx as VertexId;
-            let parent = match adjacency {
-                AdjacencyMode::Sorted => {
-                    let (p, cur) = first_parent_sorted(graph, v);
-                    state.cursor[v_idx].store(cur, Ordering::Relaxed);
-                    p
-                }
-                AdjacencyMode::Unsorted => first_parent_scan(graph, v),
-            };
+        // Initialisation: every vertex joins the list of its lowest parent,
+        // which is flagged for the first iteration.
+        engine.parallel_for(n, |v| {
+            let v = v as VertexId;
+            let parent = state.first_parent(v);
             if parent != NO_VERTEX {
-                state.lp[v_idx].store(parent, Ordering::Relaxed);
-                if flags.test_and_set(parent as usize) {
-                    out.push(parent);
-                }
+                state.hand_over(current, parent, v);
             }
         });
 
-        let mut stats = self.config.record_stats.then(IterationStats::new);
-        let semantics = self.config.semantics;
         let mut iterations = 0usize;
-
-        while !queue.is_empty() {
-            iterations += 1;
-            flags.clear_all();
-            // Process lowest parents in ascending id order. Under the
-            // asynchronous semantics this is what lets a vertex walk through
-            // several parents in one iteration (its next parent always has a
-            // larger id, so it is scheduled later in the same sweep whenever
-            // it is present in the queue) — the behaviour behind the paper's
+        loop {
+            // The frontier in ascending id order. Under the asynchronous
+            // semantics this is what lets a vertex walk through several
+            // parents in one iteration (its next parent always has a larger
+            // id, so it is scheduled later in the same sweep whenever it is
+            // present in the queue) — the behaviour behind the paper's
             // ~3-iteration observation on R-MAT inputs. Under the
             // synchronous semantics ordering is irrelevant to the result.
-            queue.sort_unstable();
-            if semantics == Semantics::Synchronous {
-                state.snapshot_into(&mut frozen_lp, &mut frozen_clen);
+            queue.clear();
+            queue.extend(state.flags.drain().map(|v| v as VertexId));
+            if queue.is_empty() {
+                break;
             }
-            let edges_this_iteration = AtomicUsize::new(0);
-            let record = stats.is_some();
-
-            let next_queue: Vec<VertexId> = engine.parallel_collect(queue.len(), |qi, out| {
-                let v = queue[qi];
-                let accepted = process_lowest_parent(
-                    graph,
-                    &state,
-                    adjacency,
-                    semantics,
-                    &frozen_lp,
-                    &frozen_clen,
-                    flags,
-                    v,
-                    out,
+            iterations += 1;
+            if sync {
+                frozen_clen.clear();
+                frozen_clen.extend(
+                    queue
+                        .iter()
+                        .map(|&v| state.clen[v as usize].load(Ordering::Relaxed)),
                 );
-                if record && accepted > 0 {
-                    edges_this_iteration.fetch_add(accepted, Ordering::Relaxed);
+            }
+            let accepted = AtomicUsize::new(0);
+            engine.parallel_for_chunks(queue.len(), |range| {
+                let mut local = 0;
+                for qi in range {
+                    let frozen_len = sync.then(|| frozen_clen[qi]);
+                    local += state.step(current, next, queue[qi], frozen_len);
+                }
+                if local > 0 {
+                    accepted.fetch_add(local, Ordering::Relaxed);
                 }
             });
-
             if let Some(s) = stats.as_mut() {
-                s.record(queue.len(), edges_this_iteration.load(Ordering::Relaxed));
+                s.record(queue.len(), accepted.into_inner());
             }
-            queue = next_queue;
+            std::mem::swap(&mut current, &mut next);
         }
 
-        // Materialise EC from the chordal-neighbour sets: every entry of
-        // C[w] is a (parent, w) edge.
-        let edges: Vec<(VertexId, VertexId)> = engine.parallel_collect(n, |w_idx, out| {
-            let w = w_idx as VertexId;
-            let len = state.clen[w_idx].load(Ordering::Acquire) as usize;
-            let base = state.offsets[w_idx];
-            for i in 0..len {
-                let parent = state.cdata[base + i].load(Ordering::Relaxed);
-                out.push((parent, w));
-            }
-        });
+        let edges = state.sorted_edges(&mut starts);
 
-        // Return the snapshot buffers to the workspace for the next run.
-        workspace.ids_a = frozen_lp;
+        // Return the plain buffers to the workspace for the next run.
+        workspace.queue_a = queue;
         workspace.ids_b = frozen_clen;
+        workspace.starts = starts;
 
         ChordalResult::new(n, edges, iterations, stats)
     }
@@ -197,105 +189,130 @@ impl ChordalExtractor for MaximalChordalExtractor {
     }
 }
 
-/// Processes one queue entry `v`: examines every neighbour `w` whose current
-/// lowest parent is `v`, runs the subset test, possibly accepts the edge and
-/// advances `w`'s lowest parent. Returns the number of edges accepted.
-#[allow(clippy::too_many_arguments)]
-fn process_lowest_parent(
-    graph: GraphRef<'_>,
-    state: &SharedState<'_>,
-    adjacency: AdjacencyMode,
-    semantics: Semantics,
-    frozen_lp: &[VertexId],
-    frozen_clen: &[u32],
-    flags: &AtomicFlags,
-    v: VertexId,
-    out: &mut Vec<VertexId>,
-) -> usize {
-    let v_idx = v as usize;
-    let mut accepted = 0usize;
-    for &w in graph.neighbors(v) {
-        let w_idx = w as usize;
-        let is_mine = match semantics {
-            Semantics::Synchronous => frozen_lp[w_idx] == v,
-            Semantics::Asynchronous => state.lp[w_idx].load(Ordering::Acquire) == v,
-        };
-        if !is_mine {
-            continue;
-        }
-        // We are the unique owner of w for this step.
-        let len_w = state.clen[w_idx].load(Ordering::Relaxed) as usize;
-        let len_v = match semantics {
-            Semantics::Synchronous => frozen_clen[v_idx] as usize,
-            Semantics::Asynchronous => state.clen[v_idx].load(Ordering::Acquire) as usize,
-        };
-        if state.subset(w_idx, len_w, v_idx, len_v) {
-            // C[w] ← C[w] ∪ {v}; the new entry is published with a release
-            // store on the length so later readers see a complete prefix.
-            let base = state.offsets[w_idx];
-            state.cdata[base + len_w].store(v, Ordering::Relaxed);
-            state.clen[w_idx].store((len_w + 1) as u32, Ordering::Release);
-            accepted += 1;
-        }
-        // Advance w's lowest parent (lines 18-22), whether or not the edge
-        // was accepted.
-        let next = match adjacency {
-            AdjacencyMode::Sorted => {
-                let cur = state.cursor[w_idx].load(Ordering::Relaxed);
-                let (next, new_cur) = next_parent_sorted(graph, w, cur);
-                state.cursor[w_idx].store(new_cur, Ordering::Relaxed);
-                next
-            }
-            AdjacencyMode::Unsorted => next_parent_scan(graph, w, v),
-        };
-        if next != NO_VERTEX {
-            state.lp[w_idx].store(next, Ordering::Release);
-            if flags.test_and_set(next as usize) {
-                out.push(next);
-            }
-        } else {
-            state.lp[w_idx].store(NO_VERTEX, Ordering::Release);
-        }
-    }
-    accepted
-}
-
-/// The shared atomic state of an extraction run, borrowed from a
-/// [`Workspace`] prepared for the current graph.
+/// The shared state of an extraction run, borrowed from a [`Workspace`]
+/// prepared for the current graph.
 struct SharedState<'a> {
-    /// Current lowest parent of every vertex.
-    lp: &'a [AtomicU32],
+    adjacency: AdjacencyMode,
+    /// The graph's flat adjacency array.
+    neighbors: &'a [VertexId],
+    /// Per-vertex offsets into `neighbors` and `cdata` (copied from the
+    /// graph's CSR offsets: a vertex can never have more chordal neighbours
+    /// than its degree).
+    offsets: &'a [usize],
     /// Cursor of the current parent in the sorted adjacency (Opt variant).
     cursor: &'a [AtomicU32],
-    /// Per-vertex offsets into `cdata` (copied from the graph's CSR offsets:
-    /// a vertex can never have more chordal neighbours than its degree).
-    offsets: &'a [usize],
     /// Chordal-neighbour arena.
     cdata: &'a [AtomicU32],
     /// Published length of every chordal-neighbour set.
     clen: &'a [AtomicU32],
+    /// Successor links of the child lists.
+    links: &'a ListLinks,
+    /// The next iteration's frontier.
+    flags: &'a AtomicFlags,
 }
 
 impl<'a> SharedState<'a> {
-    /// Borrows the prepared buffers of `workspace` for a graph with `n`
-    /// vertices and `total` directed edges.
-    fn borrowed(workspace: &'a Workspace, n: usize, total: usize) -> Self {
+    /// Borrows the buffers of `workspace`, prepared for `graph`.
+    fn borrowed(workspace: &'a Workspace, graph: GraphRef<'a>, adjacency: AdjacencyMode) -> Self {
+        let n = graph.num_vertices();
         Self {
-            lp: &workspace.lp[..n],
-            cursor: &workspace.cursor[..n],
+            adjacency,
+            neighbors: graph.adjacency(),
             offsets: &workspace.offsets[..n + 1],
-            cdata: &workspace.cdata[..total],
+            cursor: &workspace.cursor[..n],
+            cdata: &workspace.cdata[..graph.num_directed_edges()],
             clen: &workspace.clen[..n],
+            links: &workspace.links,
+            flags: workspace.flags(),
         }
     }
 
-    /// Copies the lowest parents and chordal-set lengths into plain vectors;
-    /// called between iterations (no concurrent writers).
-    fn snapshot_into(&self, lp_out: &mut Vec<VertexId>, clen_out: &mut Vec<u32>) {
-        lp_out.clear();
-        lp_out.extend(self.lp.iter().map(|a| a.load(Ordering::Relaxed)));
-        clen_out.clear();
-        clen_out.extend(self.clen.iter().map(|a| a.load(Ordering::Relaxed)));
+    /// Neighbours of `v`.
+    #[inline]
+    fn neighbors_of(&self, v: usize) -> &'a [VertexId] {
+        &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
+    }
+
+    /// The lowest parent of `v`, or [`NO_VERTEX`]. The Opt cursor starts at
+    /// zero, the first slot of the sorted list.
+    fn first_parent(&self, v: VertexId) -> VertexId {
+        let neighbors = self.neighbors_of(v as usize);
+        match self.adjacency {
+            AdjacencyMode::Sorted => match neighbors.first() {
+                Some(&p) if p < v => p,
+                _ => NO_VERTEX,
+            },
+            AdjacencyMode::Unsorted => first_parent_scan(neighbors, v),
+        }
+    }
+
+    /// The parent of `w` after `current`, or [`NO_VERTEX`]; advances the Opt
+    /// cursor. Only `w`'s owner calls it.
+    #[inline]
+    fn next_parent(&self, w: VertexId, current: VertexId) -> VertexId {
+        let w_idx = w as usize;
+        let neighbors = self.neighbors_of(w_idx);
+        match self.adjacency {
+            AdjacencyMode::Sorted => {
+                let cursor = self.cursor[w_idx].load(Ordering::Relaxed) + 1;
+                match neighbors.get(cursor as usize) {
+                    Some(&p) if p < w => {
+                        self.cursor[w_idx].store(cursor, Ordering::Relaxed);
+                        p
+                    }
+                    _ => NO_VERTEX,
+                }
+            }
+            AdjacencyMode::Unsorted => next_parent_scan(neighbors, w, current),
+        }
+    }
+
+    /// Gives `w` up to `parent`: pushes it onto `parent`'s list in `lists`
+    /// and flags `parent` for the next iteration.
+    #[inline]
+    fn hand_over(&self, lists: &ListHeads, parent: VertexId, w: VertexId) {
+        lists.push(self.links, parent, w);
+        self.flags.test_and_set(parent as usize);
+    }
+
+    /// Parent `v`'s step: for every child taken from `v`'s
+    /// list in `current`, the subset test `C[w] ⊆ C[v]`, possibly the edge
+    /// `(v, w)`, then the hand-over of `w` to its next parent in `next`.
+    /// `frozen_len_v` is `|C[v]|` at the start of the iteration under the
+    /// synchronous semantics, `None` to read it live. Returns the number of
+    /// edges accepted.
+    fn step(
+        &self,
+        current: &ListHeads,
+        next: &ListHeads,
+        v: VertexId,
+        frozen_len_v: Option<u32>,
+    ) -> usize {
+        let v_idx = v as usize;
+        let mut accepted = 0;
+        for w in current.take(self.links, v) {
+            // The take made this task w's unique owner.
+            let w_idx = w as usize;
+            let len_w = self.clen[w_idx].load(Ordering::Relaxed) as usize;
+            let len_v =
+                frozen_len_v.unwrap_or_else(|| self.clen[v_idx].load(Ordering::Acquire)) as usize;
+            if self.subset(w_idx, len_w, v_idx, len_v) {
+                // C[w] ← C[w] ∪ {v}; the new entry is published with a
+                // release store on the length so asynchronous readers see a
+                // complete prefix.
+                let base = self.offsets[w_idx];
+                self.cdata[base + len_w].store(v, Ordering::Relaxed);
+                self.clen[w_idx].store((len_w + 1) as u32, Ordering::Release);
+                accepted += 1;
+            }
+            // Advance w's lowest parent (lines 18-22), whether or not the
+            // edge was accepted.
+            let parent = self.next_parent(w, v);
+            if parent != NO_VERTEX {
+                self.hand_over(next, parent, w);
+            }
+        }
+        accepted
     }
 
     /// Ordered-merge subset test `C[a][..len_a] ⊆ C[b][..len_b]`. Both sets
@@ -311,6 +328,41 @@ impl<'a> SharedState<'a> {
             len_b,
             |j| self.cdata[base_b + j].load(Ordering::Relaxed),
         )
+    }
+
+    /// `C[w]` as published at the end of the run.
+    fn chordal_set(&self, w: usize) -> &'a [AtomicU32] {
+        let base = self.offsets[w];
+        &self.cdata[base..base + self.clen[w].load(Ordering::Relaxed) as usize]
+    }
+
+    /// EC in canonical sorted order: every entry `p` of `C[w]` is the edge
+    /// `(p, w)` with `p < w`, so a counting sort on `p` that visits `w` in
+    /// ascending order sorts the edges without comparing them. `starts`
+    /// holds the per-parent bucket starts. Runs after the last region has
+    /// joined, so relaxed loads see every write.
+    fn sorted_edges(&self, starts: &mut Vec<usize>) -> Vec<Edge> {
+        let n = self.clen.len();
+        starts.clear();
+        starts.resize(n + 1, 0);
+        for w in 0..n {
+            for p in self.chordal_set(w) {
+                starts[p.load(Ordering::Relaxed) as usize + 1] += 1;
+            }
+        }
+        for p in 0..n {
+            starts[p + 1] += starts[p];
+        }
+        let mut edges = vec![(0, 0); starts[n]];
+        for w in 0..n {
+            for p in self.chordal_set(w) {
+                let p = p.load(Ordering::Relaxed);
+                let slot = &mut starts[p as usize];
+                edges[*slot] = (p, w as VertexId);
+                *slot += 1;
+            }
+        }
+        edges
     }
 }
 
@@ -563,5 +615,31 @@ mod tests {
             allocations,
             "already-seen graph shapes must not grow the workspace"
         );
+    }
+
+    #[test]
+    fn alternating_semantics_on_one_workspace_match_fresh_runs() {
+        // The synchronous run sizes the second head array; the runs around
+        // it must find every child list empty and every flag clear.
+        let g = RmatParams::preset(RmatKind::B, 8, 4).generate();
+        let mut workspace = Workspace::new();
+        for engine in all_engines() {
+            for semantics in [
+                Semantics::Asynchronous,
+                Semantics::Synchronous,
+                Semantics::Asynchronous,
+            ] {
+                let extractor = MaximalChordalExtractor::new(
+                    ExtractorConfig::default()
+                        .with_engine(engine.clone())
+                        .with_semantics(semantics),
+                );
+                let reused = extractor.extract_into((&g).into(), &mut workspace);
+                assert!(verify::is_chordal(&reused.subgraph(&g)));
+                if semantics == Semantics::Synchronous || engine.threads() == 1 {
+                    assert_eq!(reused, extractor.extract(&g), "{engine:?} {semantics:?}");
+                }
+            }
+        }
     }
 }

@@ -7,44 +7,20 @@
 //! parent is located:
 //!
 //! * **Sorted (Opt)** — parents form a prefix of the ascending adjacency
-//!   list, so a cursor into that prefix yields the next parent in O(1).
+//!   list, so a cursor into that prefix yields the next parent in O(1); the
+//!   parallel extractor reads it straight from the flat adjacency array.
 //! * **Unsorted (Unopt)** — the whole neighbour list is scanned for the
 //!   smallest id that is larger than the current parent and smaller than the
-//!   vertex itself.
+//!   vertex itself (the helpers below).
 
-use chordal_graph::{GraphRef, VertexId, NO_VERTEX};
+use chordal_graph::{VertexId, NO_VERTEX};
 
-/// Finds the lowest parent of `v` in a graph with *sorted* adjacency, along
-/// with the cursor position of that parent. Returns `(NO_VERTEX, 0)` when
-/// `v` has no parent.
+/// Finds the lowest parent of `v` by scanning its arbitrarily ordered
+/// neighbour list (the Unopt variant).
 #[inline]
-pub fn first_parent_sorted(graph: GraphRef<'_>, v: VertexId) -> (VertexId, u32) {
-    let adj = graph.neighbors(v);
-    match adj.first() {
-        Some(&w) if w < v => (w, 0),
-        _ => (NO_VERTEX, 0),
-    }
-}
-
-/// Given the cursor of the current parent of `v`, finds the next parent in a
-/// graph with sorted adjacency. Returns `(NO_VERTEX, cursor)` when no parent
-/// remains.
-#[inline]
-pub fn next_parent_sorted(graph: GraphRef<'_>, v: VertexId, cursor: u32) -> (VertexId, u32) {
-    let adj = graph.neighbors(v);
-    let next = cursor as usize + 1;
-    match adj.get(next) {
-        Some(&w) if w < v => (w, next as u32),
-        _ => (NO_VERTEX, cursor),
-    }
-}
-
-/// Finds the lowest parent of `v` by scanning an arbitrarily ordered
-/// adjacency list (the Unopt variant).
-#[inline]
-pub fn first_parent_scan(graph: GraphRef<'_>, v: VertexId) -> VertexId {
+pub fn first_parent_scan(neighbors: &[VertexId], v: VertexId) -> VertexId {
     let mut best = NO_VERTEX;
-    for &w in graph.neighbors(v) {
+    for &w in neighbors {
         if w < v && (best == NO_VERTEX || w < best) {
             best = w;
         }
@@ -52,12 +28,12 @@ pub fn first_parent_scan(graph: GraphRef<'_>, v: VertexId) -> VertexId {
     best
 }
 
-/// Finds the next parent of `v` after `current` by scanning the adjacency
+/// Finds the next parent of `v` after `current` by scanning its neighbour
 /// list: the smallest neighbour strictly between `current` and `v`.
 #[inline]
-pub fn next_parent_scan(graph: GraphRef<'_>, v: VertexId, current: VertexId) -> VertexId {
+pub fn next_parent_scan(neighbors: &[VertexId], v: VertexId, current: VertexId) -> VertexId {
     let mut best = NO_VERTEX;
-    for &w in graph.neighbors(v) {
+    for &w in neighbors {
         if w > current && w < v && (best == NO_VERTEX || w < best) {
             best = w;
         }
@@ -87,54 +63,29 @@ mod tests {
     }
 
     #[test]
-    fn sorted_parent_walk() {
+    fn scan_parent_walk_visits_the_sorted_parent_prefix() {
         let graph = sample_graph();
-        let g = GraphRef::from(&graph);
-        // vertex 4: sorted neighbours [0, 2, 3, 5]; parents 0, 2, 3.
-        let (p0, c0) = first_parent_sorted(g, 4);
-        assert_eq!(p0, 0);
-        let (p1, c1) = next_parent_sorted(g, 4, c0);
-        assert_eq!(p1, 2);
-        let (p2, c2) = next_parent_sorted(g, 4, c1);
-        assert_eq!(p2, 3);
-        let (p3, _) = next_parent_sorted(g, 4, c2);
-        assert_eq!(p3, NO_VERTEX);
-    }
-
-    #[test]
-    fn sorted_no_parent_cases() {
-        let graph = sample_graph();
-        let g = GraphRef::from(&graph);
-        // vertex 0 has neighbours 1 and 4, both larger.
-        assert_eq!(first_parent_sorted(g, 0).0, NO_VERTEX);
-        // vertex 1's only neighbour is 0, which is smaller.
-        assert_eq!(first_parent_sorted(g, 1).0, 0);
-    }
-
-    #[test]
-    fn scan_parent_walk_matches_sorted_walk() {
-        let graph = sample_graph();
-        let g = GraphRef::from(&graph);
-        let scrambled_graph = graph.with_scrambled_adjacency(17);
-        let scrambled = GraphRef::from(&scrambled_graph);
+        let scrambled = graph.with_scrambled_adjacency(17);
         for v in 0..6u32 {
-            // Walk parents with both strategies and compare sequences.
-            let mut sorted_seq = Vec::new();
-            let (mut p, mut c) = first_parent_sorted(g, v);
+            // In a sorted list the parents are the prefix below `v`.
+            let expected: Vec<VertexId> = graph
+                .neighbors(v)
+                .iter()
+                .copied()
+                .take_while(|&w| w < v)
+                .collect();
+            let neighbors = scrambled.neighbors(v);
+            let mut walk = Vec::new();
+            let mut p = first_parent_scan(neighbors, v);
             while p != NO_VERTEX {
-                sorted_seq.push(p);
-                let (np, nc) = next_parent_sorted(g, v, c);
-                p = np;
-                c = nc;
+                walk.push(p);
+                p = next_parent_scan(neighbors, v, p);
             }
-            let mut scan_seq = Vec::new();
-            let mut p = first_parent_scan(scrambled, v);
-            while p != NO_VERTEX {
-                scan_seq.push(p);
-                p = next_parent_scan(scrambled, v, p);
-            }
-            assert_eq!(sorted_seq, scan_seq, "vertex {v}");
+            assert_eq!(walk, expected, "vertex {v}");
         }
+        // vertex 4: parents 0, 2, 3; vertex 0 has none.
+        assert_eq!(first_parent_scan(scrambled.neighbors(0), 0), NO_VERTEX);
+        assert_eq!(next_parent_scan(scrambled.neighbors(4), 4, 2), 3);
     }
 
     #[test]

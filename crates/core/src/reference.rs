@@ -59,7 +59,7 @@ impl ChordalExtractor for ReferenceExtractor {
         // the initial queue holds every vertex that is the lowest parent of
         // someone.
         for v in 0..n as VertexId {
-            let w = first_parent_scan(graph, v);
+            let w = first_parent_scan(graph.neighbors(v), v);
             if w != NO_VERTEX {
                 lp[v as usize] = w;
                 if !in_queue[w as usize] {
@@ -99,7 +99,7 @@ impl ChordalExtractor for ReferenceExtractor {
                         edges_added += 1;
                     }
                     // Advance w's lowest parent regardless of acceptance.
-                    let x = next_parent_scan(graph, w, v);
+                    let x = next_parent_scan(graph.neighbors(w), w, v);
                     if x != NO_VERTEX {
                         lp[w as usize] = x;
                         if !in_queue[x as usize] {

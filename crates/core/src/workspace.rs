@@ -1,7 +1,7 @@
 //! Reusable per-extraction scratch state.
 //!
-//! Every extraction needs per-vertex working buffers: the atomic
-//! lowest-parent/chordal-set arrays of the parallel extractor, the plain
+//! Every extraction needs per-vertex working buffers: the atomic child
+//! lists and chordal-set arrays of the parallel extractor, the plain
 //! queues and candidate sets of the serial algorithms, and the frozen
 //! snapshots of the synchronous semantics. Allocating them per run is cheap
 //! for a one-off extraction but dominates short runs under repeated traffic
@@ -17,7 +17,7 @@
 
 use crate::repair::incremental::RepairScratch;
 use chordal_graph::{GraphRef, VertexId, NO_VERTEX};
-use chordal_runtime::AtomicFlags;
+use chordal_runtime::{AtomicFlags, ListHeads, ListLinks};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Owned, reusable scratch buffers for one extraction at a time.
@@ -28,8 +28,14 @@ use std::sync::atomic::{AtomicU32, Ordering};
 #[derive(Debug, Default)]
 pub struct Workspace {
     // --- atomic state used by the parallel extractor -----------------------
-    /// Current lowest parent per vertex.
-    pub(crate) lp: Vec<AtomicU32>,
+    /// Child-list heads: every vertex waits on the list of its current
+    /// lowest parent.
+    pub(crate) heads: ListHeads,
+    /// The next iteration's child-list heads under the synchronous
+    /// semantics (left empty otherwise).
+    pub(crate) next_heads: ListHeads,
+    /// Child-list links, shared by both head arrays.
+    pub(crate) links: ListLinks,
     /// Sorted-adjacency parent cursor per vertex (Opt variant).
     pub(crate) cursor: Vec<AtomicU32>,
     /// Published chordal-set length per vertex.
@@ -38,12 +44,15 @@ pub struct Workspace {
     pub(crate) cdata: Vec<AtomicU32>,
     /// Copy of the graph's CSR offsets.
     pub(crate) offsets: Vec<usize>,
-    /// Per-vertex queue-membership flags.
+    /// Per-vertex queue-membership flags (the next iteration's frontier).
     pub(crate) flags: Option<AtomicFlags>,
+    /// Per-parent bucket starts of the result's counting sort.
+    pub(crate) starts: Vec<usize>,
     // --- plain scratch shared by the serial algorithms and snapshots -------
-    /// u32-per-vertex scratch A (frozen lowest parents / serial LP array).
+    /// u32-per-vertex scratch A (the reference extractor's lowest parents).
     pub(crate) ids_a: Vec<VertexId>,
-    /// u32-per-vertex scratch B (frozen chordal-set lengths).
+    /// u32-per-vertex scratch B (frozen chordal-set lengths; per queue
+    /// entry in the parallel extractor).
     pub(crate) ids_b: Vec<u32>,
     /// u32-per-vertex scratch C (the reference extractor's frozen lowest
     /// parents).
@@ -100,12 +109,15 @@ impl Workspace {
                     .map(|l| l.capacity() * size_of::<VertexId>())
                     .sum::<usize>()
         };
-        vec_bytes(self.lp.capacity(), size_of::<AtomicU32>())
+        self.heads.allocated_bytes()
+            + self.next_heads.allocated_bytes()
+            + self.links.allocated_bytes()
             + vec_bytes(self.cursor.capacity(), size_of::<AtomicU32>())
             + vec_bytes(self.clen.capacity(), size_of::<AtomicU32>())
             + vec_bytes(self.cdata.capacity(), size_of::<AtomicU32>())
             + vec_bytes(self.offsets.capacity(), size_of::<usize>())
             + self.flags.as_ref().map_or(0, |f| f.allocated_bytes())
+            + vec_bytes(self.starts.capacity(), size_of::<usize>())
             + vec_bytes(self.ids_a.capacity(), size_of::<VertexId>())
             + vec_bytes(self.ids_b.capacity(), size_of::<u32>())
             + vec_bytes(self.ids_c.capacity(), size_of::<VertexId>())
@@ -157,12 +169,19 @@ impl Workspace {
     }
 
     /// Resets and sizes the atomic per-vertex state for a graph with `n`
-    /// vertices and `directed_edges` directed edges. Lowest parents start at
-    /// [`NO_VERTEX`], cursors and chordal-set lengths at zero; the arena is
-    /// left untouched (its live prefix is defined by `clen`).
+    /// vertices and `directed_edges` directed edges. Child lists start
+    /// empty (`next_lists` also sizes the second head array), cursors and
+    /// chordal-set lengths at zero; the arena is left untouched (its live
+    /// prefix is defined by `clen`).
     #[cfg(test)]
-    pub(crate) fn prepare_atomic(&mut self, n: usize, directed_edges: usize, offsets: &[usize]) {
-        self.prepare_atomic_arrays(n, directed_edges);
+    pub(crate) fn prepare_atomic(
+        &mut self,
+        n: usize,
+        directed_edges: usize,
+        offsets: &[usize],
+        next_lists: bool,
+    ) {
+        self.prepare_atomic_arrays(n, directed_edges, next_lists);
         self.offsets.clear();
         if self.offsets.capacity() < offsets.len() {
             self.allocations += 1;
@@ -176,9 +195,9 @@ impl Workspace {
     /// [`GraphRef::adjacency_start`] — heap graphs store offsets at the
     /// compact width ([`chordal_graph::layout`]), so neither representation
     /// has a `&[usize]` slice to hand over wholesale.
-    pub(crate) fn prepare_atomic_from(&mut self, graph: GraphRef<'_>) {
+    pub(crate) fn prepare_atomic_from(&mut self, graph: GraphRef<'_>, next_lists: bool) {
         let n = graph.num_vertices();
-        self.prepare_atomic_arrays(n, graph.num_directed_edges());
+        self.prepare_atomic_arrays(n, graph.num_directed_edges(), next_lists);
         self.offsets.clear();
         if self.offsets.capacity() < n + 1 {
             self.allocations += 1;
@@ -188,17 +207,23 @@ impl Workspace {
         self.prepare_flags(n);
     }
 
-    fn prepare_atomic_arrays(&mut self, n: usize, directed_edges: usize) {
-        if self.lp.len() < n {
+    fn prepare_atomic_arrays(&mut self, n: usize, directed_edges: usize, next_lists: bool) {
+        if self.cursor.len() < n {
             self.allocations += 1;
-            self.lp.resize_with(n, || AtomicU32::new(NO_VERTEX));
             self.cursor.resize_with(n, || AtomicU32::new(0));
             self.clen.resize_with(n, || AtomicU32::new(0));
         }
         for i in 0..n {
-            self.lp[i].store(NO_VERTEX, Ordering::Relaxed);
             self.cursor[i].store(0, Ordering::Relaxed);
             self.clen[i].store(0, Ordering::Relaxed);
+        }
+        let mut grew = self.heads.reset(n);
+        grew |= self.links.reserve(n);
+        if next_lists {
+            grew |= self.next_heads.reset(n);
+        }
+        if grew {
+            self.allocations += 1;
         }
         if self.cdata.len() < directed_edges {
             self.allocations += 1;
@@ -219,7 +244,7 @@ impl Workspace {
     /// The prepared queue-membership flags.
     ///
     /// # Panics
-    /// Panics if [`Workspace::prepare_atomic`] has not run for this
+    /// Panics if [`Workspace::prepare_atomic_from`] has not run for this
     /// extraction.
     pub(crate) fn flags(&self) -> &AtomicFlags {
         self.flags.as_ref().expect("workspace flags not prepared")
@@ -275,15 +300,21 @@ mod tests {
     #[test]
     fn allocated_bytes_tracks_growth_and_stays_flat_on_reuse() {
         let mut ws = Workspace::new();
-        ws.prepare_atomic(64, 256, &vec![0usize; 65]);
+        ws.prepare_atomic(64, 256, &vec![0usize; 65], false);
         ws.prepare_plain(64);
         let bytes = ws.allocated_bytes();
-        // At minimum the four atomic arrays and the offsets copy.
-        assert!(bytes >= 64 * 4 * 3 + 256 * 4 + 65 * 8, "bytes {bytes}");
-        ws.prepare_atomic(64, 256, &vec![0usize; 65]);
+        // At minimum the per-vertex atomic arrays (heads, links, cursors,
+        // lengths), the arena and the offsets copy.
+        assert!(bytes >= 64 * 4 * 4 + 256 * 4 + 65 * 8, "bytes {bytes}");
+        ws.prepare_atomic(64, 256, &vec![0usize; 65], false);
         ws.prepare_plain(64);
         assert_eq!(ws.allocated_bytes(), bytes, "same shape must stay flat");
-        ws.prepare_atomic(128, 512, &vec![0usize; 129]);
+        ws.prepare_atomic(64, 256, &vec![0usize; 65], true);
+        assert!(
+            ws.allocated_bytes() >= bytes + 64 * 4,
+            "the second head array must be counted"
+        );
+        ws.prepare_atomic(128, 512, &vec![0usize; 129], false);
         assert!(ws.allocated_bytes() > bytes, "growth must be visible");
     }
 
@@ -291,24 +322,29 @@ mod tests {
     fn prepare_atomic_grows_once_per_shape() {
         let mut ws = Workspace::new();
         let offsets = vec![0usize, 2, 4];
-        ws.prepare_atomic(2, 4, &offsets);
+        ws.prepare_atomic(2, 4, &offsets, true);
         let first = ws.allocations();
         assert!(first > 0);
-        ws.prepare_atomic(2, 4, &offsets);
+        ws.prepare_atomic(2, 4, &offsets, true);
+        ws.prepare_atomic(2, 4, &offsets, false);
         assert_eq!(ws.allocations(), first, "same shape must not reallocate");
-        ws.prepare_atomic(3, 8, &[0, 2, 4, 8]);
+        ws.prepare_atomic(3, 8, &[0, 2, 4, 8], false);
         assert!(ws.allocations() > first, "growth must be counted");
     }
 
     #[test]
     fn prepare_atomic_resets_state() {
         let mut ws = Workspace::new();
-        ws.prepare_atomic(2, 2, &[0, 1, 2]);
-        ws.lp[0].store(7, Ordering::Relaxed);
+        ws.prepare_atomic(2, 2, &[0, 1, 2], true);
+        ws.heads.push(&ws.links, 0, 1);
+        ws.next_heads.push(&ws.links, 1, 0);
+        ws.cursor[0].store(7, Ordering::Relaxed);
         ws.clen[1].store(9, Ordering::Relaxed);
         ws.flags().test_and_set(1);
-        ws.prepare_atomic(2, 2, &[0, 1, 2]);
-        assert_eq!(ws.lp[0].load(Ordering::Relaxed), NO_VERTEX);
+        ws.prepare_atomic(2, 2, &[0, 1, 2], true);
+        assert_eq!(ws.heads.take(&ws.links, 0).count(), 0);
+        assert_eq!(ws.next_heads.take(&ws.links, 1).count(), 0);
+        assert_eq!(ws.cursor[0].load(Ordering::Relaxed), 0);
         assert_eq!(ws.clen[1].load(Ordering::Relaxed), 0);
         assert!(ws.flags().test_and_set(1), "flags must have been cleared");
     }

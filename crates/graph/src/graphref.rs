@@ -111,6 +111,18 @@ impl<'a> GraphRef<'a> {
         }
     }
 
+    /// The flat adjacency array: `v`'s neighbours are the entries from
+    /// [`GraphRef::adjacency_start`]`(v)` up to `adjacency_start(v + 1)`.
+    /// Hot loops that keep their own copy of the offsets slice it directly
+    /// and skip the per-call offset decode of [`GraphRef::neighbors`].
+    #[inline]
+    pub fn adjacency(self) -> &'a [VertexId] {
+        match self {
+            GraphRef::Heap(g) => g.adjacency(),
+            GraphRef::Mapped(g) => g.adjacency(),
+        }
+    }
+
     /// Start of vertex `i`'s adjacency range in the (conceptual) flat
     /// adjacency array. Valid for `i` in `0..=num_vertices()`; the value at
     /// `num_vertices()` equals [`GraphRef::num_directed_edges`]. This
@@ -203,6 +215,7 @@ mod tests {
         assert_eq!(r.neighbors(1), &[0, 2]);
         assert_eq!(r.adjacency_start(0), 0);
         assert_eq!(r.adjacency_start(4), 6);
+        assert_eq!(r.adjacency(), &[1, 0, 2, 1, 3, 2]);
         assert!(r.is_sorted());
         assert!(r.has_edge(2, 3));
         assert!(!r.has_edge(0, 3));

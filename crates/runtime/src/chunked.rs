@@ -62,7 +62,8 @@ impl ChunkedEngine {
     }
 }
 
-#[cfg(test)]
+// Gated out under `chordal_model`: these tests drive the real pool.
+#[cfg(all(test, not(chordal_model)))]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

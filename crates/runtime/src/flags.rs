@@ -5,6 +5,10 @@
 //! implementation realises the membership test with one atomic flag per
 //! vertex; `test_and_set` returns whether the caller is the first to claim
 //! the vertex this iteration.
+//!
+//! The flags double as the next iteration's frontier: [`AtomicFlags::drain`]
+//! reads the set flags back in ascending order and clears them, so the
+//! queue needs neither a collect pass nor a sort.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -72,12 +76,55 @@ impl AtomicFlags {
         }
     }
 
+    /// Clears the set flags while yielding their indices in ascending
+    /// order; flags the iterator has not reached stay set. Like
+    /// [`AtomicFlags::clear_all`] it must not run concurrently with setters.
+    /// Relaxed accesses suffice: the caller orders every earlier
+    /// [`AtomicFlags::test_and_set`] before the drain, and the drain before
+    /// every later one, by joining the parallel region that set them and
+    /// starting the next region after the drain.
+    pub fn drain(&self) -> Drain<'_> {
+        Drain {
+            words: self.words.iter().enumerate(),
+            base: 0,
+            bits: 0,
+        }
+    }
+
     /// Number of set flags (linear scan; diagnostic use only).
     pub fn count_set(&self) -> usize {
         self.words
             .iter()
             .map(|w| w.load(Ordering::Acquire).count_ones() as usize)
             .sum()
+    }
+}
+
+/// Iterator returned by [`AtomicFlags::drain`].
+pub struct Drain<'a> {
+    words: std::iter::Enumerate<std::slice::Iter<'a, AtomicU64>>,
+    /// Index of the first flag of the word `bits` came from.
+    base: usize,
+    /// Set flags of the current word not yet yielded.
+    bits: u64,
+}
+
+impl Iterator for Drain<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            let (i, word) = self.words.next()?;
+            self.bits = word.load(Ordering::Relaxed);
+            if self.bits != 0 {
+                word.store(0, Ordering::Relaxed);
+            }
+            self.base = i * 64;
+        }
+        let bit = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(self.base + bit)
     }
 }
 
@@ -107,6 +154,25 @@ mod tests {
         assert_eq!(flags.count_set(), 2);
         flags.clear_all();
         assert_eq!(flags.count_set(), 0);
+    }
+
+    #[test]
+    fn drain_yields_set_flags_in_ascending_order_and_clears_them() {
+        let flags = AtomicFlags::new(200);
+        for i in [130, 3, 64, 199, 63, 0] {
+            flags.test_and_set(i);
+        }
+        assert_eq!(
+            flags.drain().collect::<Vec<_>>(),
+            vec![0, 3, 63, 64, 130, 199]
+        );
+        assert_eq!(flags.count_set(), 0);
+        assert_eq!(flags.drain().count(), 0);
+        assert!(flags.test_and_set(64), "drained flags can be set again");
+        flags.test_and_set(150);
+        assert_eq!(flags.drain().next(), Some(64));
+        assert!(!flags.get(64));
+        assert!(flags.get(150), "flags the drain did not reach stay set");
     }
 
     #[test]

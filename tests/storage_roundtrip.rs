@@ -17,6 +17,7 @@ use maximal_chordal::graph::storage::{
 };
 use maximal_chordal::graph::{io::write_edge_list_file, CsrGraph, GraphRef};
 use maximal_chordal::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Text + binary on-disk copies of a generated graph, removed on drop.
 struct DiskPair {
@@ -24,12 +25,18 @@ struct DiskPair {
     bin: std::path::PathBuf,
 }
 
+/// Numbers every [`DiskPair`] of the process: tests run concurrently and
+/// reuse tags, so the tag alone would let one test overwrite (or delete)
+/// another's mapped file.
+static NEXT_PAIR: AtomicUsize = AtomicUsize::new(0);
+
 impl DiskPair {
     fn create(tag: &str, graph: &CsrGraph) -> DiskPair {
         let dir = std::env::temp_dir();
         let pid = std::process::id();
-        let txt = dir.join(format!("chordal_roundtrip_{pid}_{tag}.txt"));
-        let bin = dir.join(format!("chordal_roundtrip_{pid}_{tag}.bin"));
+        let id = NEXT_PAIR.fetch_add(1, Ordering::Relaxed);
+        let txt = dir.join(format!("chordal_roundtrip_{pid}_{id}_{tag}.txt"));
+        let bin = dir.join(format!("chordal_roundtrip_{pid}_{id}_{tag}.bin"));
         write_edge_list_file(graph, &txt).expect("writing text edge list");
         convert_edge_list_to_binary(&txt, &bin).expect("streaming conversion");
         DiskPair { txt, bin }
