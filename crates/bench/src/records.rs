@@ -69,12 +69,8 @@ pub struct SchedulerPoint {
     pub engine: String,
     /// Number of worker threads.
     pub threads: usize,
-    /// Batch policy (`"fan-out"`, `"intra"`, `"static"`, `"static+rb"`,
-    /// `"adaptive-frozen"`, `"adaptive"`).
+    /// Batch policy (`"batch"`, `"intra"`, `"fan-out"`).
     pub policy: String,
-    /// Effective edge pivot after the timed runs — for the EWMA-feedback
-    /// policy this is the converged pivot, not the seed.
-    pub threshold_edges: usize,
     /// Graphs in the batch.
     pub batch_graphs: usize,
     /// Best wall-clock seconds over the repeats.
@@ -89,15 +85,6 @@ pub struct SchedulerPoint {
     /// count, nanoseconds
     /// ([`chordal_runtime::estimated_region_overhead_ns_for`]).
     pub region_overhead_ns: u64,
-    /// The session's measured-cost EWMA of serial-equivalent extraction
-    /// nanoseconds per canonical edge after the timed runs
-    /// ([`chordal_core::SchedulerFeedback::ewma_ns_per_edge`]); equals the
-    /// seed constant when the policy records no feedback.
-    pub ewma_ns_per_edge: f64,
-    /// Fan-out graphs the intra-batch rebalancer promoted to intra-graph
-    /// runs during the timed runs (delta of
-    /// [`chordal_core::SchedulerFeedback::rebalanced`]).
-    pub rebalanced: u64,
     /// Help-invitation tickets dropped by saturated pool queues during the
     /// timed runs (delta of `pool_stats().tickets_dropped`).
     pub tickets_dropped: u64,
@@ -111,15 +98,12 @@ impl_to_json!(SchedulerPoint {
     engine,
     threads,
     policy,
-    threshold_edges,
     batch_graphs,
     seconds,
     chordal_edges,
     steals,
     regions,
     region_overhead_ns,
-    ewma_ns_per_edge,
-    rebalanced,
     tickets_dropped,
     load_ns,
 });
@@ -418,25 +402,20 @@ mod tests {
             experiment: "scheduler".into(),
             engine: "rayon".into(),
             threads: 4,
-            policy: "adaptive".into(),
-            threshold_edges: 2_048,
+            policy: "batch".into(),
             batch_graphs: 17,
             seconds: 0.01,
             chordal_edges: 999,
             steals: 3,
             regions: 21,
             region_overhead_ns: 5_000,
-            ewma_ns_per_edge: 31.5,
-            rebalanced: 2,
             tickets_dropped: 0,
             load_ns: 1_500_000,
         };
         let json = p.to_json();
         assert!(json.contains("\"experiment\":\"scheduler\""));
-        assert!(json.contains("\"policy\":\"adaptive\""));
-        assert!(json.contains("\"threshold_edges\":2048"));
-        assert!(json.contains("\"ewma_ns_per_edge\":31.5"));
-        assert!(json.contains("\"rebalanced\":2"));
+        assert!(json.contains("\"policy\":\"batch\""));
+        assert!(json.contains("\"batch_graphs\":17"));
         assert!(json.contains("\"tickets_dropped\":0"));
         assert!(json.contains("\"load_ns\":1500000"));
     }

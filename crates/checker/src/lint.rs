@@ -16,7 +16,7 @@
 //!   `tests/`/bench code are exempt.
 //! - **R4 no-wall-clock** — `Instant::now` is banned in deterministic
 //!   extraction paths (`crates/core`, `crates/graph`, `crates/runtime`,
-//!   `crates/compat/rayon`) outside the EWMA cost model in
+//!   `crates/compat/rayon`) outside the session's `extract_ns` stamp in
 //!   `crates/core/src/session.rs`.
 //! - **R5 release-sensitive-asserts** — `debug_assert!` is banned in
 //!   atomic-ordering-sensitive files (deque/pool/slots/queue): an
@@ -86,9 +86,8 @@ const INSTANT_CHECKED_PREFIXES: &[&str] = &[
 
 /// Files under the checked prefixes that may read the wall clock.
 const INSTANT_ALLOWLIST: &[&str] = &[
-    // EWMA cost-model feedback: timing is the measurement, and placement
-    // decisions derived from it are test-locked to stay byte-identical
-    // for deterministic configs.
+    // Stamps `ChordalResult::extract_ns`, which serve replies report; no
+    // extraction or placement decision reads the clock.
     "crates/core/src/session.rs",
     // Pool spin-wait calibration (`estimated_overhead_ns`): measuring the
     // wall clock IS the job; the result only tunes adaptive spin counts,
@@ -541,8 +540,8 @@ pub fn lint_source(path: &str, src: &str) -> (Vec<Diagnostic>, bool) {
                         line,
                         rule: "no-wall-clock",
                         message: "`Instant::now` in a deterministic extraction path; timing \
-                                  belongs in the session EWMA layer (crates/core/src/session.rs) \
-                                  or bench code"
+                                  belongs in the session's extract_ns stamp \
+                                  (crates/core/src/session.rs) or bench code"
                             .to_string(),
                     });
                 }

@@ -102,7 +102,7 @@ fn instant_now_in_extraction_path_fires() {
 }
 
 #[test]
-fn instant_now_in_session_ewma_passes() {
+fn instant_now_in_session_passes() {
     let src = "fn f() -> std::time::Instant {\n    std::time::Instant::now()\n}\n";
     let (diags, _) = lint_source("crates/core/src/session.rs", src);
     assert!(diags.is_empty(), "{diags:?}");

@@ -9,9 +9,8 @@
 //!                  [--threads 8] [--engine pool|rayon|serial] [--variant opt|unopt]
 //!                  [--semantics async|sync] [--partitions N] [--stats] [--stitch] [--repair]
 //!                  [--repair-strategy incremental|scratch] [--format text|bin|auto]
-//! chordal batch    --in a.txt,b.bin,c.txt [--batch-threshold N | --adaptive]
-//!                  [--ewma|--no-ewma] [--rebalance|--no-rebalance]
-//!                  [--threads 8] [--engine pool|rayon|serial] [--repeat N] [...extract flags]
+//! chordal batch    --in a.txt,b.bin,c.txt [--threads 8] [--engine pool|rayon|serial]
+//!                  [--repeat N] [...extract flags]
 //! chordal analyze  --in graph.txt
 //! chordal verify   --graph graph.txt --subgraph chordal.txt
 //! chordal serve    [--addr 127.0.0.1:0] [--max-sessions N] [--max-inflight N]
@@ -27,23 +26,19 @@
 //! memory via the streaming converter.
 //!
 //! `batch` drives many input files through
-//! [`ExtractionSession::extract_batch`], exercising the hybrid batch
-//! scheduler end to end: graphs below the pivot fan out across the
-//! engine's workers, larger ones get intra-graph parallelism, and
-//! `--adaptive` replaces the static pivot with the measured cost model
-//! (seeded from the pool calibration, then fed back from the session's own
-//! EWMA of per-graph timings; `--no-ewma` freezes the seed). The fan-out
-//! tail may be promoted to intra-graph runs when pool workers idle
-//! (`--no-rebalance` disables promotion). The command reports the
-//! effective pivot, per-file results, the scheduler feedback (EWMA ns/edge,
-//! promoted graphs) and the pool's scheduling counters for the run.
+//! [`ExtractionSession::extract_batch`]: on a parallel engine the files fan
+//! out longest first across the engine's workers, each extracted serially;
+//! a serial engine or a single file runs sequentially. The command reports
+//! the placement the session used (`fan-out` over how many participants, or
+//! `sequential`), per-file results and the pool's scheduling counters for
+//! the run.
 //!
 //! All configuration parsing goes through the typed helpers of
 //! `chordal-core` ([`Algorithm::parse`], [`AdjacencyMode::parse`],
 //! [`Semantics::parse`], engine resolution via the runtime), and every
 //! failure is a structured [`ExtractError`] mapped to a distinct exit code:
-//! 2 for usage/parse errors, 3 for I/O failures, 4 for failed
-//! verifications.
+//! 2 for usage/parse errors (an unknown flag among them, which also prints
+//! the usage text), 3 for I/O failures, 4 for failed verifications.
 
 use chordal_analysis::clustering::average_clustering;
 use chordal_analysis::degree_assortativity;
@@ -91,67 +86,89 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(error) => {
             eprintln!("error: {error}");
+            if matches!(error, ExtractError::UnexpectedArgument(_)) {
+                eprintln!("{USAGE}");
+            }
             ExitCode::from(error.exit_code())
         }
     }
 }
 
 fn print_usage() {
-    println!(
-        "chordal — maximal chordal subgraph toolkit\n\
-         \n\
-         commands:\n\
-         \x20 generate --kind <rmat-er|rmat-g|rmat-b|bio-crt|bio-unt|bio-ctl|bio-non> \n\
-         \x20          [--scale N] [--genes N] [--seed N] --out FILE\n\
-         \x20 convert  --in FILE --out FILE [--window-bytes N] [--verify]\n\
-         \x20 extract  --in FILE [--out FILE] [--algorithm alg1|reference|dearing|partitioned]\n\
-         \x20          [--threads N] [--engine serial|pool|rayon] [--variant opt|unopt]\n\
-         \x20          [--semantics async|sync] [--partitions N] [--stats] [--stitch]\n\
-         \x20          [--repair] [--repair-strategy incremental|scratch]\n\
-         \x20 batch    --in FILE[,FILE...] [--batch-threshold EDGES | --adaptive]\n\
-         \x20          [--ewma|--no-ewma] [--rebalance|--no-rebalance]\n\
-         \x20          [--repeat N] [...extract flags]\n\
-         \x20 analyze  --in FILE\n\
-         \x20 verify   --graph FILE --subgraph FILE [--maximality N]\n\
-         \x20 serve    [--addr HOST:PORT] [--max-sessions N] [--max-inflight N]\n\
-         \x20          [--max-queue N] [--default-deadline-ms N] [--drain-timeout-ms N]\n\
-         \x20          [--cache-budget-bytes N] [--engine serial|pool|rayon] [--threads N]\n\
-         \x20 help\n\
-         \n\
-         graph inputs may be text edge lists or binary CSR files (`convert`\n\
-         produces the latter); the format is auto-detected, or forced with\n\
-         --format text|bin|auto on any graph-loading command.\n\
-         \n\
-         exit codes: 0 success, 2 usage error, 3 I/O error, 4 verification failure"
-    );
+    println!("{USAGE}");
 }
 
+const USAGE: &str = "chordal — maximal chordal subgraph toolkit\n\
+    \n\
+    commands:\n\
+    \x20 generate --kind <rmat-er|rmat-g|rmat-b|bio-crt|bio-unt|bio-ctl|bio-non> \n\
+    \x20          [--scale N] [--genes N] [--seed N] --out FILE\n\
+    \x20 convert  --in FILE --out FILE [--window-bytes N] [--verify]\n\
+    \x20 extract  --in FILE [--out FILE] [--algorithm alg1|reference|dearing|partitioned]\n\
+    \x20          [--threads N] [--engine serial|pool|rayon] [--variant opt|unopt]\n\
+    \x20          [--semantics async|sync] [--partitions N] [--stats] [--stitch]\n\
+    \x20          [--repair] [--repair-strategy incremental|scratch]\n\
+    \x20 batch    --in FILE[,FILE...] [--repeat N] [...extract flags]\n\
+    \x20 analyze  --in FILE\n\
+    \x20 verify   --graph FILE --subgraph FILE [--maximality N]\n\
+    \x20 serve    [--addr HOST:PORT] [--max-sessions N] [--max-inflight N]\n\
+    \x20          [--max-queue N] [--default-deadline-ms N] [--drain-timeout-ms N]\n\
+    \x20          [--cache-budget-bytes N] [--engine serial|pool|rayon] [--threads N]\n\
+    \x20 help\n\
+    \n\
+    graph inputs may be text edge lists or binary CSR files (`convert`\n\
+    produces the latter); the format is auto-detected, or forced with\n\
+    --format text|bin|auto on any graph-loading command.\n\
+    \n\
+    exit codes: 0 success, 2 usage error, 3 I/O error, 4 verification failure";
+
 type Flags = HashMap<String, String>;
+
+/// Flags that take no value.
+const SWITCHES: &[&str] = &["stats", "stitch", "repair", "verify"];
+
+/// Flags that take a value.
+const OPTIONS: &[&str] = &[
+    "in",
+    "out",
+    "format",
+    "kind",
+    "scale",
+    "genes",
+    "seed",
+    "window-bytes",
+    "algorithm",
+    "threads",
+    "engine",
+    "variant",
+    "semantics",
+    "partitions",
+    "repair-strategy",
+    "repeat",
+    "graph",
+    "subgraph",
+    "maximality",
+    "addr",
+    "max-sessions",
+    "max-inflight",
+    "max-queue",
+    "default-deadline-ms",
+    "drain-timeout-ms",
+    "cache-budget-bytes",
+];
 
 fn parse_flags(args: &[String]) -> Result<Flags, ExtractError> {
     let mut flags = Flags::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        let Some(name) = arg.strip_prefix("--") else {
-            return Err(ExtractError::UnexpectedArgument(arg.clone()));
+        let name = match arg.strip_prefix("--") {
+            Some(name) if SWITCHES.contains(&name) => {
+                flags.insert(name.to_string(), "true".to_string());
+                continue;
+            }
+            Some(name) if OPTIONS.contains(&name) => name,
+            _ => return Err(ExtractError::UnexpectedArgument(arg.clone())),
         };
-        // Boolean flags.
-        if matches!(
-            name,
-            "stats"
-                | "stitch"
-                | "quick"
-                | "repair"
-                | "adaptive"
-                | "ewma"
-                | "no-ewma"
-                | "rebalance"
-                | "no-rebalance"
-                | "verify"
-        ) {
-            flags.insert(name.to_string(), "true".to_string());
-            continue;
-        }
         let value = iter
             .next()
             .ok_or_else(|| ExtractError::MissingOption(name.to_string()))?;
@@ -295,11 +312,6 @@ fn extraction_config(flags: &Flags) -> Result<ExtractorConfig, ExtractError> {
             .unwrap_or("async"),
     )?;
     let partitions: usize = parse_number(flags, "partitions", 0)?;
-    let batch_threshold: usize = parse_number(
-        flags,
-        "batch-threshold",
-        chordal_core::config::DEFAULT_BATCH_THRESHOLD_EDGES,
-    )?;
     let repair_strategy = match flags.get("repair-strategy") {
         None => RepairStrategy::default(),
         Some(name) => RepairStrategy::parse(name)?,
@@ -316,13 +328,6 @@ fn extraction_config(flags: &Flags) -> Result<ExtractorConfig, ExtractError> {
             partitions,
             chordal_core::partitioned::PartitionStrategy::Blocks,
         )
-        .with_batch_threshold_edges(batch_threshold)
-        .with_batch_adaptive(flags.contains_key("adaptive"))
-        // Measured-cost feedback and rebalancing default on; `--no-ewma` /
-        // `--no-rebalance` freeze the scheduler at the PR 3 behaviour
-        // (`--ewma` / `--rebalance` spell the defaults explicitly).
-        .with_batch_ewma(!flags.contains_key("no-ewma"))
-        .with_batch_rebalance(!flags.contains_key("no-rebalance"))
         .with_engine_name(
             flags.get("engine").map(String::as_str).unwrap_or("rayon"),
             threads,
@@ -396,34 +401,14 @@ fn cmd_batch(flags: &Flags) -> Result<(), ExtractError> {
     // Mixed text/binary batches flow through the scheduler as uniform
     // storage-agnostic views; mmapped inputs are extracted in place.
     let views: Vec<GraphRef<'_>> = graphs.iter().map(|g| g.as_graph_ref()).collect();
-    let threshold = session.effective_batch_threshold();
-    // extract_batch short-circuits to plain sequential extraction for a
-    // serial engine or a single input; the pivot is never consulted there,
-    // so the report must not claim hybrid placement happened.
-    let hybrid = session.config().engine.threads() > 1 && graphs.len() > 1;
-    if hybrid {
-        println!(
-            "batch: {} graphs, engine {} x{}, pivot {} edges ({}), {} repeat(s)",
-            graphs.len(),
-            session.config().engine.name(),
-            session.config().engine.threads(),
-            threshold,
-            if session.config().batch_adaptive {
-                "adaptive"
-            } else {
-                "static"
-            },
-            repeats
-        );
-    } else {
-        println!(
-            "batch: {} graphs, engine {} x{}, sequential (no hybrid scheduling), {} repeat(s)",
-            graphs.len(),
-            session.config().engine.name(),
-            session.config().engine.threads(),
-            repeats
-        );
-    }
+    let engine = &session.config().engine;
+    println!(
+        "batch: {} graphs, engine {} x{}, {} repeat(s)",
+        graphs.len(),
+        engine.name(),
+        engine.threads(),
+        repeats
+    );
     let stats_before = chordal_runtime::pool_stats();
     let mut results = Vec::new();
     let mut best = f64::MAX;
@@ -435,28 +420,25 @@ fn cmd_batch(flags: &Flags) -> Result<(), ExtractError> {
     }
     let total = start.elapsed().as_secs_f64();
     let stats = chordal_runtime::pool_stats();
+    let placement = match session.batch_participants() {
+        0 => {
+            println!("placement: sequential");
+            "sequential"
+        }
+        participants => {
+            println!("placement: fan-out over {participants} participant(s), longest first");
+            "fan-out"
+        }
+    };
     for (path, (&view, result)) in paths.iter().zip(views.iter().zip(&results)) {
-        // Placement keys on the canonical edge count (duplicates and self
-        // loops in a noisy input carry no extraction work); the label shows
-        // where the *initial* pivot placed the file — the rebalancer may
-        // have promoted fan-out tail files, reported in the summary below.
-        let canonical_edges = view.num_canonical_edges();
         println!(
-            "  {:<32} {:>9} edges -> {:>9} chordal ({:.2}%) [{}]",
+            "  {:<32} {:>9} edges -> {:>9} chordal ({:.2}%) [{placement}]",
             path,
-            canonical_edges,
+            view.num_canonical_edges(),
             result.num_chordal_edges(),
             100.0 * result.chordal_fraction(view),
-            if !hybrid {
-                "sequential"
-            } else if canonical_edges >= threshold {
-                "intra-graph"
-            } else {
-                "fan-out"
-            }
         );
     }
-    let feedback = session.scheduler_feedback();
     println!(
         "batch done: {} chordal edges total, best {:.4}s (total {:.4}s); pool: +{} regions, +{} tickets, +{} steals, +{} dropped",
         results.iter().map(|r| r.num_chordal_edges()).sum::<usize>(),
@@ -467,18 +449,6 @@ fn cmd_batch(flags: &Flags) -> Result<(), ExtractError> {
         stats.steals - stats_before.steals,
         stats.tickets_dropped - stats_before.tickets_dropped,
     );
-    if hybrid {
-        println!(
-            "scheduler: ewma {:.1} ns/edge over {} sample(s), {} graph(s) promoted to intra-graph, next pivot {} edges",
-            feedback.ewma_ns_per_edge,
-            feedback.samples,
-            feedback.rebalanced,
-            match session.effective_batch_threshold() {
-                usize::MAX => "max".to_string(),
-                pivot => pivot.to_string(),
-            }
-        );
-    }
     Ok(())
 }
 
@@ -649,5 +619,43 @@ fn cmd_verify(flags: &Flags) -> Result<(), ExtractError> {
         Err(ExtractError::Verification(
             "subgraph is not chordal".to_string(),
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        for flag in [
+            "--batch-threshold",
+            "--adaptive",
+            "--ewma",
+            "--no-ewma",
+            "--rebalance",
+            "--no-rebalance",
+            "--bogus",
+        ] {
+            let error = parse_flags(&args(&["--in", "a.txt", flag, "1"])).unwrap_err();
+            assert!(
+                matches!(&error, ExtractError::UnexpectedArgument(arg) if arg == flag),
+                "{flag}: {error}"
+            );
+            assert_eq!(error.exit_code(), 2);
+        }
+    }
+
+    #[test]
+    fn known_flags_parse() {
+        let flags =
+            parse_flags(&args(&["--in", "a.txt,b.bin", "--stats", "--repeat", "3"])).unwrap();
+        assert_eq!(flags["in"], "a.txt,b.bin");
+        assert_eq!(flags["stats"], "true");
+        assert_eq!(flags["repeat"], "3");
     }
 }

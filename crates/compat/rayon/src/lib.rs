@@ -113,31 +113,16 @@ pub fn estimated_region_overhead_ns() -> u64 {
 /// `parallelism` participants, in nanoseconds. Calibrated on the shared
 /// pool at first call *per participant count* and memoised per count (a
 /// wider region publishes more tickets and pays more wake-ups, so the
-/// samples genuinely differ); the adaptive batch scheduler in
-/// `chordal-core` keys its cost model on the session's thread count through
-/// this function.
+/// samples genuinely differ).
 pub fn estimated_region_overhead_ns_for(parallelism: usize) -> u64 {
     pool::estimated_overhead_ns(parallelism)
 }
 
 /// Number of shared-pool workers currently parked with nothing to do — a
 /// constant-time, racy hint (zero before the first parallel region spawns
-/// the pool). Schedulers use it to spot spare capacity; the batch
-/// rebalancer in `chordal-core` promotes fan-out tail work to intra-graph
-/// parallelism when the remaining tail could not occupy the idle workers
-/// anyway.
+/// the pool) that callers use to spot spare capacity.
 pub fn pool_idle_workers() -> usize {
     pool::idle_so_far()
-}
-
-/// Monotonic count of parallel regions submitted *by the calling thread*.
-/// Unlike a delta of [`pool_stats`]`().regions`, a delta of this value
-/// cannot absorb regions that other threads submitted concurrently, so a
-/// scheduler can attribute region counts to one of its own extractions
-/// without cross-talk (nested regions submitted by pool workers on its
-/// behalf are not included).
-pub fn pool_regions_submitted_locally() -> u64 {
-    pool::local_regions_submitted()
 }
 
 // ---------------------------------------------------------------------------

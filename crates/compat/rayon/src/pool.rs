@@ -51,8 +51,7 @@
 //! The pool also keeps [scheduling counters](PoolStats) (regions
 //! submitted, tickets published, steals) and can
 //! [calibrate](estimated_overhead_ns) the per-region dispatch overhead;
-//! the adaptive batch scheduler in `chordal-core` uses that sample to
-//! decide between graph fan-out and intra-graph parallelism.
+//! benchmarks report that sample next to their timings.
 
 use crate::deque::{ChaseLev, Injector, Steal};
 use std::cell::Cell;
@@ -105,12 +104,6 @@ thread_local! {
     /// Index of this thread in the pool's worker array; `usize::MAX` for
     /// threads that are not pool workers.
     static WORKER_INDEX: Cell<usize> = const { Cell::new(usize::MAX) };
-
-    /// Parallel regions *this thread* has submitted. Unlike the shared
-    /// [`PoolStats::regions`] counter, a delta of this value cannot absorb
-    /// regions that other threads submitted concurrently — schedulers use
-    /// it to attribute region counts to one extraction without cross-talk.
-    static LOCAL_REGIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// One parallel region: an iteration space drained cooperatively by the
@@ -481,7 +474,6 @@ impl Pool {
             panic: Mutex::new(None),
         });
         self.shared.regions.fetch_add(1, Ordering::Relaxed);
-        LOCAL_REGIONS.with(|c| c.set(c.get() + 1));
         for _ in 0..participants - 1 {
             if !self.shared.push(Arc::clone(&region)) {
                 // Queues full: withdraw the invitation we failed to publish.
@@ -531,9 +523,7 @@ impl Pool {
 
     /// Number of pool workers currently parked with no work (a racy,
     /// constant-time hint: each worker publishes a `sleeping` flag before it
-    /// parks). Schedulers use this to detect spare capacity — e.g. the batch
-    /// rebalancer promotes fan-out tail work to intra-graph parallelism when
-    /// idle workers could help with it.
+    /// parks) that callers use to detect spare capacity.
     pub(crate) fn idle_workers(&self) -> usize {
         self.shared
             .workers
@@ -607,11 +597,6 @@ pub(crate) fn idle_so_far() -> usize {
     POOL.get().map(Pool::idle_workers).unwrap_or(0)
 }
 
-/// Monotonic count of parallel regions submitted by the calling thread.
-pub(crate) fn local_regions_submitted() -> u64 {
-    LOCAL_REGIONS.with(Cell::get)
-}
-
 /// Pool size: `CHORDAL_POOL_THREADS` when set to a positive integer,
 /// otherwise the number of logical CPUs. Computed once, without spawning
 /// any threads (the pool itself spawns on first region).
@@ -650,34 +635,6 @@ mod tests {
         );
         assert!(after.tickets >= before.tickets, "tickets must not shrink");
         assert!(after.steals >= before.steals, "steals must not shrink");
-    }
-
-    #[test]
-    fn local_region_counter_ignores_other_threads() {
-        let pool = Pool::global();
-        let before = local_regions_submitted();
-        for _ in 0..5 {
-            pool.run_region(64, 8, 2, |_| {});
-        }
-        assert_eq!(
-            local_regions_submitted(),
-            before + 5,
-            "own submissions must count exactly"
-        );
-        let mine = local_regions_submitted();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for _ in 0..7 {
-                    pool.run_region(64, 8, 2, |_| {});
-                }
-                assert!(local_regions_submitted() >= 7);
-            });
-        });
-        assert_eq!(
-            local_regions_submitted(),
-            mine,
-            "another thread's submissions must not leak into this thread's counter"
-        );
     }
 
     #[test]

@@ -93,12 +93,6 @@ impl Semantics {
     }
 }
 
-/// Default [`ExtractorConfig::batch_threshold_edges`]: graphs at or above
-/// this edge count are extracted with intra-graph parallelism inside
-/// [`crate::ExtractionSession::extract_batch`], smaller ones are fanned out
-/// across the engine's workers with the serial per-graph variant.
-pub const DEFAULT_BATCH_THRESHOLD_EDGES: usize = 32_768;
-
 /// Full configuration of an extraction: which [`Algorithm`] to run and how.
 ///
 /// A config is the single input of the registry
@@ -134,47 +128,6 @@ pub struct ExtractorConfig {
     /// [`RepairStrategy::Scratch`] (full re-verification per candidate,
     /// kept for differential testing). CLI flag `--repair-strategy`.
     pub repair_strategy: RepairStrategy,
-    /// Edge-count pivot of the hybrid batch scheduling policy in
-    /// [`crate::ExtractionSession::extract_batch`]: graphs with at least
-    /// this many (undirected) edges run one at a time with intra-graph
-    /// parallelism on the configured engine; smaller graphs are fanned out
-    /// across the engine's workers, each extracted serially. `0` forces
-    /// intra-graph parallelism for every graph, `usize::MAX` forces pure
-    /// fan-out. Ignored when [`batch_adaptive`](Self::batch_adaptive) is
-    /// set.
-    pub batch_threshold_edges: usize,
-    /// Adaptive batch scheduling: instead of the static
-    /// [`batch_threshold_edges`](Self::batch_threshold_edges) pivot,
-    /// [`crate::ExtractionSession::extract_batch`] derives the pivot from a
-    /// per-graph cost model — extraction work per edge against the pool's
-    /// calibrated per-region dispatch overhead, keyed by the engine's
-    /// thread count
-    /// ([`chordal_runtime::estimated_region_overhead_ns_for`]) — so each
-    /// graph is placed where the scheduling overhead actually amortises on
-    /// this machine. Placement never changes extraction output for
-    /// deterministic configurations.
-    pub batch_adaptive: bool,
-    /// Measured-cost feedback for the adaptive pivot: the session keeps an
-    /// EWMA of observed extraction cost (`ns` per canonical edge, parallel
-    /// regions issued per intra-graph extraction) from its own batch
-    /// traffic and feeds it back into
-    /// [`crate::ExtractionSession::effective_batch_threshold`], so the
-    /// pivot converges to the *workload* instead of the compile-time
-    /// constants. Seeded from the calibration model, so a session's first
-    /// batch pivots exactly like a feedback-free one. Only consulted when
-    /// [`batch_adaptive`](Self::batch_adaptive) is set. Default `true`;
-    /// CLI `--no-ewma` disables it.
-    pub batch_ewma: bool,
-    /// Intra-batch rebalancing: during the fan-out phase of
-    /// [`crate::ExtractionSession::extract_batch`], the submitting thread
-    /// may promote the unclaimed *tail* of the fan-out set to intra-graph
-    /// runs when the pool reports enough idle workers that the tail could
-    /// not occupy them anyway
-    /// ([`chordal_runtime::pool_idle_workers`]). Promotion only moves
-    /// *where* a graph runs — outputs stay identical to per-graph
-    /// placement for deterministic configurations. Default `true`; CLI
-    /// `--no-rebalance` disables it.
-    pub batch_rebalance: bool,
 }
 
 impl Default for ExtractorConfig {
@@ -189,10 +142,6 @@ impl Default for ExtractorConfig {
             partition_strategy: PartitionStrategy::Blocks,
             repair: false,
             repair_strategy: RepairStrategy::default(),
-            batch_threshold_edges: DEFAULT_BATCH_THRESHOLD_EDGES,
-            batch_adaptive: false,
-            batch_ewma: true,
-            batch_rebalance: true,
         }
     }
 }
@@ -213,10 +162,6 @@ impl ExtractorConfig {
             partition_strategy: PartitionStrategy::Blocks,
             repair: false,
             repair_strategy: RepairStrategy::default(),
-            batch_threshold_edges: DEFAULT_BATCH_THRESHOLD_EDGES,
-            batch_adaptive: false,
-            batch_ewma: true,
-            batch_rebalance: true,
         }
     }
 
@@ -279,36 +224,6 @@ impl ExtractorConfig {
         self
     }
 
-    /// Builder-style: sets the edge-count pivot of the hybrid batch
-    /// scheduling policy (see
-    /// [`batch_threshold_edges`](ExtractorConfig::batch_threshold_edges)).
-    pub fn with_batch_threshold_edges(mut self, threshold: usize) -> Self {
-        self.batch_threshold_edges = threshold;
-        self
-    }
-
-    /// Builder-style: enables or disables the adaptive batch scheduling
-    /// policy (see [`batch_adaptive`](ExtractorConfig::batch_adaptive)).
-    pub fn with_batch_adaptive(mut self, adaptive: bool) -> Self {
-        self.batch_adaptive = adaptive;
-        self
-    }
-
-    /// Builder-style: enables or disables the measured-cost EWMA feedback
-    /// of the adaptive pivot (see
-    /// [`batch_ewma`](ExtractorConfig::batch_ewma)).
-    pub fn with_batch_ewma(mut self, ewma: bool) -> Self {
-        self.batch_ewma = ewma;
-        self
-    }
-
-    /// Builder-style: enables or disables intra-batch rebalancing (see
-    /// [`batch_rebalance`](ExtractorConfig::batch_rebalance)).
-    pub fn with_batch_rebalance(mut self, rebalance: bool) -> Self {
-        self.batch_rebalance = rebalance;
-        self
-    }
-
     /// The partition count the partitioned baseline will actually use
     /// (explicit value, or one partition per engine worker).
     pub fn effective_partitions(&self) -> usize {
@@ -346,10 +261,6 @@ mod tests {
         assert!(!c.record_stats);
         assert!(!c.repair);
         assert_eq!(c.repair_strategy, RepairStrategy::Incremental);
-        assert_eq!(c.batch_threshold_edges, DEFAULT_BATCH_THRESHOLD_EDGES);
-        assert!(!c.batch_adaptive);
-        assert!(c.batch_ewma, "measured-cost feedback defaults on");
-        assert!(c.batch_rebalance, "intra-batch rebalancing defaults on");
         assert!(c.engine.threads() >= 1);
         assert_eq!(c.effective_partitions(), c.engine.threads());
     }
@@ -364,18 +275,10 @@ mod tests {
             .with_algorithm(Algorithm::Dearing)
             .with_partitions(6, PartitionStrategy::RoundRobin)
             .with_repair(true)
-            .with_repair_strategy(RepairStrategy::Scratch)
-            .with_batch_threshold_edges(1_000)
-            .with_batch_adaptive(true)
-            .with_batch_ewma(false)
-            .with_batch_rebalance(false);
+            .with_repair_strategy(RepairStrategy::Scratch);
         assert!(c.record_stats);
         assert!(c.repair);
         assert_eq!(c.repair_strategy, RepairStrategy::Scratch);
-        assert_eq!(c.batch_threshold_edges, 1_000);
-        assert!(c.batch_adaptive);
-        assert!(!c.batch_ewma);
-        assert!(!c.batch_rebalance);
         assert_eq!(c.semantics, Semantics::Asynchronous);
         assert_eq!(c.adjacency, AdjacencyMode::Sorted);
         assert_eq!(c.engine.threads(), 2);

@@ -91,20 +91,17 @@
 //!
 //! # Batch scheduling
 //!
-//! [`ExtractionSession::extract_batch`] schedules a slice of graphs
-//! hybridly over the configured engine, pivoting on
-//! [`ExtractorConfig::batch_threshold_edges`] (default
-//! [`config::DEFAULT_BATCH_THRESHOLD_EDGES`]): graphs below the threshold
-//! fan out across workers with per-graph serial extraction, graphs at or
-//! above it run with intra-graph parallelism. Placement keys on each
-//! graph's canonical edge count; with
-//! [`ExtractorConfig::batch_adaptive`] the pivot comes from a *measured*
-//! cost model — per-thread pool calibration seeded, then fed back from the
-//! session's own EWMA of observed extraction cost — and idle pool workers
-//! let the scheduler promote the fan-out tail to intra-graph runs (see
-//! [`session`]'s module docs). All parallel regions execute
-//! on the process-wide persistent worker pool (`CHORDAL_POOL_THREADS`
-//! controls its size), so batch traffic never spawns threads per region.
+//! [`ExtractionSession::extract_batch`] fans a slice of graphs out: at most
+//! `threads` serial participants, each owning a child workspace of the
+//! session workspace, take the graphs longest first. No graph of a batch
+//! runs with intra-graph parallelism: on every measured batch, serial runs
+//! side by side beat intra-graph regions (see [`session`]'s module docs
+//! for the measurement). All parallel regions execute on the process-wide
+//! persistent worker pool (`CHORDAL_POOL_THREADS` controls its size), so
+//! batch traffic never spawns threads.
+//!
+//! # Repair
+//!
 //! Adding [`ExtractorConfig::repair`] (CLI `--repair`) appends the
 //! maximality repair post-pass, making `alg1 + repair` comparable against
 //! the Dearing baseline end to end. The pass defaults to the *incremental*
@@ -139,10 +136,7 @@ pub use extractor::{Algorithm, ChordalExtractor};
 pub use parallel::MaximalChordalExtractor;
 pub use repair::RepairStrategy;
 pub use result::ChordalResult;
-pub use session::{
-    adaptive_batch_threshold_edges, adaptive_batch_threshold_from_model, ExtractionSession,
-    SchedulerFeedback,
-};
+pub use session::{ExtractionSession, SchedulerFeedback};
 pub use stats::IterationStats;
 pub use workspace::Workspace;
 

@@ -67,9 +67,10 @@ pub struct Workspace {
     pub(crate) lists: Vec<Vec<VertexId>>,
     /// Bucket queue over set cardinalities (Dearing's max-selection).
     pub(crate) buckets: Vec<Vec<VertexId>>,
-    /// Pool of child workspaces for extractors that run nested per-part
-    /// extractions concurrently (the partitioned baseline gives each
-    /// partition its own). Grown on demand, retained across runs.
+    /// Pool of child workspaces for nested extractions that run
+    /// concurrently (one per partition of the partitioned baseline, one per
+    /// participant of a batch fan-out). Grown on demand, retained across
+    /// runs.
     pub(crate) subs: Vec<Workspace>,
     /// Scratch of the maximality-repair pass: candidate marks plus the
     /// incrementally maintained chordal subgraph (adjacency, stamps,
@@ -87,11 +88,12 @@ impl Workspace {
         Self::default()
     }
 
-    /// Number of buffer-growth events so far. Two consecutive extractions
-    /// over graphs of the same shape leave this unchanged — that is the
-    /// reuse guarantee [`crate::ExtractionSession`] is built on.
+    /// Number of buffer-growth events so far, child workspaces included.
+    /// Two consecutive extractions over graphs of the same shape leave this
+    /// unchanged — that is the reuse guarantee [`crate::ExtractionSession`]
+    /// is built on.
     pub fn allocations(&self) -> usize {
-        self.allocations
+        self.allocations + self.subs.iter().map(Workspace::allocations).sum::<usize>()
     }
 
     /// Heap bytes currently retained by the workspace's buffers (counted
@@ -157,9 +159,10 @@ impl Workspace {
     }
 
     /// A pool of `count` child workspaces, one per concurrent nested
-    /// extraction (e.g. one per partition of the partitioned baseline).
-    /// Children are created once and reused across runs, so repeated
-    /// extractions with the same partition count stop allocating.
+    /// extraction (one per partition of the partitioned baseline, one per
+    /// batch fan-out participant). Children are created once and reused
+    /// across runs, so repeated extractions with the same count stop
+    /// allocating.
     pub(crate) fn sub_pool(&mut self, count: usize) -> &mut [Workspace] {
         if self.subs.len() < count {
             self.allocations += 1;
@@ -347,6 +350,22 @@ mod tests {
         assert_eq!(ws.cursor[0].load(Ordering::Relaxed), 0);
         assert_eq!(ws.clen[1].load(Ordering::Relaxed), 0);
         assert!(ws.flags().test_and_set(1), "flags must have been cleared");
+    }
+
+    #[test]
+    fn allocations_count_child_workspaces() {
+        let mut ws = Workspace::new();
+        ws.sub_pool(2);
+        let pooled = ws.allocations();
+        assert_eq!(pooled, 1, "growing the pool is one event");
+        ws.sub_pool(2)[1].prepare_plain(8);
+        assert!(
+            ws.allocations() > pooled,
+            "a child's growth must be counted"
+        );
+        let grown = ws.allocations();
+        ws.sub_pool(2)[1].prepare_plain(8);
+        assert_eq!(ws.allocations(), grown, "same shape must stay flat");
     }
 
     #[test]

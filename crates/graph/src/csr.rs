@@ -185,9 +185,8 @@ impl CsrGraph {
     /// raw [`CsrGraph::from_parts`] input may carry.
     ///
     /// This is the contract quantity for workload-size decisions: the batch
-    /// scheduler places graphs (fan-out vs intra-graph parallelism) on this
-    /// count, so a noisy, non-canonicalised input cannot be misplaced by
-    /// its duplicate edges. Computed lazily — `O(V + E)` on the first call
+    /// scheduler orders graphs longest first on this count, so a noisy,
+    /// non-canonicalised input cannot be misplaced by its duplicate edges. Computed lazily — `O(V + E)` on the first call
     /// (unsorted adjacency pays an additional per-vertex sort of a scratch
     /// buffer), `O(1)` afterwards (the graph is immutable, so the cached
     /// value never goes stale).

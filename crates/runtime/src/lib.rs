@@ -297,29 +297,19 @@ pub fn estimated_region_overhead_ns() -> u64 {
 }
 
 /// Calibrated per-region dispatch overhead for a region with `threads`
-/// participants, in nanoseconds, memoised per participant count. The
-/// adaptive batch scheduler keys its cost model on the session's engine
-/// thread count through this function, so an 8-thread session never reuses
-/// the sample a 2-thread session happened to calibrate first.
+/// participants, in nanoseconds, memoised per participant count, so a
+/// caller asking about 8-thread regions never reuses the sample a 2-thread
+/// caller happened to calibrate first.
 pub fn estimated_region_overhead_ns_for(threads: usize) -> u64 {
     rayon::estimated_region_overhead_ns_for(threads)
 }
 
 /// Number of shared-pool workers currently parked with nothing to do — a
 /// constant-time, racy capacity hint (zero before the first parallel region
-/// spawns the pool). The batch rebalancer promotes fan-out tail work to
-/// intra-graph parallelism when the tail could not occupy these workers
-/// anyway.
+/// spawns the pool). The serve tier reports it in `STATS` and overload
+/// replies.
 pub fn pool_idle_workers() -> usize {
     rayon::pool_idle_workers()
-}
-
-/// Monotonic count of parallel regions submitted by the calling thread —
-/// the cross-talk-free way to attribute region counts to one extraction
-/// (a delta of [`pool_stats`]`().regions` would absorb regions other
-/// threads submitted concurrently).
-pub fn pool_regions_submitted_locally() -> u64 {
-    rayon::pool_regions_submitted_locally()
 }
 
 /// Number of worker threads the shared persistent pool has (or will have

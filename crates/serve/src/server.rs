@@ -15,8 +15,7 @@
 //! threads). Every connection owns its [`ExtractionSession`]s — workspaces
 //! are never shared across connections — while the graph cache and the
 //! pool are shared by all of them. That is exactly the multi-session shape
-//! the measured-EWMA scheduler and the pool's region accounting were built
-//! for.
+//! the pool's region accounting was built for.
 //!
 //! See the crate docs for the protocol specification this module
 //! implements.

@@ -15,9 +15,8 @@
 //! The reference spawns its own small thread set (it exists only for this
 //! comparison); the lock-free numbers come from the shared persistent
 //! pool, and its calibrated overhead sample
-//! (`runtime::estimated_region_overhead_ns`) is printed alongside so the
-//! adaptive batch policy's input can be eyeballed against the raw
-//! measurement.
+//! (`runtime::estimated_region_overhead_ns`) is printed alongside so it
+//! can be eyeballed against the raw measurement.
 
 use maximal_chordal::runtime;
 use std::ops::Range;
@@ -221,7 +220,7 @@ fn main() {
         lock_free_ns / mutex_ns
     );
     println!(
-        "\ncalibrated overhead sample (adaptive-policy input): {} ns",
+        "\ncalibrated overhead sample: {} ns",
         runtime::estimated_region_overhead_ns()
     );
     let stats = runtime::pool_stats();

@@ -47,8 +47,8 @@
 //!
 //! An [`ExtractionSession`] owns a reusable [`core::Workspace`], so back-to-
 //! back extractions stop paying per-run allocation — and
-//! [`ExtractionSession::extract_batch`] fans a whole slice of graphs out
-//! across the configured engine:
+//! [`ExtractionSession::extract_batch`] extracts a whole slice of graphs in
+//! one call:
 //!
 //! ```
 //! use maximal_chordal::prelude::*;
@@ -71,31 +71,30 @@
 //!
 //! ## Batch scheduling
 //!
-//! On a parallel engine, `extract_batch` schedules **hybridly**, pivoting
-//! on [`ExtractorConfig::batch_threshold_edges`]: graphs below the
-//! threshold are fanned out across the engine's workers (one serial
-//! extraction per graph, worker-local workspaces), graphs at or above it
-//! run one at a time with intra-graph parallelism — the paper's Algorithm 1
-//! scaling regime. `usize::MAX` forces pure fan-out, `0` pure intra-graph
-//! scheduling. Every parallel region executes on the process-wide
-//! persistent worker pool (sized by `CHORDAL_POOL_THREADS`, default all
-//! logical CPUs), so neither policy spawns threads per batch:
+//! On a parallel engine, `extract_batch` fans the graphs of a batch out: at
+//! most `threads` participants take them longest first and extract each
+//! serially into their own reusable workspace. No graph of a batch runs
+//! with intra-graph parallelism (the paper's Algorithm 1 scaling regime,
+//! which `extract` runs on one graph): on every measured batch, serial
+//! runs side by side beat it (the `chordal_core::session` docs give the
+//! numbers). Every parallel region executes on the process-wide persistent
+//! worker pool (sized by `CHORDAL_POOL_THREADS`, default all logical CPUs),
+//! so batches never spawn threads:
 //!
 //! ```
 //! use maximal_chordal::prelude::*;
 //!
-//! let graphs: Vec<_> = (0..6)
-//!     .map(|seed| RmatParams::preset(RmatKind::G, 7, seed).generate())
-//!     .collect();
+//! // One dominant graph plus small ones: the scale-11 graph holds more
+//! // than a quarter of the batch's edges, and on four threads it fans out
+//! // first, ahead of the scale-7 graphs.
+//! let mut graphs = vec![RmatParams::preset(RmatKind::G, 11, 0).generate()];
+//! graphs.extend((1..6).map(|seed| RmatParams::preset(RmatKind::G, 7, seed).generate()));
 //! let refs: Vec<&_> = graphs.iter().collect();
 //!
-//! // Mixed serving traffic: fan small graphs out, run graphs with at
-//! // least 2_000 edges with intra-graph parallelism.
-//! let config = ExtractorConfig::default()
-//!     .with_engine(Engine::rayon(4))
-//!     .with_batch_threshold_edges(2_000);
-//! let results = ExtractionSession::new(config).extract_batch(&refs);
+//! let mut session = ExtractionSession::new(ExtractorConfig::default().with_engine(Engine::rayon(4)));
+//! let results = session.extract_batch(&refs);
 //! assert_eq!(results.len(), graphs.len());
+//! assert!(session.batch_participants() >= 1);
 //! ```
 //!
 //! ## The algorithm registry

@@ -1,22 +1,24 @@
-//! Cross-algorithm lock-down suite for the persistent worker pool and the
-//! hybrid batch scheduler.
+//! Cross-algorithm lock-down suite for the persistent worker pool and
+//! batch fan-out.
 //!
-//! The substrate underneath every parallel engine changed from per-region
-//! scoped threads to one persistent work-stealing pool, and
-//! `extract_batch` gained a hybrid scheduling policy
-//! (`batch_threshold_edges`). These tests pin the concurrency behaviour
-//! down so it cannot regress silently:
+//! `extract_batch` fans every graph of a batch out, longest first, over at
+//! most `threads` participants; a single-graph batch runs on the
+//! configured engine. These tests pin the concurrency behaviour down so it
+//! cannot regress silently:
 //!
 //! * property sweeps over seeded random and R-MAT graphs asserting every
 //!   `Algorithm × Engine` output is chordal (where guaranteed) and
 //!   edge-subset-valid;
 //! * bit-for-bit agreement between pooled and serial engines for every
 //!   deterministic configuration;
-//! * hybrid-batch slot equivalence across thresholds and algorithms, and
-//!   equivalence of the adaptive policy
-//!   (`ExtractorConfig::batch_adaptive`) with every static pivot — batch
-//!   placement must never change extraction output for deterministic
-//!   configs;
+//! * batch slot equivalence with single runs for every algorithm, over
+//!   batch compositions (one dominant graph plus small ones, every graph
+//!   repeated `threads` times, single-graph batches) — placement must
+//!   never change extraction output for deterministic configs, also across
+//!   repeated batches on warm child workspaces;
+//! * under asynchronous semantics, every fanned-out slot equals a serial
+//!   single run;
+//! * a batch reports the participants it fanned out over;
 //! * an end-to-end assertion that sustained extraction traffic reuses the
 //!   pool's workers instead of spawning threads, with the pool's lock-free
 //!   dispatch counters growing as regions are submitted.
@@ -24,6 +26,11 @@
 use maximal_chordal::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Participants a batch of `graphs` fans out over on `threads`.
+fn participants(threads: usize, graphs: usize) -> usize {
+    threads.min(graphs).min(rayon::current_num_threads())
+}
 
 /// Seeded cases per property (kept moderate: the full matrix multiplies).
 const CASES: u64 = 12;
@@ -130,28 +137,27 @@ fn pooled_engines_match_the_serial_engine_bit_for_bit() {
 
 #[test]
 fn hybrid_batches_agree_with_single_runs_for_every_algorithm() {
-    // Mixed batch with the threshold placed between the two graph sizes,
-    // so both scheduling paths run in one call.
-    let graphs: Vec<CsrGraph> = (0..3)
-        .flat_map(|seed| {
-            [
-                RmatParams::preset(RmatKind::Er, 9, seed).generate(),
-                RmatParams::preset(RmatKind::G, 6, seed).generate(),
-            ]
-        })
-        .collect();
+    // One dominant scale-9 graph plus small ones: on three threads the
+    // large graph exceeds a third of the batch and still fans out, first.
+    let mut graphs = vec![RmatParams::preset(RmatKind::Er, 9, 0).generate()];
+    for seed in 0..2 {
+        graphs.push(RmatParams::preset(RmatKind::Er, 7, seed).generate());
+        graphs.push(RmatParams::preset(RmatKind::G, 6, seed).generate());
+    }
     let refs: Vec<&CsrGraph> = graphs.iter().collect();
-    let threshold = 2_000;
-    assert!(graphs.iter().any(|g| g.num_edges() >= threshold));
-    assert!(graphs.iter().any(|g| g.num_edges() < threshold));
     for algorithm in Algorithm::ALL {
         let config = ExtractorConfig::default()
             .with_algorithm(algorithm)
             .with_engine(Engine::rayon(3))
-            .with_semantics(Semantics::Synchronous)
-            .with_batch_threshold_edges(threshold);
-        let batch = ExtractionSession::new(config.clone()).extract_batch(&refs);
+            .with_semantics(Semantics::Synchronous);
+        let mut session = ExtractionSession::new(config.clone());
+        let batch = session.extract_batch(&refs);
         assert_eq!(batch.len(), graphs.len());
+        assert_eq!(
+            session.batch_participants(),
+            participants(3, graphs.len()),
+            "{algorithm}"
+        );
         let single_config = config
             .clone()
             .with_partitions(
@@ -176,31 +182,45 @@ fn batch_threshold_extremes_agree_on_random_batches() {
         let mut rng = StdRng::seed_from_u64(0xBA7C02 ^ seed);
         let graphs: Vec<CsrGraph> = (0..5).map(|_| random_graph(&mut rng, 30, 120)).collect();
         let refs: Vec<&CsrGraph> = graphs.iter().collect();
-        // Rebalancing off: these are the pure-placement reference oracles,
-        // so they must never take the promotion path themselves.
-        let base = ExtractorConfig::default()
-            .with_engine(Engine::rayon(3))
-            .with_semantics(Semantics::Synchronous)
-            .with_batch_rebalance(false);
-        let fanned = ExtractionSession::new(base.clone().with_batch_threshold_edges(usize::MAX))
-            .extract_batch(&refs);
-        let intra =
-            ExtractionSession::new(base.clone().with_batch_threshold_edges(0)).extract_batch(&refs);
-        let hybrid =
-            ExtractionSession::new(base.with_batch_threshold_edges(60)).extract_batch(&refs);
-        for ((a, b), c) in fanned.iter().zip(&intra).zip(&hybrid) {
-            assert_eq!(a.edges(), b.edges(), "seed {seed}");
-            assert_eq!(a.edges(), c.edges(), "seed {seed}");
+        let base = ExtractorConfig::default().with_semantics(Semantics::Synchronous);
+        let mut serial = ExtractionSession::new(base.clone().with_engine(Engine::serial()));
+        let expected: Vec<ChordalResult> = graphs.iter().map(|g| serial.extract(g)).collect();
+        for engine in [Engine::rayon(3), Engine::chunked_with_grain(4, 8)] {
+            let threads = engine.threads();
+            let mut session = ExtractionSession::new(base.clone().with_engine(engine));
+            // Intra-graph: single-graph batches run on the engine.
+            let intra: Vec<ChordalResult> = refs
+                .iter()
+                .flat_map(|g| session.extract_batch(std::slice::from_ref(g)))
+                .collect();
+            // Fan-out with every graph repeated `threads` times. Run it
+            // twice, so the second batch reuses warm child workspaces.
+            let repeated: Vec<&CsrGraph> = (0..threads).flat_map(|_| refs.clone()).collect();
+            let mut fanned = Vec::new();
+            for _ in 0..2 {
+                fanned.extend(session.extract_batch(&repeated));
+                assert_eq!(
+                    session.batch_participants(),
+                    participants(threads, repeated.len())
+                );
+            }
+            // The plain batch fans out too.
+            let hybrid = session.extract_batch(&refs);
+            for (label, batch) in [("intra", &intra), ("fan-out", &fanned), ("hybrid", &hybrid)] {
+                for (i, (a, b)) in batch.iter().zip(expected.iter().cycle()).enumerate() {
+                    assert_eq!(a.edges(), b.edges(), "seed {seed} {label} slot {i}");
+                }
+            }
         }
     }
 }
 
 #[test]
-fn adaptive_batches_agree_with_static_policies_for_every_algorithm() {
-    // Mixed sizes so the adaptive pivot genuinely splits the batch on at
-    // least some machines; whatever it resolves to, the output must be
-    // identical to every static pivot under deterministic (synchronous)
-    // semantics.
+fn every_placement_agrees_for_every_algorithm() {
+    // The same graphs placed three ways — each alone (intra-graph), every
+    // graph repeated `threads` times (fan-out) and as one plain batch
+    // (fan-out) — with the partition count pinned, so that every placement
+    // of every algorithm must reproduce single serial runs slot for slot.
     let graphs: Vec<CsrGraph> = (0..3)
         .flat_map(|seed| {
             [
@@ -208,218 +228,154 @@ fn adaptive_batches_agree_with_static_policies_for_every_algorithm() {
                 RmatParams::preset(RmatKind::G, 6, seed).generate(),
             ]
         })
-        .collect();
-    let refs: Vec<&CsrGraph> = graphs.iter().collect();
-    for algorithm in Algorithm::ALL {
-        let base = ExtractorConfig::default()
-            .with_algorithm(algorithm)
-            .with_engine(Engine::rayon(3))
-            .with_semantics(Semantics::Synchronous)
-            .with_partitions(
-                3,
-                maximal_chordal::core::partitioned::PartitionStrategy::Blocks,
-            );
-        let mut adaptive_session = ExtractionSession::new(base.clone().with_batch_adaptive(true));
-        assert_eq!(
-            adaptive_session.effective_batch_threshold(),
-            maximal_chordal::core::adaptive_batch_threshold_edges(3),
-            "{algorithm}: adaptive sessions must use the calibrated pivot"
-        );
-        let adaptive = adaptive_session.extract_batch(&refs);
-        for pivot in [0, 2_000, usize::MAX] {
-            // Promotion-free static references.
-            let static_batch = ExtractionSession::new(
-                base.clone()
-                    .with_batch_threshold_edges(pivot)
-                    .with_batch_rebalance(false),
-            )
-            .extract_batch(&refs);
-            for (i, (a, b)) in adaptive.iter().zip(&static_batch).enumerate() {
-                assert_eq!(
-                    a.edges(),
-                    b.edges(),
-                    "{algorithm}: adaptive diverged from pivot {pivot} at slot {i}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn ewma_and_rebalancing_batches_stay_byte_identical_across_repeats() {
-    // The measured-cost loop moves the pivot between batches and the
-    // rebalancer may promote fan-out tail graphs whenever pool workers
-    // idle — none of which may ever change extraction output. Run the same
-    // mixed batch repeatedly (so the EWMA genuinely feeds back) under both
-    // engines and compare every batch, slot for slot, against the pure
-    // fan-out placement. CI runs this under CHORDAL_POOL_THREADS={1,2,8}.
-    let graphs: Vec<CsrGraph> = (0..3)
-        .flat_map(|seed| {
-            [
-                RmatParams::preset(RmatKind::Er, 9, seed).generate(),
-                RmatParams::preset(RmatKind::G, 6, seed).generate(),
-            ]
-        })
-        .collect();
-    let refs: Vec<&CsrGraph> = graphs.iter().collect();
-    for engine in [Engine::rayon(3), Engine::chunked_with_grain(4, 8)] {
-        let base = ExtractorConfig::default()
-            .with_engine(engine)
-            .with_semantics(Semantics::Synchronous);
-        // The reference oracle runs with rebalancing off so it cannot take
-        // the promotion path itself.
-        let expected = ExtractionSession::new(
-            base.clone()
-                .with_batch_threshold_edges(usize::MAX)
-                .with_batch_rebalance(false),
-        )
-        .extract_batch(&refs);
-        let mut measured = ExtractionSession::new(
-            base.clone()
-                .with_batch_adaptive(true)
-                .with_batch_ewma(true)
-                .with_batch_rebalance(true),
-        );
-        for round in 0..4 {
-            let batch = measured.extract_batch(&refs);
-            for (i, (a, b)) in batch.iter().zip(&expected).enumerate() {
-                assert_eq!(
-                    a.edges(),
-                    b.edges(),
-                    "round {round} slot {i}: measured scheduling changed output"
-                );
-            }
-        }
-        let feedback = measured.scheduler_feedback();
-        assert!(
-            feedback.samples > 0,
-            "repeated mixed batches must feed the EWMA"
-        );
-    }
-}
-
-#[test]
-fn ewma_pivot_converges_toward_measured_cost() {
-    // Seeded synthetic workload: identical scale-10 graphs batch after
-    // batch. Whatever this machine's true ns/edge is, the EWMA is a convex
-    // combination of the seed and the recorded samples, so after k batches
-    // it must lie between the extremes of everything observed — and when
-    // the measurements consistently sit on one side of the seed, the pivot
-    // must have moved off the seeded value toward them.
-    let graphs: Vec<CsrGraph> = (0..3)
-        .map(|seed| RmatParams::preset(RmatKind::Er, 10, 0xC0FFEE ^ seed).generate())
         .collect();
     let refs: Vec<&CsrGraph> = graphs.iter().collect();
     let threads = 3;
-    let config = ExtractorConfig::default()
-        .with_engine(Engine::rayon(threads))
-        .with_semantics(Semantics::Synchronous)
-        .with_batch_adaptive(true);
-    let mut session = ExtractionSession::new(config);
-    let seed_ns = session.scheduler_feedback().ewma_ns_per_edge;
-    let seeded_pivot = session.effective_batch_threshold();
-    assert_eq!(
-        seeded_pivot,
-        maximal_chordal::core::adaptive_batch_threshold_edges(threads),
-        "before any sample the seeded model must be in effect"
-    );
-    let mut samples = Vec::new();
-    for _ in 0..6 {
-        session.extract_batch(&refs);
-        let feedback = session.scheduler_feedback();
-        if feedback.last_ns_per_edge > 0.0 {
-            samples.push(feedback.last_ns_per_edge);
-        }
-    }
-    let feedback = session.scheduler_feedback();
-    assert!(feedback.samples >= 6, "scale-10 graphs must record samples");
-    // The EWMA is a convex combination of the seed and *every* recorded
-    // sample; the test only observes the last sample of each batch, so the
-    // bound carries a generous noise margin: the state must sit within 4x
-    // of the span the observed measurements and the seed cover.
-    let lo = samples.iter().copied().fold(seed_ns, f64::min);
-    let hi = samples.iter().copied().fold(seed_ns, f64::max);
-    assert!(
-        (lo / 4.0..=hi * 4.0).contains(&feedback.ewma_ns_per_edge),
-        "EWMA {} far outside [{lo}, {hi}], the span of seed and observed samples",
-        feedback.ewma_ns_per_edge
-    );
-    // Convergence direction: when the observed measurements are mutually
-    // consistent (within 2x of each other — identical graphs, so the
-    // unobserved samples of the same batches behave alike) and sit clearly
-    // to one side of the seed, the EWMA must have moved off the seed
-    // toward them. After 6 batches the seed's residual weight is
-    // (1 - alpha)^samples, far below 1%.
-    let consistent = hi <= lo * 2.0;
-    if consistent && lo > seed_ns * 2.0 {
-        assert!(
-            feedback.ewma_ns_per_edge > seed_ns,
-            "measured cost above seed must pull the EWMA up"
-        );
-    } else if consistent && hi < seed_ns / 2.0 {
-        assert!(
-            feedback.ewma_ns_per_edge < seed_ns,
-            "measured cost below seed must pull the EWMA down"
-        );
-    }
-    // The reported pivot is always the model at the current EWMA state.
-    assert_eq!(
-        session.effective_batch_threshold(),
-        maximal_chordal::core::adaptive_batch_threshold_from_model(
-            threads,
-            feedback.ewma_ns_per_edge,
-            feedback.ewma_regions_per_extraction
-        )
-    );
-}
-
-#[test]
-fn rebalanced_batches_agree_with_static_policies_for_every_algorithm() {
-    // Same lock-down as the adaptive test, with rebalancing and feedback
-    // explicitly on and several consecutive batches so promoted placements
-    // actually occur on machines where workers idle.
-    let graphs: Vec<CsrGraph> = (0..2)
-        .flat_map(|seed| {
-            [
-                RmatParams::preset(RmatKind::Er, 9, seed).generate(),
-                RmatParams::preset(RmatKind::G, 6, seed).generate(),
-            ]
-        })
-        .collect();
-    let refs: Vec<&CsrGraph> = graphs.iter().collect();
+    let repeated: Vec<&CsrGraph> = (0..threads).flat_map(|_| refs.clone()).collect();
     for algorithm in Algorithm::ALL {
         let base = ExtractorConfig::default()
             .with_algorithm(algorithm)
-            .with_engine(Engine::rayon(3))
             .with_semantics(Semantics::Synchronous)
             .with_partitions(
                 3,
                 maximal_chordal::core::partitioned::PartitionStrategy::Blocks,
             );
-        // Promotion-free reference oracle.
-        let expected = ExtractionSession::new(
-            base.clone()
-                .with_batch_threshold_edges(usize::MAX)
-                .with_batch_rebalance(false),
-        )
-        .extract_batch(&refs);
-        let mut measured = ExtractionSession::new(
-            base.clone()
-                .with_batch_adaptive(true)
-                .with_batch_ewma(true)
-                .with_batch_rebalance(true),
+        let mut serial = ExtractionSession::new(base.clone().with_engine(Engine::serial()));
+        let expected: Vec<ChordalResult> = graphs.iter().map(|g| serial.extract(g)).collect();
+        let mut session = ExtractionSession::new(base.with_engine(Engine::rayon(threads)));
+        let intra: Vec<ChordalResult> = refs
+            .iter()
+            .flat_map(|g| session.extract_batch(std::slice::from_ref(g)))
+            .collect();
+        let fanned = session.extract_batch(&repeated);
+        assert_eq!(
+            session.batch_participants(),
+            participants(threads, repeated.len()),
+            "{algorithm}: a repeated batch must fan out"
         );
-        for round in 0..3 {
-            let batch = measured.extract_batch(&refs);
-            for (i, (a, b)) in batch.iter().zip(&expected).enumerate() {
-                assert_eq!(
-                    a.edges(),
-                    b.edges(),
-                    "{algorithm} round {round} slot {i}: rebalancing changed output"
-                );
+        let plain = session.extract_batch(&refs);
+        for (label, batch) in [("intra", &intra), ("fan-out", &fanned), ("plain", &plain)] {
+            assert_eq!(batch.len() % graphs.len(), 0, "{algorithm} {label}");
+            for (i, (a, b)) in batch.iter().zip(expected.iter().cycle()).enumerate() {
+                assert_eq!(a.edges(), b.edges(), "{algorithm} {label} slot {i}");
             }
         }
     }
+}
+
+#[test]
+fn repeated_batches_stay_byte_identical_on_both_engines() {
+    // Later batches run on warm child workspaces that still hold the
+    // previous batch's state, and each participant may claim other graphs
+    // than the first time. None of that may change output: every round
+    // matches single serial runs slot for slot.
+    // CI runs this under CHORDAL_POOL_THREADS={1,2,8}.
+    let mut graphs = vec![RmatParams::preset(RmatKind::Er, 10, 3).generate()];
+    for seed in 0..3 {
+        graphs.push(RmatParams::preset(RmatKind::Er, 8, seed).generate());
+        graphs.push(RmatParams::preset(RmatKind::G, 6, seed).generate());
+    }
+    let refs: Vec<&CsrGraph> = graphs.iter().collect();
+    let base = ExtractorConfig::default().with_semantics(Semantics::Synchronous);
+    let mut serial = ExtractionSession::new(base.clone().with_engine(Engine::serial()));
+    let expected: Vec<ChordalResult> = graphs.iter().map(|g| serial.extract(g)).collect();
+    for engine in [Engine::rayon(3), Engine::chunked_with_grain(4, 8)] {
+        let name = engine.name();
+        let mut session = ExtractionSession::new(base.clone().with_engine(engine));
+        for round in 0..4 {
+            let batch = session.extract_batch(&refs);
+            // The dominant scale-10 graph fans out with the rest.
+            assert!(session.batch_participants() >= 1, "{name}");
+            for (i, (a, b)) in batch.iter().zip(&expected).enumerate() {
+                assert_eq!(a.edges(), b.edges(), "{name} round {round} slot {i}");
+            }
+            assert_eq!(session.scheduler_feedback().rebalanced, 0, "{name}");
+        }
+    }
+}
+
+#[test]
+fn asynchronous_batches_stay_chordal_and_fan_out_serially() {
+    // Under the default asynchronous semantics a parallel run is not
+    // deterministic, but placement still pins down what a slot may hold: a
+    // fanned-out graph runs the serial variant of the configured algorithm,
+    // so its slot equals a single run on the serial engine, and a
+    // single-graph batch runs intra-graph and is edge-subset-valid (and
+    // chordal where the algorithm guarantees it).
+    let mut graphs = vec![RmatParams::preset(RmatKind::Er, 10, 5).generate()];
+    graphs.extend((0..4).map(|seed| RmatParams::preset(RmatKind::B, 7, seed).generate()));
+    let refs: Vec<&CsrGraph> = graphs.iter().collect();
+    for algorithm in Algorithm::ALL {
+        let config = ExtractorConfig::default()
+            .with_algorithm(algorithm)
+            .with_engine(Engine::rayon(3));
+        let mut session = ExtractionSession::new(config.clone());
+        let batch = session.extract_batch(&refs);
+        let alone = session.extract_batch(&refs[..1]);
+        let single_config = config
+            .clone()
+            .with_partitions(
+                config.effective_partitions(),
+                maximal_chordal::core::partitioned::PartitionStrategy::Blocks,
+            )
+            .with_engine(Engine::serial());
+        let mut single = ExtractionSession::new(single_config);
+        for (i, (graph, result)) in graphs.iter().zip(&batch).enumerate() {
+            assert_eq!(
+                single.extract(graph).edges(),
+                result.edges(),
+                "{algorithm} slot {i}: a fanned-out slot must equal a serial run"
+            );
+        }
+        let label = format!("{algorithm} alone");
+        for &(u, v) in alone[0].edges() {
+            assert!(graphs[0].has_edge(u, v), "{label}: foreign edge ({u},{v})");
+        }
+        if algorithm.guarantees_chordal() {
+            assert!(
+                is_chordal(&alone[0].subgraph(&graphs[0])),
+                "{label}: non-chordal output"
+            );
+        }
+    }
+}
+
+#[test]
+fn batch_participants_track_the_last_batch() {
+    // Every batch of two or more graphs on a parallel engine fans out over
+    // at most the engine's threads, the batch's graphs and the pool's
+    // threads. Single-graph batches and a serial engine run sequentially,
+    // and no batch runs a graph intra-graph.
+    let graphs: Vec<CsrGraph> = (0..4)
+        .map(|seed| RmatParams::preset(RmatKind::B, 7, seed).generate())
+        .collect();
+    let refs: Vec<&CsrGraph> = graphs.iter().collect();
+    for engine in [
+        Engine::rayon(2),
+        Engine::rayon(3),
+        Engine::chunked(4),
+        Engine::chunked_with_grain(4, 8),
+    ] {
+        let threads = engine.threads();
+        let name = engine.name();
+        let mut session = ExtractionSession::new(ExtractorConfig::default().with_engine(engine));
+        assert_eq!(session.batch_participants(), 0, "{name}");
+        for len in 1..=refs.len() {
+            session.extract_batch(&refs[..len]);
+            let expected = if len == 1 {
+                0
+            } else {
+                participants(threads, len)
+            };
+            assert_eq!(session.batch_participants(), expected, "{name}: {len}");
+            assert_eq!(session.effective_batch_threshold(), usize::MAX, "{name}");
+        }
+        assert_eq!(session.scheduler_feedback().rebalanced, 0, "{name}");
+    }
+    let mut serial =
+        ExtractionSession::new(ExtractorConfig::default().with_engine(Engine::serial()));
+    serial.extract_batch(&refs);
+    assert_eq!(serial.batch_participants(), 0);
 }
 
 #[test]
@@ -431,12 +387,14 @@ fn batch_traffic_grows_the_pool_dispatch_counters() {
         .map(|seed| RmatParams::preset(RmatKind::Er, 11, seed).generate())
         .collect();
     let refs: Vec<&CsrGraph> = graphs.iter().collect();
-    let mut session = ExtractionSession::new(
-        ExtractorConfig::default()
-            .with_engine(Engine::rayon(4))
-            .with_batch_threshold_edges(0), // intra-graph: every graph submits regions
-    );
+    // Each graph alone is a single-graph batch: it runs intra-graph on the
+    // engine and submits regions. Then all three fan out together.
+    let mut session =
+        ExtractionSession::new(ExtractorConfig::default().with_engine(Engine::rayon(4)));
     let before = rayon::pool_stats();
+    for graph in refs.chunks(1) {
+        session.extract_batch(graph);
+    }
     session.extract_batch(&refs);
     let after = rayon::pool_stats();
     assert!(
@@ -464,17 +422,16 @@ fn sustained_extraction_traffic_never_spawns_threads_after_warmup() {
     );
     // ...then drive sustained single-graph and batch traffic over both
     // parallel engines and assert the pool never grows: parallel regions
-    // reuse the persistent workers instead of spawning.
-    let graphs: Vec<CsrGraph> = (0..6)
-        .map(|seed| RmatParams::preset(RmatKind::Er, 7, seed).generate())
-        .collect();
+    // reuse the persistent workers instead of spawning. The single-graph
+    // runs are intra-graph; the batch, one dominant graph plus small ones,
+    // fans out.
+    let mut graphs = vec![RmatParams::preset(RmatKind::Er, 10, 9).generate()];
+    graphs.extend((0..6).map(|seed| RmatParams::preset(RmatKind::Er, 7, seed).generate()));
     let refs: Vec<&CsrGraph> = graphs.iter().collect();
     for engine in [Engine::rayon(4), Engine::chunked(4)] {
-        let mut session = ExtractionSession::new(
-            ExtractorConfig::default()
-                .with_engine(engine)
-                .with_batch_threshold_edges(1_000),
-        );
+        let mut session = ExtractionSession::new(ExtractorConfig::default().with_engine(engine));
+        session.extract_batch(&refs);
+        assert!(session.batch_participants() >= 1);
         for _ in 0..8 {
             session.extract(&warm_graph);
             session.extract_batch(&refs);
