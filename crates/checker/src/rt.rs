@@ -820,6 +820,40 @@ pub(crate) fn atomic_load(loc: usize, ord: Ordering, what: &str) -> u64 {
     value
 }
 
+/// Reads `loc` through an exclusive borrow (the facade's `get_mut`). Not a
+/// schedule point: while the borrow lasts no other thread can reach the
+/// location, so there is nothing to interleave, and whatever handed the
+/// borrow over (a spawn, a join, a mutex) already made the newest store
+/// visible.
+pub(crate) fn atomic_read_exclusive(loc: usize) -> u64 {
+    let (exec, tid) = ctx();
+    let mut g = exec.m.lock().unwrap();
+    let newest = g.locs[loc].history.len() - 1;
+    note_seen(&mut g, tid, loc, newest);
+    g.locs[loc].history[newest].value
+}
+
+/// Writes `loc` through an exclusive borrow; like [`atomic_read_exclusive`]
+/// not a schedule point. The store publishes no release clock: another
+/// thread sees it only through the synchronisation that hands the location
+/// over.
+pub(crate) fn atomic_write_exclusive(loc: usize, value: u64) {
+    let (exec, tid) = ctx();
+    let mut g = exec.m.lock().unwrap();
+    let tick = if g.abort {
+        u32::MAX
+    } else {
+        g.threads[tid].clock.tick(tid)
+    };
+    g.locs[loc].history.push(StoreEvent {
+        value,
+        stamp: (tid, tick),
+        release: VClock::new(),
+    });
+    let idx = g.locs[loc].history.len() - 1;
+    note_seen(&mut g, tid, loc, idx);
+}
+
 pub(crate) fn atomic_store(loc: usize, value: u64, ord: Ordering, what: &str) {
     let (exec, tid) = ctx();
     let mut g = exec.m.lock().unwrap();

@@ -20,6 +20,39 @@ pub fn fence(ord: Ordering) {
     rt::fence(ord);
 }
 
+/// The value behind an exclusive borrow of a facade atomic, returned by
+/// `get_mut` where `std` returns `&mut` to the integer. It reads the
+/// location once when created and writes it back on drop if it changed;
+/// neither access is a schedule point.
+pub struct ExclusiveMut<'a, T: Copy + PartialEq> {
+    loc: usize,
+    read: T,
+    value: T,
+    encode: fn(T) -> u64,
+    _borrow: PhantomData<&'a mut T>,
+}
+
+impl<T: Copy + PartialEq> Deref for ExclusiveMut<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
+
+impl<T: Copy + PartialEq> DerefMut for ExclusiveMut<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.value
+    }
+}
+
+impl<T: Copy + PartialEq> Drop for ExclusiveMut<'_, T> {
+    fn drop(&mut self) {
+        if self.value != self.read {
+            rt::atomic_write_exclusive(self.loc, (self.encode)(self.value));
+        }
+    }
+}
+
 macro_rules! int_atomic {
     ($name:ident, $ty:ty, $label:literal, $to:expr, $from:expr) => {
         pub struct $name {
@@ -32,6 +65,21 @@ macro_rules! int_atomic {
                 #[allow(clippy::redundant_closure_call)]
                 $name {
                     loc: rt::atomic_new(($to)(v)),
+                }
+            }
+
+            /// Plain access through an exclusive borrow, like `std`'s
+            /// `get_mut`. Not a schedule point: an exclusive borrow has no
+            /// interleavings.
+            #[allow(clippy::redundant_closure_call)]
+            pub fn get_mut(&mut self) -> ExclusiveMut<'_, $ty> {
+                let read = ($from)(rt::atomic_read_exclusive(self.loc));
+                ExclusiveMut {
+                    loc: self.loc,
+                    read,
+                    value: read,
+                    encode: $to,
+                    _borrow: PhantomData,
                 }
             }
 

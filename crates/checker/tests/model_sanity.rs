@@ -343,3 +343,34 @@ fn model_panics_with_report() {
     assert!(msg.contains("trail"), "{msg}");
     assert!(msg.contains("always fails"), "{msg}");
 }
+
+/// `get_mut` is plain access: its writes reach the thread the atomic is
+/// handed to by a spawn and come back through the join, and it adds no
+/// schedule point, so the program explores exactly as many executions as
+/// the same handoff without it.
+#[test]
+fn get_mut_is_plain_access_handed_over_by_spawn_and_join() {
+    let handoff = |exclusive: bool| {
+        run(Config::default(), move || {
+            let mut counter = AtomicUsize::new(1);
+            if exclusive {
+                *counter.get_mut() += 1;
+            }
+            let child = thread::spawn(move || {
+                let mut counter = counter;
+                if exclusive {
+                    *counter.get_mut() *= 10;
+                }
+                counter
+            });
+            let mut counter = child.join().unwrap();
+            let expected = if exclusive { 20 } else { 1 };
+            assert_eq!(*counter.get_mut(), expected);
+            assert_eq!(counter.load(Ordering::Relaxed), expected);
+        })
+    };
+    let (plain, bare) = (handoff(true), handoff(false));
+    assert!(plain.failure.is_none(), "{:?}", plain.failure);
+    assert!(bare.failure.is_none(), "{:?}", bare.failure);
+    assert_eq!(plain.executions, bare.executions);
+}

@@ -67,10 +67,10 @@ pub enum Semantics {
     /// concurrent updates as soon as they are published and lowest-parent
     /// chains cascade within an iteration. Always produces a chordal
     /// subgraph (ownership of a vertex's chordal set moves with the vertex
-    /// from one parent's child list to the next: a release CAS pushes it,
-    /// an acquire swap takes it); with the serial engine the run is
-    /// deterministic, with parallel engines the exact edge set may vary
-    /// slightly between schedules.
+    /// from one parent's child list to the next: on parallel engines a
+    /// release CAS pushes it and an acquire swap takes it); with the serial
+    /// engine the run is deterministic, with parallel engines the exact edge
+    /// set may vary slightly between schedules.
     Asynchronous,
 }
 

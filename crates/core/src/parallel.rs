@@ -27,6 +27,20 @@
 //! suffice for `C[w]` and `cursor[w]`. Lowest parents are unique, so every
 //! vertex sits on at most one list.
 //!
+//! **Single owner.** An engine with one thread
+//! ([`Engine::threads`]` == 1`: the serial engine, every
+//! [`crate::ExtractionSession::extract_batch`] fan-out participant, serve
+//! requests with `engine=serial`) runs the whole extraction on the calling
+//! thread, so no step ever has a second party. That sweep borrows the state
+//! mutably from the workspace and uses the owner form of every operation:
+//! a push is a load and two stores, a take a load and a store, a frontier
+//! flag a load, an OR and a store, and an append plain stores. It also
+//! reads `|C[v]|` once per parent step instead of once per child: only a
+//! step that takes `v` as a child can grow `C[v]`, and `v` is never its own
+//! child. The two modes run one step body (the `Access` trait is the seam),
+//! so the owner sweep returns exactly what the shared sweep returns when
+//! one thread runs every region in ascending order.
+//!
 //! **The frontier.** A push also flags the new parent in [`AtomicFlags`].
 //! The next iteration's queue is the set of flagged parents, drained in
 //! ascending order between parallel regions. The drain needs no ordering
@@ -55,7 +69,8 @@ use crate::result::ChordalResult;
 use crate::stats::IterationStats;
 use crate::workspace::Workspace;
 use chordal_graph::{Edge, GraphRef, VertexId, NO_VERTEX};
-use chordal_runtime::{AtomicFlags, ListHeads, ListLinks};
+use chordal_runtime::lists::{Taken, TakenMut};
+use chordal_runtime::{AtomicFlags, Engine, ListHeads, ListLinks};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// Multithreaded maximal chordal subgraph extractor (Algorithm 1 of the
@@ -90,32 +105,74 @@ impl MaximalChordalExtractor {
         if n == 0 {
             return ChordalResult::new(0, Vec::new(), 0, stats);
         }
-        let engine = &self.config.engine;
         let sync = self.config.semantics == Semantics::Synchronous;
         workspace.prepare_atomic_from(graph, sync);
-        // Plain buffers, taken out of the workspace so the shared state can
-        // borrow it immutably.
+        // Plain buffers, taken out of the workspace so the sweep can borrow
+        // the rest of it.
         let mut queue = std::mem::take(&mut workspace.queue_a);
         let mut frozen_clen = std::mem::take(&mut workspace.ids_b);
         let mut starts = std::mem::take(&mut workspace.starts);
 
-        let state = SharedState::borrowed(workspace, graph, self.config.adjacency);
-        let mut current = &workspace.heads;
-        let mut next = if sync {
-            &workspace.next_heads
+        let mode = self.config.adjacency;
+        let iterations = if self.config.engine.threads() == 1 {
+            let (adjacency, mut state) = Owned::borrowed(workspace, graph, mode, sync);
+            self.sweep(
+                adjacency,
+                &mut state,
+                &mut queue,
+                &mut frozen_clen,
+                stats.as_mut(),
+            )
         } else {
-            &workspace.heads
+            let (adjacency, mut state) = Shared::borrowed(workspace, graph, mode, sync);
+            self.sweep(
+                adjacency,
+                &mut state,
+                &mut queue,
+                &mut frozen_clen,
+                stats.as_mut(),
+            )
         };
+        let edges = sorted_edges(
+            &workspace.offsets[..=n],
+            &workspace.clen[..n],
+            &workspace.cdata,
+            &mut starts,
+        );
+
+        // Return the plain buffers to the workspace for the next run.
+        workspace.queue_a = queue;
+        workspace.ids_b = frozen_clen;
+        workspace.starts = starts;
+
+        ChordalResult::new(n, edges, iterations, stats)
+    }
+
+    /// The initialisation and every iteration, in `state`'s access mode;
+    /// returns the number of iterations.
+    fn sweep<A: Access>(
+        &self,
+        adjacency: Adjacency<'_>,
+        state: &mut A,
+        queue: &mut Vec<VertexId>,
+        frozen_clen: &mut Vec<u32>,
+        mut stats: Option<&mut IterationStats>,
+    ) -> usize {
+        let engine = &self.config.engine;
+        let sync = self.config.semantics == Semantics::Synchronous;
 
         // Initialisation: every vertex joins the list of its lowest parent,
-        // which is flagged for the first iteration.
-        engine.parallel_for(n, |v| {
+        // which is flagged for the first iteration. Like every iteration it
+        // hands vertices over to the next lists, which then become current.
+        state.for_each(engine, adjacency.num_vertices(), |state, v| {
             let v = v as VertexId;
-            let parent = state.first_parent(v);
+            let parent = adjacency.first_parent(v);
             if parent != NO_VERTEX {
-                state.hand_over(current, parent, v);
+                state.hand_over(parent, v);
             }
+            0
         });
+        state.swap_lists();
 
         let mut iterations = 0usize;
         loop {
@@ -127,44 +184,25 @@ impl MaximalChordalExtractor {
             // ~3-iteration observation on R-MAT inputs. Under the
             // synchronous semantics ordering is irrelevant to the result.
             queue.clear();
-            queue.extend(state.flags.drain().map(|v| v as VertexId));
+            queue.extend(state.flags().drain().map(|v| v as VertexId));
             if queue.is_empty() {
                 break;
             }
             iterations += 1;
             if sync {
                 frozen_clen.clear();
-                frozen_clen.extend(
-                    queue
-                        .iter()
-                        .map(|&v| state.clen[v as usize].load(Ordering::Relaxed)),
-                );
+                frozen_clen.extend(queue.iter().map(|&v| state.len(v as usize) as u32));
             }
-            let accepted = AtomicUsize::new(0);
-            engine.parallel_for_chunks(queue.len(), |range| {
-                let mut local = 0;
-                for qi in range {
-                    let frozen_len = sync.then(|| frozen_clen[qi]);
-                    local += state.step(current, next, queue[qi], frozen_len);
-                }
-                if local > 0 {
-                    accepted.fetch_add(local, Ordering::Relaxed);
-                }
+            let (queue, frozen_clen) = (&*queue, &*frozen_clen);
+            let accepted = state.for_each(engine, queue.len(), |state, qi| {
+                step(adjacency, state, queue[qi], sync.then(|| frozen_clen[qi]))
             });
             if let Some(s) = stats.as_mut() {
-                s.record(queue.len(), accepted.into_inner());
+                s.record(queue.len(), accepted);
             }
-            std::mem::swap(&mut current, &mut next);
+            state.swap_lists();
         }
-
-        let edges = state.sorted_edges(&mut starts);
-
-        // Return the plain buffers to the workspace for the next run.
-        workspace.queue_a = queue;
-        workspace.ids_b = frozen_clen;
-        workspace.starts = starts;
-
-        ChordalResult::new(n, edges, iterations, stats)
+        iterations
     }
 }
 
@@ -189,55 +227,41 @@ impl ChordalExtractor for MaximalChordalExtractor {
     }
 }
 
-/// The shared state of an extraction run, borrowed from a [`Workspace`]
-/// prepared for the current graph.
-struct SharedState<'a> {
-    adjacency: AdjacencyMode,
-    /// The graph's flat adjacency array.
+/// The graph as the sweep reads it: the flat adjacency array through the
+/// workspace's copy of the CSR offsets. A vertex can never have more
+/// chordal neighbours than its degree, so the same offsets place `C[w]` in
+/// the arena.
+#[derive(Clone, Copy)]
+struct Adjacency<'a> {
+    mode: AdjacencyMode,
     neighbors: &'a [VertexId],
-    /// Per-vertex offsets into `neighbors` and `cdata` (copied from the
-    /// graph's CSR offsets: a vertex can never have more chordal neighbours
-    /// than its degree).
     offsets: &'a [usize],
-    /// Cursor of the current parent in the sorted adjacency (Opt variant).
-    cursor: &'a [AtomicU32],
-    /// Chordal-neighbour arena.
-    cdata: &'a [AtomicU32],
-    /// Published length of every chordal-neighbour set.
-    clen: &'a [AtomicU32],
-    /// Successor links of the child lists.
-    links: &'a ListLinks,
-    /// The next iteration's frontier.
-    flags: &'a AtomicFlags,
 }
 
-impl<'a> SharedState<'a> {
-    /// Borrows the buffers of `workspace`, prepared for `graph`.
-    fn borrowed(workspace: &'a Workspace, graph: GraphRef<'a>, adjacency: AdjacencyMode) -> Self {
-        let n = graph.num_vertices();
+impl<'a> Adjacency<'a> {
+    fn new(graph: GraphRef<'a>, mode: AdjacencyMode, offsets: &'a [usize]) -> Self {
         Self {
-            adjacency,
+            mode,
             neighbors: graph.adjacency(),
-            offsets: &workspace.offsets[..n + 1],
-            cursor: &workspace.cursor[..n],
-            cdata: &workspace.cdata[..graph.num_directed_edges()],
-            clen: &workspace.clen[..n],
-            links: &workspace.links,
-            flags: workspace.flags(),
+            offsets,
         }
+    }
+
+    fn num_vertices(&self) -> usize {
+        self.offsets.len() - 1
     }
 
     /// Neighbours of `v`.
     #[inline]
-    fn neighbors_of(&self, v: usize) -> &'a [VertexId] {
+    fn of(&self, v: usize) -> &'a [VertexId] {
         &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
     }
 
     /// The lowest parent of `v`, or [`NO_VERTEX`]. The Opt cursor starts at
     /// zero, the first slot of the sorted list.
     fn first_parent(&self, v: VertexId) -> VertexId {
-        let neighbors = self.neighbors_of(v as usize);
-        match self.adjacency {
+        let neighbors = self.of(v as usize);
+        match self.mode {
             AdjacencyMode::Sorted => match neighbors.first() {
                 Some(&p) if p < v => p,
                 _ => NO_VERTEX,
@@ -249,15 +273,15 @@ impl<'a> SharedState<'a> {
     /// The parent of `w` after `current`, or [`NO_VERTEX`]; advances the Opt
     /// cursor. Only `w`'s owner calls it.
     #[inline]
-    fn next_parent(&self, w: VertexId, current: VertexId) -> VertexId {
+    fn next_parent<A: Access>(&self, state: &mut A, w: VertexId, current: VertexId) -> VertexId {
         let w_idx = w as usize;
-        let neighbors = self.neighbors_of(w_idx);
-        match self.adjacency {
+        let neighbors = self.of(w_idx);
+        match self.mode {
             AdjacencyMode::Sorted => {
-                let cursor = self.cursor[w_idx].load(Ordering::Relaxed) + 1;
+                let cursor = state.cursor(w_idx) + 1;
                 match neighbors.get(cursor as usize) {
                     Some(&p) if p < w => {
-                        self.cursor[w_idx].store(cursor, Ordering::Relaxed);
+                        state.set_cursor(w_idx, cursor);
                         p
                     }
                     _ => NO_VERTEX,
@@ -266,104 +290,420 @@ impl<'a> SharedState<'a> {
             AdjacencyMode::Unsorted => next_parent_scan(neighbors, w, current),
         }
     }
+}
 
-    /// Gives `w` up to `parent`: pushes it onto `parent`'s list in `lists`
-    /// and flags `parent` for the next iteration.
+/// Parent `v`'s step: for every child taken from `v`'s list, the subset
+/// test `C[w] ⊆ C[v]`, possibly the edge `(v, w)`, then the hand-over of `w`
+/// to its next parent. `frozen_len_v` is `|C[v]|` at the start of the
+/// iteration under the synchronous semantics, `None` otherwise. Returns the
+/// number of edges accepted.
+#[inline]
+fn step<A: Access>(
+    adjacency: Adjacency<'_>,
+    state: &mut A,
+    v: VertexId,
+    frozen_len_v: Option<u32>,
+) -> usize {
+    let v_idx = v as usize;
+    let base_v = adjacency.offsets[v_idx];
+    let step_len_v = match frozen_len_v {
+        Some(len) => Some(len as usize),
+        None => state.step_len(v_idx),
+    };
+    let mut accepted = 0;
+    let mut children = state.take(v);
+    while let Some(w) = state.next_child(&mut children) {
+        // The take made this task w's unique owner.
+        let w_idx = w as usize;
+        let base_w = adjacency.offsets[w_idx];
+        let len_w = state.len(w_idx);
+        let len_v = step_len_v.unwrap_or_else(|| state.live_len(v_idx));
+        if subset(state.arena(), base_w, len_w, base_v, len_v) {
+            // C[w] ← C[w] ∪ {v}.
+            state.append(w_idx, base_w, len_w, v);
+            accepted += 1;
+        }
+        // Advance w's lowest parent (lines 18-22), whether or not the edge
+        // was accepted.
+        let parent = adjacency.next_parent(state, w, v);
+        if parent != NO_VERTEX {
+            state.hand_over(parent, w);
+        }
+    }
+    accepted
+}
+
+/// Ordered-merge subset test `C[a] ⊆ C[b]` over the sets' first `len_a`
+/// and `len_b` entries, which start at arena slots `base_a` and `base_b`.
+/// Both sets are sorted ascending because parents are accepted in
+/// increasing-id order; elements live in the atomic arena, so the shared
+/// kernel is used through its accessor form with relaxed per-element loads
+/// (the plain load of an exclusive owner is the same instruction).
+fn subset(arena: &[AtomicU32], base_a: usize, len_a: usize, base_b: usize, len_b: usize) -> bool {
+    crate::kernels::sorted_subset_by(
+        len_a,
+        |i| arena[base_a + i].load(Ordering::Relaxed),
+        len_b,
+        |j| arena[base_b + j].load(Ordering::Relaxed),
+    )
+}
+
+/// How a sweep reaches the per-vertex state: [`Shared`] through the
+/// concurrent protocol, so the tasks of a parallel region can run steps at
+/// once, or [`Owned`] through plain loads and stores of an exclusive
+/// borrow. [`step`] and [`MaximalChordalExtractor::sweep`] are written once
+/// against it.
+trait Access: Sized {
+    /// A taken child list being walked.
+    type Children;
+
+    /// Runs `body` for every index of `0..len` and sums its results.
+    fn for_each(
+        &mut self,
+        engine: &Engine,
+        len: usize,
+        body: impl Fn(&mut Self, usize) -> usize + Sync,
+    ) -> usize;
+
+    /// The next iteration's frontier.
+    fn flags(&self) -> &AtomicFlags;
+
+    /// Makes the lists that moved children joined the current ones.
+    fn swap_lists(&mut self);
+
+    /// Empties `v`'s list among the current lists; the caller owns every
+    /// child the walk returns.
+    fn take(&mut self, v: VertexId) -> Self::Children;
+
+    /// The next child of a taken list.
+    fn next_child(&mut self, children: &mut Self::Children) -> Option<VertexId>;
+
+    /// Gives `w` up to `parent`: pushes it onto `parent`'s list among the
+    /// lists moved children join, and flags `parent` for the next
+    /// iteration.
+    fn hand_over(&mut self, parent: VertexId, w: VertexId);
+
+    /// The Opt cursor of `w`, read by `w`'s owner.
+    fn cursor(&mut self, w: usize) -> u32;
+
+    /// Moves the Opt cursor of `w`; only `w`'s owner calls it.
+    fn set_cursor(&mut self, w: usize, cursor: u32);
+
+    /// `|C[w]|`, read by `w`'s owner (or between regions).
+    fn len(&mut self, w: usize) -> usize;
+
+    /// `|C[v]|` for the whole of `v`'s step, or `None` when another task
+    /// may grow `C[v]` meanwhile and each child must read
+    /// [`Access::live_len`].
+    fn step_len(&mut self, v: usize) -> Option<usize>;
+
+    /// `|C[v]|` as published now.
+    fn live_len(&mut self, v: usize) -> usize;
+
+    /// The chordal-neighbour arena.
+    fn arena(&self) -> &[AtomicU32];
+
+    /// Appends `v` to `C[w]`, whose `len_w` entries start at arena slot
+    /// `base_w`; only `w`'s owner calls it.
+    fn append(&mut self, w: usize, base_w: usize, len_w: usize, v: VertexId);
+}
+
+/// The concurrent protocol of the module docs. Every task of a parallel
+/// region works on its own copy.
+#[derive(Clone, Copy)]
+struct Shared<'a> {
+    /// The lists steps take children from.
+    current: &'a ListHeads,
+    /// The lists moved children join: the second head array under the
+    /// synchronous semantics, `current` itself otherwise.
+    next: &'a ListHeads,
+    /// Successor links of the child lists.
+    links: &'a ListLinks,
+    /// The next iteration's frontier.
+    flags: &'a AtomicFlags,
+    /// Cursor of the current parent in the sorted adjacency (Opt variant).
+    cursor: &'a [AtomicU32],
+    /// Published length of every chordal-neighbour set.
+    clen: &'a [AtomicU32],
+    /// Chordal-neighbour arena.
+    cdata: &'a [AtomicU32],
+}
+
+impl<'a> Shared<'a> {
+    /// Borrows the buffers of `workspace`, prepared for `graph`.
+    fn borrowed(
+        workspace: &'a Workspace,
+        graph: GraphRef<'a>,
+        mode: AdjacencyMode,
+        sync: bool,
+    ) -> (Adjacency<'a>, Self) {
+        let n = graph.num_vertices();
+        let state = Self {
+            current: &workspace.heads,
+            next: if sync {
+                &workspace.next_heads
+            } else {
+                &workspace.heads
+            },
+            links: &workspace.links,
+            flags: workspace.flags(),
+            cursor: &workspace.cursor[..n],
+            clen: &workspace.clen[..n],
+            cdata: &workspace.cdata[..graph.num_directed_edges()],
+        };
+        let adjacency = Adjacency::new(graph, mode, &workspace.offsets[..=n]);
+        (adjacency, state)
+    }
+}
+
+impl<'a> Access for Shared<'a> {
+    type Children = Taken<'a>;
+
+    fn for_each(
+        &mut self,
+        engine: &Engine,
+        len: usize,
+        body: impl Fn(&mut Self, usize) -> usize + Sync,
+    ) -> usize {
+        let state = *self;
+        let total = AtomicUsize::new(0);
+        engine.parallel_for_chunks(len, |range| {
+            let mut task = state;
+            let local: usize = range.map(|i| body(&mut task, i)).sum();
+            if local > 0 {
+                total.fetch_add(local, Ordering::Relaxed);
+            }
+        });
+        total.into_inner()
+    }
+
+    fn flags(&self) -> &AtomicFlags {
+        self.flags
+    }
+
+    fn swap_lists(&mut self) {
+        std::mem::swap(&mut self.current, &mut self.next);
+    }
+
     #[inline]
-    fn hand_over(&self, lists: &ListHeads, parent: VertexId, w: VertexId) {
-        lists.push(self.links, parent, w);
+    fn take(&mut self, v: VertexId) -> Taken<'a> {
+        self.current.take(self.links, v)
+    }
+
+    #[inline]
+    fn next_child(&mut self, children: &mut Taken<'a>) -> Option<VertexId> {
+        children.next()
+    }
+
+    #[inline]
+    fn hand_over(&mut self, parent: VertexId, w: VertexId) {
+        self.next.push(self.links, parent, w);
         self.flags.test_and_set(parent as usize);
     }
 
-    /// Parent `v`'s step: for every child taken from `v`'s
-    /// list in `current`, the subset test `C[w] ⊆ C[v]`, possibly the edge
-    /// `(v, w)`, then the hand-over of `w` to its next parent in `next`.
-    /// `frozen_len_v` is `|C[v]|` at the start of the iteration under the
-    /// synchronous semantics, `None` to read it live. Returns the number of
-    /// edges accepted.
-    fn step(
-        &self,
-        current: &ListHeads,
-        next: &ListHeads,
-        v: VertexId,
-        frozen_len_v: Option<u32>,
+    #[inline]
+    fn cursor(&mut self, w: usize) -> u32 {
+        self.cursor[w].load(Ordering::Relaxed)
+    }
+
+    #[inline]
+    fn set_cursor(&mut self, w: usize, cursor: u32) {
+        self.cursor[w].store(cursor, Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn len(&mut self, w: usize) -> usize {
+        self.clen[w].load(Ordering::Relaxed) as usize
+    }
+
+    #[inline]
+    fn step_len(&mut self, _v: usize) -> Option<usize> {
+        None
+    }
+
+    #[inline]
+    fn live_len(&mut self, v: usize) -> usize {
+        // Acquire: pairs with the release store of `append`, so the prefix
+        // below the length is complete.
+        self.clen[v].load(Ordering::Acquire) as usize
+    }
+
+    fn arena(&self) -> &[AtomicU32] {
+        self.cdata
+    }
+
+    #[inline]
+    fn append(&mut self, w: usize, base_w: usize, len_w: usize, v: VertexId) {
+        // The new entry is published with a release store on the length so
+        // asynchronous readers see a complete prefix.
+        self.cdata[base_w + len_w].store(v, Ordering::Relaxed);
+        self.clen[w].store((len_w + 1) as u32, Ordering::Release);
+    }
+}
+
+/// The owner mode: one thread holds every buffer through an exclusive
+/// borrow of the workspace, so each operation is a plain load or store.
+struct Owned<'a> {
+    /// The lists steps take children from.
+    current: &'a mut ListHeads,
+    /// The second head array of the synchronous semantics; `None` when
+    /// moved children join `current`.
+    next: Option<&'a mut ListHeads>,
+    links: &'a mut ListLinks,
+    flags: &'a mut AtomicFlags,
+    cursor: &'a mut [AtomicU32],
+    clen: &'a mut [AtomicU32],
+    cdata: &'a mut [AtomicU32],
+}
+
+impl<'a> Owned<'a> {
+    /// Borrows the buffers of `workspace`, prepared for `graph`.
+    fn borrowed(
+        workspace: &'a mut Workspace,
+        graph: GraphRef<'a>,
+        mode: AdjacencyMode,
+        sync: bool,
+    ) -> (Adjacency<'a>, Self) {
+        let n = graph.num_vertices();
+        let Workspace {
+            heads,
+            next_heads,
+            links,
+            cursor,
+            clen,
+            cdata,
+            offsets,
+            flags,
+            ..
+        } = workspace;
+        let state = Self {
+            current: heads,
+            next: sync.then_some(next_heads),
+            links,
+            flags: flags.as_mut().expect("workspace flags not prepared"),
+            cursor: &mut cursor[..n],
+            clen: &mut clen[..n],
+            cdata: &mut cdata[..graph.num_directed_edges()],
+        };
+        let adjacency = Adjacency::new(graph, mode, &offsets[..=n]);
+        (adjacency, state)
+    }
+}
+
+impl Access for Owned<'_> {
+    type Children = TakenMut;
+
+    fn for_each(
+        &mut self,
+        _engine: &Engine,
+        len: usize,
+        body: impl Fn(&mut Self, usize) -> usize + Sync,
     ) -> usize {
-        let v_idx = v as usize;
-        let mut accepted = 0;
-        for w in current.take(self.links, v) {
-            // The take made this task w's unique owner.
-            let w_idx = w as usize;
-            let len_w = self.clen[w_idx].load(Ordering::Relaxed) as usize;
-            let len_v =
-                frozen_len_v.unwrap_or_else(|| self.clen[v_idx].load(Ordering::Acquire)) as usize;
-            if self.subset(w_idx, len_w, v_idx, len_v) {
-                // C[w] ← C[w] ∪ {v}; the new entry is published with a
-                // release store on the length so asynchronous readers see a
-                // complete prefix.
-                let base = self.offsets[w_idx];
-                self.cdata[base + len_w].store(v, Ordering::Relaxed);
-                self.clen[w_idx].store((len_w + 1) as u32, Ordering::Release);
-                accepted += 1;
-            }
-            // Advance w's lowest parent (lines 18-22), whether or not the
-            // edge was accepted.
-            let parent = self.next_parent(w, v);
-            if parent != NO_VERTEX {
-                self.hand_over(next, parent, w);
-            }
-        }
-        accepted
+        (0..len).map(|i| body(self, i)).sum()
     }
 
-    /// Ordered-merge subset test `C[a][..len_a] ⊆ C[b][..len_b]`. Both sets
-    /// are sorted ascending because parents are accepted in increasing-id
-    /// order; elements live in the atomic arena, so the shared kernel is
-    /// used through its accessor form with relaxed per-element loads.
-    fn subset(&self, a: usize, len_a: usize, b: usize, len_b: usize) -> bool {
-        let base_a = self.offsets[a];
-        let base_b = self.offsets[b];
-        crate::kernels::sorted_subset_by(
-            len_a,
-            |i| self.cdata[base_a + i].load(Ordering::Relaxed),
-            len_b,
-            |j| self.cdata[base_b + j].load(Ordering::Relaxed),
-        )
+    fn flags(&self) -> &AtomicFlags {
+        self.flags
     }
 
-    /// `C[w]` as published at the end of the run.
-    fn chordal_set(&self, w: usize) -> &'a [AtomicU32] {
-        let base = self.offsets[w];
-        &self.cdata[base..base + self.clen[w].load(Ordering::Relaxed) as usize]
+    fn swap_lists(&mut self) {
+        if let Some(next) = &mut self.next {
+            std::mem::swap(&mut self.current, next);
+        }
     }
 
-    /// EC in canonical sorted order: every entry `p` of `C[w]` is the edge
-    /// `(p, w)` with `p < w`, so a counting sort on `p` that visits `w` in
-    /// ascending order sorts the edges without comparing them. `starts`
-    /// holds the per-parent bucket starts. Runs after the last region has
-    /// joined, so relaxed loads see every write.
-    fn sorted_edges(&self, starts: &mut Vec<usize>) -> Vec<Edge> {
-        let n = self.clen.len();
-        starts.clear();
-        starts.resize(n + 1, 0);
-        for w in 0..n {
-            for p in self.chordal_set(w) {
-                starts[p.load(Ordering::Relaxed) as usize + 1] += 1;
-            }
-        }
-        for p in 0..n {
-            starts[p + 1] += starts[p];
-        }
-        let mut edges = vec![(0, 0); starts[n]];
-        for w in 0..n {
-            for p in self.chordal_set(w) {
-                let p = p.load(Ordering::Relaxed);
-                let slot = &mut starts[p as usize];
-                edges[*slot] = (p, w as VertexId);
-                *slot += 1;
-            }
-        }
-        edges
+    #[inline]
+    fn take(&mut self, v: VertexId) -> TakenMut {
+        self.current.take_mut(v)
     }
+
+    #[inline]
+    fn next_child(&mut self, children: &mut TakenMut) -> Option<VertexId> {
+        children.next(self.links)
+    }
+
+    #[inline]
+    fn hand_over(&mut self, parent: VertexId, w: VertexId) {
+        let lists = match &mut self.next {
+            Some(next) => next,
+            None => &mut self.current,
+        };
+        lists.push_mut(self.links, parent, w);
+        self.flags.test_and_set_mut(parent as usize);
+    }
+
+    #[inline]
+    fn cursor(&mut self, w: usize) -> u32 {
+        *self.cursor[w].get_mut()
+    }
+
+    #[inline]
+    fn set_cursor(&mut self, w: usize, cursor: u32) {
+        *self.cursor[w].get_mut() = cursor;
+    }
+
+    #[inline]
+    fn len(&mut self, w: usize) -> usize {
+        *self.clen[w].get_mut() as usize
+    }
+
+    #[inline]
+    fn step_len(&mut self, v: usize) -> Option<usize> {
+        Some(self.len(v))
+    }
+
+    #[inline]
+    fn live_len(&mut self, v: usize) -> usize {
+        self.len(v)
+    }
+
+    fn arena(&self) -> &[AtomicU32] {
+        self.cdata
+    }
+
+    #[inline]
+    fn append(&mut self, w: usize, base_w: usize, len_w: usize, v: VertexId) {
+        *self.cdata[base_w + len_w].get_mut() = v;
+        *self.clen[w].get_mut() = (len_w + 1) as u32;
+    }
+}
+
+/// EC in canonical sorted order: every entry `p` of `C[w]` is the edge
+/// `(p, w)` with `p < w`, so a counting sort on `p` that visits `w` in
+/// ascending order sorts the edges without comparing them. `starts` holds
+/// the per-parent bucket starts. Runs after the sweep has finished, so
+/// relaxed loads see every write.
+fn sorted_edges(
+    offsets: &[usize],
+    clen: &[AtomicU32],
+    cdata: &[AtomicU32],
+    starts: &mut Vec<usize>,
+) -> Vec<Edge> {
+    let n = clen.len();
+    let chordal_set = |w: usize| {
+        let base = offsets[w];
+        &cdata[base..base + clen[w].load(Ordering::Relaxed) as usize]
+    };
+    starts.clear();
+    starts.resize(n + 1, 0);
+    for w in 0..n {
+        for p in chordal_set(w) {
+            starts[p.load(Ordering::Relaxed) as usize + 1] += 1;
+        }
+    }
+    for p in 0..n {
+        starts[p + 1] += starts[p];
+    }
+    let mut edges = vec![(0, 0); starts[n]];
+    for w in 0..n {
+        for p in chordal_set(w) {
+            let p = p.load(Ordering::Relaxed);
+            let slot = &mut starts[p as usize];
+            edges[*slot] = (p, w as VertexId);
+            *slot += 1;
+        }
+    }
+    edges
 }
 
 #[cfg(test)]
@@ -617,10 +957,23 @@ mod tests {
         );
     }
 
+    /// Every child list the run used is empty and every flag clear, as the
+    /// next run (in either access mode) expects.
+    fn assert_quiescent(workspace: &Workspace, n: usize, semantics: Semantics) {
+        assert_eq!(workspace.flags().count_set(), 0, "a flag was left set");
+        for v in 0..n as VertexId {
+            assert_eq!(workspace.heads.take(&workspace.links, v).count(), 0);
+            if semantics == Semantics::Synchronous {
+                assert_eq!(workspace.next_heads.take(&workspace.links, v).count(), 0);
+            }
+        }
+    }
+
     #[test]
     fn alternating_semantics_on_one_workspace_match_fresh_runs() {
         // The synchronous run sizes the second head array; the runs around
-        // it must find every child list empty and every flag clear.
+        // it must find every child list empty and every flag clear. The
+        // serial engine runs the owner sweep, the others the shared one.
         let g = RmatParams::preset(RmatKind::B, 8, 4).generate();
         let mut workspace = Workspace::new();
         for engine in all_engines() {
@@ -635,6 +988,7 @@ mod tests {
                         .with_semantics(semantics),
                 );
                 let reused = extractor.extract_into((&g).into(), &mut workspace);
+                assert_quiescent(&workspace, g.num_vertices(), semantics);
                 assert!(verify::is_chordal(&reused.subgraph(&g)));
                 if semantics == Semantics::Synchronous || engine.threads() == 1 {
                     assert_eq!(reused, extractor.extract(&g), "{engine:?} {semantics:?}");

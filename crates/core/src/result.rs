@@ -18,10 +18,10 @@ pub struct ChordalResult {
     pub stats: Option<IterationStats>,
     /// Wall-clock nanoseconds of the extraction that produced this result,
     /// stamped by the session paths (`0` when the producer did not time the
-    /// run). The scheduler's measured-cost feedback loop reads this next to
-    /// the graph's canonical edge count; it is *metadata*, excluded from
-    /// equality so timing noise can never make identical extractions
-    /// compare unequal.
+    /// run). Serve's `EXTRACT` reply reports it as its `extract_ns` field,
+    /// which the benchmark reads; it is *metadata*, excluded from equality
+    /// so timing noise can never make identical extractions compare
+    /// unequal.
     extract_ns: u64,
 }
 
@@ -63,8 +63,9 @@ impl ChordalResult {
 
     /// Wall-clock nanoseconds of the producing extraction, or `0` when the
     /// producer did not time the run. Stamped by
-    /// [`crate::ExtractionSession`]'s single and batch paths; feeds the
-    /// measured-cost scheduler feedback.
+    /// [`crate::ExtractionSession`]'s single and batch paths; reported as
+    /// the `extract_ns` field of serve's `EXTRACT` reply, which the
+    /// benchmark reads.
     pub fn extract_ns(&self) -> u64 {
         self.extract_ns
     }

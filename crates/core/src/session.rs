@@ -36,12 +36,14 @@
 //!
 //! No graph of a batch runs with intra-graph parallelism, because on every
 //! measured batch it lost. On a 2-core host, a warm RMAT-G(14) extraction
-//! (129k edges) took 4.0–5.7 ms serially and 5.0–6.7 ms on two threads.
-//! The benchmark's `gene-batch` (32 gene networks plus four RMAT-G(14)
-//! graphs) ran five graphs intra-graph under a fixed 32,768-edge pivot:
-//! 34.9 ms per batch, 60 pool regions, 0.58 of perfect two-thread
-//! efficiency. Fanned out longest first, every graph runs in one region:
-//! 20.9–21.3 ms, 0.79–0.93 efficiency.
+//! (129k edges, median of 21 runs) takes 2.6–2.7 ms serially, where one
+//! thread owns the whole sweep (see [`crate::parallel`]), and 4.9–5.8 ms on
+//! two threads. The benchmark's `gene-batch` (32 gene networks plus four
+//! RMAT-G(14) graphs) ran five graphs intra-graph under a fixed
+//! 32,768-edge pivot: 34.9 ms per batch, 60 pool regions, 0.58 of perfect
+//! two-thread efficiency. Fanned out longest first, every graph runs in one
+//! region: 20.9–21.3 ms, 0.79–0.93 efficiency, and 18.1 ms once the
+//! participants ran the single-owner sweep.
 //!
 //! Fanning out only moves *where* a graph runs: for every deterministic
 //! configuration each slot equals a single run of the same graph. All

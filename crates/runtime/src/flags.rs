@@ -9,6 +9,15 @@
 //! The flags double as the next iteration's frontier: [`AtomicFlags::drain`]
 //! reads the set flags back in ascending order and clears them, so the
 //! queue needs neither a collect pass nor a sort.
+//!
+//! [`AtomicFlags::test_and_set_mut`] is the owner form of `test_and_set`
+//! for a sweep that runs on one thread: a plain load, an OR and a store
+//! through `AtomicU64::get_mut` instead of a `fetch_or`. It takes `&mut
+//! self`, and that borrow is what makes it sound: while it lasts no other
+//! reference to the flags exists, so no setter can race it, and whatever
+//! handed the flags to this thread already made every earlier set visible.
+//! The same borrow keeps the two forms from ever running on the same flags
+//! at once.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -48,6 +57,18 @@ impl AtomicFlags {
         debug_assert!(idx < self.len);
         let mask = 1u64 << (idx % 64);
         let prev = self.words[idx / 64].fetch_or(mask, Ordering::AcqRel);
+        prev & mask == 0
+    }
+
+    /// Owner form of [`AtomicFlags::test_and_set`]: a plain load, OR and
+    /// store of the flag's word.
+    #[inline]
+    pub fn test_and_set_mut(&mut self, idx: usize) -> bool {
+        debug_assert!(idx < self.len);
+        let mask = 1u64 << (idx % 64);
+        let word = self.words[idx / 64].get_mut();
+        let prev = *word;
+        *word |= mask;
         prev & mask == 0
     }
 
@@ -140,6 +161,18 @@ mod tests {
         assert!(!flags.test_and_set(5));
         assert!(flags.get(5));
         assert!(!flags.get(6));
+    }
+
+    #[test]
+    fn owner_form_agrees_with_the_atomic_one() {
+        let mut flags = AtomicFlags::new(130);
+        assert!(flags.test_and_set_mut(64));
+        assert!(!flags.test_and_set_mut(64));
+        assert!(!flags.test_and_set(64), "both forms see one bit");
+        assert!(flags.test_and_set(129));
+        assert!(!flags.test_and_set_mut(129));
+        assert!(flags.test_and_set_mut(0));
+        assert_eq!(flags.drain().collect::<Vec<_>>(), vec![0, 64, 129]);
     }
 
     #[test]

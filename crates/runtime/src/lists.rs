@@ -1,4 +1,5 @@
-//! Intrusive lock-free lists with a CAS push and a take-all swap.
+//! Intrusive lock-free lists with a CAS push and a take-all swap, and the
+//! plain forms of both for a single owner.
 //!
 //! Algorithm 1 hands every vertex from one lowest parent to the next. The
 //! parallel extractor keeps each vertex on an intrusive singly linked list
@@ -30,10 +31,27 @@
 //! before yielding the item, so the new owner may push it onto another
 //! list immediately. A take is a single swap, so pushes can interleave
 //! with it freely: the ABA problem of CAS-based pops does not arise.
+//!
+//! # Owner forms
+//!
+//! [`ListHeads::push_mut`], [`ListHeads::take_mut`] and [`TakenMut::next`]
+//! do the same on lists one thread holds exclusively: a push is a load and
+//! two stores, a take a load and a store, and the walk plain loads, all
+//! through `AtomicU32::get_mut`. They take `&mut` to the heads and links,
+//! and that borrow is what makes them sound: while it lasts no other
+//! reference to the lists exists, so no other thread can push or take, and
+//! whatever handed the lists to this thread (a join, a spawn) already made
+//! every earlier push visible. For the same reason the two forms never mix
+//! on the same lists at once: the borrow checker refuses the exclusive
+//! borrow while any shared reference, and so any concurrent push or take,
+//! is live. Both forms use one format, so between borrows a workspace moves
+//! freely from one protocol to the other, and a list left empty by either
+//! is empty for both.
 
 // Under `cfg(chordal_model)` the atomics come from the chordal-checker
-// facade: every operation becomes a schedule point of the deterministic
-// interleaving explorer (see crates/checker and docs/concurrency.md).
+// facade: every operation but `get_mut` becomes a schedule point of the
+// deterministic interleaving explorer (see crates/checker and
+// docs/concurrency.md).
 #[cfg(not(chordal_model))]
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -133,6 +151,31 @@ impl ListHeads {
         let first = self.heads[list as usize].swap(NIL, Ordering::Acquire);
         Taken { links, next: first }
     }
+
+    /// Owner form of [`ListHeads::push`]: a plain load of the head and
+    /// plain stores of the link and the head.
+    ///
+    /// # Panics
+    /// Panics if `list` or `item` is out of range.
+    #[inline]
+    pub fn push_mut(&mut self, links: &mut ListLinks, list: u32, item: u32) {
+        let first = *self.heads[list as usize].get_mut();
+        *links.next[item as usize].get_mut() = first;
+        *self.heads[list as usize].get_mut() = item;
+    }
+
+    /// Owner form of [`ListHeads::take`]: a plain load and store of the
+    /// head. The returned walk borrows nothing, so the owner may push the
+    /// items it yields while it walks.
+    ///
+    /// # Panics
+    /// Panics if `list` is out of range.
+    #[inline]
+    pub fn take_mut(&mut self, list: u32) -> TakenMut {
+        TakenMut {
+            next: std::mem::replace(&mut *self.heads[list as usize].get_mut(), NIL),
+        }
+    }
 }
 
 impl std::fmt::Debug for ListHeads {
@@ -161,6 +204,27 @@ impl Iterator for Taken<'_> {
         // Read before yielding: the owner may push `item` elsewhere at once,
         // which overwrites its link.
         self.next = self.links.next[item as usize].load(Ordering::Relaxed);
+        Some(item)
+    }
+}
+
+/// The items of a list taken by [`ListHeads::take_mut`], most recently
+/// pushed first.
+#[derive(Debug)]
+pub struct TakenMut {
+    next: u32,
+}
+
+impl TakenMut {
+    /// The next item, read from `links` with a plain load. The caller owns
+    /// it and may push it elsewhere at once: its link has been read.
+    #[inline]
+    pub fn next(&mut self, links: &mut ListLinks) -> Option<u32> {
+        if self.next == NIL {
+            return None;
+        }
+        let item = self.next;
+        self.next = *links.next[item as usize].get_mut();
         Some(item)
     }
 }
@@ -217,6 +281,41 @@ mod tests {
         heads.push(&links, 4, 4);
         assert_eq!(heads.take(&links, 4).collect::<Vec<_>>(), vec![4]);
     }
+
+    fn drain_mut(heads: &mut ListHeads, links: &mut ListLinks, list: u32) -> Vec<u32> {
+        let mut taken = heads.take_mut(list);
+        std::iter::from_fn(|| taken.next(links)).collect()
+    }
+
+    #[test]
+    fn owner_forms_keep_the_order_and_move_items_during_the_walk() {
+        let (mut heads, mut links) = lists(2, 4);
+        for item in 0..4 {
+            heads.push_mut(&mut links, 0, item);
+        }
+        let mut taken = heads.take_mut(0);
+        let mut seen = Vec::new();
+        while let Some(item) = taken.next(&mut links) {
+            seen.push(item);
+            heads.push_mut(&mut links, 1, item);
+        }
+        assert_eq!(seen, vec![3, 2, 1, 0]);
+        assert_eq!(drain_mut(&mut heads, &mut links, 0), Vec::<u32>::new());
+        assert_eq!(drain_mut(&mut heads, &mut links, 1), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn owner_and_shared_forms_share_one_format() {
+        let (mut heads, mut links) = lists(2, 4);
+        heads.push(&links, 0, 2);
+        heads.push_mut(&mut links, 0, 1);
+        assert_eq!(drain_mut(&mut heads, &mut links, 0), vec![1, 2]);
+        heads.push_mut(&mut links, 1, 3);
+        heads.push(&links, 1, 0);
+        assert_eq!(heads.take(&links, 1).collect::<Vec<_>>(), vec![0, 3]);
+        assert_eq!(heads.take(&links, 0).count(), 0);
+        assert_eq!(drain_mut(&mut heads, &mut links, 1), Vec::<u32>::new());
+    }
 }
 
 /// Deterministic model-checker tests; compiled only under
@@ -254,6 +353,32 @@ mod model_tests {
             got.extend(heads.take(links, 0));
             got.sort_unstable();
             assert_eq!(got, vec![0, 1], "an item was lost or taken twice");
+        });
+    }
+
+    /// Lists filled with the owner forms pass to the shared protocol once
+    /// the exclusive borrow ends: a spawned taker races a shared push, and
+    /// every item surfaces exactly once.
+    #[test]
+    fn owner_filled_lists_pass_to_the_shared_protocol() {
+        model(|| {
+            let mut heads = ListHeads::default();
+            let mut links = ListLinks::default();
+            heads.reset(1);
+            links.reserve(3);
+            heads.push_mut(&mut links, 0, 0);
+            heads.push_mut(&mut links, 0, 1);
+            let shared = Arc::new((heads, links));
+            let taker = {
+                let shared = Arc::clone(&shared);
+                thread::spawn(move || shared.0.take(&shared.1, 0).collect::<Vec<u32>>())
+            };
+            let (heads, links) = &*shared;
+            heads.push(links, 0, 2);
+            let mut got = taker.join().unwrap();
+            got.extend(heads.take(links, 0));
+            got.sort_unstable();
+            assert_eq!(got, vec![0, 1, 2], "an item was lost or taken twice");
         });
     }
 }

@@ -122,3 +122,86 @@ fn unopt_walk_reproduces_the_opt_output_on_scrambled_adjacency() {
         assert_eq!(unopt, opt, "{}", golden.name);
     }
 }
+
+/// The two-thread engine whose grain exceeds every queue and vertex count:
+/// each region of the shared sweep runs inline on the caller, in ascending
+/// order, so it follows the owner sweep's schedule through the concurrent
+/// protocol.
+fn inline_shared_engine() -> Engine {
+    Engine::chunked_with_grain(2, usize::MAX)
+}
+
+/// Every combination of semantics and adjacency mode, each with the graph
+/// it runs on: Unopt walks the scrambled copy.
+fn modes(golden: &Golden) -> Vec<(ExtractorConfig, CsrGraph)> {
+    let scrambled = golden.graph.with_scrambled_adjacency(7);
+    let mut modes = Vec::new();
+    for semantics in [Semantics::Asynchronous, Semantics::Synchronous] {
+        for (adjacency, graph) in [
+            (AdjacencyMode::Sorted, &golden.graph),
+            (AdjacencyMode::Unsorted, &scrambled),
+        ] {
+            let config = serial_config()
+                .with_semantics(semantics)
+                .with_adjacency(adjacency);
+            modes.push((config, graph.clone()));
+        }
+    }
+    modes
+}
+
+#[test]
+fn owner_sweep_matches_the_shared_sweep_run_inline() {
+    // `Engine::serial()` runs the owner sweep; the inline two-thread engine
+    // runs the shared one. Results compare stats included.
+    for golden in goldens() {
+        for (config, graph) in modes(&golden) {
+            let owner = ExtractionSession::new(config.clone()).extract(&graph);
+            let shared = ExtractionSession::new(config.clone().with_engine(inline_shared_engine()))
+                .extract(&graph);
+            assert_eq!(
+                owner, shared,
+                "{}: {:?} {:?}",
+                golden.name, config.semantics, config.adjacency
+            );
+        }
+    }
+}
+
+#[test]
+fn owner_and_shared_sweeps_alternate_on_one_workspace() {
+    // Each mode must leave the workspace's lists empty and flags clear for
+    // the other: alternating them on one workspace reproduces fresh runs,
+    // and a second pass over the same graphs allocates nothing.
+    let mut workspace = maximal_chordal::core::Workspace::new();
+    let mut warm = None;
+    for _pass in 0..2 {
+        for golden in goldens() {
+            for (config, graph) in modes(&golden) {
+                let owner = MaximalChordalExtractor::new(config.clone());
+                let shared = MaximalChordalExtractor::new(
+                    config.clone().with_engine(inline_shared_engine()),
+                );
+                let fresh = owner.extract(&graph);
+                for extractor in [&owner, &shared] {
+                    let reused = extractor.extract_into((&graph).into(), &mut workspace);
+                    assert_eq!(
+                        reused,
+                        fresh,
+                        "{}: {:?} {:?} {:?}",
+                        golden.name,
+                        extractor.config().engine,
+                        config.semantics,
+                        config.adjacency
+                    );
+                }
+            }
+        }
+        let allocations = workspace.allocations();
+        assert_eq!(
+            *warm.get_or_insert(allocations),
+            allocations,
+            "graphs the workspace has seen must not grow it"
+        );
+    }
+}
