@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
+//! Ablation benchmarks for three design choices:
 //! iteration semantics (synchronous vs asynchronous), grain size of the
 //! dynamic self-scheduling pool, and BFS renumbering of the input.
 
@@ -24,7 +24,7 @@ fn bench_semantics(c: &mut Criterion) {
         ("sync", Semantics::Synchronous),
     ] {
         let config = ExtractorConfig::default()
-            .with_engine(Engine::rayon(threads))
+            .with_engine(Engine::chunked(threads))
             .with_semantics(semantics);
         let mut session = ExtractionSession::new(config);
         group.bench_with_input(BenchmarkId::new("RMAT-G", label), &graph, |b, g| {
@@ -65,7 +65,7 @@ fn bench_bfs_renumbering(c: &mut Criterion) {
     let original = rmat_graph(RmatKind::B, SCALE).graph;
     let renumbered = bfs_renumbered(&original);
     let mut session =
-        ExtractionSession::new(ExtractorConfig::default().with_engine(Engine::rayon(threads)));
+        ExtractionSession::new(ExtractorConfig::default().with_engine(Engine::chunked(threads)));
     for (label, graph) in [("original", &original), ("bfs-renumbered", &renumbered)] {
         group.bench_with_input(BenchmarkId::new("RMAT-B", label), graph, |b, g| {
             b.iter(|| session.extract(g));

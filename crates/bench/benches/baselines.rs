@@ -36,7 +36,7 @@ fn bench_baselines(c: &mut Criterion) {
             .map(|algorithm| {
                 let config = ExtractorConfig::default()
                     .with_algorithm(algorithm)
-                    .with_engine(Engine::rayon(threads));
+                    .with_engine(Engine::chunked(threads));
                 (algorithm.name().to_string(), config)
             })
             .collect();

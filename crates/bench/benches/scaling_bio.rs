@@ -1,5 +1,5 @@
 //! Criterion counterpart of Figure 5: extraction time on the synthetic
-//! gene-correlation networks across thread counts and engines.
+//! gene-correlation networks across thread counts.
 
 use chordal_bench::workloads::{bio_suite, thread_sweep};
 use chordal_core::{ExtractionSession, ExtractorConfig};
@@ -20,18 +20,13 @@ fn bench_scaling_bio(c: &mut Criterion) {
         let graph = named.graph;
         group.throughput(Throughput::Elements(graph.num_edges() as u64));
         for &threads in &thread_sweep(max_threads) {
-            for engine_name in ["pool", "rayon"] {
-                let engine = Engine::by_name(engine_name, threads).expect("registered engine name");
-                let mut session =
-                    ExtractionSession::new(ExtractorConfig::default().with_engine(engine));
-                let id = BenchmarkId::new(
-                    format!("{}-{}", named.name, engine_name),
-                    format!("t{threads}"),
-                );
-                group.bench_with_input(id, &graph, |b, g| {
-                    b.iter(|| session.extract(g));
-                });
-            }
+            let mut session = ExtractionSession::new(
+                ExtractorConfig::default().with_engine(Engine::chunked(threads)),
+            );
+            let id = BenchmarkId::new(&named.name, format!("t{threads}"));
+            group.bench_with_input(id, &graph, |b, g| {
+                b.iter(|| session.extract(g));
+            });
         }
     }
     group.finish();

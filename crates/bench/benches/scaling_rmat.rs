@@ -1,5 +1,5 @@
 //! Criterion counterpart of Figure 4: extraction time on the three R-MAT
-//! presets, across engines, variants and thread counts.
+//! presets, across variants and thread counts.
 //!
 //! Workload sizes are reduced so `cargo bench` completes in minutes; the
 //! `experiments figure4` binary covers larger sweeps.
@@ -25,18 +25,13 @@ fn bench_scaling_rmat(c: &mut Criterion) {
         let graph = named.graph;
         group.throughput(Throughput::Elements(graph.num_edges() as u64));
         for &threads in &thread_sweep(max_threads) {
-            for engine_name in ["pool", "rayon"] {
-                let engine = Engine::by_name(engine_name, threads).expect("registered engine name");
-                let mut session =
-                    ExtractionSession::new(ExtractorConfig::default().with_engine(engine));
-                let id = BenchmarkId::new(
-                    format!("{}-{}", kind.name(), engine_name),
-                    format!("t{threads}"),
-                );
-                group.bench_with_input(id, &graph, |b, g| {
-                    b.iter(|| session.extract(g));
-                });
-            }
+            let mut session = ExtractionSession::new(
+                ExtractorConfig::default().with_engine(Engine::chunked(threads)),
+            );
+            let id = BenchmarkId::new(kind.name(), format!("t{threads}"));
+            group.bench_with_input(id, &graph, |b, g| {
+                b.iter(|| session.extract(g));
+            });
         }
     }
     group.finish();
@@ -58,7 +53,7 @@ fn bench_opt_vs_unopt(c: &mut Criterion) {
             ("Unopt", &scrambled, AdjacencyMode::Unsorted),
         ] {
             let config = ExtractorConfig::default()
-                .with_engine(Engine::rayon(threads))
+                .with_engine(Engine::chunked(threads))
                 .with_adjacency(mode);
             let mut session = ExtractionSession::new(config);
             group.bench_with_input(BenchmarkId::new(kind.name(), label), graph, |b, g| {

@@ -10,7 +10,6 @@
 //!   figure3           Shortest-path-length distribution (Figure 3)
 //!   figure4           Scaling on the R-MAT suite (Figure 4)
 //!   figure5           Scaling on the gene-correlation networks (Figure 5)
-//!   figure6           Relative engine performance (Figure 6)
 //!   figure7           Queue sizes and iteration counts (Figure 7)
 //!   table2            Speedups at full parallelism (Table II)
 //!   chordal-fraction  Percentage of chordal edges (Section V)
@@ -65,9 +64,6 @@ fn main() -> ExitCode {
         "figure5" => {
             scaling::figure5_and_print(&options);
         }
-        "figure6" => {
-            scaling::figure6_and_print(&options);
-        }
         "figure7" => {
             figure7::run_and_print(&options);
         }
@@ -106,8 +102,6 @@ fn main() -> ExitCode {
             println!();
             scaling::figure5_and_print(&options);
             println!();
-            scaling::figure6_and_print(&options);
-            println!();
             figure7::run_and_print(&options);
             println!();
             table2::run_and_print(&options);
@@ -140,7 +134,7 @@ fn main() -> ExitCode {
 
 fn print_usage() {
     println!(
-        "usage: experiments <table1|figure2|figure3|figure4|figure5|figure6|figure7|table2|chordal-fraction|maximality-gap|scheduler|repair|storage|kernels|serving|all> \
+        "usage: experiments <table1|figure2|figure3|figure4|figure5|figure7|table2|chordal-fraction|maximality-gap|scheduler|repair|storage|kernels|serving|all> \
          [--scale N] [--genes N] [--threads N] [--repeats N] [--out PATH] [--quick]"
     );
 }

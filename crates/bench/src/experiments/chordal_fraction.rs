@@ -115,7 +115,8 @@ mod tests {
             // Algorithm 1 never retains more than the (maximal-by-greedy)
             // Dearing baseline by a large margin, and retains a sizeable
             // fraction of it. On dense module-structured networks the gap is
-            // wider (see EXPERIMENTS.md), hence the generous lower bound.
+            // wider (this experiment's gene-network rows show it), hence the
+            // generous lower bound.
             let ratio = r.algorithm1_edges as f64 / r.dearing_edges as f64;
             assert!(ratio > 0.2 && ratio < 1.5, "{r:?}");
         }

@@ -90,7 +90,7 @@ pub fn run(options: &HarnessOptions) -> Vec<MaximalityRow> {
 /// Runs, prints and records.
 pub fn run_and_print(options: &HarnessOptions) -> Vec<MaximalityRow> {
     let rows = run(options);
-    println!("Near-maximality probe (reproduction finding, see EXPERIMENTS.md)");
+    println!("Near-maximality probe (reproduction finding)");
     println!(
         "  {:<16} {:<12} {:>8} {:>8} {:>10}",
         "graph", "algorithm", "sampled", "addable", "fraction"
@@ -126,7 +126,8 @@ mod tests {
                 // Algorithm 1 is only *near* maximal. On the R-MAT inputs
                 // the gap stays small; on the dense module-structured gene
                 // networks it widens substantially at tiny surrogate sizes
-                // (see EXPERIMENTS.md), so only sanity-check those rows.
+                // (this probe's gene-network rows), so only sanity-check
+                // those rows.
                 "algorithm1" if r.graph.starts_with("RMAT") => {
                     assert!(r.addable_fraction <= 0.75, "{r:?}")
                 }

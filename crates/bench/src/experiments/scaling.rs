@@ -1,12 +1,11 @@
-//! Scaling experiments: Figures 4, 5 and 6.
+//! Scaling experiments: Figures 4 and 5.
 //!
 //! * **Figure 4** — strong and weak scaling of the Opt/Unopt variants on the
-//!   three R-MAT presets, on both execution engines (the paper's two
-//!   hardware platforms map to the `pool` and `rayon` engines, see
-//!   DESIGN.md).
+//!   three R-MAT presets, on the pool engine. The paper's two hardware
+//!   platforms (Cray XMT, AMD Opteron) are machines, not schedulers, so
+//!   one engine stands for both; the paper's Figure 6 (the two platforms on
+//!   the same RMAT-ER / RMAT-B input) is a subset of this sweep.
 //! * **Figure 5** — the same sweep on the four gene-correlation networks.
-//! * **Figure 6** — relative performance of the two engines on the *same*
-//!   RMAT-ER / RMAT-B input.
 
 use super::HarnessOptions;
 use crate::records::ScalingPoint;
@@ -16,37 +15,6 @@ use chordal_core::{AdjacencyMode, ExtractionSession, ExtractorConfig};
 use chordal_generators::rmat::RmatKind;
 use chordal_graph::CsrGraph;
 use chordal_runtime::Engine;
-
-/// The two parallel engines the harness compares, standing in for the
-/// paper's two hardware platforms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Fine-grained dynamic self-scheduling pool (XMT analogue).
-    Pool,
-    /// Rayon work-stealing pool (Opteron analogue).
-    Rayon,
-}
-
-impl EngineKind {
-    /// Both engines.
-    pub fn all() -> [EngineKind; 2] {
-        [EngineKind::Pool, EngineKind::Rayon]
-    }
-
-    /// Builds an [`Engine`] with the requested number of threads, through
-    /// the runtime's shared name resolution.
-    pub fn build(self, threads: usize) -> Engine {
-        Engine::by_name(self.label(), threads).expect("registered engine name")
-    }
-
-    /// Label used in output ("pool" / "rayon").
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::Pool => "pool",
-            EngineKind::Rayon => "rayon",
-        }
-    }
-}
 
 /// A prepared workload: the sorted graph for the Opt variant and a
 /// deterministically scrambled copy for the Unopt variant (the paper's
@@ -72,17 +40,17 @@ impl PreparedGraph {
     }
 }
 
-/// Measures one timing point.
+/// Measures one timing point on the pool engine at `threads`.
 pub fn measure_point(
     experiment: &str,
     prepared: &PreparedGraph,
-    engine_kind: EngineKind,
     variant: AdjacencyMode,
     threads: usize,
     repeats: usize,
 ) -> ScalingPoint {
+    let engine = Engine::chunked(threads);
     let config = ExtractorConfig::default()
-        .with_engine(engine_kind.build(threads))
+        .with_engine(engine)
         .with_adjacency(variant);
     // A session per point: repeats after the first reuse the workspace, so
     // best-of-N measures the steady (allocation-amortised) serving path.
@@ -97,16 +65,15 @@ pub fn measure_point(
     ScalingPoint {
         experiment: experiment.to_string(),
         graph: prepared.name.clone(),
-        engine: engine_kind.label().to_string(),
+        engine: engine.name().to_string(),
         variant: variant.label().to_string(),
         threads,
         seconds: elapsed.as_secs_f64(),
         chordal_edges: result.num_chordal_edges(),
         iterations: result.iterations,
         workspace_bytes: session.workspace().allocated_bytes(),
-        steals: stats.steals - stats_before.steals,
         regions: stats.regions - stats_before.regions,
-        region_overhead_ns: chordal_runtime::estimated_region_overhead_ns(),
+        region_overhead_ns: chordal_runtime::estimated_region_overhead_ns_for(threads),
     }
 }
 
@@ -117,18 +84,15 @@ pub fn sweep_graph(
     options: &HarnessOptions,
 ) -> Vec<ScalingPoint> {
     let mut points = Vec::new();
-    for engine_kind in EngineKind::all() {
-        for variant in [AdjacencyMode::Sorted, AdjacencyMode::Unsorted] {
-            for &threads in &options.threads() {
-                points.push(measure_point(
-                    experiment,
-                    prepared,
-                    engine_kind,
-                    variant,
-                    threads,
-                    options.repeats,
-                ));
-            }
+    for variant in [AdjacencyMode::Sorted, AdjacencyMode::Unsorted] {
+        for &threads in &options.threads() {
+            points.push(measure_point(
+                experiment,
+                prepared,
+                variant,
+                threads,
+                options.repeats,
+            ));
         }
     }
     points
@@ -187,26 +151,6 @@ pub fn figure5_and_print(options: &HarnessOptions) -> Vec<ScalingPoint> {
     points
 }
 
-/// Figure 6: relative performance of the two engines on the same RMAT-ER and
-/// RMAT-B inputs.
-pub fn figure6(options: &HarnessOptions) -> Vec<ScalingPoint> {
-    let mut all = Vec::new();
-    for kind in [RmatKind::Er, RmatKind::B] {
-        let prepared = PreparedGraph::new(rmat_graph(kind, options.rmat_scale));
-        all.extend(sweep_graph("figure6", &prepared, options));
-    }
-    all
-}
-
-/// Figure 6 with printing and record output.
-pub fn figure6_and_print(options: &HarnessOptions) -> Vec<ScalingPoint> {
-    println!("Figure 6: relative performance of the pool and rayon engines");
-    let points = figure6(options);
-    print_points(&points);
-    options.write_records(&points);
-    points
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,16 +159,9 @@ mod tests {
     #[test]
     fn measure_point_produces_consistent_metadata() {
         let prepared = PreparedGraph::new(rmat_graph(RmatKind::Er, 8));
-        let p = measure_point(
-            "test",
-            &prepared,
-            EngineKind::Rayon,
-            AdjacencyMode::Sorted,
-            2,
-            1,
-        );
+        let p = measure_point("test", &prepared, AdjacencyMode::Sorted, 2, 1);
         assert_eq!(p.threads, 2);
-        assert_eq!(p.engine, "rayon");
+        assert_eq!(p.engine, "pool");
         assert_eq!(p.variant, "Opt");
         assert!(p.seconds > 0.0);
         assert!(p.chordal_edges > 0);
@@ -238,33 +175,9 @@ mod tests {
     #[test]
     fn opt_and_unopt_find_subgraphs_of_similar_size() {
         let prepared = PreparedGraph::new(rmat_graph(RmatKind::G, 8));
-        let opt = measure_point(
-            "test",
-            &prepared,
-            EngineKind::Pool,
-            AdjacencyMode::Sorted,
-            2,
-            1,
-        );
-        let unopt = measure_point(
-            "test",
-            &prepared,
-            EngineKind::Pool,
-            AdjacencyMode::Unsorted,
-            2,
-            1,
-        );
+        let opt = measure_point("test", &prepared, AdjacencyMode::Sorted, 2, 1);
+        let unopt = measure_point("test", &prepared, AdjacencyMode::Unsorted, 2, 1);
         let ratio = opt.chordal_edges as f64 / unopt.chordal_edges as f64;
         assert!(ratio > 0.9 && ratio < 1.1, "ratio {ratio}");
-    }
-
-    #[test]
-    fn quick_figure6_produces_points_for_both_engines() {
-        let options = HarnessOptions::tiny();
-        let points = figure6(&options);
-        assert!(points.iter().any(|p| p.engine == "pool"));
-        assert!(points.iter().any(|p| p.engine == "rayon"));
-        assert!(points.iter().any(|p| p.variant == "Opt"));
-        assert!(points.iter().any(|p| p.variant == "Unopt"));
     }
 }

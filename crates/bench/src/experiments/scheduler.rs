@@ -12,9 +12,9 @@
 //! * `fan-out` — one serial session per thread, taking the graphs in input
 //!   order from a shared cursor (the experiment fans them out itself).
 //!
-//! Every point carries the pool's scheduling counters (regions, steals) and
-//! the calibrated per-region dispatch overhead, so a timing can be traced
-//! back to the dispatch costs behind it.
+//! Every point carries the pool's scheduling counters (regions, dropped
+//! tickets) and the calibrated per-region dispatch overhead, so a timing
+//! can be traced back to the dispatch costs behind it.
 
 use super::HarnessOptions;
 use crate::records::SchedulerPoint;
@@ -62,7 +62,7 @@ enum Runner {
 
 impl Runner {
     fn new(policy: &str, engine: Engine) -> Self {
-        let config = ExtractorConfig::default().with_engine(engine.clone());
+        let config = ExtractorConfig::default().with_engine(engine);
         match policy {
             "batch" => Runner::Batch(ExtractionSession::new(config)),
             "intra" => Runner::Intra(ExtractionSession::new(config)),
@@ -103,43 +103,41 @@ impl Runner {
     }
 }
 
-/// Runs the ablation and returns one point per engine × policy.
+/// Runs the ablation and returns one point per policy.
 pub fn run(options: &HarnessOptions) -> Vec<SchedulerPoint> {
     let load_start = std::time::Instant::now();
     let graphs = mixed_batch(options);
     let load_ns = load_start.elapsed().as_nanos() as u64;
     let refs: Vec<&CsrGraph> = graphs.iter().collect();
     let threads = options.max_threads.clamp(2, 8);
+    let engine = Engine::chunked(threads);
     let mut points = Vec::new();
-    for engine_kind in super::scaling::EngineKind::all() {
-        for policy in POLICIES {
-            let mut runner = Runner::new(policy, engine_kind.build(threads));
-            // Warm-up grows the workspaces and spawns the pool workers, so
-            // the timed repeats measure the steady serving path.
-            let chordal_edges = runner.run(&refs);
-            let stats_before = chordal_runtime::pool_stats();
-            let mut best = f64::MAX;
-            for _ in 0..options.repeats.max(1) {
-                let start = std::time::Instant::now();
-                runner.run(&refs);
-                best = best.min(start.elapsed().as_secs_f64());
-            }
-            let stats = chordal_runtime::pool_stats();
-            points.push(SchedulerPoint {
-                experiment: "scheduler".to_string(),
-                engine: engine_kind.label().to_string(),
-                threads,
-                policy: policy.to_string(),
-                batch_graphs: graphs.len(),
-                seconds: best,
-                chordal_edges,
-                steals: stats.steals - stats_before.steals,
-                regions: stats.regions - stats_before.regions,
-                region_overhead_ns: chordal_runtime::estimated_region_overhead_ns_for(threads),
-                tickets_dropped: stats.tickets_dropped - stats_before.tickets_dropped,
-                load_ns,
-            });
+    for policy in POLICIES {
+        let mut runner = Runner::new(policy, engine);
+        // Warm-up grows the workspaces and spawns the pool workers, so the
+        // timed repeats measure the steady serving path.
+        let chordal_edges = runner.run(&refs);
+        let stats_before = chordal_runtime::pool_stats();
+        let mut best = f64::MAX;
+        for _ in 0..options.repeats.max(1) {
+            let start = std::time::Instant::now();
+            runner.run(&refs);
+            best = best.min(start.elapsed().as_secs_f64());
         }
+        let stats = chordal_runtime::pool_stats();
+        points.push(SchedulerPoint {
+            experiment: "scheduler".to_string(),
+            engine: engine.name().to_string(),
+            threads,
+            policy: policy.to_string(),
+            batch_graphs: graphs.len(),
+            seconds: best,
+            chordal_edges,
+            regions: stats.regions - stats_before.regions,
+            region_overhead_ns: chordal_runtime::estimated_region_overhead_ns_for(threads),
+            tickets_dropped: stats.tickets_dropped - stats_before.tickets_dropped,
+            load_ns,
+        });
     }
     points
 }
@@ -149,13 +147,13 @@ pub fn run_and_print(options: &HarnessOptions) -> Vec<SchedulerPoint> {
     println!("Scheduler ablation: batch placement policies on a mixed batch");
     let points = run(options);
     println!(
-        "  {:<7} {:>8} {:>8} {:>10} {:>9} {:>8} {:>14}",
-        "engine", "threads", "policy", "seconds", "regions", "steals", "overhead(ns)"
+        "  {:<7} {:>8} {:>8} {:>10} {:>9} {:>14}",
+        "engine", "threads", "policy", "seconds", "regions", "overhead(ns)"
     );
     for p in &points {
         println!(
-            "  {:<7} {:>8} {:>8} {:>10.4} {:>9} {:>8} {:>14}",
-            p.engine, p.threads, p.policy, p.seconds, p.regions, p.steals, p.region_overhead_ns
+            "  {:<7} {:>8} {:>8} {:>10.4} {:>9} {:>14}",
+            p.engine, p.threads, p.policy, p.seconds, p.regions, p.region_overhead_ns
         );
     }
     options.write_records(&points);
@@ -168,30 +166,29 @@ mod tests {
     use crate::json::ToJson;
 
     #[test]
-    fn quick_ablation_covers_every_policy_on_both_engines() {
+    fn quick_ablation_covers_every_policy() {
         let options = HarnessOptions::tiny();
         let points = run(&options);
-        assert_eq!(points.len(), 6, "2 engines x 3 policies");
-        for engine in ["pool", "rayon"] {
-            for policy in POLICIES {
-                let p = points
-                    .iter()
-                    .find(|p| p.engine == engine && p.policy == policy)
-                    .unwrap_or_else(|| panic!("missing {engine}/{policy}"));
-                assert!(p.seconds > 0.0);
-                assert!(p.chordal_edges > 0);
-                assert!(p.region_overhead_ns >= 1);
-                assert_eq!(p.batch_graphs, 10);
-                // Every point's record round-trips through the JSON layer.
-                let json = p.to_json();
-                assert!(json.contains("\"experiment\":\"scheduler\""));
-                assert!(json.contains("\"batch_graphs\":10"));
-                assert!(json.contains("\"tickets_dropped\":"));
-                assert!(
-                    p.load_ns > 0 && json.contains("\"load_ns\":"),
-                    "workload build time must be recorded"
-                );
-            }
+        assert_eq!(points.len(), 3, "one point per policy");
+        for policy in POLICIES {
+            let p = points
+                .iter()
+                .find(|p| p.policy == policy)
+                .unwrap_or_else(|| panic!("missing {policy}"));
+            assert_eq!(p.engine, "pool");
+            assert!(p.seconds > 0.0);
+            assert!(p.chordal_edges > 0);
+            assert!(p.region_overhead_ns >= 1);
+            assert_eq!(p.batch_graphs, 10);
+            // Every point's record round-trips through the JSON layer.
+            let json = p.to_json();
+            assert!(json.contains("\"experiment\":\"scheduler\""));
+            assert!(json.contains("\"batch_graphs\":10"));
+            assert!(json.contains("\"tickets_dropped\":"));
+            assert!(
+                p.load_ns > 0 && json.contains("\"load_ns\":"),
+                "workload build time must be recorded"
+            );
         }
     }
 }

@@ -1,19 +1,19 @@
 //! Table II: speedup at full parallelism relative to one thread.
 
-use super::scaling::{measure_point, EngineKind, PreparedGraph};
+use super::scaling::{measure_point, PreparedGraph};
 use super::HarnessOptions;
 use crate::impl_to_json;
 use crate::records::ExperimentRecord;
 use crate::workloads::{bio_suite, rmat_suite};
 use chordal_core::AdjacencyMode;
 
-/// One speedup row: a graph, an engine/variant combination and the speedup
-/// of `max_threads` workers over one worker.
+/// One speedup row: a graph, a variant and the speedup of `max_threads`
+/// workers over one worker on the pool engine.
 #[derive(Debug, Clone)]
 pub struct SpeedupRow {
     /// Graph name.
     pub graph: String,
-    /// Engine ("pool" / "rayon").
+    /// Engine (`"pool"`).
     pub engine: String,
     /// Variant ("Opt" / "Unopt").
     pub variant: String,
@@ -37,7 +37,7 @@ impl_to_json!(SpeedupRow {
     speedup
 });
 
-/// Measures Table II: every suite graph × both engines × both variants.
+/// Measures Table II: every suite graph × both variants.
 pub fn run(options: &HarnessOptions) -> Vec<SpeedupRow> {
     let mut graphs = Vec::new();
     for scale in options.weak_scaling_scales() {
@@ -53,31 +53,28 @@ pub fn run(options: &HarnessOptions) -> Vec<SpeedupRow> {
         } else {
             vec![AdjacencyMode::Sorted, AdjacencyMode::Unsorted]
         };
-        for engine in EngineKind::all() {
-            for &variant in &variants {
-                let one = measure_point("table2", &prepared, engine, variant, 1, options.repeats);
-                let many = measure_point(
-                    "table2",
-                    &prepared,
-                    engine,
-                    variant,
-                    options.max_threads,
-                    options.repeats,
-                );
-                rows.push(SpeedupRow {
-                    graph: prepared.name.clone(),
-                    engine: engine.label().to_string(),
-                    variant: variant.label().to_string(),
-                    threads: options.max_threads,
-                    serial_seconds: one.seconds,
-                    parallel_seconds: many.seconds,
-                    speedup: if many.seconds > 0.0 {
-                        one.seconds / many.seconds
-                    } else {
-                        f64::NAN
-                    },
-                });
-            }
+        for &variant in &variants {
+            let one = measure_point("table2", &prepared, variant, 1, options.repeats);
+            let many = measure_point(
+                "table2",
+                &prepared,
+                variant,
+                options.max_threads,
+                options.repeats,
+            );
+            rows.push(SpeedupRow {
+                graph: prepared.name.clone(),
+                engine: many.engine,
+                variant: variant.label().to_string(),
+                threads: options.max_threads,
+                serial_seconds: one.seconds,
+                parallel_seconds: many.seconds,
+                speedup: if many.seconds > 0.0 {
+                    one.seconds / many.seconds
+                } else {
+                    f64::NAN
+                },
+            });
         }
     }
     rows
@@ -118,8 +115,8 @@ mod tests {
     #[test]
     fn quick_run_produces_rows_with_positive_times() {
         let rows = run(&HarnessOptions::tiny());
-        // quick: (3 RMAT + 4 bio) × 2 engines × 1 variant.
-        assert_eq!(rows.len(), 14);
+        // quick: (3 RMAT + 4 bio) × 1 variant.
+        assert_eq!(rows.len(), 7);
         assert!(rows.iter().all(|r| r.serial_seconds > 0.0));
         assert!(rows.iter().all(|r| r.parallel_seconds > 0.0));
         assert!(rows.iter().all(|r| r.speedup.is_finite()));

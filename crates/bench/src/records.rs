@@ -1,9 +1,9 @@
 //! Serialisable experiment records.
 //!
 //! Every experiment run by the `experiments` binary prints a human-readable
-//! table *and* appends machine-readable JSON-lines records, so that
-//! EXPERIMENTS.md and any downstream plotting can be regenerated without
-//! re-running the sweeps. Records encode themselves through
+//! table *and* appends machine-readable JSON-lines records, so that the
+//! checked-in `BENCH_*.json` snapshots and any downstream plotting can be
+//! regenerated without re-running the sweeps. Records encode themselves through
 //! [`crate::json::ToJson`].
 
 use crate::impl_to_json;
@@ -11,14 +11,14 @@ use crate::json::ToJson;
 use std::io::Write;
 use std::path::Path;
 
-/// One timing point of a scaling experiment (Figures 4–6).
+/// One timing point of a scaling experiment (Figures 4 and 5, Table II).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScalingPoint {
     /// Experiment id (e.g. `"figure4"`).
     pub experiment: String,
     /// Graph name (e.g. `"RMAT-B(14)"`).
     pub graph: String,
-    /// Execution engine (`"serial"`, `"pool"`, `"rayon"`).
+    /// Execution engine (`"pool"`).
     pub engine: String,
     /// Algorithm variant (`"Opt"` / `"Unopt"`).
     pub variant: String,
@@ -34,13 +34,12 @@ pub struct ScalingPoint {
     /// ([`chordal_core::Workspace::allocated_bytes`]) — the steady-state
     /// memory footprint of the serving path.
     pub workspace_bytes: usize,
-    /// Work-stealing events on the persistent pool attributable to this
-    /// point's timed runs (delta of [`chordal_runtime::pool_stats`]).
-    pub steals: u64,
-    /// Parallel regions the timed runs submitted to the pool (delta).
+    /// Parallel regions the timed runs submitted to the pool (delta of
+    /// [`chordal_runtime::pool_stats`]).
     pub regions: u64,
-    /// The pool's calibrated per-region dispatch overhead on this machine,
-    /// in nanoseconds ([`chordal_runtime::estimated_region_overhead_ns`]).
+    /// The pool's calibrated per-region dispatch overhead at this point's
+    /// thread count, in nanoseconds
+    /// ([`chordal_runtime::estimated_region_overhead_ns_for`]).
     pub region_overhead_ns: u64,
 }
 
@@ -54,7 +53,6 @@ impl_to_json!(ScalingPoint {
     chordal_edges,
     iterations,
     workspace_bytes,
-    steals,
     regions,
     region_overhead_ns,
 });
@@ -65,7 +63,7 @@ impl_to_json!(ScalingPoint {
 pub struct SchedulerPoint {
     /// Experiment id (`"scheduler"`).
     pub experiment: String,
-    /// Execution engine (`"pool"`, `"rayon"`).
+    /// Execution engine (`"pool"`).
     pub engine: String,
     /// Number of worker threads.
     pub threads: usize,
@@ -77,8 +75,6 @@ pub struct SchedulerPoint {
     pub seconds: f64,
     /// Total chordal edges across the batch.
     pub chordal_edges: usize,
-    /// Pool steals attributable to the timed runs (delta).
-    pub steals: u64,
     /// Pool regions attributable to the timed runs (delta).
     pub regions: u64,
     /// Calibrated per-region dispatch overhead for this point's thread
@@ -101,7 +97,6 @@ impl_to_json!(SchedulerPoint {
     batch_graphs,
     seconds,
     chordal_edges,
-    steals,
     regions,
     region_overhead_ns,
     tickets_dropped,
@@ -376,14 +371,13 @@ mod tests {
         let p = ScalingPoint {
             experiment: "figure4".into(),
             graph: "RMAT-ER(10)".into(),
-            engine: "rayon".into(),
+            engine: "pool".into(),
             variant: "Opt".into(),
             threads: 4,
             seconds: 0.125,
             chordal_edges: 1000,
             iterations: 3,
             workspace_bytes: 65_536,
-            steals: 12,
             regions: 40,
             region_overhead_ns: 4_200,
         };
@@ -391,7 +385,6 @@ mod tests {
         assert!(json.contains("\"threads\":4"));
         assert!(json.contains("RMAT-ER"));
         assert!(json.contains("\"workspace_bytes\":65536"));
-        assert!(json.contains("\"steals\":12"));
         assert!(json.contains("\"regions\":40"));
         assert!(json.contains("\"region_overhead_ns\":4200"));
     }
@@ -400,13 +393,12 @@ mod tests {
     fn scheduler_point_serialises_to_json() {
         let p = SchedulerPoint {
             experiment: "scheduler".into(),
-            engine: "rayon".into(),
+            engine: "pool".into(),
             threads: 4,
             policy: "batch".into(),
             batch_graphs: 17,
             seconds: 0.01,
             chordal_edges: 999,
-            steals: 3,
             regions: 21,
             region_overhead_ns: 5_000,
             tickets_dropped: 0,

@@ -3,7 +3,8 @@
 //! The paper runs R-MAT graphs at SCALE 24–26 (up to 537 million edges) and
 //! four gene-correlation networks with ~45k genes. Those sizes exceed this
 //! environment, so the harness builds the same *families* at a smaller,
-//! configurable scale; EXPERIMENTS.md records the mapping. Weak-scaling
+//! configurable scale; `experiments table1` prints the resulting sizes
+//! (Table I of the paper lists the originals). Weak-scaling
 //! experiments use three consecutive scales exactly as the paper does.
 
 use chordal_generators::bio::GeneNetworkKind;

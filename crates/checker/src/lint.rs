@@ -12,14 +12,14 @@
 //!   files on a checked allowlist (stale entries are themselves errors).
 //! - **R3 thread-primitives** — `thread::spawn`/`Mutex`/`Condvar`/`RwLock`
 //!   stay inside the pool (`crates/compat/rayon`), the serve tier, the
-//!   checker itself, and an explicit allowlist; `#[cfg(test)]` regions and
-//!   `tests/`/bench code are exempt.
+//!   checker itself, the bench harness and the CLI; `#[cfg(test)]` regions
+//!   and `tests/` code are exempt.
 //! - **R4 no-wall-clock** — `Instant::now` is banned in deterministic
 //!   extraction paths (`crates/core`, `crates/graph`, `crates/runtime`,
 //!   `crates/compat/rayon`) outside the session's `extract_ns` stamp in
 //!   `crates/core/src/session.rs`.
 //! - **R5 release-sensitive-asserts** — `debug_assert!` is banned in
-//!   atomic-ordering-sensitive files (deque/pool/slots/queue): an
+//!   atomic-ordering-sensitive files (injector/pool/slots/queue): an
 //!   invariant worth asserting there must also hold under `--release`.
 //! - **R6 fault-gating** — every reference to the fault-injection module
 //!   outside its own file sits under `cfg(test)` or a cfg listing the
@@ -45,13 +45,12 @@ use std::path::{Path, PathBuf};
 /// every file here owns a documented protocol whose Relaxed uses are
 /// argued in `docs/concurrency.md` or at the use site.
 const RELAXED_ALLOWLIST: &[&str] = &[
-    "crates/compat/rayon/src/deque.rs",
+    "crates/compat/rayon/src/injector.rs",
     "crates/compat/rayon/src/pool.rs",
     "crates/compat/rayon/src/slots.rs",
     "crates/compat/rayon/src/lib.rs",
     "crates/core/src/parallel.rs",
     "crates/core/src/workspace.rs",
-    "crates/runtime/src/chunked.rs",
     "crates/runtime/src/flags.rs",
     "crates/runtime/src/lib.rs",
     // Child lists: relaxed link stores and head loads, published by the
@@ -67,13 +66,6 @@ const THREAD_ALLOWED_PREFIXES: &[&str] = &[
     "crates/checker/",
     "crates/bench/",
     "crates/cli/",
-];
-
-/// Individual extra files allowed to use threading primitives.
-const THREAD_ALLOWLIST: &[&str] = &[
-    // Collector: a Mutex-protected once-per-run result sink; documented in
-    // crates/runtime/src/collect.rs.
-    "crates/runtime/src/collect.rs",
 ];
 
 /// Deterministic extraction paths: wall-clock reads banned here (R4).
@@ -99,7 +91,7 @@ const INSTANT_ALLOWLIST: &[&str] = &[
 
 /// Atomic-ordering-sensitive files where `debug_assert!` is banned (R5).
 const DEBUG_ASSERT_SENSITIVE: &[&str] = &[
-    "crates/compat/rayon/src/deque.rs",
+    "crates/compat/rayon/src/injector.rs",
     "crates/compat/rayon/src/pool.rs",
     "crates/compat/rayon/src/slots.rs",
     "crates/serve/src/queue.rs",
@@ -491,18 +483,14 @@ pub fn lint_source(path: &str, src: &str) -> (Vec<Diagnostic>, bool) {
             }
             // R3: threading primitives confined to pool/serve layers.
             "Mutex" | "Condvar" | "RwLock" => {
-                if !test_gated
-                    && !in_tests_dir
-                    && !path_has_prefix(path, THREAD_ALLOWED_PREFIXES)
-                    && !THREAD_ALLOWLIST.contains(&path)
-                {
+                if !test_gated && !in_tests_dir && !path_has_prefix(path, THREAD_ALLOWED_PREFIXES) {
                     diags.push(Diagnostic {
                         file: path.to_string(),
                         line,
                         rule: "thread-primitives",
                         message: format!(
-                            "`{id}` outside compat/rayon, serve, and the allowlist; route \
-                             concurrency through the pool or justify and allowlist this file"
+                            "`{id}` outside compat/rayon, serve, checker, bench and cli; \
+                             route concurrency through the pool"
                         ),
                     });
                 }
@@ -515,7 +503,6 @@ pub fn lint_source(path: &str, src: &str) -> (Vec<Diagnostic>, bool) {
                         && !spawn_test_gated
                         && !in_tests_dir
                         && !path_has_prefix(path, THREAD_ALLOWED_PREFIXES)
-                        && !THREAD_ALLOWLIST.contains(&path)
                     {
                         diags.push(Diagnostic {
                             file: path.to_string(),

@@ -6,17 +6,19 @@
 //! chordal generate --kind bio-unt --genes 2000 --out genes.txt
 //! chordal convert  --in graph.txt --out graph.bin [--window-bytes N] [--verify]
 //! chordal extract  --in graph.txt --out chordal.txt [--algorithm alg1|reference|dearing|partitioned]
-//!                  [--threads 8] [--engine pool|rayon|serial] [--variant opt|unopt]
+//!                  [--threads 8] [--engine pool|serial] [--variant opt|unopt]
 //!                  [--semantics async|sync] [--partitions N] [--stats] [--stitch] [--repair]
 //!                  [--repair-strategy incremental|scratch] [--format text|bin|auto]
-//! chordal batch    --in a.txt,b.bin,c.txt [--threads 8] [--engine pool|rayon|serial]
+//! chordal batch    --in a.txt,b.bin,c.txt [--threads 8] [--engine pool|serial]
 //!                  [--repeat N] [...extract flags]
 //! chordal analyze  --in graph.txt
 //! chordal verify   --graph graph.txt --subgraph chordal.txt
 //! chordal serve    [--addr 127.0.0.1:0] [--max-sessions N] [--max-inflight N]
 //!                  [--max-queue N] [--default-deadline-ms N] [--drain-timeout-ms N]
-//!                  [--cache-budget-bytes N] [--engine pool|rayon|serial] [--threads N]
+//!                  [--cache-budget-bytes N] [--engine pool|serial] [--threads N]
 //! ```
+//!
+//! `--engine rayon` (and `chunked`) is accepted as an alias of `pool`.
 //!
 //! Every graph-loading path accepts either a plain-text edge list or the
 //! binary CSR format of [`chordal_graph::storage`]; the format is sniffed
@@ -105,7 +107,7 @@ const USAGE: &str = "chordal — maximal chordal subgraph toolkit\n\
     \x20          [--scale N] [--genes N] [--seed N] --out FILE\n\
     \x20 convert  --in FILE --out FILE [--window-bytes N] [--verify]\n\
     \x20 extract  --in FILE [--out FILE] [--algorithm alg1|reference|dearing|partitioned]\n\
-    \x20          [--threads N] [--engine serial|pool|rayon] [--variant opt|unopt]\n\
+    \x20          [--threads N] [--engine serial|pool] [--variant opt|unopt]\n\
     \x20          [--semantics async|sync] [--partitions N] [--stats] [--stitch]\n\
     \x20          [--repair] [--repair-strategy incremental|scratch]\n\
     \x20 batch    --in FILE[,FILE...] [--repeat N] [...extract flags]\n\
@@ -113,12 +115,13 @@ const USAGE: &str = "chordal — maximal chordal subgraph toolkit\n\
     \x20 verify   --graph FILE --subgraph FILE [--maximality N]\n\
     \x20 serve    [--addr HOST:PORT] [--max-sessions N] [--max-inflight N]\n\
     \x20          [--max-queue N] [--default-deadline-ms N] [--drain-timeout-ms N]\n\
-    \x20          [--cache-budget-bytes N] [--engine serial|pool|rayon] [--threads N]\n\
+    \x20          [--cache-budget-bytes N] [--engine serial|pool] [--threads N]\n\
     \x20 help\n\
     \n\
     graph inputs may be text edge lists or binary CSR files (`convert`\n\
     produces the latter); the format is auto-detected, or forced with\n\
-    --format text|bin|auto on any graph-loading command.\n\
+    --format text|bin|auto on any graph-loading command; `rayon` is\n\
+    accepted as an alias of the `pool` engine.\n\
     \n\
     exit codes: 0 success, 2 usage error, 3 I/O error, 4 verification failure";
 
@@ -329,7 +332,7 @@ fn extraction_config(flags: &Flags) -> Result<ExtractorConfig, ExtractError> {
             chordal_core::partitioned::PartitionStrategy::Blocks,
         )
         .with_engine_name(
-            flags.get("engine").map(String::as_str).unwrap_or("rayon"),
+            flags.get("engine").map(String::as_str).unwrap_or("pool"),
             threads,
         )
 }
@@ -440,13 +443,12 @@ fn cmd_batch(flags: &Flags) -> Result<(), ExtractError> {
         );
     }
     println!(
-        "batch done: {} chordal edges total, best {:.4}s (total {:.4}s); pool: +{} regions, +{} tickets, +{} steals, +{} dropped",
+        "batch done: {} chordal edges total, best {:.4}s (total {:.4}s); pool: +{} regions, +{} tickets, +{} dropped",
         results.iter().map(|r| r.num_chordal_edges()).sum::<usize>(),
         best,
         total,
         stats.regions - stats_before.regions,
         stats.tickets - stats_before.tickets,
-        stats.steals - stats_before.steals,
         stats.tickets_dropped - stats_before.tickets_dropped,
     );
     Ok(())

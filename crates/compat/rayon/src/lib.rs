@@ -5,31 +5,28 @@
 //! drop-in implementations of the combinators the workspace calls —
 //! `into_par_iter` on ranges, `par_iter`/`par_iter_mut`/`par_chunks`/
 //! `par_chunks_mut`/`par_sort_unstable` on slices, `map`/`flat_map_iter`/
-//! `for_each`/`collect`/`sum`/`max`, and `ThreadPool`/`ThreadPoolBuilder`
-//! with `install`.
+//! `for_each`/`collect`/`sum`/`max`, and [`current_num_threads`].
 //!
 //! All parallel work runs on one **lazily-spawned persistent worker pool**
-//! (see [`mod@pool`]): parallel regions publish work tickets to lock-free
-//! per-worker Chase–Lev deques (LIFO for the owning worker, FIFO CAS
-//! steals for everyone else) with a bounded lock-free injector for
-//! submissions from outside the pool, panics propagate to the submitting
-//! thread, and no OS thread is ever spawned per region — after warm-up the
-//! pool's thread count is constant ([`pool_spawned_threads`]). Per-chunk
-//! results are collected through pre-sized write-once slots
-//! ([`slots::ChunkSlots`]) instead of a mutex-guarded vector, so neither
-//! ticket dispatch nor result collection takes a lock on the region hot
-//! path. The pool is sized by the `CHORDAL_POOL_THREADS` environment
-//! variable (default: all logical CPUs); [`ThreadPool::install`] bounds
-//! the parallelism of the regions it scopes without creating threads of
-//! its own. `par_sort_unstable` is a genuinely parallel merge sort
-//! (parallel chunk sorts + parallel merge passes).
+//! (see [`mod@pool`]) with one scheduling primitive: a region's
+//! participants drain a shared cursor. A region publishes help tickets to
+//! one bounded lock-free MPMC injector, which nested and outside
+//! submissions share; panics propagate to the submitting thread, and no OS
+//! thread is ever spawned per region — after warm-up the pool's thread
+//! count is constant ([`pool_spawned_threads`]). Per-chunk results are
+//! collected through pre-sized write-once slots ([`slots::ChunkSlots`])
+//! instead of a mutex-guarded vector, so neither ticket dispatch nor result
+//! collection takes a lock on the region hot path. The pool is sized by the
+//! `CHORDAL_POOL_THREADS` environment variable (default: all logical CPUs).
+//! `par_sort_unstable` is a genuinely parallel merge sort (parallel chunk
+//! sorts + parallel merge passes).
 //!
 //! Extensions beyond the real rayon API, used by `chordal-runtime` and the
 //! test-suite: [`run_pooled_region`], [`pool_size`],
 //! [`pool_spawned_threads`], [`pool_stats`],
-//! [`estimated_region_overhead_ns`], and the [`slots`] module.
+//! [`estimated_region_overhead_ns_for`], and the [`slots`] module.
 
-mod deque;
+mod injector;
 mod pool;
 pub mod slots;
 mod sort;
@@ -37,28 +34,12 @@ mod sort;
 pub use pool::PoolStats;
 
 use slots::{ChunkSlots, ItemSlots};
-use std::cell::Cell;
-use std::fmt;
 use std::ops::Range;
 
-thread_local! {
-    /// Thread-count override installed by [`ThreadPool::install`];
-    /// 0 means "not inside a pool, use the shared pool's size".
-    static INSTALLED_THREADS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn available_threads() -> usize {
-    pool::configured_size()
-}
-
-/// Number of worker threads parallel operations on this thread should use.
+/// Number of worker threads parallel operations use: the shared pool's
+/// size.
 pub fn current_num_threads() -> usize {
-    let installed = INSTALLED_THREADS.with(Cell::get);
-    if installed == 0 {
-        available_threads()
-    } else {
-        installed
-    }
+    pool::configured_size()
 }
 
 /// Runs `f` over `grain`-sized chunks of `0..len` on the shared persistent
@@ -93,20 +74,11 @@ pub fn pool_spawned_threads() -> usize {
 }
 
 /// Monotonic scheduling counters of the shared pool (regions submitted,
-/// tickets published, foreign-deque steals); all zero before the first
-/// parallel region. Callers interested in one workload take a delta around
+/// tickets published and dropped); all zero before the first parallel
+/// region. Callers interested in one workload take a delta around
 /// it — benchmarks report those deltas next to their timings.
 pub fn pool_stats() -> PoolStats {
     pool::stats_so_far()
-}
-
-/// Measured cost of dispatching and joining one (near-empty) two-participant
-/// parallel region, in nanoseconds: ticket publication, worker wake-up,
-/// cursor handshake and join. Shorthand for
-/// [`estimated_region_overhead_ns_for`]`(2)` — kept for callers that only
-/// need an order-of-magnitude dispatch cost.
-pub fn estimated_region_overhead_ns() -> u64 {
-    pool::estimated_overhead_ns(2)
 }
 
 /// Measured per-region dispatch-and-join cost for a region with
@@ -123,93 +95,6 @@ pub fn estimated_region_overhead_ns_for(parallelism: usize) -> u64 {
 /// the pool) that callers use to spot spare capacity.
 pub fn pool_idle_workers() -> usize {
     pool::idle_so_far()
-}
-
-// ---------------------------------------------------------------------------
-// Thread pool
-// ---------------------------------------------------------------------------
-
-/// Error returned when a pool cannot be constructed.
-#[derive(Debug)]
-pub struct ThreadPoolBuildError;
-
-impl fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "failed to build thread pool")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
-
-/// Builder mirroring `rayon::ThreadPoolBuilder`.
-#[derive(Default)]
-pub struct ThreadPoolBuilder {
-    num_threads: usize,
-}
-
-impl ThreadPoolBuilder {
-    /// Creates a builder with the default (all cores) configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the number of worker threads (0 = all available cores).
-    pub fn num_threads(mut self, n: usize) -> Self {
-        self.num_threads = n;
-        self
-    }
-
-    /// Accepted for API compatibility; all work runs on the shared
-    /// persistent pool (whose threads are named at spawn), so the name
-    /// function is not retained.
-    pub fn thread_name<F>(self, _f: F) -> Self
-    where
-        F: FnMut(usize) -> String,
-    {
-        self
-    }
-
-    /// Builds the pool.
-    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        let threads = if self.num_threads == 0 {
-            available_threads()
-        } else {
-            self.num_threads
-        };
-        Ok(ThreadPool { threads })
-    }
-}
-
-/// A lightweight stand-in for `rayon::ThreadPool`: it records the requested
-/// parallelism and scopes it over [`ThreadPool::install`]; the work itself
-/// runs on the shared persistent pool, capped at this pool's thread count.
-#[derive(Debug)]
-pub struct ThreadPool {
-    threads: usize,
-}
-
-impl ThreadPool {
-    /// Runs `op` with this pool's thread count installed for any parallel
-    /// iterators it invokes.
-    pub fn install<OP, R>(&self, op: OP) -> R
-    where
-        OP: FnOnce() -> R,
-    {
-        let previous = INSTALLED_THREADS.with(|c| c.replace(self.threads));
-        struct Restore(usize);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                INSTALLED_THREADS.with(|c| c.set(self.0));
-            }
-        }
-        let _restore = Restore(previous);
-        op()
-    }
-
-    /// Number of worker threads this pool uses.
-    pub fn current_num_threads(&self) -> usize {
-        self.threads
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -687,7 +572,7 @@ pub mod prelude {
 
 // Gated out under `chordal_model`: these tests drive the real pool (whose
 // workers loop forever), which the finite model exploration cannot host;
-// the model suites live in `deque::model_tests` and `pool::model_tests`.
+// the model suites live in `injector::model_tests` and `pool::model_tests`.
 #[cfg(all(test, not(chordal_model)))]
 mod tests {
     use super::prelude::*;
@@ -764,20 +649,9 @@ mod tests {
     }
 
     #[test]
-    fn pool_install_scopes_thread_count() {
-        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
-        assert_eq!(pool.current_num_threads(), 3);
-        pool.install(|| {
-            assert_eq!(current_num_threads(), 3);
-        });
-        assert_ne!(current_num_threads(), 0);
-    }
-
-    #[test]
     fn regions_reuse_pool_workers_instead_of_spawning() {
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         // Warm-up: the first region spawns the persistent workers.
-        pool.install(|| (0..1_000).into_par_iter().for_each(|_| {}));
+        (0..1_000).into_par_iter().for_each(|_| {});
         let after_warmup = pool_spawned_threads();
         assert_eq!(
             after_warmup,
@@ -785,10 +659,8 @@ mod tests {
             "warm-up must spawn exactly the configured pool"
         );
         for round in 0..64 {
-            pool.install(|| {
-                let sum: usize = (0..10_000).into_par_iter().map(|i| i).sum();
-                assert_eq!(sum, 49_995_000, "round {round}");
-            });
+            let sum: usize = (0..10_000).into_par_iter().map(|i| i).sum();
+            assert_eq!(sum, 49_995_000, "round {round}");
         }
         assert_eq!(
             pool_spawned_threads(),
@@ -799,14 +671,11 @@ mod tests {
 
     #[test]
     fn region_bodies_run_only_on_pool_workers_or_the_caller() {
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         let seen: Mutex<std::collections::HashSet<std::thread::ThreadId>> =
             Mutex::new(std::collections::HashSet::new());
         for _ in 0..32 {
-            pool.install(|| {
-                (0..2_000).into_par_iter().for_each(|_| {
-                    seen.lock().unwrap().insert(std::thread::current().id());
-                });
+            (0..2_000).into_par_iter().for_each(|_| {
+                seen.lock().unwrap().insert(std::thread::current().id());
             });
         }
         let distinct = seen.lock().unwrap().len();
@@ -819,14 +688,11 @@ mod tests {
 
     #[test]
     fn panics_propagate_to_the_submitting_thread() {
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         let outcome = std::panic::catch_unwind(|| {
-            pool.install(|| {
-                (0..1_000).into_par_iter().for_each(|i| {
-                    if i == 371 {
-                        panic!("boom at {i}");
-                    }
-                });
+            (0..1_000).into_par_iter().for_each(|i| {
+                if i == 371 {
+                    panic!("boom at {i}");
+                }
             });
         });
         let payload = outcome.expect_err("worker panic must reach the caller");
@@ -836,26 +702,23 @@ mod tests {
             .unwrap_or_default();
         assert!(message.contains("boom at 371"), "payload: {message}");
         // The pool survives a panicked region and keeps executing work.
-        pool.install(|| {
-            let sum: usize = (0..100).into_par_iter().map(|i| i).sum();
-            assert_eq!(sum, 4_950);
-        });
+        let sum: usize = (0..100).into_par_iter().map(|i| i).sum();
+        assert_eq!(sum, 4_950);
     }
 
     #[test]
     fn nested_regions_complete_and_agree_with_serial() {
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let totals: Vec<usize> = pool.install(|| {
-            (0..8usize)
-                .into_par_iter()
-                .map(|i| {
-                    (0..1_000usize)
-                        .into_par_iter()
-                        .map(|j| i * j)
-                        .sum::<usize>()
-                })
-                .collect()
-        });
+        // The inner regions are submitted from pool workers; their tickets
+        // join the outer region's in the one injector.
+        let totals: Vec<usize> = (0..8usize)
+            .into_par_iter()
+            .map(|i| {
+                (0..1_000usize)
+                    .into_par_iter()
+                    .map(|j| i * j)
+                    .sum::<usize>()
+            })
+            .collect();
         let expected: Vec<usize> = (0..8usize)
             .map(|i| (0..1_000usize).map(|j| i * j).sum())
             .collect();
@@ -864,25 +727,24 @@ mod tests {
 
     #[test]
     fn deeply_nested_regions_do_not_deadlock_on_a_small_pool() {
-        // Three levels of nesting: every waiting thread must keep helping
-        // on the ticket queues, or a one-worker pool would deadlock here.
-        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-        let total: usize = pool.install(|| {
-            (0..4usize)
-                .into_par_iter()
-                .map(|a| {
-                    (0..4usize)
-                        .into_par_iter()
-                        .map(|b| {
-                            (0..64usize)
-                                .into_par_iter()
-                                .map(|c| a ^ b ^ c)
-                                .sum::<usize>()
-                        })
-                        .sum::<usize>()
-                })
-                .sum()
-        });
+        // Three levels of nesting: a joining thread waits only on chunks
+        // that are already running, never on a queued ticket, so nesting
+        // cannot deadlock (the CHORDAL_POOL_THREADS=2 CI leg runs this on a
+        // two-worker pool; `pool::tests` nests on a one-worker pool).
+        let total: usize = (0..4usize)
+            .into_par_iter()
+            .map(|a| {
+                (0..4usize)
+                    .into_par_iter()
+                    .map(|b| {
+                        (0..64usize)
+                            .into_par_iter()
+                            .map(|c| a ^ b ^ c)
+                            .sum::<usize>()
+                    })
+                    .sum::<usize>()
+            })
+            .sum();
         let expected: usize = (0..4usize)
             .map(|a| {
                 (0..4usize)

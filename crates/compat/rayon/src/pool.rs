@@ -4,7 +4,7 @@
 //! (sized by the `CHORDAL_POOL_THREADS` environment variable, falling back
 //! to the number of logical CPUs). Every subsequent region is executed by
 //! those same workers — no per-region thread spawning — via a **lock-free**
-//! work-stealing scheduler:
+//! scheduler with one primitive: participants draining a shared cursor.
 //!
 //! * A **region** is one parallel call site: an iteration space `0..len`
 //!   split into `grain`-sized chunks behind an atomic cursor (dynamic
@@ -12,13 +12,11 @@
 //! * Submitting a region publishes `participants - 1` *tickets* and then
 //!   the submitting thread joins the region itself. A ticket is an
 //!   **invitation** to help: the thread that pops it claims chunks from the
-//!   region's cursor until the region is drained. Tickets travel through
-//!   per-worker [Chase–Lev deques](crate::deque) — a worker submitting a
-//!   nested region pushes to its own deque (LIFO for the owner, cheap and
-//!   cache-warm), external threads submit through a bounded lock-free MPMC
-//!   injector. Workers pop their own deque first, then the injector, then
-//!   **steal** (FIFO, via CAS) from the other workers' deques. No mutex is
-//!   taken anywhere on the dispatch path.
+//!   region's cursor until the region is drained. Every ticket, whether a
+//!   region is submitted from outside the pool or nested inside a running
+//!   chunk, goes through one bounded lock-free MPMC
+//!   [injector](crate::injector); idle workers pop it in FIFO order. No
+//!   mutex is taken anywhere on the dispatch path.
 //! * Because a ticket is only an invitation, a full queue simply drops it
 //!   (the submitter keeps one fewer helper) and a *stale* ticket — one
 //!   popped after its region already finished — is a no-op. Region
@@ -29,13 +27,13 @@
 //!   helper has yet to start.
 //! * The submitting thread participates too; when its share of the cursor
 //!   is drained it **cancels** the remaining invitations (one atomic swap
-//!   of `pending` to zero — the replacement for PR 2's lock-guarded ticket
-//!   removal) and then waits, spinning briefly and parking, until `active`
-//!   reaches zero. The last finishing helper unparks it. A joining thread
-//!   never executes *foreign* chunks — the region-restricted-helping rule
-//!   that keeps chunk bodies free to hold thread-local state across nested
-//!   regions — and never waits on anything but actively-running chunks, so
-//!   nested regions cannot deadlock even on a single-worker pool.
+//!   of `pending` to zero) and then waits, spinning briefly and parking,
+//!   until `active` reaches zero. The last finishing helper unparks it. A
+//!   joining thread never executes *foreign* chunks — the
+//!   region-restricted-helping rule that keeps chunk bodies free to hold
+//!   thread-local state across nested regions — and never waits on
+//!   anything but actively-running chunks, so nested regions cannot
+//!   deadlock even on a single-worker pool.
 //! * Panics inside a chunk abort the region's remaining chunks, are carried
 //!   across the pool, and are re-thrown on the submitting thread once every
 //!   active participant has retired (a panic-propagating join, matching
@@ -49,12 +47,11 @@
 //! of the body can outlive the caller's borrow.
 //!
 //! The pool also keeps [scheduling counters](PoolStats) (regions
-//! submitted, tickets published, steals) and can
+//! submitted, tickets published and dropped) and can
 //! [calibrate](estimated_overhead_ns) the per-region dispatch overhead;
 //! benchmarks report that sample next to their timings.
 
-use crate::deque::{ChaseLev, Injector, Steal};
-use std::cell::Cell;
+use crate::injector::Injector;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
@@ -79,10 +76,7 @@ use chordal_checker::thread;
 #[cfg(chordal_model)]
 use chordal_checker::thread::Thread;
 
-/// Capacity of each worker's Chase–Lev deque (tickets, not chunks).
-const DEQUE_CAPACITY: usize = 256;
-
-/// Capacity of the external-submission injector queue.
+/// Capacity of the ticket queue (tickets, not chunks).
 const INJECTOR_CAPACITY: usize = 1024;
 
 /// Spin iterations before a joining thread parks.
@@ -100,12 +94,6 @@ const WORKER_PARK: Duration = Duration::from_millis(50);
 /// Backstop park timeout for a joining thread waiting on active helpers.
 const JOIN_PARK: Duration = Duration::from_micros(200);
 
-thread_local! {
-    /// Index of this thread in the pool's worker array; `usize::MAX` for
-    /// threads that are not pool workers.
-    static WORKER_INDEX: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
 /// One parallel region: an iteration space drained cooperatively by the
 /// submitting thread and any pool workers that claim its invitations.
 struct Region {
@@ -121,7 +109,7 @@ struct Region {
     /// by a thread that claimed a `pending` invitation (or by the submitter
     /// itself), both of which [`Pool::run_region`] outlives. A raw pointer
     /// (not a reference) because cancelled tickets keep their `Region`
-    /// alive in the queues after `run_region` returns — the body is dead by
+    /// alive in the queue after `run_region` returns — the body is dead by
     /// then, and a dangling pointer that is never dereferenced is sound
     /// where a dangling reference would not be.
     func: FuncPtr,
@@ -215,10 +203,8 @@ impl Region {
     }
 }
 
-/// One pool worker's dispatch state.
+/// One pool worker's wake-up state.
 struct Worker {
-    /// This worker's own ticket deque (owner pushes/pops, others steal).
-    deque: ChaseLev,
     /// Set while the worker is parked (the push path's wake predicate).
     sleeping: AtomicBool,
     /// The worker's thread handle, registered when its loop starts.
@@ -233,11 +219,12 @@ struct Worker {
 pub struct PoolStats {
     /// Parallel regions submitted to the pool (excludes inline serial runs).
     pub regions: u64,
-    /// Help-invitation tickets successfully published to the queues.
+    /// Help-invitation tickets successfully published to the queue.
     pub tickets: u64,
-    /// Tickets taken from a *foreign* worker's deque (work stealing events).
+    /// Always 0: the pool has no per-worker queues to steal from. Kept so
+    /// callers that build or difference the struct field by field compile.
     pub steals: u64,
-    /// Help-invitation tickets that could not be published because every
+    /// Help-invitation tickets that could not be published because the
     /// queue was full. A dropped ticket degrades a region to fewer helpers
     /// (the submitter still drains the cursor, so correctness is
     /// unaffected) — this counter is the only trace saturation leaves.
@@ -246,9 +233,9 @@ pub struct PoolStats {
 
 /// The shared state of the persistent pool.
 struct Shared {
-    /// One dispatch slot per worker.
+    /// One wake-up slot per worker.
     workers: Box<[Worker]>,
-    /// Lock-free MPMC queue for submissions from non-worker threads.
+    /// Lock-free MPMC queue every ticket goes through.
     injector: Injector,
     /// Total OS threads ever spawned by this pool. Stays equal to the pool
     /// size after warm-up — the "no per-region spawning" observable.
@@ -257,9 +244,7 @@ struct Shared {
     regions: AtomicU64,
     /// Tickets successfully published.
     tickets: AtomicU64,
-    /// Foreign-deque steals.
-    steals: AtomicU64,
-    /// Tickets dropped because the deque and injector were both full.
+    /// Tickets dropped because the injector was full.
     tickets_dropped: AtomicU64,
 }
 
@@ -272,7 +257,7 @@ impl Shared {
     /// Recovers a ticket from its queue representation.
     //
     // SAFETY: callers must pass a pointer produced by `Shared::into_raw`
-    // and consume it exactly once (the queues surface each ticket once).
+    // and consume it exactly once (the queue surfaces each ticket once).
     unsafe fn from_raw(raw: *mut ()) -> Arc<Region> {
         // SAFETY: per this function's contract, `raw` was produced by
         // `Shared::into_raw` (so it is a live `Arc<Region>` pointer) and is
@@ -280,23 +265,11 @@ impl Shared {
         unsafe { Arc::from_raw(raw as *const Region) }
     }
 
-    /// Publishes one ticket and wakes a worker. Returns `false` when every
+    /// Publishes one ticket and wakes a worker. Returns `false` when the
     /// queue was full — the invitation is dropped, which costs parallelism
     /// but never correctness (the submitter drains the cursor regardless).
     fn push(&self, ticket: Arc<Region>) -> bool {
-        let raw = Self::into_raw(ticket);
-        let home = WORKER_INDEX.with(Cell::get);
-        let result = if home != usize::MAX {
-            // Worker thread: own deque first (LIFO locality), injector as
-            // the overflow path.
-            self.workers[home]
-                .deque
-                .push(raw)
-                .or_else(|raw| self.injector.push(raw))
-        } else {
-            self.injector.push(raw)
-        };
-        match result {
+        match self.injector.push(Self::into_raw(ticket)) {
             Ok(()) => {
                 self.tickets.fetch_add(1, Ordering::Relaxed);
                 // Store-load barrier of the sleep protocol: the ticket must
@@ -329,58 +302,23 @@ impl Shared {
         }
     }
 
-    /// Whether any queue appears to hold a ticket (racy hint for the sleep
-    /// predicate; the park timeout bounds the cost of a stale answer).
-    fn has_work(&self) -> bool {
-        !self.injector.is_empty() || self.workers.iter().any(|w| !w.deque.is_empty())
-    }
-
-    /// Pops a ticket: the own deque first (LIFO), then the injector, then
-    /// steals from the other workers (FIFO).
-    fn take(&self, home: usize) -> Option<Arc<Region>> {
-        if let Some(raw) = self.workers[home].deque.pop() {
-            // SAFETY: queue values are uniquely-owned `into_raw` tickets.
-            return Some(unsafe { Self::from_raw(raw) });
-        }
-        if let Some(raw) = self.injector.pop() {
-            // SAFETY: as above.
-            return Some(unsafe { Self::from_raw(raw) });
-        }
-        let n = self.workers.len();
-        for k in 1..n {
-            let victim = &self.workers[(home + k) % n];
-            loop {
-                match victim.deque.steal() {
-                    Steal::Taken(raw) => {
-                        self.steals.fetch_add(1, Ordering::Relaxed);
-                        // SAFETY: as above.
-                        return Some(unsafe { Self::from_raw(raw) });
-                    }
-                    Steal::Retry => std::hint::spin_loop(),
-                    Steal::Empty => break,
-                }
-            }
-        }
-        None
-    }
-
-    /// The worker main loop: pop or steal a ticket, help its region, park
-    /// when no work is queued.
+    /// The worker main loop: pop a ticket, help its region, park when no
+    /// work is queued.
     fn worker_loop(&self, index: usize) {
-        WORKER_INDEX.with(|cell| cell.set(index));
         let me = &self.workers[index];
         let _ = me.handle.set(thread::current());
         loop {
-            if let Some(region) = self.take(index) {
-                region.help();
+            if let Some(raw) = self.injector.pop() {
+                // SAFETY: queue values are uniquely-owned `into_raw` tickets.
+                unsafe { Self::from_raw(raw) }.help();
                 continue;
             }
             // Sleep protocol (Dekker-style): publish the sleeping flag,
-            // then re-check the queues. A pusher either sees the flag (and
+            // then re-check the queue. A pusher either sees the flag (and
             // unparks us) or we see its ticket here.
             me.sleeping.store(true, Ordering::SeqCst);
             fence(Ordering::SeqCst);
-            if self.has_work() {
+            if !self.injector.is_empty() {
                 me.sleeping.store(false, Ordering::SeqCst);
                 continue;
             }
@@ -400,7 +338,6 @@ impl Pool {
         let shared = Arc::new(Shared {
             workers: (0..workers)
                 .map(|_| Worker {
-                    deque: ChaseLev::new(DEQUE_CAPACITY),
                     sleeping: AtomicBool::new(false),
                     handle: OnceLock::new(),
                 })
@@ -409,7 +346,6 @@ impl Pool {
             spawned: AtomicUsize::new(0),
             regions: AtomicU64::new(0),
             tickets: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
             tickets_dropped: AtomicU64::new(0),
         });
         for index in 0..workers {
@@ -476,13 +412,13 @@ impl Pool {
         self.shared.regions.fetch_add(1, Ordering::Relaxed);
         for _ in 0..participants - 1 {
             if !self.shared.push(Arc::clone(&region)) {
-                // Queues full: withdraw the invitation we failed to publish.
+                // Queue full: withdraw the invitation we failed to publish.
                 region.pending.fetch_sub(1, Ordering::SeqCst);
             }
         }
         region.execute_chunks();
         // Join. Cancel every unclaimed invitation — stale tickets in the
-        // queues become no-ops (the cursor is already drained or aborted
+        // queue become no-ops (the cursor is already drained or aborted
         // once `execute_chunks` returns, so cancelled helpers lose nothing)
         // — then wait for in-flight helpers to retire. Only actively
         // running chunks are ever waited on, which is what keeps nested
@@ -516,7 +452,7 @@ impl Pool {
         PoolStats {
             regions: self.shared.regions.load(Ordering::Relaxed),
             tickets: self.shared.tickets.load(Ordering::Relaxed),
-            steals: self.shared.steals.load(Ordering::Relaxed),
+            steals: 0,
             tickets_dropped: self.shared.tickets_dropped.load(Ordering::Relaxed),
         }
     }
@@ -634,7 +570,6 @@ mod tests {
             after.regions
         );
         assert!(after.tickets >= before.tickets, "tickets must not shrink");
-        assert!(after.steals >= before.steals, "steals must not shrink");
     }
 
     #[test]
@@ -729,6 +664,23 @@ mod tests {
             sum.fetch_add(r.len(), Ordering::Relaxed);
         });
         assert_eq!(sum.into_inner(), 64);
+    }
+
+    #[test]
+    fn nested_regions_finish_on_a_one_worker_pool() {
+        // Inner regions are submitted from inside a chunk, also by the one
+        // worker, and their tickets queue behind the outer one's in the
+        // injector: every join must still complete.
+        let pool = Pool::new(1);
+        let total = AtomicUsize::new(0);
+        pool.run_region(4, 1, 2, |outer| {
+            for _ in outer {
+                pool.run_region(64, 8, 2, |inner| {
+                    total.fetch_add(inner.len(), Ordering::Relaxed);
+                });
+            }
+        });
+        assert_eq!(total.into_inner(), 4 * 64);
     }
 
     #[test]

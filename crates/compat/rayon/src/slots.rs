@@ -6,9 +6,8 @@
 //! embarrassingly lock-free: pre-size one slot per chunk and let every
 //! chunk write its own slot, with no mutex, no append contention and no
 //! post-hoc sorting (the slots *are* in chunk order). [`ChunkSlots`] is the
-//! write-once result buffer behind `drive_chunks` and the runtime engines'
-//! `parallel_collect`; [`ItemSlots`] is the move-out counterpart used to
-//! feed owned work items into a region.
+//! write-once result buffer behind `drive_chunks`; [`ItemSlots`] is the
+//! move-out counterpart used to feed owned work items into a region.
 //!
 //! Cross-thread visibility of the slot writes comes from the region join
 //! (a finished region happens-before `run_region` returning); the per-slot

@@ -104,7 +104,7 @@ impl Semantics {
 pub struct ExtractorConfig {
     /// Which algorithm of the registry to run.
     pub algorithm: Algorithm,
-    /// Execution engine (serial, chunked pool, rayon).
+    /// Execution engine (serial or pool).
     pub engine: Engine,
     /// Opt (sorted) or Unopt (unsorted) adjacency handling.
     pub adjacency: AdjacencyMode,
@@ -134,7 +134,7 @@ impl Default for ExtractorConfig {
     fn default() -> Self {
         Self {
             algorithm: Algorithm::Parallel,
-            engine: Engine::rayon(chordal_runtime::available_threads()),
+            engine: Engine::chunked(chordal_runtime::available_threads()),
             adjacency: AdjacencyMode::Sorted,
             semantics: Semantics::Asynchronous,
             record_stats: false,
@@ -150,18 +150,10 @@ impl ExtractorConfig {
     /// A serial configuration with the given adjacency mode (asynchronous
     /// semantics; deterministic because the engine is serial).
     pub fn serial(adjacency: AdjacencyMode) -> Self {
-        // Built field by field: `..Self::default()` would construct the
-        // default rayon engine (a whole thread pool) only to discard it.
         Self {
-            algorithm: Algorithm::Parallel,
             engine: Engine::serial(),
             adjacency,
-            semantics: Semantics::Asynchronous,
-            record_stats: false,
-            partitions: 0,
-            partition_strategy: PartitionStrategy::Blocks,
-            repair: false,
-            repair_strategy: RepairStrategy::default(),
+            ..Self::default()
         }
     }
 
@@ -178,7 +170,8 @@ impl ExtractorConfig {
     }
 
     /// Builder-style: resolves and replaces the engine by name
-    /// ("serial"/"pool"/"rayon") and thread count.
+    /// ("serial", or "pool" and its aliases "rayon"/"chunked") and thread
+    /// count.
     pub fn with_engine_name(mut self, name: &str, threads: usize) -> Result<Self, ExtractError> {
         self.engine = Engine::by_name(name, threads)
             .ok_or_else(|| ExtractError::UnknownEngine(name.to_string()))?;

@@ -93,10 +93,9 @@ impl fmt::Display for ExtractError {
                 f,
                 "unknown algorithm `{name}` (expected alg1, reference, dearing or partitioned)"
             ),
-            ExtractError::UnknownEngine(name) => write!(
-                f,
-                "unknown engine `{name}` (expected serial, pool or rayon)"
-            ),
+            ExtractError::UnknownEngine(name) => {
+                write!(f, "unknown engine `{name}` (expected serial or pool)")
+            }
             ExtractError::UnknownVariant(name) => {
                 write!(f, "unknown variant `{name}` (expected opt or unopt)")
             }

@@ -125,7 +125,8 @@ impl Algorithm {
 
     /// Whether this algorithm's output is guaranteed *maximal*. Only the
     /// greedy Dearing baseline is maximal by construction; Algorithm 1 and
-    /// the reference are near-maximal (see `repair` and EXPERIMENTS.md).
+    /// the reference are near-maximal (see `repair` and the
+    /// `experiments maximality-gap` probe).
     pub fn guarantees_maximal(self) -> bool {
         matches!(self, Algorithm::Dearing)
     }
@@ -240,7 +241,7 @@ mod tests {
         use crate::config::Semantics;
         let serial = ExtractorConfig::default().with_engine(chordal_runtime::Engine::serial());
         let parallel_async = ExtractorConfig::default()
-            .with_engine(chordal_runtime::Engine::rayon(4))
+            .with_engine(chordal_runtime::Engine::chunked(4))
             .with_semantics(Semantics::Asynchronous);
         let parallel_sync = parallel_async
             .clone()

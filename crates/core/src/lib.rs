@@ -158,7 +158,7 @@ pub mod prelude {
 use chordal_graph::GraphRef;
 
 /// Extracts a maximal chordal subgraph with the default configuration
-/// (sorted adjacency, rayon engine over all available cores, asynchronous
+/// (sorted adjacency, pool engine over all available cores, asynchronous
 /// paper-faithful iteration semantics). Accepts anything viewable as a
 /// [`GraphRef`] — `&CsrGraph` or `&MmapCsrGraph` alike.
 ///

@@ -720,7 +720,7 @@ mod tests {
         vec![
             Engine::serial(),
             Engine::chunked_with_grain(4, 8),
-            Engine::rayon(4),
+            Engine::chunked(4),
         ]
     }
 
@@ -740,7 +740,7 @@ mod tests {
         assert_eq!(r.num_chordal_edges(), 0);
 
         let isolated = CsrGraph::empty(7);
-        let r = extract_with(&isolated, Engine::rayon(2), AdjacencyMode::Sorted);
+        let r = extract_with(&isolated, Engine::chunked(2), AdjacencyMode::Sorted);
         assert_eq!(r.num_chordal_edges(), 0);
         assert_eq!(r.iterations, 0);
 
@@ -765,7 +765,7 @@ mod tests {
             let expected = extract_reference(&g);
             for engine in all_engines() {
                 for adjacency in [AdjacencyMode::Sorted, AdjacencyMode::Unsorted] {
-                    let got = extract_with(&g, engine.clone(), adjacency);
+                    let got = extract_with(&g, engine, adjacency);
                     assert_eq!(
                         got.edges(),
                         expected.edges(),
@@ -783,7 +783,7 @@ mod tests {
             let g = RmatParams::preset(kind, 9, 3).generate();
             let expected = extract_reference(&g);
             for engine in all_engines() {
-                let got = extract_with(&g, engine.clone(), AdjacencyMode::Sorted);
+                let got = extract_with(&g, engine, AdjacencyMode::Sorted);
                 assert_eq!(got.edges(), expected.edges(), "{kind:?} {engine:?}");
             }
         }
@@ -793,7 +793,7 @@ mod tests {
     fn output_is_chordal_on_random_inputs() {
         for seed in 0..4 {
             let g = RmatParams::preset(RmatKind::G, 8, seed).generate();
-            let r = extract_with(&g, Engine::rayon(4), AdjacencyMode::Sorted);
+            let r = extract_with(&g, Engine::chunked(4), AdjacencyMode::Sorted);
             let sub = r.subgraph(&g);
             assert!(verify::is_chordal(&sub), "seed {seed}");
             // EC is a subset of E.
@@ -819,7 +819,7 @@ mod tests {
         let g = RmatParams::preset(RmatKind::Er, 8, 11).generate();
         let scrambled = g.with_scrambled_adjacency(5);
         let expected = extract_reference(&g);
-        let got = extract_with(&scrambled, Engine::rayon(3), AdjacencyMode::Unsorted);
+        let got = extract_with(&scrambled, Engine::chunked(3), AdjacencyMode::Unsorted);
         assert_eq!(got.edges(), expected.edges());
     }
 
@@ -853,7 +853,8 @@ mod tests {
         // Reproduction finding: Algorithm 1 as published is not strictly
         // maximal in every case — a vertex can reject an edge against a
         // chordal-neighbour set that is still growing (the gap in Theorem
-        // 2's proof; see EXPERIMENTS.md). Empirically the output is *near*
+        // 2's proof; `experiments maximality-gap` measures it). Empirically
+        // the output is *near*
         // maximal: only a small fraction of the rejected edges could be
         // re-added. This test pins that bound so regressions that make the
         // output substantially less maximal are caught.
@@ -901,7 +902,7 @@ mod tests {
     fn asynchronous_semantics_still_produces_chordal_output() {
         let g = RmatParams::preset(RmatKind::B, 8, 2).generate();
         let config = ExtractorConfig::default()
-            .with_engine(Engine::rayon(4))
+            .with_engine(Engine::chunked(4))
             .with_semantics(Semantics::Asynchronous);
         let r = MaximalChordalExtractor::new(config).extract(&g);
         assert!(verify::is_chordal(&r.subgraph(&g)));
@@ -913,7 +914,7 @@ mod tests {
     #[test]
     fn stats_are_recorded_and_consistent() {
         let g = structured::disjoint_cliques(3, 5);
-        let r = extract_with(&g, Engine::rayon(2), AdjacencyMode::Sorted);
+        let r = extract_with(&g, Engine::chunked(2), AdjacencyMode::Sorted);
         let stats = r.stats.as_ref().expect("stats requested");
         assert_eq!(stats.iterations(), r.iterations);
         assert_eq!(stats.total_edges(), r.num_chordal_edges());
@@ -984,7 +985,7 @@ mod tests {
             ] {
                 let extractor = MaximalChordalExtractor::new(
                     ExtractorConfig::default()
-                        .with_engine(engine.clone())
+                        .with_engine(engine)
                         .with_semantics(semantics),
                 );
                 let reused = extractor.extract_into((&g).into(), &mut workspace);

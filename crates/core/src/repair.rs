@@ -1,7 +1,8 @@
 //! Maximality repair — an extension beyond the paper.
 //!
 //! Our reproduction found that Algorithm 1's output, while always chordal,
-//! is not always strictly maximal (see EXPERIMENTS.md): a vertex can reject
+//! is not always strictly maximal (the `experiments maximality-gap` probe
+//! measures how many rejected edges are re-addable): a vertex can reject
 //! an edge against a chordal-neighbour set that is still growing, and some
 //! rejected edges remain individually addable at termination. This module
 //! provides a greedy post-pass that restores strict maximality: it walks the

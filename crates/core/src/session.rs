@@ -338,7 +338,7 @@ mod tests {
         // Synchronous semantics: deterministic, so serial and fanned-out
         // batches must agree exactly.
         let config = ExtractorConfig::default()
-            .with_engine(chordal_runtime::Engine::rayon(3))
+            .with_engine(chordal_runtime::Engine::chunked(3))
             .with_semantics(Semantics::Synchronous);
         let mut parallel_session = ExtractionSession::new(config.clone());
         let batch = parallel_session.extract_batch(&refs);
@@ -385,7 +385,7 @@ mod tests {
         assert!(graphs[0].num_canonical_edges() > total / 3);
         let refs: Vec<&CsrGraph> = graphs.iter().collect();
         let config = ExtractorConfig::default()
-            .with_engine(chordal_runtime::Engine::rayon(3))
+            .with_engine(chordal_runtime::Engine::chunked(3))
             .with_semantics(Semantics::Synchronous);
         let mut session = ExtractionSession::new(config.clone());
         let batch = session.extract_batch(&refs);
@@ -433,7 +433,7 @@ mod tests {
         // not allocate.
         let graph = structured::grid(8, 8);
         let mut session = ExtractionSession::new(
-            ExtractorConfig::default().with_engine(chordal_runtime::Engine::rayon(3)),
+            ExtractorConfig::default().with_engine(chordal_runtime::Engine::chunked(3)),
         );
         let first = session.extract_batch(&[&graph]);
         assert_eq!(session.batch_participants(), 0);
@@ -454,7 +454,7 @@ mod tests {
             })
             .collect();
         let mut session = ExtractionSession::new(
-            ExtractorConfig::default().with_engine(chordal_runtime::Engine::rayon(2)),
+            ExtractorConfig::default().with_engine(chordal_runtime::Engine::chunked(2)),
         );
         let refs: Vec<&CsrGraph> = graphs.iter().collect();
         session.extract_batch(&refs);
@@ -475,7 +475,7 @@ mod tests {
         let graphs: Vec<CsrGraph> = (0..3).map(|n| structured::grid(4 + n, 4 + n)).collect();
         let refs: Vec<&CsrGraph> = graphs.iter().collect();
         let mut session = ExtractionSession::new(
-            ExtractorConfig::default().with_engine(chordal_runtime::Engine::rayon(2)),
+            ExtractorConfig::default().with_engine(chordal_runtime::Engine::chunked(2)),
         );
         assert_eq!(session.batch_participants(), 0);
         session.extract_batch(&refs);

@@ -3,86 +3,58 @@
 //! The ICPP 2012 paper evaluates its algorithm on two very different
 //! shared-memory machines: a Cray XMT (massive fine-grained multithreading,
 //! 100+ hardware streams per processor, dynamic interleaved scheduling) and a
-//! 48-core AMD Magny-Cours (conventional cache-based multicore). Neither
-//! machine is available here, so this crate provides two software execution
-//! engines with analogous scheduling behaviour plus a serial reference:
+//! 48-core AMD Magny-Cours (conventional cache-based multicore). Those are
+//! machines, not schedulers: on both, Algorithm 1 needs one parallel
+//! primitive — participants draining the current queue through one shared
+//! cursor. This crate provides that primitive plus a serial reference:
 //!
-//! * [`Engine::Chunked`] — a fine-grained dynamic self-scheduling executor:
-//!   worker threads repeatedly claim small chunks of the iteration space from
-//!   an atomic counter, the software analogue of the XMT's interleaved
-//!   scheduling over many thread streams.
-//! * [`Engine::Rayon`] — a work-stealing executor scheduled through a
-//!   [`rayon::ThreadPool`] scope, the analogue of running one software
-//!   thread per core on the Opteron.
+//! * [`Engine::Pool`] — dynamic self-scheduling on the workspace's single
+//!   **persistent worker pool** (see the in-tree `rayon` substitute): a
+//!   region's participants, the calling thread and up to `threads - 1`
+//!   pool workers, claim grain-aligned pieces of the iteration space from
+//!   one atomic counter, the software analogue of the XMT's interleaved
+//!   scheduling over many thread streams and of one thread per Opteron
+//!   core. A region is a ticket push onto already-running workers, never a
+//!   thread spawn, so region-heavy workloads (batch serving, generators,
+//!   iterative extraction) pay queue-transfer costs instead of
+//!   thread-creation costs.
 //! * [`Engine::Serial`] — single-threaded reference used for speedup
 //!   baselines and determinism tests.
 //!
-//! All engines present the same `parallel_for` interface so the algorithm in
-//! `chordal-core` is written once and scheduled three ways — and both
-//! parallel engines execute on the workspace's single **persistent worker
-//! pool** (see the in-tree `rayon` substitute): a parallel region is a
-//! ticket push onto already-running workers, never a thread spawn, so
-//! region-heavy workloads (batch serving, generators, iterative
-//! extraction) pay queue-transfer costs instead of thread-creation costs.
-//! The pool is sized by `CHORDAL_POOL_THREADS` (default: all logical
-//! CPUs); an engine's thread count bounds how many of those workers one of
-//! its regions may occupy.
+//! Both engines present the same `parallel_for` interface, so the algorithm
+//! in `chordal-core` is written once. The pool is sized by
+//! `CHORDAL_POOL_THREADS` (default: all logical CPUs); an engine's thread
+//! count bounds how many of those workers one of its regions may occupy.
 
 #![deny(missing_docs)]
 
-pub mod chunked;
-pub mod collect;
 pub mod flags;
 pub mod lists;
 
-pub use chunked::ChunkedEngine;
-pub use collect::ParallelCollector;
 pub use flags::AtomicFlags;
 pub use lists::{ListHeads, ListLinks};
 
 use std::ops::Range;
-use std::sync::Arc;
 
-/// Default chunk (grain) size for the dynamic self-scheduling engine.
+/// Default chunk (grain) size of the pool engine.
 pub const DEFAULT_GRAIN: usize = 256;
 
-/// A parallel execution engine. Cheap to clone (the rayon pool is shared
-/// behind an [`Arc`]).
-#[derive(Clone, Default)]
+/// An execution engine: a thread count and a grain, so `Copy`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Single-threaded execution, in index order.
     #[default]
     Serial,
-    /// Fine-grained dynamic self-scheduling on the persistent worker pool
-    /// (XMT-style analogue).
-    Chunked(ChunkedEngine),
-    /// Work-stealing execution scheduled through a rayon thread-pool scope
-    /// (multicore/Opteron-style analogue).
-    Rayon {
-        /// The pool scope this engine submits through.
-        pool: Arc<rayon::ThreadPool>,
-        /// Number of worker threads in the pool.
+    /// Dynamic self-scheduling on the persistent worker pool: a region's
+    /// participants claim grain-aligned pieces from one shared cursor.
+    Pool {
+        /// Participants one region may use: the calling thread plus up to
+        /// `threads - 1` pool workers.
         threads: usize,
-        /// Minimum number of indices a stolen task will process.
+        /// Claims are whole multiples of this many indices; a region of at
+        /// most one grain runs inline.
         grain: usize,
     },
-}
-
-impl std::fmt::Debug for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Engine::Serial => write!(f, "Engine::Serial"),
-            Engine::Chunked(c) => write!(
-                f,
-                "Engine::Chunked(threads={}, grain={})",
-                c.threads(),
-                c.grain()
-            ),
-            Engine::Rayon { threads, grain, .. } => {
-                write!(f, "Engine::Rayon(threads={threads}, grain={grain})")
-            }
-        }
-    }
 }
 
 impl Engine {
@@ -91,91 +63,63 @@ impl Engine {
         Engine::Serial
     }
 
-    /// A dynamic self-scheduling engine with `threads` workers and the
-    /// default grain.
+    /// A pool engine with `threads` participants and the default grain.
     pub fn chunked(threads: usize) -> Self {
-        Engine::Chunked(ChunkedEngine::new(threads, DEFAULT_GRAIN))
+        Self::chunked_with_grain(threads, DEFAULT_GRAIN)
     }
 
-    /// A dynamic self-scheduling engine with an explicit grain size.
+    /// A pool engine with an explicit grain size. Both values are clamped
+    /// to at least 1.
     pub fn chunked_with_grain(threads: usize, grain: usize) -> Self {
-        Engine::Chunked(ChunkedEngine::new(threads, grain))
-    }
-
-    /// A work-stealing engine with `threads` rayon workers.
-    ///
-    /// # Panics
-    /// Panics if the rayon pool cannot be built (e.g. `threads == 0`).
-    pub fn rayon(threads: usize) -> Self {
-        Self::rayon_with_grain(threads, DEFAULT_GRAIN)
-    }
-
-    /// A work-stealing engine with explicit grain size.
-    pub fn rayon_with_grain(threads: usize, grain: usize) -> Self {
-        assert!(threads > 0, "rayon engine needs at least one thread");
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .thread_name(|i| format!("chordal-rayon-{i}"))
-            .build()
-            .expect("failed to build rayon thread pool");
-        Engine::Rayon {
-            pool: Arc::new(pool),
-            threads,
+        Engine::Pool {
+            threads: threads.max(1),
             grain: grain.max(1),
         }
     }
 
-    /// Returns a clone of this engine scheduling `grain` indices per work
-    /// unit (sharing the same rayon pool where applicable). Callers with
-    /// coarse work items — e.g. whole graphs in a batch extraction — use
-    /// grain 1 so every item can be claimed independently.
-    pub fn with_grain(&self, grain: usize) -> Self {
-        let grain = grain.max(1);
+    /// This engine with its grain replaced (the serial engine is returned
+    /// unchanged). Callers with coarse work items — e.g. whole graphs in a
+    /// batch extraction — use grain 1 so every item can be claimed
+    /// independently.
+    pub fn with_grain(self, grain: usize) -> Self {
         match self {
             Engine::Serial => Engine::Serial,
-            Engine::Chunked(c) => Engine::Chunked(ChunkedEngine::new(c.threads(), grain)),
-            Engine::Rayon { pool, threads, .. } => Engine::Rayon {
-                pool: Arc::clone(pool),
-                threads: *threads,
-                grain,
-            },
+            Engine::Pool { threads, .. } => Self::chunked_with_grain(threads, grain),
         }
     }
 
     /// Number of worker threads this engine uses (1 for serial).
     pub fn threads(&self) -> usize {
-        match self {
+        match *self {
             Engine::Serial => 1,
-            Engine::Chunked(c) => c.threads(),
-            Engine::Rayon { threads, .. } => *threads,
+            Engine::Pool { threads, .. } => threads,
         }
     }
 
-    /// Constructs an engine from its short name (`"serial"`, `"pool"`,
-    /// `"rayon"`) and a worker-thread count, or `None` for an unknown name.
-    /// This is the single place front ends resolve engine names, so the CLI,
-    /// benchmarks and experiments accept the same spellings.
+    /// Constructs an engine from its short name and a worker-thread count,
+    /// or `None` for an unknown name: `"serial"`, or `"pool"` with its
+    /// aliases `"rayon"` and `"chunked"`. This is the single place front
+    /// ends resolve engine names, so the CLI, serve, benchmarks and
+    /// experiments accept the same spellings.
     pub fn by_name(name: &str, threads: usize) -> Option<Self> {
         match name {
             "serial" => Some(Engine::serial()),
-            "pool" | "chunked" => Some(Engine::chunked(threads.max(1))),
-            "rayon" => Some(Engine::rayon(threads.max(1))),
+            "pool" | "rayon" | "chunked" => Some(Engine::chunked(threads)),
             _ => None,
         }
     }
 
-    /// Short human-readable name used in benchmark output
-    /// (`"serial"`, `"pool"`, `"rayon"`).
+    /// Short human-readable name used in benchmark output (`"serial"`,
+    /// `"pool"`).
     pub fn name(&self) -> &'static str {
         match self {
             Engine::Serial => "serial",
-            Engine::Chunked(_) => "pool",
-            Engine::Rayon { .. } => "rayon",
+            Engine::Pool { .. } => "pool",
         }
     }
 
     /// Runs `f` for every index in `0..n`. Iteration order is unspecified for
-    /// the parallel engines; `f` must be safe to call concurrently.
+    /// the pool engine; `f` must be safe to call concurrently.
     pub fn parallel_for<F>(&self, n: usize, f: F)
     where
         F: Fn(usize) + Sync,
@@ -187,8 +131,16 @@ impl Engine {
         });
     }
 
-    /// Runs `f` on disjoint chunks covering `0..n`. This is the primitive the
+    /// Runs `f` on disjoint ranges covering `0..n`. This is the primitive the
     /// other helpers are built on.
+    ///
+    /// The pool engine hands out grain-aligned pieces of
+    /// `⌈⌈n/grain⌉ / (4·threads)⌉ · grain` indices (the last one shorter),
+    /// so a region has at most `4·threads` pieces whatever its size, and
+    /// four pieces per participant still absorb skewed work. Claiming one
+    /// grain at a time instead made two-thread extractions on a 2-core host
+    /// 6–21% slower on RMAT-G(13–16) and 1–8% slower on RMAT-B(16), for
+    /// 0–3% gained on RMAT-ER(16).
     pub fn parallel_for_chunks<F>(&self, n: usize, f: F)
     where
         F: Fn(Range<usize>) + Sync,
@@ -196,75 +148,20 @@ impl Engine {
         if n == 0 {
             return;
         }
-        match self {
+        match *self {
             Engine::Serial => f(0..n),
-            Engine::Chunked(c) => c.for_chunks(n, &f),
-            Engine::Rayon { pool, grain, .. } => {
-                let grain = *grain;
-                pool.install(|| {
-                    use rayon::prelude::*;
-                    let chunks = n.div_ceil(grain);
-                    (0..chunks).into_par_iter().for_each(|c| {
-                        let start = c * grain;
-                        let end = (start + grain).min(n);
-                        f(start..end);
-                    });
-                });
+            // One participant, or a region within one grain, runs inline:
+            // even a pooled region submission would only add overhead.
+            Engine::Pool { threads, grain } if threads <= 1 || n <= grain => f(0..n),
+            Engine::Pool { threads, grain } => {
+                let piece = n
+                    .div_ceil(grain)
+                    .div_ceil(threads.saturating_mul(4))
+                    .saturating_mul(grain)
+                    .min(n);
+                rayon::run_pooled_region(n, piece, threads, f);
             }
         }
-    }
-
-    /// Indices one scheduled work unit of this engine processes (the grain
-    /// size); irrelevant for the serial engine, which runs everything as a
-    /// single unit.
-    fn grain_size(&self) -> usize {
-        match self {
-            Engine::Serial => usize::MAX,
-            Engine::Chunked(c) => c.grain(),
-            Engine::Rayon { grain, .. } => *grain,
-        }
-    }
-
-    /// Runs `f` for every index, collecting the items each call appends to a
-    /// thread-local buffer into one output vector, in chunk order.
-    ///
-    /// Collection is slot-based ([`rayon::slots::ChunkSlots`]): every chunk
-    /// of the iteration space owns one pre-sized result slot that it writes
-    /// without synchronization, so the former per-chunk mutex append is
-    /// gone from the region hot path — and, as a byproduct, the output
-    /// order is deterministic (index order, matching the serial engine)
-    /// instead of completion order.
-    pub fn parallel_collect<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, &mut Vec<T>) + Sync,
-    {
-        if n == 0 {
-            return Vec::new();
-        }
-        let grain = self.grain_size();
-        let chunks = n.div_ceil(grain.max(1));
-        if self.threads() <= 1 || chunks <= 1 {
-            let mut out = Vec::new();
-            for i in 0..n {
-                f(i, &mut out);
-            }
-            return out;
-        }
-        let slots: rayon::slots::ChunkSlots<Vec<T>> = rayon::slots::ChunkSlots::new(chunks);
-        self.parallel_for_chunks(n, |range| {
-            let mut local = Vec::new();
-            for i in range.clone() {
-                f(i, &mut local);
-            }
-            slots.write(range.start / grain, local);
-        });
-        let buffers = slots.into_vec();
-        let mut out = Vec::with_capacity(buffers.iter().map(Vec::len).sum());
-        for buffer in buffers {
-            out.extend(buffer);
-        }
-        out
     }
 }
 
@@ -276,24 +173,17 @@ pub fn available_threads() -> usize {
 }
 
 /// Monotonic scheduling counters of the shared persistent pool (regions
-/// submitted, tickets published, steals). Re-exported from the pool layer
-/// so schedulers and benchmarks above the runtime can observe dispatch
-/// behaviour without depending on the rayon substitute directly.
+/// submitted, tickets published and dropped; `steals` is always 0).
+/// Re-exported from the pool layer so schedulers and benchmarks above the
+/// runtime can observe dispatch behaviour without depending on the rayon
+/// substitute directly.
 pub use rayon::PoolStats;
 
 /// Current scheduling counters of the shared persistent pool; all zero
 /// before the first parallel region. Take a delta around a workload to
-/// attribute regions/tickets/steals to it.
+/// attribute regions and tickets to it.
 pub fn pool_stats() -> PoolStats {
     rayon::pool_stats()
-}
-
-/// Calibrated dispatch overhead of one two-participant region of the shared
-/// pool in nanoseconds (ticket publication, worker wake-up, cursor
-/// handshake, join). Memoised after the first call. Shorthand for
-/// [`estimated_region_overhead_ns_for`]`(2)`.
-pub fn estimated_region_overhead_ns() -> u64 {
-    rayon::estimated_region_overhead_ns()
 }
 
 /// Calibrated per-region dispatch overhead for a region with `threads`
@@ -326,15 +216,24 @@ pub fn pool_size() -> usize {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     fn engines() -> Vec<Engine> {
         vec![
             Engine::serial(),
             Engine::chunked(4),
             Engine::chunked_with_grain(3, 7),
-            Engine::rayon(4),
-            Engine::rayon_with_grain(2, 5),
+            Engine::chunked_with_grain(2, 5),
         ]
+    }
+
+    /// The ranges `engine` hands out over `0..n`, in index order.
+    fn ranges(engine: Engine, n: usize) -> Vec<Range<usize>> {
+        let seen = Mutex::new(Vec::new());
+        engine.parallel_for_chunks(n, |r| seen.lock().unwrap().push(r));
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_by_key(|r| r.start);
+        seen
     }
 
     #[test]
@@ -377,35 +276,35 @@ mod tests {
     }
 
     #[test]
-    fn parallel_collect_gathers_all_items() {
-        for engine in engines() {
-            let n = 1000;
-            let mut out = engine.parallel_collect(n, |i, buf| {
-                if i % 3 == 0 {
-                    buf.push(i);
-                }
-            });
-            out.sort_unstable();
-            let expected: Vec<usize> = (0..n).filter(|i| i % 3 == 0).collect();
-            assert_eq!(out, expected, "engine {:?}", engine);
+    fn pool_engine_claims_coarse_grain_aligned_pieces() {
+        // 65,536 indices are 256 grains; two participants claim pieces of
+        // ⌈256 / 8⌉ = 32 grains, so at most 8 ranges, not 256.
+        let got = ranges(Engine::chunked(2), 65_536);
+        assert!(got.len() <= 8, "{} ranges, not at most 8", got.len());
+        let mut next = 0;
+        for (k, r) in got.iter().enumerate() {
+            assert_eq!(r.start, next, "ranges must tile 0..n: {got:?}");
+            assert!(
+                r.len() % DEFAULT_GRAIN == 0 || k + 1 == got.len(),
+                "only the last range may be a partial grain: {got:?}"
+            );
+            next = r.end;
         }
-    }
-
-    #[test]
-    fn parallel_collect_returns_items_in_index_order() {
-        // Slot-based collection makes the output deterministic: chunk order
-        // equals index order, matching the serial engine exactly — no sort
-        // needed.
-        for engine in engines() {
-            let n = 2_377;
-            let out = engine.parallel_collect(n, |i, buf| {
-                if i % 5 != 2 {
-                    buf.push(i * 3);
-                }
-            });
-            let expected: Vec<usize> = (0..n).filter(|i| i % 5 != 2).map(|i| i * 3).collect();
-            assert_eq!(out, expected, "engine {:?}", engine);
-        }
+        assert_eq!(next, 65_536);
+        // A piece never exceeds the range, and a ragged tail stays last.
+        let ragged = ranges(Engine::chunked_with_grain(3, 7), 100);
+        assert_eq!(ragged.iter().map(|r| r.len()).sum::<usize>(), 100);
+        assert!(ragged[..ragged.len() - 1].iter().all(|r| r.len() % 7 == 0));
+        // One participant, or a range within one grain, runs inline.
+        assert_eq!(ranges(Engine::chunked(1), 10_000), vec![0..10_000]);
+        assert_eq!(
+            ranges(Engine::chunked_with_grain(8, 1_000), 10),
+            vec![0..10]
+        );
+        assert_eq!(
+            ranges(Engine::chunked_with_grain(2, usize::MAX), 1 << 20),
+            vec![0..1 << 20]
+        );
     }
 
     #[test]
@@ -418,7 +317,7 @@ mod tests {
             after.tickets_dropped >= before.tickets_dropped,
             "tickets_dropped must not shrink"
         );
-        assert!(estimated_region_overhead_ns() >= 1);
+        assert_eq!(after.steals, 0, "the pool has nothing to steal from");
         assert!(estimated_region_overhead_ns_for(4) >= 1);
         assert!(pool_idle_workers() <= rayon::pool_size());
     }
@@ -429,25 +328,40 @@ mod tests {
         assert_eq!(Engine::serial().name(), "serial");
         assert_eq!(Engine::chunked(8).threads(), 8);
         assert_eq!(Engine::chunked(8).name(), "pool");
-        assert_eq!(Engine::rayon(2).threads(), 2);
-        assert_eq!(Engine::rayon(2).name(), "rayon");
+        assert_eq!(
+            Engine::chunked_with_grain(0, 0),
+            Engine::Pool {
+                threads: 1,
+                grain: 1
+            },
+            "constructors clamp to one thread and a grain of one"
+        );
+        assert_eq!(
+            Engine::chunked(3).with_grain(1),
+            Engine::chunked_with_grain(3, 1)
+        );
+        assert_eq!(Engine::serial().with_grain(1), Engine::Serial);
         assert!(available_threads() >= 1);
     }
 
     #[test]
-    #[should_panic]
-    fn rayon_engine_rejects_zero_threads() {
-        let _ = Engine::rayon(0);
+    fn rayon_pool_and_chunked_name_one_engine() {
+        for name in ["rayon", "pool", "chunked"] {
+            assert_eq!(Engine::by_name(name, 3), Some(Engine::chunked(3)), "{name}");
+        }
+        assert_eq!(Engine::by_name("serial", 3), Some(Engine::Serial));
+        assert_eq!(Engine::by_name("pool", 0), Some(Engine::chunked(1)));
+        assert_eq!(Engine::by_name("xmt", 3), None);
     }
 
     #[test]
     fn default_engine_is_serial() {
-        assert!(matches!(Engine::default(), Engine::Serial));
+        assert_eq!(Engine::default(), Engine::Serial);
     }
 
     #[test]
-    fn parallel_engines_reuse_the_persistent_pool_after_warmup() {
-        let engines = [Engine::chunked(4), Engine::rayon(4)];
+    fn pool_engines_reuse_the_persistent_pool_after_warmup() {
+        let engines = [Engine::chunked(4), Engine::chunked_with_grain(2, 16)];
         // Warm-up: the first parallel region spawns the pool workers.
         for engine in &engines {
             engine.parallel_for(10_000, |_| {});
@@ -472,16 +386,5 @@ mod tests {
             spawned,
             "parallel regions after warm-up must not spawn threads"
         );
-    }
-
-    #[test]
-    fn engines_are_cloneable_and_share_pools() {
-        let e = Engine::rayon(2);
-        let e2 = e.clone();
-        let sum = AtomicUsize::new(0);
-        e2.parallel_for(100, |i| {
-            sum.fetch_add(i, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 4950);
     }
 }

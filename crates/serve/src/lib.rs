@@ -38,7 +38,7 @@
 //! |------|-----------|-------|
 //! | `PING` | — | liveness echo |
 //! | `LOAD` | `path=` (required), `format=text\|bin\|auto`, `deadline_ms=N` | loads the graph through the content-hash cache (checksum-verified on admission); replies with the 16-hex-digit `graph` key, vertex/edge counts, `cache=hit\|miss`, resident bytes and `queue_wait_ns` |
-//! | `EXTRACT` | `graph=<16-hex>` **or** `path=` (+`format=`), `algorithm=alg1\|reference\|dearing\|partitioned`, `variant=opt\|unopt`, `semantics=async\|sync`, `engine=serial\|pool\|rayon`, `threads=N`, `partitions=N`, `repair=true\|false`, `repair-strategy=incremental\|scratch`, `payload=none\|edges`, `deadline_ms=N` | runs one extraction; replies with chordal edge count, iterations, `extract_ns` (extraction proper), `wait_ns` (admission + cache + session setup) and `queue_wait_ns` (time parked in the admission queue), then the edge-list payload when `payload=edges` |
+//! | `EXTRACT` | `graph=<16-hex>` **or** `path=` (+`format=`), `algorithm=alg1\|reference\|dearing\|partitioned`, `variant=opt\|unopt`, `semantics=async\|sync`, `engine=serial\|pool` (`rayon` is an alias of `pool`), `threads=N`, `partitions=N`, `repair=true\|false`, `repair-strategy=incremental\|scratch`, `payload=none\|edges`, `deadline_ms=N` | runs one extraction; replies with chordal edge count, iterations, `extract_ns` (extraction proper), `wait_ns` (admission + cache + session setup) and `queue_wait_ns` (time parked in the admission queue), then the edge-list payload when `payload=edges` |
 //! | `STATS` | — | server/cache/pool introspection (see below) |
 //! | `SHUTDOWN` | — | acknowledges, then stops the server gracefully (drain semantics below) |
 //! | `HOLD` | `ms=N`, `deadline_ms=N` | **test hook** (only with [`ServeConfig::test_hooks`]): occupies one admission permit for `N` ms through the same FIFO queue as real work, so saturation and queueing tests are deterministic instead of timing-dependent |
@@ -128,7 +128,7 @@
 //!  "cache":{"entries":2,"resident_bytes":123456,"budget_bytes":1048576,
 //!           "hits":7,"misses":2,"evictions":1,"corruptions":0},
 //!  "pool":{"size":8,"idle_workers":8,"regions":41,"tickets":120,
-//!          "steals":9,"tickets_dropped":0}}
+//!          "tickets_dropped":0}}
 //! ```
 //!
 //! Builds with fault injection compiled in add a `"faults"` object with

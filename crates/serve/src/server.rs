@@ -104,7 +104,7 @@ impl Default for ServeConfig {
             default_deadline_ms: 0,
             drain_timeout_ms: 5_000,
             cache_budget_bytes: 256 << 20,
-            default_engine: "rayon".to_string(),
+            default_engine: "pool".to_string(),
             default_threads: chordal_runtime::available_threads(),
             test_hooks: false,
         }
@@ -948,7 +948,7 @@ fn stats_frame(shared: &Arc<Shared>) -> String {
          \"cache\":{{\"entries\":{},\"resident_bytes\":{},\"budget_bytes\":{},\
          \"hits\":{},\"misses\":{},\"evictions\":{},\"corruptions\":{}}},\
          \"pool\":{{\"size\":{},\"idle_workers\":{},\"regions\":{},\
-         \"tickets\":{},\"steals\":{},\"tickets_dropped\":{}}}",
+         \"tickets\":{},\"tickets_dropped\":{}}}",
         c.sessions_active.load(Ordering::SeqCst),
         c.sessions_total.load(Ordering::SeqCst),
         c.requests_total.load(Ordering::SeqCst),
@@ -973,7 +973,6 @@ fn stats_frame(shared: &Arc<Shared>) -> String {
         chordal_runtime::pool_idle_workers(),
         pool.regions,
         pool.tickets,
-        pool.steals,
         pool.tickets_dropped,
     );
     #[cfg(any(test, feature = "fault-injection"))]

@@ -4,9 +4,8 @@
 //! it takes to dispatch and join one nearly-empty parallel region —
 //! ticket publication, worker wake-up, cursor handshake, join — on:
 //!
-//! * the workspace's **lock-free pool** (Chase–Lev deques + bounded MPMC
-//!   injector, atomic `pending`/`active` region accounting, park/unpark
-//!   joins), and
+//! * the workspace's **lock-free pool** (one bounded MPMC injector, atomic
+//!   `pending`/`active` region accounting, park/unpark joins), and
 //! * a **mutex-queue reference dispatcher** replicating the previous
 //!   design: per-worker `Mutex<Vec<_>>` ticket queues behind one dispatch
 //!   lock, condvar wake-ups, and a mutex-guarded quiescence count per
@@ -15,7 +14,7 @@
 //! The reference spawns its own small thread set (it exists only for this
 //! comparison); the lock-free numbers come from the shared persistent
 //! pool, and its calibrated overhead sample
-//! (`runtime::estimated_region_overhead_ns`) is printed alongside so it
+//! (`runtime::estimated_region_overhead_ns_for`) is printed alongside so it
 //! can be eyeballed against the raw measurement.
 
 use maximal_chordal::runtime;
@@ -203,7 +202,7 @@ fn main() {
             std::hint::black_box(r.len());
         });
     });
-    println!("  lock-free pool (Chase-Lev + injector):  {lock_free_ns:>10.0} ns/region");
+    println!("  lock-free pool (MPMC injector):         {lock_free_ns:>10.0} ns/region");
 
     let stats_before = runtime::pool_stats();
     let (mx_pool, handles) = MxPool::start(2);
@@ -221,14 +220,13 @@ fn main() {
     );
     println!(
         "\ncalibrated overhead sample: {} ns",
-        runtime::estimated_region_overhead_ns()
+        runtime::estimated_region_overhead_ns_for(parallelism)
     );
     let stats = runtime::pool_stats();
     println!(
-        "pool counters since start: {} regions, {} tickets, {} steals (+{} regions during this run)",
+        "pool counters since start: {} regions, {} tickets (+{} regions during this run)",
         stats.regions,
         stats.tickets,
-        stats.steals,
         stats.regions - stats_before.regions
     );
 }

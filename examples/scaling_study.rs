@@ -28,35 +28,33 @@ fn main() {
         "threads", "engine", "seconds", "EC edges", "speedup"
     );
 
-    for engine_name in ["pool", "rayon"] {
-        let mut baseline = None;
-        let mut threads = 1usize;
-        while threads <= max_threads {
-            let engine = Engine::by_name(engine_name, threads).expect("registered engine name");
-            let config = ExtractorConfig::default().with_engine(engine);
-            // One session per point: the repeat runs reuse its workspace, so
-            // best-of-three measures the allocation-amortised steady state.
-            let mut session = ExtractionSession::new(config);
-            let mut best = f64::INFINITY;
-            let mut edges = 0;
-            for _ in 0..3 {
-                let start = Instant::now();
-                let result = session.extract(&graph);
-                best = best.min(start.elapsed().as_secs_f64());
-                edges = result.num_chordal_edges();
-            }
-            let baseline_time = *baseline.get_or_insert(best);
-            println!(
-                "{threads:<8} {engine_name:>10} {best:>12.4} {edges:>12} {:>10.2}",
-                baseline_time / best
-            );
-            if threads == max_threads {
-                break;
-            }
-            threads = (threads * 2).min(max_threads);
+    let mut baseline = None;
+    let mut threads = 1usize;
+    while threads <= max_threads {
+        let engine = Engine::chunked(threads);
+        let config = ExtractorConfig::default().with_engine(engine);
+        // One session per point: the repeat runs reuse its workspace, so
+        // best-of-three measures the allocation-amortised steady state.
+        let mut session = ExtractionSession::new(config);
+        let mut best = f64::INFINITY;
+        let mut edges = 0;
+        for _ in 0..3 {
+            let start = Instant::now();
+            let result = session.extract(&graph);
+            best = best.min(start.elapsed().as_secs_f64());
+            edges = result.num_chordal_edges();
         }
-        println!();
+        let baseline_time = *baseline.get_or_insert(best);
+        println!(
+            "{threads:<8} {:>10} {best:>12.4} {edges:>12} {:>10.2}",
+            engine.name(),
+            baseline_time / best
+        );
+        if threads == max_threads {
+            break;
+        }
+        threads = (threads * 2).min(max_threads);
     }
-
+    println!();
     println!("(the same sweep at paper scale is `cargo run -p chordal-bench --release --bin experiments -- figure4`)");
 }

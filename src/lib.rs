@@ -11,8 +11,8 @@
 //! * [`graph`] — CSR graph substrate (construction, traversal, statistics).
 //! * [`generators`] — R-MAT, Erdős–Rényi, structured graphs and synthetic
 //!   gene-correlation networks.
-//! * [`runtime`] — execution engines (serial, dynamic self-scheduling pool,
-//!   rayon).
+//! * [`runtime`] — execution engines (serial, and dynamic self-scheduling
+//!   on the persistent worker pool).
 //! * [`core`] — the extraction algorithms behind the
 //!   [`ChordalExtractor`]/[`Algorithm`] registry (the paper's Algorithm 1,
 //!   the sequential reference, the Dearing serial baseline, the partitioned
@@ -34,7 +34,7 @@
 //! let graph = RmatParams::preset(RmatKind::B, 9, 42).generate();
 //!
 //! // Extract a maximal chordal subgraph with the default configuration
-//! // (rayon engine over all cores, sorted adjacency, asynchronous
+//! // (pool engine over all cores, sorted adjacency, asynchronous
 //! // semantics — the paper-faithful setup).
 //! let result = extract_maximal_chordal(&graph);
 //!
@@ -91,7 +91,7 @@
 //! graphs.extend((1..6).map(|seed| RmatParams::preset(RmatKind::G, 7, seed).generate()));
 //! let refs: Vec<&_> = graphs.iter().collect();
 //!
-//! let mut session = ExtractionSession::new(ExtractorConfig::default().with_engine(Engine::rayon(4)));
+//! let mut session = ExtractionSession::new(ExtractorConfig::default().with_engine(Engine::chunked(4)));
 //! let results = session.extract_batch(&refs);
 //! assert_eq!(results.len(), graphs.len());
 //! assert!(session.batch_participants() >= 1);

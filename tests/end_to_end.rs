@@ -10,8 +10,7 @@ fn engines() -> Vec<Engine> {
         Engine::serial(),
         Engine::chunked(4),
         Engine::chunked_with_grain(3, 16),
-        Engine::rayon(2),
-        Engine::rayon(4),
+        Engine::chunked(2),
     ]
 }
 
@@ -35,7 +34,7 @@ fn extraction_is_chordal_for_every_engine_variant_and_workload() {
             for adjacency in [AdjacencyMode::Sorted, AdjacencyMode::Unsorted] {
                 for semantics in [Semantics::Synchronous, Semantics::Asynchronous] {
                     let config = ExtractorConfig::default()
-                        .with_engine(engine.clone())
+                        .with_engine(engine)
                         .with_adjacency(adjacency)
                         .with_semantics(semantics)
                         .with_stats(true);
@@ -65,7 +64,7 @@ fn synchronous_results_are_identical_across_engines_and_thread_counts() {
         let reference = maximal_chordal::core::reference::extract_reference(&graph);
         for engine in engines() {
             let config = ExtractorConfig::default()
-                .with_engine(engine.clone())
+                .with_engine(engine)
                 .with_semantics(Semantics::Synchronous);
             let result = ExtractionSession::new(config).extract(&graph);
             assert_eq!(

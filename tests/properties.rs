@@ -47,7 +47,7 @@ fn extraction_always_chordal() {
             Semantics::Synchronous
         };
         let config = ExtractorConfig::default()
-            .with_engine(Engine::rayon(threads))
+            .with_engine(Engine::chunked(threads))
             .with_semantics(semantics);
         let result = ExtractionSession::new(config).extract(&graph);
         let sub = result.subgraph(&graph);
@@ -132,7 +132,7 @@ fn batch_extraction_matches_individual_runs() {
         let graphs: Vec<CsrGraph> = (0..5).map(|_| random_graph(&mut rng, 30, 120)).collect();
         let refs: Vec<&CsrGraph> = graphs.iter().collect();
         let config = ExtractorConfig::default()
-            .with_engine(Engine::rayon(3))
+            .with_engine(Engine::chunked(3))
             .with_semantics(Semantics::Synchronous);
         let batch = ExtractionSession::new(config).extract_batch(&refs);
         for (i, (graph, result)) in graphs.iter().zip(&batch).enumerate() {

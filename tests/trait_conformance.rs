@@ -1,5 +1,5 @@
 //! Trait-conformance suite for the `ChordalExtractor` registry: every
-//! [`Algorithm`] × [`Engine`] (serial, chunked pool, rayon) × [`Semantics`]
+//! [`Algorithm`] × [`Engine`] (serial, pool at two grains) × [`Semantics`]
 //! combination is driven through the same [`ExtractionSession`] API and
 //! checked against the guarantees the registry advertises —
 //! chordality ([`Algorithm::guarantees_chordal`]), maximality
@@ -10,13 +10,13 @@
 use maximal_chordal::core::verify::{check_maximality, MaximalityReport};
 use maximal_chordal::prelude::*;
 
-/// One engine per scheduling style, small enough to keep the full matrix
-/// fast.
+/// The serial engine and the pool engine at a fine and the default grain,
+/// small enough to keep the full matrix fast.
 fn engines() -> Vec<Engine> {
     vec![
         Engine::serial(),
         Engine::chunked_with_grain(3, 16),
-        Engine::rayon(3),
+        Engine::chunked(3),
     ]
 }
 
@@ -44,7 +44,7 @@ fn matrix() -> Vec<(String, ExtractorConfig)> {
             for semantics in [Semantics::Synchronous, Semantics::Asynchronous] {
                 let config = ExtractorConfig::default()
                     .with_algorithm(algorithm)
-                    .with_engine(engine.clone())
+                    .with_engine(engine)
                     .with_semantics(semantics);
                 let label = format!(
                     "{algorithm}/{}x{}/{}",
@@ -138,7 +138,7 @@ fn nondeterministic_cells_still_produce_valid_output_on_reuse() {
     // a reused workspace must never corrupt the invariants.
     let graph = RmatParams::preset(RmatKind::B, 8, 29).generate();
     let config = ExtractorConfig::default()
-        .with_engine(Engine::rayon(4))
+        .with_engine(Engine::chunked(4))
         .with_semantics(Semantics::Asynchronous);
     let mut session = ExtractionSession::new(config);
     for round in 0..3 {
