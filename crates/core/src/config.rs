@@ -12,8 +12,8 @@ use chordal_runtime::Engine;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AdjacencyMode {
     /// The paper's **Opt** variant: adjacency lists are sorted ascending, so
-    /// a per-vertex cursor finds the next lowest parent in O(1) amortised
-    /// time and the lower-numbered neighbours form a prefix of the list.
+    /// the lower-numbered neighbours (the parents) form a prefix of the
+    /// list and the next parent is the next entry.
     Sorted,
     /// The paper's **Unopt** variant: adjacency lists are in arbitrary
     /// (generator) order and every parent advance scans the whole list.
@@ -41,18 +41,20 @@ impl AdjacencyMode {
     }
 }
 
-/// Intra-iteration visibility of chordal-neighbour updates.
+/// Which chordal-neighbour sets a subset test sees.
 ///
-/// The paper's measurements (three iterations for the R-MAT inputs, about
-/// ten for the biological networks — Figure 7) are only reachable when a
-/// vertex can advance through *several* lowest parents within a single
-/// iteration: once `LP[w]` moves from `v` to `x`, a task that processes `x`
-/// later in the same iteration picks `w` up again. That cascading behaviour
-/// is what [`Semantics::Asynchronous`] implements, and it is therefore the
-/// default. [`Semantics::Synchronous`] freezes the state at the start of
-/// every iteration, which makes the extraction bit-for-bit deterministic for
-/// every engine and schedule at the cost of one parent advance per vertex
-/// per iteration (more, cheaper iterations).
+/// Every hand-over of Algorithm 1 goes from a parent to a vertex with a
+/// larger id, so the test of `w` against its parent `p` can wait until
+/// `C[p]` is final. [`Semantics::Asynchronous`] does exactly that: one
+/// ascending pass in which every test sees its parent's final set. It is
+/// the default, it is deterministic on every engine, and it is the
+/// paper's "each thread can asynchronously update" taken to its limit.
+/// [`Semantics::Synchronous`] is the bulk-synchronous reading of the
+/// pseudocode: it freezes the state at the start of every iteration and
+/// advances every vertex by one parent per iteration, so it takes as many
+/// iterations as the largest parent count (the `figure7` experiment
+/// records both against the paper's ~3 and ~10). Both always produce a
+/// chordal subgraph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Semantics {
     /// Deterministic bulk-synchronous interpretation of Algorithm 1: subset
@@ -63,14 +65,15 @@ pub enum Semantics {
     /// cross-engine determinism tests rely on.
     Synchronous,
     /// Paper-faithful asynchronous interpretation ("each thread can
-    /// asynchronously update a subset of edges"): subset tests observe
-    /// concurrent updates as soon as they are published and lowest-parent
-    /// chains cascade within an iteration. Always produces a chordal
-    /// subgraph (ownership of a vertex's chordal set moves with the vertex
-    /// from one parent's child list to the next: on parallel engines a
-    /// release CAS pushes it and an acquire swap takes it); with the serial
-    /// engine the run is deterministic, with parallel engines the exact edge
-    /// set may vary slightly between schedules.
+    /// asynchronously update a subset of edges"): one ascending pass in
+    /// which every vertex tests its set against each parent's *final* set,
+    /// so the whole extraction is one iteration. On the pool it is a
+    /// doacross in which a vertex waits until its parent's set length is
+    /// published (a release store paired with an acquire wait). Because
+    /// every subset test sees its parent's final set, the output is
+    /// deterministic: identical for every engine, thread count and
+    /// schedule, and equal to
+    /// [`crate::reference::extract_pull_reference`].
     Asynchronous,
 }
 
@@ -108,7 +111,8 @@ pub struct ExtractorConfig {
     pub engine: Engine,
     /// Opt (sorted) or Unopt (unsorted) adjacency handling.
     pub adjacency: AdjacencyMode,
-    /// Deterministic synchronous or asynchronous iteration semantics.
+    /// Synchronous or asynchronous iteration semantics (both
+    /// deterministic).
     pub semantics: Semantics,
     /// Record per-iteration queue sizes and edge counts (Figure 7 of the
     /// paper). Small constant overhead per iteration.
@@ -148,7 +152,7 @@ impl Default for ExtractorConfig {
 
 impl ExtractorConfig {
     /// A serial configuration with the given adjacency mode (asynchronous
-    /// semantics; deterministic because the engine is serial).
+    /// semantics).
     pub fn serial(adjacency: AdjacencyMode) -> Self {
         Self {
             engine: Engine::serial(),

@@ -131,20 +131,6 @@ impl Algorithm {
         matches!(self, Algorithm::Dearing)
     }
 
-    /// Whether a run with `config` is deterministic: bit-for-bit equal
-    /// output for every schedule. The serial algorithms always are; the
-    /// parallel extractor is deterministic under synchronous semantics (any
-    /// engine) or on the serial engine.
-    pub fn is_deterministic(self, config: &ExtractorConfig) -> bool {
-        match self {
-            Algorithm::Parallel => {
-                config.semantics == crate::config::Semantics::Synchronous
-                    || config.engine.threads() == 1
-            }
-            Algorithm::Reference | Algorithm::Dearing | Algorithm::Partitioned => true,
-        }
-    }
-
     /// Registry name of this algorithm with the repair post-pass attached
     /// (`"alg1+repair"`, ...), as reported by the wrapped extractor built
     /// for a config with [`ExtractorConfig::repair`] set.
@@ -234,21 +220,5 @@ mod tests {
         assert!(!Algorithm::Partitioned.guarantees_chordal());
         assert!(Algorithm::Dearing.guarantees_maximal());
         assert!(!Algorithm::Parallel.guarantees_maximal());
-    }
-
-    #[test]
-    fn determinism_classification() {
-        use crate::config::Semantics;
-        let serial = ExtractorConfig::default().with_engine(chordal_runtime::Engine::serial());
-        let parallel_async = ExtractorConfig::default()
-            .with_engine(chordal_runtime::Engine::chunked(4))
-            .with_semantics(Semantics::Asynchronous);
-        let parallel_sync = parallel_async
-            .clone()
-            .with_semantics(Semantics::Synchronous);
-        assert!(Algorithm::Parallel.is_deterministic(&serial));
-        assert!(Algorithm::Parallel.is_deterministic(&parallel_sync));
-        assert!(!Algorithm::Parallel.is_deterministic(&parallel_async));
-        assert!(Algorithm::Dearing.is_deterministic(&parallel_async));
     }
 }

@@ -14,15 +14,18 @@
 //! traffic:
 //!
 //! * [`Algorithm::Parallel`] → [`parallel::MaximalChordalExtractor`] — the
-//!   paper's Algorithm 1: an iterative, fine-grained multithreaded
-//!   extraction where every vertex tracks its *lowest parent* and a growing
-//!   set of *chordal neighbors*. Both the paper's variants are available:
-//!   **Opt** (sorted adjacency, cursor-based parent advance) and **Unopt**
-//!   (unsorted adjacency, scan-based parent advance), on any
+//!   paper's Algorithm 1: a fine-grained multithreaded extraction in which
+//!   every vertex walks its *parents* (smaller-id neighbours) in ascending
+//!   order and keeps a growing set of *chordal neighbors*, as one ascending
+//!   pass (asynchronous semantics) or one region per iteration
+//!   (synchronous). Both the paper's variants are available: **Opt**
+//!   (sorted adjacency, the parents are a prefix) and **Unopt** (unsorted
+//!   adjacency, scan-based parent walk), on any
 //!   [`chordal_runtime::Engine`].
 //! * [`Algorithm::Reference`] → [`reference::ReferenceExtractor`] — a plain
 //!   sequential implementation of the same algorithm used as the
-//!   determinism oracle.
+//!   determinism oracle (with [`reference::extract_pull_reference`], the
+//!   oracle of the asynchronous pass).
 //! * [`Algorithm::Dearing`] → [`dearing::DearingExtractor`] — the serial
 //!   maximal chordal subgraph algorithm of Dearing, Shier and Warner
 //!   (1988), the baseline the paper builds on.

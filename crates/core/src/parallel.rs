@@ -1,66 +1,51 @@
 //! The paper's Algorithm 1: multithreaded maximal chordal subgraph
-//! extraction.
+//! extraction, as a pull over each vertex's own parents.
 //!
-//! # Shared state and synchronisation
+//! # The pull form
 //!
-//! The extraction keeps, for every vertex `w`:
+//! Algorithm 1 walks every vertex `w` through its *parents*, the neighbours
+//! with smaller ids, in ascending order. At parent `p` it tests
+//! `C[w] ⊆ C[p]` and, when the test passes, adds `p` to `w`'s
+//! chordal-neighbour set `C[w]`. The paper phrases this as a push: a queue
+//! of lowest parents, each handing its children on to their next parent.
+//! Here every vertex pulls instead. `w` walks its own parents (the sorted
+//! prefix of its adjacency for the Opt variant, [`next_parent_scan`] for
+//! Unopt) and reads their sets. A step writes only `C[w]` and reads
+//! `offsets[p]`, `|C[p]|` and `C[p]`.
 //!
-//! * a place on the *child list* of its current lowest parent — intrusive
-//!   lists of [`ListHeads`] and [`ListLinks`], so a parent's step visits
-//!   exactly the children due to it instead of rescanning its neighbours;
-//! * `cursor[w]` — for the Opt variant, the index of the current parent in
-//!   `w`'s sorted adjacency list;
-//! * `C[w]` — the chordal-neighbour set, stored in a CSR-shaped arena of
-//!   [`AtomicU32`] sized by `w`'s degree with a published length `clen[w]`.
+//! `C[w]` lives in a CSR-shaped arena of [`AtomicU32`] sized by `w`'s
+//! degree; its length sits in a [`Published`] array. Both live in a
+//! caller-supplied [`Workspace`] ([`ChordalExtractor::extract_into`]), so
+//! repeated extractions over same-sized graphs reuse the buffers.
 //!
-//! All of that state lives in a caller-supplied [`Workspace`]
-//! ([`ChordalExtractor::extract_into`]), so repeated extractions over
-//! same-sized graphs reuse the buffers instead of reallocating them.
+//! # Asynchronous semantics: one ascending pass
 //!
-//! **Who owns `w`.** The task whose take of a child list returned `w` owns
-//! it: that task alone writes `C[w]` and `cursor[w]`, runs the subset test
-//! and moves `w` on. Moving `w` is a push onto the list of its next parent,
-//! which gives `w` up; from the push until some parent's take returns it,
-//! no task touches `w`'s state. The push is a release CAS on the list head
-//! and the take an acquire swap (`chordal_runtime::lists`), so the next
-//! owner sees everything the previous one wrote: plain relaxed accesses
-//! suffice for `C[w]` and `cursor[w]`. Lowest parents are unique, so every
-//! vertex sits on at most one list.
+//! A parent always has a smaller id than its child, so ascending id order
+//! visits every parent before its children: when `w` is reached, every
+//! `C[p]` it reads is final. Under [`Semantics::Asynchronous`] the
+//! extraction is therefore one pass in which each subset test sees its
+//! parent's final set. On a one-thread engine the pass is a plain loop. On
+//! the pool it is a doacross ([`Published::doacross`]): participants claim
+//! 64-vertex pieces in ascending order, and `w` waits until `|C[p]|` is
+//! published. That wait is an acquire load paired with the release store
+//! that ends `p`'s step, so the relaxed stores of `C[p]`'s entries are
+//! visible once it returns. `w` needs no wait for its first parent: an
+//! empty `C[w]` is a subset of any set. The output depends neither on the
+//! engine nor on the thread count or the schedule.
 //!
-//! **Single owner.** An engine with one thread
-//! ([`Engine::threads`]` == 1`: the serial engine, every
-//! [`crate::ExtractionSession::extract_batch`] fan-out participant, serve
-//! requests with `engine=serial`) runs the whole extraction on the calling
-//! thread, so no step ever has a second party. That sweep borrows the state
-//! mutably from the workspace and uses the owner form of every operation:
-//! a push is a load and two stores, a take a load and a store, a frontier
-//! flag a load, an OR and a store, and an append plain stores. It also
-//! reads `|C[v]|` once per parent step instead of once per child: only a
-//! step that takes `v` as a child can grow `C[v]`, and `v` is never its own
-//! child. The two modes run one step body (the `Access` trait is the seam),
-//! so the owner sweep returns exactly what the shared sweep returns when
-//! one thread runs every region in ascending order.
+//! # Synchronous semantics: one region per iteration
 //!
-//! **The frontier.** A push also flags the new parent in [`AtomicFlags`].
-//! The next iteration's queue is the set of flagged parents, drained in
-//! ascending order between parallel regions. The drain needs no ordering
-//! of its own: the join of the region that set the flags happens before it,
-//! and it happens before the start of the next region.
-//!
-//! **Reading another vertex's set.** The subset test `C[w] ⊆ C[v]` reads
-//! `C[v]`, which `v`'s own owner may be extending concurrently. Under
-//! [`Semantics::Synchronous`] each queue entry's `|C[v]|` is frozen when the
-//! iteration starts (the prefix below it is immutable — sets are
-//! append-only), and children moved during iteration `t` join the second
-//! head array, which becomes the current one in iteration `t + 1`. That makes
-//! the algorithm entirely deterministic: every engine, thread count and
-//! schedule returns the same edge set as
-//! [`crate::reference::extract_reference`]. Under the default
-//! [`Semantics::Asynchronous`] the reader acquires the live length (paired
-//! with the owner's release store of `clen`), and moved children join the
-//! live lists, so a parent later in the same sweep picks them up. That
-//! matches the paper's "asynchronous update" wording; the output is still a
-//! maximal chordal subgraph but the exact edge set may vary between runs.
+//! [`Semantics::Synchronous`] is the bulk-synchronous reading of the
+//! pseudocode that [`crate::reference::extract_reference`] implements.
+//! Iteration `t` tests every vertex with at least `t` parents against its
+//! `t`-th parent `p`, and sees `C[p]` as it stood when the iteration
+//! began. During iteration `t`, `p` can only append its own `t`-th parent,
+//! so that state is exactly the entries of `C[p]` below `p`'s `t`-th
+//! parent. The reader acquires `|C[p]|` and drops the last entry if it is
+//! that parent; no snapshot is needed. Vertices are counting-sorted by
+//! parent count once, most parents first, so iteration `t`'s region runs
+//! over a prefix of that order. The Unopt variant finds each vertex's next
+//! parent by scanning from the current one, which it keeps per vertex.
 
 use crate::config::{AdjacencyMode, ExtractorConfig, Semantics};
 use crate::extractor::ChordalExtractor;
@@ -69,8 +54,8 @@ use crate::result::ChordalResult;
 use crate::stats::IterationStats;
 use crate::workspace::Workspace;
 use chordal_graph::{Edge, GraphRef, VertexId, NO_VERTEX};
-use chordal_runtime::lists::{Taken, TakenMut};
-use chordal_runtime::{AtomicFlags, Engine, ListHeads, ListLinks};
+use chordal_runtime::publish::UNPUBLISHED;
+use chordal_runtime::{Engine, Published};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// Multithreaded maximal chordal subgraph extractor (Algorithm 1 of the
@@ -105,104 +90,49 @@ impl MaximalChordalExtractor {
         if n == 0 {
             return ChordalResult::new(0, Vec::new(), 0, stats);
         }
-        let sync = self.config.semantics == Semantics::Synchronous;
-        workspace.prepare_atomic_from(graph, sync);
-        // Plain buffers, taken out of the workspace so the sweep can borrow
-        // the rest of it.
-        let mut queue = std::mem::take(&mut workspace.queue_a);
-        let mut frozen_clen = std::mem::take(&mut workspace.ids_b);
-        let mut starts = std::mem::take(&mut workspace.starts);
-
         let mode = self.config.adjacency;
-        let iterations = if self.config.engine.threads() == 1 {
-            let (adjacency, mut state) = Owned::borrowed(workspace, graph, mode, sync);
-            self.sweep(
-                adjacency,
-                &mut state,
-                &mut queue,
-                &mut frozen_clen,
-                stats.as_mut(),
-            )
-        } else {
-            let (adjacency, mut state) = Shared::borrowed(workspace, graph, mode, sync);
-            self.sweep(
-                adjacency,
-                &mut state,
-                &mut queue,
-                &mut frozen_clen,
-                stats.as_mut(),
-            )
-        };
-        let edges = sorted_edges(
-            &workspace.offsets[..=n],
-            &workspace.clen[..n],
-            &workspace.cdata,
-            &mut starts,
-        );
-
-        // Return the plain buffers to the workspace for the next run.
-        workspace.queue_a = queue;
-        workspace.ids_b = frozen_clen;
-        workspace.starts = starts;
-
-        ChordalResult::new(n, edges, iterations, stats)
-    }
-
-    /// The initialisation and every iteration, in `state`'s access mode;
-    /// returns the number of iterations.
-    fn sweep<A: Access>(
-        &self,
-        adjacency: Adjacency<'_>,
-        state: &mut A,
-        queue: &mut Vec<VertexId>,
-        frozen_clen: &mut Vec<u32>,
-        mut stats: Option<&mut IterationStats>,
-    ) -> usize {
-        let engine = &self.config.engine;
         let sync = self.config.semantics == Semantics::Synchronous;
-
-        // Initialisation: every vertex joins the list of its lowest parent,
-        // which is flagged for the first iteration. Like every iteration it
-        // hands vertices over to the next lists, which then become current.
-        state.for_each(engine, adjacency.num_vertices(), |state, v| {
-            let v = v as VertexId;
-            let parent = adjacency.first_parent(v);
-            if parent != NO_VERTEX {
-                state.hand_over(parent, v);
-            }
-            0
-        });
-        state.swap_lists();
-
-        let mut iterations = 0usize;
-        loop {
-            // The frontier in ascending id order. Under the asynchronous
-            // semantics this is what lets a vertex walk through several
-            // parents in one iteration (its next parent always has a larger
-            // id, so it is scheduled later in the same sweep whenever it is
-            // present in the queue) — the behaviour behind the paper's
-            // ~3-iteration observation on R-MAT inputs. Under the
-            // synchronous semantics ordering is irrelevant to the result.
-            queue.clear();
-            queue.extend(state.flags().drain().map(|v| v as VertexId));
-            if queue.is_empty() {
-                break;
-            }
-            iterations += 1;
-            if sync {
-                frozen_clen.clear();
-                frozen_clen.extend(queue.iter().map(|&v| state.len(v as usize) as u32));
-            }
-            let (queue, frozen_clen) = (&*queue, &*frozen_clen);
-            let accepted = state.for_each(engine, queue.len(), |state, qi| {
-                step(adjacency, state, queue[qi], sync.then(|| frozen_clen[qi]))
-            });
-            if let Some(s) = stats.as_mut() {
-                s.record(queue.len(), accepted);
-            }
-            state.swap_lists();
+        let scan = sync && mode == AdjacencyMode::Unsorted;
+        workspace.prepare_pull(graph, if sync { 0 } else { UNPUBLISHED }, scan);
+        let Workspace {
+            clen,
+            cdata,
+            offsets,
+            scan,
+            queue_a: order,
+            starts,
+            ids_b: marks,
+            ..
+        } = workspace;
+        let adjacency = Adjacency {
+            mode,
+            neighbors: graph.adjacency(),
+            offsets: &offsets[..=n],
+        };
+        let cdata = &cdata[..graph.num_directed_edges()];
+        let pass = Pass {
+            adjacency,
+            clen,
+            cdata,
+        };
+        let engine = &self.config.engine;
+        let (iterations, queue) = if sync {
+            let iterations = pass.synchronous(engine, order, starts, scan, marks, stats.as_mut());
+            (iterations, None)
+        } else {
+            pass.asynchronous(engine);
+            // One pass, in which every vertex with a child serves as a
+            // parent.
+            let iterations = usize::from(graph.num_directed_edges() > 0);
+            let queue = (stats.is_some() && iterations == 1)
+                .then(|| (0..n).filter(|&v| adjacency.has_child(v)).count());
+            (iterations, queue)
+        };
+        let edges = sorted_edges(adjacency.offsets, clen, cdata, starts);
+        if let (Some(s), Some(queue)) = (stats.as_mut(), queue) {
+            s.record(queue, edges.len());
         }
-        iterations
+        ChordalResult::new(n, edges, iterations, stats)
     }
 }
 
@@ -227,7 +157,7 @@ impl ChordalExtractor for MaximalChordalExtractor {
     }
 }
 
-/// The graph as the sweep reads it: the flat adjacency array through the
+/// The graph as the pass reads it: the flat adjacency array through the
 /// workspace's copy of the CSR offsets. A vertex can never have more
 /// chordal neighbours than its degree, so the same offsets place `C[w]` in
 /// the arena.
@@ -239,14 +169,6 @@ struct Adjacency<'a> {
 }
 
 impl<'a> Adjacency<'a> {
-    fn new(graph: GraphRef<'a>, mode: AdjacencyMode, offsets: &'a [usize]) -> Self {
-        Self {
-            mode,
-            neighbors: graph.adjacency(),
-            offsets,
-        }
-    }
-
     fn num_vertices(&self) -> usize {
         self.offsets.len() - 1
     }
@@ -257,80 +179,265 @@ impl<'a> Adjacency<'a> {
         &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
     }
 
-    /// The lowest parent of `v`, or [`NO_VERTEX`]. The Opt cursor starts at
-    /// zero, the first slot of the sorted list.
-    fn first_parent(&self, v: VertexId) -> VertexId {
-        let neighbors = self.of(v as usize);
+    /// The parents of `w` in ascending order.
+    #[inline]
+    fn parents(&self, w: usize) -> Parents<'a> {
+        let neighbors = self.of(w);
+        let w = w as VertexId;
         match self.mode {
-            AdjacencyMode::Sorted => match neighbors.first() {
-                Some(&p) if p < v => p,
-                _ => NO_VERTEX,
+            AdjacencyMode::Sorted => Parents::Prefix(neighbors.iter(), w),
+            AdjacencyMode::Unsorted => Parents::Scan {
+                neighbors,
+                w,
+                next: first_parent_scan(neighbors, w),
             },
-            AdjacencyMode::Unsorted => first_parent_scan(neighbors, v),
         }
     }
 
-    /// The parent of `w` after `current`, or [`NO_VERTEX`]; advances the Opt
-    /// cursor. Only `w`'s owner calls it.
-    #[inline]
-    fn next_parent<A: Access>(&self, state: &mut A, w: VertexId, current: VertexId) -> VertexId {
-        let w_idx = w as usize;
-        let neighbors = self.of(w_idx);
+    /// Number of parents of `w`.
+    fn parent_count(&self, w: usize) -> usize {
+        let neighbors = self.of(w);
+        let w = w as VertexId;
         match self.mode {
-            AdjacencyMode::Sorted => {
-                let cursor = state.cursor(w_idx) + 1;
-                match neighbors.get(cursor as usize) {
-                    Some(&p) if p < w => {
-                        state.set_cursor(w_idx, cursor);
-                        p
-                    }
-                    _ => NO_VERTEX,
-                }
-            }
-            AdjacencyMode::Unsorted => next_parent_scan(neighbors, w, current),
+            AdjacencyMode::Sorted => neighbors.partition_point(|&p| p < w),
+            AdjacencyMode::Unsorted => neighbors.iter().filter(|&&p| p < w).count(),
+        }
+    }
+
+    /// Whether parent `e` of `p` is `p`'s parent number `rank` (from 0).
+    #[inline]
+    fn is_parent_number(&self, p: usize, rank: usize, e: VertexId) -> bool {
+        let neighbors = self.of(p);
+        match self.mode {
+            AdjacencyMode::Sorted => neighbors.get(rank) == Some(&e),
+            AdjacencyMode::Unsorted => neighbors.iter().filter(|&&x| x < e).count() == rank,
+        }
+    }
+
+    /// Whether `v` is the parent of some vertex.
+    fn has_child(&self, v: usize) -> bool {
+        let neighbors = self.of(v);
+        let v = v as VertexId;
+        match self.mode {
+            AdjacencyMode::Sorted => neighbors.last().is_some_and(|&x| x > v),
+            AdjacencyMode::Unsorted => neighbors.iter().any(|&x| x > v),
         }
     }
 }
 
-/// Parent `v`'s step: for every child taken from `v`'s list, the subset
-/// test `C[w] ⊆ C[v]`, possibly the edge `(v, w)`, then the hand-over of `w`
-/// to its next parent. `frozen_len_v` is `|C[v]|` at the start of the
-/// iteration under the synchronous semantics, `None` otherwise. Returns the
-/// number of edges accepted.
-#[inline]
-fn step<A: Access>(
-    adjacency: Adjacency<'_>,
-    state: &mut A,
-    v: VertexId,
-    frozen_len_v: Option<u32>,
-) -> usize {
-    let v_idx = v as usize;
-    let base_v = adjacency.offsets[v_idx];
-    let step_len_v = match frozen_len_v {
-        Some(len) => Some(len as usize),
-        None => state.step_len(v_idx),
-    };
-    let mut accepted = 0;
-    let mut children = state.take(v);
-    while let Some(w) = state.next_child(&mut children) {
-        // The take made this task w's unique owner.
-        let w_idx = w as usize;
-        let base_w = adjacency.offsets[w_idx];
-        let len_w = state.len(w_idx);
-        let len_v = step_len_v.unwrap_or_else(|| state.live_len(v_idx));
-        if subset(state.arena(), base_w, len_w, base_v, len_v) {
-            // C[w] ← C[w] ∪ {v}.
-            state.append(w_idx, base_w, len_w, v);
-            accepted += 1;
-        }
-        // Advance w's lowest parent (lines 18-22), whether or not the edge
-        // was accepted.
-        let parent = adjacency.next_parent(state, w, v);
-        if parent != NO_VERTEX {
-            state.hand_over(parent, w);
+/// The parents of one vertex in ascending order; see [`Adjacency::parents`].
+enum Parents<'a> {
+    /// Opt: the sorted adjacency, up to the first neighbour above `w`.
+    Prefix(std::slice::Iter<'a, VertexId>, VertexId),
+    /// Unopt: each parent found by scanning from the one before.
+    Scan {
+        neighbors: &'a [VertexId],
+        w: VertexId,
+        next: VertexId,
+    },
+}
+
+impl Iterator for Parents<'_> {
+    type Item = VertexId;
+
+    #[inline]
+    fn next(&mut self) -> Option<VertexId> {
+        match self {
+            Parents::Prefix(rest, w) => rest.next().copied().filter(|p| p < w),
+            Parents::Scan { neighbors, w, next } => {
+                let p = *next;
+                if p == NO_VERTEX {
+                    return None;
+                }
+                *next = next_parent_scan(neighbors, *w, p);
+                Some(p)
+            }
         }
     }
-    accepted
+}
+
+/// What every step reads and writes: the graph, the published set lengths
+/// and the chordal-neighbour arena.
+#[derive(Clone, Copy)]
+struct Pass<'a> {
+    adjacency: Adjacency<'a>,
+    clen: &'a Published,
+    cdata: &'a [AtomicU32],
+}
+
+impl Pass<'_> {
+    /// The asynchronous semantics: one ascending pass (module docs).
+    fn asynchronous(&self, engine: &Engine) {
+        let Pass {
+            adjacency,
+            clen,
+            cdata,
+        } = *self;
+        clen.doacross(engine, adjacency.num_vertices(), |range| {
+            for w in range {
+                let base_w = adjacency.offsets[w];
+                let mut len_w = 0;
+                for p in adjacency.parents(w) {
+                    let p_idx = p as usize;
+                    let accept = len_w == 0
+                        || match clen.wait(p_idx) {
+                            Some(len_p) => subset(
+                                cdata,
+                                base_w,
+                                len_w,
+                                adjacency.offsets[p_idx],
+                                len_p as usize,
+                            ),
+                            // A piece below panicked; the caller unwinds.
+                            None => return,
+                        };
+                    if accept {
+                        cdata[base_w + len_w].store(p, Ordering::Relaxed);
+                        len_w += 1;
+                    }
+                }
+                clen.publish(w, len_w as u32);
+            }
+        });
+    }
+
+    /// The synchronous semantics: one region per iteration (module docs);
+    /// returns the number of iterations. `order` and `starts` are scratch
+    /// for the counting sort, `scan` holds the Unopt walk's current parents
+    /// (unused for Opt) and `marks` the stamps that count distinct parents
+    /// for `stats`.
+    fn synchronous(
+        &self,
+        engine: &Engine,
+        order: &mut Vec<VertexId>,
+        starts: &mut Vec<usize>,
+        scan: &mut [AtomicU32],
+        marks: &mut Vec<u32>,
+        mut stats: Option<&mut IterationStats>,
+    ) -> usize {
+        let adjacency = self.adjacency;
+        let n = adjacency.num_vertices();
+        // Counting sort by parent count, most parents first; ties stay in
+        // ascending id order. Afterwards `starts[k]` is the position of the
+        // first vertex with `k` parents, which is the number of vertices
+        // with more than `k`.
+        starts.clear();
+        for w in 0..n {
+            let k = adjacency.parent_count(w);
+            if starts.len() <= k {
+                starts.resize(k + 1, 0);
+            }
+            starts[k] += 1;
+        }
+        let iterations = starts.len() - 1;
+        for k in (0..iterations).rev() {
+            starts[k] += starts[k + 1];
+        }
+        order.clear();
+        order.resize(n, 0);
+        for w in (0..n).rev() {
+            let k = adjacency.parent_count(w);
+            starts[k] -= 1;
+            order[starts[k]] = w as VertexId;
+        }
+        if adjacency.mode == AdjacencyMode::Unsorted {
+            for (w, current) in scan[..n].iter_mut().enumerate() {
+                *current.get_mut() = first_parent_scan(adjacency.of(w), w as VertexId);
+            }
+        }
+        if stats.is_some() {
+            marks.clear();
+            marks.resize(n, 0);
+        }
+
+        let scan = &*scan;
+        for t in 1..=iterations {
+            let active = &order[..starts[t - 1]];
+            let parents = stats.as_ref().map(|_| {
+                active
+                    .iter()
+                    .filter(|&&w| {
+                        let p = self.parent_number(w as usize, t, scan) as usize;
+                        std::mem::replace(&mut marks[p], t as u32) != t as u32
+                    })
+                    .count()
+            });
+            let accepted = AtomicUsize::new(0);
+            engine.parallel_for_chunks(active.len(), |range| {
+                let local = active[range]
+                    .iter()
+                    .filter(|&&w| self.synchronous_step(w as usize, t, scan))
+                    .count();
+                if local > 0 {
+                    accepted.fetch_add(local, Ordering::Relaxed);
+                }
+            });
+            if let (Some(s), Some(parents)) = (stats.as_mut(), parents) {
+                s.record(parents, accepted.into_inner());
+            }
+        }
+        iterations
+    }
+
+    /// Parent number `t` (from 1) of `w`: read from the sorted prefix, or
+    /// the Unopt walk's current parent, which is number `t` during
+    /// iteration `t`.
+    #[inline]
+    fn parent_number(&self, w: usize, t: usize, scan: &[AtomicU32]) -> VertexId {
+        match self.adjacency.mode {
+            AdjacencyMode::Sorted => self.adjacency.of(w)[t - 1],
+            AdjacencyMode::Unsorted => scan[w].load(Ordering::Relaxed),
+        }
+    }
+
+    /// `w`'s step in iteration `t`: the subset test against its `t`-th
+    /// parent's set as it stood when the iteration began. Returns whether
+    /// the edge was accepted.
+    #[inline]
+    fn synchronous_step(&self, w: usize, t: usize, scan: &[AtomicU32]) -> bool {
+        let Pass {
+            adjacency,
+            clen,
+            cdata,
+        } = *self;
+        let p = self.parent_number(w, t, scan);
+        if adjacency.mode == AdjacencyMode::Unsorted {
+            // Only `w`'s own step reads or writes its walk position.
+            scan[w].store(
+                next_parent_scan(adjacency.of(w), w as VertexId, p),
+                Ordering::Relaxed,
+            );
+        }
+        let p_idx = p as usize;
+        let base_w = adjacency.offsets[w];
+        // Only this step appends to C[w]; earlier iterations' appends were
+        // published before this region began.
+        let len_w = clen.load(w) as usize;
+        // An empty C[w] is a subset of any set: `p` is not read.
+        let accept = len_w == 0 || {
+            let base_p = adjacency.offsets[p_idx];
+            // Acquire: if `p`'s own step already published this iteration's
+            // append, its entry is visible; it is `p`'s `t`-th parent, which
+            // the iteration's start did not hold. A shorter C[p] fails the
+            // test either way.
+            let mut len_p = clen.load(p_idx) as usize;
+            if len_p >= len_w
+                && adjacency.is_parent_number(
+                    p_idx,
+                    t - 1,
+                    cdata[base_p + len_p - 1].load(Ordering::Relaxed),
+                )
+            {
+                len_p -= 1;
+            }
+            subset(cdata, base_w, len_w, base_p, len_p)
+        };
+        if accept {
+            cdata[base_w + len_w].store(p, Ordering::Relaxed);
+            clen.publish(w, (len_w + 1) as u32);
+        }
+        accept
+    }
 }
 
 /// Ordered-merge subset test `C[a] ⊆ C[b]` over the sets' first `len_a`
@@ -338,7 +445,8 @@ fn step<A: Access>(
 /// Both sets are sorted ascending because parents are accepted in
 /// increasing-id order; elements live in the atomic arena, so the shared
 /// kernel is used through its accessor form with relaxed per-element loads
-/// (the plain load of an exclusive owner is the same instruction).
+/// (the same instruction as a plain load).
+#[inline]
 fn subset(arena: &[AtomicU32], base_a: usize, len_a: usize, base_b: usize, len_b: usize) -> bool {
     crate::kernels::sorted_subset_by(
         len_a,
@@ -348,341 +456,22 @@ fn subset(arena: &[AtomicU32], base_a: usize, len_a: usize, base_b: usize, len_b
     )
 }
 
-/// How a sweep reaches the per-vertex state: [`Shared`] through the
-/// concurrent protocol, so the tasks of a parallel region can run steps at
-/// once, or [`Owned`] through plain loads and stores of an exclusive
-/// borrow. [`step`] and [`MaximalChordalExtractor::sweep`] are written once
-/// against it.
-trait Access: Sized {
-    /// A taken child list being walked.
-    type Children;
-
-    /// Runs `body` for every index of `0..len` and sums its results.
-    fn for_each(
-        &mut self,
-        engine: &Engine,
-        len: usize,
-        body: impl Fn(&mut Self, usize) -> usize + Sync,
-    ) -> usize;
-
-    /// The next iteration's frontier.
-    fn flags(&self) -> &AtomicFlags;
-
-    /// Makes the lists that moved children joined the current ones.
-    fn swap_lists(&mut self);
-
-    /// Empties `v`'s list among the current lists; the caller owns every
-    /// child the walk returns.
-    fn take(&mut self, v: VertexId) -> Self::Children;
-
-    /// The next child of a taken list.
-    fn next_child(&mut self, children: &mut Self::Children) -> Option<VertexId>;
-
-    /// Gives `w` up to `parent`: pushes it onto `parent`'s list among the
-    /// lists moved children join, and flags `parent` for the next
-    /// iteration.
-    fn hand_over(&mut self, parent: VertexId, w: VertexId);
-
-    /// The Opt cursor of `w`, read by `w`'s owner.
-    fn cursor(&mut self, w: usize) -> u32;
-
-    /// Moves the Opt cursor of `w`; only `w`'s owner calls it.
-    fn set_cursor(&mut self, w: usize, cursor: u32);
-
-    /// `|C[w]|`, read by `w`'s owner (or between regions).
-    fn len(&mut self, w: usize) -> usize;
-
-    /// `|C[v]|` for the whole of `v`'s step, or `None` when another task
-    /// may grow `C[v]` meanwhile and each child must read
-    /// [`Access::live_len`].
-    fn step_len(&mut self, v: usize) -> Option<usize>;
-
-    /// `|C[v]|` as published now.
-    fn live_len(&mut self, v: usize) -> usize;
-
-    /// The chordal-neighbour arena.
-    fn arena(&self) -> &[AtomicU32];
-
-    /// Appends `v` to `C[w]`, whose `len_w` entries start at arena slot
-    /// `base_w`; only `w`'s owner calls it.
-    fn append(&mut self, w: usize, base_w: usize, len_w: usize, v: VertexId);
-}
-
-/// The concurrent protocol of the module docs. Every task of a parallel
-/// region works on its own copy.
-#[derive(Clone, Copy)]
-struct Shared<'a> {
-    /// The lists steps take children from.
-    current: &'a ListHeads,
-    /// The lists moved children join: the second head array under the
-    /// synchronous semantics, `current` itself otherwise.
-    next: &'a ListHeads,
-    /// Successor links of the child lists.
-    links: &'a ListLinks,
-    /// The next iteration's frontier.
-    flags: &'a AtomicFlags,
-    /// Cursor of the current parent in the sorted adjacency (Opt variant).
-    cursor: &'a [AtomicU32],
-    /// Published length of every chordal-neighbour set.
-    clen: &'a [AtomicU32],
-    /// Chordal-neighbour arena.
-    cdata: &'a [AtomicU32],
-}
-
-impl<'a> Shared<'a> {
-    /// Borrows the buffers of `workspace`, prepared for `graph`.
-    fn borrowed(
-        workspace: &'a Workspace,
-        graph: GraphRef<'a>,
-        mode: AdjacencyMode,
-        sync: bool,
-    ) -> (Adjacency<'a>, Self) {
-        let n = graph.num_vertices();
-        let state = Self {
-            current: &workspace.heads,
-            next: if sync {
-                &workspace.next_heads
-            } else {
-                &workspace.heads
-            },
-            links: &workspace.links,
-            flags: workspace.flags(),
-            cursor: &workspace.cursor[..n],
-            clen: &workspace.clen[..n],
-            cdata: &workspace.cdata[..graph.num_directed_edges()],
-        };
-        let adjacency = Adjacency::new(graph, mode, &workspace.offsets[..=n]);
-        (adjacency, state)
-    }
-}
-
-impl<'a> Access for Shared<'a> {
-    type Children = Taken<'a>;
-
-    fn for_each(
-        &mut self,
-        engine: &Engine,
-        len: usize,
-        body: impl Fn(&mut Self, usize) -> usize + Sync,
-    ) -> usize {
-        let state = *self;
-        let total = AtomicUsize::new(0);
-        engine.parallel_for_chunks(len, |range| {
-            let mut task = state;
-            let local: usize = range.map(|i| body(&mut task, i)).sum();
-            if local > 0 {
-                total.fetch_add(local, Ordering::Relaxed);
-            }
-        });
-        total.into_inner()
-    }
-
-    fn flags(&self) -> &AtomicFlags {
-        self.flags
-    }
-
-    fn swap_lists(&mut self) {
-        std::mem::swap(&mut self.current, &mut self.next);
-    }
-
-    #[inline]
-    fn take(&mut self, v: VertexId) -> Taken<'a> {
-        self.current.take(self.links, v)
-    }
-
-    #[inline]
-    fn next_child(&mut self, children: &mut Taken<'a>) -> Option<VertexId> {
-        children.next()
-    }
-
-    #[inline]
-    fn hand_over(&mut self, parent: VertexId, w: VertexId) {
-        self.next.push(self.links, parent, w);
-        self.flags.test_and_set(parent as usize);
-    }
-
-    #[inline]
-    fn cursor(&mut self, w: usize) -> u32 {
-        self.cursor[w].load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    fn set_cursor(&mut self, w: usize, cursor: u32) {
-        self.cursor[w].store(cursor, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn len(&mut self, w: usize) -> usize {
-        self.clen[w].load(Ordering::Relaxed) as usize
-    }
-
-    #[inline]
-    fn step_len(&mut self, _v: usize) -> Option<usize> {
-        None
-    }
-
-    #[inline]
-    fn live_len(&mut self, v: usize) -> usize {
-        // Acquire: pairs with the release store of `append`, so the prefix
-        // below the length is complete.
-        self.clen[v].load(Ordering::Acquire) as usize
-    }
-
-    fn arena(&self) -> &[AtomicU32] {
-        self.cdata
-    }
-
-    #[inline]
-    fn append(&mut self, w: usize, base_w: usize, len_w: usize, v: VertexId) {
-        // The new entry is published with a release store on the length so
-        // asynchronous readers see a complete prefix.
-        self.cdata[base_w + len_w].store(v, Ordering::Relaxed);
-        self.clen[w].store((len_w + 1) as u32, Ordering::Release);
-    }
-}
-
-/// The owner mode: one thread holds every buffer through an exclusive
-/// borrow of the workspace, so each operation is a plain load or store.
-struct Owned<'a> {
-    /// The lists steps take children from.
-    current: &'a mut ListHeads,
-    /// The second head array of the synchronous semantics; `None` when
-    /// moved children join `current`.
-    next: Option<&'a mut ListHeads>,
-    links: &'a mut ListLinks,
-    flags: &'a mut AtomicFlags,
-    cursor: &'a mut [AtomicU32],
-    clen: &'a mut [AtomicU32],
-    cdata: &'a mut [AtomicU32],
-}
-
-impl<'a> Owned<'a> {
-    /// Borrows the buffers of `workspace`, prepared for `graph`.
-    fn borrowed(
-        workspace: &'a mut Workspace,
-        graph: GraphRef<'a>,
-        mode: AdjacencyMode,
-        sync: bool,
-    ) -> (Adjacency<'a>, Self) {
-        let n = graph.num_vertices();
-        let Workspace {
-            heads,
-            next_heads,
-            links,
-            cursor,
-            clen,
-            cdata,
-            offsets,
-            flags,
-            ..
-        } = workspace;
-        let state = Self {
-            current: heads,
-            next: sync.then_some(next_heads),
-            links,
-            flags: flags.as_mut().expect("workspace flags not prepared"),
-            cursor: &mut cursor[..n],
-            clen: &mut clen[..n],
-            cdata: &mut cdata[..graph.num_directed_edges()],
-        };
-        let adjacency = Adjacency::new(graph, mode, &offsets[..=n]);
-        (adjacency, state)
-    }
-}
-
-impl Access for Owned<'_> {
-    type Children = TakenMut;
-
-    fn for_each(
-        &mut self,
-        _engine: &Engine,
-        len: usize,
-        body: impl Fn(&mut Self, usize) -> usize + Sync,
-    ) -> usize {
-        (0..len).map(|i| body(self, i)).sum()
-    }
-
-    fn flags(&self) -> &AtomicFlags {
-        self.flags
-    }
-
-    fn swap_lists(&mut self) {
-        if let Some(next) = &mut self.next {
-            std::mem::swap(&mut self.current, next);
-        }
-    }
-
-    #[inline]
-    fn take(&mut self, v: VertexId) -> TakenMut {
-        self.current.take_mut(v)
-    }
-
-    #[inline]
-    fn next_child(&mut self, children: &mut TakenMut) -> Option<VertexId> {
-        children.next(self.links)
-    }
-
-    #[inline]
-    fn hand_over(&mut self, parent: VertexId, w: VertexId) {
-        let lists = match &mut self.next {
-            Some(next) => next,
-            None => &mut self.current,
-        };
-        lists.push_mut(self.links, parent, w);
-        self.flags.test_and_set_mut(parent as usize);
-    }
-
-    #[inline]
-    fn cursor(&mut self, w: usize) -> u32 {
-        *self.cursor[w].get_mut()
-    }
-
-    #[inline]
-    fn set_cursor(&mut self, w: usize, cursor: u32) {
-        *self.cursor[w].get_mut() = cursor;
-    }
-
-    #[inline]
-    fn len(&mut self, w: usize) -> usize {
-        *self.clen[w].get_mut() as usize
-    }
-
-    #[inline]
-    fn step_len(&mut self, v: usize) -> Option<usize> {
-        Some(self.len(v))
-    }
-
-    #[inline]
-    fn live_len(&mut self, v: usize) -> usize {
-        self.len(v)
-    }
-
-    fn arena(&self) -> &[AtomicU32] {
-        self.cdata
-    }
-
-    #[inline]
-    fn append(&mut self, w: usize, base_w: usize, len_w: usize, v: VertexId) {
-        *self.cdata[base_w + len_w].get_mut() = v;
-        *self.clen[w].get_mut() = (len_w + 1) as u32;
-    }
-}
-
 /// EC in canonical sorted order: every entry `p` of `C[w]` is the edge
 /// `(p, w)` with `p < w`, so a counting sort on `p` that visits `w` in
 /// ascending order sorts the edges without comparing them. `starts` holds
-/// the per-parent bucket starts. Runs after the sweep has finished, so
-/// relaxed loads see every write.
+/// the per-parent bucket starts. Runs after the pass has finished, so the
+/// lengths are read through the owner form and relaxed loads see every
+/// entry.
 fn sorted_edges(
     offsets: &[usize],
-    clen: &[AtomicU32],
+    clen: &mut Published,
     cdata: &[AtomicU32],
     starts: &mut Vec<usize>,
 ) -> Vec<Edge> {
-    let n = clen.len();
-    let chordal_set = |w: usize| {
+    let n = offsets.len() - 1;
+    let mut chordal_set = |w: usize| {
         let base = offsets[w];
-        &cdata[base..base + clen[w].load(Ordering::Relaxed) as usize]
+        &cdata[base..base + clen.get_mut(w) as usize]
     };
     starts.clear();
     starts.resize(n + 1, 0);
@@ -709,7 +498,7 @@ fn sorted_edges(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::extract_reference;
+    use crate::reference::{extract_pull_reference, extract_reference};
     use crate::verify;
     use chordal_generators::{rmat::RmatKind, rmat::RmatParams, structured};
     use chordal_graph::builder::graph_from_edges;
@@ -883,13 +672,16 @@ mod tests {
 
     #[test]
     fn asynchronous_needs_fewer_iterations_than_synchronous() {
-        // The cascading behind the paper's ~3-iteration observation: the
-        // asynchronous sweep finishes a clique-rich graph in far fewer
-        // iterations than the one-parent-per-iteration synchronous mode.
+        // Ascending id order visits every parent before its children, so
+        // the asynchronous pass tests each vertex against all of its
+        // parents' final sets in one iteration; the synchronous semantics
+        // advances every vertex by one parent per iteration, as many
+        // iterations as the largest parent count.
         let g = RmatParams::preset(RmatKind::B, 9, 5).generate();
         let sync = extract_with(&g, Engine::serial(), AdjacencyMode::Sorted);
         let config = ExtractorConfig::serial(AdjacencyMode::Sorted).with_stats(true);
         let async_r = MaximalChordalExtractor::new(config).extract(&g);
+        assert_eq!(async_r.iterations, 1);
         assert!(
             async_r.iterations < sync.iterations,
             "async {} vs sync {}",
@@ -908,6 +700,28 @@ mod tests {
         assert!(verify::is_chordal(&r.subgraph(&g)));
         for &(u, v) in r.edges() {
             assert!(g.has_edge(u, v));
+        }
+    }
+
+    #[test]
+    fn asynchronous_pass_matches_the_pull_oracle_on_every_engine_and_variant() {
+        for kind in [RmatKind::Er, RmatKind::G, RmatKind::B] {
+            let g = RmatParams::preset(kind, 9, 3).generate();
+            let expected = extract_pull_reference(&g, true);
+            let scrambled = g.with_scrambled_adjacency(5);
+            for engine in all_engines() {
+                for (adjacency, graph) in [
+                    (AdjacencyMode::Sorted, &g),
+                    (AdjacencyMode::Unsorted, &scrambled),
+                ] {
+                    let config = ExtractorConfig::default()
+                        .with_engine(engine)
+                        .with_adjacency(adjacency)
+                        .with_stats(true);
+                    let got = MaximalChordalExtractor::new(config).extract(graph);
+                    assert_eq!(got, expected, "{kind:?} {engine:?} {adjacency:?}");
+                }
+            }
         }
     }
 
@@ -958,41 +772,37 @@ mod tests {
         );
     }
 
-    /// Every child list the run used is empty and every flag clear, as the
-    /// next run (in either access mode) expects.
-    fn assert_quiescent(workspace: &Workspace, n: usize, semantics: Semantics) {
-        assert_eq!(workspace.flags().count_set(), 0, "a flag was left set");
-        for v in 0..n as VertexId {
-            assert_eq!(workspace.heads.take(&workspace.links, v).count(), 0);
-            if semantics == Semantics::Synchronous {
-                assert_eq!(workspace.next_heads.take(&workspace.links, v).count(), 0);
-            }
-        }
-    }
-
     #[test]
     fn alternating_semantics_on_one_workspace_match_fresh_runs() {
-        // The synchronous run sizes the second head array; the runs around
-        // it must find every child list empty and every flag clear. The
-        // serial engine runs the owner sweep, the others the shared one.
+        // The synchronous iterations reset the set lengths to zero and the
+        // asynchronous pass to unpublished; each must leave the workspace
+        // ready for the other, on every engine and variant.
         let g = RmatParams::preset(RmatKind::B, 8, 4).generate();
+        let scrambled = g.with_scrambled_adjacency(3);
         let mut workspace = Workspace::new();
         for engine in all_engines() {
-            for semantics in [
-                Semantics::Asynchronous,
-                Semantics::Synchronous,
-                Semantics::Asynchronous,
+            for (adjacency, graph) in [
+                (AdjacencyMode::Sorted, &g),
+                (AdjacencyMode::Unsorted, &scrambled),
             ] {
-                let extractor = MaximalChordalExtractor::new(
-                    ExtractorConfig::default()
-                        .with_engine(engine)
-                        .with_semantics(semantics),
-                );
-                let reused = extractor.extract_into((&g).into(), &mut workspace);
-                assert_quiescent(&workspace, g.num_vertices(), semantics);
-                assert!(verify::is_chordal(&reused.subgraph(&g)));
-                if semantics == Semantics::Synchronous || engine.threads() == 1 {
-                    assert_eq!(reused, extractor.extract(&g), "{engine:?} {semantics:?}");
+                for semantics in [
+                    Semantics::Asynchronous,
+                    Semantics::Synchronous,
+                    Semantics::Asynchronous,
+                ] {
+                    let extractor = MaximalChordalExtractor::new(
+                        ExtractorConfig::default()
+                            .with_engine(engine)
+                            .with_adjacency(adjacency)
+                            .with_semantics(semantics),
+                    );
+                    let reused = extractor.extract_into(graph.into(), &mut workspace);
+                    assert!(verify::is_chordal(&reused.subgraph(graph)));
+                    assert_eq!(
+                        reused,
+                        extractor.extract(graph),
+                        "{engine:?} {adjacency:?} {semantics:?}"
+                    );
                 }
             }
         }

@@ -2,13 +2,13 @@
 //!
 //! A vertex's *parents* are its neighbours with a smaller identification
 //! number; its *lowest parent* (LP) is the smallest of these. Algorithm 1
-//! walks every vertex through its parents in increasing order, one parent
-//! per iteration. The two variants of the paper differ only in how the next
-//! parent is located:
+//! walks every vertex through its parents in increasing order (one parent
+//! per iteration under the synchronous semantics). The two variants of the
+//! paper differ only in how the next parent is located:
 //!
 //! * **Sorted (Opt)** — parents form a prefix of the ascending adjacency
-//!   list, so a cursor into that prefix yields the next parent in O(1); the
-//!   parallel extractor reads it straight from the flat adjacency array.
+//!   list, so the next parent is the next entry; the parallel extractor
+//!   reads the prefix straight from the flat adjacency array.
 //! * **Unsorted (Unopt)** — the whole neighbour list is scanned for the
 //!   smallest id that is larger than the current parent and smaller than the
 //!   vertex itself (the helpers below).

@@ -1,12 +1,17 @@
-//! Sequential reference implementation of Algorithm 1.
+//! Sequential reference implementations of Algorithm 1, one per semantics.
 //!
-//! This follows the paper's pseudocode line by line with plain (non-atomic)
-//! data structures and the deterministic bulk-synchronous interpretation of
-//! an iteration: subset tests observe the chordal-neighbour sets and lowest
-//! parents as they stood when the iteration began. The parallel extractor
-//! in [`crate::parallel`] must produce exactly this edge set under
-//! [`crate::Semantics::Synchronous`] for every engine and thread count; the
-//! test-suite enforces that equivalence.
+//! [`ReferenceExtractor`] follows the paper's pseudocode line by line with
+//! plain (non-atomic) data structures and the deterministic
+//! bulk-synchronous interpretation of an iteration: subset tests observe
+//! the chordal-neighbour sets and lowest parents as they stood when the
+//! iteration began. The parallel extractor in [`crate::parallel`] must
+//! produce exactly this edge set, and this iteration count, under
+//! [`crate::Semantics::Synchronous`] for every engine and thread count.
+//!
+//! [`extract_pull_reference`] is the oracle of
+//! [`crate::Semantics::Asynchronous`]: one plain serial loop in which every
+//! vertex, in ascending id order, tests its set against each of its
+//! parents' final sets. The test-suite enforces both equivalences.
 
 use crate::extractor::ChordalExtractor;
 use crate::parent::{first_parent_scan, next_parent_scan, sorted_subset};
@@ -150,13 +155,129 @@ pub fn extract_reference_with_stats<'a>(
     ReferenceExtractor::new(record_stats).extract(graph)
 }
 
+/// The asynchronous semantics' oracle: one serial pass over the vertices
+/// in ascending id order, in which `w` walks its parents in ascending order
+/// and adds parent `p` to `C[w]` when `C[w] ⊆ C[p]`. Every parent has a
+/// smaller id than `w`, so each `C[p]` is final when `w` reads it. Plain
+/// vectors, no atomics and no workspace: it shares nothing with
+/// [`crate::parallel`] but the subset kernel. With `record_stats`, the one
+/// iteration's queue is the set of vertices that are some vertex's parent.
+pub fn extract_pull_reference<'a>(
+    graph: impl Into<GraphRef<'a>>,
+    record_stats: bool,
+) -> ChordalResult {
+    let graph = graph.into();
+    let n = graph.num_vertices();
+    let mut chordal: Vec<Vec<VertexId>> = Vec::with_capacity(n);
+    for w in 0..n as VertexId {
+        let mut parents: Vec<VertexId> = graph
+            .neighbors(w)
+            .iter()
+            .copied()
+            .filter(|&p| p < w)
+            .collect();
+        parents.sort_unstable();
+        let mut set = Vec::new();
+        for p in parents {
+            if sorted_subset(&set, &chordal[p as usize]) {
+                set.push(p);
+            }
+        }
+        chordal.push(set);
+    }
+    let edges: Vec<_> = chordal
+        .iter()
+        .enumerate()
+        .flat_map(|(w, set)| set.iter().map(move |&p| (p, w as VertexId)))
+        .collect();
+    let iterations = usize::from(graph.num_directed_edges() > 0);
+    let stats = record_stats.then(|| {
+        let mut stats = IterationStats::new();
+        if iterations == 1 {
+            let parents = (0..n as VertexId)
+                .filter(|&v| graph.neighbors(v).iter().any(|&x| x > v))
+                .count();
+            stats.record(parents, edges.len());
+        }
+        stats
+    });
+    ChordalResult::new(n, edges, iterations, stats)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verify;
+    use chordal_generators::bio::GeneNetworkKind;
+    use chordal_generators::rmat::{RmatKind, RmatParams};
     use chordal_generators::structured;
     use chordal_graph::builder::graph_from_edges;
     use chordal_graph::CsrGraph;
+
+    /// Algorithm 1 in the paper's push form, in one pass: parents in
+    /// ascending id order, each testing every child against its own final
+    /// set. A child meets its parents in ascending order too.
+    fn one_pass_push(graph: &CsrGraph) -> Vec<(VertexId, VertexId)> {
+        let n = graph.num_vertices();
+        let mut chordal: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+        for v in 0..n as VertexId {
+            for &w in graph.neighbors(v).iter().filter(|&&w| w > v) {
+                if sorted_subset(&chordal[w as usize], &chordal[v as usize]) {
+                    chordal[w as usize].push(v);
+                }
+            }
+        }
+        let mut edges: Vec<_> = (0..n)
+            .flat_map(|w| chordal[w].iter().map(move |&p| (p, w as VertexId)))
+            .collect();
+        edges.sort_unstable();
+        edges
+    }
+
+    #[test]
+    fn pull_oracle_matches_a_one_pass_push_over_ascending_parents() {
+        let mut graphs: Vec<CsrGraph> = [RmatKind::Er, RmatKind::G, RmatKind::B]
+            .into_iter()
+            .map(|kind| RmatParams::preset(kind, 10, 7).generate())
+            .collect();
+        graphs.push(GeneNetworkKind::Gse17072Non.network(400, 2));
+        graphs.push(structured::grid(6, 7).with_scrambled_adjacency(3));
+        for g in &graphs {
+            let pulled = extract_pull_reference(g, false);
+            assert_eq!(pulled.edges(), one_pass_push(g));
+            assert!(verify::is_chordal(&pulled.subgraph(g)));
+        }
+    }
+
+    #[test]
+    fn pull_oracle_keeps_the_figure1_example_whole_in_one_iteration() {
+        // The companion of `paper_figure1_style_example`: vertex 3 tests
+        // {1} against the final C[2] = {0, 1} and keeps (2,3).
+        let g = graph_from_edges(
+            6,
+            vec![
+                (0, 1),
+                (0, 2),
+                (1, 2),
+                (1, 3),
+                (2, 3),
+                (3, 4),
+                (4, 5),
+                (3, 5),
+            ],
+        );
+        let r = extract_pull_reference(&g, true);
+        assert_eq!(r.num_chordal_edges(), g.num_edges());
+        assert_eq!(r.iterations, 1);
+        let stats = r.stats.as_ref().unwrap();
+        // Every vertex but 5 has a higher-numbered neighbour.
+        assert_eq!(stats.queue_sizes, [5]);
+        assert_eq!(stats.edges_added, [g.num_edges()]);
+        assert_eq!(
+            extract_pull_reference(&CsrGraph::empty(3), true).iterations,
+            0
+        );
+    }
 
     #[test]
     fn empty_graph_yields_empty_result() {

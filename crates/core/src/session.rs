@@ -35,20 +35,19 @@
 //! the graphs run back to back through [`ExtractionSession::extract`].
 //!
 //! No graph of a batch runs with intra-graph parallelism, because on every
-//! measured batch it lost. On a 2-core host, a warm RMAT-G(14) extraction
-//! (129k edges, median of 21 runs) takes 2.6–2.7 ms serially, where one
-//! thread owns the whole sweep (see [`crate::parallel`]), and 4.9–5.8 ms on
-//! two threads. The benchmark's `gene-batch` (32 gene networks plus four
-//! RMAT-G(14) graphs) ran five graphs intra-graph under a fixed
+//! measured batch it lost. These measurements predate the pull pass of
+//! [`crate::parallel`]: on a 2-core host, a warm RMAT-G(14) extraction
+//! (129k edges, median of 21 runs) took 2.6–2.7 ms serially and 4.9–5.8 ms
+//! on two threads. The benchmark's `gene-batch` (32 gene networks plus
+//! four RMAT-G(14) graphs) ran five graphs intra-graph under a fixed
 //! 32,768-edge pivot: 34.9 ms per batch, 60 pool regions, 0.58 of perfect
 //! two-thread efficiency. Fanned out longest first, every graph runs in one
 //! region: 20.9–21.3 ms, 0.79–0.93 efficiency, and 18.1 ms once the
-//! participants ran the single-owner sweep.
+//! participants' one-thread sweeps dropped their atomic read-modify-writes.
 //!
-//! Fanning out only moves *where* a graph runs: for every deterministic
-//! configuration each slot equals a single run of the same graph. All
-//! parallel regions execute on the process-wide persistent worker pool, so
-//! batches never spawn threads.
+//! Fanning out only moves *where* a graph runs: each slot equals a single
+//! run of the same graph. All parallel regions execute on the process-wide
+//! persistent worker pool, so batches never spawn threads.
 
 use crate::config::ExtractorConfig;
 use crate::extractor::{Algorithm, ChordalExtractor};

@@ -1,9 +1,9 @@
 //! Reusable per-extraction scratch state.
 //!
-//! Every extraction needs per-vertex working buffers: the atomic child
-//! lists and chordal-set arrays of the parallel extractor, the plain
-//! queues and candidate sets of the serial algorithms, and the frozen
-//! snapshots of the synchronous semantics. Allocating them per run is cheap
+//! Every extraction needs per-vertex working buffers: the chordal-set arena
+//! and published set lengths of the parallel extractor, the plain queues
+//! and candidate sets of the serial algorithms, and the frozen snapshots of
+//! the reference's synchronous semantics. Allocating them per run is cheap
 //! for a one-off extraction but dominates short runs under repeated traffic
 //! (benchmark loops, serving-style workloads, batch jobs). A [`Workspace`]
 //! owns all of those buffers and is handed to
@@ -17,8 +17,8 @@
 
 use crate::repair::incremental::RepairScratch;
 use chordal_graph::{GraphRef, VertexId, NO_VERTEX};
-use chordal_runtime::{AtomicFlags, ListHeads, ListLinks};
-use std::sync::atomic::{AtomicU32, Ordering};
+use chordal_runtime::Published;
+use std::sync::atomic::AtomicU32;
 
 /// Owned, reusable scratch buffers for one extraction at a time.
 ///
@@ -27,39 +27,32 @@ use std::sync::atomic::{AtomicU32, Ordering};
 /// convenience wrapper that pairs a workspace with a configured extractor.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    // --- atomic state used by the parallel extractor -----------------------
-    /// Child-list heads: every vertex waits on the list of its current
-    /// lowest parent.
-    pub(crate) heads: ListHeads,
-    /// The next iteration's child-list heads under the synchronous
-    /// semantics (left empty otherwise).
-    pub(crate) next_heads: ListHeads,
-    /// Child-list links, shared by both head arrays.
-    pub(crate) links: ListLinks,
-    /// Sorted-adjacency parent cursor per vertex (Opt variant).
-    pub(crate) cursor: Vec<AtomicU32>,
+    // --- shared state of the parallel extractor -----------------------------
     /// Published chordal-set length per vertex.
-    pub(crate) clen: Vec<AtomicU32>,
+    pub(crate) clen: Published,
     /// CSR-shaped chordal-neighbour arena (sized by directed edge count).
     pub(crate) cdata: Vec<AtomicU32>,
     /// Copy of the graph's CSR offsets.
     pub(crate) offsets: Vec<usize>,
-    /// Per-vertex queue-membership flags (the next iteration's frontier).
-    pub(crate) flags: Option<AtomicFlags>,
-    /// Per-parent bucket starts of the result's counting sort.
+    /// The Unopt walk's current parent per vertex, under the synchronous
+    /// semantics (left empty otherwise).
+    pub(crate) scan: Vec<AtomicU32>,
+    /// Bucket starts of the parallel extractor's counting sorts: vertices
+    /// by parent count, result edges by parent.
     pub(crate) starts: Vec<usize>,
     // --- plain scratch shared by the serial algorithms and snapshots -------
     /// u32-per-vertex scratch A (the reference extractor's lowest parents).
     pub(crate) ids_a: Vec<VertexId>,
-    /// u32-per-vertex scratch B (frozen chordal-set lengths; per queue
-    /// entry in the parallel extractor).
+    /// u32-per-vertex scratch B (the reference's frozen chordal-set
+    /// lengths; the parallel extractor's distinct-parent stamps).
     pub(crate) ids_b: Vec<u32>,
     /// u32-per-vertex scratch C (the reference extractor's frozen lowest
     /// parents).
     pub(crate) ids_c: Vec<VertexId>,
     /// bool-per-vertex scratch (queue membership / selected marks).
     pub(crate) marks: Vec<bool>,
-    /// Vertex queue A (current iteration / traversal seed order).
+    /// Vertex queue A (current iteration / traversal seed order / the
+    /// parallel extractor's vertices by parent count).
     pub(crate) queue_a: Vec<VertexId>,
     /// Vertex queue B (next iteration).
     pub(crate) queue_b: Vec<VertexId>,
@@ -111,14 +104,10 @@ impl Workspace {
                     .map(|l| l.capacity() * size_of::<VertexId>())
                     .sum::<usize>()
         };
-        self.heads.allocated_bytes()
-            + self.next_heads.allocated_bytes()
-            + self.links.allocated_bytes()
-            + vec_bytes(self.cursor.capacity(), size_of::<AtomicU32>())
-            + vec_bytes(self.clen.capacity(), size_of::<AtomicU32>())
+        self.clen.allocated_bytes()
             + vec_bytes(self.cdata.capacity(), size_of::<AtomicU32>())
             + vec_bytes(self.offsets.capacity(), size_of::<usize>())
-            + self.flags.as_ref().map_or(0, |f| f.allocated_bytes())
+            + vec_bytes(self.scan.capacity(), size_of::<AtomicU32>())
             + vec_bytes(self.starts.capacity(), size_of::<usize>())
             + vec_bytes(self.ids_a.capacity(), size_of::<VertexId>())
             + vec_bytes(self.ids_b.capacity(), size_of::<u32>())
@@ -171,86 +160,36 @@ impl Workspace {
         &mut self.subs[..count]
     }
 
-    /// Resets and sizes the atomic per-vertex state for a graph with `n`
-    /// vertices and `directed_edges` directed edges. Child lists start
-    /// empty (`next_lists` also sizes the second head array), cursors and
-    /// chordal-set lengths at zero; the arena is left untouched (its live
-    /// prefix is defined by `clen`).
-    #[cfg(test)]
-    pub(crate) fn prepare_atomic(
-        &mut self,
-        n: usize,
-        directed_edges: usize,
-        offsets: &[usize],
-        next_lists: bool,
-    ) {
-        self.prepare_atomic_arrays(n, directed_edges, next_lists);
-        self.offsets.clear();
-        if self.offsets.capacity() < offsets.len() {
-            self.allocations += 1;
-        }
-        self.offsets.extend_from_slice(offsets);
-        self.prepare_flags(n);
-    }
-
-    /// [`Workspace::prepare_atomic`] driven directly by a [`GraphRef`].
-    /// Both heap and mmap-backed graphs fill the copy through
-    /// [`GraphRef::adjacency_start`] — heap graphs store offsets at the
+    /// Sizes the parallel extractor's shared state for `graph` and resets
+    /// every published set length to `clen` ([`chordal_runtime::publish::UNPUBLISHED`]
+    /// for the asynchronous pass, 0 for the synchronous iterations). The
+    /// arena is left untouched: its live prefix is defined by the lengths.
+    /// `scan` also sizes the Unopt walk positions. Heap and mmap-backed
+    /// graphs both fill the offsets copy through
+    /// [`GraphRef::adjacency_start`]: heap graphs store offsets at the
     /// compact width ([`chordal_graph::layout`]), so neither representation
     /// has a `&[usize]` slice to hand over wholesale.
-    pub(crate) fn prepare_atomic_from(&mut self, graph: GraphRef<'_>, next_lists: bool) {
+    pub(crate) fn prepare_pull(&mut self, graph: GraphRef<'_>, clen: u32, scan: bool) {
         let n = graph.num_vertices();
-        self.prepare_atomic_arrays(n, graph.num_directed_edges(), next_lists);
+        let directed_edges = graph.num_directed_edges();
+        let mut grew = self.clen.reset(n, clen);
+        if self.cdata.len() < directed_edges {
+            grew = true;
+            self.cdata.resize_with(directed_edges, || AtomicU32::new(0));
+        }
+        if scan && self.scan.len() < n {
+            grew = true;
+            self.scan.resize_with(n, || AtomicU32::new(NO_VERTEX));
+        }
         self.offsets.clear();
         if self.offsets.capacity() < n + 1 {
-            self.allocations += 1;
+            grew = true;
         }
         self.offsets
             .extend((0..=n).map(|i| graph.adjacency_start(i)));
-        self.prepare_flags(n);
-    }
-
-    fn prepare_atomic_arrays(&mut self, n: usize, directed_edges: usize, next_lists: bool) {
-        if self.cursor.len() < n {
-            self.allocations += 1;
-            self.cursor.resize_with(n, || AtomicU32::new(0));
-            self.clen.resize_with(n, || AtomicU32::new(0));
-        }
-        for i in 0..n {
-            self.cursor[i].store(0, Ordering::Relaxed);
-            self.clen[i].store(0, Ordering::Relaxed);
-        }
-        let mut grew = self.heads.reset(n);
-        grew |= self.links.reserve(n);
-        if next_lists {
-            grew |= self.next_heads.reset(n);
-        }
         if grew {
             self.allocations += 1;
         }
-        if self.cdata.len() < directed_edges {
-            self.allocations += 1;
-            self.cdata.resize_with(directed_edges, || AtomicU32::new(0));
-        }
-    }
-
-    fn prepare_flags(&mut self, n: usize) {
-        match &self.flags {
-            Some(flags) if flags.len() >= n => flags.clear_all(),
-            _ => {
-                self.allocations += 1;
-                self.flags = Some(AtomicFlags::new(n));
-            }
-        }
-    }
-
-    /// The prepared queue-membership flags.
-    ///
-    /// # Panics
-    /// Panics if [`Workspace::prepare_atomic_from`] has not run for this
-    /// extraction.
-    pub(crate) fn flags(&self) -> &AtomicFlags {
-        self.flags.as_ref().expect("workspace flags not prepared")
     }
 
     /// Resets and sizes the plain per-vertex scratch (`ids_a`, `marks`,
@@ -292,6 +231,7 @@ impl Workspace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chordal_runtime::publish::UNPUBLISHED;
 
     #[test]
     fn fresh_workspace_has_no_allocations() {
@@ -300,56 +240,62 @@ mod tests {
         assert_eq!(ws.allocated_bytes(), 0);
     }
 
+    fn star(leaves: u32) -> chordal_graph::CsrGraph {
+        chordal_graph::builder::graph_from_edges(
+            leaves as usize + 1,
+            (1..=leaves).map(|v| (0, v)).collect::<Vec<_>>(),
+        )
+    }
+
     #[test]
     fn allocated_bytes_tracks_growth_and_stays_flat_on_reuse() {
         let mut ws = Workspace::new();
-        ws.prepare_atomic(64, 256, &vec![0usize; 65], false);
+        let small = star(63);
+        ws.prepare_pull((&small).into(), 0, false);
         ws.prepare_plain(64);
         let bytes = ws.allocated_bytes();
-        // At minimum the per-vertex atomic arrays (heads, links, cursors,
-        // lengths), the arena and the offsets copy.
-        assert!(bytes >= 64 * 4 * 4 + 256 * 4 + 65 * 8, "bytes {bytes}");
-        ws.prepare_atomic(64, 256, &vec![0usize; 65], false);
+        // At minimum the published lengths, the arena and the offsets copy.
+        assert!(bytes >= 64 * 4 + 126 * 4 + 65 * 8, "bytes {bytes}");
+        ws.prepare_pull((&small).into(), 0, false);
         ws.prepare_plain(64);
         assert_eq!(ws.allocated_bytes(), bytes, "same shape must stay flat");
-        ws.prepare_atomic(64, 256, &vec![0usize; 65], true);
+        ws.prepare_pull((&small).into(), 0, true);
         assert!(
             ws.allocated_bytes() >= bytes + 64 * 4,
-            "the second head array must be counted"
+            "the Unopt walk positions must be counted"
         );
-        ws.prepare_atomic(128, 512, &vec![0usize; 129], false);
+        ws.prepare_pull((&star(127)).into(), 0, false);
         assert!(ws.allocated_bytes() > bytes, "growth must be visible");
     }
 
     #[test]
-    fn prepare_atomic_grows_once_per_shape() {
+    fn prepare_pull_grows_once_per_shape() {
         let mut ws = Workspace::new();
-        let offsets = vec![0usize, 2, 4];
-        ws.prepare_atomic(2, 4, &offsets, true);
+        let graph = star(2);
+        ws.prepare_pull((&graph).into(), 0, true);
         let first = ws.allocations();
         assert!(first > 0);
-        ws.prepare_atomic(2, 4, &offsets, true);
-        ws.prepare_atomic(2, 4, &offsets, false);
+        ws.prepare_pull((&graph).into(), 0, true);
+        ws.prepare_pull((&graph).into(), UNPUBLISHED, false);
         assert_eq!(ws.allocations(), first, "same shape must not reallocate");
-        ws.prepare_atomic(3, 8, &[0, 2, 4, 8], false);
+        ws.prepare_pull((&star(5)).into(), 0, false);
         assert!(ws.allocations() > first, "growth must be counted");
     }
 
     #[test]
-    fn prepare_atomic_resets_state() {
+    fn prepare_pull_resets_the_published_lengths() {
         let mut ws = Workspace::new();
-        ws.prepare_atomic(2, 2, &[0, 1, 2], true);
-        ws.heads.push(&ws.links, 0, 1);
-        ws.next_heads.push(&ws.links, 1, 0);
-        ws.cursor[0].store(7, Ordering::Relaxed);
-        ws.clen[1].store(9, Ordering::Relaxed);
-        ws.flags().test_and_set(1);
-        ws.prepare_atomic(2, 2, &[0, 1, 2], true);
-        assert_eq!(ws.heads.take(&ws.links, 0).count(), 0);
-        assert_eq!(ws.next_heads.take(&ws.links, 1).count(), 0);
-        assert_eq!(ws.cursor[0].load(Ordering::Relaxed), 0);
-        assert_eq!(ws.clen[1].load(Ordering::Relaxed), 0);
-        assert!(ws.flags().test_and_set(1), "flags must have been cleared");
+        let graph = star(2);
+        ws.prepare_pull((&graph).into(), UNPUBLISHED, false);
+        ws.clen.publish(1, 9);
+        ws.prepare_pull((&graph).into(), 0, false);
+        assert_eq!(
+            (0..3).map(|v| ws.clen.get_mut(v)).collect::<Vec<_>>(),
+            [0; 3]
+        );
+        ws.prepare_pull((&graph).into(), UNPUBLISHED, false);
+        assert_eq!(ws.clen.load(1), UNPUBLISHED);
+        assert_eq!(&ws.offsets, &[0, 2, 3, 4]);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! The ICPP 2012 paper evaluates its algorithm on two very different
 //! shared-memory machines: a Cray XMT (massive fine-grained multithreading,
-//! 100+ hardware streams per processor, dynamic interleaved scheduling) and a
-//! 48-core AMD Magny-Cours (conventional cache-based multicore). Those are
-//! machines, not schedulers: on both, Algorithm 1 needs one parallel
-//! primitive — participants draining the current queue through one shared
+//! 100+ hardware streams per processor, dynamic interleaved scheduling,
+//! full/empty bits on every word) and a 48-core AMD Magny-Cours
+//! (conventional cache-based multicore). Those are machines, not
+//! schedulers: on both, Algorithm 1 needs one parallel primitive —
+//! participants claiming pieces of an index range through one shared
 //! cursor. This crate provides that primitive plus a serial reference:
 //!
 //! * [`Engine::Pool`] — dynamic self-scheduling on the workspace's single
@@ -22,17 +23,19 @@
 //!   baselines and determinism tests.
 //!
 //! Both engines present the same `parallel_for` interface, so the algorithm
-//! in `chordal-core` is written once. The pool is sized by
+//! in `chordal-core` is written once. The [`publish`] module adds the one
+//! cross-task wait Algorithm 1 needs, the software form of the XMT's
+//! full/empty bits: a release store of a value, an acquire wait for it, and
+//! a doacross loop whose participants claim small pieces in ascending order
+//! and wait only on smaller indices. The pool is sized by
 //! `CHORDAL_POOL_THREADS` (default: all logical CPUs); an engine's thread
 //! count bounds how many of those workers one of its regions may occupy.
 
 #![deny(missing_docs)]
 
-pub mod flags;
-pub mod lists;
+pub mod publish;
 
-pub use flags::AtomicFlags;
-pub use lists::{ListHeads, ListLinks};
+pub use publish::Published;
 
 use std::ops::Range;
 
@@ -211,7 +214,7 @@ pub fn pool_size() -> usize {
 }
 
 // Gated out under `chordal_model`: these tests drive the real pool, whose
-// atomics resolve to the checker facade there (see `lists::model_tests`).
+// atomics resolve to the checker facade there (see `publish::model_tests`).
 #[cfg(all(test, not(chordal_model)))]
 mod tests {
     use super::*;

@@ -1,13 +1,16 @@
-//! Golden outputs of Algorithm 1 under the default (asynchronous) semantics
-//! on the serial engine, where the sweep is deterministic.
+//! Golden outputs of Algorithm 1 under the default (asynchronous)
+//! semantics: one ascending pull pass, whose output does not depend on the
+//! engine.
 //!
-//! The synchronous semantics is checked against the reference oracle
-//! elsewhere; the asynchronous one has no oracle, so these values lock it
-//! instead: iteration count, per-iteration queue sizes, `|EC|` and an
-//! FNV-1a hash of the sorted edge list, for RMAT-ER/G/B at scale 12 and two
-//! gene networks. A change to the sweep's data structures must reproduce
-//! them exactly; a change to its semantics must update them on purpose.
+//! The synchronous semantics is checked against its reference oracle
+//! elsewhere. These values lock the asynchronous one: iteration count,
+//! queue sizes, `|EC|` and an FNV-1a hash of the sorted edge list, for
+//! RMAT-ER/G/B at scale 12 and two gene networks. They were recorded from
+//! the serial pull oracle `extract_pull_reference`, which shares no code
+//! with the extractor but the subset kernel, and the first test checks the
+//! oracle still reproduces them.
 
+use maximal_chordal::core::reference::extract_pull_reference;
 use maximal_chordal::prelude::*;
 
 /// FNV-1a over the little-endian bytes of every `(u, v)` pair.
@@ -36,53 +39,42 @@ fn goldens() -> Vec<Golden> {
         Golden {
             name: "RMAT-ER(12)",
             graph: RmatParams::preset(RmatKind::Er, 12, 1).generate(),
-            iterations: 13,
-            queue_sizes: &[831, 1548, 1700, 1503, 1223, 824, 432, 147, 51, 19, 12, 5, 2],
+            iterations: 1,
+            queue_sizes: &[3839],
             chordal_edges: 3911,
             hash: 0xce28_f537_491e_57b1,
         },
         Golden {
             name: "RMAT-G(12)",
             graph: RmatParams::preset(RmatKind::G, 12, 1).generate(),
-            iterations: 15,
-            queue_sizes: &[
-                1153, 2163, 2319, 1520, 662, 206, 65, 27, 15, 10, 7, 4, 2, 2, 2,
-            ],
-            chordal_edges: 4523,
-            hash: 0xd8d1_86cd_f8ec_9b30,
+            iterations: 1,
+            queue_sizes: &[3625],
+            chordal_edges: 4525,
+            hash: 0xa6e4_6529_3892_96d7,
         },
         Golden {
             name: "RMAT-B(12)",
             graph: RmatParams::preset(RmatKind::B, 12, 1).generate(),
-            iterations: 39,
-            queue_sizes: &[
-                961, 1635, 1693, 989, 426, 136, 62, 42, 27, 21, 16, 13, 12, 11, 9, 6, 5, 5, 4, 4,
-                4, 3, 3, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
-            ],
-            chordal_edges: 5511,
-            hash: 0x1953_83be_7b56_b71f,
+            iterations: 1,
+            queue_sizes: &[2566],
+            chordal_edges: 5516,
+            hash: 0xf5e2_5a96_f752_3c1c,
         },
         Golden {
             name: "GSE5140(UNT)",
             graph: GeneNetworkKind::Gse5140Unt.network(1000, 3),
-            iterations: 25,
-            queue_sizes: &[
-                162, 258, 252, 189, 123, 76, 53, 42, 31, 23, 20, 20, 17, 12, 9, 12, 9, 6, 6, 7, 5,
-                3, 2, 1, 1,
-            ],
-            chordal_edges: 1455,
-            hash: 0xb810_ba21_79b6_c42a,
+            iterations: 1,
+            queue_sizes: &[584],
+            chordal_edges: 1560,
+            hash: 0x0f33_0cc8_1ab9_19b0,
         },
         Golden {
             name: "GSE17072(NON)",
             graph: GeneNetworkKind::Gse17072Non.network(1000, 3),
-            iterations: 27,
-            queue_sizes: &[
-                104, 171, 169, 144, 106, 57, 51, 49, 41, 36, 19, 10, 10, 8, 5, 3, 2, 2, 1, 1, 1, 1,
-                1, 1, 1, 1, 1,
-            ],
-            chordal_edges: 1637,
-            hash: 0xfa83_a2a5_327f_feb8,
+            iterations: 1,
+            queue_sizes: &[468],
+            chordal_edges: 1908,
+            hash: 0x9d4c_8a07_7c3e_2455,
         },
     ]
 }
@@ -97,6 +89,12 @@ fn serial_config() -> ExtractorConfig {
 fn serial_asynchronous_outputs_match_the_golden_values() {
     for golden in goldens() {
         let result = ExtractionSession::new(serial_config()).extract(&golden.graph);
+        assert_eq!(
+            result,
+            extract_pull_reference(&golden.graph, true),
+            "{}: extractor and oracle",
+            golden.name
+        );
         let stats = result.stats.as_ref().expect("stats requested");
         let name = golden.name;
         assert_eq!(result.iterations, golden.iterations, "{name}: iterations");
@@ -123,12 +121,11 @@ fn unopt_walk_reproduces_the_opt_output_on_scrambled_adjacency() {
     }
 }
 
-/// The two-thread engine whose grain exceeds every queue and vertex count:
-/// each region of the shared sweep runs inline on the caller, in ascending
-/// order, so it follows the owner sweep's schedule through the concurrent
-/// protocol.
-fn inline_shared_engine() -> Engine {
-    Engine::chunked_with_grain(2, usize::MAX)
+/// The doacross engines: two participants at the default grain, and three
+/// at grain 1, which makes every synchronous iteration's region claim one
+/// vertex at a time.
+fn doacross_engines() -> [Engine; 2] {
+    [Engine::chunked(2), Engine::chunked_with_grain(3, 1)]
 }
 
 /// Every combination of semantics and adjacency mode, each with the graph
@@ -151,39 +148,41 @@ fn modes(golden: &Golden) -> Vec<(ExtractorConfig, CsrGraph)> {
 }
 
 #[test]
-fn owner_sweep_matches_the_shared_sweep_run_inline() {
-    // `Engine::serial()` runs the owner sweep; the inline two-thread engine
-    // runs the shared one. Results compare stats included.
+fn serial_pass_matches_the_doacross() {
+    // `Engine::serial()` runs the pass as one plain loop; the pool engines
+    // run the asynchronous pass as a doacross and each synchronous
+    // iteration as one region. Results compare stats included.
     for golden in goldens() {
         for (config, graph) in modes(&golden) {
-            let owner = ExtractionSession::new(config.clone()).extract(&graph);
-            let shared = ExtractionSession::new(config.clone().with_engine(inline_shared_engine()))
-                .extract(&graph);
-            assert_eq!(
-                owner, shared,
-                "{}: {:?} {:?}",
-                golden.name, config.semantics, config.adjacency
-            );
+            let serial = ExtractionSession::new(config.clone()).extract(&graph);
+            for engine in doacross_engines() {
+                let pooled =
+                    ExtractionSession::new(config.clone().with_engine(engine)).extract(&graph);
+                assert_eq!(
+                    serial, pooled,
+                    "{}: {engine:?} {:?} {:?}",
+                    golden.name, config.semantics, config.adjacency
+                );
+            }
         }
     }
 }
 
 #[test]
-fn owner_and_shared_sweeps_alternate_on_one_workspace() {
-    // Each mode must leave the workspace's lists empty and flags clear for
-    // the other: alternating them on one workspace reproduces fresh runs,
-    // and a second pass over the same graphs allocates nothing.
+fn serial_pass_and_doacross_alternate_on_one_workspace() {
+    // Each engine must leave the workspace ready for the others: alternating
+    // them on one workspace reproduces fresh runs, and a second pass over
+    // the same graphs allocates nothing.
     let mut workspace = maximal_chordal::core::Workspace::new();
     let mut warm = None;
     for _pass in 0..2 {
         for golden in goldens() {
             for (config, graph) in modes(&golden) {
-                let owner = MaximalChordalExtractor::new(config.clone());
-                let shared = MaximalChordalExtractor::new(
-                    config.clone().with_engine(inline_shared_engine()),
-                );
-                let fresh = owner.extract(&graph);
-                for extractor in [&owner, &shared] {
+                let serial = MaximalChordalExtractor::new(config.clone());
+                let fresh = serial.extract(&graph);
+                let [two, three] = doacross_engines()
+                    .map(|e| MaximalChordalExtractor::new(config.clone().with_engine(e)));
+                for extractor in [&serial, &two, &three, &serial] {
                     let reused = extractor.extract_into((&graph).into(), &mut workspace);
                     assert_eq!(
                         reused,
@@ -203,5 +202,36 @@ fn owner_and_shared_sweeps_alternate_on_one_workspace() {
             allocations,
             "graphs the workspace has seen must not grow it"
         );
+    }
+}
+
+#[test]
+fn asynchronous_outputs_are_identical_across_engines_and_runs() {
+    // Every subset test of the pass reads its parent's final set, so the
+    // output cannot depend on the participants or their schedule. The
+    // CHORDAL_POOL_THREADS matrix runs this with pools of 1, 2 and 8
+    // workers.
+    let mut graphs: Vec<(String, CsrGraph)> = Vec::new();
+    for scale in 12..=14 {
+        for kind in [RmatKind::Er, RmatKind::G, RmatKind::B] {
+            let graph = RmatParams::preset(kind, scale, 1).generate();
+            graphs.push((format!("{}({scale})", kind.name()), graph));
+        }
+    }
+    for kind in GeneNetworkKind::all() {
+        graphs.push((kind.name().to_string(), kind.network(1000, 1)));
+    }
+    for (name, graph) in &graphs {
+        let expected = ExtractionSession::new(serial_config()).extract(graph);
+        for engine in [Engine::serial(), Engine::chunked(2), Engine::chunked(8)] {
+            let mut session = ExtractionSession::new(serial_config().with_engine(engine));
+            for run in 0..2 {
+                assert_eq!(
+                    session.extract(graph),
+                    expected,
+                    "{name}: {engine:?}, run {run}"
+                );
+            }
+        }
     }
 }

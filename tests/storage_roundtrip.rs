@@ -91,10 +91,9 @@ fn every_algorithm_is_byte_identical_on_mmap_and_heap() {
         let disk = DiskPair::create(tag, &graph);
         let mapped = disk.mmap();
         for algorithm in Algorithm::ALL {
-            // Both adjacency variants of the deterministic serial engine;
-            // parallel engines are covered (with determinism caveats) by
-            // the conformance suite — here the contract under test is the
-            // storage seam, so results must match bit for bit.
+            // Both adjacency variants on the serial engine; parallel engines
+            // are covered by the conformance suite — here the contract under
+            // test is the storage seam, so results must match bit for bit.
             for variant in [AdjacencyMode::Sorted, AdjacencyMode::Unsorted] {
                 let config = ExtractorConfig::default()
                     .with_algorithm(algorithm)

@@ -5,7 +5,8 @@
 //! chordality ([`Algorithm::guarantees_chordal`]), maximality
 //! ([`Algorithm::guarantees_maximal`]), and that reusing a session's
 //! [`Workspace`](maximal_chordal::core::Workspace) across consecutive runs
-//! yields exactly what fresh runs yield.
+//! yields exactly what fresh runs yield. Every cell is deterministic, the
+//! asynchronous pool cells included.
 
 use maximal_chordal::core::verify::{check_maximality, MaximalityReport};
 use maximal_chordal::prelude::*;
@@ -106,15 +107,12 @@ fn every_algorithm_engine_semantics_cell_honours_its_guarantees() {
 
 #[test]
 fn workspace_reuse_across_consecutive_runs_equals_fresh_runs() {
-    // For every deterministic cell of the matrix: run the same session
-    // twice back to back (second run reuses the grown workspace) and once
-    // with a fresh session; all three must agree bit for bit, and the
-    // reused workspace must not allocate again.
+    // For every cell of the matrix: run the same session twice back to back
+    // (second run reuses the grown workspace) and once with a fresh
+    // session; all three must agree bit for bit, and the reused workspace
+    // must not allocate again.
     for (name, graph) in workloads() {
         for (label, config) in matrix() {
-            if !config.algorithm.is_deterministic(&config) {
-                continue;
-            }
             let mut session = ExtractionSession::new(config.clone());
             let first = session.extract(&graph);
             let allocations = session.workspace().allocations();
@@ -128,27 +126,6 @@ fn workspace_reuse_across_consecutive_runs_equals_fresh_runs() {
                 allocations,
                 "{name} {label}: rerun on the same graph must not allocate"
             );
-        }
-    }
-}
-
-#[test]
-fn nondeterministic_cells_still_produce_valid_output_on_reuse() {
-    // Asynchronous parallel runs may legally differ between schedules, but
-    // a reused workspace must never corrupt the invariants.
-    let graph = RmatParams::preset(RmatKind::B, 8, 29).generate();
-    let config = ExtractorConfig::default()
-        .with_engine(Engine::chunked(4))
-        .with_semantics(Semantics::Asynchronous);
-    let mut session = ExtractionSession::new(config);
-    for round in 0..3 {
-        let result = session.extract(&graph);
-        assert!(
-            is_chordal(&result.subgraph(&graph)),
-            "round {round}: non-chordal"
-        );
-        for &(u, v) in result.edges() {
-            assert!(graph.has_edge(u, v), "round {round}");
         }
     }
 }
@@ -182,30 +159,27 @@ fn batch_extraction_covers_every_algorithm() {
     for algorithm in Algorithm::ALL {
         let config = ExtractorConfig::default()
             .with_algorithm(algorithm)
-            .with_engine(Engine::chunked(3))
-            .with_semantics(Semantics::Synchronous);
+            .with_engine(Engine::chunked(3));
         let batch = ExtractionSession::new(config.clone()).extract_batch(&refs);
         assert_eq!(batch.len(), graphs.len(), "{algorithm}");
-        // Deterministic algorithms must match their single-graph runs
-        // slot for slot. The comparison config pins the partition count to
-        // what the batch resolved it to (one per configured-engine worker),
-        // mirroring extract_batch's documented semantics.
-        if algorithm.is_deterministic(&config) {
-            let serial_config = config
-                .clone()
-                .with_partitions(
-                    config.effective_partitions(),
-                    maximal_chordal::core::partitioned::PartitionStrategy::Blocks,
-                )
-                .with_engine(Engine::serial());
-            let mut single = ExtractionSession::new(serial_config);
-            for (graph, from_batch) in graphs.iter().zip(&batch) {
-                assert_eq!(
-                    single.extract(graph).edges(),
-                    from_batch.edges(),
-                    "{algorithm}"
-                );
-            }
+        // Every algorithm must match its single-graph runs slot for slot.
+        // The comparison config pins the partition count to what the batch
+        // resolved it to (one per configured-engine worker), mirroring
+        // extract_batch's documented semantics.
+        let serial_config = config
+            .clone()
+            .with_partitions(
+                config.effective_partitions(),
+                maximal_chordal::core::partitioned::PartitionStrategy::Blocks,
+            )
+            .with_engine(Engine::serial());
+        let mut single = ExtractionSession::new(serial_config);
+        for (graph, from_batch) in graphs.iter().zip(&batch) {
+            assert_eq!(
+                single.extract(graph).edges(),
+                from_batch.edges(),
+                "{algorithm}"
+            );
         }
     }
 }
