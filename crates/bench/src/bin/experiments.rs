@@ -17,7 +17,7 @@
 //!   scheduler         Batch-scheduling policy ablation (pool counters)
 //!   repair            Maximality-repair strategy ablation (incremental vs scratch)
 //!   storage           Cold-start ablation: text re-parse vs binary mmap reload
-//!   kernels           Intersection-kernel ablation: merge/gallop/adaptive x skew x layout
+//!   kernels           Intersection-kernel ablation: merge/gallop/adaptive x skew
 //!   serving           Closed-loop load against the resident extraction service
 //!   all               Run everything above in order
 //!

@@ -1,5 +1,5 @@
 //! Per-kernel intersection ablation: merge vs gallop vs adaptive across
-//! degree-skew families, and compact vs wide offsets on a graph sweep.
+//! degree-skew families.
 //!
 //! The extraction stack's hot predicates (triangle tests, subset checks,
 //! separator searches — see [`chordal_core::kernels`]) all reduce to
@@ -9,24 +9,20 @@
 //! once one side dwarfs the other, and the adaptive entry point switches
 //! between them at [`chordal_core::kernels::GALLOP_RATIO`]. This
 //! experiment measures all three variants on synthetic sorted-list
-//! families spanning the skew spectrum (uniform, 16×, 256×, needle), plus
-//! the end-to-end effect of the hot/cold CSR layout: the same triangle
-//! sweep over one R-MAT graph with compact (`u32`) and wide (`usize`)
-//! offset arrays.
+//! families spanning the skew spectrum (uniform, 16×, 256×, needle).
 //!
 //! Each [`KernelPoint`] records `ns_per_edge` (nanoseconds per input
 //! element) and a `bytes_touched` estimate, so the ablation JSON shows
 //! both the time and the traffic story. The `matches` checksum is asserted
-//! identical across variants and layouts of the same family — the
-//! ablation never trades correctness.
+//! identical across the variants of a family — the ablation never trades
+//! correctness.
 
 use super::HarnessOptions;
 use crate::records::KernelPoint;
 use chordal_core::kernels::{
     intersect_count, intersect_count_gallop, intersect_count_merge, GALLOP_RATIO,
 };
-use chordal_generators::rmat::{RmatKind, RmatParams};
-use chordal_graph::{CsrGraph, VertexId};
+use chordal_graph::VertexId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -97,8 +93,7 @@ fn bytes_estimate(variant: &str, len_small: usize, len_large: usize) -> u64 {
 /// An intersection-count kernel under test.
 type CountKernel = fn(&[VertexId], &[VertexId]) -> usize;
 
-/// Runs the ablation and returns one point per (family, variant) plus one
-/// per offset layout.
+/// Runs the ablation and returns one point per (family, variant).
 pub fn run(options: &HarnessOptions) -> Vec<KernelPoint> {
     let repeats = options.repeats.max(1);
     let pairs = if options.quick { 8 } else { 32 };
@@ -139,7 +134,6 @@ pub fn run(options: &HarnessOptions) -> Vec<KernelPoint> {
                 experiment: "kernels".to_string(),
                 family: family.name.to_string(),
                 variant: variant.to_string(),
-                layout: "flat".to_string(),
                 len_small: family.len_small,
                 len_large: family.len_large,
                 pairs,
@@ -153,56 +147,8 @@ pub fn run(options: &HarnessOptions) -> Vec<KernelPoint> {
         }
     }
 
-    // Compact vs wide offsets, measured end to end: the adaptive kernel
-    // inside a full triangle sweep, where every neighbor-slice lookup goes
-    // through the offset array whose width is under test.
-    let scale = if options.quick {
-        options.rmat_scale.min(9)
-    } else {
-        options.rmat_scale.min(14)
-    };
-    let compact = RmatParams::preset(RmatKind::B, scale, crate::workloads::SUITE_SEED).generate();
-    let wide = compact.with_wide_offsets();
-    let graph_layouts: [(&str, &CsrGraph); 2] = [("compact", &compact), ("wide", &wide)];
-    for (layout, graph) in graph_layouts {
-        let mut best = f64::MAX;
-        let mut matches = 0u64;
-        let mut elements = 0u64;
-        for _ in 0..repeats {
-            let start = std::time::Instant::now();
-            let mut total = 0usize;
-            let mut touched = 0u64;
-            for v in 0..graph.num_vertices() {
-                let neigh = graph.neighbors(v as VertexId);
-                for (i, &a) in neigh.iter().enumerate() {
-                    let rest = &neigh[i + 1..];
-                    let other = graph.neighbors(a);
-                    total += intersect_count(rest, other);
-                    touched += (rest.len() + other.len()) as u64;
-                }
-            }
-            best = best.min(start.elapsed().as_secs_f64());
-            matches = total as u64;
-            elements = touched;
-        }
-        points.push(KernelPoint {
-            experiment: "kernels".to_string(),
-            family: format!("rmat-b({scale})"),
-            variant: "adaptive".to_string(),
-            layout: layout.to_string(),
-            len_small: 0,
-            len_large: 0,
-            pairs: graph.num_vertices(),
-            elements,
-            seconds: best,
-            ns_per_edge: best * 1e9 / elements.max(1) as f64,
-            bytes_touched: elements * 4,
-            matches,
-        });
-    }
-
-    // Checksum locks: every variant of a family, and both layouts of the
-    // graph sweep, must count the same intersections.
+    // Checksum lock: every variant of a family must count the same
+    // intersections.
     for family in points
         .iter()
         .map(|p| p.family.clone())
@@ -212,8 +158,8 @@ pub fn run(options: &HarnessOptions) -> Vec<KernelPoint> {
         for p in &in_family[1..] {
             assert_eq!(
                 p.matches, in_family[0].matches,
-                "{family}: {}/{} disagrees with {}/{}",
-                p.variant, p.layout, in_family[0].variant, in_family[0].layout
+                "{family}: {} disagrees with {}",
+                p.variant, in_family[0].variant
             );
         }
     }
@@ -222,18 +168,17 @@ pub fn run(options: &HarnessOptions) -> Vec<KernelPoint> {
 
 /// Runs the ablation with printing and record output.
 pub fn run_and_print(options: &HarnessOptions) -> Vec<KernelPoint> {
-    println!("Intersection kernels: merge vs gallop vs adaptive; compact vs wide offsets");
+    println!("Intersection kernels: merge vs gallop vs adaptive");
     let points = run(options);
     println!(
-        "  {:<14} {:>8} {:>8} {:>9} {:>9} {:>12} {:>10} {:>14}",
-        "family", "variant", "layout", "small", "large", "ns/edge", "matches", "bytes-touched"
+        "  {:<14} {:>8} {:>9} {:>9} {:>12} {:>10} {:>14}",
+        "family", "variant", "small", "large", "ns/edge", "matches", "bytes-touched"
     );
     for p in &points {
         println!(
-            "  {:<14} {:>8} {:>8} {:>9} {:>9} {:>12.3} {:>10} {:>14}",
+            "  {:<14} {:>8} {:>9} {:>9} {:>12.3} {:>10} {:>14}",
             p.family,
             p.variant,
-            p.layout,
             p.len_small,
             p.len_large,
             p.ns_per_edge,
@@ -266,11 +211,11 @@ mod tests {
     use crate::json::ToJson;
 
     #[test]
-    fn ablation_covers_every_family_variant_and_layout() {
+    fn ablation_covers_every_family_and_variant() {
         let options = HarnessOptions::tiny();
         let points = run(&options);
-        // 4 synthetic families x 3 variants + 2 graph layouts.
-        assert_eq!(points.len(), 14);
+        // 4 synthetic families x 3 variants.
+        assert_eq!(points.len(), 12);
         for family in ["uniform", "skewed-16x", "skewed-256x", "needle"] {
             let of_family: Vec<_> = points.iter().filter(|p| p.family == family).collect();
             assert_eq!(of_family.len(), 3, "{family}");
@@ -282,11 +227,6 @@ mod tests {
                 assert!(p.to_json().contains("\"experiment\":\"kernels\""));
             }
         }
-        let layouts: Vec<_> = points.iter().filter(|p| p.layout != "flat").collect();
-        assert_eq!(layouts.len(), 2);
-        assert_eq!(layouts[0].matches, layouts[1].matches);
-        assert!(layouts.iter().any(|p| p.layout == "compact"));
-        assert!(layouts.iter().any(|p| p.layout == "wide"));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! implementation ablation beyond the paper (the `scheduler` batch-policy
 //! sweep, the `repair` strategy ablation, the `storage` cold-start
 //! comparison of text re-parse vs binary mmap reload, and the `kernels`
-//! intersection-variant × offset-layout sweep). The `experiments`
+//! intersection-variant × skew sweep). The `experiments`
 //! binary
 //! dispatches to these based on its subcommand; the modules are also
 //! exercised directly by the integration tests at reduced sizes.

@@ -89,7 +89,7 @@ pub fn run(options: &HarnessOptions) -> Vec<StoragePoint> {
     }
     let mapped = mapped.expect("at least one binary load");
     assert_eq!(
-        mapped.to_csr_graph(),
+        mapped.view().to_csr_graph(),
         parsed,
         "binary round trip must reproduce the parsed graph exactly"
     );

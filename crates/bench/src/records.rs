@@ -195,26 +195,19 @@ impl_to_json!(StoragePoint {
 });
 
 /// One point of the `kernels` ablation: one intersection variant timed on
-/// one input family (synthetic skewed sorted lists, or a triangle sweep
-/// over a graph in one offset layout).
+/// one input family of synthetic skewed sorted lists.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelPoint {
     /// Experiment id (`"kernels"`).
     pub experiment: String,
     /// Input family (`"uniform"`, `"skewed-16x"`, `"skewed-256x"`,
-    /// `"needle"` for synthetic list pairs; `"rmat-b"` for the graph
-    /// triangle sweep).
+    /// `"needle"`).
     pub family: String,
     /// Intersection kernel (`"merge"`, `"gallop"`, `"adaptive"`).
     pub variant: String,
-    /// Offset layout under test: `"flat"` for synthetic slices (no offsets
-    /// involved), `"compact"` / `"wide"` for the graph sweep.
-    pub layout: String,
-    /// Length of the smaller input list (synthetic families; 0 for graph
-    /// sweeps, where lengths vary per vertex).
+    /// Length of the smaller input list.
     pub len_small: usize,
-    /// Length of the larger input list (synthetic families; 0 for graph
-    /// sweeps).
+    /// Length of the larger input list.
     pub len_large: usize,
     /// Number of intersection calls in the timed sweep.
     pub pairs: usize,
@@ -230,7 +223,7 @@ pub struct KernelPoint {
     /// per element.
     pub bytes_touched: u64,
     /// Total intersection size across the sweep — a determinism checksum
-    /// that must agree across variants and layouts of the same family.
+    /// that must agree across the variants of a family.
     pub matches: u64,
 }
 
@@ -238,7 +231,6 @@ impl_to_json!(KernelPoint {
     experiment,
     family,
     variant,
-    layout,
     len_small,
     len_large,
     pairs,

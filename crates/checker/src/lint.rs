@@ -29,7 +29,7 @@
 //!   `crates/graph/` outside the layout module
 //!   (`crates/graph/src/layout.rs`): graph-index narrowing must go through
 //!   `chordal_graph::layout::narrow_index`, which asserts the value fits
-//!   the compact layout. (`as VertexId` on structurally bounded vertex
+//!   a `u32`. (`as VertexId` on structurally bounded vertex
 //!   loops is the sanctioned idiom and is not matched.)
 
 use std::fmt;

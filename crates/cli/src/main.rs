@@ -23,9 +23,9 @@
 //! Every graph-loading path accepts either a plain-text edge list or the
 //! binary CSR format of [`chordal_graph::storage`]; the format is sniffed
 //! from the magic bytes by default and can be forced with `--format`.
-//! Binary inputs are memory-mapped ([`chordal_graph::MmapCsrGraph`]) and
-//! extracted in place — `convert` produces them from text in bounded
-//! memory via the streaming converter.
+//! Binary inputs are memory-mapped ([`chordal_graph::MmapCsrGraph`]),
+//! verified against their checksum, and extracted in place — `convert`
+//! produces them from text in bounded memory via the streaming converter.
 //!
 //! `batch` drives many input files through
 //! [`ExtractionSession::extract_batch`]: on a parallel engine the files fan
@@ -260,10 +260,18 @@ fn requested_format(flags: &Flags) -> Result<Option<FileFormat>, ExtractError> {
 }
 
 /// Loads a graph in whichever on-disk format it uses: text edge lists
-/// parse into heap CSR, binary CSR files are memory-mapped.
+/// parse into heap CSR, binary CSR files are memory-mapped and pass the
+/// checksum walk of `convert --verify`, which also rejects adjacency
+/// entries past the last vertex before any command indexes with them.
 fn load_input(path: &str, format: Option<FileFormat>) -> Result<LoadedGraph, ExtractError> {
-    chordal_graph::storage::load_graph(path, format)
-        .map_err(|e| ExtractError::io(format!("reading {path}"), e))
+    let loaded = chordal_graph::storage::load_graph(path, format)
+        .map_err(|e| ExtractError::io(format!("reading {path}"), e))?;
+    if let LoadedGraph::Mapped(mapped) = &loaded {
+        mapped
+            .verify_checksum()
+            .map_err(|e| ExtractError::io(format!("verifying {path}"), e))?;
+    }
+    Ok(loaded)
 }
 
 fn cmd_convert(flags: &Flags) -> Result<(), ExtractError> {
@@ -294,8 +302,8 @@ fn cmd_convert(flags: &Flags) -> Result<(), ExtractError> {
         })?;
         println!(
             "verified {output}: header valid, checksum matches ({} vertices, {} edges)",
-            mapped.num_vertices(),
-            mapped.num_edges()
+            mapped.view().num_vertices(),
+            mapped.view().num_edges()
         );
     }
     Ok(())
@@ -566,19 +574,11 @@ fn cmd_analyze(flags: &Flags) -> Result<(), ExtractError> {
     println!("connected components:           {}", components.count);
     println!("already chordal:                {}", is_chordal(&graph));
     let memory = graph.memory_breakdown();
-    println!("memory:");
-    println!("  index width:                  {}", memory.width.label());
     println!(
-        "  hot bytes:                    {} (offsets {}, neighbors {}, flags {})",
-        memory.hot_bytes(),
+        "memory bytes:                   {} (offsets {}, neighbors {})",
+        memory.total_bytes(),
         memory.offsets_bytes,
-        memory.neighbors_bytes,
-        memory.flags_bytes
-    );
-    println!("  cold bytes (materialized):    {}", memory.cold_bytes);
-    println!(
-        "  projected savings vs wide:    {}",
-        memory.projected_savings()
+        memory.neighbors_bytes
     );
     Ok(())
 }

@@ -1,9 +1,9 @@
 //! Branch-light set kernels over sorted neighbor lists.
 //!
 //! Every hot inner loop of the extraction stack reduces to one of three
-//! primitives over ascending, duplicate-free `u32` slices (the hot CSR
-//! arrays of [`chordal_graph::layout`], or the chordal-neighbor arenas the
-//! extractors maintain in the same shape):
+//! primitives over ascending, duplicate-free `u32` slices (the adjacency
+//! lists of a [`chordal_graph::GraphRef`], or the chordal-neighbor arenas
+//! the extractors maintain in the same shape):
 //!
 //! * **intersection** — the triangle checks of the partitioned baseline and
 //!   the clustering analysis ([`intersect_count`], [`intersect_any`]);
@@ -38,9 +38,8 @@
 //! degree-skew families.
 //!
 //! All kernels are pure functions of their slice contents: results do not
-//! depend on layout width (compact vs wide offsets), storage (heap vs
-//! mmap), or thread count, which is what keeps the extractors byte-identical
-//! across the whole configuration matrix.
+//! depend on storage (heap vs mmap) or thread count, which is what keeps
+//! the extractors byte-identical across the whole configuration matrix.
 
 use chordal_graph::VertexId;
 
@@ -251,7 +250,7 @@ where
 /// buffers are never cleared between candidates, only re-stamped.
 ///
 /// Callers: the maximality checker ([`crate::verify`]) over the chordal
-/// subgraph's hot CSR arrays, and the repair maintainer
+/// subgraph's CSR arrays, and the repair maintainer
 /// ([`crate::repair::incremental`]) over its incrementally updated
 /// adjacency lists.
 #[derive(Debug, Default)]

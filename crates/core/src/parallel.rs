@@ -14,7 +14,9 @@
 //! `offsets[p]`, `|C[p]|` and `C[p]`.
 //!
 //! `C[w]` lives in a CSR-shaped arena of [`AtomicU32`] sized by `w`'s
-//! degree; its length sits in a [`Published`] array. Both live in a
+//! degree and indexed through the graph's own offsets
+//! ([`GraphRef::offsets`]), so the pass copies nothing from the graph; its
+//! length sits in a [`Published`] array. Arena and lengths live in a
 //! caller-supplied [`Workspace`] ([`ChordalExtractor::extract_into`]), so
 //! repeated extractions over same-sized graphs reuse the buffers.
 //!
@@ -97,7 +99,6 @@ impl MaximalChordalExtractor {
         let Workspace {
             clen,
             cdata,
-            offsets,
             scan,
             queue_a: order,
             starts,
@@ -107,7 +108,7 @@ impl MaximalChordalExtractor {
         let adjacency = Adjacency {
             mode,
             neighbors: graph.adjacency(),
-            offsets: &offsets[..=n],
+            offsets: graph.offsets(),
         };
         let cdata = &cdata[..graph.num_directed_edges()];
         let pass = Pass {
@@ -158,9 +159,9 @@ impl ChordalExtractor for MaximalChordalExtractor {
 }
 
 /// The graph as the pass reads it: the flat adjacency array through the
-/// workspace's copy of the CSR offsets. A vertex can never have more
-/// chordal neighbours than its degree, so the same offsets place `C[w]` in
-/// the arena.
+/// graph's own CSR offsets. A vertex can never have more chordal
+/// neighbours than its degree, so the same offsets place `C[w]` in the
+/// arena.
 #[derive(Clone, Copy)]
 struct Adjacency<'a> {
     mode: AdjacencyMode,

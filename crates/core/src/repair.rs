@@ -234,7 +234,7 @@ pub(crate) fn repair_with(
 /// or `None` when the edge is not present.
 fn edge_position(graph: GraphRef<'_>, u: VertexId, v: VertexId) -> Option<usize> {
     let neighbors = graph.neighbors(u);
-    let base = graph.adjacency_start(u as usize);
+    let base = graph.offsets()[u as usize];
     if graph.is_sorted() {
         neighbors.binary_search(&v).ok().map(|i| base + i)
     } else {
@@ -269,7 +269,7 @@ fn greedy_repair(
     loop {
         let mut changed = false;
         for u in 0..graph.num_vertices() {
-            let base = graph.adjacency_start(u);
+            let base = graph.offsets()[u];
             let u = u as VertexId;
             for (i, &v) in graph.neighbors(u).iter().enumerate() {
                 if v <= u {

@@ -30,10 +30,9 @@ pub struct Workspace {
     // --- shared state of the parallel extractor -----------------------------
     /// Published chordal-set length per vertex.
     pub(crate) clen: Published,
-    /// CSR-shaped chordal-neighbour arena (sized by directed edge count).
+    /// CSR-shaped chordal-neighbour arena (sized by directed edge count,
+    /// indexed through the graph's own offsets).
     pub(crate) cdata: Vec<AtomicU32>,
-    /// Copy of the graph's CSR offsets.
-    pub(crate) offsets: Vec<usize>,
     /// The Unopt walk's current parent per vertex, under the synchronous
     /// semantics (left empty otherwise).
     pub(crate) scan: Vec<AtomicU32>,
@@ -106,7 +105,6 @@ impl Workspace {
         };
         self.clen.allocated_bytes()
             + vec_bytes(self.cdata.capacity(), size_of::<AtomicU32>())
-            + vec_bytes(self.offsets.capacity(), size_of::<usize>())
             + vec_bytes(self.scan.capacity(), size_of::<AtomicU32>())
             + vec_bytes(self.starts.capacity(), size_of::<usize>())
             + vec_bytes(self.ids_a.capacity(), size_of::<VertexId>())
@@ -164,11 +162,9 @@ impl Workspace {
     /// every published set length to `clen` ([`chordal_runtime::publish::UNPUBLISHED`]
     /// for the asynchronous pass, 0 for the synchronous iterations). The
     /// arena is left untouched: its live prefix is defined by the lengths.
-    /// `scan` also sizes the Unopt walk positions. Heap and mmap-backed
-    /// graphs both fill the offsets copy through
-    /// [`GraphRef::adjacency_start`]: heap graphs store offsets at the
-    /// compact width ([`chordal_graph::layout`]), so neither representation
-    /// has a `&[usize]` slice to hand over wholesale.
+    /// `scan` also sizes the Unopt walk positions. Nothing is copied from
+    /// the graph: the pass reads its offsets and adjacency in place
+    /// ([`GraphRef::offsets`]).
     pub(crate) fn prepare_pull(&mut self, graph: GraphRef<'_>, clen: u32, scan: bool) {
         let n = graph.num_vertices();
         let directed_edges = graph.num_directed_edges();
@@ -181,12 +177,6 @@ impl Workspace {
             grew = true;
             self.scan.resize_with(n, || AtomicU32::new(NO_VERTEX));
         }
-        self.offsets.clear();
-        if self.offsets.capacity() < n + 1 {
-            grew = true;
-        }
-        self.offsets
-            .extend((0..=n).map(|i| graph.adjacency_start(i)));
         if grew {
             self.allocations += 1;
         }
@@ -254,8 +244,8 @@ mod tests {
         ws.prepare_pull((&small).into(), 0, false);
         ws.prepare_plain(64);
         let bytes = ws.allocated_bytes();
-        // At minimum the published lengths, the arena and the offsets copy.
-        assert!(bytes >= 64 * 4 + 126 * 4 + 65 * 8, "bytes {bytes}");
+        // At minimum the published lengths and the arena.
+        assert!(bytes >= 64 * 4 + 126 * 4, "bytes {bytes}");
         ws.prepare_pull((&small).into(), 0, false);
         ws.prepare_plain(64);
         assert_eq!(ws.allocated_bytes(), bytes, "same shape must stay flat");
@@ -295,7 +285,6 @@ mod tests {
         );
         ws.prepare_pull((&graph).into(), UNPUBLISHED, false);
         assert_eq!(ws.clen.load(1), UNPUBLISHED);
-        assert_eq!(&ws.offsets, &[0, 2, 3, 4]);
     }
 
     #[test]

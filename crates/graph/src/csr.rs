@@ -1,7 +1,7 @@
 //! Compressed-sparse-row adjacency structure.
 
-use crate::layout::{ColdCsr, EdgeFlags, HotCsr, IndexWidth, MemoryBreakdown};
-use crate::{EdgeList, GraphError, VertexId};
+use crate::layout::MemoryBreakdown;
+use crate::{Edge, EdgeList, GraphError, GraphRef, VertexId};
 use rayon::prelude::*;
 use std::sync::OnceLock;
 
@@ -13,20 +13,17 @@ use std::sync::OnceLock;
 /// algorithm requires sorted adjacency while the "Unopt" variant operates on
 /// generator-ordered lists.
 ///
-/// Storage follows the hot/cold split of [`crate::layout`]: the traversal
-/// arrays ([`HotCsr`]: offsets at the narrowest sound index width, `u32`
-/// neighbor ids, packed per-edge flags) are separated from lazily
-/// materialized cold metadata ([`ColdCsr`]), so kernels touch only the
-/// bytes they need.
+/// Storage is two vectors, `usize` offsets and `u32` neighbour ids.
+/// [`CsrGraph::view`] lends them as a [`GraphRef`], which implements every
+/// read method once; the read methods here forward to it.
 #[derive(Debug, Clone)]
 pub struct CsrGraph {
-    num_vertices: usize,
-    /// The hot traversal arrays (offsets, neighbors, per-edge flags).
-    hot: HotCsr,
-    /// Lazily materialized cold companion arrays; excluded from equality.
-    cold: ColdCsr,
+    /// `offsets[v]..offsets[v + 1]` is `v`'s range in `neighbors`.
+    offsets: Vec<usize>,
+    /// Neighbor ids, contiguous per vertex.
+    neighbors: Vec<VertexId>,
     sorted: bool,
-    /// Lazily computed cache of [`CsrGraph::num_canonical_edges`]. No
+    /// Lazily computed cache of [`GraphRef::num_canonical_edges`]. No
     /// method changes the stored edge multiset after construction
     /// (`sort_adjacency` and scrambling only permute adjacency lists), so
     /// a computed value never goes stale.
@@ -35,11 +32,9 @@ pub struct CsrGraph {
 
 impl PartialEq for CsrGraph {
     fn eq(&self, other: &Self) -> bool {
-        // The canonical-edge cache and the cold arrays are derived data,
-        // deliberately ignored. Offset comparison is width-agnostic, so a
-        // deliberately widened copy equals the graph it mirrors.
-        self.num_vertices == other.num_vertices
-            && self.hot == other.hot
+        // The canonical-edge cache is derived data, deliberately ignored.
+        self.offsets == other.offsets
+            && self.neighbors == other.neighbors
             && self.sorted == other.sorted
     }
 }
@@ -80,13 +75,7 @@ impl CsrGraph {
             neighbors[cursor[v as usize]] = u;
             cursor[v as usize] += 1;
         }
-        let mut graph = Self {
-            num_vertices,
-            hot: HotCsr::new(offsets, neighbors),
-            cold: ColdCsr::default(),
-            sorted: false,
-            canonical_edges: OnceLock::new(),
-        };
+        let mut graph = Self::from_trusted_parts(offsets, neighbors, false, OnceLock::new());
         graph.sort_adjacency();
         graph
     }
@@ -98,7 +87,7 @@ impl CsrGraph {
     /// valid vertex id. The adjacency is *not* required to be sorted or
     /// symmetric; [`CsrGraph::validate_symmetry`] can check symmetry
     /// separately. Note that the extraction algorithms and
-    /// [`CsrGraph::num_canonical_edges`] assume symmetric adjacency —
+    /// [`GraphRef::num_canonical_edges`] assume symmetric adjacency —
     /// asymmetric input is only suitable for structural inspection.
     pub fn from_parts(
         num_vertices: usize,
@@ -135,176 +124,94 @@ impl CsrGraph {
                 num_vertices: num_vertices as u64,
             });
         }
-        let sorted = (0..num_vertices).all(|v| {
-            let range = offsets[v]..offsets[v + 1];
-            neighbors[range].windows(2).all(|w| w[0] <= w[1])
-        });
-        Ok(Self {
-            num_vertices,
-            hot: HotCsr::new(offsets, neighbors),
-            cold: ColdCsr::default(),
+        let mut graph = Self::from_trusted_parts(offsets, neighbors, false, OnceLock::new());
+        graph.sorted = graph.lists_sorted();
+        Ok(graph)
+    }
+
+    /// Wraps arrays that already hold the CSR invariants, without checks.
+    pub(crate) fn from_trusted_parts(
+        offsets: Vec<usize>,
+        neighbors: Vec<VertexId>,
+        sorted: bool,
+        canonical_edges: OnceLock<usize>,
+    ) -> Self {
+        Self {
+            offsets,
+            neighbors,
             sorted,
-            canonical_edges: OnceLock::new(),
-        })
+            canonical_edges,
+        }
     }
 
     /// An empty graph on `num_vertices` isolated vertices.
     pub fn empty(num_vertices: usize) -> Self {
-        Self {
-            num_vertices,
-            hot: HotCsr::new(vec![0; num_vertices + 1], Vec::new()),
-            cold: ColdCsr::default(),
-            sorted: true,
-            canonical_edges: OnceLock::new(),
-        }
+        Self::from_trusted_parts(vec![0; num_vertices + 1], Vec::new(), true, OnceLock::new())
+    }
+
+    /// The borrowed view every read method forwards to.
+    #[inline]
+    pub fn view(&self) -> GraphRef<'_> {
+        GraphRef::new(
+            &self.offsets,
+            &self.neighbors,
+            self.sorted,
+            &self.canonical_edges,
+        )
     }
 
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.num_vertices
+        self.view().num_vertices()
     }
 
-    /// Number of undirected edges as *half the stored adjacency entries*.
-    ///
-    /// For graphs built through the canonicalising constructors
-    /// ([`CsrGraph::from_edge_list`], [`CsrGraph::from_canonical_edges`]
-    /// with genuinely canonical input) this equals the distinct edge count.
-    /// For raw CSR input ([`CsrGraph::from_parts`]) the adjacency may still
-    /// contain duplicate entries and self loops, which this method counts —
-    /// mirroring [`crate::EdgeList::num_edges`] on a non-canonicalised
-    /// list. Callers making *cost* decisions (e.g. batch placement) should
-    /// use [`CsrGraph::num_canonical_edges`] instead.
+    /// Half the stored adjacency entries; see [`GraphRef::num_edges`].
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.hot.neighbors().len() / 2
+        self.view().num_edges()
     }
 
-    /// Number of *distinct* undirected, non-loop edges — the canonical edge
-    /// count, independent of duplicate adjacency entries or self loops that
-    /// raw [`CsrGraph::from_parts`] input may carry.
-    ///
-    /// This is the contract quantity for workload-size decisions: the batch
-    /// scheduler orders graphs longest first on this count, so a noisy,
-    /// non-canonicalised input cannot be misplaced by its duplicate edges. Computed lazily — `O(V + E)` on the first call
-    /// (unsorted adjacency pays an additional per-vertex sort of a scratch
-    /// buffer), `O(1)` afterwards (the graph is immutable, so the cached
-    /// value never goes stale).
-    ///
-    /// **Contract:** edges are counted from the *lower* endpoint's
-    /// adjacency list, which is exact for symmetric adjacency — what every
-    /// constructor produces and the extraction algorithms require.
-    /// [`CsrGraph::from_parts`] technically admits asymmetric adjacency; an
-    /// edge stored only in its higher endpoint's list is not counted.
-    /// Validate such inputs with [`CsrGraph::validate_symmetry`] before
-    /// relying on this count.
+    /// Distinct undirected, non-loop edges, computed once; see
+    /// [`GraphRef::num_canonical_edges`].
     pub fn num_canonical_edges(&self) -> usize {
-        *self.canonical_edges.get_or_init(|| {
-            if self.sorted {
-                let mut count = 0usize;
-                for u in 0..self.num_vertices as VertexId {
-                    let mut prev = None;
-                    for &v in self.neighbors(u) {
-                        if v > u && Some(v) != prev {
-                            count += 1;
-                        }
-                        prev = Some(v);
-                    }
-                }
-                count
-            } else {
-                let mut scratch: Vec<VertexId> = Vec::new();
-                let mut count = 0usize;
-                for u in 0..self.num_vertices as VertexId {
-                    scratch.clear();
-                    scratch.extend(self.neighbors(u).iter().copied().filter(|&v| v > u));
-                    scratch.sort_unstable();
-                    scratch.dedup();
-                    count += scratch.len();
-                }
-                count
-            }
-        })
+        self.view().num_canonical_edges()
     }
 
     /// Number of directed adjacency entries (twice the edge count).
     #[inline]
     pub fn num_directed_edges(&self) -> usize {
-        self.hot.neighbors().len()
+        self.view().num_directed_edges()
+    }
+
+    /// Sum of all degrees (equals `2 * num_edges`).
+    #[inline]
+    pub fn total_degree(&self) -> usize {
+        self.view().total_degree()
     }
 
     /// Degree of vertex `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        let range = self.hot.offsets().range(v as usize);
-        range.end - range.start
+        self.view().degree(v)
     }
 
     /// Neighbours of `v` as a slice.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        self.hot.neighbors_of(v)
+        self.view().neighbors(v)
     }
 
-    /// Start of vertex `i`'s adjacency range (`i` may be `num_vertices`,
-    /// yielding the directed edge count) — the heap-side mirror of
-    /// [`crate::storage::MmapCsrGraph::adjacency_start`].
+    /// The CSR offsets; see [`GraphRef::offsets`].
     #[inline]
-    pub fn adjacency_start(&self, i: usize) -> usize {
-        self.hot.offsets().get(i)
-    }
-
-    /// The chosen offset index width of the hot layout.
-    #[inline]
-    pub fn offset_width(&self) -> IndexWidth {
-        self.hot.offsets().width()
-    }
-
-    /// The packed per-edge flags of the hot layout (canonical-orientation
-    /// bits).
-    #[inline]
-    pub fn edge_flags(&self) -> &EdgeFlags {
-        self.hot.flags()
-    }
-
-    /// The lazily materialized cold companion arrays.
-    #[inline]
-    pub fn cold(&self) -> &ColdCsr {
-        &self.cold
-    }
-
-    /// Byte accounting of the in-memory layout: chosen width, hot/cold
-    /// array bytes, and the projected wide-layout comparison.
-    pub fn memory_breakdown(&self) -> MemoryBreakdown {
-        let offsets = self.hot.offsets();
-        MemoryBreakdown {
-            width: offsets.width(),
-            offsets_bytes: offsets.bytes(),
-            neighbors_bytes: std::mem::size_of_val(self.hot.neighbors()),
-            flags_bytes: self.hot.flags().bytes(),
-            cold_bytes: self.cold.bytes(),
-            wide_offsets_bytes: offsets.len() * std::mem::size_of::<usize>(),
-        }
-    }
-
-    /// A copy of this graph with forcibly wide (`usize`) offsets — the
-    /// ablation baseline the compact layout is measured against. Compares
-    /// equal to `self` (offset equality is width-agnostic).
-    pub fn with_wide_offsets(&self) -> Self {
-        let offsets: Vec<usize> = self.hot.offsets().iter().collect();
-        Self {
-            num_vertices: self.num_vertices,
-            hot: HotCsr::new_wide(offsets, self.hot.neighbors().to_vec()),
-            cold: ColdCsr::default(),
-            sorted: self.sorted,
-            canonical_edges: OnceLock::new(),
-        }
+    pub fn offsets(&self) -> &[usize] {
+        &self.offsets
     }
 
     /// The raw adjacency array.
     #[inline]
     pub fn adjacency(&self) -> &[VertexId] {
-        self.hot.neighbors()
+        &self.neighbors
     }
 
     /// Whether every adjacency list is sorted ascending.
@@ -313,28 +220,49 @@ impl CsrGraph {
         self.sorted
     }
 
+    /// Tests whether the edge `{u, v}` exists; see [`GraphRef::has_edge`].
+    pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
+        self.view().has_edge(u, v)
+    }
+
+    /// Maximum degree over all vertices (0 for an empty graph).
+    pub fn max_degree(&self) -> usize {
+        self.view().max_degree()
+    }
+
+    /// Iterates over every undirected edge once, in canonical orientation
+    /// `(u, v)` with `u < v`.
+    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
+        self.view().edges()
+    }
+
+    /// Collects every undirected edge into an [`EdgeList`] (canonical form).
+    pub fn to_edge_list(&self) -> EdgeList {
+        self.view().to_edge_list()
+    }
+
+    /// Byte accounting of the two arrays.
+    pub fn memory_breakdown(&self) -> MemoryBreakdown {
+        MemoryBreakdown {
+            offsets_bytes: std::mem::size_of_val(self.offsets.as_slice()),
+            neighbors_bytes: std::mem::size_of_val(self.neighbors.as_slice()),
+            flags_bytes: 0,
+        }
+    }
+
     /// Sorts every adjacency list ascending (in parallel). Afterwards
     /// [`CsrGraph::is_sorted`] returns `true`.
     pub fn sort_adjacency(&mut self) {
-        let num_vertices = self.num_vertices;
-        let (offsets, neighbors) = self.hot.parts_mut();
         // Split the adjacency into per-vertex chunks without aliasing.
-        let mut slices: Vec<&mut [VertexId]> = Vec::with_capacity(num_vertices);
-        let mut rest: &mut [VertexId] = neighbors;
-        let mut consumed = 0usize;
-        for v in 0..num_vertices {
-            let range = offsets.range(v);
-            let len = range.end - range.start;
-            let (head, tail) = rest.split_at_mut(len);
+        let mut slices: Vec<&mut [VertexId]> = Vec::with_capacity(self.offsets.len());
+        let mut rest: &mut [VertexId] = &mut self.neighbors;
+        for w in self.offsets.windows(2) {
+            let (head, tail) = rest.split_at_mut(w[1] - w[0]);
             slices.push(head);
             rest = tail;
-            consumed += len;
         }
-        debug_assert_eq!(consumed, offsets.get(num_vertices));
+        debug_assert!(rest.is_empty());
         slices.par_iter_mut().for_each(|s| s.sort_unstable());
-        // In-list permutation moves slots, so the per-edge flag bits must
-        // follow.
-        self.hot.rebuild_flags();
         self.sorted = true;
     }
 
@@ -344,9 +272,8 @@ impl CsrGraph {
     /// order rather than ascending order.
     pub fn with_scrambled_adjacency(&self, seed: u64) -> Self {
         let mut clone = self.clone();
-        let (offsets, neighbors) = clone.hot.parts_mut();
-        for v in 0..self.num_vertices {
-            let slice = &mut neighbors[offsets.range(v)];
+        for (v, w) in self.offsets.windows(2).enumerate() {
+            let slice = &mut clone.neighbors[w[0]..w[1]];
             // Deterministic Fisher-Yates driven by a splitmix64 stream.
             let mut state = seed ^ (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let mut next = || {
@@ -361,83 +288,21 @@ impl CsrGraph {
                 slice.swap(i, j);
             }
         }
-        clone.hot.rebuild_flags();
-        clone.sorted = clone.check_sorted();
+        clone.sorted = clone.lists_sorted();
         clone
     }
 
-    fn check_sorted(&self) -> bool {
-        (0..self.num_vertices).all(|v| {
-            self.neighbors(v as VertexId)
-                .windows(2)
-                .all(|w| w[0] <= w[1])
-        })
-    }
-
-    /// Tests whether the edge `{u, v}` exists. Uses binary search when the
-    /// adjacency is sorted, linear scan otherwise.
-    pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        if u as usize >= self.num_vertices || v as usize >= self.num_vertices {
-            return false;
-        }
-        let (a, b) = if self.degree(u) <= self.degree(v) {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        let adj = self.neighbors(a);
-        if self.sorted {
-            adj.binary_search(&b).is_ok()
-        } else {
-            adj.contains(&b)
-        }
-    }
-
-    /// Maximum degree over all vertices (0 for an empty graph).
-    pub fn max_degree(&self) -> usize {
-        let offsets = self.hot.offsets();
-        (0..self.num_vertices)
-            .into_par_iter()
-            .map(|v| {
-                let range = offsets.range(v);
-                range.end - range.start
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Iterates over every undirected edge once, in canonical orientation
-    /// `(u, v)` with `u < v` — driven by the packed per-edge orientation
-    /// bits of the hot layout rather than re-comparing endpoint ids.
-    pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
-        let offsets = self.hot.offsets();
-        let flags = self.hot.flags();
-        (0..self.num_vertices as VertexId).flat_map(move |u| {
-            let range = offsets.range(u as usize);
-            let base = range.start;
-            self.hot.neighbors()[range]
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(move |&(i, _)| flags.get(base + i))
-                .map(move |(_, v)| (u, v))
-        })
-    }
-
-    /// Collects every undirected edge into an [`EdgeList`] (canonical form).
-    pub fn to_edge_list(&self) -> EdgeList {
-        let mut el = EdgeList::with_capacity(self.num_vertices, self.num_edges());
-        for (u, v) in self.edges() {
-            el.push(u, v);
-        }
-        el
+    fn lists_sorted(&self) -> bool {
+        self.offsets
+            .windows(2)
+            .all(|w| self.neighbors[w[0]..w[1]].windows(2).all(|p| p[0] <= p[1]))
     }
 
     /// Checks that the adjacency structure is symmetric: `v ∈ adj(u)` iff
     /// `u ∈ adj(v)`, with matching multiplicity. Returns a description of the
     /// first violation found.
     pub fn validate_symmetry(&self) -> Result<(), GraphError> {
-        for u in 0..self.num_vertices as VertexId {
+        for u in 0..self.num_vertices() as VertexId {
             for &v in self.neighbors(u) {
                 let back = self.neighbors(v).iter().filter(|&&x| x == u).count();
                 let fwd = self.neighbors(u).iter().filter(|&&x| x == v).count();
@@ -449,11 +314,6 @@ impl CsrGraph {
             }
         }
         Ok(())
-    }
-
-    /// Sum of all degrees (equals `2 * num_edges`).
-    pub fn total_degree(&self) -> usize {
-        self.hot.neighbors().len()
     }
 }
 

@@ -1,538 +1,51 @@
-//! Hot/cold CSR storage layout and the compact-index seam.
+//! The in-memory CSR layout and its one narrowing seam.
 //!
-//! The extraction hot loops (separator tests, triangle checks, frontier
-//! expansion) touch exactly two arrays per probe: the per-vertex offsets and
-//! the neighbor ids. Everything else a graph may carry — weights, labels,
-//! provenance — is cold: read rarely, never inside a kernel. This module
-//! splits the CSR accordingly:
+//! A graph is two arrays: `usize` offsets, one entry per vertex plus one,
+//! and `u32` neighbor ids ([`crate::VertexId`]). Heap graphs own both
+//! ([`crate::CsrGraph`]); mapped graphs own the offsets, decoded once at
+//! open, and borrow the adjacency from the file
+//! ([`crate::storage::MmapCsrGraph`]). Either way the read surface is one
+//! view of two slices, [`crate::GraphRef`].
 //!
-//! * [`HotCsr`] — the offsets ([`OffsetArray`], compacted to `u32` whenever
-//!   the directed edge count permits), the neighbor ids (`u32` always, since
-//!   [`crate::VertexId`] is `u32`), and one packed flag bit per directed
-//!   edge ([`EdgeFlags`], currently the canonical-orientation bit
-//!   `neighbor > source`).
-//! * [`ColdCsr`] — lazily materialized companion arrays (per-edge weights,
-//!   per-vertex labels, per-edge source provenance). Nothing is allocated
-//!   until first use, so a graph that never touches its cold side pays zero
-//!   bytes for it.
-//!
-//! # The sealed `IndexWidth` seam
-//!
-//! Offsets are stored compact (`u32`) iff the directed edge count fits in
-//! `u32` — the same rule the binary storage format applies on disk
-//! ([`crate::storage::offsets_width`]) — and wide (`usize`) otherwise. The
-//! representation enum behind [`OffsetArray`] is private to this module:
-//! **every width-narrowing cast of a graph index lives here**, behind
-//! [`narrow_index`], and `chordal-lint` rejects `as u32` on graph code
-//! anywhere else in the crate. Callers observe the chosen width only through
-//! [`IndexWidth`], never the raw representation.
+//! The on-disk format still stores offsets as `u32` whenever the directed
+//! edge count fits ([`crate::storage::offsets_width`]). Writing them is the
+//! one place a graph index narrows, and **every width-narrowing cast of a
+//! graph index lives here**, behind [`narrow_index`]: `chordal-lint` rejects
+//! `as u32` on graph code anywhere else in the crate.
 //!
 //! The full layout story (including the on-disk v2 section format) is
 //! documented in `docs/layout.md` at the repository root.
-
-use crate::VertexId;
-
-/// The chosen storage width of a graph's offset indices.
-///
-/// Reported by [`OffsetArray::width`] and surfaced by `chordal analyze`'s
-/// memory section; construction chooses the width automatically, so this is
-/// observational — there is no way to request an unsound narrow layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexWidth {
-    /// Offsets stored as `u32` (directed edge count fits in `u32`).
-    Compact,
-    /// Offsets stored as `usize` (graphs beyond the `u32` edge range, or a
-    /// deliberately widened copy for ablation baselines).
-    Wide,
-}
-
-impl IndexWidth {
-    /// Bytes per stored offset entry at this width.
-    #[inline]
-    pub fn entry_bytes(self) -> usize {
-        match self {
-            IndexWidth::Compact => std::mem::size_of::<u32>(),
-            IndexWidth::Wide => std::mem::size_of::<usize>(),
-        }
-    }
-
-    /// Human-readable label (`"compact"` / `"wide"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            IndexWidth::Compact => "compact",
-            IndexWidth::Wide => "wide",
-        }
-    }
-}
 
 /// Narrows a graph index to `u32`.
 ///
 /// This is the *only* sanctioned narrowing cast on graph indices in the
 /// crate (enforced by the `chordal-lint` width rule): callers must have
-/// already established that the value fits — [`OffsetArray`] construction
-/// checks the final (largest) offset before narrowing the monotone array,
-/// and the binary writers select the on-disk width from the directed edge
-/// count before encoding.
+/// already established that the value fits — the binary writers select
+/// the on-disk width from the directed edge count before encoding.
 #[inline]
 pub fn narrow_index(value: usize) -> u32 {
     debug_assert!(
         value <= u32::MAX as usize,
-        "index {value} does not fit the compact u32 layout"
+        "index {value} does not fit a u32 entry"
     );
     value as u32
 }
 
-/// The private width-tagged representation. Keeping the variants out of the
-/// public API is what seals the seam: no other module can pattern-match its
-/// way to a raw `Vec` and re-narrow indices itself.
-#[derive(Debug, Clone)]
-enum OffsetRepr {
-    Compact(Vec<u32>),
-    Wide(Vec<usize>),
-}
-
-/// The CSR offsets array, stored at the narrowest sound width.
-///
-/// Logically a `[usize; num_vertices + 1]` prefix-degree array; physically
-/// `u32` entries whenever the directed edge count (the largest entry) fits,
-/// halving the bytes touched per adjacency-range lookup on 64-bit targets.
-#[derive(Debug, Clone)]
-pub struct OffsetArray {
-    repr: OffsetRepr,
-}
-
-impl OffsetArray {
-    /// Wraps a prefix-degree array, choosing the compact width iff every
-    /// entry fits in `u32`. Offsets are monotone, so checking the last
-    /// entry suffices.
-    pub fn from_offsets(offsets: Vec<usize>) -> Self {
-        let largest = offsets.last().copied().unwrap_or(0);
-        if largest <= u32::MAX as usize {
-            Self {
-                repr: OffsetRepr::Compact(offsets.iter().map(|&o| narrow_index(o)).collect()),
-            }
-        } else {
-            Self {
-                repr: OffsetRepr::Wide(offsets),
-            }
-        }
-    }
-
-    /// Wraps a prefix-degree array at the wide width regardless of range —
-    /// the ablation baseline (`experiments kernels` compares traversal cost
-    /// against exactly this layout) and the fallback for graphs beyond the
-    /// `u32` edge range.
-    pub fn wide_from_offsets(offsets: Vec<usize>) -> Self {
-        Self {
-            repr: OffsetRepr::Wide(offsets),
-        }
-    }
-
-    /// The chosen storage width.
-    #[inline]
-    pub fn width(&self) -> IndexWidth {
-        match &self.repr {
-            OffsetRepr::Compact(_) => IndexWidth::Compact,
-            OffsetRepr::Wide(_) => IndexWidth::Wide,
-        }
-    }
-
-    /// Number of stored entries (`num_vertices + 1` for a graph).
-    #[inline]
-    pub fn len(&self) -> usize {
-        match &self.repr {
-            OffsetRepr::Compact(v) => v.len(),
-            OffsetRepr::Wide(v) => v.len(),
-        }
-    }
-
-    /// Whether the array holds no entries.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The entry at `i`, widened.
-    #[inline]
-    pub fn get(&self, i: usize) -> usize {
-        match &self.repr {
-            OffsetRepr::Compact(v) => v[i] as usize,
-            OffsetRepr::Wide(v) => v[i],
-        }
-    }
-
-    /// The adjacency range of vertex `v` — both bounds through one width
-    /// dispatch, so range lookups stay a single branch in kernels.
-    #[inline]
-    pub fn range(&self, v: usize) -> std::ops::Range<usize> {
-        match &self.repr {
-            OffsetRepr::Compact(o) => o[v] as usize..o[v + 1] as usize,
-            OffsetRepr::Wide(o) => o[v]..o[v + 1],
-        }
-    }
-
-    /// Iterates the entries, widened.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len()).map(move |i| self.get(i))
-    }
-
-    /// Heap bytes of the stored representation.
-    #[inline]
-    pub fn bytes(&self) -> usize {
-        self.len() * self.width().entry_bytes()
-    }
-}
-
-impl PartialEq for OffsetArray {
-    /// Width-agnostic logical equality: a compact array equals its widened
-    /// copy, so ablation baselines compare equal to the graphs they mirror.
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for OffsetArray {}
-
-/// One packed flag bit per directed adjacency entry.
-///
-/// The current flag is *canonical orientation*: bit `e` is set iff the
-/// neighbor stored at slot `e` is greater than the slot's source vertex —
-/// i.e. the slot names its undirected edge in canonical `(u, v)`, `u < v`
-/// form. Canonical-edge iteration ([`crate::CsrGraph::edges`]) reads this
-/// bit instead of re-comparing ids, and the bit positions are rebuilt
-/// whenever adjacency lists are permuted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EdgeFlags {
-    bits: Vec<u64>,
-    len: usize,
-}
-
-impl EdgeFlags {
-    /// An empty flag set.
-    pub fn empty() -> Self {
-        Self {
-            bits: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// Builds the canonical-orientation bits for an adjacency structure.
-    pub fn forward_bits(offsets: &OffsetArray, neighbors: &[VertexId]) -> Self {
-        let mut flags = Self {
-            bits: vec![0u64; neighbors.len().div_ceil(64)],
-            len: neighbors.len(),
-        };
-        let num_vertices = offsets.len().saturating_sub(1);
-        for v in 0..num_vertices {
-            let range = offsets.range(v);
-            let src = v as VertexId;
-            for (e, &w) in range.clone().zip(&neighbors[range]) {
-                if w > src {
-                    flags.bits[e / 64] |= 1u64 << (e % 64);
-                }
-            }
-        }
-        flags
-    }
-
-    /// Number of flag bits (the directed edge count).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no bits are stored.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The flag bit of directed edge slot `e`.
-    #[inline]
-    pub fn get(&self, e: usize) -> bool {
-        debug_assert!(e < self.len);
-        self.bits[e / 64] >> (e % 64) & 1 != 0
-    }
-
-    /// Number of set bits (for canonical orientation: the count of slots
-    /// stored in `u < v` form).
-    pub fn count_ones(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Heap bytes of the packed representation.
-    #[inline]
-    pub fn bytes(&self) -> usize {
-        self.bits.len() * std::mem::size_of::<u64>()
-    }
-}
-
-/// The hot half of the CSR split: everything a traversal kernel touches.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HotCsr {
-    /// Per-vertex adjacency offsets at the narrowest sound width.
-    offsets: OffsetArray,
-    /// Neighbor ids, contiguous per vertex.
-    pub(crate) neighbors: Vec<VertexId>,
-    /// Packed per-edge flags (canonical orientation).
-    flags: EdgeFlags,
-}
-
-impl HotCsr {
-    /// Builds the hot arrays, choosing the offset width automatically.
-    pub fn new(offsets: Vec<usize>, neighbors: Vec<VertexId>) -> Self {
-        let offsets = OffsetArray::from_offsets(offsets);
-        let flags = EdgeFlags::forward_bits(&offsets, &neighbors);
-        Self {
-            offsets,
-            neighbors,
-            flags,
-        }
-    }
-
-    /// Builds the hot arrays with forcibly wide offsets (ablation baseline).
-    pub fn new_wide(offsets: Vec<usize>, neighbors: Vec<VertexId>) -> Self {
-        let offsets = OffsetArray::wide_from_offsets(offsets);
-        let flags = EdgeFlags::forward_bits(&offsets, &neighbors);
-        Self {
-            offsets,
-            neighbors,
-            flags,
-        }
-    }
-
-    /// The offsets array.
-    #[inline]
-    pub fn offsets(&self) -> &OffsetArray {
-        &self.offsets
-    }
-
-    /// The neighbor id array.
-    #[inline]
-    pub fn neighbors(&self) -> &[VertexId] {
-        &self.neighbors
-    }
-
-    /// The packed per-edge flags.
-    #[inline]
-    pub fn flags(&self) -> &EdgeFlags {
-        &self.flags
-    }
-
-    /// Adjacency slice of vertex `v`.
-    #[inline]
-    pub fn neighbors_of(&self, v: VertexId) -> &[VertexId] {
-        &self.neighbors[self.offsets.range(v as usize)]
-    }
-
-    /// Disjoint borrows of the offsets (shared) and the neighbor array
-    /// (mutable), for in-place per-list permutation. Callers must
-    /// [`HotCsr::rebuild_flags`] afterwards.
-    pub(crate) fn parts_mut(&mut self) -> (&OffsetArray, &mut Vec<VertexId>) {
-        (&self.offsets, &mut self.neighbors)
-    }
-
-    /// Recomputes the packed flags after adjacency lists were permuted
-    /// (sorting, scrambling). Bit positions follow slots, not edges, so any
-    /// in-list permutation invalidates them.
-    pub(crate) fn rebuild_flags(&mut self) {
-        self.flags = EdgeFlags::forward_bits(&self.offsets, &self.neighbors);
-    }
-
-    /// Heap bytes of the hot arrays.
-    pub fn bytes(&self) -> usize {
-        self.offsets.bytes() + std::mem::size_of_val(self.neighbors.as_slice()) + self.flags.bytes()
-    }
-}
-
-/// The cold half of the CSR split: companion arrays no kernel reads,
-/// materialized lazily on first access.
-///
-/// Cold data is derived or default-valued metadata — excluded from graph
-/// equality and from the binary checksum — so cloning or comparing graphs
-/// never forces materialization.
-#[derive(Debug, Default)]
-pub struct ColdCsr {
-    /// Per-undirected-edge weights (canonical order); unit by default.
-    weights: std::sync::OnceLock<Box<[f32]>>,
-    /// Per-vertex labels; the identity mapping by default.
-    labels: std::sync::OnceLock<Box<[u32]>>,
-    /// Per-directed-edge source provenance: `edge_sources()[e]` is the
-    /// vertex whose adjacency list contains slot `e` — the inverse of the
-    /// offsets array, for flat edge-parallel sweeps.
-    edge_sources: std::sync::OnceLock<Box<[VertexId]>>,
-}
-
-impl Clone for ColdCsr {
-    fn clone(&self) -> Self {
-        // Clone whatever is already materialized; lazy slots stay lazy.
-        let clone = Self::default();
-        if let Some(w) = self.weights.get() {
-            let _ = clone.weights.set(w.clone());
-        }
-        if let Some(l) = self.labels.get() {
-            let _ = clone.labels.set(l.clone());
-        }
-        if let Some(s) = self.edge_sources.get() {
-            let _ = clone.edge_sources.set(s.clone());
-        }
-        clone
-    }
-}
-
-impl ColdCsr {
-    /// Per-undirected-edge weights, materializing unit weights on first
-    /// access.
-    pub fn weights(&self, num_edges: usize) -> &[f32] {
-        self.weights.get_or_init(|| vec![1.0f32; num_edges].into())
-    }
-
-    /// Per-vertex labels, materializing the identity mapping on first
-    /// access.
-    pub fn labels(&self, num_vertices: usize) -> &[u32] {
-        self.labels
-            .get_or_init(|| (0..num_vertices).map(narrow_index).collect())
-    }
-
-    /// Per-directed-edge source provenance, materialized from the offsets
-    /// on first access.
-    pub fn edge_sources(&self, offsets: &OffsetArray) -> &[VertexId] {
-        self.edge_sources.get_or_init(|| {
-            let num_vertices = offsets.len().saturating_sub(1);
-            let mut sources = vec![0 as VertexId; offsets.get(num_vertices)];
-            for v in 0..num_vertices {
-                sources[offsets.range(v)].fill(narrow_index(v));
-            }
-            sources.into()
-        })
-    }
-
-    /// Heap bytes of the *materialized* cold arrays (zero until first use).
-    pub fn bytes(&self) -> usize {
-        self.weights
-            .get()
-            .map_or(0, |w| std::mem::size_of_val(w.as_ref()))
-            + self
-                .labels
-                .get()
-                .map_or(0, |l| std::mem::size_of_val(l.as_ref()))
-            + self
-                .edge_sources
-                .get()
-                .map_or(0, |s| std::mem::size_of_val(s.as_ref()))
-    }
-}
-
 /// Byte accounting of a graph's in-memory layout, as reported by
-/// `chordal analyze`'s memory section and the serve cache's residency
-/// estimate.
+/// `chordal analyze`'s memory section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryBreakdown {
-    /// The chosen offset index width.
-    pub width: IndexWidth,
-    /// Bytes of the offsets array at the chosen width.
+    /// Bytes of the `usize` offsets array.
     pub offsets_bytes: usize,
     /// Bytes of the neighbor id array.
     pub neighbors_bytes: usize,
-    /// Bytes of the packed per-edge flags.
+    /// Always 0: graphs carry no per-edge flags.
     pub flags_bytes: usize,
-    /// Bytes of the materialized cold arrays (zero until first use).
-    pub cold_bytes: usize,
-    /// Projected bytes of the offsets array under the wide (`usize`)
-    /// layout, for the savings comparison.
-    pub wide_offsets_bytes: usize,
 }
 
 impl MemoryBreakdown {
-    /// Total hot bytes (offsets + neighbors + flags).
-    pub fn hot_bytes(&self) -> usize {
-        self.offsets_bytes + self.neighbors_bytes + self.flags_bytes
-    }
-
-    /// Total resident bytes (hot + materialized cold).
+    /// Total bytes of the two arrays.
     pub fn total_bytes(&self) -> usize {
-        self.hot_bytes() + self.cold_bytes
-    }
-
-    /// Bytes saved by the chosen width versus the wide layout (zero when
-    /// the graph is already wide).
-    pub fn projected_savings(&self) -> usize {
-        self.wide_offsets_bytes - self.offsets_bytes
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn offsets_choose_compact_when_in_range() {
-        let o = OffsetArray::from_offsets(vec![0, 2, 5, 9]);
-        assert_eq!(o.width(), IndexWidth::Compact);
-        assert_eq!(o.len(), 4);
-        assert_eq!(o.get(2), 5);
-        assert_eq!(o.range(1), 2..5);
-        assert_eq!(o.bytes(), 16);
-    }
-
-    #[test]
-    fn offsets_fall_back_to_wide_beyond_u32() {
-        let big = u32::MAX as usize + 1;
-        let o = OffsetArray::from_offsets(vec![0, big]);
-        assert_eq!(o.width(), IndexWidth::Wide);
-        assert_eq!(o.get(1), big);
-    }
-
-    #[test]
-    fn forced_wide_copy_compares_equal_to_compact() {
-        let compact = OffsetArray::from_offsets(vec![0, 3, 7]);
-        let wide = OffsetArray::wide_from_offsets(vec![0, 3, 7]);
-        assert_eq!(compact.width(), IndexWidth::Compact);
-        assert_eq!(wide.width(), IndexWidth::Wide);
-        assert_eq!(compact, wide);
-        assert!(wide.bytes() > compact.bytes());
-    }
-
-    #[test]
-    fn forward_flags_mark_canonical_slots() {
-        // Path 0-1-2: adjacency [1 | 0, 2 | 1]; slots 0 and 2 canonical.
-        let offsets = OffsetArray::from_offsets(vec![0, 1, 3, 4]);
-        let neighbors = vec![1, 0, 2, 1];
-        let flags = EdgeFlags::forward_bits(&offsets, &neighbors);
-        assert_eq!(flags.len(), 4);
-        assert!(flags.get(0));
-        assert!(!flags.get(1));
-        assert!(flags.get(2));
-        assert!(!flags.get(3));
-        assert_eq!(flags.count_ones(), 2);
-    }
-
-    #[test]
-    fn cold_arrays_start_empty_and_materialize_lazily() {
-        let hot = HotCsr::new(vec![0, 1, 2], vec![1, 0]);
-        let cold = ColdCsr::default();
-        assert_eq!(cold.bytes(), 0);
-        assert_eq!(cold.weights(1), &[1.0]);
-        assert!(cold.bytes() > 0);
-        assert_eq!(cold.labels(2), &[0, 1]);
-        assert_eq!(cold.edge_sources(hot.offsets()), &[0, 1]);
-    }
-
-    #[test]
-    fn cold_clone_preserves_materialized_state() {
-        let cold = ColdCsr::default();
-        let lazy_clone = cold.clone();
-        assert_eq!(lazy_clone.bytes(), 0);
-        cold.weights(4);
-        let warm_clone = cold.clone();
-        assert_eq!(warm_clone.bytes(), cold.bytes());
-    }
-
-    #[test]
-    fn hot_bytes_account_for_all_three_arrays() {
-        let hot = HotCsr::new(vec![0, 2, 4], vec![1, 1, 0, 0]);
-        // 3 u32 offsets + 4 u32 neighbors + 1 u64 flag word.
-        assert_eq!(hot.bytes(), 12 + 16 + 8);
-        assert_eq!(hot.neighbors_of(0), &[1, 1]);
+        self.offsets_bytes + self.neighbors_bytes + self.flags_bytes
     }
 }

@@ -42,7 +42,7 @@ pub use csr::CsrGraph;
 pub use edgelist::EdgeList;
 pub use error::GraphError;
 pub use graphref::GraphRef;
-pub use layout::{IndexWidth, MemoryBreakdown};
+pub use layout::MemoryBreakdown;
 pub use stats::GraphStats;
 pub use storage::MmapCsrGraph;
 

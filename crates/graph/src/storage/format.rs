@@ -35,10 +35,9 @@
 //!   payload offset must be 4-aligned.
 //!
 //! Entries with unknown ids are *ignored* (skipped over), reserving the
-//! table for forward-compatible cold-data extensions (weights, labels,
-//! provenance — the on-disk side of [`crate::layout::ColdCsr`]) that old
-//! readers can safely not understand. Unknown *flag* bits are still
-//! rejected: flags change the meaning of the mandatory sections.
+//! table for forward-compatible extensions that old readers can safely not
+//! understand. Unknown *flag* bits are still rejected: flags change the
+//! meaning of the mandatory sections.
 //!
 //! ## Version 1 (read compatibility)
 //!
@@ -54,9 +53,9 @@
 //! directed edge count exceeds `u32::MAX` (a `u32` offset could not address
 //! past the end of the adjacency array), `u32` otherwise. The choice is a
 //! pure function of the edge count ([`offsets_width`]), so writers are
-//! deterministic and readers never guess. The same rule chooses the
-//! in-memory width of a heap graph's offsets ([`crate::layout`]), so a
-//! mapped file and its decoded copy agree on compactness.
+//! deterministic and readers never guess. In memory, offsets are always
+//! `usize`: both readers widen the section once as they decode it
+//! ([`read_binary`], [`MmapCsrGraph::open`](super::MmapCsrGraph::open)).
 //!
 //! **Alignment.** The header is 48 bytes and the canonical two-section
 //! table ends at byte 104; both are 8-aligned. The offsets section is
@@ -83,14 +82,14 @@
 //! verified on load — that would fault in every page and defeat lazy
 //! mapping — but is available via
 //! [`MmapCsrGraph::verify_checksum`](super::MmapCsrGraph::verify_checksum),
-//! which also validates the [`FLAG_SORTED`] claim against the actual
-//! neighbor order.
+//! which also checks every adjacency entry against the vertex count and
+//! the [`FLAG_SORTED`] claim against the actual neighbor order.
 //!
-//! The in-memory hot/cold layout this format feeds is documented in
+//! The in-memory layout this format feeds is documented in
 //! `docs/layout.md` at the repository root.
 
 use crate::layout::narrow_index;
-use crate::{CsrGraph, GraphError, GraphRef, VertexId};
+use crate::{CsrGraph, GraphError, GraphRef};
 use std::io::Write;
 use std::path::Path;
 
@@ -492,19 +491,14 @@ pub fn is_binary_header(bytes: &[u8]) -> bool {
 /// live in — so the hash is a storage-independent identity for "the same
 /// graph bytes", usable as a cache key by serving layers.
 ///
-/// For an mmap-backed graph this is **zero-parse**: every input is already
-/// in the 48-byte header ([`content_hash_from_header`]), so hashing costs
-/// no page faults. A heap graph pays one `O(V + E)` checksum pass — the
-/// same pass `write_binary` (and therefore `chordal convert`) performs, so
-/// the hash of a parsed text file equals the hash of its converted binary.
+/// This pays one `O(V + E)` checksum pass — the same pass `write_binary`
+/// (and therefore `chordal convert`) performs, so the hash of a parsed text
+/// file equals the hash of its converted binary. For a binary file the
+/// **zero-parse** path is [`content_hash_from_header`]: every input is
+/// already in the 48-byte header, so hashing costs no page faults.
 pub fn content_hash<'a>(graph: impl Into<GraphRef<'a>>) -> u64 {
     let graph = graph.into();
-    let checksum = match graph {
-        GraphRef::Mapped(m) => m.header().checksum,
-        GraphRef::Heap(_) => {
-            checksum_sections(graph, offsets_width(graph.num_directed_edges() as u64))
-        }
-    };
+    let checksum = checksum_sections(graph, offsets_width(graph.num_directed_edges() as u64));
     content_hash_parts(
         graph.num_vertices() as u64,
         graph.num_directed_edges() as u64,
@@ -536,25 +530,22 @@ fn content_hash_parts(num_vertices: u64, num_directed_edges: u64, checksum: u64)
     hasher.finish()
 }
 
-fn checksum_sections<'a>(graph: GraphRef<'a>, width: OffsetsWidth) -> u64 {
+fn checksum_sections(graph: GraphRef<'_>, width: OffsetsWidth) -> u64 {
     let mut hasher = Fnv1a::new();
-    let n = graph.num_vertices();
     match width {
         OffsetsWidth::U32 => {
-            for i in 0..=n {
-                hasher.update(&narrow_index(graph.adjacency_start(i)).to_le_bytes());
+            for &o in graph.offsets() {
+                hasher.update(&narrow_index(o).to_le_bytes());
             }
         }
         OffsetsWidth::U64 => {
-            for i in 0..=n {
-                hasher.update(&(graph.adjacency_start(i) as u64).to_le_bytes());
+            for &o in graph.offsets() {
+                hasher.update(&(o as u64).to_le_bytes());
             }
         }
     }
-    for v in 0..n {
-        for &w in graph.neighbors(v as VertexId) {
-            hasher.update(&w.to_le_bytes());
-        }
+    for &w in graph.adjacency() {
+        hasher.update(&w.to_le_bytes());
     }
     hasher.finish()
 }
@@ -606,23 +597,20 @@ pub fn write_binary<'a, W: Write>(
     let mut w = std::io::BufWriter::new(writer);
     w.write_all(&header.to_bytes())?;
     w.write_all(&section_table_bytes(&header))?;
-    let n = graph.num_vertices();
     match width {
         OffsetsWidth::U32 => {
-            for i in 0..=n {
-                w.write_all(&narrow_index(graph.adjacency_start(i)).to_le_bytes())?;
+            for &o in graph.offsets() {
+                w.write_all(&narrow_index(o).to_le_bytes())?;
             }
         }
         OffsetsWidth::U64 => {
-            for i in 0..=n {
-                w.write_all(&(graph.adjacency_start(i) as u64).to_le_bytes())?;
+            for &o in graph.offsets() {
+                w.write_all(&(o as u64).to_le_bytes())?;
             }
         }
     }
-    for v in 0..n {
-        for &nb in graph.neighbors(v as VertexId) {
-            w.write_all(&nb.to_le_bytes())?;
-        }
+    for &nb in graph.adjacency() {
+        w.write_all(&nb.to_le_bytes())?;
     }
     w.flush()?;
     Ok(())
@@ -655,30 +643,51 @@ pub fn read_binary(bytes: &[u8]) -> Result<CsrGraph, GraphError> {
             header.checksum
         )));
     }
-    let n = header.num_vertices as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
-    match header.width {
-        OffsetsWidth::U32 => {
-            for chunk in offsets_bytes.chunks_exact(4) {
-                offsets.push(u32::from_le_bytes(chunk.try_into().unwrap()) as usize);
-            }
-        }
-        OffsetsWidth::U64 => {
-            for chunk in offsets_bytes.chunks_exact(8) {
-                let v = u64::from_le_bytes(chunk.try_into().unwrap());
-                if v > usize::MAX as u64 {
-                    return Err(GraphError::Format(format!("offset {v} overflows usize")));
-                }
-                offsets.push(v as usize);
-            }
-        }
-    }
+    let offsets = decode_offsets(&header, offsets_bytes)?;
     let neighbors: Vec<u32> = adj_bytes
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
         .collect();
-    let graph = CsrGraph::from_parts(n, offsets, neighbors)?;
-    Ok(graph)
+    CsrGraph::from_parts(header.num_vertices as usize, offsets, neighbors)
+}
+
+/// Decodes the offsets section at the start of `bytes` into `usize`
+/// entries, checking that they start at 0, never decrease and end at the
+/// header's directed edge count. `O(V)`; shared by [`read_binary`] and
+/// [`MmapCsrGraph::open`](super::MmapCsrGraph::open).
+pub(crate) fn decode_offsets(header: &Header, bytes: &[u8]) -> Result<Vec<usize>, GraphError> {
+    let mut offsets = Vec::with_capacity(header.num_vertices as usize + 1);
+    let mut prev = 0usize;
+    for (i, chunk) in bytes[..header.offsets_len()]
+        .chunks_exact(header.width.bytes())
+        .enumerate()
+    {
+        let entry = match header.width {
+            OffsetsWidth::U32 => u64::from(u32::from_le_bytes(chunk.try_into().unwrap())),
+            OffsetsWidth::U64 => u64::from_le_bytes(chunk.try_into().unwrap()),
+        };
+        let cur = usize::try_from(entry)
+            .map_err(|_| GraphError::Format(format!("offset {entry} overflows usize")))?;
+        if cur < prev {
+            return Err(GraphError::Format(format!(
+                "offsets must be non-decreasing (offset {i} is {cur}, previous {prev})"
+            )));
+        }
+        offsets.push(cur);
+        prev = cur;
+    }
+    if offsets[0] != 0 {
+        return Err(GraphError::Format(
+            "offsets section must start at 0".to_string(),
+        ));
+    }
+    if prev as u64 != header.num_directed_edges {
+        return Err(GraphError::Format(format!(
+            "last offset {prev} does not match the directed edge count {}",
+            header.num_directed_edges
+        )));
+    }
+    Ok(offsets)
 }
 
 /// Reads a binary CSR graph file into a heap [`CsrGraph`].

@@ -1,25 +1,24 @@
 //! Memory-mapped binary CSR graphs.
 //!
 //! [`MmapCsrGraph`] opens a file in the [`format`](super::format) described
-//! layout and serves the neighbour/degree/canonical-edge surface of
-//! [`CsrGraph`] straight out of the mapping: the adjacency section is
-//! reinterpreted as a `&[u32]` slice (the format guarantees 4-byte
-//! alignment relative to the file start, and the kernel guarantees
-//! page-aligned mappings), offsets are decoded per lookup with unaligned
-//! little-endian loads. Nothing is materialised on the heap, so opening a
-//! multi-gigabyte graph costs a header parse plus an `O(V)` structural
-//! validation pass over the offsets — the adjacency pages fault in lazily
-//! as extraction touches them.
+//! layout and lends a [`GraphRef`] over it. Opening parses the header,
+//! locates the sections, and decodes the offsets section (u32 or u64 on
+//! disk) into a `Vec<usize>` — an `O(V)` pass that also validates the
+//! offsets. The adjacency section stays mapped: it is reinterpreted in
+//! place as a `&[u32]` slice (the format guarantees 4-byte alignment
+//! relative to the file start, and the kernel guarantees page-aligned
+//! mappings), and its pages fault in lazily as extraction touches them.
 //!
 //! On big-endian hosts (or when the mmap shim falls back to a heap read
 //! that happens to be misaligned) the file is copied into an 8-aligned
 //! owned buffer, byte-swapping where needed; the public API is identical.
 
-use super::format::{Header, OffsetsWidth, SectionLayout};
-use crate::{CsrGraph, Edge, EdgeList, GraphError, VertexId};
+use super::format::{decode_offsets, Header, SectionLayout};
+use crate::{GraphError, GraphRef, VertexId};
 use memmap2::Mmap;
 use std::fs::File;
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// Owned, 8-aligned byte buffer used when the raw mapping cannot be used
 /// directly (misaligned heap fallback, or a big-endian host that needs the
@@ -68,28 +67,33 @@ impl Backing {
     }
 }
 
-/// A read-only CSR graph served directly from a binary graph file.
+/// A read-only CSR graph served from a binary graph file.
 ///
-/// Exposes the same read surface as [`CsrGraph`] (neighbours, degrees,
-/// edge counts, `has_edge`, edge iteration), so every extractor runs on it
-/// unchanged through [`GraphRef`](crate::GraphRef). The canonical edge
-/// count is `O(1)` — it is stored in the file header rather than recomputed.
+/// Its read surface is [`MmapCsrGraph::view`]: a [`GraphRef`] over the
+/// offsets decoded at open and the mapped adjacency section, so every
+/// extractor runs on it unchanged. The canonical edge count is `O(1)` — it
+/// is stored in the file header rather than recomputed.
 #[derive(Debug)]
 pub struct MmapCsrGraph {
     backing: Backing,
     header: Header,
     layout: SectionLayout,
+    /// The offsets section, decoded and validated at open.
+    offsets: Vec<usize>,
+    /// The header's canonical edge count, set at open.
+    canonical_edges: OnceLock<usize>,
 }
 
 impl MmapCsrGraph {
     /// Opens a binary CSR graph file as a memory-mapped graph.
     ///
-    /// Performs the cheap structural validation described in the
+    /// Performs the structural validation described in the
     /// [format docs](super::format): header sanity, file length, and an
-    /// `O(V)` monotonicity check of the offsets section. The full data
-    /// checksum is *not* verified here (it would fault in every page);
-    /// call [`MmapCsrGraph::verify_checksum`] when integrity matters more
-    /// than load time.
+    /// `O(V)` decode of the offsets section that checks they start at 0,
+    /// never decrease and end at the directed edge count. The adjacency is
+    /// not read, and the full data checksum is *not* verified here (it
+    /// would fault in every page); call [`MmapCsrGraph::verify_checksum`]
+    /// when integrity matters more than load time.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, GraphError> {
         let file = File::open(path)?;
         Self::from_file(&file)
@@ -105,15 +109,17 @@ impl MmapCsrGraph {
         // the file while the map is alive.
         let map = unsafe { Mmap::map(file) }?;
         let backing = Self::normalize(map)?;
-        let header = Header::parse(backing.bytes())?;
-        let layout = SectionLayout::locate(&header, backing.bytes())?;
-        let graph = MmapCsrGraph {
+        let bytes = backing.bytes();
+        let header = Header::parse(bytes)?;
+        let layout = SectionLayout::locate(&header, bytes)?;
+        let offsets = decode_offsets(&header, &bytes[layout.offsets_pos..])?;
+        Ok(MmapCsrGraph {
             backing,
             header,
             layout,
-        };
-        graph.validate_offsets()?;
-        Ok(graph)
+            offsets,
+            canonical_edges: OnceLock::from(header.num_canonical_edges as usize),
+        })
     }
 
     /// Turns the raw mapping into a backing whose adjacency section can be
@@ -154,99 +160,27 @@ impl MmapCsrGraph {
         }
     }
 
-    fn validate_offsets(&self) -> Result<(), GraphError> {
-        let n = self.num_vertices();
-        if self.adjacency_start(0) != 0 {
-            return Err(GraphError::Format(
-                "offsets section must start at 0".to_string(),
-            ));
-        }
-        if self.adjacency_start(n) != self.header.num_directed_edges as usize {
-            return Err(GraphError::Format(format!(
-                "last offset {} does not match the directed edge count {}",
-                self.adjacency_start(n),
-                self.header.num_directed_edges
-            )));
-        }
-        let mut prev = 0usize;
-        for i in 1..=n {
-            let cur = self.adjacency_start(i);
-            if cur < prev {
-                return Err(GraphError::Format(format!(
-                    "offsets must be non-decreasing (offset {i} is {cur}, previous {prev})"
-                )));
-            }
-            prev = cur;
-        }
-        Ok(())
-    }
-
     /// The parsed file header.
     #[inline]
     pub fn header(&self) -> &Header {
         &self.header
     }
 
-    /// Number of vertices.
+    /// The graph's read surface: the decoded offsets over the mapped
+    /// adjacency section.
     #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.header.num_vertices as usize
-    }
-
-    /// Number of undirected edges as half the stored adjacency entries.
-    #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.num_directed_edges() / 2
-    }
-
-    /// Number of distinct undirected, non-loop edges — `O(1)`, read from
-    /// the file header (the writer computes it once at conversion time).
-    #[inline]
-    pub fn num_canonical_edges(&self) -> usize {
-        self.header.num_canonical_edges as usize
-    }
-
-    /// Number of directed adjacency entries (twice the edge count).
-    #[inline]
-    pub fn num_directed_edges(&self) -> usize {
-        self.header.num_directed_edges as usize
-    }
-
-    /// Sum of all degrees (equals `num_directed_edges`).
-    #[inline]
-    pub fn total_degree(&self) -> usize {
-        self.num_directed_edges()
-    }
-
-    /// Start of vertex `i`'s adjacency range; valid for `i` in
-    /// `0..=num_vertices()`. Decoded from the offsets section with an
-    /// unaligned load — no offset array is materialised.
-    #[inline]
-    pub fn adjacency_start(&self, i: usize) -> usize {
-        debug_assert!(i <= self.num_vertices());
-        let bytes = self.backing.bytes();
-        match self.header.width {
-            OffsetsWidth::U32 => {
-                let at = self.layout.offsets_pos + 4 * i;
-                u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize
-            }
-            OffsetsWidth::U64 => {
-                let at = self.layout.offsets_pos + 8 * i;
-                u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
-            }
-        }
-    }
-
-    /// Degree of vertex `v`.
-    #[inline]
-    pub fn degree(&self, v: VertexId) -> usize {
-        let v = v as usize;
-        self.adjacency_start(v + 1) - self.adjacency_start(v)
+    pub fn view(&self) -> GraphRef<'_> {
+        GraphRef::new(
+            &self.offsets,
+            self.adjacency(),
+            self.header.sorted,
+            &self.canonical_edges,
+        )
     }
 
     /// The whole adjacency section as a typed slice into the mapping.
     #[inline]
-    pub fn adjacency(&self) -> &[VertexId] {
+    fn adjacency(&self) -> &[VertexId] {
         let bytes = &self.backing.bytes()
             [self.layout.adjacency_pos..self.layout.adjacency_pos + self.header.adjacency_len()];
         debug_assert_eq!(bytes.as_ptr() as usize % 4, 0);
@@ -261,90 +195,16 @@ impl MmapCsrGraph {
         }
     }
 
-    /// Neighbours of `v` as a slice into the mapping.
-    #[inline]
-    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        let s = self.adjacency_start(v as usize);
-        let e = self.adjacency_start(v as usize + 1);
-        &self.adjacency()[s..e]
-    }
-
-    /// Whether every adjacency list is sorted ascending (from the header;
-    /// the streaming converter and binary writer always record this
-    /// truthfully).
-    #[inline]
-    pub fn is_sorted(&self) -> bool {
-        self.header.sorted
-    }
-
-    /// Tests whether the edge `{u, v}` exists. Binary search when the
-    /// adjacency is sorted, linear scan otherwise — same policy as
-    /// [`CsrGraph::has_edge`].
-    pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        if u as usize >= self.num_vertices() || v as usize >= self.num_vertices() {
-            return false;
-        }
-        let (a, b) = if self.degree(u) <= self.degree(v) {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        let adj = self.neighbors(a);
-        if self.is_sorted() {
-            adj.binary_search(&b).is_ok()
-        } else {
-            adj.contains(&b)
-        }
-    }
-
-    /// Maximum degree over all vertices (0 for an empty graph).
-    pub fn max_degree(&self) -> usize {
-        (0..self.num_vertices())
-            .map(|v| self.adjacency_start(v + 1) - self.adjacency_start(v))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Iterates over every undirected edge once, in canonical orientation
-    /// `(u, v)` with `u < v`.
-    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        (0..self.num_vertices() as VertexId).flat_map(move |u| {
-            self.neighbors(u)
-                .iter()
-                .copied()
-                .filter(move |&v| u < v)
-                .map(move |v| (u, v))
-        })
-    }
-
-    /// Collects every undirected edge into an [`EdgeList`] (canonical form).
-    pub fn to_edge_list(&self) -> EdgeList {
-        let mut el = EdgeList::with_capacity(self.num_vertices(), self.num_edges());
-        for (u, v) in self.edges() {
-            el.push(u, v);
-        }
-        el
-    }
-
-    /// Materialises the graph as a heap [`CsrGraph`] (copying both
-    /// sections out of the mapping). Used when a consumer genuinely needs
-    /// an owned graph — e.g. re-sorting adjacency for the Opt variant.
-    pub fn to_csr_graph(&self) -> CsrGraph {
-        let n = self.num_vertices();
-        let offsets: Vec<usize> = (0..=n).map(|i| self.adjacency_start(i)).collect();
-        let neighbors = self.adjacency().to_vec();
-        CsrGraph::from_parts(n, offsets, neighbors)
-            .expect("a structurally validated mapping is valid CSR input")
-    }
-
     /// Recomputes the FNV-1a checksum over the offsets and adjacency
-    /// sections and compares it against the header, then — if the header
-    /// claims sorted adjacency ([`FLAG_SORTED`](super::format::FLAG_SORTED))
-    /// — validates that every neighbor list really is sorted ascending,
-    /// rejecting a lying flag with [`GraphError::SortedFlagViolation`].
-    /// The flag check piggybacks on the checksum walk: the adjacency pages
-    /// are already resident, so it adds no extra I/O. `O(file size)`;
-    /// faults in every page.
+    /// sections and compares it against the header, then checks what the
+    /// checksum cannot: that every adjacency entry names a vertex below
+    /// `num_vertices` ([`GraphError::VertexOutOfRange`]), and — if the
+    /// header claims sorted adjacency
+    /// ([`FLAG_SORTED`](super::format::FLAG_SORTED)) — that every neighbor
+    /// list really is sorted ascending
+    /// ([`GraphError::SortedFlagViolation`]). These checks piggyback on the
+    /// checksum walk: the adjacency pages are already resident, so they add
+    /// no extra I/O. `O(file size)`; faults in every page.
     pub fn verify_checksum(&self) -> Result<(), GraphError> {
         let mut hasher = super::format::Fnv1a::new();
         let bytes = self.backing.bytes();
@@ -375,20 +235,34 @@ impl MmapCsrGraph {
             )));
         }
         // The checksum only proves the bytes are the ones the writer hashed
-        // — not that the writer told the truth about their order. A wrong
-        // sorted claim silently breaks every binary-search lookup, so the
-        // verification pass (cache admission, `convert --verify`) checks it
-        // while the pages are still warm.
+        // — not that the writer told the truth about their range or order.
+        // An entry past the last vertex breaks every per-vertex array an
+        // extraction indexes, and a wrong sorted claim silently breaks every
+        // binary-search lookup, so the verification pass (cache admission,
+        // `convert --verify`, CLI loads) checks both while the pages are
+        // still warm.
+        let graph = self.view();
+        let n = graph.num_vertices();
+        let out_of_range = |vertex: VertexId| GraphError::VertexOutOfRange {
+            vertex: vertex as u64,
+            num_vertices: n as u64,
+        };
         if self.header.sorted {
-            for v in 0..self.num_vertices() as VertexId {
-                let adj = self.neighbors(v);
+            for v in 0..n as VertexId {
+                let adj = graph.neighbors(v);
                 if let Some(pos) = (1..adj.len()).find(|&i| adj[i] < adj[i - 1]) {
                     return Err(GraphError::SortedFlagViolation {
                         vertex: v as u64,
                         position: pos,
                     });
                 }
+                // A sorted list is in range iff its last entry is.
+                if let Some(&last) = adj.last().filter(|&&w| w as usize >= n) {
+                    return Err(out_of_range(last));
+                }
             }
+        } else if let Some(&w) = graph.adjacency().iter().find(|&&w| w as usize >= n) {
+            return Err(out_of_range(w));
         }
         Ok(())
     }
@@ -396,8 +270,12 @@ impl MmapCsrGraph {
 
 #[cfg(test)]
 mod tests {
-    use super::super::format::{write_binary_file, FORMAT_VERSION_V1, HEADER_LEN};
+    use super::super::format::{
+        section_table_bytes, write_binary_file, Fnv1a, OffsetsWidth, FORMAT_VERSION,
+        FORMAT_VERSION_V1, HEADER_LEN,
+    };
     use super::*;
+    use crate::CsrGraph;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("chordal_mmap_{}_{name}.bin", std::process::id()))
@@ -413,32 +291,52 @@ mod tests {
         SectionLayout::locate(&header, bytes).unwrap().offsets_pos
     }
 
+    /// Sets the last adjacency entry of an encoded file to `value` and
+    /// recomputes the checksum, so only the checks behind it can object.
+    fn set_last_entry(bytes: &mut [u8], value: VertexId) {
+        let header = Header::parse(bytes).unwrap();
+        let layout = SectionLayout::locate(&header, bytes).unwrap();
+        let end = layout.adjacency_pos + header.adjacency_len();
+        bytes[end - 4..end].copy_from_slice(&value.to_le_bytes());
+        let mut hasher = Fnv1a::new();
+        hasher.update(&bytes[layout.offsets_pos..layout.offsets_pos + header.offsets_len()]);
+        hasher.update(&bytes[layout.adjacency_pos..end]);
+        bytes[40..48].copy_from_slice(&hasher.finish().to_le_bytes());
+    }
+
     #[test]
     fn mapped_graph_mirrors_heap_surface() {
         let g = sample();
         let path = temp_path("mirror");
         write_binary_file(&g, &path).unwrap();
-        let m = MmapCsrGraph::open(&path).unwrap();
+        let mapped = MmapCsrGraph::open(&path).unwrap();
+        let m = mapped.view();
         assert_eq!(m.num_vertices(), g.num_vertices());
         assert_eq!(m.num_edges(), g.num_edges());
         assert_eq!(m.num_directed_edges(), g.num_directed_edges());
         assert_eq!(m.num_canonical_edges(), g.num_canonical_edges());
-        assert_eq!(m.total_degree(), g.total_degree());
         assert_eq!(m.is_sorted(), g.is_sorted());
-        assert_eq!(m.max_degree(), g.max_degree());
-        for v in 0..g.num_vertices() as VertexId {
-            assert_eq!(m.degree(v), g.degree(v));
-            assert_eq!(m.neighbors(v), g.neighbors(v));
-        }
-        for i in 0..=g.num_vertices() {
-            assert_eq!(m.adjacency_start(i), g.adjacency_start(i));
-        }
-        assert_eq!(m.edges().collect::<Vec<_>>(), g.edges().collect::<Vec<_>>());
+        assert_eq!(m.offsets(), g.offsets());
+        assert_eq!(m.adjacency(), g.adjacency());
         assert!(m.has_edge(0, 5));
         assert!(!m.has_edge(1, 5));
-        assert!(!m.has_edge(0, 99));
         assert_eq!(m.to_csr_graph(), g);
-        m.verify_checksum().unwrap();
+        mapped.verify_checksum().unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn canonical_edge_count_comes_from_the_header() {
+        let g = sample();
+        let path = temp_path("canonical");
+        write_binary_file(&g, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        // The count is not covered by the checksum; a doctored one shows
+        // the view reads the header instead of walking the adjacency.
+        bytes[32..40].copy_from_slice(&99u64.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let m = MmapCsrGraph::open(&path).unwrap();
+        assert_eq!(m.view().num_canonical_edges(), 99);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -470,6 +368,37 @@ mod tests {
     }
 
     #[test]
+    fn verify_checksum_rejects_out_of_range_adjacency() {
+        // A sorted file is checked through the last entry of each list, an
+        // unsorted one entry by entry; the last entry of vertex 5's list
+        // keeps a sorted file sorted.
+        for (tag, g) in [
+            ("oob_sorted", sample()),
+            ("oob_unsorted", sample().with_scrambled_adjacency(5)),
+        ] {
+            let path = temp_path(tag);
+            write_binary_file(&g, &path).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            set_last_entry(&mut bytes, 99);
+            std::fs::write(&path, &bytes).unwrap();
+            let m = MmapCsrGraph::open(&path).unwrap();
+            assert_eq!(m.view().neighbors(5), &[99]);
+            let err = m.verify_checksum().unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    GraphError::VertexOutOfRange {
+                        vertex: 99,
+                        num_vertices: 6
+                    }
+                ),
+                "{tag}: {err:?}"
+            );
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
     fn open_rejects_nonmonotone_offsets() {
         let g = sample();
         let path = temp_path("monotone");
@@ -484,16 +413,55 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A file with u64 offsets needs more than 2^32 directed entries. A
+    /// sparse file has them: one vertex, offsets `[0, 2^32 + 2]`, and an
+    /// adjacency section that `set_len` leaves as a hole. Opening decodes
+    /// the offsets and never reads the hole.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn wide_offsets_decode_from_a_sparse_file() {
+        let directed = (1u64 << 32) + 2;
+        let header = Header {
+            version: FORMAT_VERSION,
+            sorted: true,
+            width: OffsetsWidth::U64,
+            num_vertices: 1,
+            num_directed_edges: directed,
+            num_canonical_edges: 0,
+            checksum: 0,
+        };
+        let path = temp_path("sparse_wide");
+        {
+            use std::io::Write;
+            let mut file = File::create(&path).unwrap();
+            file.write_all(&header.to_bytes()).unwrap();
+            file.write_all(&section_table_bytes(&header)).unwrap();
+            file.write_all(&0u64.to_le_bytes()).unwrap();
+            file.write_all(&directed.to_le_bytes()).unwrap();
+            file.set_len(header.file_len() as u64).unwrap();
+        }
+        let m = MmapCsrGraph::open(&path).unwrap();
+        assert_eq!(m.header().width, OffsetsWidth::U64);
+        let g = m.view();
+        assert_eq!(g.num_vertices(), 1);
+        assert_eq!(g.offsets(), &[0, 4_294_967_298]);
+        assert_eq!(g.degree(0), 4_294_967_298);
+        assert_eq!(g.num_directed_edges(), 4_294_967_298);
+        assert_eq!(g.max_degree(), 4_294_967_298);
+        drop(m);
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn empty_graph_maps() {
         let g = CsrGraph::empty(4);
         let path = temp_path("empty");
         write_binary_file(&g, &path).unwrap();
         let m = MmapCsrGraph::open(&path).unwrap();
-        assert_eq!(m.num_vertices(), 4);
-        assert_eq!(m.num_edges(), 0);
-        assert_eq!(m.neighbors(2), &[] as &[VertexId]);
-        assert_eq!(m.to_csr_graph(), g);
+        assert_eq!(m.view().num_vertices(), 4);
+        assert_eq!(m.view().num_edges(), 0);
+        assert_eq!(m.view().neighbors(2), &[] as &[VertexId]);
+        assert_eq!(m.view().to_csr_graph(), g);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -503,10 +471,9 @@ mod tests {
         let path = temp_path("unsorted");
         write_binary_file(&g, &path).unwrap();
         let m = MmapCsrGraph::open(&path).unwrap();
+        let m = m.view();
         assert!(!m.is_sorted());
-        for v in 0..g.num_vertices() as VertexId {
-            assert_eq!(m.neighbors(v), g.neighbors(v));
-        }
+        assert_eq!(m.adjacency(), g.adjacency());
         assert!(m.has_edge(0, 2));
         let _ = std::fs::remove_file(&path);
     }
@@ -527,7 +494,7 @@ mod tests {
         std::fs::write(&path, &v1).unwrap();
         let m = MmapCsrGraph::open(&path).unwrap();
         assert_eq!(m.header().version, FORMAT_VERSION_V1);
-        assert_eq!(m.to_csr_graph(), g);
+        assert_eq!(m.view().to_csr_graph(), g);
         // The checksum covers only payload bytes, so it still verifies —
         // and the content hash (serve cache key) is unchanged.
         m.verify_checksum().unwrap();
@@ -552,7 +519,7 @@ mod tests {
         bytes[12..16].copy_from_slice(&(flags | 1).to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         let m = MmapCsrGraph::open(&path).unwrap();
-        assert!(m.is_sorted(), "doctored header should claim sorted");
+        assert!(m.view().is_sorted(), "doctored header should claim sorted");
         let err = m.verify_checksum().unwrap_err();
         assert!(
             matches!(err, GraphError::SortedFlagViolation { .. }),

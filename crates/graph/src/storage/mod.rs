@@ -6,9 +6,10 @@
 //! * [`format`] — the versioned little-endian `CHRDLCSR` on-disk layout
 //!   (full specification in its module docs), plus an in-memory
 //!   writer/reader pair.
-//! * [`mmap`] — [`MmapCsrGraph`], which serves the [`CsrGraph`] read
-//!   surface directly out of a memory-mapped file; adjacency pages fault
-//!   in lazily, so load time is `O(V)` validation instead of `O(E)` parse.
+//! * [`mmap`] — [`MmapCsrGraph`], which lends a [`GraphRef`] over its
+//!   decoded offsets and a memory-mapped adjacency section; adjacency pages
+//!   fault in lazily, so load time is an `O(V)` offsets decode instead of
+//!   an `O(E)` parse.
 //! * [`stream`] — [`convert_edge_list_to_binary`], a spill-to-disk
 //!   converter that turns arbitrarily large text edge lists into binary
 //!   files using bounded memory.
@@ -97,8 +98,8 @@ impl LoadedGraph {
     #[inline]
     pub fn as_graph_ref(&self) -> GraphRef<'_> {
         match self {
-            LoadedGraph::Heap(g) => GraphRef::Heap(g),
-            LoadedGraph::Mapped(g) => GraphRef::Mapped(g),
+            LoadedGraph::Heap(g) => g.view(),
+            LoadedGraph::Mapped(g) => g.view(),
         }
     }
 

@@ -382,7 +382,7 @@ mod tests {
         assert!(s2.buckets > 1, "window of 16 bytes must split buckets");
         assert_eq!(std::fs::read(&one).unwrap(), std::fs::read(&many).unwrap());
         let mapped = MmapCsrGraph::open(&many).unwrap();
-        assert_eq!(mapped.to_csr_graph(), g);
+        assert_eq!(mapped.view().to_csr_graph(), g);
         mapped.verify_checksum().unwrap();
         for p in [&txt, &one, &many] {
             let _ = std::fs::remove_file(p);
@@ -397,8 +397,11 @@ mod tests {
         convert_edge_list_to_binary(&txt, &bin).unwrap();
         let mapped = MmapCsrGraph::open(&bin).unwrap();
         let heap = read_edge_list_file(&txt).unwrap();
-        assert_eq!(mapped.to_csr_graph(), heap);
-        assert_eq!(mapped.num_canonical_edges(), heap.num_canonical_edges());
+        assert_eq!(mapped.view().to_csr_graph(), heap);
+        assert_eq!(
+            mapped.view().num_canonical_edges(),
+            heap.num_canonical_edges()
+        );
         mapped.verify_checksum().unwrap();
         let _ = std::fs::remove_file(&txt);
         let _ = std::fs::remove_file(&bin);
@@ -413,7 +416,7 @@ mod tests {
         assert_eq!(stats.num_vertices, 0);
         assert_eq!(stats.num_directed_edges, 0);
         let mapped = MmapCsrGraph::open(&bin).unwrap();
-        assert_eq!(mapped.num_vertices(), 0);
+        assert_eq!(mapped.view().num_vertices(), 0);
         let _ = std::fs::remove_file(&txt);
         let _ = std::fs::remove_file(&bin);
     }

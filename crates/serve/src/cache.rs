@@ -131,9 +131,7 @@ pub struct GraphCache {
 /// adjacency array footprint for heap graphs.
 fn resident_bytes(graph: &LoadedGraph) -> usize {
     match graph {
-        LoadedGraph::Heap(g) => {
-            (g.num_vertices() + 1) * std::mem::size_of::<usize>() + g.num_directed_edges() * 4
-        }
+        LoadedGraph::Heap(g) => g.memory_breakdown().total_bytes(),
         LoadedGraph::Mapped(m) => m.header().file_len(),
     }
 }
@@ -273,14 +271,19 @@ impl GraphCache {
         // Admission gate: a mapped binary graph must hash to the checksum
         // its header claims before anything downstream may trust it.
         // `load_graph` validated structure only; this pass covers the data
-        // sections a bit flip would silently poison.
-        if let LoadedGraph::Mapped(m) = &loaded {
-            if let Err(e) = m.verify_checksum() {
+        // sections a bit flip would silently poison. Once verified, the
+        // header also gives the graph its content hash, so a miss pays one
+        // O(E) pass, not a second one over the same bytes.
+        let hash = match &loaded {
+            LoadedGraph::Mapped(m) => {
                 let claimed = content_hash_from_header(m.header());
-                return Err(self.quarantine(claimed, e.to_string()));
+                if let Err(e) = m.verify_checksum() {
+                    return Err(self.quarantine(claimed, e.to_string()));
+                }
+                claimed
             }
-        }
-        let hash = content_hash(loaded.as_graph_ref());
+            LoadedGraph::Heap(g) => content_hash(g),
+        };
         // The load above raced nothing (text files can't know their hash
         // before parsing), so re-check residency before inserting: another
         // session may have loaded the same graph meanwhile.

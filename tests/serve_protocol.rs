@@ -4,7 +4,7 @@
 //! never a panic, a wedged connection, or a leaked session slot.
 
 use maximal_chordal::graph::io::write_edge_list_file;
-use maximal_chordal::graph::storage::convert_edge_list_to_binary;
+use maximal_chordal::graph::storage::{convert_edge_list_to_binary, Header, SectionLayout};
 use maximal_chordal::prelude::*;
 use maximal_chordal::serve::{JsonValue, ServeClient, ServeConfig, Server, ServerHandle};
 use std::time::{Duration, Instant};
@@ -45,6 +45,25 @@ impl Drop for Fixture {
 
 fn default_fixture(tag: &str) -> Fixture {
     Fixture::start(tag, ServeConfig::default())
+}
+
+/// A copy of an encoded graph whose last adjacency entry names the vertex
+/// count — one past the last vertex — with the FNV-1a section checksum
+/// recomputed to match. The last entry is its list's largest, so a sorted
+/// file stays sorted.
+fn with_out_of_range_entry(bytes: &[u8]) -> Vec<u8> {
+    let mut bytes = bytes.to_vec();
+    let header = Header::parse(&bytes).unwrap();
+    let layout = SectionLayout::locate(&header, &bytes).unwrap();
+    let end = layout.adjacency_pos + header.adjacency_len();
+    bytes[end - 4..end].copy_from_slice(&(header.num_vertices as u32).to_le_bytes());
+    // The two sections are adjacent, offsets first.
+    let mut checksum = 0xcbf2_9ce4_8422_2325u64;
+    for &b in &bytes[layout.offsets_pos..end] {
+        checksum = (checksum ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    bytes[40..48].copy_from_slice(&checksum.to_le_bytes());
+    bytes
 }
 
 #[test]
@@ -283,6 +302,31 @@ fn a_corrupt_binary_file_is_quarantined_with_a_typed_error() {
         .request(&format!("LOAD path={}", fixture.bin.display()))
         .unwrap();
     assert!(healed.ok(), "{}", healed.raw);
+
+    // A matching checksum over an adjacency entry past the last vertex is
+    // corrupt too: admission rejects it before an extraction indexes with
+    // it, and counts it.
+    let corruptions = |client: &mut ServeClient| {
+        let stats = client.request("STATS").unwrap();
+        stats
+            .json
+            .path(&["cache", "corruptions"])
+            .and_then(JsonValue::as_u64)
+            .unwrap()
+    };
+    let before = corruptions(&mut client);
+    let out_of_range = fixture.bin.with_extension("oob.bin");
+    std::fs::write(&out_of_range, with_out_of_range_entry(&bytes)).unwrap();
+    for request in [
+        format!("LOAD path={}", out_of_range.display()),
+        format!("EXTRACT path={} algorithm=dearing", out_of_range.display()),
+    ] {
+        let response = client.request(&request).unwrap();
+        assert_eq!(response.code(), Some("corrupt"), "{}", response.raw);
+        assert!(response.raw.contains("out of range"), "{}", response.raw);
+    }
+    let _ = std::fs::remove_file(&out_of_range);
+    assert_eq!(corruptions(&mut client), before + 2);
 }
 
 #[test]

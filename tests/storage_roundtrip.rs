@@ -74,7 +74,7 @@ fn text_binary_mmap_roundtrip_preserves_the_graph() {
         let mapped = disk.mmap();
         mapped.verify_checksum().expect("converted file checksum");
         assert_eq!(
-            mapped.to_csr_graph(),
+            mapped.view().to_csr_graph(),
             graph,
             "{tag}: binary round trip must reproduce the generated graph"
         );
