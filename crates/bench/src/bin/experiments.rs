@@ -15,7 +15,7 @@
 //!   chordal-fraction  Percentage of chordal edges (Section V)
 //!   maximality-gap    Near-maximality probe (reproduction finding)
 //!   scheduler         Batch-scheduling policy ablation (pool counters)
-//!   repair            Maximality-repair strategy ablation (incremental vs scratch)
+//!   repair            Maximality-repair ablation (incremental vs scratch oracle)
 //!   storage           Cold-start ablation: text re-parse vs binary mmap reload
 //!   kernels           Intersection-kernel ablation: merge/gallop/adaptive x skew
 //!   serving           Closed-loop load against the resident extraction service

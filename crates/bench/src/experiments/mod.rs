@@ -4,7 +4,7 @@
 //! (Table I, Figures 2–7, Table II), to one quantitative claim made in the
 //! text (chordal edge fractions, near-maximality of the output), or to one
 //! implementation ablation beyond the paper (the `scheduler` batch-policy
-//! sweep, the `repair` strategy ablation, the `storage` cold-start
+//! sweep, the `repair` maintainer-vs-oracle ablation, the `storage` cold-start
 //! comparison of text re-parse vs binary mmap reload, and the `kernels`
 //! intersection-variant × skew sweep). The `experiments`
 //! binary

@@ -1,30 +1,34 @@
 //! Repair ablation: incremental vs scratch maximality repair.
 //!
 //! The `repair` post-pass restores strict maximality after an `alg1`
-//! extraction. Its original (scratch) strategy re-verified chordality from
-//! scratch per candidate edge — quadratic, which kept `alg1 + repair`
-//! test-scale only. The incremental strategy
-//! ([`chordal_core::repair::incremental`]) maintains the chordal subgraph
-//! across candidates and answers each with one early-exit separator
-//! search. This ablation times both strategies on a small graph (where the
-//! scratch baseline is still tractable) and the incremental strategy on a
-//! benchmark-scale graph of at least 100k edges, recording per point the
-//! repair-only seconds next to the base extraction seconds, plus the
-//! workspace's allocation-growth delta across the timed repairs — the
-//! machine-checked contract that repeated repairs are allocation-free.
+//! extraction. It runs the incremental maintainer
+//! ([`chordal_core::repair::incremental`]), which keeps the chordal
+//! subgraph across candidates and answers each with one early-exit
+//! separator search. Its test oracle,
+//! [`chordal_core::repair::repair_maximality_reference`] (the `scratch`
+//! rows), re-verifies chordality from scratch per candidate edge, which is
+//! quadratic over a pass. This ablation times both on a small graph (where
+//! the oracle is still tractable) and the maintainer on a benchmark-scale
+//! graph of at least 100k edges, recording per point the repair-only
+//! seconds next to the base extraction seconds, plus the workspace's
+//! allocation-growth delta across the timed repairs — the machine-checked
+//! contract that repeated repairs are allocation-free.
 
 use super::HarnessOptions;
 use crate::records::RepairPoint;
+use crate::timing::time_best_of;
 use crate::workloads::SUITE_SEED;
-use chordal_core::repair::{repair_maximality_assume_chordal, repair_maximality_with};
+use chordal_core::repair::{
+    repair_maximality_assume_chordal, repair_maximality_reference, repair_maximality_with,
+};
 use chordal_core::verify::is_chordal;
-use chordal_core::{AdjacencyMode, ExtractionSession, ExtractorConfig, RepairStrategy, Workspace};
+use chordal_core::{AdjacencyMode, ExtractionSession, ExtractorConfig, Workspace};
 use chordal_generators::rmat::{RmatKind, RmatParams};
 use chordal_graph::CsrGraph;
 
 /// Minimum host-graph size of the ablation's "benchmark scale" point. The
-/// incremental strategy must complete a full repair here; the scratch
-/// baseline is only run on the small graph.
+/// incremental maintainer must complete a full repair here; the scratch
+/// oracle is only run on the small graph.
 pub const LARGE_GRAPH_MIN_EDGES: usize = 100_000;
 
 /// R-MAT scale of the benchmark-scale point (edge factor 8 puts scale 14
@@ -34,7 +38,7 @@ const LARGE_SCALE: u32 = 14;
 struct RepairWorkload {
     name: String,
     graph: CsrGraph,
-    /// Whether the quadratic scratch baseline is tractable on this graph.
+    /// Whether the quadratic scratch oracle is tractable on this graph.
     scratch_too: bool,
     /// Nanoseconds spent generating this host graph (recorded per point as
     /// the cold-start cost next to the extract/repair timings).
@@ -74,13 +78,14 @@ fn workloads(options: &HarnessOptions) -> Vec<RepairWorkload> {
     ]
 }
 
-/// Runs the ablation and returns one point per graph × strategy.
+/// Runs the ablation and returns one point per graph × repair (the
+/// maintainer, plus the oracle where it is tractable).
 pub fn run(options: &HarnessOptions) -> Vec<RepairPoint> {
     let repeats = options.repeats.max(1);
     let mut points = Vec::new();
     for workload in workloads(options) {
         let graph = &workload.graph;
-        // Deterministic base extraction so both strategies repair the
+        // Deterministic base extraction so both repairs start from the
         // exact same edge set.
         let mut session = ExtractionSession::new(ExtractorConfig::serial(AdjacencyMode::Sorted));
         let base = session.extract(graph);
@@ -99,39 +104,25 @@ pub fn run(options: &HarnessOptions) -> Vec<RepairPoint> {
             is_chordal(&base.subgraph(graph)),
             "alg1 output must be chordal"
         );
-        let mut strategies = vec![RepairStrategy::Incremental];
-        if workload.scratch_too {
-            strategies.push(RepairStrategy::Scratch);
-        }
-        for strategy in strategies {
-            let mut workspace = Workspace::new();
-            // Warm-up grows the repair scratch; the timed repeats measure
-            // (and the allocation delta locks) the steady state. The warm-up
-            // goes through the certifying public entry point on purpose, as
-            // a differential check against the assume-chordal fast path.
-            let outcome =
-                repair_maximality_with(graph, base.edges(), None, strategy, &mut workspace);
-            let allocations = workspace.allocations();
-            let mut repair_seconds = f64::MAX;
-            for _ in 0..repeats {
-                let start = std::time::Instant::now();
-                let again = repair_maximality_assume_chordal(
-                    graph,
-                    base.edges(),
-                    None,
-                    strategy,
-                    &mut workspace,
-                );
-                repair_seconds = repair_seconds.min(start.elapsed().as_secs_f64());
-                assert_eq!(
-                    again, outcome,
-                    "certified and assume-chordal repairs must agree"
-                );
-            }
-            points.push(RepairPoint {
+        let mut workspace = Workspace::new();
+        // Warm-up grows the repair scratch; the timed repeats measure (and
+        // the allocation delta locks) the steady state. The warm-up goes
+        // through the certifying public entry point on purpose, as a
+        // differential check against the assume-chordal fast path.
+        let outcome = repair_maximality_with(graph, base.edges(), None, &mut workspace);
+        let allocations = workspace.allocations();
+        let (elapsed, again) = time_best_of(repeats, || {
+            repair_maximality_assume_chordal(graph, base.edges(), None, &mut workspace)
+        });
+        assert_eq!(
+            again, outcome,
+            "certified and assume-chordal repairs must agree"
+        );
+        let point =
+            |strategy: &str, repair_seconds: f64, workspace_bytes, allocations_delta| RepairPoint {
                 experiment: "repair".to_string(),
                 graph: workload.name.clone(),
-                strategy: strategy.label().to_string(),
+                strategy: strategy.to_string(),
                 graph_edges: graph.num_edges(),
                 base_edges: base.num_chordal_edges(),
                 repaired_edges: outcome.edges.len(),
@@ -139,10 +130,26 @@ pub fn run(options: &HarnessOptions) -> Vec<RepairPoint> {
                 examined: outcome.examined,
                 extract_seconds,
                 repair_seconds,
-                workspace_bytes: workspace.allocated_bytes(),
-                allocations_delta: workspace.allocations() - allocations,
+                workspace_bytes,
+                allocations_delta,
                 load_ns: workload.load_ns,
+            };
+        points.push(point(
+            "incremental",
+            elapsed.as_secs_f64(),
+            workspace.allocated_bytes(),
+            workspace.allocations() - allocations,
+        ));
+        if workload.scratch_too {
+            // The oracle allocates afresh on every call: no workspace.
+            let (elapsed, reference) = time_best_of(repeats, || {
+                repair_maximality_reference(graph, base.edges(), None)
             });
+            assert_eq!(
+                reference, outcome,
+                "the reference repair must agree with the maintainer"
+            );
+            points.push(point("scratch", elapsed.as_secs_f64(), 0, 0));
         }
     }
     points
@@ -191,7 +198,7 @@ mod tests {
     fn ablation_covers_benchmark_scale_and_strategies_agree() {
         let options = HarnessOptions::tiny();
         let points = run(&options);
-        // Small graph under both strategies, large graph incremental only.
+        // Small graph under both repairs, large graph incremental only.
         assert_eq!(points.len(), 3);
         let small: Vec<_> = points
             .iter()
@@ -200,7 +207,7 @@ mod tests {
         assert_eq!(small.len(), 2);
         assert_eq!(
             small[0].repaired_edges, small[1].repaired_edges,
-            "strategies must repair to identical edge counts"
+            "maintainer and oracle must repair to identical edge counts"
         );
         assert_eq!(small[0].added, small[1].added);
         assert_eq!(small[0].examined, small[1].examined);
@@ -211,7 +218,7 @@ mod tests {
         assert_eq!(large.strategy, "incremental");
         assert!(
             large.graph_edges >= LARGE_GRAPH_MIN_EDGES,
-            "the incremental strategy must complete on a >= 100k-edge graph"
+            "the incremental maintainer must complete on a >= 100k-edge graph"
         );
         assert!(large.repaired_edges >= large.base_edges);
         for p in &points {

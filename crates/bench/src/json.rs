@@ -1,10 +1,11 @@
 //! Hand-rolled JSON encoding for experiment records.
 //!
 //! The build environment has no serde, so record structs implement the tiny
-//! [`ToJson`] trait instead — usually through the [`impl_to_json!`] macro,
-//! which emits one JSON object with the struct's named fields. Output is
-//! plain, standards-conformant JSON (NaN and infinities map to `null`, as
-//! `serde_json` does for its permissive formatters).
+//! [`ToJson`] trait instead — usually through the
+//! [`crate::impl_to_json!`] macro, which emits one JSON object with the
+//! struct's named fields. Output is plain, standards-conformant JSON (NaN
+//! and infinities map to `null`, as `serde_json` does for its permissive
+//! formatters).
 
 /// A value that can write itself as JSON.
 pub trait ToJson {

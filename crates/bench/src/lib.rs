@@ -1,11 +1,11 @@
 //! Shared infrastructure for the benchmark harness.
 //!
 //! The `experiments` binary (in `src/bin`) regenerates every table and
-//! figure of the paper; the Criterion benches (in `benches/`) provide
-//! statistically robust micro- and macro-benchmarks of the same code paths.
-//! Both are built on the helpers in this library: workload construction at a
-//! configurable scale, simple wall-clock timing, and serialisable experiment
-//! records.
+//! figure of the paper and runs the ablations behind the `BENCH_*.json`
+//! snapshots. It is built on the helpers in this library: workload
+//! construction at a configurable scale, simple wall-clock timing, and
+//! serialisable experiment records. The repository benchmark, `perfbench/`,
+//! is a package of its own.
 
 #![deny(missing_docs)]
 

@@ -103,15 +103,17 @@ impl_to_json!(SchedulerPoint {
     load_ns,
 });
 
-/// One point of the `repair` ablation: one graph repaired with one
-/// [`chordal_core::RepairStrategy`] after an `alg1` extraction.
+/// One point of the `repair` ablation: one graph repaired after an `alg1`
+/// extraction, by the production maintainer or by the test oracle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairPoint {
     /// Experiment id (`"repair"`).
     pub experiment: String,
     /// Graph name (e.g. `"RMAT-ER(14)"`).
     pub graph: String,
-    /// Repair strategy (`"incremental"`, `"scratch"`).
+    /// Which repair ran: `"incremental"` (the production maintainer of
+    /// [`chordal_core::repair::repair_maximality_with`]) or `"scratch"`
+    /// (the oracle [`chordal_core::repair::repair_maximality_reference`]).
     pub strategy: String,
     /// Edges of the host graph.
     pub graph_edges: usize,
@@ -127,7 +129,8 @@ pub struct RepairPoint {
     pub extract_seconds: f64,
     /// Best wall-clock seconds of the repair pass alone.
     pub repair_seconds: f64,
-    /// Heap bytes retained by the repair workspace after the runs.
+    /// Heap bytes retained by the repair workspace after the runs (0 for
+    /// the oracle, which uses none).
     pub workspace_bytes: usize,
     /// Workspace buffer-growth events during the timed (post-warm-up)
     /// repairs — the regression lock that repeated repairs are

@@ -1,8 +1,7 @@
 //! Minimal wall-clock timing helpers for the `experiments` binary.
 //!
-//! The Criterion benches provide the statistically careful measurements; the
-//! figure-regeneration binary only needs stable, quick numbers, so it uses a
-//! best-of-N wall clock measurement.
+//! The figure-regeneration binary needs stable, quick numbers, so it uses
+//! a best-of-N wall clock measurement.
 
 use std::time::{Duration, Instant};
 

@@ -2,8 +2,8 @@
 //!
 //! Code under test swaps its imports to this module under
 //! `cfg(chordal_model)`; every operation becomes a schedule point of the
-//! deterministic explorer in [`crate::rt`]. The API mirrors the subset of
-//! `std` the workspace actually uses.
+//! deterministic explorer behind [`crate::model`]. The API mirrors the
+//! subset of `std` the workspace actually uses.
 
 use crate::rt;
 use std::marker::PhantomData;

@@ -8,7 +8,7 @@
 //! chordal extract  --in graph.txt --out chordal.txt [--algorithm alg1|reference|dearing|partitioned]
 //!                  [--threads 8] [--engine pool|serial] [--variant opt|unopt]
 //!                  [--semantics async|sync] [--partitions N] [--stats] [--stitch] [--repair]
-//!                  [--repair-strategy incremental|scratch] [--format text|bin|auto]
+//!                  [--format text|bin|auto]
 //! chordal batch    --in a.txt,b.bin,c.txt [--threads 8] [--engine pool|serial]
 //!                  [--repeat N] [...extract flags]
 //! chordal analyze  --in graph.txt
@@ -48,8 +48,7 @@ use chordal_analysis::TableRow;
 use chordal_core::connect::stitch_components;
 use chordal_core::verify::{check_maximality, is_chordal, MaximalityReport};
 use chordal_core::{
-    AdjacencyMode, Algorithm, ExtractError, ExtractionSession, ExtractorConfig, RepairStrategy,
-    Semantics,
+    AdjacencyMode, Algorithm, ExtractError, ExtractionSession, ExtractorConfig, Semantics,
 };
 use chordal_generators::bio::GeneNetworkKind;
 use chordal_generators::rmat::{RmatKind, RmatParams};
@@ -109,7 +108,7 @@ const USAGE: &str = "chordal — maximal chordal subgraph toolkit\n\
     \x20 extract  --in FILE [--out FILE] [--algorithm alg1|reference|dearing|partitioned]\n\
     \x20          [--threads N] [--engine serial|pool] [--variant opt|unopt]\n\
     \x20          [--semantics async|sync] [--partitions N] [--stats] [--stitch]\n\
-    \x20          [--repair] [--repair-strategy incremental|scratch]\n\
+    \x20          [--repair]\n\
     \x20 batch    --in FILE[,FILE...] [--repeat N] [...extract flags]\n\
     \x20 analyze  --in FILE\n\
     \x20 verify   --graph FILE --subgraph FILE [--maximality N]\n\
@@ -146,7 +145,6 @@ const OPTIONS: &[&str] = &[
     "variant",
     "semantics",
     "partitions",
-    "repair-strategy",
     "repeat",
     "graph",
     "subgraph",
@@ -323,22 +321,13 @@ fn extraction_config(flags: &Flags) -> Result<ExtractorConfig, ExtractError> {
             .unwrap_or("async"),
     )?;
     let partitions: usize = parse_number(flags, "partitions", 0)?;
-    let repair_strategy = match flags.get("repair-strategy") {
-        None => RepairStrategy::default(),
-        Some(name) => RepairStrategy::parse(name)?,
-    };
     ExtractorConfig::default()
         .with_algorithm(algorithm)
         .with_adjacency(adjacency)
         .with_semantics(semantics)
         .with_stats(flags.contains_key("stats"))
-        // Naming a strategy implies the repair pass itself.
-        .with_repair(flags.contains_key("repair") || flags.contains_key("repair-strategy"))
-        .with_repair_strategy(repair_strategy)
-        .with_partitions(
-            partitions,
-            chordal_core::partitioned::PartitionStrategy::Blocks,
-        )
+        .with_repair(flags.contains_key("repair"))
+        .with_partitions(partitions)
         .with_engine_name(
             flags.get("engine").map(String::as_str).unwrap_or("pool"),
             threads,
@@ -641,6 +630,7 @@ mod tests {
             "--no-ewma",
             "--rebalance",
             "--no-rebalance",
+            "--repair-strategy",
             "--bogus",
         ] {
             let error = parse_flags(&args(&["--in", "a.txt", flag, "1"])).unwrap_err();

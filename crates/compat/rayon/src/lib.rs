@@ -8,7 +8,7 @@
 //! `for_each`/`collect`/`sum`/`max`, and [`current_num_threads`].
 //!
 //! All parallel work runs on one **lazily-spawned persistent worker pool**
-//! (see [`mod@pool`]) with one scheduling primitive: a region's
+//! (the private `pool` module) with one scheduling primitive: a region's
 //! participants drain a shared cursor. A region publishes help tickets to
 //! one bounded lock-free MPMC injector, which nested and outside
 //! submissions share; panics propagate to the submitting thread, and no OS
@@ -546,7 +546,7 @@ pub mod prelude {
         /// Parallel iterator over mutable `size`-element chunks.
         fn par_chunks_mut(&mut self, size: usize) -> ParChunksMut<'_, T>;
         /// Unstable parallel merge sort on the persistent pool (sequential
-        /// below [`crate::sort`]'s size threshold or on one thread).
+        /// below the `sort` module's size threshold or on one thread).
         fn par_sort_unstable(&mut self)
         where
             T: Ord;

@@ -3,8 +3,6 @@
 
 use crate::error::ExtractError;
 use crate::extractor::Algorithm;
-use crate::partitioned::PartitionStrategy;
-use crate::repair::RepairStrategy;
 use chordal_runtime::Engine;
 
 /// How neighbour lists are traversed when searching for the next lowest
@@ -101,7 +99,7 @@ impl Semantics {
 /// A config is the single input of the registry
 /// ([`Algorithm::build`] / [`ExtractorConfig::build_extractor`]) and of
 /// [`crate::ExtractionSession::new`]. Fields that only concern one
-/// algorithm (the partition knobs, the iteration semantics) are ignored by
+/// algorithm (the partition count, the iteration semantics) are ignored by
 /// the others.
 #[derive(Debug, Clone)]
 pub struct ExtractorConfig {
@@ -117,21 +115,16 @@ pub struct ExtractorConfig {
     /// Record per-iteration queue sizes and edge counts (Figure 7 of the
     /// paper). Small constant overhead per iteration.
     pub record_stats: bool,
-    /// Number of partitions for [`Algorithm::Partitioned`]; 0 means "one per
-    /// engine worker thread".
+    /// Number of partitions for [`Algorithm::Partitioned`], each a
+    /// contiguous block of vertex ids; 0 means "one per engine worker
+    /// thread".
     pub partitions: usize,
-    /// Vertex-to-partition assignment for [`Algorithm::Partitioned`].
-    pub partition_strategy: PartitionStrategy,
     /// Run the [`crate::repair`] maximality post-pass after every
     /// extraction, restoring strict maximality (`alg1 + repair` is the
     /// configuration comparable against the Dearing baseline end to end).
+    /// The pass runs the incremental chordality maintainer; input it cannot
+    /// certify chordal goes to the reference repair instead.
     pub repair: bool,
-    /// How the repair pass decides whether a candidate edge is addable:
-    /// [`RepairStrategy::Incremental`] (default — maintained chordal
-    /// subgraph, separator test per candidate) or
-    /// [`RepairStrategy::Scratch`] (full re-verification per candidate,
-    /// kept for differential testing). CLI flag `--repair-strategy`.
-    pub repair_strategy: RepairStrategy,
 }
 
 impl Default for ExtractorConfig {
@@ -143,9 +136,7 @@ impl Default for ExtractorConfig {
             semantics: Semantics::Asynchronous,
             record_stats: false,
             partitions: 0,
-            partition_strategy: PartitionStrategy::Blocks,
             repair: false,
-            repair_strategy: RepairStrategy::default(),
         }
     }
 }
@@ -200,24 +191,16 @@ impl ExtractorConfig {
         self
     }
 
-    /// Builder-style: sets the partition count and strategy for the
-    /// partitioned baseline.
-    pub fn with_partitions(mut self, partitions: usize, strategy: PartitionStrategy) -> Self {
+    /// Builder-style: sets the partition count for the partitioned
+    /// baseline.
+    pub fn with_partitions(mut self, partitions: usize) -> Self {
         self.partitions = partitions;
-        self.partition_strategy = strategy;
         self
     }
 
     /// Builder-style: enables or disables the maximality repair post-pass.
     pub fn with_repair(mut self, repair: bool) -> Self {
         self.repair = repair;
-        self
-    }
-
-    /// Builder-style: sets the strategy of the maximality repair post-pass
-    /// (see [`repair_strategy`](ExtractorConfig::repair_strategy)).
-    pub fn with_repair_strategy(mut self, strategy: RepairStrategy) -> Self {
-        self.repair_strategy = strategy;
         self
     }
 
@@ -257,7 +240,6 @@ mod tests {
         assert_eq!(c.semantics, Semantics::Asynchronous);
         assert!(!c.record_stats);
         assert!(!c.repair);
-        assert_eq!(c.repair_strategy, RepairStrategy::Incremental);
         assert!(c.engine.threads() >= 1);
         assert_eq!(c.effective_partitions(), c.engine.threads());
     }
@@ -270,19 +252,16 @@ mod tests {
             .with_adjacency(AdjacencyMode::Sorted)
             .with_engine(Engine::chunked(2))
             .with_algorithm(Algorithm::Dearing)
-            .with_partitions(6, PartitionStrategy::RoundRobin)
-            .with_repair(true)
-            .with_repair_strategy(RepairStrategy::Scratch);
+            .with_partitions(6)
+            .with_repair(true);
         assert!(c.record_stats);
         assert!(c.repair);
-        assert_eq!(c.repair_strategy, RepairStrategy::Scratch);
         assert_eq!(c.semantics, Semantics::Asynchronous);
         assert_eq!(c.adjacency, AdjacencyMode::Sorted);
         assert_eq!(c.engine.threads(), 2);
         assert_eq!(c.engine.name(), "pool");
         assert_eq!(c.algorithm, Algorithm::Dearing);
         assert_eq!(c.effective_partitions(), 6);
-        assert_eq!(c.partition_strategy, PartitionStrategy::RoundRobin);
     }
 
     #[test]

@@ -152,17 +152,12 @@ impl Algorithm {
             Algorithm::Parallel => Box::new(MaximalChordalExtractor::new(config.clone())),
             Algorithm::Reference => Box::new(ReferenceExtractor::new(config.record_stats)),
             Algorithm::Dearing => Box::new(DearingExtractor::new()),
-            Algorithm::Partitioned => Box::new(PartitionedExtractor::new(
-                config.effective_partitions(),
-                config.partition_strategy,
-            )),
+            Algorithm::Partitioned => {
+                Box::new(PartitionedExtractor::new(config.effective_partitions()))
+            }
         };
         if config.repair {
-            Box::new(crate::repair::RepairExtractor::new(
-                inner,
-                self,
-                config.repair_strategy,
-            ))
+            Box::new(crate::repair::RepairExtractor::new(inner, self))
         } else {
             inner
         }

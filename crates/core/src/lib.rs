@@ -107,12 +107,12 @@
 //!
 //! Adding [`ExtractorConfig::repair`] (CLI `--repair`) appends the
 //! maximality repair post-pass, making `alg1 + repair` comparable against
-//! the Dearing baseline end to end. The pass defaults to the *incremental*
+//! the Dearing baseline end to end. The pass runs the incremental
 //! chordality maintainer ([`repair::incremental`]: maintained chordal
 //! subgraph + separator test per candidate, no per-candidate subgraph
-//! rebuild); [`ExtractorConfig::repair_strategy`] (CLI `--repair-strategy
-//! incremental|scratch`) selects the quadratic from-scratch baseline for
-//! differential testing.
+//! rebuild) on input certified chordal; the from-scratch
+//! [`repair::repair_maximality_reference`] is its test oracle and repairs
+//! the input that fails certification (the partitioned baseline's).
 
 #![deny(missing_docs)]
 
@@ -137,7 +137,6 @@ pub use config::{AdjacencyMode, ExtractorConfig, Semantics};
 pub use error::ExtractError;
 pub use extractor::{Algorithm, ChordalExtractor};
 pub use parallel::MaximalChordalExtractor;
-pub use repair::RepairStrategy;
 pub use result::ChordalResult;
 pub use session::{ExtractionSession, SchedulerFeedback};
 pub use stats::IterationStats;
@@ -150,7 +149,6 @@ pub mod prelude {
     pub use crate::extract_maximal_chordal;
     pub use crate::extractor::{Algorithm, ChordalExtractor};
     pub use crate::parallel::MaximalChordalExtractor;
-    pub use crate::repair::RepairStrategy;
     pub use crate::result::ChordalResult;
     pub use crate::session::ExtractionSession;
     pub use crate::verify;

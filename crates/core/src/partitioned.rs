@@ -12,7 +12,9 @@
 //!
 //! This module simulates that pipeline on shared memory so the benchmark
 //! suite can compare against it and *measure* the chordality violations the
-//! paper only discusses qualitatively.
+//! paper only discusses qualitatively. Vertices are split into contiguous
+//! blocks of ids, which is what a typical distribution of a renumbered
+//! graph looks like.
 
 use crate::dearing::DearingExtractor;
 use crate::extractor::ChordalExtractor;
@@ -23,18 +25,6 @@ use chordal_graph::subgraph::{edge_subgraph, induced_subgraph};
 use chordal_graph::{Edge, GraphRef, VertexId};
 use rayon::prelude::*;
 use std::collections::HashSet;
-
-/// How vertices are assigned to partitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartitionStrategy {
-    /// Contiguous blocks of vertex ids (what a typical distribution of a
-    /// renumbered graph looks like).
-    Blocks,
-    /// Round-robin / modulo assignment (a pessimal partition with many border
-    /// edges, useful to expose the `b²/Δ` communication term the paper
-    /// quotes).
-    RoundRobin,
-}
 
 /// Result of the partitioned extraction.
 #[derive(Debug, Clone)]
@@ -72,21 +62,19 @@ impl PartitionedResult {
 #[derive(Debug, Clone)]
 pub struct PartitionedExtractor {
     partitions: usize,
-    strategy: PartitionStrategy,
 }
 
 impl PartitionedExtractor {
-    /// Creates the extractor with the given partition count and strategy.
-    pub fn new(partitions: usize, strategy: PartitionStrategy) -> Self {
+    /// Creates the extractor with the given partition count.
+    pub fn new(partitions: usize) -> Self {
         Self {
             partitions: partitions.max(1),
-            strategy,
         }
     }
 
     /// Runs the full pipeline, returning the partition-level report.
     pub fn extract_report<'a>(&self, graph: impl Into<GraphRef<'a>>) -> PartitionedResult {
-        extract_partitioned(graph, self.partitions, self.strategy)
+        extract_partitioned(graph, self.partitions)
     }
 }
 
@@ -101,12 +89,7 @@ impl ChordalExtractor for PartitionedExtractor {
         // the same partition count reuse every per-part scratch buffer
         // instead of allocating per run.
         let partitions = clamp_partitions(graph, self.partitions);
-        let report = extract_partitioned_with(
-            graph,
-            partitions,
-            self.strategy,
-            workspace.sub_pool(partitions),
-        );
+        let report = extract_partitioned_with(graph, partitions, workspace.sub_pool(partitions));
         ChordalResult::new(graph.num_vertices(), report.edges, report.partitions, None)
     }
 }
@@ -122,12 +105,11 @@ fn clamp_partitions(graph: GraphRef<'_>, partitions: usize) -> usize {
 pub fn extract_partitioned<'a>(
     graph: impl Into<GraphRef<'a>>,
     partitions: usize,
-    strategy: PartitionStrategy,
 ) -> PartitionedResult {
     let graph = graph.into();
     let partitions = clamp_partitions(graph, partitions);
     let mut subs: Vec<Workspace> = (0..partitions).map(|_| Workspace::new()).collect();
-    extract_partitioned_with(graph, partitions, strategy, &mut subs)
+    extract_partitioned_with(graph, partitions, &mut subs)
 }
 
 /// The partitioned pipeline over caller-supplied per-partition workspaces
@@ -135,19 +117,11 @@ pub fn extract_partitioned<'a>(
 fn extract_partitioned_with(
     graph: GraphRef<'_>,
     partitions: usize,
-    strategy: PartitionStrategy,
     subs: &mut [Workspace],
 ) -> PartitionedResult {
     let n = graph.num_vertices();
-    let part_of = |v: VertexId| -> usize {
-        match strategy {
-            PartitionStrategy::Blocks => {
-                let size = n.div_ceil(partitions);
-                (v as usize / size).min(partitions - 1)
-            }
-            PartitionStrategy::RoundRobin => (v as usize) % partitions,
-        }
-    };
+    let size = n.div_ceil(partitions);
+    let part_of = |v: VertexId| -> usize { (v as usize / size).min(partitions - 1) };
 
     // Vertices of every partition.
     let mut members: Vec<Vec<VertexId>> = vec![Vec::new(); partitions];
@@ -263,7 +237,7 @@ mod tests {
     #[test]
     fn single_partition_reduces_to_dearing() {
         let g = structured::grid(4, 5);
-        let part = extract_partitioned(&g, 1, PartitionStrategy::Blocks);
+        let part = extract_partitioned(&g, 1);
         let dearing = extract_dearing(&g);
         assert_eq!(part.border_edges, 0);
         assert_eq!(part.num_edges(), dearing.num_chordal_edges());
@@ -273,24 +247,11 @@ mod tests {
     #[test]
     fn partitioned_run_reports_border_statistics() {
         let g = RmatParams::preset(RmatKind::G, 8, 5).generate();
-        let r = extract_partitioned(&g, 4, PartitionStrategy::Blocks);
+        let r = extract_partitioned(&g, 4);
         assert_eq!(r.partitions, 4);
         assert!(r.border_edges > 0);
         assert!(r.border_edges_added <= r.border_edges);
         assert!(r.num_edges() > 0);
-    }
-
-    #[test]
-    fn round_robin_has_more_border_edges_than_blocks() {
-        let g = structured::grid(10, 10);
-        let blocks = extract_partitioned(&g, 4, PartitionStrategy::Blocks);
-        let rr = extract_partitioned(&g, 4, PartitionStrategy::RoundRobin);
-        assert!(
-            rr.border_edges >= blocks.border_edges,
-            "round robin ({}) should cut at least as many edges as blocks ({})",
-            rr.border_edges,
-            blocks.border_edges
-        );
     }
 
     #[test]
@@ -299,7 +260,7 @@ mod tests {
         // each partition's own extraction is chordal by construction. We
         // verify that by re-checking the local edge sets.
         let g = RmatParams::preset(RmatKind::B, 8, 9).generate();
-        let r = extract_partitioned(&g, 8, PartitionStrategy::Blocks);
+        let r = extract_partitioned(&g, 8);
         // The combined result may or may not be chordal; simply exercise the
         // field so regressions in the checker are caught.
         let _ = r.chordal;
@@ -320,7 +281,7 @@ mod tests {
     #[test]
     fn repeated_extractions_reuse_the_per_partition_sub_workspaces() {
         let g = RmatParams::preset(RmatKind::G, 8, 3).generate();
-        let extractor = PartitionedExtractor::new(4, PartitionStrategy::Blocks);
+        let extractor = PartitionedExtractor::new(4);
         let mut workspace = Workspace::new();
         let first = extractor.extract_into((&g).into(), &mut workspace);
         let allocations = workspace.allocations();
@@ -339,14 +300,14 @@ mod tests {
         );
         assert_eq!(workspace.allocated_bytes(), bytes);
         // The trait path agrees with the standalone pipeline.
-        let standalone = extract_partitioned(&g, 4, PartitionStrategy::Blocks);
+        let standalone = extract_partitioned(&g, 4);
         assert_eq!(first.edges().len(), standalone.num_edges());
     }
 
     #[test]
     fn empty_graph_handled() {
         let g = CsrGraph::empty(0);
-        let r = extract_partitioned(&g, 4, PartitionStrategy::Blocks);
+        let r = extract_partitioned(&g, 4);
         assert_eq!(r.num_edges(), 0);
         assert!(r.chordal);
     }

@@ -9,26 +9,27 @@
 //! rejected edges and re-adds every edge whose addition keeps the subgraph
 //! chordal.
 //!
-//! # Strategies
+//! # Certified and uncertified input
 //!
-//! Whether a candidate edge is addable can be decided two ways, selected by
-//! [`RepairStrategy`] (config field
-//! [`crate::ExtractorConfig::repair_strategy`], CLI `--repair-strategy`):
+//! The pass runs the incremental chordality maintainer ([`incremental`]):
+//! it keeps the current chordal subgraph across candidates and answers
+//! each insertion question with an early-exit separator search —
+//! `O(deg u + deg v + explored)` per candidate, no subgraph rebuild, no
+//! per-candidate allocation. The separator test is only sound on a chordal
+//! base, so the input must be certified chordal: [`repair_maximality_with`]
+//! checks it up front, while [`repair_maximality_assume_chordal`] and a
+//! [`RepairExtractor`] over an algorithm with
+//! [`crate::Algorithm::guarantees_chordal`] take the caller's word for it.
+//! Input that fails the check (only the partitioned baseline produces it)
+//! is repaired by [`repair_maximality_reference`] instead.
 //!
-//! * [`RepairStrategy::Incremental`] (the default) maintains the current
-//!   chordal subgraph across candidates ([`incremental`]) and answers the
-//!   insertion question with an early-exit separator search —
-//!   `O(deg u + deg v + explored)` per candidate, no subgraph rebuild, no
-//!   per-candidate allocation. This is what makes `alg1 + repair` viable at
-//!   benchmark scale.
-//! * [`RepairStrategy::Scratch`] re-verifies chordality from scratch after
-//!   every tentative addition (`O(V + E log Δ)` per candidate, quadratic
-//!   over a pass). It is kept as the differential-testing baseline; both
-//!   strategies scan the same candidates in the same order and accept
-//!   exactly the same edges, so their outputs are identical.
-//!
-//! Both strategies run through one greedy driver whose scratch state lives
-//! in the [`Workspace`], so repeated repairs reuse allocations.
+//! [`repair_maximality_reference`] is the test oracle of this module, the
+//! role [`crate::reference::extract_reference`] plays for Algorithm 1: it
+//! re-verifies chordality from scratch after every tentative addition
+//! (`O(V + E log Δ)` per candidate, quadratic over a pass). Both paths run
+//! one greedy driver, scan the same candidates in the same order and
+//! accept the same edges, so on chordal input their outputs are identical;
+//! `tests/repair_differential.rs` compares them across the registry.
 //!
 //! # Result metadata
 //!
@@ -42,52 +43,12 @@
 
 pub mod incremental;
 
-use crate::error::ExtractError;
 use crate::repair::incremental::{IncrementalChordal, RepairMarks, RepairScratch};
 use crate::result::ChordalResult;
 use crate::verify::is_chordal;
 use crate::workspace::Workspace;
 use chordal_graph::subgraph::edge_subgraph;
 use chordal_graph::{Edge, GraphRef, VertexId};
-
-/// How the repair pass decides whether a candidate edge is addable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RepairStrategy {
-    /// Maintain the chordal subgraph incrementally and answer each
-    /// candidate with the separator test (see [`incremental`]). Falls back
-    /// to [`RepairStrategy::Scratch`] when the input edge set is not
-    /// chordal (the partitioned baseline can produce such sets).
-    #[default]
-    Incremental,
-    /// Rebuild the subgraph and re-verify chordality from scratch per
-    /// candidate. Quadratic; kept for differential testing.
-    Scratch,
-}
-
-impl RepairStrategy {
-    /// Short label used in CLI/bench output.
-    pub fn label(self) -> &'static str {
-        match self {
-            RepairStrategy::Incremental => "incremental",
-            RepairStrategy::Scratch => "scratch",
-        }
-    }
-
-    /// Parses a strategy name as accepted by front ends.
-    pub fn parse(name: &str) -> Result<Self, ExtractError> {
-        match name {
-            "incremental" | "incr" => Ok(RepairStrategy::Incremental),
-            "scratch" => Ok(RepairStrategy::Scratch),
-            other => Err(ExtractError::invalid_option("repair-strategy", other)),
-        }
-    }
-}
-
-impl std::fmt::Display for RepairStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// Outcome of a repair pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,134 +61,113 @@ pub struct RepairOutcome {
     pub examined: usize,
 }
 
-/// Greedily adds rejected edges back while chordality is preserved, using
-/// the [`RepairStrategy::Scratch`] baseline and a throwaway [`Workspace`].
+/// Greedily adds rejected edges back while chordality is preserved, with a
+/// throwaway [`Workspace`]; see [`repair_maximality_with`].
 ///
 /// `limit` bounds how many **distinct** candidate edges are examined
 /// (`None` examines all of them); re-examining a candidate in a later
 /// greedy pass does not consume budget, and candidates beyond the budget
 /// are skipped rather than aborting the pass. Candidates are scanned in
 /// canonical edge order, so the pass is deterministic.
-///
-/// Prefer [`repair_maximality_with`] (and the incremental strategy) for
-/// repeated or large-scale repairs.
 pub fn repair_maximality<'a>(
     graph: impl Into<GraphRef<'a>>,
     chordal_edges: &[Edge],
     limit: Option<usize>,
 ) -> RepairOutcome {
-    repair_maximality_with(
-        graph,
-        chordal_edges,
-        limit,
-        RepairStrategy::Scratch,
-        &mut Workspace::new(),
-    )
+    repair_maximality_with(graph, chordal_edges, limit, &mut Workspace::new())
 }
 
-/// Greedily adds rejected edges back while chordality is preserved, with an
-/// explicit [`RepairStrategy`] and a reusable [`Workspace`].
+/// Greedily adds rejected edges back while chordality is preserved, reusing
+/// the buffers of `workspace`.
 ///
-/// Both strategies scan candidates in canonical edge order, repeat greedy
-/// passes until a full pass adds nothing, and bound `limit` by distinct
-/// candidates — so for any chordal input edge set their outputs are
-/// identical edge for edge. A non-chordal input (possible for the
-/// partitioned baseline) makes the incremental separator test inapplicable;
-/// it is detected up front and the scratch strategy is used instead.
+/// Candidates are scanned in canonical edge order, greedy passes repeat
+/// until a full pass adds nothing, and `limit` bounds distinct candidates
+/// (see [`repair_maximality`]). The input is certified chordal up front;
+/// a non-chordal input (possible for the partitioned baseline) is repaired
+/// by [`repair_maximality_reference`], which assumes nothing about it.
 pub fn repair_maximality_with<'a>(
     graph: impl Into<GraphRef<'a>>,
     chordal_edges: &[Edge],
     limit: Option<usize>,
-    strategy: RepairStrategy,
     workspace: &mut Workspace,
 ) -> RepairOutcome {
-    repair_with(
-        graph.into(),
-        chordal_edges,
-        limit,
-        strategy,
-        workspace,
-        false,
-    )
+    repair_with(graph.into(), chordal_edges, limit, workspace, false)
 }
 
-/// [`repair_maximality_with`] without the up-front chordality certification
-/// of the incremental strategy: the caller asserts that `chordal_edges`
-/// induces a chordal subgraph (e.g. it is the output of an algorithm with
+/// [`repair_maximality_with`] without the up-front chordality
+/// certification: the caller asserts that `chordal_edges` induces a chordal
+/// subgraph (e.g. it is the output of an algorithm with
 /// [`crate::Algorithm::guarantees_chordal`]), so no `edge_subgraph` is
 /// built at all — the whole repair runs on reused [`Workspace`] buffers.
 ///
 /// This is what [`RepairExtractor`] runs for chordality-guaranteeing inner
 /// algorithms, and what steady-state timing should measure. With a
 /// non-chordal input the call stays memory-safe and terminates, but the
-/// incremental strategy's accept/reject answers — and hence the output —
-/// are unspecified; use [`repair_maximality_with`] when the input is not
+/// separator test's accept/reject answers — and hence the output — are
+/// unspecified; use [`repair_maximality_with`] when the input is not
 /// certified.
 pub fn repair_maximality_assume_chordal<'a>(
     graph: impl Into<GraphRef<'a>>,
     chordal_edges: &[Edge],
     limit: Option<usize>,
-    strategy: RepairStrategy,
     workspace: &mut Workspace,
 ) -> RepairOutcome {
-    repair_with(
-        graph.into(),
-        chordal_edges,
+    repair_with(graph.into(), chordal_edges, limit, workspace, true)
+}
+
+/// The test oracle of the repair pass: the same greedy scan as
+/// [`repair_maximality`], deciding every candidate by rebuilding the
+/// subgraph with it and re-verifying chordality from scratch. Quadratic
+/// over a pass; it makes no assumption about the input, so production
+/// calls it only for input it cannot certify chordal.
+pub fn repair_maximality_reference<'a>(
+    graph: impl Into<GraphRef<'a>>,
+    chordal_edges: &[Edge],
+    limit: Option<usize>,
+) -> RepairOutcome {
+    let graph = graph.into();
+    let mut marks = RepairMarks::default();
+    marks.prepare(graph.total_degree());
+    greedy_repair(
+        graph,
+        canonical_edges(chordal_edges),
         limit,
-        strategy,
-        workspace,
-        true,
+        &mut marks,
+        |_, with_candidate| is_chordal(&edge_subgraph(graph, with_candidate)),
     )
 }
 
-/// Shared implementation. `assume_chordal` skips the up-front chordality
-/// certification of the incremental strategy; only callers that *know* the
-/// input is chordal (extractors whose algorithm guarantees it) may set it.
-pub(crate) fn repair_with(
-    graph: GraphRef<'_>,
-    chordal_edges: &[Edge],
-    limit: Option<usize>,
-    strategy: RepairStrategy,
-    workspace: &mut Workspace,
-    assume_chordal: bool,
-) -> RepairOutcome {
-    let mut edges: Vec<Edge> = chordal_edges
+/// `edges` in canonical orientation (`u <= v`), sorted and deduplicated.
+fn canonical_edges(edges: &[Edge]) -> Vec<Edge> {
+    let mut edges: Vec<Edge> = edges
         .iter()
         .map(|&(u, v)| if u <= v { (u, v) } else { (v, u) })
         .collect();
     edges.sort_unstable();
     edges.dedup();
-    match strategy {
-        RepairStrategy::Scratch => {
-            let scratch = workspace.prepare_repair(graph.total_degree(), None);
-            greedy_repair(
-                graph,
-                edges,
-                limit,
-                &mut scratch.marks,
-                |_, with_candidate| is_chordal(&edge_subgraph(graph, with_candidate)),
-            )
-        }
-        RepairStrategy::Incremental => {
-            if !assume_chordal && !is_chordal(&edge_subgraph(graph, &edges)) {
-                return repair_with(
-                    graph,
-                    chordal_edges,
-                    limit,
-                    RepairStrategy::Scratch,
-                    workspace,
-                    false,
-                );
-            }
-            let scratch =
-                workspace.prepare_repair(graph.total_degree(), Some(graph.num_vertices()));
-            let RepairScratch { marks, incr } = scratch;
-            let mut maintainer = IncrementalChordal::from_state(graph.num_vertices(), &edges, incr);
-            greedy_repair(graph, edges, limit, marks, |(u, v), _| {
-                maintainer.try_insert(u, v)
-            })
-        }
+    edges
+}
+
+/// Shared implementation. `assume_chordal` skips the up-front chordality
+/// certification; only callers that *know* the input is chordal
+/// (extractors whose algorithm guarantees it) may set it.
+fn repair_with(
+    graph: GraphRef<'_>,
+    chordal_edges: &[Edge],
+    limit: Option<usize>,
+    workspace: &mut Workspace,
+    assume_chordal: bool,
+) -> RepairOutcome {
+    let edges = canonical_edges(chordal_edges);
+    if !assume_chordal && !is_chordal(&edge_subgraph(graph, &edges)) {
+        return repair_maximality_reference(graph, chordal_edges, limit);
     }
+    let RepairScratch { marks, incr } =
+        workspace.prepare_repair(graph.total_degree(), graph.num_vertices());
+    let mut maintainer = IncrementalChordal::from_state(graph.num_vertices(), &edges, incr);
+    greedy_repair(graph, edges, limit, marks, |(u, v), _| {
+        maintainer.try_insert(u, v)
+    })
 }
 
 /// Directed CSR slot of the canonical orientation of `(u, v)` in `graph`,
@@ -242,7 +182,7 @@ fn edge_position(graph: GraphRef<'_>, u: VertexId, v: VertexId) -> Option<usize>
     }
 }
 
-/// The greedy repair driver shared by both strategies: scans rejected edges
+/// The greedy repair driver of the maintainer and the oracle: scans rejected edges
 /// in canonical order, asks `try_add` whether each one is addable (the
 /// callback receives the candidate and the current edge set *including* the
 /// candidate as its last element), and repeats until a full pass adds
@@ -311,15 +251,10 @@ fn greedy_repair(
     }
 }
 
-/// Convenience wrapper operating on a [`ChordalResult`] with the default
-/// strategy and a throwaway [`Workspace`]; see [`repair_result_with`].
+/// Convenience wrapper operating on a [`ChordalResult`] with a throwaway
+/// [`Workspace`]; see [`repair_result_with`].
 pub fn repair_result<'a>(graph: impl Into<GraphRef<'a>>, result: &ChordalResult) -> ChordalResult {
-    repair_result_with(
-        graph,
-        result,
-        RepairStrategy::default(),
-        &mut Workspace::new(),
-    )
+    repair_result_with(graph, result, &mut Workspace::new())
 }
 
 /// Repairs a [`ChordalResult`], returning a new result with the augmented
@@ -331,27 +266,18 @@ pub fn repair_result<'a>(graph: impl Into<GraphRef<'a>>, result: &ChordalResult)
 pub fn repair_result_with<'a>(
     graph: impl Into<GraphRef<'a>>,
     result: &ChordalResult,
-    strategy: RepairStrategy,
     workspace: &mut Workspace,
 ) -> ChordalResult {
-    repair_result_impl(graph.into(), result, strategy, workspace, false)
+    repair_result_impl(graph.into(), result, workspace, false)
 }
 
-pub(crate) fn repair_result_impl(
+fn repair_result_impl(
     graph: GraphRef<'_>,
     result: &ChordalResult,
-    strategy: RepairStrategy,
     workspace: &mut Workspace,
     assume_chordal: bool,
 ) -> ChordalResult {
-    let outcome = repair_with(
-        graph,
-        result.edges(),
-        None,
-        strategy,
-        workspace,
-        assume_chordal,
-    );
+    let outcome = repair_with(graph, result.edges(), None, workspace, assume_chordal);
     let mut stats = result.stats.clone();
     if let Some(stats) = &mut stats {
         stats.record(outcome.examined, outcome.added.len());
@@ -371,29 +297,21 @@ pub(crate) fn repair_result_impl(
 /// [`crate::ExtractorConfig::repair`] is set (CLI flag `--repair`), so
 /// `alg1 + repair` — strictly maximal, like the Dearing baseline — is
 /// reachable through the same dispatch path as every other configuration.
-/// The repair pass runs with the configured [`RepairStrategy`] and shares
-/// the extraction [`Workspace`]; when the inner algorithm guarantees
-/// chordal output the incremental strategy skips its up-front chordality
+/// The repair pass shares the extraction [`Workspace`]; when the inner
+/// algorithm guarantees chordal output it skips the up-front chordality
 /// certification.
 pub struct RepairExtractor {
     inner: Box<dyn crate::ChordalExtractor>,
     name: &'static str,
-    strategy: RepairStrategy,
     inner_guarantees_chordal: bool,
 }
 
 impl RepairExtractor {
-    /// Wraps `inner`, taking the repaired registry name for `algorithm` and
-    /// the strategy the post-pass should use.
-    pub fn new(
-        inner: Box<dyn crate::ChordalExtractor>,
-        algorithm: crate::Algorithm,
-        strategy: RepairStrategy,
-    ) -> Self {
+    /// Wraps `inner`, taking the repaired registry name for `algorithm`.
+    pub fn new(inner: Box<dyn crate::ChordalExtractor>, algorithm: crate::Algorithm) -> Self {
         Self {
             inner,
             name: algorithm.repaired_name(),
-            strategy,
             inner_guarantees_chordal: algorithm.guarantees_chordal(),
         }
     }
@@ -406,13 +324,7 @@ impl crate::ChordalExtractor for RepairExtractor {
 
     fn extract_into(&self, graph: GraphRef<'_>, workspace: &mut crate::Workspace) -> ChordalResult {
         let result = self.inner.extract_into(graph, workspace);
-        repair_result_impl(
-            graph,
-            &result,
-            self.strategy,
-            workspace,
-            self.inner_guarantees_chordal,
-        )
+        repair_result_impl(graph, &result, workspace, self.inner_guarantees_chordal)
     }
 }
 
@@ -424,11 +336,10 @@ mod tests {
     use chordal_generators::{rmat::RmatKind, rmat::RmatParams, structured};
     use chordal_graph::builder::graph_from_edges;
 
-    #[test]
-    fn repairs_the_synchronous_figure1_gap() {
-        // The bulk-synchronous reference drops (2,3) from this chordal graph;
-        // the repair pass puts it back.
-        let g = graph_from_edges(
+    /// The graph on which the bulk-synchronous reference drops exactly one
+    /// edge, `(2,3)`, from an already chordal graph.
+    fn figure1_gap_graph() -> chordal_graph::CsrGraph {
+        graph_from_edges(
             6,
             vec![
                 (0, 1),
@@ -440,48 +351,59 @@ mod tests {
                 (4, 5),
                 (3, 5),
             ],
-        );
+        )
+    }
+
+    #[test]
+    fn repairs_the_synchronous_figure1_gap() {
+        // The repair pass puts the dropped edge back.
+        let g = figure1_gap_graph();
         let r = extract_reference(&g);
         assert_eq!(r.num_chordal_edges(), g.num_edges() - 1);
         let repaired = repair_result(&g, &r);
         assert_eq!(repaired.num_chordal_edges(), g.num_edges());
         assert!(is_chordal(&repaired.subgraph(&g)));
+        assert_eq!(
+            repaired.edges(),
+            repair_maximality_reference(&g, r.edges(), None).edges
+        );
     }
 
     #[test]
     fn repair_never_breaks_chordality_and_achieves_maximality() {
-        for strategy in [RepairStrategy::Incremental, RepairStrategy::Scratch] {
-            let mut workspace = Workspace::new();
-            for seed in 0..3 {
-                let g = RmatParams::preset(RmatKind::G, 7, seed).generate();
-                let r = extract_maximal_chordal_serial(&g);
-                let outcome = repair_maximality_with(&g, r.edges(), None, strategy, &mut workspace);
-                let sub = edge_subgraph(&g, &outcome.edges);
-                assert!(is_chordal(&sub), "{strategy} seed {seed}");
-                assert!(
-                    check_maximality(&g, &outcome.edges, None, 0).is_maximal(),
-                    "{strategy} seed {seed}: repaired subgraph must be maximal"
-                );
-                assert!(outcome.edges.len() >= r.num_chordal_edges());
-                assert_eq!(
-                    outcome.edges.len(),
-                    r.num_chordal_edges() + outcome.added.len()
-                );
-            }
+        let mut workspace = Workspace::new();
+        for seed in 0..3 {
+            let g = RmatParams::preset(RmatKind::G, 7, seed).generate();
+            let r = extract_maximal_chordal_serial(&g);
+            let outcome = repair_maximality_with(&g, r.edges(), None, &mut workspace);
+            let sub = edge_subgraph(&g, &outcome.edges);
+            assert!(is_chordal(&sub), "seed {seed}");
+            assert!(
+                check_maximality(&g, &outcome.edges, None, 0).is_maximal(),
+                "seed {seed}: repaired subgraph must be maximal"
+            );
+            assert!(outcome.edges.len() >= r.num_chordal_edges());
+            assert_eq!(
+                outcome.edges.len(),
+                r.num_chordal_edges() + outcome.added.len()
+            );
+            assert_eq!(
+                outcome,
+                repair_maximality_reference(&g, r.edges(), None),
+                "seed {seed}"
+            );
         }
     }
 
     #[test]
-    fn strategies_agree_edge_for_edge() {
+    fn repair_matches_the_reference_edge_for_edge() {
         for seed in 0..4 {
             let g = RmatParams::preset(RmatKind::B, 7, seed).generate();
             let r = extract_maximal_chordal_serial(&g);
             let mut ws = Workspace::new();
-            let incremental =
-                repair_maximality_with(&g, r.edges(), None, RepairStrategy::Incremental, &mut ws);
-            let scratch =
-                repair_maximality_with(&g, r.edges(), None, RepairStrategy::Scratch, &mut ws);
-            assert_eq!(incremental, scratch, "seed {seed}");
+            let repaired = repair_maximality_with(&g, r.edges(), None, &mut ws);
+            let reference = repair_maximality_reference(&g, r.edges(), None);
+            assert_eq!(repaired, reference, "seed {seed}");
         }
     }
 
@@ -492,45 +414,38 @@ mod tests {
         let outcome = repair_maximality(&g, r.edges(), None);
         assert!(outcome.added.is_empty());
         assert_eq!(outcome.edges.len(), r.num_chordal_edges());
+        assert_eq!(outcome, repair_maximality_reference(&g, r.edges(), None));
     }
 
     #[test]
     fn limit_bounds_distinct_examined_candidates() {
         let g = structured::grid(6, 6);
         let r = extract_maximal_chordal_serial(&g);
-        for strategy in [RepairStrategy::Incremental, RepairStrategy::Scratch] {
-            let mut ws = Workspace::new();
-            let outcome = repair_maximality_with(&g, r.edges(), Some(3), strategy, &mut ws);
-            assert!(outcome.examined <= 3, "{strategy}");
-            // A zero budget examines nothing and adds nothing.
-            let outcome = repair_maximality_with(&g, r.edges(), Some(0), strategy, &mut ws);
-            assert_eq!(outcome.examined, 0);
-            assert!(outcome.added.is_empty());
+        let mut ws = Workspace::new();
+        for limit in [3, 0] {
+            let outcome = repair_maximality_with(&g, r.edges(), Some(limit), &mut ws);
+            assert!(outcome.examined <= limit, "budget {limit}");
+            // A zero budget examines nothing and so adds nothing.
+            assert!(outcome.added.len() <= outcome.examined, "budget {limit}");
+            assert_eq!(
+                outcome,
+                repair_maximality_reference(&g, r.edges(), Some(limit)),
+                "budget {limit}"
+            );
         }
     }
 
     #[test]
     fn limit_counts_candidates_not_reexaminations() {
-        // The figure-1 gap graph: the reference drops exactly one edge, so a
-        // budget of 1 must examine that single distinct candidate even
+        // The reference drops exactly one edge of the figure-1 gap graph, so
+        // a budget of 1 must examine that single distinct candidate even
         // though the greedy loop makes a second (confirming) pass.
-        let g = graph_from_edges(
-            6,
-            vec![
-                (0, 1),
-                (0, 2),
-                (1, 2),
-                (1, 3),
-                (2, 3),
-                (3, 4),
-                (4, 5),
-                (3, 5),
-            ],
-        );
+        let g = figure1_gap_graph();
         let r = extract_reference(&g);
         let outcome = repair_maximality(&g, r.edges(), Some(1));
         assert_eq!(outcome.examined, 1);
         assert_eq!(outcome.added.len(), 1);
+        assert_eq!(outcome, repair_maximality_reference(&g, r.edges(), Some(1)));
     }
 
     #[test]
@@ -557,11 +472,9 @@ mod tests {
         let g = RmatParams::preset(RmatKind::G, 8, 2).generate();
         let r = extract_maximal_chordal_serial(&g);
         let mut ws = Workspace::new();
-        let first =
-            repair_maximality_with(&g, r.edges(), None, RepairStrategy::Incremental, &mut ws);
+        let first = repair_maximality_with(&g, r.edges(), None, &mut ws);
         let allocations = ws.allocations();
-        let again =
-            repair_maximality_with(&g, r.edges(), None, RepairStrategy::Incremental, &mut ws);
+        let again = repair_maximality_with(&g, r.edges(), None, &mut ws);
         assert_eq!(first, again);
         assert_eq!(
             ws.allocations(),
@@ -604,30 +517,21 @@ mod tests {
     }
 
     #[test]
-    fn non_chordal_input_falls_back_to_scratch() {
-        // A chordless 4-cycle as the "chordal" input: the incremental
-        // strategy must detect it and produce the scratch answer.
-        let g = structured::cycle(4);
-        let edges: Vec<_> = g.edges().collect();
+    fn non_chordal_input_falls_back_to_the_reference() {
+        // A chordless 4-cycle as the "chordal" input fails certification.
+        // On the bare cycle no candidate is left; with the chord (0,2) in
+        // the host, the chord is the one candidate and adding it makes the
+        // whole host, which is chordal.
+        let cycle = structured::cycle(4);
+        let base: Vec<_> = cycle.edges().collect();
         let mut ws = Workspace::new();
-        let incremental =
-            repair_maximality_with(&g, &edges, None, RepairStrategy::Incremental, &mut ws);
-        let scratch = repair_maximality_with(&g, &edges, None, RepairStrategy::Scratch, &mut ws);
-        assert_eq!(incremental, scratch);
-    }
-
-    #[test]
-    fn strategy_names_round_trip() {
-        for strategy in [RepairStrategy::Incremental, RepairStrategy::Scratch] {
-            assert_eq!(RepairStrategy::parse(strategy.label()).unwrap(), strategy);
-            assert_eq!(strategy.to_string(), strategy.label());
-        }
-        assert_eq!(
-            RepairStrategy::parse("incr").unwrap(),
-            RepairStrategy::Incremental
-        );
-        assert!(RepairStrategy::parse("magic").is_err());
-        assert_eq!(RepairStrategy::default(), RepairStrategy::Incremental);
+        let repaired = repair_maximality_with(&cycle, &base, None, &mut ws);
+        assert_eq!(repaired, repair_maximality_reference(&cycle, &base, None));
+        let chorded = graph_from_edges(4, vec![(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]);
+        let repaired = repair_maximality_with(&chorded, &base, None, &mut ws);
+        assert_eq!(repaired.edges, vec![(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]);
+        assert_eq!(repaired.added, vec![(0, 2)]);
+        assert_eq!(repaired, repair_maximality_reference(&chorded, &base, None));
     }
 
     #[test]

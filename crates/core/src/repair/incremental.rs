@@ -1,7 +1,8 @@
 //! Incremental chordality maintenance for the maximality-repair pass.
 //!
-//! The scratch repair strategy re-verifies chordality from scratch for every
-//! candidate edge: rebuild the chordal subgraph with
+//! The repair oracle ([`crate::repair::repair_maximality_reference`])
+//! re-verifies chordality from scratch for every candidate edge: rebuild
+//! the chordal subgraph with
 //! [`chordal_graph::subgraph::edge_subgraph`], rerun MCS and the
 //! perfect-elimination check — `O(V + E log Δ)` work and a fresh round of
 //! allocations per candidate, quadratic over a whole repair pass. This
@@ -55,7 +56,7 @@ use chordal_graph::{Edge, VertexId};
 pub(crate) struct RepairScratch {
     /// Candidate bookkeeping of the greedy driver.
     pub(crate) marks: RepairMarks,
-    /// Maintained-subgraph state of the incremental strategy.
+    /// Maintained-subgraph state of the incremental maintainer.
     pub(crate) incr: IncrementalState,
 }
 
@@ -153,8 +154,9 @@ impl IncrementalState {
 /// chordal. Callers constructing a maintainer from an unverified edge set
 /// should certify it first (see
 /// [`crate::verify::is_chordal`]); [`crate::repair::repair_maximality_with`]
-/// does exactly that and falls back to the scratch strategy when the base
-/// is not chordal (the partitioned baseline can produce such sets).
+/// does exactly that and falls back to
+/// [`crate::repair::repair_maximality_reference`] when the base is not
+/// chordal (the partitioned baseline can produce such sets).
 pub struct IncrementalChordal<'ws> {
     state: &'ws mut IncrementalState,
     num_edges: usize,
@@ -165,7 +167,7 @@ impl<'ws> IncrementalChordal<'ws> {
     /// vertices induced by `chordal_edges` (canonical, deduplicated, no
     /// self loops), borrowing scratch from `workspace`.
     pub fn new(num_vertices: usize, chordal_edges: &[Edge], workspace: &'ws mut Workspace) -> Self {
-        let scratch = workspace.prepare_repair(0, Some(num_vertices));
+        let scratch = workspace.prepare_repair(0, num_vertices);
         Self::from_state(num_vertices, chordal_edges, &mut scratch.incr)
     }
 

@@ -254,7 +254,7 @@ pub fn is_maximal_chordal_subgraph(graph: &CsrGraph, chordal_edges: &[Edge]) -> 
 /// only the adjacency source differs (a CSR graph here, maintained lists
 /// there), which is exactly what the differential suites compare. One-shot
 /// convenience wrapper; loops over many candidates should reuse a
-/// [`SeparatorScratch`] the way [`check_maximality`] does.
+/// `SeparatorScratch` the way [`check_maximality`] does.
 pub fn addition_preserves_chordality(chordal: &CsrGraph, u: VertexId, v: VertexId) -> bool {
     SeparatorScratch::new(chordal.num_vertices()).separates(chordal, u, v)
 }

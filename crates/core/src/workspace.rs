@@ -125,22 +125,20 @@ impl Workspace {
     }
 
     /// Sizes and resets the repair scratch: candidate marks for a host
-    /// graph with `directed_edges` directed CSR slots, plus — when
-    /// `vertices` is given — the incremental maintainer's per-vertex state.
-    /// Growth is counted in [`Workspace::allocations`], so repeated repairs
-    /// over same-shaped graphs keep the counter flat.
+    /// graph with `directed_edges` directed CSR slots, plus the incremental
+    /// maintainer's state for `vertices` vertices. Growth is counted in
+    /// [`Workspace::allocations`], so repeated repairs over same-shaped
+    /// graphs keep the counter flat.
     pub(crate) fn prepare_repair(
         &mut self,
         directed_edges: usize,
-        vertices: Option<usize>,
+        vertices: usize,
     ) -> &mut RepairScratch {
         if self.repair.marks.prepare(directed_edges) {
             self.allocations += 1;
         }
-        if let Some(n) = vertices {
-            if self.repair.incr.prepare(n) {
-                self.allocations += 1;
-            }
+        if self.repair.incr.prepare(vertices) {
+            self.allocations += 1;
         }
         &mut self.repair
     }

@@ -4,7 +4,7 @@
 //! consumer — the extraction algorithms, the repair pass, the batch
 //! scheduler — runs on it, and every read method is implemented here once.
 //! A heap [`CsrGraph`] lends its two vectors; an
-//! [`MmapCsrGraph`](crate::storage::MmapCsrGraph) lends the offsets it
+//! [`MmapCsrGraph`] lends the offsets it
 //! decoded at open and the adjacency section of its mapping. The view is
 //! `Copy`, so worker closures capture it freely.
 //!

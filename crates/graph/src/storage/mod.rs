@@ -3,7 +3,7 @@
 //!
 //! Three submodules, one concern each:
 //!
-//! * [`format`] — the versioned little-endian `CHRDLCSR` on-disk layout
+//! * [`mod@format`] — the versioned little-endian `CHRDLCSR` on-disk layout
 //!   (full specification in its module docs), plus an in-memory
 //!   writer/reader pair.
 //! * [`mmap`] — [`MmapCsrGraph`], which lends a [`GraphRef`] over its
@@ -17,7 +17,7 @@
 //! This module also provides the format-agnostic loading entry points used
 //! by the CLI and benchmarks: [`detect_format`] sniffs the magic bytes,
 //! and [`load_graph`] returns a [`LoadedGraph`] that yields a
-//! [`GraphRef`](crate::GraphRef) over either representation.
+//! [`GraphRef`] over either representation.
 
 pub mod format;
 pub mod mmap;
@@ -43,7 +43,7 @@ use std::path::Path;
 pub enum FileFormat {
     /// Plain-text edge list (see [`crate::io`]).
     Text,
-    /// Binary CSR (see [`format`]).
+    /// Binary CSR (see [`mod@format`]).
     Binary,
 }
 

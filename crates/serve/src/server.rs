@@ -7,7 +7,7 @@
 //! answers `overload`. Shutdown drains queued + in-flight requests under
 //! [`ServeConfig::drain_timeout_ms`] before closing sockets. With the
 //! `fault-injection` feature (or under test) the `FAULT` verb arms the
-//! deterministic chaos schedule in [`crate::fault`].
+//! deterministic chaos schedule of the `fault` module.
 //!
 //! Concurrency model: one OS thread per admitted connection (sessions are
 //! long-lived and mostly blocked on socket reads; extraction parallelism
@@ -27,9 +27,7 @@ use crate::protocol::{
     error_frame, error_frame_with, json_escape, ErrorCode, Request, MAX_REQUEST_BYTES,
 };
 use crate::queue::{AcquireError, AdmissionQueue};
-use chordal_core::{
-    AdjacencyMode, Algorithm, ExtractionSession, ExtractorConfig, RepairStrategy, Semantics,
-};
+use chordal_core::{AdjacencyMode, Algorithm, ExtractionSession, ExtractorConfig, Semantics};
 use chordal_graph::io::write_edge_list;
 use chordal_graph::storage::FileFormat;
 use chordal_graph::subgraph::edge_subgraph;
@@ -565,23 +563,71 @@ fn handle_line(connection: &mut Connection, line: &str) -> Outcome {
         Err(message) => return Outcome::error(ErrorCode::BadArg, &message),
     };
     match request.verb.as_str() {
-        "PING" => Outcome::reply("{\"ok\":true,\"verb\":\"PING\"}".to_string()),
-        "LOAD" => handle_load(connection, &request),
-        "EXTRACT" => handle_extract(connection, &request),
-        "STATS" => Outcome::reply(stats_frame(&connection.shared)),
-        "SHUTDOWN" => {
+        "PING" => reads(&request, &[], || {
+            Outcome::reply("{\"ok\":true,\"verb\":\"PING\"}".to_string())
+        }),
+        "LOAD" => reads(&request, &["path", "format", "deadline_ms"], || {
+            handle_load(connection, &request)
+        }),
+        "EXTRACT" => reads(&request, EXTRACT_KEYS, || {
+            handle_extract(connection, &request)
+        }),
+        "STATS" => reads(&request, &[], || {
+            Outcome::reply(stats_frame(&connection.shared))
+        }),
+        "SHUTDOWN" => reads(&request, &[], || {
             let mut outcome = Outcome::reply("{\"ok\":true,\"verb\":\"SHUTDOWN\"}".to_string());
             outcome.shutdown = true;
             outcome
+        }),
+        "HOLD" if connection.shared.config.test_hooks => {
+            reads(&request, &["ms", "deadline_ms"], || {
+                handle_hold(connection, &request)
+            })
         }
-        "HOLD" if connection.shared.config.test_hooks => handle_hold(connection, &request),
         #[cfg(any(test, feature = "fault-injection"))]
         "FAULT" => {
-            let mut outcome = handle_fault(connection, &request);
+            let keys = ["kind", "count", "ms", "seed", "prob", "clear"];
+            let mut outcome = reads(&request, &keys, || handle_fault(connection, &request));
             outcome.fault_immune = true;
             outcome
         }
         other => Outcome::error(ErrorCode::BadVerb, &format!("unknown verb `{other}`")),
+    }
+}
+
+/// The argument keys `EXTRACT` reads.
+const EXTRACT_KEYS: &[&str] = &[
+    "graph",
+    "path",
+    "format",
+    "algorithm",
+    "variant",
+    "semantics",
+    "engine",
+    "threads",
+    "partitions",
+    "repair",
+    "payload",
+    "deadline_ms",
+];
+
+/// Runs `handler` when every argument key of `request` is one of `keys`,
+/// the keys its verb reads; otherwise answers `bad-arg` naming the
+/// smallest other key, so a misspelt or retired argument is refused
+/// instead of silently ignored.
+fn reads(request: &Request, keys: &[&str], handler: impl FnOnce() -> Outcome) -> Outcome {
+    match request
+        .args
+        .keys()
+        .filter(|key| !keys.contains(&key.as_str()))
+        .min()
+    {
+        Some(key) => Outcome::error(
+            ErrorCode::BadArg,
+            &format!("`{}` does not read argument `{key}`", request.verb),
+        ),
+        None => handler(),
     }
 }
 
@@ -671,29 +717,20 @@ fn request_config(
             .map_err(|_| format!("invalid value `{v}` for `partitions`"))?,
     };
     let repair = match request.arg("repair") {
-        None => request.arg("repair-strategy").is_some(),
+        None | Some("false") => false,
         Some("true") => true,
-        Some("false") => false,
         Some(other) => return Err(format!("invalid value `{other}` for `repair`")),
-    };
-    let repair_strategy = match request.arg("repair-strategy") {
-        None => RepairStrategy::default(),
-        Some(name) => RepairStrategy::parse(name).map_err(|e| e.to_string())?,
     };
     let config = ExtractorConfig::default()
         .with_algorithm(algorithm)
         .with_adjacency(adjacency)
         .with_semantics(semantics)
         .with_repair(repair)
-        .with_repair_strategy(repair_strategy)
-        .with_partitions(
-            partitions,
-            chordal_core::partitioned::PartitionStrategy::Blocks,
-        )
+        .with_partitions(partitions)
         .with_engine_name(engine_name, threads)
         .map_err(|e| e.to_string())?;
     let key = format!(
-        "{}|{:?}|{:?}|{}x{}|p{}|r{}|{:?}",
+        "{}|{:?}|{:?}|{}x{}|p{}|r{}",
         algorithm.name(),
         adjacency,
         semantics,
@@ -701,7 +738,6 @@ fn request_config(
         threads,
         partitions,
         repair,
-        repair_strategy,
     );
     Ok((config, key))
 }

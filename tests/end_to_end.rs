@@ -136,10 +136,10 @@ fn chordal_inputs_pass_through_dearing_untouched_and_alg1_keeps_them_chordal() {
 
 #[test]
 fn partitioned_baseline_reports_its_violations_honestly() {
-    use maximal_chordal::core::partitioned::{extract_partitioned, PartitionStrategy};
+    use maximal_chordal::core::partitioned::extract_partitioned;
     let graph = RmatParams::preset(RmatKind::G, 9, 2).generate();
     for parts in [1usize, 2, 8] {
-        let result = extract_partitioned(&graph, parts, PartitionStrategy::Blocks);
+        let result = extract_partitioned(&graph, parts);
         let subgraph = edge_subgraph(&graph, &result.edges);
         assert_eq!(result.chordal, is_chordal(&subgraph));
         if parts == 1 {

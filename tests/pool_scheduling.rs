@@ -112,10 +112,7 @@ fn pooled_engines_match_the_serial_engine_bit_for_bit() {
                     .with_semantics(Semantics::Synchronous)
                     // Pin the partition count so the partitioned baseline
                     // does not re-derive it from each engine's threads.
-                    .with_partitions(
-                        3,
-                        maximal_chordal::core::partitioned::PartitionStrategy::Blocks,
-                    );
+                    .with_partitions(3);
                 let expected = ExtractionSession::new(serial.clone()).extract(&graph);
                 for engine in engines() {
                     let config = serial.clone().with_engine(engine);
@@ -157,10 +154,7 @@ fn hybrid_batches_agree_with_single_runs_for_every_algorithm() {
         );
         let single_config = config
             .clone()
-            .with_partitions(
-                config.effective_partitions(),
-                maximal_chordal::core::partitioned::PartitionStrategy::Blocks,
-            )
+            .with_partitions(config.effective_partitions())
             .with_engine(Engine::serial());
         let mut single = ExtractionSession::new(single_config);
         for (i, (graph, from_batch)) in graphs.iter().zip(&batch).enumerate() {
@@ -233,10 +227,7 @@ fn every_placement_agrees_for_every_algorithm() {
         let base = ExtractorConfig::default()
             .with_algorithm(algorithm)
             .with_semantics(Semantics::Synchronous)
-            .with_partitions(
-                3,
-                maximal_chordal::core::partitioned::PartitionStrategy::Blocks,
-            );
+            .with_partitions(3);
         let mut serial = ExtractionSession::new(base.clone().with_engine(Engine::serial()));
         let expected: Vec<ChordalResult> = graphs.iter().map(|g| serial.extract(g)).collect();
         let mut session = ExtractionSession::new(base.with_engine(Engine::chunked(threads)));
@@ -310,10 +301,7 @@ fn asynchronous_batches_stay_chordal_and_fan_out_serially() {
         let alone = session.extract_batch(&refs[..1]);
         let single_config = config
             .clone()
-            .with_partitions(
-                config.effective_partitions(),
-                maximal_chordal::core::partitioned::PartitionStrategy::Blocks,
-            )
+            .with_partitions(config.effective_partitions())
             .with_engine(Engine::serial());
         let mut single = ExtractionSession::new(single_config);
         for (i, (graph, result)) in graphs.iter().zip(&batch).enumerate() {

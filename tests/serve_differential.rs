@@ -14,7 +14,6 @@
 //! `CHORDAL_POOL_THREADS` setting — CI runs this suite across the
 //! {1,2,8} matrix.
 
-use maximal_chordal::core::partitioned::PartitionStrategy;
 use maximal_chordal::graph::io::{write_edge_list, write_edge_list_file};
 use maximal_chordal::graph::storage::{convert_edge_list_to_binary, load_graph};
 use maximal_chordal::graph::subgraph::edge_subgraph;
@@ -58,7 +57,7 @@ fn cases(engine: &str, threads: usize) -> Vec<Case> {
             request_args: format!("algorithm=partitioned partitions=4 {shared}"),
             config: base()
                 .with_algorithm(Algorithm::Partitioned)
-                .with_partitions(4, PartitionStrategy::Blocks),
+                .with_partitions(4),
         },
         Case {
             label: "alg1+repair",

@@ -96,6 +96,11 @@ fn malformed_arguments_get_typed_errors_and_the_connection_survives() {
         ("EXTRACT path=/tmp/x threads=many", "bad-arg"),
         ("EXTRACT path=/tmp/x repair=maybe", "bad-arg"),
         ("EXTRACT graph=nothex algorithm=alg1", "bad-arg"),
+        // Keys the verb does not read: a typo, a retired argument, a typo
+        // on LOAD. Refused before the (missing) file is touched.
+        ("EXTRACT path=/tmp/x semantic=sync", "bad-arg"),
+        ("EXTRACT path=/tmp/x repair-strategy=scratch", "bad-arg"),
+        ("LOAD path=/tmp/x fromat=bin", "bad-arg"),
         // A well-formed path that does not exist.
         ("LOAD path=/nonexistent/graph.bin", "io"),
         // A hash nothing was loaded under.
@@ -108,7 +113,13 @@ fn malformed_arguments_get_typed_errors_and_the_connection_survives() {
         assert_eq!(response.code(), Some(*code), "{line} -> {}", response.raw);
         assert!(!response.ok());
     }
-    // Eleven errors later the connection still serves.
+    // The refusal names the key.
+    let response = client
+        .request("EXTRACT path=/tmp/x repair-strategy=scratch")
+        .unwrap();
+    let error = response.str_field("error").unwrap_or_default();
+    assert!(error.contains("`repair-strategy`"), "{}", response.raw);
+    // Fifteen errors later the connection still serves.
     assert!(client.request("PING").unwrap().ok());
 }
 

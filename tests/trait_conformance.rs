@@ -168,10 +168,7 @@ fn batch_extraction_covers_every_algorithm() {
         // extract_batch's documented semantics.
         let serial_config = config
             .clone()
-            .with_partitions(
-                config.effective_partitions(),
-                maximal_chordal::core::partitioned::PartitionStrategy::Blocks,
-            )
+            .with_partitions(config.effective_partitions())
             .with_engine(Engine::serial());
         let mut single = ExtractionSession::new(serial_config);
         for (graph, from_batch) in graphs.iter().zip(&batch) {
