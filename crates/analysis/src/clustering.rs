@@ -8,7 +8,7 @@
 
 use chordal_core::kernels::intersect_count;
 use chordal_graph::{CsrGraph, VertexId};
-use rayon::prelude::*;
+use chordal_runtime::{pool_size, Engine};
 
 /// Triangles incident on `v`, counting each once per later-neighbour pair.
 ///
@@ -46,18 +46,20 @@ fn triangles_at(graph: &CsrGraph, v: VertexId, sorted: bool) -> usize {
 /// more slowly.
 pub fn local_clustering_coefficients(graph: &CsrGraph) -> Vec<f64> {
     let sorted = graph.is_sorted();
-    (0..graph.num_vertices())
-        .into_par_iter()
-        .map(|v| {
-            let v = v as VertexId;
-            let d = graph.degree(v);
-            if d < 2 {
-                return 0.0;
-            }
-            let triangles = triangles_at(graph, v, sorted);
-            2.0 * triangles as f64 / (d * (d - 1)) as f64
+    let coefficient = |v: usize| {
+        let v = v as VertexId;
+        let d = graph.degree(v);
+        if d < 2 {
+            return 0.0;
+        }
+        let triangles = triangles_at(graph, v, sorted);
+        2.0 * triangles as f64 / (d * (d - 1)) as f64
+    };
+    Engine::chunked(pool_size())
+        .map_pieces(graph.num_vertices(), |range| {
+            range.map(coefficient).collect::<Vec<_>>()
         })
-        .collect()
+        .concat()
 }
 
 /// Global average clustering coefficient (mean of the local coefficients).
@@ -105,9 +107,13 @@ pub fn average_clustering_by_degree(graph: &CsrGraph) -> Vec<DegreeClustering> {
 /// Total number of triangles in the graph.
 pub fn triangle_count(graph: &CsrGraph) -> usize {
     let sorted = graph.is_sorted();
-    let per_vertex: usize = (0..graph.num_vertices())
-        .into_par_iter()
-        .map(|v| triangles_at(graph, v as VertexId, sorted))
+    let per_vertex: usize = Engine::chunked(pool_size())
+        .map_pieces(graph.num_vertices(), |range| {
+            range
+                .map(|v| triangles_at(graph, v as VertexId, sorted))
+                .sum::<usize>()
+        })
+        .into_iter()
         .sum();
     // Every triangle is counted once at each of its three corners.
     per_vertex / 3

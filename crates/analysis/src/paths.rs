@@ -7,7 +7,7 @@
 
 use chordal_graph::traversal::{bfs_levels, UNREACHABLE};
 use chordal_graph::{CsrGraph, VertexId};
-use rayon::prelude::*;
+use chordal_runtime::{pool_size, Engine};
 
 /// Histogram of shortest path lengths: `histogram[l]` is the number of
 /// unordered vertex pairs whose distance is exactly `l` (index 0 is unused
@@ -31,32 +31,34 @@ pub fn shortest_path_distribution(graph: &CsrGraph, sources: Option<&[VertexId]>
         }
     };
     let exact = sources.len() == n;
-    let per_source: Vec<Vec<u64>> = sources
-        .par_iter()
-        .map(|&s| {
-            let dist = bfs_levels(graph, s);
+    // One BFS per source, one source per grain; each piece sums its own
+    // histogram.
+    let per_piece: Vec<Vec<u64>> =
+        Engine::chunked_with_grain(pool_size(), 1).map_pieces(sources.len(), |range| {
             let mut hist = Vec::new();
-            for (t, &d) in dist.iter().enumerate() {
-                if d == UNREACHABLE || d == 0 {
-                    continue;
+            for &s in &sources[range] {
+                let dist = bfs_levels(graph, s);
+                for (t, &d) in dist.iter().enumerate() {
+                    if d == UNREACHABLE || d == 0 {
+                        continue;
+                    }
+                    // For the exact (all-sources) case count each unordered
+                    // pair once by requiring target > source.
+                    if exact && (t as VertexId) < s {
+                        continue;
+                    }
+                    let d = d as usize;
+                    if hist.len() <= d {
+                        hist.resize(d + 1, 0);
+                    }
+                    hist[d] += 1;
                 }
-                // For the exact (all-sources) case count each unordered pair
-                // once by requiring target > source.
-                if exact && (t as VertexId) < s {
-                    continue;
-                }
-                let d = d as usize;
-                if hist.len() <= d {
-                    hist.resize(d + 1, 0);
-                }
-                hist[d] += 1;
             }
             hist
-        })
-        .collect();
-    let max_len = per_source.iter().map(Vec::len).max().unwrap_or(0);
+        });
+    let max_len = per_piece.iter().map(Vec::len).max().unwrap_or(0);
     let mut total = vec![0u64; max_len];
-    for h in per_source {
+    for h in per_piece {
         for (i, c) in h.into_iter().enumerate() {
             total[i] += c;
         }

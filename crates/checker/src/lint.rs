@@ -11,15 +11,15 @@
 //! - **R2 relaxed-allowlist** — `Relaxed` atomic ordering only appears in
 //!   files on a checked allowlist (stale entries are themselves errors).
 //! - **R3 thread-primitives** — `thread::spawn`/`Mutex`/`Condvar`/`RwLock`
-//!   stay inside the pool (`crates/compat/rayon`), the serve tier, the
-//!   checker itself, the bench harness and the CLI; `#[cfg(test)]` regions
-//!   and `tests/` code are exempt.
+//!   stay inside the pool and the engine (`crates/runtime/src/pool.rs` and
+//!   `lib.rs`), the serve tier, the checker itself, the bench harness and
+//!   the CLI; `#[cfg(test)]` regions and `tests/` code are exempt.
 //! - **R4 no-wall-clock** — `Instant::now` is banned in deterministic
-//!   extraction paths (`crates/core`, `crates/graph`, `crates/runtime`,
-//!   `crates/compat/rayon`) outside the session's `extract_ns` stamp in
-//!   `crates/core/src/session.rs`.
+//!   extraction paths (`crates/core`, `crates/graph`, `crates/runtime`)
+//!   outside the session's `extract_ns` stamp in
+//!   `crates/core/src/session.rs` and the pool's overhead calibration.
 //! - **R5 release-sensitive-asserts** — `debug_assert!` is banned in
-//!   atomic-ordering-sensitive files (injector/pool/slots/publish/queue): an
+//!   atomic-ordering-sensitive files (injector/pool/publish/queue): an
 //!   invariant worth asserting there must also hold under `--release`.
 //! - **R6 fault-gating** — every reference to the fault-injection module
 //!   outside its own file sits under `cfg(test)` or a cfg listing the
@@ -45,12 +45,10 @@ use std::path::{Path, PathBuf};
 /// every file here owns a documented protocol whose Relaxed uses are
 /// argued in `docs/concurrency.md` or at the use site.
 const RELAXED_ALLOWLIST: &[&str] = &[
-    "crates/compat/rayon/src/injector.rs",
-    "crates/compat/rayon/src/pool.rs",
-    "crates/compat/rayon/src/slots.rs",
-    "crates/compat/rayon/src/lib.rs",
     "crates/core/src/parallel.rs",
+    "crates/runtime/src/injector.rs",
     "crates/runtime/src/lib.rs",
+    "crates/runtime/src/pool.rs",
     // Publish and wait: the relaxed abort flag carries no data, and the
     // model test stores its entries relaxed before the release publish
     // that orders them (module docs).
@@ -60,7 +58,10 @@ const RELAXED_ALLOWLIST: &[&str] = &[
 /// Path prefixes where `std::thread::spawn` / `Mutex` / `Condvar` /
 /// `RwLock` are allowed outside test code.
 const THREAD_ALLOWED_PREFIXES: &[&str] = &[
-    "crates/compat/rayon/",
+    // The pool spawns its workers; `Engine::for_each_mut` puts each
+    // piece's sub-slice behind its own `Mutex`.
+    "crates/runtime/src/pool.rs",
+    "crates/runtime/src/lib.rs",
     "crates/serve/",
     "crates/checker/",
     "crates/bench/",
@@ -68,31 +69,26 @@ const THREAD_ALLOWED_PREFIXES: &[&str] = &[
 ];
 
 /// Deterministic extraction paths: wall-clock reads banned here (R4).
-const INSTANT_CHECKED_PREFIXES: &[&str] = &[
-    "crates/core/",
-    "crates/graph/",
-    "crates/runtime/",
-    "crates/compat/rayon/",
-];
+const INSTANT_CHECKED_PREFIXES: &[&str] = &["crates/core/", "crates/graph/", "crates/runtime/"];
 
 /// Files under the checked prefixes that may read the wall clock.
 const INSTANT_ALLOWLIST: &[&str] = &[
     // Stamps `ChordalResult::extract_ns`, which serve replies report; no
     // extraction or placement decision reads the clock.
     "crates/core/src/session.rs",
-    // Per-width region-overhead calibration (`estimated_overhead_ns`):
-    // measuring the wall clock IS the job. Nothing in the pool reads the
-    // result (`JOIN_SPINS` is a constant); the benchmark's
-    // `pool.region_overhead_ns` and the experiments' `region_overhead_ns`
-    // report it, and it never reaches extraction output.
-    "crates/compat/rayon/src/pool.rs",
+    // Per-width region-overhead calibration
+    // (`estimated_region_overhead_ns_for`): measuring the wall clock IS the
+    // job. Nothing in the pool reads the result (`JOIN_SPINS` is a
+    // constant); the benchmark's `pool.region_overhead_ns` and the
+    // experiments' `region_overhead_ns` report it, and it never reaches
+    // extraction output.
+    "crates/runtime/src/pool.rs",
 ];
 
 /// Atomic-ordering-sensitive files where `debug_assert!` is banned (R5).
 const DEBUG_ASSERT_SENSITIVE: &[&str] = &[
-    "crates/compat/rayon/src/injector.rs",
-    "crates/compat/rayon/src/pool.rs",
-    "crates/compat/rayon/src/slots.rs",
+    "crates/runtime/src/injector.rs",
+    "crates/runtime/src/pool.rs",
     "crates/runtime/src/publish.rs",
     "crates/serve/src/queue.rs",
 ];
@@ -489,7 +485,7 @@ pub fn lint_source(path: &str, src: &str) -> (Vec<Diagnostic>, bool) {
                         line,
                         rule: "thread-primitives",
                         message: format!(
-                            "`{id}` outside compat/rayon, serve, checker, bench and cli; \
+                            "`{id}` outside the pool, the engine, serve, checker, bench and cli; \
                              route concurrency through the pool"
                         ),
                     });
@@ -508,7 +504,7 @@ pub fn lint_source(path: &str, src: &str) -> (Vec<Diagnostic>, bool) {
                             file: path.to_string(),
                             line,
                             rule: "thread-primitives",
-                            message: "`thread::spawn` outside compat/rayon and serve; use the \
+                            message: "`thread::spawn` outside the pool and serve; use the \
                                       persistent pool instead"
                                 .to_string(),
                         });

@@ -1,8 +1,8 @@
 //! Minimal in-tree substitute for the `memmap2` crate.
 //!
-//! The build environment has no crates.io access, so — like the `rayon` and
-//! `rand` shims next door — this crate reimplements exactly the slice of the
-//! real `memmap2` API the workspace uses: a read-only [`Mmap`] created from an
+//! The build environment has no crates.io access, so — like the `rand` shim
+//! next door — this crate reimplements exactly the slice of the real
+//! `memmap2` API the workspace uses: a read-only [`Mmap`] created from an
 //! open [`File`] that dereferences to `&[u8]`.
 //!
 //! On Unix the mapping is a real `mmap(2)` (`PROT_READ`, `MAP_PRIVATE`)

@@ -152,9 +152,10 @@ impl Algorithm {
             Algorithm::Parallel => Box::new(MaximalChordalExtractor::new(config.clone())),
             Algorithm::Reference => Box::new(ReferenceExtractor::new(config.record_stats)),
             Algorithm::Dearing => Box::new(DearingExtractor::new()),
-            Algorithm::Partitioned => {
-                Box::new(PartitionedExtractor::new(config.effective_partitions()))
-            }
+            Algorithm::Partitioned => Box::new(PartitionedExtractor::new(
+                config.effective_partitions(),
+                config.engine,
+            )),
         };
         if config.repair {
             Box::new(crate::repair::RepairExtractor::new(inner, self))

@@ -23,7 +23,7 @@ use crate::verify::is_chordal;
 use crate::workspace::Workspace;
 use chordal_graph::subgraph::{edge_subgraph, induced_subgraph};
 use chordal_graph::{Edge, GraphRef, VertexId};
-use rayon::prelude::*;
+use chordal_runtime::{pool_size, Engine};
 use std::collections::HashSet;
 
 /// Result of the partitioned extraction.
@@ -62,19 +62,26 @@ impl PartitionedResult {
 #[derive(Debug, Clone)]
 pub struct PartitionedExtractor {
     partitions: usize,
+    engine: Engine,
 }
 
 impl PartitionedExtractor {
-    /// Creates the extractor with the given partition count.
-    pub fn new(partitions: usize) -> Self {
+    /// Creates the extractor with the given partition count. The
+    /// per-partition Dearing runs are the items of one loop on `engine`.
+    pub fn new(partitions: usize, engine: Engine) -> Self {
         Self {
             partitions: partitions.max(1),
+            engine,
         }
     }
 
-    /// Runs the full pipeline, returning the partition-level report.
+    /// Runs the full pipeline with throwaway per-partition workspaces,
+    /// returning the partition-level report.
     pub fn extract_report<'a>(&self, graph: impl Into<GraphRef<'a>>) -> PartitionedResult {
-        extract_partitioned(graph, self.partitions)
+        let graph = graph.into();
+        let partitions = clamp_partitions(graph, self.partitions);
+        let mut subs: Vec<Workspace> = (0..partitions).map(|_| Workspace::new()).collect();
+        extract_partitioned_with(graph, partitions, &mut subs, self.engine)
     }
 }
 
@@ -89,7 +96,12 @@ impl ChordalExtractor for PartitionedExtractor {
         // the same partition count reuse every per-part scratch buffer
         // instead of allocating per run.
         let partitions = clamp_partitions(graph, self.partitions);
-        let report = extract_partitioned_with(graph, partitions, workspace.sub_pool(partitions));
+        let report = extract_partitioned_with(
+            graph,
+            partitions,
+            workspace.sub_pool(partitions),
+            self.engine,
+        );
         ChordalResult::new(graph.num_vertices(), report.edges, report.partitions, None)
     }
 }
@@ -100,24 +112,24 @@ fn clamp_partitions(graph: GraphRef<'_>, partitions: usize) -> usize {
 }
 
 /// Runs the partitioned baseline with `partitions` parts and throwaway
-/// per-partition workspaces. Callers on a repeated path should go through
-/// [`PartitionedExtractor`] and a session workspace instead.
+/// per-partition workspaces, on an engine of [`pool_size`] threads.
+/// Callers on a repeated path should go through [`PartitionedExtractor`]
+/// and a session workspace instead.
 pub fn extract_partitioned<'a>(
     graph: impl Into<GraphRef<'a>>,
     partitions: usize,
 ) -> PartitionedResult {
-    let graph = graph.into();
-    let partitions = clamp_partitions(graph, partitions);
-    let mut subs: Vec<Workspace> = (0..partitions).map(|_| Workspace::new()).collect();
-    extract_partitioned_with(graph, partitions, &mut subs)
+    PartitionedExtractor::new(partitions, Engine::chunked(pool_size())).extract_report(graph)
 }
 
 /// The partitioned pipeline over caller-supplied per-partition workspaces
-/// (`subs.len() >= partitions`, already clamped).
+/// (`subs.len() >= partitions`, already clamped), with one partition per
+/// grain of `engine`.
 fn extract_partitioned_with(
     graph: GraphRef<'_>,
     partitions: usize,
     subs: &mut [Workspace],
+    engine: Engine,
 ) -> PartitionedResult {
     let n = graph.num_vertices();
     let size = n.div_ceil(partitions);
@@ -149,7 +161,7 @@ fn extract_partitioned_with(
             edges: Vec::new(),
         })
         .collect();
-    tasks.as_mut_slice().par_iter_mut().for_each(|task| {
+    engine.with_grain(1).for_each_mut(&mut tasks, |_, task| {
         if task.members.is_empty() {
             return;
         }
@@ -281,7 +293,7 @@ mod tests {
     #[test]
     fn repeated_extractions_reuse_the_per_partition_sub_workspaces() {
         let g = RmatParams::preset(RmatKind::G, 8, 3).generate();
-        let extractor = PartitionedExtractor::new(4);
+        let extractor = PartitionedExtractor::new(4, Engine::chunked(2));
         let mut workspace = Workspace::new();
         let first = extractor.extract_into((&g).into(), &mut workspace);
         let allocations = workspace.allocations();

@@ -54,8 +54,7 @@ use crate::extractor::{Algorithm, ChordalExtractor};
 use crate::result::ChordalResult;
 use crate::workspace::Workspace;
 use chordal_graph::GraphRef;
-use chordal_runtime::Engine;
-use rayon::prelude::*;
+use chordal_runtime::{pool_size, Engine};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -208,10 +207,11 @@ impl ExtractionSession {
         queue: &[usize],
         slots: &[OnceLock<ChordalResult>],
     ) {
-        // Participants must not nest engine parallelism inside the fan-out,
-        // so each graph runs on the serial engine. Pin the partition count
-        // first: "one partition per engine worker" resolves against the
-        // configured engine, not the serial one.
+        // The fan-out is the batch's one pool region: each participant runs
+        // its graphs on the serial engine, so no extraction submits a
+        // region of its own (`tests/engine_bounds.rs` counts them). Pin the
+        // partition count first: "one partition per engine worker"
+        // resolves against the configured engine, not the serial one.
         let mut serial = self.config.clone();
         serial.partitions = serial.effective_partitions();
         let extractor = serial.with_engine(Engine::serial()).build_extractor();
@@ -222,29 +222,27 @@ impl ExtractionSession {
             .engine
             .threads()
             .min(queue.len())
-            .min(rayon::current_num_threads());
+            .min(pool_size());
         self.participants = participants;
         // Participant `p` starts with `queue[p]`; the cursor hands out the
-        // rest.
+        // rest. Every seat is an item of its own (grain 1).
         let cursor = AtomicUsize::new(participants);
-        let mut seats: Vec<(usize, &mut Workspace)> = self
-            .workspace
-            .sub_pool(participants)
-            .iter_mut()
-            .enumerate()
-            .collect();
-        seats.par_iter_mut().for_each(|(first, workspace)| {
-            let mut next = *first;
-            while let Some(&i) = queue.get(next) {
-                let start = Instant::now();
-                let mut result = extractor.extract_into(views[i], workspace);
-                result.set_extract_ns(start.elapsed().as_nanos() as u64);
-                slots[i]
-                    .set(result)
-                    .expect("each batch slot is written once");
-                next = cursor.fetch_add(1, Ordering::SeqCst);
-            }
-        });
+        let seats = self.workspace.sub_pool(participants);
+        self.config
+            .engine
+            .with_grain(1)
+            .for_each_mut(seats, |first, workspace| {
+                let mut next = first;
+                while let Some(&i) = queue.get(next) {
+                    let start = Instant::now();
+                    let mut result = extractor.extract_into(views[i], workspace);
+                    result.set_extract_ns(start.elapsed().as_nanos() as u64);
+                    slots[i]
+                        .set(result)
+                        .expect("each batch slot is written once");
+                    next = cursor.fetch_add(1, Ordering::SeqCst);
+                }
+            });
     }
 }
 
@@ -295,7 +293,7 @@ mod tests {
 
     /// Participants a batch of `graphs` fans out over on `threads`.
     fn participants(threads: usize, graphs: usize) -> usize {
-        threads.min(graphs).min(rayon::current_num_threads())
+        threads.min(graphs).min(pool_size())
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //! of shortest path lengths.
 
 use chordal_graph::{CsrGraph, EdgeList, VertexId};
+use chordal_runtime::{pool_size, Engine};
 use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// A dense genes × samples expression matrix (row-major).
 #[derive(Debug, Clone)]
@@ -62,19 +62,16 @@ impl ExpressionMatrix {
     pub fn standardized(&self) -> ExpressionMatrix {
         let samples = self.samples;
         let mut values = vec![0.0f64; self.values.len()];
-        values
-            .par_chunks_mut(samples)
-            .zip(self.values.par_chunks(samples))
-            .for_each(|(out, row)| {
-                let mean = row.iter().sum::<f64>() / samples as f64;
-                let var = row.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / samples as f64;
-                if var > 0.0 {
-                    let inv_std = 1.0 / var.sqrt();
-                    for (o, &x) in out.iter_mut().zip(row) {
-                        *o = (x - mean) * inv_std;
-                    }
+        for (out, row) in values.chunks_mut(samples).zip(self.values.chunks(samples)) {
+            let mean = row.iter().sum::<f64>() / samples as f64;
+            let var = row.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / samples as f64;
+            if var > 0.0 {
+                let inv_std = 1.0 / var.sqrt();
+                for (o, &x) in out.iter_mut().zip(row) {
+                    *o = (x - mean) * inv_std;
                 }
-            });
+            }
+        }
         ExpressionMatrix {
             genes: self.genes,
             samples,
@@ -218,27 +215,28 @@ impl CorrelationNetworkParams {
 
 /// Builds the thresholded Pearson correlation network of an expression
 /// matrix: vertices are genes, and two genes are adjacent iff the absolute
-/// value of their correlation is at least `threshold`. Runs in parallel over
-/// genes.
+/// value of their correlation is at least `threshold`. Runs on an engine of
+/// [`pool_size`] threads with one gene per grain.
 pub fn correlation_network(matrix: &ExpressionMatrix, threshold: f64) -> CsrGraph {
     let z = matrix.standardized();
     let genes = z.genes();
     let samples = z.samples() as f64;
-    let edges: Vec<(VertexId, VertexId)> = (0..genes)
-        .into_par_iter()
-        .flat_map_iter(|i| {
-            let zi = z.row(i);
+    let edges: Vec<(VertexId, VertexId)> = Engine::chunked_with_grain(pool_size(), 1)
+        .map_pieces(genes, |range| {
             let mut local = Vec::new();
-            for j in (i + 1)..genes {
-                let zj = z.row(j);
-                let corr: f64 = zi.iter().zip(zj).map(|(&a, &b)| a * b).sum::<f64>() / samples;
-                if corr.abs() >= threshold {
-                    local.push((i as VertexId, j as VertexId));
+            for i in range {
+                let zi = z.row(i);
+                for j in (i + 1)..genes {
+                    let zj = z.row(j);
+                    let corr: f64 = zi.iter().zip(zj).map(|(&a, &b)| a * b).sum::<f64>() / samples;
+                    if corr.abs() >= threshold {
+                        local.push((i as VertexId, j as VertexId));
+                    }
                 }
             }
-            local.into_iter()
+            local
         })
-        .collect();
+        .concat();
     let el = EdgeList::from_edges(genes, edges).expect("gene indices are in range");
     CsrGraph::from_edge_list(&el)
 }

@@ -12,9 +12,9 @@
 //!   maximum degree and dense local communities.
 
 use chordal_graph::{CsrGraph, EdgeList, VertexId};
+use chordal_runtime::{pool_size, Engine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// The paper's three R-MAT presets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -117,7 +117,9 @@ impl RmatParams {
     }
 
     /// Generates the raw edge list (duplicates and self loops included, as
-    /// produced by the recursive quadrant descent). Runs in parallel.
+    /// produced by the recursive quadrant descent). Runs on an engine of
+    /// [`pool_size`] threads in chunks of 65,536 edges, each seeded from its
+    /// index, so the output does not depend on the schedule.
     pub fn generate_edge_list(&self) -> EdgeList {
         self.validate().expect("invalid R-MAT parameters");
         let n = self.num_vertices();
@@ -127,18 +129,18 @@ impl RmatParams {
         let chunk = 1usize << 16;
         let chunks = m.div_ceil(chunk);
         let seed = self.seed;
-        let edges: Vec<(VertexId, VertexId)> = (0..chunks)
-            .into_par_iter()
-            .flat_map_iter(|ci| {
-                let count = chunk.min(m - ci * chunk);
-                let mut rng =
-                    StdRng::seed_from_u64(seed ^ ((ci as u64) << 20).wrapping_add(ci as u64));
-                (0..count)
-                    .map(move |_| sample_edge(&mut rng, scale, a, b, c))
-                    .collect::<Vec<_>>()
-                    .into_iter()
+        let edges: Vec<(VertexId, VertexId)> = Engine::chunked_with_grain(pool_size(), 1)
+            .map_pieces(chunks, |range| {
+                let mut local = Vec::new();
+                for ci in range {
+                    let count = chunk.min(m - ci * chunk);
+                    let mut rng =
+                        StdRng::seed_from_u64(seed ^ ((ci as u64) << 20).wrapping_add(ci as u64));
+                    local.extend((0..count).map(|_| sample_edge(&mut rng, scale, a, b, c)));
+                }
+                local
             })
-            .collect();
+            .concat();
         EdgeList::from_edges(n, edges).expect("generated edges are always in range")
     }
 

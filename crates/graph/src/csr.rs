@@ -2,7 +2,7 @@
 
 use crate::layout::MemoryBreakdown;
 use crate::{Edge, EdgeList, GraphError, GraphRef, VertexId};
-use rayon::prelude::*;
+use chordal_runtime::{pool_size, Engine};
 use std::sync::OnceLock;
 
 /// An immutable undirected graph in compressed-sparse-row form.
@@ -250,19 +250,12 @@ impl CsrGraph {
         }
     }
 
-    /// Sorts every adjacency list ascending (in parallel). Afterwards
-    /// [`CsrGraph::is_sorted`] returns `true`.
+    /// Sorts every adjacency list ascending, on an engine of
+    /// [`pool_size`] threads. Afterwards [`CsrGraph::is_sorted`] returns
+    /// `true`.
     pub fn sort_adjacency(&mut self) {
-        // Split the adjacency into per-vertex chunks without aliasing.
-        let mut slices: Vec<&mut [VertexId]> = Vec::with_capacity(self.offsets.len());
-        let mut rest: &mut [VertexId] = &mut self.neighbors;
-        for w in self.offsets.windows(2) {
-            let (head, tail) = rest.split_at_mut(w[1] - w[0]);
-            slices.push(head);
-            rest = tail;
-        }
-        debug_assert!(rest.is_empty());
-        slices.par_iter_mut().for_each(|s| s.sort_unstable());
+        let mut lists = split_by_offsets(&mut self.neighbors, &self.offsets);
+        Engine::chunked(pool_size()).for_each_mut(&mut lists, |_, list| list.sort_unstable());
         self.sorted = true;
     }
 
@@ -315,6 +308,21 @@ impl CsrGraph {
         }
         Ok(())
     }
+}
+
+/// Splits `values` into the consecutive lists `offsets` delimits:
+/// `values[offsets[v]..offsets[v + 1]]` for every `v`, without aliasing.
+pub(crate) fn split_by_offsets<'a, T>(
+    mut values: &'a mut [T],
+    offsets: &[usize],
+) -> Vec<&'a mut [T]> {
+    let mut lists = Vec::with_capacity(offsets.len().saturating_sub(1));
+    for w in offsets.windows(2) {
+        let (head, tail) = values.split_at_mut(w[1] - w[0]);
+        lists.push(head);
+        values = tail;
+    }
+    lists
 }
 
 #[cfg(test)]

@@ -7,8 +7,7 @@
 //! This module applies an arbitrary permutation to a graph and converts edge
 //! sets between the original and relabelled id spaces.
 
-use crate::{CsrGraph, Edge, EdgeList, GraphError, VertexId};
-use rayon::prelude::*;
+use crate::{canonical_edge, CsrGraph, Edge, EdgeList, GraphError, VertexId};
 
 /// Validates that `perm` is a permutation of `0..n`.
 pub fn validate_permutation(perm: &[VertexId], n: usize) -> Result<(), GraphError> {
@@ -52,16 +51,7 @@ pub fn apply_permutation(graph: &CsrGraph, perm: &[VertexId]) -> Result<CsrGraph
     validate_permutation(perm, graph.num_vertices())?;
     let edges: Vec<Edge> = graph
         .edges()
-        .collect::<Vec<_>>()
-        .par_iter()
-        .map(|&(u, v)| {
-            let (a, b) = (perm[u as usize], perm[v as usize]);
-            if a < b {
-                (a, b)
-            } else {
-                (b, a)
-            }
-        })
+        .map(|(u, v)| canonical_edge(perm[u as usize], perm[v as usize]))
         .collect();
     Ok(CsrGraph::from_edge_list(&EdgeList::from_edges(
         graph.num_vertices(),

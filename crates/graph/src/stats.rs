@@ -3,7 +3,6 @@
 //! and edges-per-vertex ratio.
 
 use crate::{CsrGraph, VertexId};
-use rayon::prelude::*;
 
 /// Structural summary of a graph (one row of Table I).
 #[derive(Debug, Clone, PartialEq)]
@@ -23,7 +22,9 @@ pub struct GraphStats {
 }
 
 impl GraphStats {
-    /// Computes the summary for a graph.
+    /// Computes the summary for a graph in serial O(V) passes over the
+    /// offsets, so every field, the variance's floating-point sum included,
+    /// is independent of the pool size.
     pub fn compute(graph: &CsrGraph) -> Self {
         let n = graph.num_vertices();
         let m = graph.num_edges();
@@ -37,16 +38,11 @@ impl GraphStats {
                 edges_per_vertex: 0.0,
             };
         }
-        let degrees: Vec<usize> = (0..n)
-            .into_par_iter()
-            .map(|v| graph.degree(v as VertexId))
-            .collect();
-        let max_degree = degrees.par_iter().copied().max().unwrap_or(0);
-        let sum: usize = degrees.par_iter().sum();
+        let degrees = || graph.offsets().windows(2).map(|w| w[1] - w[0]);
+        let (sum, max_degree) = degrees().fold((0, 0), |(sum, max), d| (sum + d, d.max(max)));
         let avg = sum as f64 / n as f64;
-        let variance = degrees
-            .par_iter()
-            .map(|&d| {
+        let variance = degrees()
+            .map(|d| {
                 let diff = d as f64 - avg;
                 diff * diff
             })

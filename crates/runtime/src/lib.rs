@@ -7,23 +7,28 @@
 //! (conventional cache-based multicore). Those are machines, not
 //! schedulers: on both, Algorithm 1 needs one parallel primitive —
 //! participants claiming pieces of an index range through one shared
-//! cursor. This crate provides that primitive plus a serial reference:
+//! cursor. This crate provides that primitive plus a serial reference, and
+//! every parallel loop of the workspace goes through it:
 //!
 //! * [`Engine::Pool`] — dynamic self-scheduling on the workspace's single
-//!   **persistent worker pool** (see the in-tree `rayon` substitute): a
-//!   region's participants, the calling thread and up to `threads - 1`
-//!   pool workers, claim grain-aligned pieces of the iteration space from
-//!   one atomic counter, the software analogue of the XMT's interleaved
-//!   scheduling over many thread streams and of one thread per Opteron
-//!   core. A region is a ticket push onto already-running workers, never a
-//!   thread spawn, so region-heavy workloads (batch serving, generators,
-//!   iterative extraction) pay queue-transfer costs instead of
-//!   thread-creation costs.
+//!   **persistent worker pool** (the private `pool` module): a region's
+//!   participants, the calling thread and up to `threads - 1` pool workers,
+//!   claim grain-aligned pieces of the iteration space from one atomic
+//!   counter, the software analogue of the XMT's interleaved scheduling
+//!   over many thread streams and of one thread per Opteron core. A region
+//!   is a ticket push onto already-running workers, never a thread spawn,
+//!   so region-heavy workloads (batch serving, generators, iterative
+//!   extraction) pay queue-transfer costs instead of thread-creation costs.
 //! * [`Engine::Serial`] — single-threaded reference used for speedup
 //!   baselines and determinism tests.
 //!
-//! Both engines present the same `parallel_for` interface, so the algorithm
-//! in `chordal-core` is written once. The [`publish`] module adds the one
+//! Both engines present the same interface, so each loop is written once:
+//! [`Engine::parallel_for_chunks`] runs a body on disjoint pieces,
+//! [`Engine::map_pieces`] collects one result per piece in index order,
+//! and [`Engine::for_each_mut`] hands every item of a mutable slice to a
+//! body. A loop with a configured engine runs on it; a loop without one
+//! (graph construction, the generators, the analysis kernels) runs on an
+//! engine of [`pool_size`] threads. The [`publish`] module adds the one
 //! cross-task wait Algorithm 1 needs, the software form of the XMT's
 //! full/empty bits: a release store of a value, an acquire wait for it, and
 //! a doacross loop whose participants claim small pieces in ascending order
@@ -33,11 +38,19 @@
 
 #![deny(missing_docs)]
 
+mod injector;
+mod pool;
 pub mod publish;
 
+pub use pool::{
+    estimated_region_overhead_ns_for, pool_idle_workers, pool_size, pool_spawned_threads,
+    pool_stats, PoolStats,
+};
 pub use publish::Published;
 
+use pool::Pool;
 use std::ops::Range;
+use std::sync::{Mutex, OnceLock};
 
 /// Default chunk (grain) size of the pool engine.
 pub const DEFAULT_GRAIN: usize = 256;
@@ -151,19 +164,80 @@ impl Engine {
         if n == 0 {
             return;
         }
+        match self.piece(n) {
+            None => f(0..n),
+            Some(piece) => Pool::global().run_region(n, piece, self.threads(), f),
+        }
+    }
+
+    /// Runs `f` on the pieces [`Engine::parallel_for_chunks`] hands out
+    /// over `0..n` and returns their results in index order: one result on
+    /// the serial engine, none for an empty range. Each piece writes its
+    /// result into its own slot, so collection takes no lock.
+    pub fn map_pieces<R, F>(&self, n: usize, f: F) -> Vec<R>
+    where
+        R: Send + Sync,
+        F: Fn(Range<usize>) -> R + Sync,
+    {
+        if n == 0 {
+            return Vec::new();
+        }
+        let Some(piece) = self.piece(n) else {
+            return vec![f(0..n)];
+        };
+        let slots: Vec<OnceLock<R>> = (0..n.div_ceil(piece)).map(|_| OnceLock::new()).collect();
+        Pool::global().run_region(n, piece, self.threads(), |range| {
+            // A piece starts at a multiple of `piece`, so it owns one slot.
+            let first = slots[range.start / piece].set(f(range)).is_ok();
+            assert!(first, "the region runs each piece once");
+        });
+        slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("the region runs every piece"))
+            .collect()
+    }
+
+    /// Runs `f(i, &mut items[i])` for every item, on the pieces
+    /// [`Engine::parallel_for_chunks`] hands out over the slice's indices.
+    /// Each piece's sub-slice sits behind its own `Mutex`, which only the
+    /// participant that claimed the piece ever locks.
+    pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut T) + Sync,
+    {
+        let Some(piece) = self.piece(items.len()) else {
+            for (i, item) in items.iter_mut().enumerate() {
+                f(i, item);
+            }
+            return;
+        };
+        let n = items.len();
+        let pieces: Vec<Mutex<&mut [T]>> = items.chunks_mut(piece).map(Mutex::new).collect();
+        Pool::global().run_region(n, piece, self.threads(), |range| {
+            let mut sub = pieces[range.start / piece]
+                .lock()
+                .expect("the region runs each piece once, so no lock is poisoned");
+            for (k, item) in sub.iter_mut().enumerate() {
+                f(range.start + k, item);
+            }
+        });
+    }
+
+    /// The piece length of a pool region over `0..n`, or `None` when the
+    /// engine runs the range as one inline call: the serial engine, one
+    /// participant, or a range within one grain (a region submission would
+    /// only add overhead). A region always has at least two pieces, so the
+    /// pool splits it by exactly this length and never runs it inline.
+    fn piece(&self, n: usize) -> Option<usize> {
         match *self {
-            Engine::Serial => f(0..n),
-            // One participant, or a region within one grain, runs inline:
-            // even a pooled region submission would only add overhead.
-            Engine::Pool { threads, grain } if threads <= 1 || n <= grain => f(0..n),
-            Engine::Pool { threads, grain } => {
-                let piece = n
-                    .div_ceil(grain)
+            Engine::Pool { threads, grain } if threads > 1 && n > grain => Some(
+                n.div_ceil(grain)
                     .div_ceil(threads.saturating_mul(4))
                     .saturating_mul(grain)
-                    .min(n);
-                rayon::run_pooled_region(n, piece, threads, f);
-            }
+                    .min(n),
+            ),
+            _ => None,
         }
     }
 }
@@ -173,44 +247,6 @@ pub fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Monotonic scheduling counters of the shared persistent pool (regions
-/// submitted, tickets published and dropped; `steals` is always 0).
-/// Re-exported from the pool layer so schedulers and benchmarks above the
-/// runtime can observe dispatch behaviour without depending on the rayon
-/// substitute directly.
-pub use rayon::PoolStats;
-
-/// Current scheduling counters of the shared persistent pool; all zero
-/// before the first parallel region. Take a delta around a workload to
-/// attribute regions and tickets to it.
-pub fn pool_stats() -> PoolStats {
-    rayon::pool_stats()
-}
-
-/// Calibrated per-region dispatch overhead for a region with `threads`
-/// participants, in nanoseconds, memoised per participant count, so a
-/// caller asking about 8-thread regions never reuses the sample a 2-thread
-/// caller happened to calibrate first.
-pub fn estimated_region_overhead_ns_for(threads: usize) -> u64 {
-    rayon::estimated_region_overhead_ns_for(threads)
-}
-
-/// Number of shared-pool workers currently parked with nothing to do — a
-/// constant-time, racy capacity hint (zero before the first parallel region
-/// spawns the pool). The serve tier reports it in `STATS` and overload
-/// replies.
-pub fn pool_idle_workers() -> usize {
-    rayon::pool_idle_workers()
-}
-
-/// Number of worker threads the shared persistent pool has (or will have
-/// once the first region spawns it). An engine may be configured with more
-/// threads than this; a region's real parallelism is capped at the pool's
-/// workers plus the submitting thread.
-pub fn pool_size() -> usize {
-    rayon::pool_size()
 }
 
 // Gated out under `chordal_model`: these tests drive the real pool, whose
@@ -322,7 +358,7 @@ mod tests {
         );
         assert_eq!(after.steals, 0, "the pool has nothing to steal from");
         assert!(estimated_region_overhead_ns_for(4) >= 1);
-        assert!(pool_idle_workers() <= rayon::pool_size());
+        assert!(pool_idle_workers() <= pool_size());
     }
 
     #[test]
@@ -369,10 +405,10 @@ mod tests {
         for engine in &engines {
             engine.parallel_for(10_000, |_| {});
         }
-        let spawned = rayon::pool_spawned_threads();
+        let spawned = pool_spawned_threads();
         assert_eq!(
             spawned,
-            rayon::pool_size(),
+            pool_size(),
             "warm-up must spawn exactly the configured pool"
         );
         for _ in 0..32 {
@@ -385,9 +421,112 @@ mod tests {
             }
         }
         assert_eq!(
-            rayon::pool_spawned_threads(),
+            pool_spawned_threads(),
             spawned,
             "parallel regions after warm-up must not spawn threads"
         );
+    }
+
+    #[test]
+    fn map_pieces_returns_the_pieces_in_index_order() {
+        for engine in engines() {
+            let n = 4_321;
+            let pieces = engine.map_pieces(n, |r| r);
+            let mut next = 0;
+            for r in &pieces {
+                assert_eq!(r.start, next, "engine {engine:?}: {pieces:?}");
+                next = r.end;
+            }
+            assert_eq!(next, n, "engine {engine:?}");
+            assert_eq!(pieces, ranges(engine, n), "engine {engine:?}");
+            let squares: Vec<usize> = engine
+                .map_pieces(n, |r| r.map(|i| i * i).collect::<Vec<_>>())
+                .concat();
+            assert_eq!(squares, (0..n).map(|i| i * i).collect::<Vec<_>>());
+            assert!(engine.map_pieces(0, |r| r).is_empty());
+        }
+        assert_eq!(Engine::serial().map_pieces(10, |r| r), vec![0..10]);
+        // At grain 1, coarse items are claimed ⌈n / (4·threads)⌉ at a time.
+        assert_eq!(
+            Engine::chunked_with_grain(2, 1).map_pieces(9, |r| r.len()),
+            vec![2, 2, 2, 2, 1]
+        );
+    }
+
+    #[test]
+    fn for_each_mut_visits_every_item_once() {
+        for engine in engines() {
+            for n in [0, 1, 7, 5_000] {
+                let mut items = vec![0usize; n];
+                engine.for_each_mut(&mut items, |i, item| *item += i + 1);
+                assert!(
+                    items.iter().enumerate().all(|(i, &item)| item == i + 1),
+                    "engine {engine:?}, {n} items"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn region_bodies_run_only_on_pool_workers_or_the_caller() {
+        let seen = Mutex::new(std::collections::HashSet::new());
+        for _ in 0..32 {
+            Engine::chunked_with_grain(pool_size() + 1, 1).parallel_for(2_000, |_| {
+                seen.lock().unwrap().insert(std::thread::current().id());
+            });
+        }
+        let distinct = seen.into_inner().unwrap().len();
+        assert!(
+            distinct <= pool_size() + 1,
+            "{distinct} distinct executing threads exceeds pool ({}) + caller",
+            pool_size()
+        );
+    }
+
+    #[test]
+    fn nested_regions_complete_and_agree_with_serial() {
+        // The inner regions are submitted from pool workers; their tickets
+        // join the outer region's in the one injector.
+        let engine = Engine::chunked_with_grain(4, 1);
+        let totals: Vec<usize> = engine
+            .map_pieces(8, |outer| {
+                outer
+                    .map(|i| {
+                        engine
+                            .map_pieces(1_000, |inner| inner.map(|j| i * j).sum::<usize>())
+                            .into_iter()
+                            .sum::<usize>()
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .concat();
+        let expected: Vec<usize> = (0..8usize)
+            .map(|i| (0..1_000usize).map(|j| i * j).sum())
+            .collect();
+        assert_eq!(totals, expected);
+    }
+
+    #[test]
+    fn deeply_nested_regions_do_not_deadlock_on_a_small_pool() {
+        // Three levels of nesting: a joining thread waits only on pieces
+        // that are already running, never on a queued ticket, so nesting
+        // cannot deadlock (the CHORDAL_POOL_THREADS=2 CI leg runs this on a
+        // two-worker pool; `pool::tests` nests on a one-worker pool).
+        let engine = Engine::chunked_with_grain(4, 1);
+        let sum = |n: usize, f: &(dyn Fn(usize) -> usize + Sync)| -> usize {
+            engine
+                .map_pieces(n, |r| r.map(f).sum::<usize>())
+                .into_iter()
+                .sum()
+        };
+        let total = sum(4, &|a| sum(4, &|b| sum(64, &|c| a ^ b ^ c)));
+        let expected: usize = (0..4usize)
+            .map(|a| {
+                (0..4usize)
+                    .map(|b| (0..64usize).map(|c| a ^ b ^ c).sum::<usize>())
+                    .sum::<usize>()
+            })
+            .sum();
+        assert_eq!(total, expected);
     }
 }

@@ -1,4 +1,4 @@
-//! The persistent worker pool behind every parallel region in this crate.
+//! The persistent worker pool behind every parallel region of the workspace.
 //!
 //! The first parallel region lazily spawns a fixed set of worker threads
 //! (sized by the `CHORDAL_POOL_THREADS` environment variable, falling back
@@ -48,8 +48,8 @@
 //!
 //! The pool also keeps [scheduling counters](PoolStats) (regions
 //! submitted, tickets published and dropped) and can
-//! [calibrate](estimated_overhead_ns) the per-region dispatch overhead;
-//! benchmarks report that sample next to their timings.
+//! [calibrate](estimated_region_overhead_ns_for) the per-region dispatch
+//! overhead; benchmarks report that sample next to their timings.
 
 use crate::injector::Injector;
 use std::ops::Range;
@@ -361,7 +361,7 @@ impl Pool {
 
     /// The process-wide pool, spawned on first use.
     pub(crate) fn global() -> &'static Pool {
-        POOL.get_or_init(|| Pool::new(configured_size()))
+        POOL.get_or_init(|| Pool::new(pool_size()))
     }
 
     /// Runs `f` over `grain`-sized chunks of `0..len`, using at most
@@ -472,15 +472,18 @@ impl Pool {
 /// The lazily-initialised process-wide pool.
 static POOL: OnceLock<Pool> = OnceLock::new();
 
-/// Total OS threads spawned by the shared pool so far (zero before the
-/// first parallel region forces initialisation).
-pub(crate) fn spawned_so_far() -> usize {
+/// Total OS threads the shared pool has spawned so far: zero before the
+/// first parallel region, and exactly [`pool_size`] afterwards. Tests use
+/// this to prove that parallel regions reuse pool workers instead of
+/// spawning threads.
+pub fn pool_spawned_threads() -> usize {
     POOL.get().map(Pool::spawned_threads).unwrap_or(0)
 }
 
-/// Scheduling counters of the shared pool so far (all zero before the first
-/// parallel region forces initialisation).
-pub(crate) fn stats_so_far() -> PoolStats {
+/// Current scheduling counters of the shared pool; all zero before the
+/// first parallel region. Take a delta around a workload to attribute
+/// regions and tickets to it.
+pub fn pool_stats() -> PoolStats {
     POOL.get().map(Pool::stats).unwrap_or_default()
 }
 
@@ -497,12 +500,12 @@ pub(crate) fn stats_so_far() -> PoolStats {
 /// wake-ups, the cursor handshake and the park/unpark join.
 ///
 /// `parallelism` is clamped to `[2, pool size + 1]` — the range of
-/// participant counts [`Pool::run_region`] can actually produce — so
-/// distinct requested thread counts that resolve to the same participant
-/// count share one sample.
-pub(crate) fn estimated_overhead_ns(parallelism: usize) -> u64 {
+/// participant counts a region can actually have — so distinct requested
+/// thread counts that resolve to the same participant count share one
+/// sample.
+pub fn estimated_region_overhead_ns_for(parallelism: usize) -> u64 {
     static SAMPLES: OnceLock<Mutex<std::collections::HashMap<usize, u64>>> = OnceLock::new();
-    let key = parallelism.clamp(2, configured_size() + 1);
+    let key = parallelism.clamp(2, pool_size() + 1);
     let samples = SAMPLES.get_or_init(|| Mutex::new(std::collections::HashMap::new()));
     if let Some(&sample) = samples.lock().unwrap().get(&key) {
         return sample;
@@ -526,17 +529,22 @@ pub(crate) fn estimated_overhead_ns(parallelism: usize) -> u64 {
     *samples.lock().unwrap().entry(key).or_insert(sample)
 }
 
-/// Idle-worker count of the shared pool (zero before the first region
-/// spawns it — an unspawned pool has no parked workers to recruit *now*,
-/// and the first region's tickets will wake them anyway).
-pub(crate) fn idle_so_far() -> usize {
+/// Number of shared-pool workers currently parked with nothing to do — a
+/// constant-time, racy capacity hint (zero before the first parallel region
+/// spawns the pool: an unspawned pool has no parked workers to recruit
+/// *now*, and the first region's tickets will wake them anyway). The serve
+/// tier reports it in `STATS` and overload replies.
+pub fn pool_idle_workers() -> usize {
     POOL.get().map(Pool::idle_workers).unwrap_or(0)
 }
 
-/// Pool size: `CHORDAL_POOL_THREADS` when set to a positive integer,
-/// otherwise the number of logical CPUs. Computed once, without spawning
-/// any threads (the pool itself spawns on first region).
-pub(crate) fn configured_size() -> usize {
+/// Number of worker threads the shared pool has (or will have once the
+/// first parallel region spawns it): `CHORDAL_POOL_THREADS` when set to a
+/// positive integer, otherwise the number of logical CPUs. Computed once,
+/// without spawning any threads. An engine may be configured with more
+/// threads than this; a region's real parallelism is capped at the pool's
+/// workers plus the submitting thread.
+pub fn pool_size() -> usize {
     static SIZE: OnceLock<usize> = OnceLock::new();
     *SIZE.get_or_init(|| {
         std::env::var("CHORDAL_POOL_THREADS")
@@ -579,25 +587,25 @@ mod tests {
         // wider one are taken (and memoised) independently — a session
         // running a different thread count can no longer inherit whichever
         // sample happened to be taken first.
-        let narrow = estimated_overhead_ns(2);
+        let narrow = estimated_region_overhead_ns_for(2);
         assert!(narrow >= 1);
         assert_eq!(
             narrow,
-            estimated_overhead_ns(2),
+            estimated_region_overhead_ns_for(2),
             "sample must be memoised per key"
         );
-        let wide_key = configured_size() + 1;
-        let wide = estimated_overhead_ns(wide_key);
+        let wide_key = pool_size() + 1;
+        let wide = estimated_region_overhead_ns_for(wide_key);
         assert!(wide >= 1);
         assert_eq!(
             wide,
-            estimated_overhead_ns(wide_key),
+            estimated_region_overhead_ns_for(wide_key),
             "each key memoises its own sample"
         );
         // Out-of-range requests clamp onto the calibrated range instead of
         // growing the table without bound.
-        assert_eq!(estimated_overhead_ns(0), narrow);
-        assert_eq!(estimated_overhead_ns(usize::MAX), wide);
+        assert_eq!(estimated_region_overhead_ns_for(0), narrow);
+        assert_eq!(estimated_region_overhead_ns_for(usize::MAX), wide);
     }
 
     #[test]

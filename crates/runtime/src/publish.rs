@@ -46,6 +46,7 @@
 //! by the same thread. So some participant always makes progress and the
 //! loop cannot deadlock, whatever the thread count or the pool size.
 
+use crate::pool::Pool;
 use crate::Engine;
 use std::ops::Range;
 
@@ -224,7 +225,7 @@ impl Published {
             body(0..n);
             return;
         }
-        rayon::run_pooled_region(n, DOACROSS_PIECE, engine.threads(), |range| {
+        Pool::global().run_region(n, DOACROSS_PIECE, engine.threads(), |range| {
             let _abort = AbortOnUnwind(&self.aborted);
             body(range);
         });

@@ -24,12 +24,13 @@
 //!   dispatch counters growing as regions are submitted.
 
 use maximal_chordal::prelude::*;
+use maximal_chordal::runtime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Participants a batch of `graphs` fans out over on `threads`.
 fn participants(threads: usize, graphs: usize) -> usize {
-    threads.min(graphs).min(rayon::current_num_threads())
+    threads.min(graphs).min(runtime::pool_size())
 }
 
 /// Seeded cases per property (kept moderate: the full matrix multiplies).
@@ -375,12 +376,12 @@ fn batch_traffic_grows_the_pool_dispatch_counters() {
     // engine and submits regions. Then all three fan out together.
     let mut session =
         ExtractionSession::new(ExtractorConfig::default().with_engine(Engine::chunked(4)));
-    let before = rayon::pool_stats();
+    let before = runtime::pool_stats();
     for graph in refs.chunks(1) {
         session.extract_batch(graph);
     }
     session.extract_batch(&refs);
-    let after = rayon::pool_stats();
+    let after = runtime::pool_stats();
     assert!(
         after.regions > before.regions,
         "intra-graph batch extraction must submit pool regions ({} -> {})",
@@ -397,10 +398,10 @@ fn sustained_extraction_traffic_never_spawns_threads_after_warmup() {
     let mut session =
         ExtractionSession::new(ExtractorConfig::default().with_engine(Engine::chunked(4)));
     session.extract(&warm_graph);
-    let spawned = rayon::pool_spawned_threads();
+    let spawned = runtime::pool_spawned_threads();
     assert_eq!(
         spawned,
-        rayon::pool_size(),
+        runtime::pool_size(),
         "warm-up must have spawned exactly the configured pool"
     );
     // ...then drive sustained single-graph and batch traffic over two pool
@@ -421,7 +422,7 @@ fn sustained_extraction_traffic_never_spawns_threads_after_warmup() {
         }
     }
     assert_eq!(
-        rayon::pool_spawned_threads(),
+        runtime::pool_spawned_threads(),
         spawned,
         "extraction traffic after warm-up must not spawn any thread"
     );

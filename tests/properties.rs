@@ -157,6 +157,69 @@ fn chordality_checker_matches_bruteforce() {
     }
 }
 
+#[test]
+fn canonicalize_matches_a_sort_and_dedup_oracle() {
+    // Random lists with self loops and duplicates in both orientations; the
+    // larger ones sort their buckets on the pool. The oracle orients every
+    // edge, drops the loops, sorts the whole list and drops repeats.
+    let mut cases = vec![EdgeList::new(0), EdgeList::new(1)];
+    let mut one_vertex = EdgeList::new(1);
+    one_vertex.push(0, 0);
+    one_vertex.push(0, 0);
+    cases.push(one_vertex);
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(0xCA_70 ^ seed);
+        let n = rng.gen_range(2..2_000usize);
+        let mut list = EdgeList::new(n);
+        for _ in 0..rng.gen_range(0..8 * n) {
+            let u = rng.gen_range(0..n) as u32;
+            let v = if rng.gen_range(0..8usize) == 0 {
+                u
+            } else {
+                rng.gen_range(0..n) as u32
+            };
+            list.push(u, v);
+            if rng.gen_range(0..4usize) == 0 {
+                list.push(v, u);
+            }
+        }
+        cases.push(list);
+    }
+    for (k, list) in cases.into_iter().enumerate() {
+        let mut oracle: Vec<(u32, u32)> = list
+            .iter()
+            .filter(|&(u, v)| u != v)
+            .map(|(u, v)| (u.min(v), u.max(v)))
+            .collect();
+        oracle.sort_unstable();
+        oracle.dedup();
+        assert_eq!(list.canonicalized().edges(), &oracle[..], "case {k}");
+    }
+}
+
+#[test]
+fn degree_variance_is_a_serial_fold_whatever_the_pool_size() {
+    // On RMAT-B(16) a sum of per-chunk partial sums rounds differently from
+    // one ascending sum, so a variance summed in pool-sized chunks changed
+    // with CHORDAL_POOL_THREADS.
+    let graph = RmatParams::preset(RmatKind::B, 16, 1).generate();
+    let n = graph.num_vertices() as f64;
+    let degrees: Vec<usize> = (0..graph.num_vertices() as u32)
+        .map(|v| graph.degree(v))
+        .collect();
+    let mean = degrees.iter().sum::<usize>() as f64 / n;
+    let fold = degrees
+        .iter()
+        .map(|&d| (d as f64 - mean) * (d as f64 - mean))
+        .fold(0.0, |sum, x| sum + x)
+        / n;
+    let stats = GraphStats::compute(&graph);
+    assert_eq!(stats.degree_variance.to_bits(), fold.to_bits());
+    assert_eq!(stats.degree_variance.to_bits(), 0x409c_90f5_32f4_e001);
+    assert_eq!(stats.max_degree, degrees.iter().copied().max().unwrap());
+    assert_eq!(stats.avg_degree.to_bits(), mean.to_bits());
+}
+
 /// Exponential-time oracle: a graph is chordal iff it has no chordless cycle
 /// of length ≥ 4. Searches all vertex subsets for induced cycles (fine for
 /// ≤ 8 vertices).
