@@ -246,7 +246,7 @@ pub fn run(options: &HarnessOptions) -> Vec<ServingPoint> {
     let before = snapshot(&mut control);
     let samples = drive(addr, clients, requests_per_client, |client, index| {
         format!(
-            "EXTRACT path={} algorithm=alg1 semantics=sync deadline_ms=30000",
+            "EXTRACT path={} algorithm=alg1 deadline_ms=30000",
             paths[pick(client, index)].display()
         )
     });
@@ -277,7 +277,7 @@ pub fn run(options: &HarnessOptions) -> Vec<ServingPoint> {
     let before = snapshot(&mut control);
     let samples = drive(addr, clients, requests_per_client, |client, index| {
         format!(
-            "EXTRACT graph={} algorithm=alg1 semantics=sync deadline_ms=30000",
+            "EXTRACT graph={} algorithm=alg1 deadline_ms=30000",
             hashes[pick(client, index)]
         )
     });

@@ -7,8 +7,7 @@
 //! chordal convert  --in graph.txt --out graph.bin [--window-bytes N] [--verify]
 //! chordal extract  --in graph.txt --out chordal.txt [--algorithm alg1|reference|dearing|partitioned]
 //!                  [--threads 8] [--engine pool|serial] [--variant opt|unopt]
-//!                  [--semantics async|sync] [--partitions N] [--stats] [--stitch] [--repair]
-//!                  [--format text|bin|auto]
+//!                  [--partitions N] [--stats] [--stitch] [--repair] [--format text|bin|auto]
 //! chordal batch    --in a.txt,b.bin,c.txt [--threads 8] [--engine pool|serial]
 //!                  [--repeat N] [...extract flags]
 //! chordal analyze  --in graph.txt
@@ -19,6 +18,10 @@
 //! ```
 //!
 //! `--engine rayon` (and `chunked`) is accepted as an alias of `pool`.
+//! `--algorithm alg1` (the default) runs Algorithm 1 as one ascending pass,
+//! with one output on every engine and thread count; `--algorithm
+//! reference` runs the bulk-synchronous reading of the pseudocode serially,
+//! the one whose `--stats` trace has the paper's per-iteration meaning.
 //!
 //! Every graph-loading path accepts either a plain-text edge list or the
 //! binary CSR format of [`chordal_graph::storage`]; the format is sniffed
@@ -36,20 +39,19 @@
 //! the run.
 //!
 //! All configuration parsing goes through the typed helpers of
-//! `chordal-core` ([`Algorithm::parse`], [`AdjacencyMode::parse`],
-//! [`Semantics::parse`], engine resolution via the runtime), and every
-//! failure is a structured [`ExtractError`] mapped to a distinct exit code:
-//! 2 for usage/parse errors (an unknown flag among them, which also prints
-//! the usage text), 3 for I/O failures, 4 for failed verifications.
+//! `chordal-core` ([`Algorithm::parse`], [`AdjacencyMode::parse`], engine
+//! resolution via the runtime), and every failure is a structured
+//! [`ExtractError`] mapped to a distinct exit code: 2 for usage/parse
+//! errors (an unknown flag among them, which also prints the usage text),
+//! 3 for I/O failures (a closed stdout among them), 4 for failed
+//! verifications.
 
 use chordal_analysis::clustering::average_clustering;
 use chordal_analysis::degree_assortativity;
 use chordal_analysis::TableRow;
 use chordal_core::connect::stitch_components;
 use chordal_core::verify::{check_maximality, is_chordal, MaximalityReport};
-use chordal_core::{
-    AdjacencyMode, Algorithm, ExtractError, ExtractionSession, ExtractorConfig, Semantics,
-};
+use chordal_core::{AdjacencyMode, Algorithm, ExtractError, ExtractionSession, ExtractorConfig};
 use chordal_generators::bio::GeneNetworkKind;
 use chordal_generators::rmat::{RmatKind, RmatParams};
 use chordal_graph::io::write_edge_list_file;
@@ -60,12 +62,32 @@ use chordal_graph::subgraph::{edge_subgraph, edges_subset_of_graph};
 use chordal_graph::{CsrGraph, GraphRef};
 use chordal_serve::ServeConfig;
 use std::collections::HashMap;
+use std::io::Write as _;
 use std::process::ExitCode;
+
+/// Writes one line to stdout through [`say`]; every line the CLI prints
+/// goes through here.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        say(format_args!($($arg)*))
+    };
+}
+
+/// Writes `line` and a newline to stdout. The process ignores SIGPIPE (Rust
+/// sets that up, and `serve` relies on it to outlive a client that vanishes
+/// mid-write), so a closed stdout (`chordal analyze ... | head -c 1`) is a
+/// `BrokenPipe` error here, where `println!` would panic. It ends the
+/// command as an I/O error: exit code 3.
+fn say(line: std::fmt::Arguments<'_>) -> Result<(), ExtractError> {
+    writeln!(std::io::stdout().lock(), "{line}")
+        .map_err(|e| ExtractError::io("writing to stdout", e))
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        print_usage();
+        // Exit 2 whether or not the usage text could be written.
+        let _ = say!("{USAGE}");
         return ExitCode::from(2);
     }
     let command = args[0].clone();
@@ -77,10 +99,7 @@ fn main() -> ExitCode {
         "analyze" => cmd_analyze(&options),
         "verify" => cmd_verify(&options),
         "serve" => cmd_serve(&options),
-        "help" | "--help" | "-h" => {
-            print_usage();
-            Ok(())
-        }
+        "help" | "--help" | "-h" => say!("{USAGE}"),
         other => Err(ExtractError::UnknownCommand(other.to_string())),
     });
     match outcome {
@@ -95,10 +114,6 @@ fn main() -> ExitCode {
     }
 }
 
-fn print_usage() {
-    println!("{USAGE}");
-}
-
 const USAGE: &str = "chordal — maximal chordal subgraph toolkit\n\
     \n\
     commands:\n\
@@ -107,8 +122,7 @@ const USAGE: &str = "chordal — maximal chordal subgraph toolkit\n\
     \x20 convert  --in FILE --out FILE [--window-bytes N] [--verify]\n\
     \x20 extract  --in FILE [--out FILE] [--algorithm alg1|reference|dearing|partitioned]\n\
     \x20          [--threads N] [--engine serial|pool] [--variant opt|unopt]\n\
-    \x20          [--semantics async|sync] [--partitions N] [--stats] [--stitch]\n\
-    \x20          [--repair]\n\
+    \x20          [--partitions N] [--stats] [--stitch] [--repair]\n\
     \x20 batch    --in FILE[,FILE...] [--repeat N] [...extract flags]\n\
     \x20 analyze  --in FILE\n\
     \x20 verify   --graph FILE --subgraph FILE [--maximality N]\n\
@@ -121,6 +135,10 @@ const USAGE: &str = "chordal — maximal chordal subgraph toolkit\n\
     produces the latter); the format is auto-detected, or forced with\n\
     --format text|bin|auto on any graph-loading command; `rayon` is\n\
     accepted as an alias of the `pool` engine.\n\
+    \n\
+    `alg1` (the default) runs Algorithm 1 as one ascending pass, with one\n\
+    output on every engine and thread count; `reference` runs the\n\
+    bulk-synchronous reading of its pseudocode serially.\n\
     \n\
     exit codes: 0 success, 2 usage error, 3 I/O error, 4 verification failure";
 
@@ -143,7 +161,6 @@ const OPTIONS: &[&str] = &[
     "threads",
     "engine",
     "variant",
-    "semantics",
     "partitions",
     "repeat",
     "graph",
@@ -239,11 +256,11 @@ fn cmd_generate(flags: &Flags) -> Result<(), ExtractError> {
     let seed: u64 = parse_number(flags, "seed", 1)?;
     let graph = GraphKind::parse(kind)?.generate(flags, seed)?;
     write_edge_list_file(&graph, out).map_err(|e| ExtractError::io(format!("writing {out}"), e))?;
-    println!(
+    say!(
         "generated {kind}: {} vertices, {} edges -> {out}",
         graph.num_vertices(),
         graph.num_edges()
-    );
+    )?;
     Ok(())
 }
 
@@ -284,25 +301,25 @@ fn cmd_convert(flags: &Flags) -> Result<(), ExtractError> {
     let stats = convert_edge_list_to_binary_with(input, output, options)
         .map_err(|e| ExtractError::io(format!("converting {input}"), e))?;
     let elapsed = start.elapsed();
-    println!(
+    say!(
         "converted {input} -> {output}: {} vertices, {} edges ({} directed entries), {} spill bucket(s), {:.4}s",
         stats.num_vertices,
         stats.num_canonical_edges,
         stats.num_directed_edges,
         stats.buckets,
         elapsed.as_secs_f64()
-    );
+    )?;
     if flags.contains_key("verify") {
         let mapped = MmapCsrGraph::open(output)
             .map_err(|e| ExtractError::io(format!("reopening {output}"), e))?;
         mapped.verify_checksum().map_err(|e| {
             ExtractError::Verification(format!("checksum of {output} does not match: {e}"))
         })?;
-        println!(
+        say!(
             "verified {output}: header valid, checksum matches ({} vertices, {} edges)",
             mapped.view().num_vertices(),
             mapped.view().num_edges()
-        );
+        )?;
     }
     Ok(())
 }
@@ -314,17 +331,10 @@ fn extraction_config(flags: &Flags) -> Result<ExtractorConfig, ExtractError> {
     let algorithm = Algorithm::parse(flags.get("algorithm").map(String::as_str).unwrap_or("alg1"))?;
     let adjacency =
         AdjacencyMode::parse(flags.get("variant").map(String::as_str).unwrap_or("opt"))?;
-    let semantics = Semantics::parse(
-        flags
-            .get("semantics")
-            .map(String::as_str)
-            .unwrap_or("async"),
-    )?;
     let partitions: usize = parse_number(flags, "partitions", 0)?;
     ExtractorConfig::default()
         .with_algorithm(algorithm)
         .with_adjacency(adjacency)
-        .with_semantics(semantics)
         .with_stats(flags.contains_key("stats"))
         .with_repair(flags.contains_key("repair"))
         .with_partitions(partitions)
@@ -343,7 +353,7 @@ fn cmd_extract(flags: &Flags) -> Result<(), ExtractError> {
     let start = std::time::Instant::now();
     let result = session.extract(view);
     let elapsed = start.elapsed();
-    println!(
+    say!(
         "{}: extracted {} chordal edges out of {} ({:.2}%) in {} iterations, {:.4}s",
         session.extractor_name(),
         result.num_chordal_edges(),
@@ -351,9 +361,9 @@ fn cmd_extract(flags: &Flags) -> Result<(), ExtractError> {
         100.0 * result.chordal_fraction(view),
         result.iterations,
         elapsed.as_secs_f64()
-    );
+    )?;
     if let Some(stats) = &result.stats {
-        println!("queue sizes per iteration: {:?}", stats.queue_sizes);
+        say!("queue sizes per iteration: {:?}", stats.queue_sizes)?;
     }
     let mut edges = result.edges().to_vec();
     if flags.contains_key("stitch") {
@@ -364,19 +374,19 @@ fn cmd_extract(flags: &Flags) -> Result<(), ExtractError> {
             LoadedGraph::Heap(g) => stitch_components(g, &edges),
             LoadedGraph::Mapped(_) => stitch_components(&loaded.to_csr_graph(), &edges),
         };
-        println!(
+        say!(
             "stitching: {} -> {} components, {} edges added",
             stitched.components_before,
             stitched.components_after,
             stitched.added_edges.len()
-        );
+        )?;
         edges.extend(stitched.added_edges);
     }
     if let Some(out) = flags.get("out") {
         let sub = edge_subgraph(view, &edges);
         write_edge_list_file(&sub, out)
             .map_err(|e| ExtractError::io(format!("writing {out}"), e))?;
-        println!("chordal subgraph written to {out}");
+        say!("chordal subgraph written to {out}")?;
     }
     Ok(())
 }
@@ -402,13 +412,13 @@ fn cmd_batch(flags: &Flags) -> Result<(), ExtractError> {
     // storage-agnostic views; mmapped inputs are extracted in place.
     let views: Vec<GraphRef<'_>> = graphs.iter().map(|g| g.as_graph_ref()).collect();
     let engine = &session.config().engine;
-    println!(
+    say!(
         "batch: {} graphs, engine {} x{}, {} repeat(s)",
         graphs.len(),
         engine.name(),
         engine.threads(),
         repeats
-    );
+    )?;
     let stats_before = chordal_runtime::pool_stats();
     let mut results = Vec::new();
     let mut best = f64::MAX;
@@ -422,24 +432,24 @@ fn cmd_batch(flags: &Flags) -> Result<(), ExtractError> {
     let stats = chordal_runtime::pool_stats();
     let placement = match session.batch_participants() {
         0 => {
-            println!("placement: sequential");
+            say!("placement: sequential")?;
             "sequential"
         }
         participants => {
-            println!("placement: fan-out over {participants} participant(s), longest first");
+            say!("placement: fan-out over {participants} participant(s), longest first")?;
             "fan-out"
         }
     };
     for (path, (&view, result)) in paths.iter().zip(views.iter().zip(&results)) {
-        println!(
+        say!(
             "  {:<32} {:>9} edges -> {:>9} chordal ({:.2}%) [{placement}]",
             path,
             view.num_canonical_edges(),
             result.num_chordal_edges(),
             100.0 * result.chordal_fraction(view),
-        );
+        )?;
     }
-    println!(
+    say!(
         "batch done: {} chordal edges total, best {:.4}s (total {:.4}s); pool: +{} regions, +{} tickets, +{} dropped",
         results.iter().map(|r| r.num_chordal_edges()).sum::<usize>(),
         best,
@@ -447,7 +457,7 @@ fn cmd_batch(flags: &Flags) -> Result<(), ExtractError> {
         stats.regions - stats_before.regions,
         stats.tickets - stats_before.tickets,
         stats.tickets_dropped - stats_before.tickets_dropped,
-    );
+    )?;
     Ok(())
 }
 
@@ -524,13 +534,10 @@ fn cmd_serve(flags: &Flags) -> Result<(), ExtractError> {
         chordal_serve::Server::start(config).map_err(|e| ExtractError::io("starting server", e))?;
     // Scripted clients read this line to learn the bound port (`--addr`
     // with port 0 picks a free one).
-    println!("serving on {}", handle.addr());
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    say!("serving on {}", handle.addr())?;
     while !handle.is_shut_down() {
         if SHUTDOWN_SIGNAL.load(std::sync::atomic::Ordering::SeqCst) {
-            println!("signal received, draining");
-            let _ = std::io::stdout().flush();
+            say!("signal received, draining")?;
             break;
         }
         std::thread::sleep(std::time::Duration::from_millis(100));
@@ -539,7 +546,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), ExtractError> {
     // to --drain-timeout-ms for queued and in-flight requests, answer any
     // straggler, then close.
     handle.shutdown();
-    println!("server stopped");
+    say!("server stopped")?;
     Ok(())
 }
 
@@ -549,26 +556,26 @@ fn cmd_analyze(flags: &Flags) -> Result<(), ExtractError> {
     // walk heap adjacency slices, so mmapped inputs materialise once.
     let graph = load_input(input, requested_format(flags)?)?.to_csr_graph();
     let row = TableRow::compute(input, &graph);
-    println!("{}", TableRow::header());
-    println!("{}", row.format());
-    println!(
+    say!("{}", TableRow::header())?;
+    say!("{}", row.format())?;
+    say!(
         "average clustering coefficient: {:.4}",
         average_clustering(&graph)
-    );
-    println!(
+    )?;
+    say!(
         "degree assortativity:           {:.4}",
         degree_assortativity(&graph)
-    );
+    )?;
     let components = chordal_graph::traversal::connected_components(&graph);
-    println!("connected components:           {}", components.count);
-    println!("already chordal:                {}", is_chordal(&graph));
+    say!("connected components:           {}", components.count)?;
+    say!("already chordal:                {}", is_chordal(&graph))?;
     let memory = graph.memory_breakdown();
-    println!(
+    say!(
         "memory bytes:                   {} (offsets {}, neighbors {})",
         memory.total_bytes(),
         memory.offsets_bytes,
         memory.neighbors_bytes
-    );
+    )?;
     Ok(())
 }
 
@@ -586,22 +593,22 @@ fn cmd_verify(flags: &Flags) -> Result<(), ExtractError> {
     }
     let edges: Vec<_> = sub.edges().collect();
     if !edges_subset_of_graph(&graph, &edges) {
-        println!("FAIL: subgraph contains edges that are not in the host graph");
+        say!("FAIL: subgraph contains edges that are not in the host graph")?;
         return Err(ExtractError::Verification(
             "subgraph is not contained in the host graph".to_string(),
         ));
     }
     let chordal = is_chordal(&sub);
-    println!("chordal: {chordal}");
+    say!("chordal: {chordal}")?;
     let sample: usize = parse_number(flags, "maximality", 0)?;
     if sample > 0 {
         let report = check_maximality(&graph, &edges, Some(sample), 7);
         match report {
-            MaximalityReport::Maximal => println!("maximal: true (sampled {sample} edges)"),
-            MaximalityReport::Violations(v) => println!(
+            MaximalityReport::Maximal => say!("maximal: true (sampled {sample} edges)")?,
+            MaximalityReport::Violations(v) => say!(
                 "maximal: false ({} of {sample} sampled edges addable)",
                 v.len()
-            ),
+            )?,
         }
     }
     if chordal {
@@ -631,6 +638,7 @@ mod tests {
             "--rebalance",
             "--no-rebalance",
             "--repair-strategy",
+            "--semantics",
             "--bogus",
         ] {
             let error = parse_flags(&args(&["--in", "a.txt", flag, "1"])).unwrap_err();

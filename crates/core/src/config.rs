@@ -1,5 +1,4 @@
-//! Extraction configuration: algorithm, variant, iteration semantics and
-//! execution engine.
+//! Extraction configuration: algorithm, variant and execution engine.
 
 use crate::error::ExtractError;
 use crate::extractor::Algorithm;
@@ -39,68 +38,12 @@ impl AdjacencyMode {
     }
 }
 
-/// Which chordal-neighbour sets a subset test sees.
-///
-/// Every hand-over of Algorithm 1 goes from a parent to a vertex with a
-/// larger id, so the test of `w` against its parent `p` can wait until
-/// `C[p]` is final. [`Semantics::Asynchronous`] does exactly that: one
-/// ascending pass in which every test sees its parent's final set. It is
-/// the default, it is deterministic on every engine, and it is the
-/// paper's "each thread can asynchronously update" taken to its limit.
-/// [`Semantics::Synchronous`] is the bulk-synchronous reading of the
-/// pseudocode: it freezes the state at the start of every iteration and
-/// advances every vertex by one parent per iteration, so it takes as many
-/// iterations as the largest parent count (the `figure7` experiment
-/// records both against the paper's ~3 and ~10). Both always produce a
-/// chordal subgraph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Semantics {
-    /// Deterministic bulk-synchronous interpretation of Algorithm 1: subset
-    /// tests inside iteration *t* observe the chordal-neighbour sets and
-    /// lowest parents as they were at the *start* of iteration *t*. The
-    /// result is identical for every engine, thread count and schedule (it
-    /// equals [`crate::reference::extract_reference`]), which is what the
-    /// cross-engine determinism tests rely on.
-    Synchronous,
-    /// Paper-faithful asynchronous interpretation ("each thread can
-    /// asynchronously update a subset of edges"): one ascending pass in
-    /// which every vertex tests its set against each parent's *final* set,
-    /// so the whole extraction is one iteration. On the pool it is a
-    /// doacross in which a vertex waits until its parent's set length is
-    /// published (a release store paired with an acquire wait). Because
-    /// every subset test sees its parent's final set, the output is
-    /// deterministic: identical for every engine, thread count and
-    /// schedule, and equal to
-    /// [`crate::reference::extract_pull_reference`].
-    Asynchronous,
-}
-
-impl Semantics {
-    /// Short label for benchmark output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Semantics::Synchronous => "sync",
-            Semantics::Asynchronous => "async",
-        }
-    }
-
-    /// Parses a semantics name as accepted by front ends.
-    pub fn parse(name: &str) -> Result<Self, ExtractError> {
-        match name {
-            "async" | "asynchronous" => Ok(Semantics::Asynchronous),
-            "sync" | "synchronous" => Ok(Semantics::Synchronous),
-            other => Err(ExtractError::UnknownSemantics(other.to_string())),
-        }
-    }
-}
-
 /// Full configuration of an extraction: which [`Algorithm`] to run and how.
 ///
 /// A config is the single input of the registry
 /// ([`Algorithm::build`] / [`ExtractorConfig::build_extractor`]) and of
 /// [`crate::ExtractionSession::new`]. Fields that only concern one
-/// algorithm (the partition count, the iteration semantics) are ignored by
-/// the others.
+/// algorithm (the partition count) are ignored by the others.
 #[derive(Debug, Clone)]
 pub struct ExtractorConfig {
     /// Which algorithm of the registry to run.
@@ -109,9 +52,6 @@ pub struct ExtractorConfig {
     pub engine: Engine,
     /// Opt (sorted) or Unopt (unsorted) adjacency handling.
     pub adjacency: AdjacencyMode,
-    /// Synchronous or asynchronous iteration semantics (both
-    /// deterministic).
-    pub semantics: Semantics,
     /// Record per-iteration queue sizes and edge counts (Figure 7 of the
     /// paper). Small constant overhead per iteration.
     pub record_stats: bool,
@@ -133,7 +73,6 @@ impl Default for ExtractorConfig {
             algorithm: Algorithm::Parallel,
             engine: Engine::chunked(chordal_runtime::available_threads()),
             adjacency: AdjacencyMode::Sorted,
-            semantics: Semantics::Asynchronous,
             record_stats: false,
             partitions: 0,
             repair: false,
@@ -142,8 +81,7 @@ impl Default for ExtractorConfig {
 }
 
 impl ExtractorConfig {
-    /// A serial configuration with the given adjacency mode (asynchronous
-    /// semantics).
+    /// A serial configuration with the given adjacency mode.
     pub fn serial(adjacency: AdjacencyMode) -> Self {
         Self {
             engine: Engine::serial(),
@@ -176,12 +114,6 @@ impl ExtractorConfig {
     /// Builder-style: replaces the adjacency mode.
     pub fn with_adjacency(mut self, adjacency: AdjacencyMode) -> Self {
         self.adjacency = adjacency;
-        self
-    }
-
-    /// Builder-style: replaces the iteration semantics.
-    pub fn with_semantics(mut self, semantics: Semantics) -> Self {
-        self.semantics = semantics;
         self
     }
 
@@ -228,16 +160,13 @@ mod tests {
     fn labels_match_paper_terms() {
         assert_eq!(AdjacencyMode::Sorted.label(), "Opt");
         assert_eq!(AdjacencyMode::Unsorted.label(), "Unopt");
-        assert_eq!(Semantics::Synchronous.label(), "sync");
-        assert_eq!(Semantics::Asynchronous.label(), "async");
     }
 
     #[test]
-    fn default_config_is_parallel_sorted_asynchronous_with_stats_off() {
+    fn default_config_is_parallel_sorted_with_stats_off() {
         let c = ExtractorConfig::default();
         assert_eq!(c.algorithm, Algorithm::Parallel);
         assert_eq!(c.adjacency, AdjacencyMode::Sorted);
-        assert_eq!(c.semantics, Semantics::Asynchronous);
         assert!(!c.record_stats);
         assert!(!c.repair);
         assert!(c.engine.threads() >= 1);
@@ -248,7 +177,6 @@ mod tests {
     fn builder_methods_replace_fields() {
         let c = ExtractorConfig::serial(AdjacencyMode::Unsorted)
             .with_stats(true)
-            .with_semantics(Semantics::Asynchronous)
             .with_adjacency(AdjacencyMode::Sorted)
             .with_engine(Engine::chunked(2))
             .with_algorithm(Algorithm::Dearing)
@@ -256,7 +184,6 @@ mod tests {
             .with_repair(true);
         assert!(c.record_stats);
         assert!(c.repair);
-        assert_eq!(c.semantics, Semantics::Asynchronous);
         assert_eq!(c.adjacency, AdjacencyMode::Sorted);
         assert_eq!(c.engine.threads(), 2);
         assert_eq!(c.engine.name(), "pool");
@@ -272,9 +199,6 @@ mod tests {
             AdjacencyMode::Unsorted
         );
         assert!(AdjacencyMode::parse("fast").is_err());
-        assert_eq!(Semantics::parse("sync").unwrap(), Semantics::Synchronous);
-        assert_eq!(Semantics::parse("async").unwrap(), Semantics::Asynchronous);
-        assert!(Semantics::parse("chaotic").is_err());
     }
 
     #[test]

@@ -19,8 +19,6 @@ pub enum ExtractError {
     UnknownEngine(String),
     /// The requested adjacency variant ("opt"/"unopt") is not recognised.
     UnknownVariant(String),
-    /// The requested iteration semantics ("async"/"sync") is not recognised.
-    UnknownSemantics(String),
     /// A front-end command is not recognised.
     UnknownCommand(String),
     /// A required option was not supplied.
@@ -75,7 +73,6 @@ impl ExtractError {
             ExtractError::UnknownAlgorithm(_)
             | ExtractError::UnknownEngine(_)
             | ExtractError::UnknownVariant(_)
-            | ExtractError::UnknownSemantics(_)
             | ExtractError::UnknownCommand(_)
             | ExtractError::MissingOption(_)
             | ExtractError::InvalidOption { .. }
@@ -98,9 +95,6 @@ impl fmt::Display for ExtractError {
             }
             ExtractError::UnknownVariant(name) => {
                 write!(f, "unknown variant `{name}` (expected opt or unopt)")
-            }
-            ExtractError::UnknownSemantics(name) => {
-                write!(f, "unknown semantics `{name}` (expected async or sync)")
             }
             ExtractError::UnknownCommand(name) => write!(f, "unknown command `{name}`"),
             ExtractError::MissingOption(option) => {

@@ -73,8 +73,10 @@ pub enum Algorithm {
     /// The paper's multithreaded Algorithm 1
     /// ([`crate::parallel::MaximalChordalExtractor`]).
     Parallel,
-    /// The sequential bulk-synchronous reference implementation
-    /// ([`crate::reference::ReferenceExtractor`]).
+    /// The bulk-synchronous reading of Algorithm 1, run sequentially: each
+    /// iteration tests every vertex against one more parent's set as it
+    /// stood when the iteration began. It is the source of Figure 7's
+    /// iteration counts ([`crate::reference::ReferenceExtractor`]).
     Reference,
     /// The serial Dearing–Shier–Warner baseline
     /// ([`crate::dearing::DearingExtractor`]).

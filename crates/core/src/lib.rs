@@ -17,15 +17,17 @@
 //!   paper's Algorithm 1: a fine-grained multithreaded extraction in which
 //!   every vertex walks its *parents* (smaller-id neighbours) in ascending
 //!   order and keeps a growing set of *chordal neighbors*, as one ascending
-//!   pass (asynchronous semantics) or one region per iteration
-//!   (synchronous). Both the paper's variants are available: **Opt**
-//!   (sorted adjacency, the parents are a prefix) and **Unopt** (unsorted
-//!   adjacency, scan-based parent walk), on any
-//!   [`chordal_runtime::Engine`].
-//! * [`Algorithm::Reference`] → [`reference::ReferenceExtractor`] — a plain
-//!   sequential implementation of the same algorithm used as the
-//!   determinism oracle (with [`reference::extract_pull_reference`], the
-//!   oracle of the asynchronous pass).
+//!   pass: a plain loop on one thread, a doacross on the pool, with one
+//!   output on every engine. Both the paper's variants are available:
+//!   **Opt** (sorted adjacency, the parents are a prefix) and **Unopt**
+//!   (unsorted adjacency, scan-based parent walk), on any
+//!   [`chordal_runtime::Engine`]. Its oracle is the serial
+//!   [`reference::extract_pull_reference`].
+//! * [`Algorithm::Reference`] → [`reference::ReferenceExtractor`] — the
+//!   bulk-synchronous reading of the pseudocode, sequential: iteration `t`
+//!   tests every vertex against its `t`-th parent's set as it stood when
+//!   the iteration began. Its per-iteration trace is the source of the
+//!   `figure7` experiment's iteration counts.
 //! * [`Algorithm::Dearing`] → [`dearing::DearingExtractor`] — the serial
 //!   maximal chordal subgraph algorithm of Dearing, Shier and Warner
 //!   (1988), the baseline the paper builds on.
@@ -133,7 +135,7 @@ pub mod stats;
 pub mod verify;
 pub mod workspace;
 
-pub use config::{AdjacencyMode, ExtractorConfig, Semantics};
+pub use config::{AdjacencyMode, ExtractorConfig};
 pub use error::ExtractError;
 pub use extractor::{Algorithm, ChordalExtractor};
 pub use parallel::MaximalChordalExtractor;
@@ -144,7 +146,7 @@ pub use workspace::Workspace;
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::config::{AdjacencyMode, ExtractorConfig, Semantics};
+    pub use crate::config::{AdjacencyMode, ExtractorConfig};
     pub use crate::error::ExtractError;
     pub use crate::extract_maximal_chordal;
     pub use crate::extractor::{Algorithm, ChordalExtractor};
@@ -159,9 +161,9 @@ pub mod prelude {
 use chordal_graph::GraphRef;
 
 /// Extracts a maximal chordal subgraph with the default configuration
-/// (sorted adjacency, pool engine over all available cores, asynchronous
-/// paper-faithful iteration semantics). Accepts anything viewable as a
-/// [`GraphRef`] — `&CsrGraph` or `&MmapCsrGraph` alike.
+/// (Algorithm 1, sorted adjacency, pool engine over all available cores).
+/// Accepts anything viewable as a [`GraphRef`] — `&CsrGraph` or
+/// `&MmapCsrGraph` alike.
 ///
 /// This is a thin convenience wrapper over [`ExtractionSession`]; use a
 /// session directly when extracting repeatedly, so the scratch buffers are

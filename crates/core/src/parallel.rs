@@ -20,45 +20,39 @@
 //! caller-supplied [`Workspace`] ([`ChordalExtractor::extract_into`]), so
 //! repeated extractions over same-sized graphs reuse the buffers.
 //!
-//! # Asynchronous semantics: one ascending pass
+//! # One ascending pass
 //!
 //! A parent always has a smaller id than its child, so ascending id order
 //! visits every parent before its children: when `w` is reached, every
-//! `C[p]` it reads is final. Under [`Semantics::Asynchronous`] the
-//! extraction is therefore one pass in which each subset test sees its
-//! parent's final set. On a one-thread engine the pass is a plain loop. On
-//! the pool it is a doacross ([`Published::doacross`]): participants claim
-//! 64-vertex pieces in ascending order, and `w` waits until `|C[p]|` is
-//! published. That wait is an acquire load paired with the release store
-//! that ends `p`'s step, so the relaxed stores of `C[p]`'s entries are
-//! visible once it returns. `w` needs no wait for its first parent: an
-//! empty `C[w]` is a subset of any set. The output depends neither on the
-//! engine nor on the thread count or the schedule.
+//! `C[p]` it reads is final. The extraction is therefore one pass in which
+//! each subset test sees its parent's final set, the paper's "each thread
+//! can asynchronously update" taken to its limit. On a one-thread engine
+//! the pass is a plain loop. On the pool it is a doacross
+//! ([`Published::doacross`]): participants claim 64-vertex pieces in
+//! ascending order, and `w` waits until `|C[p]|` is published. That wait is
+//! an acquire load paired with the release store that ends `p`'s step, so
+//! the relaxed stores of `C[p]`'s entries are visible once it returns. `w`
+//! needs no wait for its first parent: an empty `C[w]` is a subset of any
+//! set. The output depends neither on the engine nor on the thread count or
+//! the schedule, and equals the serial oracle
+//! [`crate::reference::extract_pull_reference`].
 //!
-//! # Synchronous semantics: one region per iteration
-//!
-//! [`Semantics::Synchronous`] is the bulk-synchronous reading of the
-//! pseudocode that [`crate::reference::extract_reference`] implements.
-//! Iteration `t` tests every vertex with at least `t` parents against its
-//! `t`-th parent `p`, and sees `C[p]` as it stood when the iteration
-//! began. During iteration `t`, `p` can only append its own `t`-th parent,
-//! so that state is exactly the entries of `C[p]` below `p`'s `t`-th
-//! parent. The reader acquires `|C[p]|` and drops the last entry if it is
-//! that parent; no snapshot is needed. Vertices are counting-sorted by
-//! parent count once, most parents first, so iteration `t`'s region runs
-//! over a prefix of that order. The Unopt variant finds each vertex's next
-//! parent by scanning from the current one, which it keeps per vertex.
+//! The bulk-synchronous reading of the pseudocode, in which iteration `t`
+//! tests every vertex against its `t`-th parent's set as it stood when the
+//! iteration began, is the registry's [`crate::Algorithm::Reference`]
+//! ([`crate::reference::ReferenceExtractor`]). It takes as many iterations
+//! as the largest parent count, and its per-iteration trace is the source
+//! of the `figure7` experiment's counts.
 
-use crate::config::{AdjacencyMode, ExtractorConfig, Semantics};
+use crate::config::{AdjacencyMode, ExtractorConfig};
 use crate::extractor::ChordalExtractor;
 use crate::parent::{first_parent_scan, next_parent_scan};
 use crate::result::ChordalResult;
 use crate::stats::IterationStats;
 use crate::workspace::Workspace;
 use chordal_graph::{Edge, GraphRef, VertexId, NO_VERTEX};
-use chordal_runtime::publish::UNPUBLISHED;
 use chordal_runtime::{Engine, Published};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Multithreaded maximal chordal subgraph extractor (Algorithm 1 of the
 /// paper).
@@ -92,46 +86,26 @@ impl MaximalChordalExtractor {
         if n == 0 {
             return ChordalResult::new(0, Vec::new(), 0, stats);
         }
-        let mode = self.config.adjacency;
-        let sync = self.config.semantics == Semantics::Synchronous;
-        let scan = sync && mode == AdjacencyMode::Unsorted;
-        workspace.prepare_pull(graph, if sync { 0 } else { UNPUBLISHED }, scan);
+        workspace.prepare_pull(graph);
         let Workspace {
             clen,
             cdata,
-            scan,
-            queue_a: order,
             starts,
-            ids_b: marks,
             ..
         } = workspace;
         let adjacency = Adjacency {
-            mode,
+            mode: self.config.adjacency,
             neighbors: graph.adjacency(),
             offsets: graph.offsets(),
         };
         let cdata = &cdata[..graph.num_directed_edges()];
-        let pass = Pass {
-            adjacency,
-            clen,
-            cdata,
-        };
-        let engine = &self.config.engine;
-        let (iterations, queue) = if sync {
-            let iterations = pass.synchronous(engine, order, starts, scan, marks, stats.as_mut());
-            (iterations, None)
-        } else {
-            pass.asynchronous(engine);
-            // One pass, in which every vertex with a child serves as a
-            // parent.
-            let iterations = usize::from(graph.num_directed_edges() > 0);
-            let queue = (stats.is_some() && iterations == 1)
-                .then(|| (0..n).filter(|&v| adjacency.has_child(v)).count());
-            (iterations, queue)
-        };
+        pull(&self.config.engine, adjacency, clen, cdata);
         let edges = sorted_edges(adjacency.offsets, clen, cdata, starts);
-        if let (Some(s), Some(queue)) = (stats.as_mut(), queue) {
-            s.record(queue, edges.len());
+        // One pass, in which every vertex with a child serves as a parent.
+        let iterations = usize::from(graph.num_directed_edges() > 0);
+        if let Some(s) = stats.as_mut().filter(|_| iterations == 1) {
+            let parents = (0..n).filter(|&v| adjacency.has_child(v)).count();
+            s.record(parents, edges.len());
         }
         ChordalResult::new(n, edges, iterations, stats)
     }
@@ -195,26 +169,6 @@ impl<'a> Adjacency<'a> {
         }
     }
 
-    /// Number of parents of `w`.
-    fn parent_count(&self, w: usize) -> usize {
-        let neighbors = self.of(w);
-        let w = w as VertexId;
-        match self.mode {
-            AdjacencyMode::Sorted => neighbors.partition_point(|&p| p < w),
-            AdjacencyMode::Unsorted => neighbors.iter().filter(|&&p| p < w).count(),
-        }
-    }
-
-    /// Whether parent `e` of `p` is `p`'s parent number `rank` (from 0).
-    #[inline]
-    fn is_parent_number(&self, p: usize, rank: usize, e: VertexId) -> bool {
-        let neighbors = self.of(p);
-        match self.mode {
-            AdjacencyMode::Sorted => neighbors.get(rank) == Some(&e),
-            AdjacencyMode::Unsorted => neighbors.iter().filter(|&&x| x < e).count() == rank,
-        }
-    }
-
     /// Whether `v` is the parent of some vertex.
     fn has_child(&self, v: usize) -> bool {
         let neighbors = self.of(v);
@@ -257,188 +211,36 @@ impl Iterator for Parents<'_> {
     }
 }
 
-/// What every step reads and writes: the graph, the published set lengths
-/// and the chordal-neighbour arena.
-#[derive(Clone, Copy)]
-struct Pass<'a> {
-    adjacency: Adjacency<'a>,
-    clen: &'a Published,
-    cdata: &'a [AtomicU32],
-}
-
-impl Pass<'_> {
-    /// The asynchronous semantics: one ascending pass (module docs).
-    fn asynchronous(&self, engine: &Engine) {
-        let Pass {
-            adjacency,
-            clen,
-            cdata,
-        } = *self;
-        clen.doacross(engine, adjacency.num_vertices(), |range| {
-            for w in range {
-                let base_w = adjacency.offsets[w];
-                let mut len_w = 0;
-                for p in adjacency.parents(w) {
-                    let p_idx = p as usize;
-                    let accept = len_w == 0
-                        || match clen.wait(p_idx) {
-                            Some(len_p) => subset(
-                                cdata,
-                                base_w,
-                                len_w,
-                                adjacency.offsets[p_idx],
-                                len_p as usize,
-                            ),
-                            // A piece below panicked; the caller unwinds.
-                            None => return,
-                        };
-                    if accept {
-                        cdata[base_w + len_w].store(p, Ordering::Relaxed);
-                        len_w += 1;
-                    }
+/// The pass (module docs): every vertex, in ascending order, tests its set
+/// against each parent's final set, reading the graph through `adjacency`
+/// and writing `C[w]` to the arena `cdata` and `|C[w]|` to `clen`.
+fn pull(engine: &Engine, adjacency: Adjacency<'_>, clen: &Published, cdata: &[AtomicU32]) {
+    clen.doacross(engine, adjacency.num_vertices(), |range| {
+        for w in range {
+            let base_w = adjacency.offsets[w];
+            let mut len_w = 0;
+            for p in adjacency.parents(w) {
+                let p_idx = p as usize;
+                let accept = len_w == 0
+                    || match clen.wait(p_idx) {
+                        Some(len_p) => subset(
+                            cdata,
+                            base_w,
+                            len_w,
+                            adjacency.offsets[p_idx],
+                            len_p as usize,
+                        ),
+                        // A piece below panicked; the caller unwinds.
+                        None => return,
+                    };
+                if accept {
+                    cdata[base_w + len_w].store(p, Ordering::Relaxed);
+                    len_w += 1;
                 }
-                clen.publish(w, len_w as u32);
             }
-        });
-    }
-
-    /// The synchronous semantics: one region per iteration (module docs);
-    /// returns the number of iterations. `order` and `starts` are scratch
-    /// for the counting sort, `scan` holds the Unopt walk's current parents
-    /// (unused for Opt) and `marks` the stamps that count distinct parents
-    /// for `stats`.
-    fn synchronous(
-        &self,
-        engine: &Engine,
-        order: &mut Vec<VertexId>,
-        starts: &mut Vec<usize>,
-        scan: &mut [AtomicU32],
-        marks: &mut Vec<u32>,
-        mut stats: Option<&mut IterationStats>,
-    ) -> usize {
-        let adjacency = self.adjacency;
-        let n = adjacency.num_vertices();
-        // Counting sort by parent count, most parents first; ties stay in
-        // ascending id order. Afterwards `starts[k]` is the position of the
-        // first vertex with `k` parents, which is the number of vertices
-        // with more than `k`.
-        starts.clear();
-        for w in 0..n {
-            let k = adjacency.parent_count(w);
-            if starts.len() <= k {
-                starts.resize(k + 1, 0);
-            }
-            starts[k] += 1;
+            clen.publish(w, len_w as u32);
         }
-        let iterations = starts.len() - 1;
-        for k in (0..iterations).rev() {
-            starts[k] += starts[k + 1];
-        }
-        order.clear();
-        order.resize(n, 0);
-        for w in (0..n).rev() {
-            let k = adjacency.parent_count(w);
-            starts[k] -= 1;
-            order[starts[k]] = w as VertexId;
-        }
-        if adjacency.mode == AdjacencyMode::Unsorted {
-            for (w, current) in scan[..n].iter_mut().enumerate() {
-                *current.get_mut() = first_parent_scan(adjacency.of(w), w as VertexId);
-            }
-        }
-        if stats.is_some() {
-            marks.clear();
-            marks.resize(n, 0);
-        }
-
-        let scan = &*scan;
-        for t in 1..=iterations {
-            let active = &order[..starts[t - 1]];
-            let parents = stats.as_ref().map(|_| {
-                active
-                    .iter()
-                    .filter(|&&w| {
-                        let p = self.parent_number(w as usize, t, scan) as usize;
-                        std::mem::replace(&mut marks[p], t as u32) != t as u32
-                    })
-                    .count()
-            });
-            let accepted = AtomicUsize::new(0);
-            engine.parallel_for_chunks(active.len(), |range| {
-                let local = active[range]
-                    .iter()
-                    .filter(|&&w| self.synchronous_step(w as usize, t, scan))
-                    .count();
-                if local > 0 {
-                    accepted.fetch_add(local, Ordering::Relaxed);
-                }
-            });
-            if let (Some(s), Some(parents)) = (stats.as_mut(), parents) {
-                s.record(parents, accepted.into_inner());
-            }
-        }
-        iterations
-    }
-
-    /// Parent number `t` (from 1) of `w`: read from the sorted prefix, or
-    /// the Unopt walk's current parent, which is number `t` during
-    /// iteration `t`.
-    #[inline]
-    fn parent_number(&self, w: usize, t: usize, scan: &[AtomicU32]) -> VertexId {
-        match self.adjacency.mode {
-            AdjacencyMode::Sorted => self.adjacency.of(w)[t - 1],
-            AdjacencyMode::Unsorted => scan[w].load(Ordering::Relaxed),
-        }
-    }
-
-    /// `w`'s step in iteration `t`: the subset test against its `t`-th
-    /// parent's set as it stood when the iteration began. Returns whether
-    /// the edge was accepted.
-    #[inline]
-    fn synchronous_step(&self, w: usize, t: usize, scan: &[AtomicU32]) -> bool {
-        let Pass {
-            adjacency,
-            clen,
-            cdata,
-        } = *self;
-        let p = self.parent_number(w, t, scan);
-        if adjacency.mode == AdjacencyMode::Unsorted {
-            // Only `w`'s own step reads or writes its walk position.
-            scan[w].store(
-                next_parent_scan(adjacency.of(w), w as VertexId, p),
-                Ordering::Relaxed,
-            );
-        }
-        let p_idx = p as usize;
-        let base_w = adjacency.offsets[w];
-        // Only this step appends to C[w]; earlier iterations' appends were
-        // published before this region began.
-        let len_w = clen.load(w) as usize;
-        // An empty C[w] is a subset of any set: `p` is not read.
-        let accept = len_w == 0 || {
-            let base_p = adjacency.offsets[p_idx];
-            // Acquire: if `p`'s own step already published this iteration's
-            // append, its entry is visible; it is `p`'s `t`-th parent, which
-            // the iteration's start did not hold. A shorter C[p] fails the
-            // test either way.
-            let mut len_p = clen.load(p_idx) as usize;
-            if len_p >= len_w
-                && adjacency.is_parent_number(
-                    p_idx,
-                    t - 1,
-                    cdata[base_p + len_p - 1].load(Ordering::Relaxed),
-                )
-            {
-                len_p -= 1;
-            }
-            subset(cdata, base_w, len_w, base_p, len_p)
-        };
-        if accept {
-            cdata[base_w + len_w].store(p, Ordering::Relaxed);
-            clen.publish(w, (len_w + 1) as u32);
-        }
-        accept
-    }
+    });
 }
 
 /// Ordered-merge subset test `C[a] ⊆ C[b]` over the sets' first `len_a`
@@ -518,7 +320,6 @@ mod tests {
         let config = ExtractorConfig::default()
             .with_engine(engine)
             .with_adjacency(adjacency)
-            .with_semantics(Semantics::Synchronous)
             .with_stats(true);
         MaximalChordalExtractor::new(config).extract(graph)
     }
@@ -541,7 +342,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_reference_on_structured_graphs() {
+    fn matches_the_pull_oracle_on_structured_graphs() {
         let graphs = vec![
             structured::path(20),
             structured::cycle(21),
@@ -552,29 +353,24 @@ mod tests {
             structured::disjoint_cliques(4, 5),
         ];
         for g in graphs {
-            let expected = extract_reference(&g);
+            let expected = extract_pull_reference(&g, true);
             for engine in all_engines() {
                 for adjacency in [AdjacencyMode::Sorted, AdjacencyMode::Unsorted] {
                     let got = extract_with(&g, engine, adjacency);
-                    assert_eq!(
-                        got.edges(),
-                        expected.edges(),
-                        "engine={engine:?} adjacency={adjacency:?}"
-                    );
-                    assert_eq!(got.iterations, expected.iterations);
+                    assert_eq!(got, expected, "engine={engine:?} adjacency={adjacency:?}");
                 }
             }
         }
     }
 
     #[test]
-    fn matches_reference_on_rmat_graphs() {
+    fn matches_the_pull_oracle_on_rmat_graphs() {
         for kind in [RmatKind::Er, RmatKind::G, RmatKind::B] {
-            let g = RmatParams::preset(kind, 9, 3).generate();
-            let expected = extract_reference(&g);
+            let g = RmatParams::preset(kind, 10, 4).generate();
+            let expected = extract_pull_reference(&g, true);
             for engine in all_engines() {
                 let got = extract_with(&g, engine, AdjacencyMode::Sorted);
-                assert_eq!(got.edges(), expected.edges(), "{kind:?} {engine:?}");
+                assert_eq!(got, expected, "{kind:?} {engine:?}");
             }
         }
     }
@@ -594,21 +390,23 @@ mod tests {
     }
 
     #[test]
-    fn clique_retained_in_k_minus_one_iterations_in_parallel() {
+    fn clique_retained_in_one_iteration_in_parallel() {
+        // The bulk-synchronous reference needs k - 1 iterations for a
+        // k-clique; the pass keeps it whole in one.
         let k = 7;
         let g = structured::complete(k);
         for engine in all_engines() {
             let r = extract_with(&g, engine, AdjacencyMode::Sorted);
             assert_eq!(r.num_chordal_edges(), k * (k - 1) / 2);
-            assert_eq!(r.iterations, k - 1);
+            assert_eq!(r.iterations, 1);
         }
     }
 
     #[test]
-    fn unsorted_mode_on_scrambled_adjacency_matches_reference() {
+    fn unsorted_mode_on_scrambled_adjacency_matches_the_pull_oracle() {
         let g = RmatParams::preset(RmatKind::Er, 8, 11).generate();
         let scrambled = g.with_scrambled_adjacency(5);
-        let expected = extract_reference(&g);
+        let expected = extract_pull_reference(&g, false);
         let got = extract_with(&scrambled, Engine::chunked(3), AdjacencyMode::Unsorted);
         assert_eq!(got.edges(), expected.edges());
     }
@@ -672,14 +470,14 @@ mod tests {
     }
 
     #[test]
-    fn asynchronous_needs_fewer_iterations_than_synchronous() {
+    fn one_pass_needs_fewer_iterations_than_the_bulk_synchronous_reference() {
         // Ascending id order visits every parent before its children, so
-        // the asynchronous pass tests each vertex against all of its
-        // parents' final sets in one iteration; the synchronous semantics
-        // advances every vertex by one parent per iteration, as many
-        // iterations as the largest parent count.
+        // the pass tests each vertex against all of its parents' final sets
+        // in one iteration; the bulk-synchronous reference advances every
+        // vertex by one parent per iteration, as many iterations as the
+        // largest parent count.
         let g = RmatParams::preset(RmatKind::B, 9, 5).generate();
-        let sync = extract_with(&g, Engine::serial(), AdjacencyMode::Sorted);
+        let sync = extract_reference(&g);
         let config = ExtractorConfig::serial(AdjacencyMode::Sorted).with_stats(true);
         let async_r = MaximalChordalExtractor::new(config).extract(&g);
         assert_eq!(async_r.iterations, 1);
@@ -694,9 +492,7 @@ mod tests {
     #[test]
     fn asynchronous_semantics_still_produces_chordal_output() {
         let g = RmatParams::preset(RmatKind::B, 8, 2).generate();
-        let config = ExtractorConfig::default()
-            .with_engine(Engine::chunked(4))
-            .with_semantics(Semantics::Asynchronous);
+        let config = ExtractorConfig::default().with_engine(Engine::chunked(4));
         let r = MaximalChordalExtractor::new(config).extract(&g);
         assert!(verify::is_chordal(&r.subgraph(&g)));
         for &(u, v) in r.edges() {
@@ -741,8 +537,7 @@ mod tests {
         let g = structured::grid(5, 5).with_scrambled_adjacency(9);
         assert!(!g.is_sorted());
         let r = extract_with(&g, Engine::serial(), AdjacencyMode::Sorted);
-        let expected = extract_reference(&g);
-        assert_eq!(r.edges(), expected.edges());
+        assert_eq!(r, extract_pull_reference(&g, true));
     }
 
     #[test]
@@ -774,36 +569,26 @@ mod tests {
     }
 
     #[test]
-    fn alternating_semantics_on_one_workspace_match_fresh_runs() {
-        // The synchronous iterations reset the set lengths to zero and the
-        // asynchronous pass to unpublished; each must leave the workspace
-        // ready for the other, on every engine and variant.
+    fn alternating_engines_and_variants_on_one_workspace_match_fresh_runs() {
+        // Every run resets the set lengths to unpublished; each must leave
+        // the workspace ready for the next, on every engine and variant.
         let g = RmatParams::preset(RmatKind::B, 8, 4).generate();
         let scrambled = g.with_scrambled_adjacency(3);
         let mut workspace = Workspace::new();
-        for engine in all_engines() {
-            for (adjacency, graph) in [
-                (AdjacencyMode::Sorted, &g),
-                (AdjacencyMode::Unsorted, &scrambled),
-            ] {
-                for semantics in [
-                    Semantics::Asynchronous,
-                    Semantics::Synchronous,
-                    Semantics::Asynchronous,
+        for _round in 0..2 {
+            for engine in all_engines() {
+                for (adjacency, graph) in [
+                    (AdjacencyMode::Sorted, &g),
+                    (AdjacencyMode::Unsorted, &scrambled),
                 ] {
                     let extractor = MaximalChordalExtractor::new(
                         ExtractorConfig::default()
                             .with_engine(engine)
-                            .with_adjacency(adjacency)
-                            .with_semantics(semantics),
+                            .with_adjacency(adjacency),
                     );
                     let reused = extractor.extract_into(graph.into(), &mut workspace);
                     assert!(verify::is_chordal(&reused.subgraph(graph)));
-                    assert_eq!(
-                        reused,
-                        extractor.extract(graph),
-                        "{engine:?} {adjacency:?} {semantics:?}"
-                    );
+                    assert_eq!(reused, extractor.extract(graph), "{engine:?} {adjacency:?}");
                 }
             }
         }

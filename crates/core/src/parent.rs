@@ -3,7 +3,7 @@
 //! A vertex's *parents* are its neighbours with a smaller identification
 //! number; its *lowest parent* (LP) is the smallest of these. Algorithm 1
 //! walks every vertex through its parents in increasing order (one parent
-//! per iteration under the synchronous semantics). The two variants of the
+//! per iteration in the bulk-synchronous reference). The two variants of the
 //! paper differ only in how the next parent is located:
 //!
 //! * **Sorted (Opt)** — parents form a prefix of the ascending adjacency

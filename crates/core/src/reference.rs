@@ -1,17 +1,19 @@
-//! Sequential reference implementations of Algorithm 1, one per semantics.
+//! Sequential reference implementations of Algorithm 1: two readings of
+//! the paper's pseudocode.
 //!
-//! [`ReferenceExtractor`] follows the paper's pseudocode line by line with
-//! plain (non-atomic) data structures and the deterministic
-//! bulk-synchronous interpretation of an iteration: subset tests observe
-//! the chordal-neighbour sets and lowest parents as they stood when the
-//! iteration began. The parallel extractor in [`crate::parallel`] must
-//! produce exactly this edge set, and this iteration count, under
-//! [`crate::Semantics::Synchronous`] for every engine and thread count.
+//! [`ReferenceExtractor`], the registry's [`crate::Algorithm::Reference`],
+//! follows the pseudocode line by line with plain (non-atomic) data
+//! structures and the bulk-synchronous interpretation of an iteration:
+//! subset tests observe the chordal-neighbour sets and lowest parents as
+//! they stood when the iteration began. It takes as many iterations as the
+//! largest parent count, and its per-iteration trace (distinct lowest
+//! parents, edges accepted) is the source of the `figure7` experiment's
+//! counts.
 //!
-//! [`extract_pull_reference`] is the oracle of
-//! [`crate::Semantics::Asynchronous`]: one plain serial loop in which every
-//! vertex, in ascending id order, tests its set against each of its
-//! parents' final sets. The test-suite enforces both equivalences.
+//! [`extract_pull_reference`] is the oracle of [`crate::parallel`]'s pass:
+//! one plain serial loop in which every vertex, in ascending id order,
+//! tests its set against each of its parents' final sets. The test-suite
+//! checks that the pass equals it on every engine and thread count.
 
 use crate::extractor::ChordalExtractor;
 use crate::parent::{first_parent_scan, next_parent_scan, sorted_subset};
@@ -20,11 +22,12 @@ use crate::stats::IterationStats;
 use crate::workspace::Workspace;
 use chordal_graph::{GraphRef, VertexId, NO_VERTEX};
 
-/// The sequential determinism oracle, as a registry citizen.
+/// The bulk-synchronous reading of Algorithm 1, as a registry citizen
+/// (module docs).
 ///
 /// The result is independent of the order in which adjacency lists are
-/// stored (parents are always discovered by scanning), so this single
-/// extractor is the oracle for both the Opt and Unopt parallel variants.
+/// stored (parents are always discovered by scanning), so the Opt and
+/// Unopt variants give one output.
 #[derive(Debug, Clone, Default)]
 pub struct ReferenceExtractor {
     record_stats: bool,
@@ -155,7 +158,7 @@ pub fn extract_reference_with_stats<'a>(
     ReferenceExtractor::new(record_stats).extract(graph)
 }
 
-/// The asynchronous semantics' oracle: one serial pass over the vertices
+/// The oracle of Algorithm 1's pass: one serial pass over the vertices
 /// in ascending id order, in which `w` walks its parents in ascending order
 /// and adds parent `p` to `C[w]` when `C[w] ⊆ C[p]`. Every parent has a
 /// smaller id than `w`, so each `C[p]` is final when `w` reads it. Plain

@@ -24,7 +24,7 @@
 //! is repaired by [`repair_maximality_reference`] instead.
 //!
 //! [`repair_maximality_reference`] is the test oracle of this module, the
-//! role [`crate::reference::extract_reference`] plays for Algorithm 1: it
+//! role [`crate::reference::extract_pull_reference`] plays for Algorithm 1: it
 //! re-verifies chordality from scratch after every tentative addition
 //! (`O(V + E log Δ)` per candidate, quadratic over a pass). Both paths run
 //! one greedy driver, scan the same candidates in the same order and

@@ -175,9 +175,11 @@ impl ExtractionSession {
     /// longest first over at most `threads` participants (see the module
     /// docs).
     ///
-    /// Results are slot-identical to single-graph runs for every
-    /// deterministic configuration. The batch may mix storage
-    /// representations — anything convertible to [`GraphRef`]
+    /// Results are slot-identical to single-graph runs of the same
+    /// configuration: no registered algorithm's output depends on the
+    /// schedule, and a fan-out resolves the partitioned baseline's
+    /// partition count against the configured engine. The batch may mix
+    /// storage representations — anything convertible to [`GraphRef`]
     /// (`&CsrGraph`, `&MmapCsrGraph`, or `GraphRef` itself) schedules the
     /// same way.
     pub fn extract_batch<'a, G>(&mut self, graphs: &[G]) -> Vec<ChordalResult>
@@ -260,7 +262,7 @@ impl std::fmt::Debug for ExtractionSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AdjacencyMode, Semantics};
+    use crate::config::AdjacencyMode;
     use chordal_generators::{rmat::RmatKind, rmat::RmatParams, structured};
     use chordal_graph::CsrGraph;
 
@@ -332,11 +334,9 @@ mod tests {
             .map(|seed| RmatParams::preset(RmatKind::Er, 7, seed).generate())
             .collect();
         let refs: Vec<&CsrGraph> = graphs.iter().collect();
-        // Synchronous semantics: deterministic, so serial and fanned-out
-        // batches must agree exactly.
-        let config = ExtractorConfig::default()
-            .with_engine(chordal_runtime::Engine::chunked(3))
-            .with_semantics(Semantics::Synchronous);
+        // The output does not depend on the engine, so serial and
+        // fanned-out batches must agree exactly.
+        let config = ExtractorConfig::default().with_engine(chordal_runtime::Engine::chunked(3));
         let mut parallel_session = ExtractionSession::new(config.clone());
         let batch = parallel_session.extract_batch(&refs);
         assert_eq!(batch.len(), graphs.len());
@@ -381,9 +381,7 @@ mod tests {
         let total: usize = graphs.iter().map(CsrGraph::num_canonical_edges).sum();
         assert!(graphs[0].num_canonical_edges() > total / 3);
         let refs: Vec<&CsrGraph> = graphs.iter().collect();
-        let config = ExtractorConfig::default()
-            .with_engine(chordal_runtime::Engine::chunked(3))
-            .with_semantics(Semantics::Synchronous);
+        let config = ExtractorConfig::default().with_engine(chordal_runtime::Engine::chunked(3));
         let mut session = ExtractionSession::new(config.clone());
         let batch = session.extract_batch(&refs);
         assert_eq!(session.batch_participants(), participants(3, graphs.len()));
@@ -400,9 +398,7 @@ mod tests {
             .map(|seed| RmatParams::preset(RmatKind::Er, 7, seed).generate())
             .collect();
         let refs: Vec<&CsrGraph> = graphs.iter().collect();
-        let config = ExtractorConfig::default()
-            .with_engine(chordal_runtime::Engine::chunked(3))
-            .with_semantics(Semantics::Synchronous);
+        let config = ExtractorConfig::default().with_engine(chordal_runtime::Engine::chunked(3));
         let mut session = ExtractionSession::new(config.clone());
         let fanned = session.extract_batch(&refs);
         assert_eq!(session.batch_participants(), participants(3, 4));
@@ -412,8 +408,8 @@ mod tests {
             alone.extend(session.extract_batch(graph));
             assert_eq!(session.batch_participants(), 0);
         }
-        // Synchronous semantics are schedule-independent: both placements
-        // equal single serial runs slot for slot.
+        // The output is schedule-independent: both placements equal single
+        // serial runs slot for slot.
         let mut single =
             ExtractionSession::new(config.with_engine(chordal_runtime::Engine::serial()));
         for ((graph, a), b) in graphs.iter().zip(&fanned).zip(&alone) {

@@ -3,10 +3,10 @@
 //! Every extraction needs per-vertex working buffers: the chordal-set arena
 //! and published set lengths of the parallel extractor, the plain queues
 //! and candidate sets of the serial algorithms, and the frozen snapshots of
-//! the reference's synchronous semantics. Allocating them per run is cheap
-//! for a one-off extraction but dominates short runs under repeated traffic
-//! (benchmark loops, serving-style workloads, batch jobs). A [`Workspace`]
-//! owns all of those buffers and is handed to
+//! the reference's bulk-synchronous iterations. Allocating them per run is
+//! cheap for a one-off extraction but dominates short runs under repeated
+//! traffic (benchmark loops, serving-style workloads, batch jobs). A
+//! [`Workspace`] owns all of those buffers and is handed to
 //! [`crate::ChordalExtractor::extract_into`], so consecutive extractions
 //! over same-sized graphs reuse the previous run's allocations.
 //!
@@ -33,25 +33,21 @@ pub struct Workspace {
     /// CSR-shaped chordal-neighbour arena (sized by directed edge count,
     /// indexed through the graph's own offsets).
     pub(crate) cdata: Vec<AtomicU32>,
-    /// The Unopt walk's current parent per vertex, under the synchronous
-    /// semantics (left empty otherwise).
-    pub(crate) scan: Vec<AtomicU32>,
-    /// Bucket starts of the parallel extractor's counting sorts: vertices
-    /// by parent count, result edges by parent.
+    /// Bucket starts of the parallel extractor's counting sort of the
+    /// result edges by parent.
     pub(crate) starts: Vec<usize>,
     // --- plain scratch shared by the serial algorithms and snapshots -------
     /// u32-per-vertex scratch A (the reference extractor's lowest parents).
     pub(crate) ids_a: Vec<VertexId>,
     /// u32-per-vertex scratch B (the reference's frozen chordal-set
-    /// lengths; the parallel extractor's distinct-parent stamps).
+    /// lengths).
     pub(crate) ids_b: Vec<u32>,
     /// u32-per-vertex scratch C (the reference extractor's frozen lowest
     /// parents).
     pub(crate) ids_c: Vec<VertexId>,
     /// bool-per-vertex scratch (queue membership / selected marks).
     pub(crate) marks: Vec<bool>,
-    /// Vertex queue A (current iteration / traversal seed order / the
-    /// parallel extractor's vertices by parent count).
+    /// Vertex queue A (current iteration / traversal seed order).
     pub(crate) queue_a: Vec<VertexId>,
     /// Vertex queue B (next iteration).
     pub(crate) queue_b: Vec<VertexId>,
@@ -105,7 +101,6 @@ impl Workspace {
         };
         self.clen.allocated_bytes()
             + vec_bytes(self.cdata.capacity(), size_of::<AtomicU32>())
-            + vec_bytes(self.scan.capacity(), size_of::<AtomicU32>())
             + vec_bytes(self.starts.capacity(), size_of::<usize>())
             + vec_bytes(self.ids_a.capacity(), size_of::<VertexId>())
             + vec_bytes(self.ids_b.capacity(), size_of::<u32>())
@@ -157,23 +152,17 @@ impl Workspace {
     }
 
     /// Sizes the parallel extractor's shared state for `graph` and resets
-    /// every published set length to `clen` ([`chordal_runtime::publish::UNPUBLISHED`]
-    /// for the asynchronous pass, 0 for the synchronous iterations). The
-    /// arena is left untouched: its live prefix is defined by the lengths.
-    /// `scan` also sizes the Unopt walk positions. Nothing is copied from
-    /// the graph: the pass reads its offsets and adjacency in place
-    /// ([`GraphRef::offsets`]).
-    pub(crate) fn prepare_pull(&mut self, graph: GraphRef<'_>, clen: u32, scan: bool) {
-        let n = graph.num_vertices();
+    /// every published set length to
+    /// [`chordal_runtime::publish::UNPUBLISHED`]. The arena is left
+    /// untouched: its live prefix is defined by the lengths. Nothing is
+    /// copied from the graph: the pass reads its offsets and adjacency in
+    /// place ([`GraphRef::offsets`]).
+    pub(crate) fn prepare_pull(&mut self, graph: GraphRef<'_>) {
         let directed_edges = graph.num_directed_edges();
-        let mut grew = self.clen.reset(n, clen);
+        let mut grew = self.clen.reset(graph.num_vertices());
         if self.cdata.len() < directed_edges {
             grew = true;
             self.cdata.resize_with(directed_edges, || AtomicU32::new(0));
-        }
-        if scan && self.scan.len() < n {
-            grew = true;
-            self.scan.resize_with(n, || AtomicU32::new(NO_VERTEX));
         }
         if grew {
             self.allocations += 1;
@@ -239,20 +228,15 @@ mod tests {
     fn allocated_bytes_tracks_growth_and_stays_flat_on_reuse() {
         let mut ws = Workspace::new();
         let small = star(63);
-        ws.prepare_pull((&small).into(), 0, false);
+        ws.prepare_pull((&small).into());
         ws.prepare_plain(64);
         let bytes = ws.allocated_bytes();
         // At minimum the published lengths and the arena.
         assert!(bytes >= 64 * 4 + 126 * 4, "bytes {bytes}");
-        ws.prepare_pull((&small).into(), 0, false);
+        ws.prepare_pull((&small).into());
         ws.prepare_plain(64);
         assert_eq!(ws.allocated_bytes(), bytes, "same shape must stay flat");
-        ws.prepare_pull((&small).into(), 0, true);
-        assert!(
-            ws.allocated_bytes() >= bytes + 64 * 4,
-            "the Unopt walk positions must be counted"
-        );
-        ws.prepare_pull((&star(127)).into(), 0, false);
+        ws.prepare_pull((&star(127)).into());
         assert!(ws.allocated_bytes() > bytes, "growth must be visible");
     }
 
@@ -260,13 +244,12 @@ mod tests {
     fn prepare_pull_grows_once_per_shape() {
         let mut ws = Workspace::new();
         let graph = star(2);
-        ws.prepare_pull((&graph).into(), 0, true);
+        ws.prepare_pull((&graph).into());
         let first = ws.allocations();
         assert!(first > 0);
-        ws.prepare_pull((&graph).into(), 0, true);
-        ws.prepare_pull((&graph).into(), UNPUBLISHED, false);
+        ws.prepare_pull((&graph).into());
         assert_eq!(ws.allocations(), first, "same shape must not reallocate");
-        ws.prepare_pull((&star(5)).into(), 0, false);
+        ws.prepare_pull((&star(5)).into());
         assert!(ws.allocations() > first, "growth must be counted");
     }
 
@@ -274,15 +257,13 @@ mod tests {
     fn prepare_pull_resets_the_published_lengths() {
         let mut ws = Workspace::new();
         let graph = star(2);
-        ws.prepare_pull((&graph).into(), UNPUBLISHED, false);
+        ws.prepare_pull((&graph).into());
         ws.clen.publish(1, 9);
-        ws.prepare_pull((&graph).into(), 0, false);
+        ws.prepare_pull((&graph).into());
         assert_eq!(
             (0..3).map(|v| ws.clen.get_mut(v)).collect::<Vec<_>>(),
-            [0; 3]
+            [UNPUBLISHED; 3]
         );
-        ws.prepare_pull((&graph).into(), UNPUBLISHED, false);
-        assert_eq!(ws.clen.load(1), UNPUBLISHED);
     }
 
     #[test]

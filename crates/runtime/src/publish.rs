@@ -19,8 +19,6 @@
 //!   test `waiter_sees_every_entry_the_length_covers` explores this pairing,
 //!   and the seeded mutant `chordal_mutate = "clen_publish"` (which weakens
 //!   the release to relaxed) makes it fail.
-//! * [`Published::load`] is the acquire load without the wait, for readers
-//!   that accept whichever of two published values they see.
 //!
 //! A waiter spins `SPINS` times and then yields its core, so a publisher
 //! that shares the core still gets to run. It gives up, returning `None`,
@@ -129,16 +127,16 @@ impl Default for Published {
 }
 
 impl Published {
-    /// Covers at least `len` indices and sets the first `len` to `value`
-    /// ([`UNPUBLISHED`] for a doacross); returns whether the array had to
-    /// grow. Owner form: plain stores through `get_mut`.
-    pub fn reset(&mut self, len: usize, value: u32) -> bool {
+    /// Covers at least `len` indices and marks the first `len`
+    /// [`UNPUBLISHED`]; returns whether the array had to grow. Owner form:
+    /// plain stores through `get_mut`.
+    pub fn reset(&mut self, len: usize) -> bool {
         let grew = self.slots.len() < len;
         if grew {
-            self.slots.resize_with(len, || AtomicU32::new(value));
+            self.slots.resize_with(len, || AtomicU32::new(UNPUBLISHED));
         }
         for slot in &mut self.slots[..len] {
-            *slot.get_mut() = value;
+            *slot.get_mut() = UNPUBLISHED;
         }
         self.aborted.store(false, Ordering::Relaxed);
         grew
@@ -160,11 +158,8 @@ impl Published {
     }
 
     /// The value at `index` (an acquire load, no wait).
-    ///
-    /// # Panics
-    /// Panics if `index` is out of range.
     #[inline]
-    pub fn load(&self, index: usize) -> u32 {
+    fn load(&self, index: usize) -> u32 {
         self.slots[index].load(Ordering::Acquire)
     }
 
@@ -203,7 +198,8 @@ impl Published {
         }
     }
 
-    /// Owner form of [`Published::load`].
+    /// The value at `index`, read through the owner form: no wait and no
+    /// acquire, because `&mut self` already orders every publish before it.
     ///
     /// # Panics
     /// Panics if `index` is out of range.
@@ -263,22 +259,25 @@ mod tests {
         (i - 1).saturating_sub(i % 100)
     }
 
-    fn published(len: usize, value: u32) -> Published {
+    fn published(len: usize) -> Published {
         let mut published = Published::default();
-        assert!(published.reset(len, value));
+        assert!(published.reset(len));
         published
     }
 
     #[test]
     fn reset_sets_every_slot_and_reports_growth() {
-        let mut p = published(4, UNPUBLISHED);
+        let mut p = published(4);
         p.publish(2, 7);
         assert_eq!(p.load(2), 7);
-        assert!(!p.reset(4, 0), "same size must not grow");
-        assert_eq!((0..4).map(|i| p.get_mut(i)).collect::<Vec<_>>(), [0; 4]);
+        assert!(!p.reset(4), "same size must not grow");
+        assert_eq!(
+            (0..4).map(|i| p.get_mut(i)).collect::<Vec<_>>(),
+            [UNPUBLISHED; 4]
+        );
         p.publish(3, 5);
         assert_eq!(p.wait(3), Some(5));
-        assert!(p.reset(9, UNPUBLISHED) && p.allocated_bytes() >= 36);
+        assert!(p.reset(9) && p.allocated_bytes() >= 36);
         assert_eq!(p.load(8), UNPUBLISHED);
     }
 
@@ -294,7 +293,7 @@ mod tests {
             Engine::chunked(8),
             Engine::chunked_with_grain(3, 1),
         ] {
-            let mut p = published(n, UNPUBLISHED);
+            let mut p = published(n);
             let runs = AtomicUsize::new(0);
             p.doacross(&engine, n, |range| {
                 for i in range {
@@ -320,7 +319,7 @@ mod tests {
         // which is never published. The waiter must notice the abort, or
         // the region never quiesces.
         let n = 2 * DOACROSS_PIECE;
-        let p = published(n, UNPUBLISHED);
+        let p = published(n);
         let waiting = AtomicUsize::new(0);
         let gave_up = AtomicUsize::new(0);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -368,7 +367,7 @@ mod model_tests {
     /// length must see both entries, never the initial zeroes.
     fn publish_race() {
         let mut len = Published::default();
-        len.reset(1, UNPUBLISHED);
+        len.reset(1);
         let shared = Arc::new(([AtomicU32::new(0), AtomicU32::new(0)], len));
         let writer = {
             let shared = Arc::clone(&shared);

@@ -38,15 +38,18 @@
 //! |------|-----------|-------|
 //! | `PING` | — | liveness echo |
 //! | `LOAD` | `path=` (required), `format=text\|bin\|auto`, `deadline_ms=N` | loads the graph through the content-hash cache (checksum-verified on admission); replies with the 16-hex-digit `graph` key, vertex/edge counts, `cache=hit\|miss`, resident bytes and `queue_wait_ns` |
-//! | `EXTRACT` | `graph=<16-hex>` **or** `path=` (+`format=`), `algorithm=alg1\|reference\|dearing\|partitioned`, `variant=opt\|unopt`, `semantics=async\|sync`, `engine=serial\|pool` (`rayon` is an alias of `pool`), `threads=N`, `partitions=N`, `repair=true\|false`, `payload=none\|edges`, `deadline_ms=N` | runs one extraction; replies with chordal edge count, iterations, `extract_ns` (extraction proper), `wait_ns` (admission + cache + session setup) and `queue_wait_ns` (time parked in the admission queue), then the edge-list payload when `payload=edges` |
+//! | `EXTRACT` | `graph=<16-hex>` **or** `path=` (+`format=`), `algorithm=alg1\|reference\|dearing\|partitioned`, `variant=opt\|unopt`, `engine=serial\|pool` (`rayon` is an alias of `pool`), `threads=N`, `partitions=N`, `repair=true\|false`, `payload=none\|edges`, `deadline_ms=N` | runs one extraction; replies with chordal edge count, iterations, `extract_ns` (extraction proper), `wait_ns` (admission + cache + session setup) and `queue_wait_ns` (time parked in the admission queue), then the edge-list payload when `payload=edges` |
 //! | `STATS` | — | server/cache/pool introspection (see below) |
 //! | `SHUTDOWN` | — | acknowledges, then stops the server gracefully (drain semantics below) |
 //! | `HOLD` | `ms=N`, `deadline_ms=N` | **test hook** (only with [`ServeConfig::test_hooks`]): occupies one admission permit for `N` ms through the same FIFO queue as real work, so saturation and queueing tests are deterministic instead of timing-dependent |
 //! | `FAULT` | `kind=accept\|read\|write\|slow-read\|panic\|corrupt-cache`, `count=N`, `ms=M`, `seed=S`, `prob=P`, `clear=true` | **chaos hook** (compiled only under `cfg(test)` or the `fault-injection` feature): arms the deterministic fault schedule of the `fault` module. With no arguments, reports armed directives and fired counters |
 //!
 //! A verb reads only the arguments its row lists. Any other key — a typo
-//! such as `semantic=sync`, or a retired argument — is answered `bad-arg`
-//! naming the key, and the request does nothing. The verb is checked
+//! such as `algoritm=`, or a retired argument such as `semantics=` — is
+//! answered `bad-arg` naming the key, and the request does nothing.
+//! `algorithm=alg1` (the default) gives one output on every engine and
+//! thread count; `algorithm=reference` runs the bulk-synchronous reading
+//! of the pseudocode serially. The verb is checked
 //! first, so an unknown verb answers `bad-verb` whatever its arguments.
 //!
 //! `EXTRACT payload=edges` serialises the extracted chordal subgraph in

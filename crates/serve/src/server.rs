@@ -27,7 +27,7 @@ use crate::protocol::{
     error_frame, error_frame_with, json_escape, ErrorCode, Request, MAX_REQUEST_BYTES,
 };
 use crate::queue::{AcquireError, AdmissionQueue};
-use chordal_core::{AdjacencyMode, Algorithm, ExtractionSession, ExtractorConfig, Semantics};
+use chordal_core::{AdjacencyMode, Algorithm, ExtractionSession, ExtractorConfig};
 use chordal_graph::io::write_edge_list;
 use chordal_graph::storage::FileFormat;
 use chordal_graph::subgraph::edge_subgraph;
@@ -603,7 +603,6 @@ const EXTRACT_KEYS: &[&str] = &[
     "format",
     "algorithm",
     "variant",
-    "semantics",
     "engine",
     "threads",
     "partitions",
@@ -693,16 +692,13 @@ fn handle_load(connection: &mut Connection, request: &Request) -> Outcome {
 /// Builds the extraction configuration named by a request's arguments and
 /// a canonical key for session reuse.
 fn request_config(
-    connection: &Connection,
+    defaults: &ServeConfig,
     request: &Request,
 ) -> Result<(ExtractorConfig, String), String> {
-    let defaults = &connection.shared.config;
     let algorithm =
         Algorithm::parse(request.arg("algorithm").unwrap_or("alg1")).map_err(|e| e.to_string())?;
     let adjacency =
         AdjacencyMode::parse(request.arg("variant").unwrap_or("opt")).map_err(|e| e.to_string())?;
-    let semantics =
-        Semantics::parse(request.arg("semantics").unwrap_or("async")).map_err(|e| e.to_string())?;
     let engine_name = request.arg("engine").unwrap_or(&defaults.default_engine);
     let threads = match request.arg("threads") {
         None => defaults.default_threads,
@@ -724,18 +720,19 @@ fn request_config(
     let config = ExtractorConfig::default()
         .with_algorithm(algorithm)
         .with_adjacency(adjacency)
-        .with_semantics(semantics)
         .with_repair(repair)
         .with_partitions(partitions)
         .with_engine_name(engine_name, threads)
         .map_err(|e| e.to_string())?;
+    // Keyed by the resolved engine, so spellings that build one engine
+    // (`engine=serial` at any `threads=`, `rayon` and `pool`) share a
+    // session and its workspace.
     let key = format!(
-        "{}|{:?}|{:?}|{}x{}|p{}|r{}",
+        "{}|{:?}|{}x{}|p{}|r{}",
         algorithm.name(),
         adjacency,
-        semantics,
         config.engine.name(),
-        threads,
+        config.engine.threads(),
         partitions,
         repair,
     );
@@ -757,7 +754,7 @@ fn handle_extract(connection: &mut Connection, request: &Request) -> Outcome {
     if shared.faults.fire(FaultKind::Panic).is_some() {
         panic!("injected worker panic");
     }
-    let (config, session_key) = match request_config(connection, request) {
+    let (config, session_key) = match request_config(&shared.config, request) {
         Ok(built) => built,
         Err(message) => return Outcome::error(ErrorCode::BadArg, &message),
     };
@@ -1022,4 +1019,23 @@ fn stats_frame(shared: &Arc<Shared>) -> String {
     }
     frame.push('}');
     frame
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn spellings_of_one_engine_share_a_session_key() {
+        let key = |args: &str| {
+            let request = Request::parse(&format!("EXTRACT path=g {args}")).unwrap();
+            request_config(&ServeConfig::default(), &request).unwrap().1
+        };
+        let serial = key("engine=serial threads=1");
+        assert_eq!(key("engine=serial threads=4"), serial);
+        let pool = key("engine=pool threads=2");
+        assert_eq!(key("engine=rayon threads=2"), pool);
+        assert_ne!(pool, serial);
+        assert_ne!(key("engine=pool threads=3"), pool);
+    }
 }

@@ -34,8 +34,7 @@
 //! let graph = RmatParams::preset(RmatKind::B, 9, 42).generate();
 //!
 //! // Extract a maximal chordal subgraph with the default configuration
-//! // (pool engine over all cores, sorted adjacency, asynchronous
-//! // semantics — the paper-faithful setup).
+//! // (Algorithm 1 on the pool engine over all cores, sorted adjacency).
 //! let result = extract_maximal_chordal(&graph);
 //!
 //! // The extracted edge set always induces a chordal subgraph.
@@ -126,7 +125,7 @@ pub use chordal_serve as serve;
 pub use chordal_core::{
     extract_maximal_chordal, extract_maximal_chordal_serial, AdjacencyMode, Algorithm,
     ChordalExtractor, ChordalResult, ExtractError, ExtractionSession, ExtractorConfig,
-    MaximalChordalExtractor, Semantics,
+    MaximalChordalExtractor,
 };
 
 /// The most commonly used items across the workspace, re-exported for
@@ -141,7 +140,7 @@ pub mod prelude {
     pub use chordal_core::{
         extract_maximal_chordal, extract_maximal_chordal_serial, AdjacencyMode, Algorithm,
         ChordalExtractor, ChordalResult, ExtractError, ExtractionSession, ExtractorConfig,
-        MaximalChordalExtractor, Semantics,
+        MaximalChordalExtractor,
     };
     pub use chordal_generators::bio::{CorrelationNetworkParams, GeneNetworkKind};
     pub use chordal_generators::rmat::{RmatKind, RmatParams};

@@ -1,14 +1,12 @@
-//! Golden outputs of Algorithm 1 under the default (asynchronous)
-//! semantics: one ascending pull pass, whose output does not depend on the
-//! engine.
+//! Golden outputs of Algorithm 1: one ascending pull pass, whose output
+//! does not depend on the engine.
 //!
-//! The synchronous semantics is checked against its reference oracle
-//! elsewhere. These values lock the asynchronous one: iteration count,
-//! queue sizes, `|EC|` and an FNV-1a hash of the sorted edge list, for
-//! RMAT-ER/G/B at scale 12 and two gene networks. They were recorded from
-//! the serial pull oracle `extract_pull_reference`, which shares no code
-//! with the extractor but the subset kernel, and the first test checks the
-//! oracle still reproduces them.
+//! These values lock the pass: iteration count, queue sizes, `|EC|` and an
+//! FNV-1a hash of the sorted edge list, for RMAT-ER/G/B at scale 12 and two
+//! gene networks. They were recorded from the serial pull oracle
+//! `extract_pull_reference`, which shares no code with the extractor but
+//! the subset kernel, and the first test checks the oracle still
+//! reproduces them.
 
 use maximal_chordal::core::reference::extract_pull_reference;
 use maximal_chordal::prelude::*;
@@ -122,36 +120,25 @@ fn unopt_walk_reproduces_the_opt_output_on_scrambled_adjacency() {
 }
 
 /// The doacross engines: two participants at the default grain, and three
-/// at grain 1, which makes every synchronous iteration's region claim one
-/// vertex at a time.
+/// at grain 1.
 fn doacross_engines() -> [Engine; 2] {
     [Engine::chunked(2), Engine::chunked_with_grain(3, 1)]
 }
 
-/// Every combination of semantics and adjacency mode, each with the graph
-/// it runs on: Unopt walks the scrambled copy.
-fn modes(golden: &Golden) -> Vec<(ExtractorConfig, CsrGraph)> {
-    let scrambled = golden.graph.with_scrambled_adjacency(7);
-    let mut modes = Vec::new();
-    for semantics in [Semantics::Asynchronous, Semantics::Synchronous] {
-        for (adjacency, graph) in [
-            (AdjacencyMode::Sorted, &golden.graph),
-            (AdjacencyMode::Unsorted, &scrambled),
-        ] {
-            let config = serial_config()
-                .with_semantics(semantics)
-                .with_adjacency(adjacency);
-            modes.push((config, graph.clone()));
-        }
-    }
-    modes
+/// Both adjacency modes, each with the graph it runs on: Unopt walks the
+/// scrambled copy.
+fn modes(golden: &Golden) -> [(ExtractorConfig, CsrGraph); 2] {
+    let unopt = serial_config().with_adjacency(AdjacencyMode::Unsorted);
+    [
+        (serial_config(), golden.graph.clone()),
+        (unopt, golden.graph.with_scrambled_adjacency(7)),
+    ]
 }
 
 #[test]
 fn serial_pass_matches_the_doacross() {
     // `Engine::serial()` runs the pass as one plain loop; the pool engines
-    // run the asynchronous pass as a doacross and each synchronous
-    // iteration as one region. Results compare stats included.
+    // run it as a doacross. Results compare stats included.
     for golden in goldens() {
         for (config, graph) in modes(&golden) {
             let serial = ExtractionSession::new(config.clone()).extract(&graph);
@@ -160,8 +147,8 @@ fn serial_pass_matches_the_doacross() {
                     ExtractionSession::new(config.clone().with_engine(engine)).extract(&graph);
                 assert_eq!(
                     serial, pooled,
-                    "{}: {engine:?} {:?} {:?}",
-                    golden.name, config.semantics, config.adjacency
+                    "{}: {engine:?} {:?}",
+                    golden.name, config.adjacency
                 );
             }
         }
@@ -187,10 +174,9 @@ fn serial_pass_and_doacross_alternate_on_one_workspace() {
                     assert_eq!(
                         reused,
                         fresh,
-                        "{}: {:?} {:?} {:?}",
+                        "{}: {:?} {:?}",
                         golden.name,
                         extractor.config().engine,
-                        config.semantics,
                         config.adjacency
                     );
                 }

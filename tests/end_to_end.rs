@@ -32,45 +32,40 @@ fn extraction_is_chordal_for_every_engine_variant_and_workload() {
     for (name, graph) in workloads() {
         for engine in engines() {
             for adjacency in [AdjacencyMode::Sorted, AdjacencyMode::Unsorted] {
-                for semantics in [Semantics::Synchronous, Semantics::Asynchronous] {
-                    let config = ExtractorConfig::default()
-                        .with_engine(engine)
-                        .with_adjacency(adjacency)
-                        .with_semantics(semantics)
-                        .with_stats(true);
-                    let result = ExtractionSession::new(config).extract(&graph);
-                    let sub = result.subgraph(&graph);
-                    assert!(
-                        is_chordal(&sub),
-                        "{name}: {engine:?} {adjacency:?} {semantics:?} produced a non-chordal subgraph"
-                    );
-                    // Every retained edge exists in the host graph.
-                    for &(u, v) in result.edges() {
-                        assert!(graph.has_edge(u, v), "{name}: foreign edge ({u},{v})");
-                    }
-                    // Stats agree with the result.
-                    let stats = result.stats.as_ref().unwrap();
-                    assert_eq!(stats.iterations(), result.iterations);
-                    assert_eq!(stats.total_edges(), result.num_chordal_edges());
+                let config = ExtractorConfig::default()
+                    .with_engine(engine)
+                    .with_adjacency(adjacency)
+                    .with_stats(true);
+                let result = ExtractionSession::new(config).extract(&graph);
+                let sub = result.subgraph(&graph);
+                assert!(
+                    is_chordal(&sub),
+                    "{name}: {engine:?} {adjacency:?} produced a non-chordal subgraph"
+                );
+                // Every retained edge exists in the host graph.
+                for &(u, v) in result.edges() {
+                    assert!(graph.has_edge(u, v), "{name}: foreign edge ({u},{v})");
                 }
+                // Stats agree with the result.
+                let stats = result.stats.as_ref().unwrap();
+                assert_eq!(stats.iterations(), result.iterations);
+                assert_eq!(stats.total_edges(), result.num_chordal_edges());
             }
         }
     }
 }
 
 #[test]
-fn synchronous_results_are_identical_across_engines_and_thread_counts() {
+fn results_are_identical_across_engines_and_thread_counts() {
     for (name, graph) in workloads() {
-        let reference = maximal_chordal::core::reference::extract_reference(&graph);
+        let oracle = maximal_chordal::core::reference::extract_pull_reference(&graph, false);
         for engine in engines() {
-            let config = ExtractorConfig::default()
-                .with_engine(engine)
-                .with_semantics(Semantics::Synchronous);
+            let config = ExtractorConfig::default().with_engine(engine);
             let result = ExtractionSession::new(config).extract(&graph);
             assert_eq!(
                 result.edges(),
-                reference.edges(),
-                "{name}: {engine:?} deviates from the sequential reference"
+                oracle.edges(),
+                "{name}: {engine:?} deviates from the serial pull oracle"
             );
         }
     }

@@ -10,14 +10,14 @@
 //!   `Algorithm × Engine` output is chordal (where guaranteed) and
 //!   edge-subset-valid;
 //! * bit-for-bit agreement between pooled and serial engines for every
-//!   deterministic configuration;
+//!   algorithm;
 //! * batch slot equivalence with single runs for every algorithm, over
 //!   batch compositions (one dominant graph plus small ones, every graph
 //!   repeated `threads` times, single-graph batches) — placement must
-//!   never change extraction output for deterministic configs, also across
-//!   repeated batches on warm child workspaces;
-//! * under asynchronous semantics, every fanned-out slot equals a serial
-//!   single run;
+//!   never change extraction output, also across repeated batches on warm
+//!   child workspaces;
+//! * under the default configuration, every fanned-out slot equals a
+//!   serial single run;
 //! * a batch reports the participants it fanned out over;
 //! * an end-to-end assertion that sustained extraction traffic reuses the
 //!   pool's workers instead of spawning threads, with the pool's lock-free
@@ -101,16 +101,15 @@ fn every_algorithm_engine_pair_is_chordal_and_subset_valid() {
 
 #[test]
 fn pooled_engines_match_the_serial_engine_bit_for_bit() {
-    // Synchronous semantics make every algorithm deterministic on every
-    // engine, so the pooled schedules must reproduce the serial result
-    // exactly — the strongest cross-engine agreement the registry offers.
+    // Every algorithm's output is independent of the engine, so the pooled
+    // schedules must reproduce the serial result exactly — the strongest
+    // cross-engine agreement the registry offers.
     for seed in 0..CASES {
         for graph in workloads(seed) {
             for algorithm in Algorithm::ALL {
                 let serial = ExtractorConfig::default()
                     .with_algorithm(algorithm)
                     .with_engine(Engine::serial())
-                    .with_semantics(Semantics::Synchronous)
                     // Pin the partition count so the partitioned baseline
                     // does not re-derive it from each engine's threads.
                     .with_partitions(3);
@@ -143,8 +142,7 @@ fn hybrid_batches_agree_with_single_runs_for_every_algorithm() {
     for algorithm in Algorithm::ALL {
         let config = ExtractorConfig::default()
             .with_algorithm(algorithm)
-            .with_engine(Engine::chunked(3))
-            .with_semantics(Semantics::Synchronous);
+            .with_engine(Engine::chunked(3));
         let mut session = ExtractionSession::new(config.clone());
         let batch = session.extract_batch(&refs);
         assert_eq!(batch.len(), graphs.len());
@@ -174,7 +172,7 @@ fn batch_threshold_extremes_agree_on_random_batches() {
         let mut rng = StdRng::seed_from_u64(0xBA7C02 ^ seed);
         let graphs: Vec<CsrGraph> = (0..5).map(|_| random_graph(&mut rng, 30, 120)).collect();
         let refs: Vec<&CsrGraph> = graphs.iter().collect();
-        let base = ExtractorConfig::default().with_semantics(Semantics::Synchronous);
+        let base = ExtractorConfig::default();
         let mut serial = ExtractionSession::new(base.clone().with_engine(Engine::serial()));
         let expected: Vec<ChordalResult> = graphs.iter().map(|g| serial.extract(g)).collect();
         for engine in [Engine::chunked(3), Engine::chunked_with_grain(4, 8)] {
@@ -227,7 +225,6 @@ fn every_placement_agrees_for_every_algorithm() {
     for algorithm in Algorithm::ALL {
         let base = ExtractorConfig::default()
             .with_algorithm(algorithm)
-            .with_semantics(Semantics::Synchronous)
             .with_partitions(3);
         let mut serial = ExtractionSession::new(base.clone().with_engine(Engine::serial()));
         let expected: Vec<ChordalResult> = graphs.iter().map(|g| serial.extract(g)).collect();
@@ -265,7 +262,7 @@ fn repeated_batches_stay_byte_identical_on_both_engines() {
         graphs.push(RmatParams::preset(RmatKind::G, 6, seed).generate());
     }
     let refs: Vec<&CsrGraph> = graphs.iter().collect();
-    let base = ExtractorConfig::default().with_semantics(Semantics::Synchronous);
+    let base = ExtractorConfig::default();
     let mut serial = ExtractionSession::new(base.clone().with_engine(Engine::serial()));
     let expected: Vec<ChordalResult> = graphs.iter().map(|g| serial.extract(g)).collect();
     for engine in [Engine::chunked(3), Engine::chunked_with_grain(4, 8)] {
@@ -285,8 +282,8 @@ fn repeated_batches_stay_byte_identical_on_both_engines() {
 
 #[test]
 fn asynchronous_batches_stay_chordal_and_fan_out_serially() {
-    // Under the default asynchronous semantics placement pins down what a
-    // slot holds: a fanned-out graph runs the serial variant of the
+    // Under the default configuration placement pins down what a slot
+    // holds: a fanned-out graph runs the serial variant of the
     // configured algorithm, so its slot equals a single run on the serial
     // engine, and a single-graph batch runs intra-graph and is
     // edge-subset-valid (and chordal where the algorithm guarantees it).

@@ -36,19 +36,12 @@ fn random_graph(rng: &mut StdRng, max_n: usize, max_edges: usize) -> CsrGraph {
 #[test]
 fn extraction_always_chordal() {
     // Algorithm 1 always returns a chordal subgraph whose edges come from
-    // the input, for every engine and both semantics.
+    // the input, for every engine.
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = random_graph(&mut rng, 40, 160);
         let threads = rng.gen_range(1..5usize);
-        let semantics = if rng.gen_bool(0.5) {
-            Semantics::Asynchronous
-        } else {
-            Semantics::Synchronous
-        };
-        let config = ExtractorConfig::default()
-            .with_engine(Engine::chunked(threads))
-            .with_semantics(semantics);
+        let config = ExtractorConfig::default().with_engine(Engine::chunked(threads));
         let result = ExtractionSession::new(config).extract(&graph);
         let sub = result.subgraph(&graph);
         assert!(is_chordal(&sub), "seed {seed}");
@@ -59,18 +52,16 @@ fn extraction_always_chordal() {
 }
 
 #[test]
-fn synchronous_matches_reference() {
-    // The synchronous parallel result equals the sequential reference.
+fn pool_pass_matches_the_pull_oracle() {
+    // The doacross result equals the serial pull oracle.
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x5EED ^ seed);
         let graph = random_graph(&mut rng, 40, 160);
         let threads = rng.gen_range(1..5usize);
-        let reference = maximal_chordal::core::reference::extract_reference(&graph);
-        let config = ExtractorConfig::default()
-            .with_engine(Engine::chunked_with_grain(threads, 4))
-            .with_semantics(Semantics::Synchronous);
+        let oracle = maximal_chordal::core::reference::extract_pull_reference(&graph, false);
+        let config = ExtractorConfig::default().with_engine(Engine::chunked_with_grain(threads, 4));
         let result = ExtractionSession::new(config).extract(&graph);
-        assert_eq!(result.edges(), reference.edges(), "seed {seed}");
+        assert_eq!(result.edges(), oracle.edges(), "seed {seed}");
     }
 }
 
@@ -125,18 +116,16 @@ fn csr_roundtrip() {
 
 #[test]
 fn batch_extraction_matches_individual_runs() {
-    // extract_batch returns, per slot, exactly what a deterministic
-    // single-graph extraction of that slot returns.
+    // extract_batch returns, per slot, exactly what a single-graph
+    // extraction of that slot returns.
     for seed in 0..8 {
         let mut rng = StdRng::seed_from_u64(0xBA7C ^ seed);
         let graphs: Vec<CsrGraph> = (0..5).map(|_| random_graph(&mut rng, 30, 120)).collect();
         let refs: Vec<&CsrGraph> = graphs.iter().collect();
-        let config = ExtractorConfig::default()
-            .with_engine(Engine::chunked(3))
-            .with_semantics(Semantics::Synchronous);
+        let config = ExtractorConfig::default().with_engine(Engine::chunked(3));
         let batch = ExtractionSession::new(config).extract_batch(&refs);
         for (i, (graph, result)) in graphs.iter().zip(&batch).enumerate() {
-            let expected = maximal_chordal::core::reference::extract_reference(graph);
+            let expected = maximal_chordal::core::reference::extract_pull_reference(graph, false);
             assert_eq!(result.edges(), expected.edges(), "seed {seed} slot {i}");
         }
     }

@@ -12,7 +12,7 @@
 
 use maximal_chordal::core::repair::{repair_maximality_reference, repair_maximality_with};
 use maximal_chordal::core::verify::{check_maximality, is_chordal};
-use maximal_chordal::core::{Algorithm, ExtractionSession, ExtractorConfig, Semantics, Workspace};
+use maximal_chordal::core::{Algorithm, ExtractionSession, ExtractorConfig, Workspace};
 use maximal_chordal::generators::rmat::{RmatKind, RmatParams};
 use maximal_chordal::generators::structured;
 use maximal_chordal::graph::CsrGraph;
@@ -62,13 +62,11 @@ fn repair_matches_the_reference_across_algorithms() {
 
 #[test]
 fn session_level_repair_matches_the_reference_under_the_configured_pool() {
-    // Deterministic (synchronous) parallel extraction + repair through the
-    // registry must equal the oracle's repair of the unrepaired output,
-    // whatever CHORDAL_POOL_THREADS the CI matrix sets.
+    // Parallel extraction + repair through the registry must equal the
+    // oracle's repair of the unrepaired output, whatever
+    // CHORDAL_POOL_THREADS the CI matrix sets.
     for algorithm in [Algorithm::Parallel, Algorithm::Reference] {
-        let base = ExtractorConfig::default()
-            .with_algorithm(algorithm)
-            .with_semantics(Semantics::Synchronous);
+        let base = ExtractorConfig::default().with_algorithm(algorithm);
         let mut unrepaired = ExtractionSession::new(base.clone());
         let mut repaired = ExtractionSession::new(base.with_repair(true));
         for (name, graph) in workloads() {

@@ -124,6 +124,24 @@ fn malformed_arguments_get_typed_errors_and_the_connection_survives() {
 }
 
 #[test]
+fn the_retired_semantics_argument_is_refused_and_the_connection_stays_open() {
+    // A retired argument on a request for a real file is refused, not
+    // ignored: the request must not run Algorithm 1's pass instead.
+    let fixture = default_fixture("semantics");
+    let mut client = fixture.client();
+    let response = client
+        .request(&format!(
+            "EXTRACT path={} semantics=sync",
+            fixture.bin.display()
+        ))
+        .unwrap();
+    assert_eq!(response.code(), Some("bad-arg"), "{}", response.raw);
+    let error = response.str_field("error").unwrap_or_default();
+    assert!(error.contains("`semantics`"), "{}", response.raw);
+    assert!(client.request("PING").unwrap().ok());
+}
+
+#[test]
 fn non_utf8_lines_are_bad_frames_but_do_not_close() {
     let fixture = default_fixture("utf8");
     let mut client = fixture.client();
@@ -180,7 +198,7 @@ fn pipelined_requests_are_answered_in_order() {
     // Three requests in a single write; the payload-carrying EXTRACT sits
     // in the middle so ordering mistakes would corrupt the next frame.
     let script = format!(
-        "PING\nEXTRACT path={} algorithm=alg1 semantics=sync payload=edges\nSTATS\n",
+        "PING\nEXTRACT path={} algorithm=alg1 payload=edges\nSTATS\n",
         fixture.bin.display()
     );
     client.send_raw(script.as_bytes()).unwrap();

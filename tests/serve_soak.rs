@@ -76,8 +76,7 @@ fn concurrent_clients_see_correct_results_and_cache_hits() {
             maximal_chordal::graph::storage::load_graph(workload.bin(graph_idx), None).unwrap();
         for algorithm in algorithms {
             let config = ExtractorConfig::serial(AdjacencyMode::Sorted)
-                .with_algorithm(Algorithm::parse(algorithm).unwrap())
-                .with_semantics(Semantics::Synchronous);
+                .with_algorithm(Algorithm::parse(algorithm).unwrap());
             let result = ExtractionSession::new(config).extract(loaded.as_graph_ref());
             expected.push(result.num_chordal_edges() as u64);
         }
@@ -110,7 +109,7 @@ fn concurrent_clients_see_correct_results_and_cache_hits() {
                     let (graph_idx, algorithm) = (shape / 2, algorithms[shape % 2]);
                     let response = client
                         .request(&format!(
-                            "EXTRACT path={} algorithm={algorithm} semantics=sync engine=serial",
+                            "EXTRACT path={} algorithm={algorithm} engine=serial",
                             workload.bin(graph_idx).display()
                         ))
                         .expect("soak request");

@@ -114,14 +114,12 @@ fn every_algorithm_is_byte_identical_on_mmap_and_heap() {
 
 #[test]
 fn parallel_pool_extraction_agrees_across_representations() {
-    // Synchronous semantics are deterministic on every engine, so heap and
-    // mmap runs under the CI pool matrix must agree exactly.
+    // The output is independent of the engine and the schedule, so heap
+    // and mmap runs under the CI pool matrix must agree exactly.
     for (tag, graph) in workloads() {
         let disk = DiskPair::create(tag, &graph);
         let mapped = disk.mmap();
-        let config = ExtractorConfig::default()
-            .with_semantics(Semantics::Synchronous)
-            .with_engine(Engine::chunked(4));
+        let config = ExtractorConfig::default().with_engine(Engine::chunked(4));
         let from_heap = ExtractionSession::new(config.clone()).extract(&graph);
         let from_mmap = ExtractionSession::new(config).extract(&mapped);
         assert_eq!(from_heap, from_mmap, "{tag}: pool run diverged");
@@ -160,9 +158,7 @@ fn batch_scheduler_handles_mixed_heap_and_mmap_views() {
         .map(|(tag, g)| DiskPair::create(&format!("batch_{tag}"), g))
         .collect();
     let mapped: Vec<MmapCsrGraph> = disks.iter().map(DiskPair::mmap).collect();
-    let config = ExtractorConfig::default()
-        .with_semantics(Semantics::Synchronous)
-        .with_engine(Engine::chunked(4));
+    let config = ExtractorConfig::default().with_engine(Engine::chunked(4));
     // All-heap batch vs the same batch served from mmaps, interleaved with
     // heap views — placement and results must not depend on storage.
     let heap_views: Vec<GraphRef<'_>> = graphs.iter().map(|(_, g)| g.into()).collect();

@@ -1,12 +1,12 @@
 //! Trait-conformance suite for the `ChordalExtractor` registry: every
-//! [`Algorithm`] × [`Engine`] (serial, pool at two grains) × [`Semantics`]
-//! combination is driven through the same [`ExtractionSession`] API and
+//! [`Algorithm`] × [`Engine`] (serial, pool at two grains) combination is
+//! driven through the same [`ExtractionSession`] API and
 //! checked against the guarantees the registry advertises —
 //! chordality ([`Algorithm::guarantees_chordal`]), maximality
 //! ([`Algorithm::guarantees_maximal`]), and that reusing a session's
 //! [`Workspace`](maximal_chordal::core::Workspace) across consecutive runs
 //! yields exactly what fresh runs yield. Every cell is deterministic, the
-//! asynchronous pool cells included.
+//! pool cells included.
 
 use maximal_chordal::core::verify::{check_maximality, MaximalityReport};
 use maximal_chordal::prelude::*;
@@ -37,31 +37,23 @@ fn workloads() -> Vec<(String, CsrGraph)> {
     graphs
 }
 
-/// Every cell of the Algorithm × Engine × Semantics matrix, as a session.
+/// Every cell of the Algorithm × Engine matrix, as a session.
 fn matrix() -> Vec<(String, ExtractorConfig)> {
     let mut cells = Vec::new();
     for algorithm in Algorithm::ALL {
         for engine in engines() {
-            for semantics in [Semantics::Synchronous, Semantics::Asynchronous] {
-                let config = ExtractorConfig::default()
-                    .with_algorithm(algorithm)
-                    .with_engine(engine)
-                    .with_semantics(semantics);
-                let label = format!(
-                    "{algorithm}/{}x{}/{}",
-                    engine.name(),
-                    engine.threads(),
-                    semantics.label()
-                );
-                cells.push((label, config));
-            }
+            let config = ExtractorConfig::default()
+                .with_algorithm(algorithm)
+                .with_engine(engine);
+            let label = format!("{algorithm}/{}x{}", engine.name(), engine.threads());
+            cells.push((label, config));
         }
     }
     cells
 }
 
 #[test]
-fn every_algorithm_engine_semantics_cell_honours_its_guarantees() {
+fn every_algorithm_engine_cell_honours_its_guarantees() {
     for (name, graph) in workloads() {
         for (label, config) in matrix() {
             let algorithm = config.algorithm;
