@@ -10,15 +10,21 @@
 //! of lowest parents, each handing its children on to their next parent.
 //! Here every vertex pulls instead. `w` walks its own parents (the sorted
 //! prefix of its adjacency for the Opt variant, [`next_parent_scan`] for
-//! Unopt) and reads their sets. A step writes only `C[w]` and reads
-//! `offsets[p]`, `|C[p]|` and `C[p]`.
+//! Unopt) and reads their sets. A step writes only `C[w]` and the slot
+//! holding where it starts, and reads `|C[p]|`, that slot and `C[p]`.
 //!
-//! `C[w]` lives in a CSR-shaped arena of [`AtomicU32`] sized by `w`'s
-//! degree and indexed through the graph's own offsets
-//! ([`GraphRef::offsets`]), so the pass copies nothing from the graph; its
-//! length sits in a [`Published`] array. Arena and lengths live in a
-//! caller-supplied [`Workspace`] ([`ChordalExtractor::extract_into`]), so
-//! repeated extractions over same-sized graphs reuse the buffers.
+//! The sets live in an arena of [`AtomicU32`] with one slot per directed
+//! edge, packed: a piece of vertices `[a, b)` writes its sets back to back
+//! from `offsets[a]` ([`GraphRef::offsets`]), and each vertex stores where
+//! its set starts in a per-vertex start slot. A set is no longer than its
+//! vertex's degree, so a piece's sets end by `offsets[b]` and no piece
+//! writes into another's. A one-thread engine runs the pass as the single
+//! piece `0..n`, so its sets form one dense prefix of the arena; on the
+//! pool they pack within each piece. The pass copies nothing from the
+//! graph. Each length sits in a [`Published`] array. Arena, start slots
+//! and lengths live in a caller-supplied [`Workspace`]
+//! ([`ChordalExtractor::extract_into`]), so repeated extractions over
+//! same-sized graphs reuse the buffers.
 //!
 //! # One ascending pass
 //!
@@ -31,10 +37,10 @@
 //! ([`Published::doacross`]): participants claim 64-vertex pieces in
 //! ascending order, and `w` waits until `|C[p]|` is published. That wait is
 //! an acquire load paired with the release store that ends `p`'s step, so
-//! the relaxed stores of `C[p]`'s entries are visible once it returns. `w`
-//! needs no wait for its first parent: an empty `C[w]` is a subset of any
-//! set. The output depends neither on the engine nor on the thread count or
-//! the schedule, and equals the serial oracle
+//! the relaxed stores of `C[p]`'s entries and of its start are visible once
+//! it returns. `w` needs no wait for its first parent: an empty `C[w]` is a
+//! subset of any set. The output depends neither on the engine nor on the
+//! thread count or the schedule, and equals the serial oracle
 //! [`crate::reference::extract_pull_reference`].
 //!
 //! The bulk-synchronous reading of the pseudocode, in which iteration `t`
@@ -52,7 +58,7 @@ use crate::stats::IterationStats;
 use crate::workspace::Workspace;
 use chordal_graph::{Edge, GraphRef, VertexId, NO_VERTEX};
 use chordal_runtime::{Engine, Published};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// Multithreaded maximal chordal subgraph extractor (Algorithm 1 of the
 /// paper).
@@ -98,9 +104,10 @@ impl MaximalChordalExtractor {
             neighbors: graph.adjacency(),
             offsets: graph.offsets(),
         };
-        let cdata = &cdata[..graph.num_directed_edges()];
-        pull(&self.config.engine, adjacency, clen, cdata);
-        let edges = sorted_edges(adjacency.offsets, clen, cdata, starts);
+        let cdata = &mut cdata[..graph.num_directed_edges()];
+        let starts = &mut starts[..=n];
+        pull(&self.config.engine, adjacency, clen, cdata, starts);
+        let edges = sorted_edges(clen, cdata, starts);
         // One pass, in which every vertex with a child serves as a parent.
         let iterations = usize::from(graph.num_directed_edges() > 0);
         if let Some(s) = stats.as_mut().filter(|_| iterations == 1) {
@@ -134,8 +141,8 @@ impl ChordalExtractor for MaximalChordalExtractor {
 
 /// The graph as the pass reads it: the flat adjacency array through the
 /// graph's own CSR offsets. A vertex can never have more chordal
-/// neighbours than its degree, so the same offsets place `C[w]` in the
-/// arena.
+/// neighbours than its degree, so a piece `[a, b)` whose sets start at
+/// `offsets[a]` fits below `offsets[b]`.
 #[derive(Clone, Copy)]
 struct Adjacency<'a> {
     mode: AdjacencyMode,
@@ -212,12 +219,21 @@ impl Iterator for Parents<'_> {
 }
 
 /// The pass (module docs): every vertex, in ascending order, tests its set
-/// against each parent's final set, reading the graph through `adjacency`
-/// and writing `C[w]` to the arena `cdata` and `|C[w]|` to `clen`.
-fn pull(engine: &Engine, adjacency: Adjacency<'_>, clen: &Published, cdata: &[AtomicU32]) {
+/// against each parent's final set, reading the graph through `adjacency`.
+/// A piece `[a, b)` writes its sets to the arena `cdata` back to back from
+/// `offsets[a]`; `w` stores where `C[w]` starts in `starts[w]` and then
+/// publishes `|C[w]|` to `clen`, so a child that waits on the length reads
+/// the start after it.
+fn pull(
+    engine: &Engine,
+    adjacency: Adjacency<'_>,
+    clen: &Published,
+    cdata: &[AtomicU32],
+    starts: &[AtomicUsize],
+) {
     clen.doacross(engine, adjacency.num_vertices(), |range| {
+        let mut base_w = adjacency.offsets[range.start];
         for w in range {
-            let base_w = adjacency.offsets[w];
             let mut len_w = 0;
             for p in adjacency.parents(w) {
                 let p_idx = p as usize;
@@ -227,7 +243,7 @@ fn pull(engine: &Engine, adjacency: Adjacency<'_>, clen: &Published, cdata: &[At
                             cdata,
                             base_w,
                             len_w,
-                            adjacency.offsets[p_idx],
+                            starts[p_idx].load(Ordering::Relaxed),
                             len_p as usize,
                         ),
                         // A piece below panicked; the caller unwinds.
@@ -238,7 +254,9 @@ fn pull(engine: &Engine, adjacency: Adjacency<'_>, clen: &Published, cdata: &[At
                     len_w += 1;
                 }
             }
+            starts[w].store(base_w, Ordering::Relaxed);
             clen.publish(w, len_w as u32);
+            base_w += len_w;
         }
     });
 }
@@ -259,38 +277,54 @@ fn subset(arena: &[AtomicU32], base_a: usize, len_a: usize, base_b: usize, len_b
     )
 }
 
-/// EC in canonical sorted order: every entry `p` of `C[w]` is the edge
-/// `(p, w)` with `p < w`, so a counting sort on `p` that visits `w` in
-/// ascending order sorts the edges without comparing them. `starts` holds
-/// the per-parent bucket starts. Runs after the pass has finished, so the
-/// lengths are read through the owner form and relaxed loads see every
-/// entry.
+/// EC in canonical sorted order. Runs after the pass has finished, so it
+/// reads lengths, starts and entries through the owner forms.
+///
+/// First every set moves down to its place in ascending-`w` order, which
+/// leaves the sets dense from slot 0; the one-thread layout already is, so
+/// nothing moves. A set never moves up, so the move never overwrites a set
+/// it has not moved yet: if `w`'s piece starts at `a`, the sets below `a`
+/// hold no more entries than their degrees, `offsets[a]`, and the piece's
+/// sets below `w` lie between `offsets[a]` and `w`'s start. Then every
+/// entry `p` of `C[w]` is the edge `(p, w)` with `p < w`, so a counting
+/// sort on `p` that visits `w` in ascending order sorts the edges without
+/// comparing them. The start slots, free once the sets are dense, hold its
+/// per-parent bucket starts.
 fn sorted_edges(
-    offsets: &[usize],
     clen: &mut Published,
-    cdata: &[AtomicU32],
-    starts: &mut Vec<usize>,
+    cdata: &mut [AtomicU32],
+    starts: &mut [AtomicUsize],
 ) -> Vec<Edge> {
-    let n = offsets.len() - 1;
-    let mut chordal_set = |w: usize| {
-        let base = offsets[w];
-        &cdata[base..base + clen.get_mut(w) as usize]
-    };
-    starts.clear();
-    starts.resize(n + 1, 0);
-    for w in 0..n {
-        for p in chordal_set(w) {
-            starts[p.load(Ordering::Relaxed) as usize + 1] += 1;
+    let n = starts.len() - 1;
+    let mut dense = 0;
+    for (w, start) in starts[..n].iter_mut().enumerate() {
+        let start = *start.get_mut();
+        let len = clen.get_mut(w) as usize;
+        if start != dense {
+            for i in 0..len {
+                let p = *cdata[start + i].get_mut();
+                *cdata[dense + i].get_mut() = p;
+            }
         }
+        dense += len;
+    }
+    let entries = &mut cdata[..dense];
+    for slot in starts.iter_mut() {
+        *slot.get_mut() = 0;
+    }
+    for p in entries.iter_mut() {
+        *starts[*p.get_mut() as usize + 1].get_mut() += 1;
     }
     for p in 0..n {
-        starts[p + 1] += starts[p];
+        let below = *starts[p].get_mut();
+        *starts[p + 1].get_mut() += below;
     }
-    let mut edges = vec![(0, 0); starts[n]];
+    let mut edges = vec![(0, 0); dense];
+    let mut entries = entries.iter_mut();
     for w in 0..n {
-        for p in chordal_set(w) {
-            let p = p.load(Ordering::Relaxed);
-            let slot = &mut starts[p as usize];
+        for p in entries.by_ref().take(clen.get_mut(w) as usize) {
+            let p = *p.get_mut();
+            let slot = starts[p as usize].get_mut();
             edges[*slot] = (p, w as VertexId);
             *slot += 1;
         }
@@ -308,12 +342,10 @@ mod tests {
     use chordal_graph::CsrGraph;
     use chordal_runtime::Engine;
 
+    /// One thread, and the doacross at four and eight participants (more
+    /// than the cores of a small host, so waiters must yield to publishers).
     fn all_engines() -> Vec<Engine> {
-        vec![
-            Engine::serial(),
-            Engine::chunked_with_grain(4, 8),
-            Engine::chunked(4),
-        ]
+        vec![Engine::serial(), Engine::chunked(8), Engine::chunked(4)]
     }
 
     fn extract_with(graph: &CsrGraph, engine: Engine, adjacency: AdjacencyMode) -> ChordalResult {
@@ -519,6 +551,50 @@ mod tests {
                     assert_eq!(got, expected, "{kind:?} {engine:?} {adjacency:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn pool_pass_matches_the_pull_oracle_when_sets_fill_their_piece() {
+        // Every set of `complete(150)` holds all of its vertex's parents, the
+        // longest a set can be, in each of the pieces [0,64), [64,128) and
+        // [128,150). The cliques of `disjoint_cliques(3, 70)` straddle the
+        // piece boundaries. In `shifted`, vertex 63's one edge is the only
+        // arena slot below the second piece, so every set of that piece's
+        // 64-clique moves down by one slot, onto itself. The workspace then
+        // serves a smaller graph, over the entries and starts these runs left.
+        let clique = (64..128).flat_map(|u| (u + 1..128).map(move |v| (u, v)));
+        let shifted = graph_from_edges(128, clique.chain([(63, 64)]));
+        let mut workspace = Workspace::new();
+        for g in [
+            structured::complete(150),
+            structured::disjoint_cliques(3, 70),
+            shifted,
+        ] {
+            let expected = extract_pull_reference(&g, true);
+            let scrambled = g.with_scrambled_adjacency(7);
+            for engine in [Engine::chunked(2), Engine::chunked(4)] {
+                for (adjacency, graph) in [
+                    (AdjacencyMode::Sorted, &g),
+                    (AdjacencyMode::Unsorted, &scrambled),
+                ] {
+                    let extractor = MaximalChordalExtractor::new(
+                        ExtractorConfig::default()
+                            .with_engine(engine)
+                            .with_adjacency(adjacency)
+                            .with_stats(true),
+                    );
+                    let got = extractor.extract_into(graph.into(), &mut workspace);
+                    assert_eq!(got, expected, "{engine:?} {adjacency:?}");
+                }
+            }
+        }
+        let grid = structured::grid(6, 7);
+        for engine in [Engine::chunked(2), Engine::chunked(4)] {
+            let extractor =
+                MaximalChordalExtractor::new(ExtractorConfig::default().with_engine(engine));
+            let reused = extractor.extract_into((&grid).into(), &mut workspace);
+            assert_eq!(reused, extractor.extract(&grid), "{engine:?}");
         }
     }
 

@@ -18,7 +18,7 @@
 use crate::repair::incremental::RepairScratch;
 use chordal_graph::{GraphRef, VertexId, NO_VERTEX};
 use chordal_runtime::Published;
-use std::sync::atomic::AtomicU32;
+use std::sync::atomic::{AtomicU32, AtomicUsize};
 
 /// Owned, reusable scratch buffers for one extraction at a time.
 ///
@@ -30,12 +30,14 @@ pub struct Workspace {
     // --- shared state of the parallel extractor -----------------------------
     /// Published chordal-set length per vertex.
     pub(crate) clen: Published,
-    /// CSR-shaped chordal-neighbour arena (sized by directed edge count,
-    /// indexed through the graph's own offsets).
+    /// Chordal-neighbour arena, one slot per directed edge. Each piece of
+    /// the pass packs its sets from the graph's offset of its first vertex.
     pub(crate) cdata: Vec<AtomicU32>,
-    /// Bucket starts of the parallel extractor's counting sort of the
-    /// result edges by parent.
-    pub(crate) starts: Vec<usize>,
+    /// Per-vertex start of its set in `cdata`, stored before the set's
+    /// length is published; once the pass has finished, the bucket starts
+    /// of the counting sort of the result edges by parent (one more entry
+    /// than vertices).
+    pub(crate) starts: Vec<AtomicUsize>,
     // --- plain scratch shared by the serial algorithms and snapshots -------
     /// u32-per-vertex scratch A (the reference extractor's lowest parents).
     pub(crate) ids_a: Vec<VertexId>,
@@ -101,7 +103,7 @@ impl Workspace {
         };
         self.clen.allocated_bytes()
             + vec_bytes(self.cdata.capacity(), size_of::<AtomicU32>())
-            + vec_bytes(self.starts.capacity(), size_of::<usize>())
+            + vec_bytes(self.starts.capacity(), size_of::<AtomicUsize>())
             + vec_bytes(self.ids_a.capacity(), size_of::<VertexId>())
             + vec_bytes(self.ids_b.capacity(), size_of::<u32>())
             + vec_bytes(self.ids_c.capacity(), size_of::<VertexId>())
@@ -153,13 +155,19 @@ impl Workspace {
 
     /// Sizes the parallel extractor's shared state for `graph` and resets
     /// every published set length to
-    /// [`chordal_runtime::publish::UNPUBLISHED`]. The arena is left
-    /// untouched: its live prefix is defined by the lengths. Nothing is
-    /// copied from the graph: the pass reads its offsets and adjacency in
-    /// place ([`GraphRef::offsets`]).
+    /// [`chordal_runtime::publish::UNPUBLISHED`]. The arena and the start
+    /// slots are left untouched: every vertex stores its start before it
+    /// publishes its length, and a set's live entries are defined by both.
+    /// Nothing is copied from the graph: the pass reads its offsets and
+    /// adjacency in place ([`GraphRef::offsets`]).
     pub(crate) fn prepare_pull(&mut self, graph: GraphRef<'_>) {
+        let n = graph.num_vertices();
         let directed_edges = graph.num_directed_edges();
-        let mut grew = self.clen.reset(graph.num_vertices());
+        let mut grew = self.clen.reset(n);
+        if self.starts.len() <= n {
+            grew = true;
+            self.starts.resize_with(n + 1, || AtomicUsize::new(0));
+        }
         if self.cdata.len() < directed_edges {
             grew = true;
             self.cdata.resize_with(directed_edges, || AtomicU32::new(0));

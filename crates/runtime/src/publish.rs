@@ -11,14 +11,15 @@
 //!
 //! * [`Published::publish`] stores the value with **release**. The
 //!   publisher first writes the data the value describes (for Algorithm 1,
-//!   the entries of `C[w]`) with relaxed stores; the release orders them
-//!   before the value.
+//!   the entries of `C[w]` and the start slot that says where they begin)
+//!   with relaxed stores; the release orders them before the value.
 //! * [`Published::wait`] **acquire**-loads the slot until it holds a value.
 //!   Once it returns, every store the publisher made before publishing is
-//!   visible, so the reader may load the data with relaxed loads. The model
-//!   test `waiter_sees_every_entry_the_length_covers` explores this pairing,
-//!   and the seeded mutant `chordal_mutate = "clen_publish"` (which weakens
-//!   the release to relaxed) makes it fail.
+//!   visible, so the reader may load the data with relaxed loads, the start
+//!   slot first. The model test `waiter_sees_every_entry_the_length_covers`
+//!   explores this pairing, and the seeded mutant
+//!   `chordal_mutate = "clen_publish"` (which weakens the release to
+//!   relaxed) makes it fail.
 //!
 //! A waiter spins `SPINS` times and then yields its core, so a publisher
 //! that shares the core still gets to run. It gives up, returning `None`,
@@ -359,30 +360,36 @@ mod tests {
 #[cfg(all(test, chordal_model))]
 mod model_tests {
     use super::*;
+    use chordal_checker::sync::AtomicUsize;
     use chordal_checker::{run, Config};
     use std::sync::Arc;
 
-    /// Message passing over one published length: the writer stores two
-    /// entries relaxed, then publishes the length 2; a waiter that sees the
-    /// length must see both entries, never the initial zeroes.
+    /// Message passing over one published length, as Algorithm 1's pass
+    /// does it: the writer stores two entries at offset 2 and that offset in
+    /// a start slot, all relaxed, then publishes the length 2; a waiter that
+    /// sees the length must read the start and both entries, never the
+    /// initial zeroes.
     fn publish_race() {
         let mut len = Published::default();
         len.reset(1);
-        let shared = Arc::new(([AtomicU32::new(0), AtomicU32::new(0)], len));
+        let entries = [0; 4].map(AtomicU32::new);
+        let shared = Arc::new((entries, AtomicUsize::new(0), len));
         let writer = {
             let shared = Arc::clone(&shared);
             thread::spawn(move || {
-                let (entries, len) = &*shared;
-                entries[0].store(7, Ordering::Relaxed);
-                entries[1].store(9, Ordering::Relaxed);
+                let (entries, start, len) = &*shared;
+                entries[2].store(7, Ordering::Relaxed);
+                entries[3].store(9, Ordering::Relaxed);
+                start.store(2, Ordering::Relaxed);
                 len.publish(0, 2);
             })
         };
-        let (entries, len) = &*shared;
+        let (entries, start, len) = &*shared;
         let published = len.wait(0).expect("never aborted") as usize;
+        let start = start.load(Ordering::Relaxed);
         for (k, want) in [7, 9].into_iter().enumerate().take(published) {
             assert_eq!(
-                entries[k].load(Ordering::Relaxed),
+                entries[start + k].load(Ordering::Relaxed),
                 want,
                 "a waiter saw the length but not every entry it covers"
             );
@@ -390,9 +397,9 @@ mod model_tests {
         writer.join().unwrap();
     }
 
-    /// Under the `clen_publish` mutant the checker must observe an entry
-    /// the length covers still at its initial value; with the real release
-    /// publish it must pass exhaustively.
+    /// Under the `clen_publish` mutant the checker must observe the start or
+    /// an entry the length covers still at its initial value; with the real
+    /// release publish it must pass exhaustively.
     #[test]
     fn waiter_sees_every_entry_the_length_covers() {
         let cfg = Config::dfs(2);

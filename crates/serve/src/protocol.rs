@@ -378,12 +378,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so byte
-                // boundaries are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash as one
+                // slice. The input is a &str and both delimiters are ASCII,
+                // so the run starts and ends on char boundaries.
+                let rest = &bytes[*pos..];
+                let run = rest
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(rest.len());
+                out.push_str(std::str::from_utf8(&rest[..run]).map_err(|e| e.to_string())?);
+                *pos += run;
             }
         }
     }
@@ -465,6 +469,22 @@ mod tests {
             }
             other => panic!("not an array: {other:?}"),
         }
+    }
+
+    #[test]
+    fn json_strings_parse_in_linear_time() {
+        // 128 KiB of two ASCII bytes and a two-byte char: a reader that
+        // re-validates the rest of the input per char takes seconds here.
+        let text = "ab\u{e9}".repeat(128 * 1024 / 4);
+        let doc = format!("{{\"error\":\"{text}\\n\"}}");
+        let start = std::time::Instant::now();
+        let parsed = JsonValue::parse(&doc).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(
+            parsed.get("error").unwrap().as_str(),
+            Some(format!("{text}\n").as_str())
+        );
+        assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
     }
 
     #[test]

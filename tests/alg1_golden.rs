@@ -119,10 +119,10 @@ fn unopt_walk_reproduces_the_opt_output_on_scrambled_adjacency() {
     }
 }
 
-/// The doacross engines: two participants at the default grain, and three
-/// at grain 1.
+/// The doacross engines: two participants, and eight (more than a small
+/// host's cores, so waiters must yield to publishers).
 fn doacross_engines() -> [Engine; 2] {
-    [Engine::chunked(2), Engine::chunked_with_grain(3, 1)]
+    [Engine::chunked(2), Engine::chunked(8)]
 }
 
 /// Both adjacency modes, each with the graph it runs on: Unopt walks the

@@ -9,7 +9,7 @@ fn engines() -> Vec<Engine> {
     vec![
         Engine::serial(),
         Engine::chunked(4),
-        Engine::chunked_with_grain(3, 16),
+        Engine::chunked(8),
         Engine::chunked(2),
     ]
 }
