@@ -19,7 +19,7 @@
 //!   outside the session's `extract_ns` stamp in
 //!   `crates/core/src/session.rs` and the pool's overhead calibration.
 //! - **R5 release-sensitive-asserts** — `debug_assert!` is banned in
-//!   atomic-ordering-sensitive files (injector/pool/publish/queue): an
+//!   atomic-ordering-sensitive files (pool/publish/queue): an
 //!   invariant worth asserting there must also hold under `--release`.
 //! - **R6 fault-gating** — every reference to the fault-injection module
 //!   outside its own file sits under `cfg(test)` or a cfg listing the
@@ -46,7 +46,6 @@ use std::path::{Path, PathBuf};
 /// argued in `docs/concurrency.md` or at the use site.
 const RELAXED_ALLOWLIST: &[&str] = &[
     "crates/core/src/parallel.rs",
-    "crates/runtime/src/injector.rs",
     "crates/runtime/src/lib.rs",
     "crates/runtime/src/pool.rs",
     // Publish and wait: the relaxed abort flag carries no data, and the
@@ -87,7 +86,6 @@ const INSTANT_ALLOWLIST: &[&str] = &[
 
 /// Atomic-ordering-sensitive files where `debug_assert!` is banned (R5).
 const DEBUG_ASSERT_SENSITIVE: &[&str] = &[
-    "crates/runtime/src/injector.rs",
     "crates/runtime/src/pool.rs",
     "crates/runtime/src/publish.rs",
     "crates/serve/src/queue.rs",

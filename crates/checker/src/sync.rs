@@ -206,58 +206,6 @@ impl AtomicBool {
     }
 }
 
-pub struct AtomicPtr<T> {
-    loc: usize,
-    _marker: PhantomData<*mut T>,
-}
-
-// SAFETY: the pointer value lives in the model runtime as a plain integer;
-// `AtomicPtr` itself owns no `T` and all access is serialized by the model
-// scheduler, matching `std::sync::atomic::AtomicPtr`'s Send/Sync contract.
-unsafe impl<T> Send for AtomicPtr<T> {}
-// SAFETY: see the Send impl above; shared access only exchanges integers.
-unsafe impl<T> Sync for AtomicPtr<T> {}
-
-impl<T> AtomicPtr<T> {
-    pub fn new(p: *mut T) -> Self {
-        AtomicPtr {
-            loc: rt::atomic_new(p as usize as u64),
-            _marker: PhantomData,
-        }
-    }
-
-    pub fn load(&self, ord: Ordering) -> *mut T {
-        rt::atomic_load(self.loc, ord, "ptr") as usize as *mut T
-    }
-
-    pub fn store(&self, p: *mut T, ord: Ordering) {
-        rt::atomic_store(self.loc, p as usize as u64, ord, "ptr")
-    }
-
-    pub fn swap(&self, p: *mut T, ord: Ordering) -> *mut T {
-        rt::atomic_rmw(self.loc, ord, "ptr", |_| p as usize as u64) as usize as *mut T
-    }
-
-    pub fn compare_exchange(
-        &self,
-        current: *mut T,
-        new: *mut T,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<*mut T, *mut T> {
-        rt::atomic_cas(
-            self.loc,
-            current as usize as u64,
-            new as usize as u64,
-            success,
-            failure,
-            "ptr",
-        )
-        .map(|v| v as usize as *mut T)
-        .map_err(|v| v as usize as *mut T)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Mutex / Condvar
 // ---------------------------------------------------------------------------

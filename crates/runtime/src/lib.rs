@@ -38,7 +38,6 @@
 
 #![deny(missing_docs)]
 
-mod injector;
 mod pool;
 pub mod publish;
 
@@ -486,7 +485,7 @@ mod tests {
     #[test]
     fn nested_regions_complete_and_agree_with_serial() {
         // The inner regions are submitted from pool workers; their tickets
-        // join the outer region's in the one injector.
+        // join the outer region's in the one ticket queue.
         let engine = Engine::chunked_with_grain(4, 1);
         let totals: Vec<usize> = engine
             .map_pieces(8, |outer| {

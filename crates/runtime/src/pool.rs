@@ -3,20 +3,24 @@
 //! The first parallel region lazily spawns a fixed set of worker threads
 //! (sized by the `CHORDAL_POOL_THREADS` environment variable, falling back
 //! to the number of logical CPUs). Every subsequent region is executed by
-//! those same workers — no per-region thread spawning — via a **lock-free**
-//! scheduler with one primitive: participants draining a shared cursor.
+//! those same workers — no per-region thread spawning — with one
+//! primitive: participants draining a shared cursor.
 //!
 //! * A **region** is one parallel call site: an iteration space `0..len`
 //!   split into `grain`-sized chunks behind an atomic cursor (dynamic
 //!   self-scheduling, so skewed chunks load-balance).
-//! * Submitting a region publishes `participants - 1` *tickets* and then
+//! * Submitting a region queues `participants - 1` *tickets* and then
 //!   the submitting thread joins the region itself. A ticket is an
 //!   **invitation** to help: the thread that pops it claims chunks from the
 //!   region's cursor until the region is drained. Every ticket, whether a
 //!   region is submitted from outside the pool or nested inside a running
-//!   chunk, goes through one bounded lock-free MPMC
-//!   [injector](crate::injector); idle workers pop it in FIFO order. No
-//!   mutex is taken anywhere on the dispatch path.
+//!   chunk, goes through one bounded FIFO queue behind a `Mutex`. A worker
+//!   that finds the queue empty waits on a `Condvar`, and a submission
+//!   notifies it only when a worker is waiting. A lock fits the traffic.
+//!   A region takes it once for all its tickets, and the benchmark's
+//!   workloads submit one to three regions per extraction, batch or
+//!   request, each worth milliseconds of work, while a region's dispatch
+//!   and join cost microseconds ([`estimated_region_overhead_ns_for`]).
 //! * Because a ticket is only an invitation, a full queue simply drops it
 //!   (the submitter keeps one fewer helper) and a *stale* ticket — one
 //!   popped after its region already finished — is a no-op. Region
@@ -37,8 +41,8 @@
 //! * Panics inside a chunk abort the region's remaining chunks, are carried
 //!   across the pool, and are re-thrown on the submitting thread once every
 //!   active participant has retired (a panic-propagating join, matching
-//!   `std::thread::scope` semantics). The panic payload slot is the one
-//!   remaining mutex and it is only ever touched on the panic path.
+//!   `std::thread::scope` semantics). The panic payload slot is a second
+//!   mutex, only ever touched on the panic path.
 //!
 //! Safety of the lifetime-erased region body rests on one invariant:
 //! [`Pool::run_region`] does not return until `pending` has been cancelled
@@ -47,37 +51,38 @@
 //! of the body can outlive the caller's borrow.
 //!
 //! The pool also keeps [scheduling counters](PoolStats) (regions
-//! submitted, tickets published and dropped) and can
+//! submitted, tickets queued and dropped) and can
 //! [calibrate](estimated_region_overhead_ns_for) the per-region dispatch
 //! overhead; benchmarks report that sample next to their timings.
 
-use crate::injector::Injector;
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-// Under `cfg(chordal_model)` the atomics, mutex and thread handles come
-// from the chordal-checker facade so the model tests below can explore the
-// region join protocol deterministically (see docs/concurrency.md).
+// Under `cfg(chordal_model)` the atomics, mutexes, condvar and thread
+// handles come from the chordal-checker facade so the model tests below can
+// explore the ticket queue and the region join protocol deterministically
+// (see docs/concurrency.md).
 #[cfg(not(chordal_model))]
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 #[cfg(not(chordal_model))]
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 #[cfg(not(chordal_model))]
 use std::thread;
 #[cfg(not(chordal_model))]
 use std::thread::Thread;
 
 #[cfg(chordal_model)]
-use chordal_checker::sync::{fence, AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
+use chordal_checker::sync::{AtomicBool, AtomicUsize, Condvar, Mutex, Ordering};
 #[cfg(chordal_model)]
 use chordal_checker::thread;
 #[cfg(chordal_model)]
 use chordal_checker::thread::Thread;
 
 /// Capacity of the ticket queue (tickets, not chunks).
-const INJECTOR_CAPACITY: usize = 1024;
+const QUEUE_CAPACITY: usize = 1024;
 
 /// Spin iterations before a joining thread parks.
 #[cfg(not(chordal_model))]
@@ -87,12 +92,12 @@ const JOIN_SPINS: u32 = 128;
 #[cfg(chordal_model)]
 const JOIN_SPINS: u32 = 1;
 
-/// Backstop park timeout for idle workers; wake-ups normally arrive via
-/// `unpark` from the push path, this only bounds the cost of a lost race.
-const WORKER_PARK: Duration = Duration::from_millis(50);
-
 /// Backstop park timeout for a joining thread waiting on active helpers.
 const JOIN_PARK: Duration = Duration::from_micros(200);
+
+/// Why `expect` on the queue's lock cannot fire: no critical section of
+/// the queue runs code that can panic.
+const UNPOISONED: &str = "the ticket queue's critical sections do not panic";
 
 /// One parallel region: an iteration space drained cooperatively by the
 /// submitting thread and any pool workers that claim its invitations.
@@ -203,14 +208,6 @@ impl Region {
     }
 }
 
-/// One pool worker's wake-up state.
-struct Worker {
-    /// Set while the worker is parked (the push path's wake predicate).
-    sleeping: AtomicBool,
-    /// The worker's thread handle, registered when its loop starts.
-    handle: OnceLock<Thread>,
-}
-
 /// Monotonic scheduling counters of the shared pool.
 ///
 /// All counters start at zero when the process starts and only ever grow;
@@ -219,111 +216,93 @@ struct Worker {
 pub struct PoolStats {
     /// Parallel regions submitted to the pool (excludes inline serial runs).
     pub regions: u64,
-    /// Help-invitation tickets successfully published to the queue.
+    /// Help-invitation tickets queued.
     pub tickets: u64,
     /// Always 0: the pool has no per-worker queues to steal from. Kept so
     /// callers that build or difference the struct field by field compile.
     pub steals: u64,
-    /// Help-invitation tickets that could not be published because the
-    /// queue was full. A dropped ticket degrades a region to fewer helpers
+    /// Help-invitation tickets that could not be queued because the queue
+    /// was full. A dropped ticket degrades a region to fewer helpers
     /// (the submitter still drains the cursor, so correctness is
     /// unaffected) — this counter is the only trace saturation leaves.
     pub tickets_dropped: u64,
 }
 
+/// The ticket queue and its counters, guarded by [`Shared::queue`].
+#[derive(Default)]
+struct Queue {
+    /// Queued tickets, oldest first; never more than [`QUEUE_CAPACITY`].
+    tickets: VecDeque<Arc<Region>>,
+    /// Workers blocked in [`Shared::next_ticket`]'s condvar wait.
+    waiting: usize,
+    /// Parallel regions submitted.
+    regions: u64,
+    /// Tickets queued.
+    queued: u64,
+    /// Tickets dropped because the queue was full.
+    dropped: u64,
+}
+
 /// The shared state of the persistent pool.
 struct Shared {
-    /// One wake-up slot per worker.
-    workers: Box<[Worker]>,
-    /// Lock-free MPMC queue every ticket goes through.
-    injector: Injector,
+    /// Worker threads of the pool: a region has at most this many helpers.
+    workers: usize,
+    /// The queue every ticket goes through.
+    queue: Mutex<Queue>,
+    /// Waited on by workers that find the queue empty; notified once per
+    /// queued ticket while a worker waits.
+    ticket_queued: Condvar,
     /// Total OS threads ever spawned by this pool. Stays equal to the pool
     /// size after warm-up — the "no per-region spawning" observable.
     spawned: AtomicUsize,
-    /// Parallel regions submitted.
-    regions: AtomicU64,
-    /// Tickets successfully published.
-    tickets: AtomicU64,
-    /// Tickets dropped because the injector was full.
-    tickets_dropped: AtomicU64,
 }
 
 impl Shared {
-    /// Converts a ticket into its queue representation.
-    fn into_raw(ticket: Arc<Region>) -> *mut () {
-        Arc::into_raw(ticket) as *mut ()
-    }
-
-    /// Recovers a ticket from its queue representation.
-    //
-    // SAFETY: callers must pass a pointer produced by `Shared::into_raw`
-    // and consume it exactly once (the queue surfaces each ticket once).
-    unsafe fn from_raw(raw: *mut ()) -> Arc<Region> {
-        // SAFETY: per this function's contract, `raw` was produced by
-        // `Shared::into_raw` (so it is a live `Arc<Region>` pointer) and is
-        // consumed exactly once.
-        unsafe { Arc::from_raw(raw as *const Region) }
-    }
-
-    /// Publishes one ticket and wakes a worker. Returns `false` when the
-    /// queue was full — the invitation is dropped, which costs parallelism
-    /// but never correctness (the submitter drains the cursor regardless).
-    fn push(&self, ticket: Arc<Region>) -> bool {
-        match self.injector.push(Self::into_raw(ticket)) {
-            Ok(()) => {
-                self.tickets.fetch_add(1, Ordering::Relaxed);
-                // Store-load barrier of the sleep protocol: the ticket must
-                // be visible before we read the sleep flags, or a worker
-                // checking for work just before our push could park unseen.
-                fence(Ordering::SeqCst);
-                self.wake_one();
-                true
-            }
-            Err(raw) => {
-                self.tickets_dropped.fetch_add(1, Ordering::Relaxed);
-                // SAFETY: `raw` was created above and never enqueued.
-                drop(unsafe { Self::from_raw(raw) });
-                false
-            }
+    /// The state of a pool of `workers` threads. Spawns nothing: the model
+    /// tests drive a worker's steps on threads of their own.
+    fn new(workers: usize) -> Self {
+        Self {
+            workers,
+            queue: Mutex::new(Queue::default()),
+            ticket_queued: Condvar::new(),
+            spawned: AtomicUsize::new(0),
         }
     }
 
-    /// Unparks one sleeping worker, if any.
-    fn wake_one(&self) {
-        for worker in self.workers.iter() {
-            if worker.sleeping.load(Ordering::SeqCst)
-                && worker.sleeping.swap(false, Ordering::SeqCst)
-            {
-                if let Some(handle) = worker.handle.get() {
-                    handle.unpark();
-                }
-                return;
-            }
+    /// Queues `count` tickets of `region` and wakes one waiting worker per
+    /// queued ticket. Returns how many tickets a full queue dropped: a
+    /// dropped invitation costs parallelism, never correctness (the
+    /// submitter drains the cursor regardless).
+    fn invite(&self, region: &Arc<Region>, count: usize) -> usize {
+        let mut queue = self.queue.lock().expect(UNPOISONED);
+        let queued = count.min(QUEUE_CAPACITY - queue.tickets.len());
+        for _ in 0..queued {
+            queue.tickets.push_back(Arc::clone(region));
         }
+        queue.regions += 1;
+        queue.queued += queued as u64;
+        queue.dropped += (count - queued) as u64;
+        let wake = queued.min(queue.waiting);
+        drop(queue);
+        for _ in 0..wake {
+            self.ticket_queued.notify_one();
+        }
+        count - queued
     }
 
-    /// The worker main loop: pop a ticket, help its region, park when no
-    /// work is queued.
-    fn worker_loop(&self, index: usize) {
-        let me = &self.workers[index];
-        let _ = me.handle.set(thread::current());
+    /// Pops the oldest ticket, waiting on the condvar while the queue is
+    /// empty. A worker that finds the queue empty counts itself as waiting
+    /// under the lock, so a submission that queues a ticket after that
+    /// check sees the count and notifies.
+    fn next_ticket(&self) -> Arc<Region> {
+        let mut queue = self.queue.lock().expect(UNPOISONED);
         loop {
-            if let Some(raw) = self.injector.pop() {
-                // SAFETY: queue values are uniquely-owned `into_raw` tickets.
-                unsafe { Self::from_raw(raw) }.help();
-                continue;
+            if let Some(ticket) = queue.tickets.pop_front() {
+                return ticket;
             }
-            // Sleep protocol (Dekker-style): publish the sleeping flag,
-            // then re-check the queue. A pusher either sees the flag (and
-            // unparks us) or we see its ticket here.
-            me.sleeping.store(true, Ordering::SeqCst);
-            fence(Ordering::SeqCst);
-            if !self.injector.is_empty() {
-                me.sleeping.store(false, Ordering::SeqCst);
-                continue;
-            }
-            thread::park_timeout(WORKER_PARK);
-            me.sleeping.store(false, Ordering::SeqCst);
+            queue.waiting += 1;
+            queue = self.ticket_queued.wait(queue).expect(UNPOISONED);
+            queue.waiting -= 1;
         }
     }
 }
@@ -335,25 +314,15 @@ pub(crate) struct Pool {
 
 impl Pool {
     fn new(workers: usize) -> Self {
-        let shared = Arc::new(Shared {
-            workers: (0..workers)
-                .map(|_| Worker {
-                    sleeping: AtomicBool::new(false),
-                    handle: OnceLock::new(),
-                })
-                .collect(),
-            injector: Injector::new(INJECTOR_CAPACITY),
-            spawned: AtomicUsize::new(0),
-            regions: AtomicU64::new(0),
-            tickets: AtomicU64::new(0),
-            tickets_dropped: AtomicU64::new(0),
-        });
+        let shared = Arc::new(Shared::new(workers));
         for index in 0..workers {
             let shared = Arc::clone(&shared);
             shared.spawned.fetch_add(1, Ordering::Relaxed);
             thread::Builder::new()
                 .name(format!("chordal-pool-{index}"))
-                .spawn(move || shared.worker_loop(index))
+                .spawn(move || loop {
+                    shared.next_ticket().help();
+                })
                 .expect("failed to spawn pool worker");
         }
         Self { shared }
@@ -378,12 +347,9 @@ impl Pool {
         let grain = grain.max(1);
         let chunks = len.div_ceil(grain);
         // Cap at the pool size plus the caller: invitations beyond the
-        // worker count can never be claimed concurrently, so publishing
-        // them would be pure dispatch waste (push + wake per ticket).
-        let participants = parallelism
-            .max(1)
-            .min(chunks)
-            .min(self.shared.workers.len() + 1);
+        // worker count can never be claimed concurrently, so queueing them
+        // would be pure dispatch waste (a ticket and a wake each).
+        let participants = parallelism.max(1).min(chunks).min(self.shared.workers + 1);
         if participants <= 1 {
             f(0..len);
             return;
@@ -409,12 +375,10 @@ impl Pool {
             joiner: thread::current(),
             panic: Mutex::new(None),
         });
-        self.shared.regions.fetch_add(1, Ordering::Relaxed);
-        for _ in 0..participants - 1 {
-            if !self.shared.push(Arc::clone(&region)) {
-                // Queue full: withdraw the invitation we failed to publish.
-                region.pending.fetch_sub(1, Ordering::SeqCst);
-            }
+        let dropped = self.shared.invite(&region, participants - 1);
+        if dropped > 0 {
+            // Queue full: withdraw the invitations it had no room for.
+            region.pending.fetch_sub(dropped, Ordering::SeqCst);
         }
         region.execute_chunks();
         // Join. Cancel every unclaimed invitation — stale tickets in the
@@ -449,23 +413,19 @@ impl Pool {
 
     /// Current scheduling counters.
     pub(crate) fn stats(&self) -> PoolStats {
+        let queue = self.shared.queue.lock().expect(UNPOISONED);
         PoolStats {
-            regions: self.shared.regions.load(Ordering::Relaxed),
-            tickets: self.shared.tickets.load(Ordering::Relaxed),
+            regions: queue.regions,
+            tickets: queue.queued,
             steals: 0,
-            tickets_dropped: self.shared.tickets_dropped.load(Ordering::Relaxed),
+            tickets_dropped: queue.dropped,
         }
     }
 
-    /// Number of pool workers currently parked with no work (a racy,
-    /// constant-time hint: each worker publishes a `sleeping` flag before it
-    /// parks) that callers use to detect spare capacity.
+    /// Number of pool workers waiting for a ticket (a racy hint, read
+    /// under the queue's lock) that callers use to detect spare capacity.
     pub(crate) fn idle_workers(&self) -> usize {
-        self.shared
-            .workers
-            .iter()
-            .filter(|w| w.sleeping.load(Ordering::Relaxed))
-            .count()
+        self.shared.queue.lock().expect(UNPOISONED).waiting
     }
 }
 
@@ -529,11 +489,12 @@ pub fn estimated_region_overhead_ns_for(parallelism: usize) -> u64 {
     *samples.lock().unwrap().entry(key).or_insert(sample)
 }
 
-/// Number of shared-pool workers currently parked with nothing to do — a
-/// constant-time, racy capacity hint (zero before the first parallel region
-/// spawns the pool: an unspawned pool has no parked workers to recruit
-/// *now*, and the first region's tickets will wake them anyway). The serve
-/// tier reports it in `STATS` and overload replies.
+/// Number of shared-pool workers currently waiting for a ticket — a
+/// constant-time, racy capacity hint read under the ticket queue's lock
+/// (zero before the first parallel region spawns the pool: an unspawned
+/// pool has no waiting workers to recruit *now*, and the first region's
+/// tickets will wake them anyway). The serve tier reports it in `STATS` and
+/// overload replies.
 pub fn pool_idle_workers() -> usize {
     POOL.get().map(Pool::idle_workers).unwrap_or(0)
 }
@@ -612,7 +573,7 @@ mod tests {
     fn full_queues_count_dropped_tickets_and_stay_correct() {
         // A private one-worker pool whose worker is parked inside a gated
         // region: every stale ticket the main thread leaves behind then
-        // accumulates in the injector until it saturates, which must (a)
+        // accumulates in the queue until it saturates, which must (a)
         // never affect results and (b) leave a trace in `tickets_dropped`.
         let pool = Pool::new(1);
         let gate = Arc::new(AtomicBool::new(false));
@@ -638,14 +599,14 @@ mod tests {
             std::hint::spin_loop();
         }
         // Both the worker and the blocker thread are now pinned inside the
-        // gated region; nothing can drain the injector.
+        // gated region; nothing can drain the queue.
         let before = pool.stats();
         let total = AtomicUsize::new(0);
-        let floods = INJECTOR_CAPACITY + 200;
+        let floods = QUEUE_CAPACITY + 200;
         for _ in 0..floods {
             // Each submission publishes one invitation; the submitter
             // drains both chunks itself and cancels the invitation, which
-            // stays in the injector as a stale ticket.
+            // stays in the queue as a stale ticket.
             pool.run_region(2, 1, 2, |r| {
                 total.fetch_add(r.len(), Ordering::Relaxed);
             });
@@ -658,7 +619,7 @@ mod tests {
         );
         assert!(
             after.tickets_dropped > before.tickets_dropped,
-            "saturating the injector must be visible in tickets_dropped \
+            "saturating the queue must be visible in tickets_dropped \
              ({} -> {})",
             before.tickets_dropped,
             after.tickets_dropped
@@ -677,8 +638,8 @@ mod tests {
     #[test]
     fn nested_regions_finish_on_a_one_worker_pool() {
         // Inner regions are submitted from inside a chunk, also by the one
-        // worker, and their tickets queue behind the outer one's in the
-        // injector: every join must still complete.
+        // worker, and their tickets queue behind the outer one's: every
+        // join must still complete.
         let pool = Pool::new(1);
         let total = AtomicUsize::new(0);
         pool.run_region(4, 1, 2, |outer| {
@@ -694,7 +655,7 @@ mod tests {
     #[test]
     fn concurrent_external_submitters_all_complete() {
         // Many non-worker threads submitting regions at once exercises the
-        // injector path and the wake protocol under contention.
+        // queue's lock and the condvar wake under contention.
         let pool = Pool::global();
         let totals: Vec<usize> = std::thread::scope(|s| {
             (0..6usize)
@@ -765,10 +726,12 @@ mod tests {
     }
 }
 
-/// Model-checker tests for the region join protocol; compiled only under
-/// `RUSTFLAGS="--cfg chordal_model"`. They construct `Region` directly (the
-/// full `Pool` spawns forever-looping workers, which a finite exploration cannot
-/// model) and exhaustively explore the claim/cancel/quiesce handshake.
+/// Model-checker tests for the ticket queue and the region join protocol;
+/// compiled only under `RUSTFLAGS="--cfg chordal_model"`. They construct
+/// `Shared` and `Region` directly (the full `Pool` spawns forever-looping
+/// workers, which a finite exploration cannot model) and exhaustively
+/// explore the wait/wake of the queue and the claim/cancel/quiesce
+/// handshake.
 #[cfg(all(test, chordal_model))]
 mod model_tests {
     use super::*;
@@ -863,6 +826,37 @@ mod model_tests {
             );
             let payload = region.panic.lock().unwrap().take();
             assert!(payload.is_some(), "the panic payload must be captured");
+        });
+    }
+
+    /// The queue's wait and wake: one worker step (`next_ticket`, then
+    /// `help`) races the submission of a two-chunk region's one ticket.
+    /// Whether the worker finds the ticket queued or waits on the condvar
+    /// first, it must get the ticket and run both chunks; a submission
+    /// that skipped the notify would leave it waiting forever, which the
+    /// checker reports as a lost wakeup.
+    #[test]
+    fn a_queued_ticket_reaches_a_waiting_worker() {
+        model(|| {
+            let hits: Arc<[AtomicUsize; 2]> = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+            let counted = Arc::clone(&hits);
+            let body = move |r: Range<usize>| {
+                for i in r {
+                    counted[i].fetch_add(1, Ordering::SeqCst);
+                }
+            };
+            let shared = Arc::new(Shared::new(1));
+            let region = Arc::new(make_region(2, 1, &body));
+            let worker = {
+                let shared = Arc::clone(&shared);
+                thread::spawn(move || shared.next_ticket().help())
+            };
+            assert_eq!(shared.invite(&region, 1), 0, "an empty queue has room");
+            worker.join().unwrap();
+            join(&region);
+            for (chunk, hit) in hits.iter().enumerate() {
+                assert_eq!(hit.load(Ordering::SeqCst), 1, "chunk {chunk} ran once");
+            }
         });
     }
 

@@ -91,8 +91,8 @@ impl Default for ServeConfig {
     fn default() -> Self {
         // One extraction per pool worker plus the submitting connection
         // thread: beyond that, requests would only queue on the pool's
-        // injector — exactly the unbounded buildup admission control is
-        // there to refuse.
+        // ticket queue — exactly the unbounded buildup admission control
+        // is there to refuse.
         let threads = chordal_runtime::pool_size().max(1);
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),

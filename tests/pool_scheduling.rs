@@ -20,8 +20,8 @@
 //!   serial single run;
 //! * a batch reports the participants it fanned out over;
 //! * an end-to-end assertion that sustained extraction traffic reuses the
-//!   pool's workers instead of spawning threads, with the pool's lock-free
-//!   dispatch counters growing as regions are submitted.
+//!   pool's workers instead of spawning threads, with the pool's dispatch
+//!   counters growing as regions are submitted.
 
 use maximal_chordal::prelude::*;
 use maximal_chordal::runtime;
@@ -36,15 +36,12 @@ fn participants(threads: usize, graphs: usize) -> usize {
 /// Seeded cases per property (kept moderate: the full matrix multiplies).
 const CASES: u64 = 12;
 
-/// The serial engine and two pool engines (fine and default grain); thread
-/// counts deliberately exceed the single-core CI floor so the pool paths
-/// are exercised everywhere.
+/// The serial engine and two pool engines (four and eight participants);
+/// thread counts deliberately exceed the single-core CI floor and eight
+/// exceeds a two-core host's cores, so the pool paths are exercised
+/// everywhere.
 fn engines() -> Vec<Engine> {
-    vec![
-        Engine::serial(),
-        Engine::chunked_with_grain(4, 8),
-        Engine::chunked(4),
-    ]
+    vec![Engine::serial(), Engine::chunked(4), Engine::chunked(8)]
 }
 
 fn random_graph(rng: &mut StdRng, max_n: usize, max_edges: usize) -> CsrGraph {
@@ -175,7 +172,7 @@ fn batch_threshold_extremes_agree_on_random_batches() {
         let base = ExtractorConfig::default();
         let mut serial = ExtractionSession::new(base.clone().with_engine(Engine::serial()));
         let expected: Vec<ChordalResult> = graphs.iter().map(|g| serial.extract(g)).collect();
-        for engine in [Engine::chunked(3), Engine::chunked_with_grain(4, 8)] {
+        for engine in [Engine::chunked(3), Engine::chunked(8)] {
             let threads = engine.threads();
             let mut session = ExtractionSession::new(base.clone().with_engine(engine));
             // Intra-graph: single-graph batches run on the engine.
@@ -265,7 +262,7 @@ fn repeated_batches_stay_byte_identical_on_both_engines() {
     let base = ExtractorConfig::default();
     let mut serial = ExtractionSession::new(base.clone().with_engine(Engine::serial()));
     let expected: Vec<ChordalResult> = graphs.iter().map(|g| serial.extract(g)).collect();
-    for engine in [Engine::chunked(3), Engine::chunked_with_grain(4, 8)] {
+    for engine in [Engine::chunked(3), Engine::chunked(8)] {
         let name = engine.name();
         let mut session = ExtractionSession::new(base.clone().with_engine(engine));
         for round in 0..4 {
@@ -336,7 +333,7 @@ fn batch_participants_track_the_last_batch() {
         Engine::chunked(2),
         Engine::chunked(3),
         Engine::chunked(4),
-        Engine::chunked_with_grain(4, 8),
+        Engine::chunked(8),
     ] {
         let threads = engine.threads();
         let name = engine.name();
@@ -409,7 +406,7 @@ fn sustained_extraction_traffic_never_spawns_threads_after_warmup() {
     let mut graphs = vec![RmatParams::preset(RmatKind::Er, 10, 9).generate()];
     graphs.extend((0..6).map(|seed| RmatParams::preset(RmatKind::Er, 7, seed).generate()));
     let refs: Vec<&CsrGraph> = graphs.iter().collect();
-    for engine in [Engine::chunked(4), Engine::chunked_with_grain(2, 16)] {
+    for engine in [Engine::chunked(4), Engine::chunked(2)] {
         let mut session = ExtractionSession::new(ExtractorConfig::default().with_engine(engine));
         session.extract_batch(&refs);
         assert!(session.batch_participants() >= 1);
