@@ -54,12 +54,12 @@ use chordal_core::verify::{check_maximality, is_chordal, MaximalityReport};
 use chordal_core::{AdjacencyMode, Algorithm, ExtractError, ExtractionSession, ExtractorConfig};
 use chordal_generators::bio::GeneNetworkKind;
 use chordal_generators::rmat::{RmatKind, RmatParams};
-use chordal_graph::io::write_edge_list_file;
+use chordal_graph::io::{write_edge_list_file, write_edges};
 use chordal_graph::storage::{
     convert_edge_list_to_binary_with, ConvertOptions, FileFormat, LoadedGraph, MmapCsrGraph,
 };
-use chordal_graph::subgraph::{edge_subgraph, edges_subset_of_graph};
-use chordal_graph::{CsrGraph, GraphRef};
+use chordal_graph::subgraph::edges_subset_of_graph;
+use chordal_graph::{CsrGraph, GraphError, GraphRef};
 use chordal_serve::ServeConfig;
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -380,11 +380,22 @@ fn cmd_extract(flags: &Flags) -> Result<(), ExtractError> {
             stitched.components_after,
             stitched.added_edges.len()
         )?;
+        // Each added edge joins two components, so it is canonical and new:
+        // one sort restores the result's ascending order.
         edges.extend(stitched.added_edges);
+        edges.sort_unstable();
     }
     if let Some(out) = flags.get("out") {
-        let sub = edge_subgraph(view, &edges);
-        write_edge_list_file(&sub, out)
+        std::fs::File::create(out)
+            .map_err(GraphError::from)
+            .and_then(|file| {
+                write_edges(
+                    view.num_vertices(),
+                    edges.len(),
+                    edges.iter().copied(),
+                    file,
+                )
+            })
             .map_err(|e| ExtractError::io(format!("writing {out}"), e))?;
         say!("chordal subgraph written to {out}")?;
     }

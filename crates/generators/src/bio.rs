@@ -17,7 +17,7 @@
 //! directly connected), a high edge-to-vertex ratio and a wide distribution
 //! of shortest path lengths.
 
-use chordal_graph::{CsrGraph, EdgeList, VertexId};
+use chordal_graph::{CsrGraph, VertexId};
 use chordal_runtime::{pool_size, Engine};
 use rand::distributions::Distribution;
 use rand::rngs::StdRng;
@@ -237,8 +237,7 @@ pub fn correlation_network(matrix: &ExpressionMatrix, threshold: f64) -> CsrGrap
             local
         })
         .concat();
-    let el = EdgeList::from_edges(genes, edges).expect("gene indices are in range");
-    CsrGraph::from_edge_list(&el)
+    CsrGraph::from_edges(genes, edges).expect("gene indices are in range")
 }
 
 /// The four biological networks of the paper's Table I, with parameter

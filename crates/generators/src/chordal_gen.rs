@@ -13,7 +13,8 @@
 //! * **Augmented trees** — a tree plus its "triangulating" parent-of-parent
 //!   edges, a light-weight chordal family with controllable density.
 
-use chordal_graph::{CsrGraph, GraphBuilder, VertexId};
+use chordal_graph::builder::graph_from_edges;
+use chordal_graph::{CsrGraph, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -26,11 +27,11 @@ pub fn k_tree(n: usize, k: usize, seed: u64) -> CsrGraph {
     assert!(k >= 1, "k must be at least 1");
     assert!(n > k, "a k-tree needs at least k + 1 vertices");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut builder = GraphBuilder::new(n);
+    let mut edges = Vec::new();
     // Initial (k+1)-clique on vertices 0..=k.
     for u in 0..=k {
         for v in (u + 1)..=k {
-            builder.add_edge(u as VertexId, v as VertexId);
+            edges.push((u as VertexId, v as VertexId));
         }
     }
     // All k-subsets of the initial clique are attachable k-cliques.
@@ -45,9 +46,7 @@ pub fn k_tree(n: usize, k: usize, seed: u64) -> CsrGraph {
     for v in (k + 1)..n {
         let idx = rng.gen_range(0..cliques.len());
         let base = cliques[idx].clone();
-        for &u in &base {
-            builder.add_edge(u, v as VertexId);
-        }
+        edges.extend(base.iter().map(|&u| (u, v as VertexId)));
         // The new vertex forms k new k-cliques with each (k-1)-subset of the
         // base clique.
         for skip in 0..base.len() {
@@ -61,7 +60,7 @@ pub fn k_tree(n: usize, k: usize, seed: u64) -> CsrGraph {
             cliques.push(new_clique);
         }
     }
-    builder.build()
+    graph_from_edges(n, edges)
 }
 
 /// Generates a random interval graph: `n` intervals with uniformly random
@@ -77,17 +76,17 @@ pub fn interval_graph(n: usize, mean_length: f64, seed: u64) -> CsrGraph {
             (start, start + len)
         })
         .collect();
-    let mut builder = GraphBuilder::new(n);
+    let mut edges = Vec::new();
     for u in 0..n {
         for v in (u + 1)..n {
             let (a1, b1) = intervals[u];
             let (a2, b2) = intervals[v];
             if a1 <= b2 && a2 <= b1 {
-                builder.add_edge(u as VertexId, v as VertexId);
+                edges.push((u as VertexId, v as VertexId));
             }
         }
     }
-    builder.build()
+    graph_from_edges(n, edges)
 }
 
 /// A tree on `n` vertices where every vertex is additionally connected to its
@@ -96,19 +95,19 @@ pub fn interval_graph(n: usize, mean_length: f64, seed: u64) -> CsrGraph {
 pub fn augmented_tree(n: usize, seed: u64) -> CsrGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut parent = vec![0usize; n];
-    let mut builder = GraphBuilder::new(n);
+    let mut edges = Vec::new();
     for v in 1..n {
         let p = rng.gen_range(0..v);
         parent[v] = p;
-        builder.add_edge(p as VertexId, v as VertexId);
+        edges.push((p as VertexId, v as VertexId));
         if p != 0 || v > 1 {
             let gp = parent[p];
             if gp != v && gp != p {
-                builder.add_edge(gp as VertexId, v as VertexId);
+                edges.push((gp as VertexId, v as VertexId));
             }
         }
     }
-    builder.build()
+    graph_from_edges(n, edges)
 }
 
 #[cfg(test)]

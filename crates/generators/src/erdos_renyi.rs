@@ -4,7 +4,8 @@
 //! the edge count (useful in weak-scaling sweeps), `G(n, p)` is the textbook
 //! model used in several property-based tests.
 
-use chordal_graph::{CsrGraph, EdgeList, VertexId};
+use chordal_graph::builder::graph_from_edges;
+use chordal_graph::{CsrGraph, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -19,7 +20,7 @@ pub fn gnm(n: usize, m: usize, seed: u64) -> CsrGraph {
     );
     let mut rng = StdRng::seed_from_u64(seed);
     let mut chosen = std::collections::HashSet::with_capacity(m * 2);
-    let mut el = EdgeList::with_capacity(n, m);
+    let mut edges = Vec::with_capacity(m);
     while chosen.len() < m {
         let u = rng.gen_range(0..n) as VertexId;
         let v = rng.gen_range(0..n) as VertexId;
@@ -28,10 +29,10 @@ pub fn gnm(n: usize, m: usize, seed: u64) -> CsrGraph {
         }
         let key = if u < v { (u, v) } else { (v, u) };
         if chosen.insert(key) {
-            el.push(key.0, key.1);
+            edges.push(key);
         }
     }
-    CsrGraph::from_edge_list(&el)
+    graph_from_edges(n, edges)
 }
 
 /// Generates `G(n, p)`: every possible edge is present independently with
@@ -39,15 +40,15 @@ pub fn gnm(n: usize, m: usize, seed: u64) -> CsrGraph {
 pub fn gnp(n: usize, p: f64, seed: u64) -> CsrGraph {
     assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut el = EdgeList::new(n);
+    let mut edges = Vec::new();
     for u in 0..n {
         for v in (u + 1)..n {
             if rng.gen::<f64>() < p {
-                el.push(u as VertexId, v as VertexId);
+                edges.push((u as VertexId, v as VertexId));
             }
         }
     }
-    CsrGraph::from_edge_list(&el)
+    graph_from_edges(n, edges)
 }
 
 #[cfg(test)]

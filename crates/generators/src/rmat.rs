@@ -11,7 +11,7 @@
 //! * **RMAT-B**  `{0.55, 0.15, 0.15, 0.15}` — strongly skewed, very high
 //!   maximum degree and dense local communities.
 
-use chordal_graph::{CsrGraph, EdgeList, VertexId};
+use chordal_graph::{CsrGraph, VertexId};
 use chordal_runtime::{pool_size, Engine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -116,13 +116,13 @@ impl RmatParams {
         Ok(())
     }
 
-    /// Generates the raw edge list (duplicates and self loops included, as
-    /// produced by the recursive quadrant descent). Runs on an engine of
-    /// [`pool_size`] threads in chunks of 65,536 edges, each seeded from its
-    /// index, so the output does not depend on the schedule.
-    pub fn generate_edge_list(&self) -> EdgeList {
+    /// Generates the deduplicated, self-loop-free graph with sorted
+    /// adjacency. The raw edges (duplicates and self loops included, as
+    /// produced by the recursive quadrant descent) are sampled on an engine
+    /// of [`pool_size`] threads in chunks of 65,536 edges, each seeded from
+    /// its index, so the output does not depend on the schedule.
+    pub fn generate(&self) -> CsrGraph {
         self.validate().expect("invalid R-MAT parameters");
-        let n = self.num_vertices();
         let m = self.num_generated_edges();
         let scale = self.scale;
         let (a, b, c, _d) = (self.a, self.b, self.c, self.d);
@@ -141,13 +141,8 @@ impl RmatParams {
                 local
             })
             .concat();
-        EdgeList::from_edges(n, edges).expect("generated edges are always in range")
-    }
-
-    /// Generates the deduplicated, self-loop-free graph with sorted
-    /// adjacency.
-    pub fn generate(&self) -> CsrGraph {
-        CsrGraph::from_edge_list(&self.generate_edge_list())
+        CsrGraph::from_edges(self.num_vertices(), edges)
+            .expect("generated edges are always in range")
     }
 }
 

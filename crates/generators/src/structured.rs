@@ -2,17 +2,14 @@
 //! and the examples: paths, cycles, cliques, stars, grids, bipartite graphs
 //! and trees.
 
-use chordal_graph::{CsrGraph, GraphBuilder, VertexId};
+use chordal_graph::builder::graph_from_edges;
+use chordal_graph::{CsrGraph, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A path `0 - 1 - … - (n-1)`.
 pub fn path(n: usize) -> CsrGraph {
-    let mut b = GraphBuilder::with_capacity(n, n.saturating_sub(1));
-    for v in 1..n {
-        b.add_edge((v - 1) as VertexId, v as VertexId);
-    }
-    b.build()
+    graph_from_edges(n, (1..n).map(|v| ((v - 1) as VertexId, v as VertexId)))
 }
 
 /// A cycle on `n ≥ 3` vertices. For `n < 3` this returns a path.
@@ -20,99 +17,86 @@ pub fn cycle(n: usize) -> CsrGraph {
     if n < 3 {
         return path(n);
     }
-    let mut b = GraphBuilder::with_capacity(n, n);
-    for v in 1..n {
-        b.add_edge((v - 1) as VertexId, v as VertexId);
-    }
-    b.add_edge((n - 1) as VertexId, 0);
-    b.build()
+    let closing = ((n - 1) as VertexId, 0);
+    graph_from_edges(
+        n,
+        (1..n)
+            .map(|v| ((v - 1) as VertexId, v as VertexId))
+            .chain([closing]),
+    )
 }
 
 /// The complete graph `K_n`.
 pub fn complete(n: usize) -> CsrGraph {
-    let mut b = GraphBuilder::with_capacity(n, n * n.saturating_sub(1) / 2);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            b.add_edge(u as VertexId, v as VertexId);
-        }
-    }
-    b.build()
+    graph_from_edges(
+        n,
+        (0..n).flat_map(|u| ((u + 1)..n).map(move |v| (u as VertexId, v as VertexId))),
+    )
 }
 
 /// A star `K_{1, n-1}` with vertex 0 at the centre.
 pub fn star(n: usize) -> CsrGraph {
-    let mut b = GraphBuilder::with_capacity(n, n.saturating_sub(1));
-    for v in 1..n {
-        b.add_edge(0, v as VertexId);
-    }
-    b.build()
+    graph_from_edges(n, (1..n).map(|v| (0, v as VertexId)))
 }
 
 /// A `rows × cols` 2-D grid graph (4-neighbour connectivity).
 pub fn grid(rows: usize, cols: usize) -> CsrGraph {
     let n = rows * cols;
     let id = |r: usize, c: usize| (r * cols + c) as VertexId;
-    let mut b = GraphBuilder::new(n);
+    let mut edges = Vec::new();
     for r in 0..rows {
         for c in 0..cols {
             if c + 1 < cols {
-                b.add_edge(id(r, c), id(r, c + 1));
+                edges.push((id(r, c), id(r, c + 1)));
             }
             if r + 1 < rows {
-                b.add_edge(id(r, c), id(r + 1, c));
+                edges.push((id(r, c), id(r + 1, c)));
             }
         }
     }
-    b.build()
+    graph_from_edges(n, edges)
 }
 
 /// The complete bipartite graph `K_{a,b}` with parts `0..a` and `a..a+b`.
 pub fn complete_bipartite(a: usize, b: usize) -> CsrGraph {
-    let mut builder = GraphBuilder::with_capacity(a + b, a * b);
-    for u in 0..a {
-        for v in 0..b {
-            builder.add_edge(u as VertexId, (a + v) as VertexId);
-        }
-    }
-    builder.build()
+    graph_from_edges(
+        a + b,
+        (0..a).flat_map(|u| (a..a + b).map(move |v| (u as VertexId, v as VertexId))),
+    )
 }
 
 /// A uniformly random labelled tree on `n` vertices (random attachment:
 /// vertex `v` connects to a uniformly random earlier vertex).
 pub fn random_tree(n: usize, seed: u64) -> CsrGraph {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::with_capacity(n, n.saturating_sub(1));
-    for v in 1..n {
-        let parent = rng.gen_range(0..v);
-        b.add_edge(parent as VertexId, v as VertexId);
-    }
-    b.build()
+    graph_from_edges(
+        n,
+        (1..n).map(|v| (rng.gen_range(0..v) as VertexId, v as VertexId)),
+    )
 }
 
 /// A complete binary tree on `n` vertices (vertex `v`'s children are
 /// `2v + 1` and `2v + 2`).
 pub fn binary_tree(n: usize) -> CsrGraph {
-    let mut b = GraphBuilder::with_capacity(n, n.saturating_sub(1));
-    for v in 1..n {
-        b.add_edge(((v - 1) / 2) as VertexId, v as VertexId);
-    }
-    b.build()
+    graph_from_edges(
+        n,
+        (1..n).map(|v| (((v - 1) / 2) as VertexId, v as VertexId)),
+    )
 }
 
 /// Disjoint union of `k` cliques each of size `size`. Useful for stressing
 /// the paper's observation that dense components need `size - 1` iterations.
 pub fn disjoint_cliques(k: usize, size: usize) -> CsrGraph {
-    let n = k * size;
-    let mut b = GraphBuilder::new(n);
+    let mut edges = Vec::new();
     for c in 0..k {
         let base = c * size;
-        for u in 0..size {
-            for v in (u + 1)..size {
-                b.add_edge((base + u) as VertexId, (base + v) as VertexId);
+        for u in base..base + size {
+            for v in (u + 1)..base + size {
+                edges.push((u as VertexId, v as VertexId));
             }
         }
     }
-    b.build()
+    graph_from_edges(k * size, edges)
 }
 
 #[cfg(test)]

@@ -1,133 +1,15 @@
-//! Incremental graph builder.
+//! One-line graph construction.
 
-use crate::{CsrGraph, EdgeList, GraphError, VertexId};
+use crate::{CsrGraph, VertexId};
 
-/// Convenience builder that accumulates edges and produces a [`CsrGraph`].
-///
-/// The builder accepts edges in any orientation, silently ignores self loops
-/// and removes duplicates at build time. It exists so that examples, tests
-/// and the CLI can construct graphs without going through [`EdgeList`]
-/// directly.
-#[derive(Debug, Clone)]
-pub struct GraphBuilder {
-    edges: EdgeList,
-}
-
-impl GraphBuilder {
-    /// Creates a builder for a graph on `num_vertices` vertices.
-    pub fn new(num_vertices: usize) -> Self {
-        Self {
-            edges: EdgeList::new(num_vertices),
-        }
-    }
-
-    /// Creates a builder with capacity for `capacity` edges.
-    pub fn with_capacity(num_vertices: usize, capacity: usize) -> Self {
-        Self {
-            edges: EdgeList::with_capacity(num_vertices, capacity),
-        }
-    }
-
-    /// Number of vertices the final graph will have.
-    pub fn num_vertices(&self) -> usize {
-        self.edges.num_vertices()
-    }
-
-    /// Number of edges added so far (before deduplication).
-    pub fn num_edges(&self) -> usize {
-        self.edges.num_edges()
-    }
-
-    /// Adds an undirected edge. Panics in debug builds if an endpoint is out
-    /// of range; use [`GraphBuilder::try_add_edge`] for checked insertion.
-    pub fn add_edge(&mut self, u: VertexId, v: VertexId) -> &mut Self {
-        self.edges.push(u, v);
-        self
-    }
-
-    /// Adds an undirected edge, validating both endpoints.
-    pub fn try_add_edge(&mut self, u: VertexId, v: VertexId) -> Result<&mut Self, GraphError> {
-        self.edges.try_push(u, v)?;
-        Ok(self)
-    }
-
-    /// Adds every edge from an iterator.
-    pub fn add_edges<I: IntoIterator<Item = (VertexId, VertexId)>>(
-        &mut self,
-        iter: I,
-    ) -> &mut Self {
-        for (u, v) in iter {
-            self.edges.push(u, v);
-        }
-        self
-    }
-
-    /// Builds the final CSR graph (sorted adjacency, no duplicates or self
-    /// loops).
-    pub fn build(&self) -> CsrGraph {
-        CsrGraph::from_edge_list(&self.edges)
-    }
-
-    /// Consumes the builder and returns the accumulated edge list without
-    /// canonicalising it.
-    pub fn into_edge_list(self) -> EdgeList {
-        self.edges
-    }
-}
-
-/// Builds a graph directly from an iterator of edges over `num_vertices`
-/// vertices. Shorthand used pervasively in tests.
+/// Builds a graph from edges over `num_vertices` vertices, in any
+/// orientation, with self loops and repeats dropped: shorthand for
+/// [`CsrGraph::from_edges`], used by the generators and pervasively in
+/// tests. Panics on an endpoint at or past `num_vertices`.
 pub fn graph_from_edges<I: IntoIterator<Item = (VertexId, VertexId)>>(
     num_vertices: usize,
     edges: I,
 ) -> CsrGraph {
-    let mut b = GraphBuilder::new(num_vertices);
-    b.add_edges(edges);
-    b.build()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn builder_accumulates_and_builds() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 1).add_edge(1, 2).add_edge(2, 3);
-        assert_eq!(b.num_edges(), 3);
-        assert_eq!(b.num_vertices(), 4);
-        let g = b.build();
-        assert_eq!(g.num_edges(), 3);
-        assert_eq!(g.neighbors(1), &[0, 2]);
-    }
-
-    #[test]
-    fn builder_removes_duplicates_and_loops_at_build() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1).add_edge(1, 0).add_edge(2, 2);
-        let g = b.build();
-        assert_eq!(g.num_edges(), 1);
-    }
-
-    #[test]
-    fn try_add_edge_checks_range() {
-        let mut b = GraphBuilder::new(2);
-        assert!(b.try_add_edge(0, 1).is_ok());
-        assert!(b.try_add_edge(0, 2).is_err());
-    }
-
-    #[test]
-    fn add_edges_from_iterator() {
-        let g = graph_from_edges(5, vec![(0, 1), (1, 2), (2, 3), (3, 4)]);
-        assert_eq!(g.num_edges(), 4);
-        assert_eq!(g.degree(2), 2);
-    }
-
-    #[test]
-    fn with_capacity_and_into_edge_list() {
-        let mut b = GraphBuilder::with_capacity(3, 10);
-        b.add_edge(0, 1);
-        let el = b.into_edge_list();
-        assert_eq!(el.num_edges(), 1);
-    }
+    CsrGraph::from_edges(num_vertices, edges.into_iter().collect())
+        .expect("edge endpoints must be below num_vertices")
 }

@@ -20,7 +20,7 @@
 //! ```
 
 use crate::storage::MmapCsrGraph;
-use crate::{CsrGraph, Edge, EdgeList, VertexId};
+use crate::{CsrGraph, Edge, VertexId};
 use std::sync::OnceLock;
 
 /// A borrowed view of a CSR graph, independent of where the arrays live.
@@ -80,14 +80,12 @@ impl<'a> GraphRef<'a> {
 
     /// Number of undirected edges as *half the stored adjacency entries*.
     ///
-    /// For graphs built through the canonicalising constructors
-    /// ([`CsrGraph::from_edge_list`], [`CsrGraph::from_canonical_edges`]
-    /// with genuinely canonical input) this equals the distinct edge count.
-    /// For raw CSR input ([`CsrGraph::from_parts`]) the adjacency may still
-    /// contain duplicate entries and self loops, which this method counts —
-    /// mirroring [`crate::EdgeList::num_edges`] on a non-canonicalised
-    /// list. Callers making *cost* decisions (e.g. batch placement) should
-    /// use [`GraphRef::num_canonical_edges`] instead.
+    /// For graphs built from edges ([`CsrGraph::from_edges`]) this equals
+    /// the distinct edge count. For raw CSR input
+    /// ([`CsrGraph::from_parts`]) the adjacency may still contain duplicate
+    /// entries and self loops, which this method counts. Callers making
+    /// *cost* decisions (e.g. batch placement) should use
+    /// [`GraphRef::num_canonical_edges`] instead.
     #[inline]
     pub fn num_edges(self) -> usize {
         self.adjacency.len() / 2
@@ -223,15 +221,6 @@ impl<'a> GraphRef<'a> {
         })
     }
 
-    /// Collects every undirected edge into an [`EdgeList`] (canonical form).
-    pub fn to_edge_list(self) -> EdgeList {
-        let mut el = EdgeList::with_capacity(self.num_vertices(), self.num_edges());
-        for (u, v) in self.edges() {
-            el.push(u, v);
-        }
-        el
-    }
-
     /// Copies the two arrays into a heap-resident [`CsrGraph`], which keeps
     /// the view's sorted flag and, once known, its canonical edge count.
     pub fn to_csr_graph(self) -> CsrGraph {
@@ -284,12 +273,5 @@ mod tests {
         assert_eq!(r.num_edges(), r2.num_edges());
         assert_eq!(takes(&g), 3);
         assert_eq!(takes(r), 3);
-    }
-
-    #[test]
-    fn to_edge_list_roundtrips() {
-        let g = path4();
-        let el = GraphRef::from(&g).to_edge_list();
-        assert_eq!(CsrGraph::from_edge_list(&el), g);
     }
 }

@@ -6,20 +6,40 @@
 //! CLI and for persisting generated test graphs; it intentionally avoids a
 //! dependency on any serialization framework for the hot path.
 
-use crate::{CsrGraph, EdgeList, GraphError, VertexId};
+use crate::{CsrGraph, Edge, GraphError, VertexId};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-/// Writes a graph as a text edge list.
-pub fn write_edge_list<W: Write>(graph: &CsrGraph, writer: W) -> Result<(), GraphError> {
+/// Writes `num_edges` edges over `num_vertices` vertices as a text edge
+/// list: the `# vertices` and `# edges` header lines, then one `u v` line
+/// per edge, in the order `edges` yields them. Canonical edges in
+/// ascending order, as [`CsrGraph::edges`] and an extraction result hold
+/// them, read back as the same graph. The one edge writer: graphs, serve's
+/// `payload=edges` and `chordal extract --out` all go through it.
+pub fn write_edges<W: Write>(
+    num_vertices: usize,
+    num_edges: usize,
+    edges: impl IntoIterator<Item = Edge>,
+    writer: W,
+) -> Result<(), GraphError> {
     let mut w = BufWriter::new(writer);
-    writeln!(w, "# vertices {}", graph.num_vertices())?;
-    writeln!(w, "# edges {}", graph.num_edges())?;
-    for (u, v) in graph.edges() {
+    writeln!(w, "# vertices {num_vertices}")?;
+    writeln!(w, "# edges {num_edges}")?;
+    for (u, v) in edges {
         writeln!(w, "{u} {v}")?;
     }
     w.flush()?;
     Ok(())
+}
+
+/// Writes a graph as a text edge list (see [`write_edges`]).
+pub fn write_edge_list<W: Write>(graph: &CsrGraph, writer: W) -> Result<(), GraphError> {
+    write_edges(
+        graph.num_vertices(),
+        graph.num_edges(),
+        graph.edges(),
+        writer,
+    )
 }
 
 /// Writes a graph to a file path.
@@ -122,8 +142,7 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<CsrGraph, GraphError> {
             }
         }
     };
-    let el = EdgeList::from_edges(num_vertices, edges)?;
-    Ok(CsrGraph::from_edge_list(&el))
+    CsrGraph::from_edges(num_vertices, edges)
 }
 
 /// Reads a graph from a file path.

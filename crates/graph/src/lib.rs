@@ -3,8 +3,10 @@
 //! This crate provides the data structures that every other crate in the
 //! workspace builds on:
 //!
-//! * [`EdgeList`] — a flat, canonicalised list of undirected edges, the
-//!   interchange format between generators, file I/O and the CSR builder.
+//! * [`Edge`] slices — the interchange format between generators, file I/O
+//!   and the graphs. Raw edges enter through one builder,
+//!   [`CsrGraph::from_edges`], and canonical edges in ascending order leave
+//!   through one writer, [`io::write_edges`].
 //! * [`CsrGraph`] — an immutable compressed-sparse-row adjacency structure
 //!   with optional sorted adjacency (the paper's "Opt" variant sorts the
 //!   neighbour lists, the "Unopt" variant leaves them in generator order).
@@ -26,7 +28,6 @@
 
 pub mod builder;
 pub mod csr;
-pub mod edgelist;
 pub mod error;
 pub mod graphref;
 pub mod io;
@@ -37,9 +38,7 @@ pub mod storage;
 pub mod subgraph;
 pub mod traversal;
 
-pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
-pub use edgelist::EdgeList;
 pub use error::GraphError;
 pub use graphref::GraphRef;
 pub use layout::MemoryBreakdown;
@@ -57,9 +56,9 @@ pub const NO_VERTEX: VertexId = u32::MAX;
 
 /// An undirected edge given by its two endpoints.
 ///
-/// Edges are stored in canonical form (`min(u, v), max(u, v)`) by
-/// [`EdgeList::canonicalize`]; helper constructors preserve whatever order
-/// they are given.
+/// Raw edges may come in either orientation. The canonical form is
+/// `(min(u, v), max(u, v))` ([`canonical_edge`]): [`CsrGraph::edges`] and
+/// every extraction result list edges in it, sorted ascending.
 pub type Edge = (VertexId, VertexId);
 
 /// Returns the canonical form of an edge: endpoints ordered ascending.

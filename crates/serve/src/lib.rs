@@ -53,7 +53,8 @@
 //! first, so an unknown verb answers `bad-verb` whatever its arguments.
 //!
 //! `EXTRACT payload=edges` serialises the extracted chordal subgraph in
-//! the same edge-list text format `chordal extract --out` writes — the
+//! the same edge-list text format `chordal extract --out` writes: both
+//! pass the result's sorted edges to `io::write_edges`, and the
 //! differential suite asserts the bytes are identical.
 //!
 //! ## Deadlines

@@ -28,9 +28,8 @@ use crate::protocol::{
 };
 use crate::queue::{AcquireError, AdmissionQueue};
 use chordal_core::{AdjacencyMode, Algorithm, ExtractionSession, ExtractorConfig};
-use chordal_graph::io::write_edge_list;
+use chordal_graph::io::write_edges;
 use chordal_graph::storage::FileFormat;
-use chordal_graph::subgraph::edge_subgraph;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -825,9 +824,15 @@ fn handle_extract(connection: &mut Connection, request: &Request) -> Outcome {
         .fetch_add(1, Ordering::SeqCst);
     drop(permit);
     let payload = if payload_edges {
-        let sub = edge_subgraph(view, result.edges());
+        let edges = result.edges();
         let mut bytes = Vec::new();
-        write_edge_list(&sub, &mut bytes).expect("serialising to memory cannot fail");
+        write_edges(
+            view.num_vertices(),
+            edges.len(),
+            edges.iter().copied(),
+            &mut bytes,
+        )
+        .expect("serialising to memory cannot fail");
         bytes
     } else {
         Vec::new()

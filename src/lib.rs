@@ -145,7 +145,7 @@ pub mod prelude {
     pub use chordal_generators::bio::{CorrelationNetworkParams, GeneNetworkKind};
     pub use chordal_generators::rmat::{RmatKind, RmatParams};
     pub use chordal_graph::builder::graph_from_edges;
-    pub use chordal_graph::{CsrGraph, EdgeList, GraphBuilder, GraphStats};
+    pub use chordal_graph::{CsrGraph, GraphStats};
     pub use chordal_runtime::Engine;
 }
 

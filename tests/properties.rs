@@ -22,15 +22,13 @@ fn random_graph(rng: &mut StdRng, max_n: usize, max_edges: usize) -> CsrGraph {
     let n = rng.gen_range(2..max_n);
     let cap = (n * (n - 1) / 2).min(max_edges);
     let m = rng.gen_range(0..cap.max(1) + 1);
-    let mut builder = GraphBuilder::new(n);
+    let mut edges = Vec::with_capacity(m);
     for _ in 0..m {
         let u = rng.gen_range(0..n) as u32;
         let v = rng.gen_range(0..n) as u32;
-        if u != v {
-            builder.add_edge(u, v);
-        }
+        edges.push((u, v));
     }
-    builder.build()
+    graph_from_edges(n, edges)
 }
 
 /// Graphs of up to this many vertices span several 64-vertex doacross
@@ -152,18 +150,16 @@ fn chordality_checker_matches_bruteforce() {
 
 #[test]
 fn canonicalize_matches_a_sort_and_dedup_oracle() {
-    // Random lists with self loops and duplicates in both orientations; the
-    // larger ones sort their buckets on the pool. The oracle orients every
-    // edge, drops the loops, sorts the whole list and drops repeats.
-    let mut cases = vec![EdgeList::new(0), EdgeList::new(1)];
-    let mut one_vertex = EdgeList::new(1);
-    one_vertex.push(0, 0);
-    one_vertex.push(0, 0);
-    cases.push(one_vertex);
+    // `CsrGraph::from_edges` on random raw edges with self loops and
+    // repeats in both orientations; the larger lists sort their buckets on
+    // the pool. The oracle orients every edge, drops the loops, sorts the
+    // whole list and drops repeats, then sorts each vertex's neighbours.
+    let mut cases: Vec<(usize, Vec<(u32, u32)>)> =
+        vec![(0, Vec::new()), (1, Vec::new()), (1, vec![(0, 0), (0, 0)])];
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0xCA_70 ^ seed);
         let n = rng.gen_range(2..2_000usize);
-        let mut list = EdgeList::new(n);
+        let mut list = Vec::new();
         for _ in 0..rng.gen_range(0..8 * n) {
             let u = rng.gen_range(0..n) as u32;
             let v = if rng.gen_range(0..8usize) == 0 {
@@ -171,22 +167,33 @@ fn canonicalize_matches_a_sort_and_dedup_oracle() {
             } else {
                 rng.gen_range(0..n) as u32
             };
-            list.push(u, v);
+            list.push((u, v));
             if rng.gen_range(0..4usize) == 0 {
-                list.push(v, u);
+                list.push((v, u));
             }
         }
-        cases.push(list);
+        cases.push((n, list));
     }
-    for (k, list) in cases.into_iter().enumerate() {
+    for (k, (n, list)) in cases.into_iter().enumerate() {
         let mut oracle: Vec<(u32, u32)> = list
             .iter()
-            .filter(|&(u, v)| u != v)
-            .map(|(u, v)| (u.min(v), u.max(v)))
+            .filter(|&&(u, v)| u != v)
+            .map(|&(u, v)| (u.min(v), u.max(v)))
             .collect();
         oracle.sort_unstable();
         oracle.dedup();
-        assert_eq!(list.canonicalized().edges(), &oracle[..], "case {k}");
+        let mut lists = vec![Vec::new(); n];
+        for &(u, v) in &oracle {
+            lists[u as usize].push(v);
+            lists[v as usize].push(u);
+        }
+        let graph = CsrGraph::from_edges(n, list).expect("every endpoint is in range");
+        assert_eq!(graph.edges().collect::<Vec<_>>(), oracle, "case {k}");
+        assert!(graph.is_sorted(), "case {k}");
+        for (v, mut expected) in lists.into_iter().enumerate() {
+            expected.sort_unstable();
+            assert_eq!(graph.neighbors(v as u32), expected, "case {k}, vertex {v}");
+        }
     }
 }
 

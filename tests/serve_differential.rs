@@ -2,9 +2,11 @@
 //! to the `chordal extract` CLI output for the same graph, algorithm and
 //! configuration.
 //!
-//! The expected bytes are produced in-process through the exact call
-//! sequence `cmd_extract` runs (`load_graph` → `ExtractionSession::extract`
-//! → `edge_subgraph` → `write_edge_list`), then compared against the
+//! The expected bytes are produced in-process by an oracle: `load_graph` →
+//! `ExtractionSession::extract` → `edge_subgraph` → `write_edge_list`, a
+//! round trip through a CSR subgraph of the result. Serve and the CLI take
+//! no such round trip: both write the result's canonical edges straight
+//! through `io::write_edges`. The oracle's bytes are compared against the
 //! `payload=edges` bytes the server frames. The matrix covers all five
 //! algorithm configurations (alg1, reference, dearing, partitioned,
 //! alg1+repair), both on-disk representations (text edge list and binary

@@ -213,3 +213,50 @@ fn loader_rejects_corrupt_truncated_and_wrong_version_files() {
     }
     let _ = std::fs::remove_file(&corrupt);
 }
+
+#[test]
+fn every_generator_reproduces_its_pinned_content_hash() {
+    // One graph per generator, hashed over its vertex count, offsets and
+    // adjacency order. The values were recorded before the graph builders
+    // moved to `CsrGraph::from_edges`, so a builder that drops, adds or
+    // reorders one adjacency entry moves a hash.
+    use maximal_chordal::generators::chordal_gen::{interval_graph, k_tree};
+    use maximal_chordal::generators::structured::grid;
+    use maximal_chordal::generators::{gnm, gnp};
+    use maximal_chordal::graph::storage::content_hash;
+    let pinned: Vec<(&str, CsrGraph, u64)> = vec![
+        (
+            "RMAT-ER(12)",
+            RmatParams::preset(RmatKind::Er, 12, 1).generate(),
+            0x01b7_139d_7d54_a862,
+        ),
+        (
+            "RMAT-G(12)",
+            RmatParams::preset(RmatKind::G, 12, 1).generate(),
+            0x7f5a_5b00_7f5c_7376,
+        ),
+        (
+            "RMAT-B(12)",
+            RmatParams::preset(RmatKind::B, 12, 1).generate(),
+            0xa478_6988_ec39_7c40,
+        ),
+        (
+            "GSE5140(UNT)",
+            GeneNetworkKind::Gse5140Unt.network(1_000, 1),
+            0x7e88_9cf0_4a9e_009b,
+        ),
+        ("gnm", gnm(500, 2_000, 1), 0x0081_2c0e_08e9_9635),
+        ("gnp", gnp(300, 0.05, 1), 0x3981_edd0_c3eb_464e),
+        ("k_tree", k_tree(400, 3, 1), 0xcbd9_f2a5_e04a_12b2),
+        (
+            "interval_graph",
+            interval_graph(300, 0.02, 1),
+            0x4f20_ddbd_34b3_c1b1,
+        ),
+        ("grid", grid(20, 30), 0x6a2f_f232_d2ef_04d0),
+    ];
+    for (name, graph, hash) in pinned {
+        let got = content_hash(&graph);
+        assert_eq!(got, hash, "{name}: content hash {got:#018x}");
+    }
+}
