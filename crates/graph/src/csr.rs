@@ -56,6 +56,11 @@ impl CsrGraph {
     /// `(min, max)` order. A vertex thus receives its smaller neighbours,
     /// from earlier buckets, before its larger ones, from its own bucket,
     /// each run ascending, so no list needs a second sort.
+    ///
+    /// Edges that arrive in ascending order, as an extraction result, an
+    /// induced subgraph over sorted lists and the gene-network generator
+    /// hand them in, fill every bucket in order. Then the pool sort is skipped, so such a build
+    /// submits no pool region and runs on the caller's thread alone.
     pub fn from_edges(num_vertices: usize, edges: Vec<Edge>) -> Result<Self, GraphError> {
         let n = num_vertices;
         let mut starts = vec![0usize; n + 1];
@@ -84,7 +89,10 @@ impl CsrGraph {
             }
         }
         let mut buckets = split_by_offsets(&mut larger, &starts);
-        Engine::chunked(pool_size()).for_each_mut(&mut buckets, |_, bucket| bucket.sort_unstable());
+        if !buckets.iter().all(|bucket| bucket.is_sorted()) {
+            Engine::chunked(pool_size())
+                .for_each_mut(&mut buckets, |_, bucket| bucket.sort_unstable());
+        }
         let mut offsets = vec![0usize; n + 1];
         for (u, bucket) in buckets.iter().enumerate() {
             for run in bucket.chunk_by(|a, b| a == b) {

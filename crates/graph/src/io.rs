@@ -5,10 +5,55 @@
 //! (Matrix-Market style comments) are ignored. This is sufficient for the
 //! CLI and for persisting generated test graphs; it intentionally avoids a
 //! dependency on any serialization framework for the hot path.
+//!
+//! The writer, [`write_edges`], renders edge lines without `fmt`. Serve's
+//! `payload=edges` writes a result's edges on every request, and a
+//! `writeln!` per line took 0.42–0.65 ms of one RMAT-G(13) payload (8,660
+//! edges, 75 KB; 2-core host). So each id becomes decimal digits two at a
+//! time through a 200-byte table of the pairs `00`..`99`, the lines go into
+//! one stack buffer, and each full buffer reaches the writer in one
+//! `write_all`: 0.06–0.10 ms for the same payload, with the same bytes.
+//! Only the two header lines, once per call, go through `write!`.
 
 use crate::{CsrGraph, Edge, GraphError, VertexId};
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
+
+/// Bytes of text staged on the stack before each `write_all`.
+const CHUNK: usize = 8 * 1024;
+
+/// The longest edge line: two 10-digit `u32`s, a space and a newline.
+const MAX_LINE: usize = 22;
+
+/// The two decimal digits of every value below 100, in order.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Writes `value` in decimal into `buf` at `at` and returns the index just
+/// past its last digit. The digit count comes first, so the digits go
+/// straight to their places, two per step from the right.
+#[inline]
+fn put_decimal(buf: &mut [u8], at: usize, mut value: u32) -> usize {
+    let end = at + value.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let mut pos = end;
+    while value >= 100 {
+        let pair = (value % 100) as usize * 2;
+        value /= 100;
+        pos -= 2;
+        buf[pos..pos + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if value >= 10 {
+        let pair = value as usize * 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        buf[at] = b'0' + value as u8;
+    }
+    end
+}
 
 /// Writes `num_edges` edges over `num_vertices` vertices as a text edge
 /// list: the `# vertices` and `# edges` header lines, then one `u v` line
@@ -16,19 +61,33 @@ use std::path::Path;
 /// ascending order, as [`CsrGraph::edges`] and an extraction result hold
 /// them, read back as the same graph. The one edge writer: graphs, serve's
 /// `payload=edges` and `chordal extract --out` all go through it.
+///
+/// The bytes equal a `writeln!` of each line. They are staged in an 8 KiB
+/// stack buffer, and `writer` sees one `write_all` per full buffer, then a
+/// `flush`, so it needs no buffering of its own.
 pub fn write_edges<W: Write>(
     num_vertices: usize,
     num_edges: usize,
     edges: impl IntoIterator<Item = Edge>,
-    writer: W,
+    mut writer: W,
 ) -> Result<(), GraphError> {
-    let mut w = BufWriter::new(writer);
-    writeln!(w, "# vertices {num_vertices}")?;
-    writeln!(w, "# edges {num_edges}")?;
+    let mut buf = [0u8; CHUNK];
+    let mut header = &mut buf[..];
+    write!(header, "# vertices {num_vertices}\n# edges {num_edges}\n")?;
+    let mut len = CHUNK - header.len();
     for (u, v) in edges {
-        writeln!(w, "{u} {v}")?;
+        if len > CHUNK - MAX_LINE {
+            writer.write_all(&buf[..len])?;
+            len = 0;
+        }
+        len = put_decimal(&mut buf, len, u);
+        buf[len] = b' ';
+        len = put_decimal(&mut buf, len + 1, v);
+        buf[len] = b'\n';
+        len += 1;
     }
-    w.flush()?;
+    writer.write_all(&buf[..len])?;
+    writer.flush()?;
     Ok(())
 }
 
@@ -222,5 +281,103 @@ mod tests {
         let g2 = read_edge_list_file(&path).unwrap();
         assert_eq!(g, g2);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// The text [`write_edges`] must produce, rendered through `fmt`.
+    fn fmt_text(num_vertices: usize, num_edges: usize, edges: &[Edge]) -> Vec<u8> {
+        let mut text = Vec::new();
+        writeln!(text, "# vertices {num_vertices}").unwrap();
+        writeln!(text, "# edges {num_edges}").unwrap();
+        for (u, v) in edges {
+            writeln!(text, "{u} {v}").unwrap();
+        }
+        text
+    }
+
+    fn written(num_vertices: usize, num_edges: usize, edges: &[Edge]) -> Vec<u8> {
+        let mut text = Vec::new();
+        write_edges(num_vertices, num_edges, edges.iter().copied(), &mut text).unwrap();
+        text
+    }
+
+    #[test]
+    fn writer_matches_fmt_at_every_digit_count_boundary() {
+        // 0, then `10^k - 1` and `10^k` for every width up to `u32`'s ten
+        // digits, then the largest vertex id.
+        let ids: [u32; 20] = [
+            0,
+            9,
+            10,
+            99,
+            100,
+            999,
+            1_000,
+            9_999,
+            10_000,
+            99_999,
+            100_000,
+            999_999,
+            1_000_000,
+            9_999_999,
+            10_000_000,
+            99_999_999,
+            100_000_000,
+            999_999_999,
+            1_000_000_000,
+            u32::MAX - 1,
+        ];
+        // Every boundary in either column, beside every width.
+        let edges: Vec<Edge> = ids
+            .iter()
+            .flat_map(|&u| ids.iter().map(move |&v| (u, v)))
+            .collect();
+        let n = u32::MAX as usize;
+        assert!(written(n, edges.len(), &edges) == fmt_text(n, edges.len(), &edges));
+    }
+
+    #[test]
+    fn an_empty_edge_list_writes_the_header_only() {
+        assert_eq!(written(5, 0, &[]), b"# vertices 5\n# edges 0\n");
+        let longest = fmt_text(usize::MAX, usize::MAX, &[]);
+        assert_eq!(written(usize::MAX, usize::MAX, &[]), longest);
+    }
+
+    #[test]
+    fn a_longest_line_fits_at_every_offset_before_the_buffer_ends() {
+        // Headers of 22 consecutive lengths (23 to 44 bytes) before lines of
+        // 22 bytes: some line starts at each offset near the buffer's end.
+        let longest = (u32::MAX - 1, u32::MAX - 1);
+        let edges = vec![longest; CHUNK / MAX_LINE + 1];
+        for vertices in [1, 10, 100] {
+            for digits in 0..20 {
+                let count = 10usize.pow(digits);
+                let text = written(vertices, count, &edges);
+                assert!(
+                    text == fmt_text(vertices, count, &edges),
+                    "{vertices}, {count}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn writer_matches_fmt_across_many_stack_buffers_into_memory_and_a_file() {
+        // Lines of 7 to 22 bytes, so the buffer fills at shifting offsets.
+        let edges: Vec<Edge> = (0..20_000u32)
+            .map(|i| (i, i.wrapping_mul(2_654_435_761) % u32::MAX))
+            .collect();
+        let expected = fmt_text(u32::MAX as usize, edges.len(), &edges);
+        assert!(expected.len() > 8 * CHUNK, "{} bytes", expected.len());
+        assert!(written(u32::MAX as usize, edges.len(), &edges) == expected);
+
+        let path = std::env::temp_dir().join(format!(
+            "chordal_graph_io_writer_{}.txt",
+            std::process::id()
+        ));
+        let file = std::fs::File::create(&path).unwrap();
+        write_edges(u32::MAX as usize, edges.len(), edges.iter().copied(), file).unwrap();
+        let on_disk = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert!(on_disk == expected, "the file differs from the fmt text");
     }
 }

@@ -27,19 +27,30 @@ fn the_configured_engine_bounds_the_regions_of_every_algorithm() {
         .map(|seed| RmatParams::preset(RmatKind::G, 8, seed).generate())
         .collect();
     let refs: Vec<&CsrGraph> = graphs.iter().collect();
+    // On 256 vertices every per-vertex pool loop runs inline. A 4,096-vertex
+    // graph makes the partitioned baseline's builds visible: each partition
+    // and the union check go through `CsrGraph::from_edges`, which must not
+    // sort on the pool when its buckets are already sorted.
+    let large = RmatParams::preset(RmatKind::G, 12, 1).generate();
     for algorithm in Algorithm::ALL {
         let config = ExtractorConfig::default().with_algorithm(algorithm);
-        let mut serial = ExtractionSession::new(
-            config
-                .clone()
-                .with_engine(Engine::serial())
-                .with_partitions(4),
-        );
-        for (k, graph) in graphs.iter().enumerate() {
-            let regions = regions_during(|| {
-                serial.extract(graph);
-            });
-            assert_eq!(regions, 0, "{algorithm}, graph {k}, serial engine");
+        for repair in [false, true] {
+            let mut serial = ExtractionSession::new(
+                config
+                    .clone()
+                    .with_engine(Engine::serial())
+                    .with_partitions(4)
+                    .with_repair(repair),
+            );
+            for (k, graph) in graphs.iter().chain([&large]).enumerate() {
+                let regions = regions_during(|| {
+                    serial.extract(graph);
+                });
+                assert_eq!(
+                    regions, 0,
+                    "{algorithm}, repair {repair}, graph {k}, serial engine"
+                );
+            }
         }
         for partitions in [0, 4] {
             let mut batch = ExtractionSession::new(

@@ -2,13 +2,15 @@
 //! to the `chordal extract` CLI output for the same graph, algorithm and
 //! configuration.
 //!
-//! The expected bytes are produced in-process by an oracle: `load_graph` →
-//! `ExtractionSession::extract` → `edge_subgraph` → `write_edge_list`, a
-//! round trip through a CSR subgraph of the result. Serve and the CLI take
-//! no such round trip: both write the result's canonical edges straight
-//! through `io::write_edges`. The oracle's bytes are compared against the
-//! `payload=edges` bytes the server frames. The matrix covers all five
-//! algorithm configurations (alg1, reference, dearing, partitioned,
+//! The expected bytes are produced in-process by an oracle that shares no
+//! code with the edge writer: `load_graph` → `ExtractionSession::extract`
+//! → `edge_subgraph`, then the subgraph's edges rendered line by line with
+//! `writeln!`. Serve and the CLI take neither step: both write the result's
+//! canonical edges straight through `io::write_edges`, which renders its
+//! digits without `fmt`. So the suite checks the result's own order against
+//! a CSR round trip, and the writer's digits against `fmt`. The oracle's
+//! bytes are compared against the `payload=edges` bytes the server frames.
+//! The matrix covers all five algorithm configurations (alg1, reference, dearing, partitioned,
 //! alg1+repair), both on-disk representations (text edge list and binary
 //! CSR), and both graph addressing forms (`path=` and resident
 //! `graph=<hash>`). Extractions run on the pool engine; no case's output
@@ -17,11 +19,12 @@
 //! `CHORDAL_POOL_THREADS` setting — CI runs this suite across the
 //! {1,2,8} matrix.
 
-use maximal_chordal::graph::io::{write_edge_list, write_edge_list_file};
+use maximal_chordal::graph::io::write_edge_list_file;
 use maximal_chordal::graph::storage::{convert_edge_list_to_binary, load_graph};
 use maximal_chordal::graph::subgraph::edge_subgraph;
 use maximal_chordal::prelude::*;
 use maximal_chordal::serve::{ServeClient, ServeConfig, Server, ServerHandle};
+use std::io::Write;
 
 /// One algorithm configuration of the differential matrix: the request
 /// arguments and the matching in-process [`ExtractorConfig`].
@@ -70,7 +73,7 @@ fn cases(engine: &str, threads: usize) -> Vec<Case> {
 }
 
 /// The byte-exact output `chordal extract --out` would write for this
-/// graph file and configuration.
+/// graph file and configuration, rendered with `writeln!`.
 fn cli_path_bytes(path: &std::path::Path, config: ExtractorConfig) -> Vec<u8> {
     let loaded = load_graph(path, None).expect("loading input");
     let view = loaded.as_graph_ref();
@@ -78,7 +81,11 @@ fn cli_path_bytes(path: &std::path::Path, config: ExtractorConfig) -> Vec<u8> {
     let result = session.extract(view);
     let sub = edge_subgraph(view, result.edges());
     let mut bytes = Vec::new();
-    write_edge_list(&sub, &mut bytes).expect("serialising to memory");
+    writeln!(bytes, "# vertices {}", sub.num_vertices()).expect("writing to memory");
+    writeln!(bytes, "# edges {}", sub.num_edges()).expect("writing to memory");
+    for (u, v) in sub.edges() {
+        writeln!(bytes, "{u} {v}").expect("writing to memory");
+    }
     bytes
 }
 
