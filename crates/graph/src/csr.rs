@@ -295,12 +295,12 @@ impl CsrGraph {
         }
     }
 
-    /// Sorts every adjacency list ascending, on an engine of
-    /// [`pool_size`] threads. Afterwards [`CsrGraph::is_sorted`] returns
-    /// `true`.
-    pub fn sort_adjacency(&mut self) {
+    /// Sorts every adjacency list ascending on `engine`, so a serial
+    /// caller's sort submits no pool region. Afterwards
+    /// [`CsrGraph::is_sorted`] returns `true`.
+    pub fn sort_adjacency(&mut self, engine: Engine) {
         let mut lists = split_by_offsets(&mut self.neighbors, &self.offsets);
-        Engine::chunked(pool_size()).for_each_mut(&mut lists, |_, list| list.sort_unstable());
+        engine.for_each_mut(&mut lists, |_, list| list.sort_unstable());
         self.sorted = true;
     }
 
@@ -526,9 +526,12 @@ mod tests {
     #[test]
     fn sort_adjacency_after_scramble_restores_order() {
         let g = CsrGraph::from_canonical_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
-        let mut s = g.with_scrambled_adjacency(3);
-        s.sort_adjacency();
-        assert_eq!(s.neighbors(0), &[1, 2, 3, 4]);
-        assert!(s.is_sorted());
+        for engine in [Engine::serial(), Engine::chunked_with_grain(2, 1)] {
+            let mut s = g.with_scrambled_adjacency(3);
+            assert!(!s.is_sorted());
+            s.sort_adjacency(engine);
+            assert_eq!(s, g, "{engine:?}");
+            assert!(s.is_sorted());
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! The `CHRDLCSR` on-disk binary CSR format.
 //!
-//! # Format specification (version 2)
+//! # Format specification (version 3)
 //!
 //! A binary graph file is a fixed 48-byte header, a section table, and the
 //! section payloads, all little-endian:
@@ -9,7 +9,7 @@
 //! offset  size  field
 //! ------  ----  ----------------------------------------------------------
 //!      0     8  magic: the ASCII bytes "CHRDLCSR"
-//!      8     4  version: u32, currently 2 (readers also accept 1)
+//!      8     4  version: u32, currently 3 (readers also accept 1 and 2)
 //!     12     4  flags: u32 bitset
 //!                 bit 0 — every adjacency list is sorted ascending
 //!                 bit 1 — the offsets section uses u64 entries (else u32)
@@ -17,9 +17,10 @@
 //!     16     8  num_vertices: u64
 //!     24     8  num_directed_edges: u64 (adjacency entries; 2x edge count)
 //!     32     8  num_canonical_edges: u64 (distinct undirected edges)
-//!     40     8  checksum: u64, FNV-1a 64 over the offsets and adjacency
-//!               section payloads exactly as stored on disk (the section
-//!               table is NOT covered — see "Checksum stability" below)
+//!     40     8  checksum: u64 over the offsets and adjacency section
+//!               payloads exactly as stored on disk: the lane checksum
+//!               below (byte FNV-1a 64 in v1 and v2). The header and the
+//!               section table are NOT covered.
 //!     48     4  section_count: u32 (≥ 2)
 //!     52     4  reserved padding, must be zero
 //!     56     —  section table: section_count entries of 24 bytes each
@@ -39,13 +40,39 @@
 //! understand. Unknown *flag* bits are still rejected: flags change the
 //! meaning of the mandatory sections.
 //!
-//! ## Version 1 (read compatibility)
+//! ## The checksum (version 3)
 //!
-//! Version 1 files have no section table: the offsets section starts
-//! immediately at byte 48 and the adjacency section follows it. Readers
-//! accept both versions ([`Header::parse`] records which one it saw and
-//! [`SectionLayout::locate`] resolves the payload positions either way);
-//! writers always emit version 2.
+//! The lane checksum is FNV-1a's step fed 32 bits at a time over eight
+//! independent accumulators, as xxHash splits its stream (Collet,
+//! <https://github.com/Cyan4973/xxHash>):
+//!
+//! * Read the offsets payload, then the adjacency payload, as one stream
+//!   of little-endian `u32` words. A wide (u64) offsets entry is two
+//!   words, low word first.
+//! * Word `i` goes to lane `i mod 8`. Each of the 8 lanes starts at the
+//!   FNV offset basis `0xcbf29ce484222325` and steps
+//!   `h = (h ^ w) * 0x100000001b3` (mod 2^64).
+//! * Fold the lanes in order with the same step, fed 64 bits at a time:
+//!   `h = 0xcbf29ce484222325; for l in lanes { h = (h ^ l) * 0x100000001b3 }`.
+//! * Known answers: no words give `0x52fcc39ebac1808d`; the words `0..=9`
+//!   give `0x68b8bb0ee6927176`.
+//!
+//! Every step is a bijection of its state (the prime is odd) and injective
+//! in its input, so any change confined to one word changes the checksum,
+//! as with byte FNV-1a. Byte FNV-1a is one multiply chain per byte and
+//! waits on each multiply; eight lanes keep eight multiplies in flight and
+//! consume four bytes per step.
+//!
+//! ## Versions 1 and 2 (read compatibility)
+//!
+//! Version 2 has version 3's layout exactly; its `checksum` is byte FNV-1a
+//! 64 over the same payload bytes. Version 1 files have no section table
+//! either: the offsets section starts immediately at byte 48 and the
+//! adjacency section follows it. Readers accept all three versions
+//! ([`Header::parse`] records which one it saw, [`SectionLayout::locate`]
+//! resolves the payload positions either way, and
+//! [`MmapCsrGraph::verify_checksum`](super::MmapCsrGraph::verify_checksum)
+//! picks the checksum by version); writers always emit version 3.
 //!
 //! **Index-width rule.** Vertex ids are `u32` workspace-wide (graphs are
 //! capped at `u32::MAX - 1` vertices), so adjacency entries are always
@@ -60,25 +87,29 @@
 //! **Alignment.** The header is 48 bytes and the canonical two-section
 //! table ends at byte 104; both are 8-aligned. The offsets section is
 //! `4·(nv+1)` or `8·(nv+1)` bytes, so the adjacency payload stays 4-aligned
-//! relative to the start of the file in both versions — a page-aligned mmap
-//! can reinterpret either section as a typed slice without copying.
+//! relative to the start of the file in every version — a page-aligned
+//! mmap can reinterpret either section as a typed slice without copying.
 //!
 //! **Checksum stability.** The checksum covers exactly the offsets and
-//! adjacency payload bytes — not the header, not the section table. A graph
-//! therefore has the *same* checksum in a v1 and a v2 file, which keeps
-//! [`content_hash`] (vertex count, directed edge count, checksum) stable
-//! across the version bump: serve-tier cache keys derived from v1 files
-//! remain valid for their v2 conversions.
+//! adjacency payload bytes — not the header, not the section table — so a
+//! v1 and a v2 file of one graph carry the same byte-FNV checksum and the
+//! same [`content_hash_from_header`] key. A v3 file carries the lane
+//! checksum instead, so a v2 file and a v3 file of the same graph get two
+//! different keys: a serving cache holds them as two entries. Keys of v1
+//! and v2 files do not move. [`content_hash`] follows the v3 checksum, so
+//! a parsed text graph keys equal to its conversion by any writer.
 //!
 //! **Versioning policy.** The version field is bumped on any
-//! layout-incompatible change; readers reject versions they do not know
-//! (no silent best-effort parsing). Within version 2, unknown section ids
-//! are the sanctioned extension point; unknown flag bits remain rejected.
+//! layout-incompatible change and on any change to what a field means
+//! (version 3 changed only the checksum); readers reject versions they do
+//! not know (no silent best-effort parsing). Within a version, unknown
+//! section ids are the sanctioned extension point; unknown flag bits remain
+//! rejected.
 //!
 //! **Integrity.** Loading performs cheap structural validation (magic,
 //! version, flags, section table bounds, section sizes derived from the
 //! header vs the actual file length, offsets monotone and consistent with
-//! the edge count). The full FNV-1a checksum over both sections is *not*
+//! the edge count). The full checksum over both sections is *not*
 //! verified on load — that would fault in every page and defeat lazy
 //! mapping — but is available via
 //! [`MmapCsrGraph::verify_checksum`](super::MmapCsrGraph::verify_checksum),
@@ -96,28 +127,33 @@ use std::path::Path;
 /// Magic bytes identifying a binary CSR graph file.
 pub const MAGIC: [u8; 8] = *b"CHRDLCSR";
 
-/// Current format version, the one writers emit.
-pub const FORMAT_VERSION: u32 = 2;
+/// Current format version, the one writers emit: sections sealed with the
+/// lane checksum.
+pub const FORMAT_VERSION: u32 = 3;
+
+/// The sectioned version sealed with byte FNV-1a, which readers still
+/// accept.
+pub const FORMAT_VERSION_V2: u32 = 2;
 
 /// The legacy sectionless version readers still accept.
 pub const FORMAT_VERSION_V1: u32 = 1;
 
-/// Size of the fixed header in bytes (identical in both versions).
+/// Size of the fixed header in bytes (identical in every version).
 pub const HEADER_LEN: usize = 48;
 
-/// Section id of the mandatory offsets section (version 2).
+/// Section id of the mandatory offsets section (versions 2 and 3).
 pub const SECTION_OFFSETS: u64 = 1;
 
-/// Section id of the mandatory adjacency section (version 2).
+/// Section id of the mandatory adjacency section (versions 2 and 3).
 pub const SECTION_ADJACENCY: u64 = 2;
 
-/// Byte length of one section-table entry (version 2).
+/// Byte length of one section-table entry (versions 2 and 3).
 pub const SECTION_ENTRY_LEN: usize = 24;
 
-/// File offset of the section count field (version 2).
+/// File offset of the section count field (versions 2 and 3).
 const SECTION_COUNT_POS: usize = HEADER_LEN;
 
-/// File offset of the first section-table entry (version 2).
+/// File offset of the first section-table entry (versions 2 and 3).
 const SECTION_TABLE_POS: usize = HEADER_LEN + 8;
 
 /// Flag bit: every adjacency list is sorted ascending.
@@ -163,7 +199,8 @@ pub fn offsets_width(num_directed_edges: u64) -> OffsetsWidth {
 /// The parsed fixed-size header of a binary CSR graph file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Header {
-    /// Format version (currently always [`FORMAT_VERSION`]).
+    /// Format version: 1, 2 or 3 ([`FORMAT_VERSION`], the one writers
+    /// emit).
     pub version: u32,
     /// Whether every adjacency list is sorted ascending.
     pub sorted: bool,
@@ -175,7 +212,8 @@ pub struct Header {
     pub num_directed_edges: u64,
     /// Number of distinct undirected, non-loop edges.
     pub num_canonical_edges: u64,
-    /// FNV-1a 64 checksum over the offsets and adjacency sections.
+    /// Checksum over the offsets and adjacency sections: the lane checksum
+    /// in version 3, byte FNV-1a 64 in versions 1 and 2.
     pub checksum: u64,
 }
 
@@ -194,7 +232,7 @@ impl Header {
 
     /// Byte length of everything before the first section payload: the
     /// 48-byte header alone for version 1, header + section count +
-    /// canonical two-entry section table for version 2.
+    /// canonical two-entry section table for versions 2 and 3.
     #[inline]
     pub fn prologue_len(&self) -> usize {
         if self.version == FORMAT_VERSION_V1 {
@@ -252,10 +290,10 @@ impl Header {
             ));
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version != FORMAT_VERSION && version != FORMAT_VERSION_V1 {
+        if !(FORMAT_VERSION_V1..=FORMAT_VERSION).contains(&version) {
             return Err(GraphError::Format(format!(
                 "unsupported format version {version} (this reader supports \
-                 {FORMAT_VERSION_V1} and {FORMAT_VERSION})"
+                 {FORMAT_VERSION_V1} to {FORMAT_VERSION})"
             )));
         }
         let flags = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
@@ -316,7 +354,7 @@ impl Header {
 
 /// Resolved byte positions of the mandatory section payloads within a
 /// binary CSR file — the version seam between the sectionless v1 layout and
-/// the v2 section table. The reader ([`MmapCsrGraph`](super::MmapCsrGraph))
+/// the section table of versions 2 and 3. The reader ([`MmapCsrGraph`](super::MmapCsrGraph))
 /// locates sections through this type and never hardcodes payload
 /// positions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -325,7 +363,7 @@ pub struct SectionLayout {
     pub offsets_pos: usize,
     /// File offset of the adjacency payload (4-aligned).
     pub adjacency_pos: usize,
-    /// Total file length implied by every declared section (v2) or the
+    /// Total file length implied by every declared section (v2, v3) or the
     /// two implicit sections (v1); must equal the actual file length.
     pub file_len: usize,
 }
@@ -335,7 +373,7 @@ impl SectionLayout {
     /// the full file bytes.
     ///
     /// Version 1 files place the offsets payload at byte 48 with the
-    /// adjacency payload immediately after. Version 2 files are resolved
+    /// adjacency payload immediately after. Later versions are resolved
     /// through the section table: the two mandatory sections must be
     /// present with exactly the byte lengths the header implies, the
     /// adjacency payload must be 4-aligned, every declared section (known
@@ -361,7 +399,7 @@ impl SectionLayout {
         }
         if bytes.len() < SECTION_TABLE_POS {
             return Err(GraphError::Format(format!(
-                "file too short for a v2 section table: {} bytes",
+                "file too short for a section table: {} bytes",
                 bytes.len()
             )));
         }
@@ -450,7 +488,8 @@ impl SectionLayout {
     }
 }
 
-/// Incremental FNV-1a 64 hasher, the integrity checksum of the format.
+/// Incremental FNV-1a 64 hasher: the sections checksum of versions 1 and
+/// 2, and the mix behind [`content_hash`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Fnv1a(u64);
 
@@ -462,19 +501,124 @@ impl Fnv1a {
         Fnv1a(Self::OFFSET_BASIS)
     }
 
+    /// FNV-1a's step: xor the input in, then multiply by the prime.
+    #[inline]
+    fn step(h: u64, input: u64) -> u64 {
+        (h ^ input).wrapping_mul(Self::PRIME)
+    }
+
     #[inline]
     pub(crate) fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(Self::PRIME);
-        }
-        self.0 = h;
+        self.0 = bytes
+            .iter()
+            .fold(self.0, |h, &b| Self::step(h, u64::from(b)));
     }
 
     pub(crate) fn finish(self) -> u64 {
         self.0
     }
+}
+
+/// Accumulators of the version 3 lane checksum.
+const LANES: usize = 8;
+
+/// The version 3 sections checksum (module docs): FNV-1a's step fed one
+/// `u32` word at a time, word `i` into lane `i mod 8`, the lanes folded in
+/// order. The eight chains do not depend on each other, so their
+/// multiplies overlap where byte FNV-1a waits on every one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaneHash {
+    lanes: [u64; LANES],
+    /// The lane the next word goes to.
+    next: usize,
+}
+
+impl LaneHash {
+    pub(crate) fn new() -> Self {
+        LaneHash {
+            lanes: [Fnv1a::OFFSET_BASIS; LANES],
+            next: 0,
+        }
+    }
+
+    /// Hashes `words` as the next words of the stream.
+    pub(crate) fn update_words(&mut self, words: &[u32]) {
+        self.absorb(words, |&w| w);
+    }
+
+    /// Hashes `bytes`, a whole number of little-endian `u32` words, as the
+    /// next words of the stream.
+    pub(crate) fn update_le_bytes(&mut self, bytes: &[u8]) {
+        let (words, partial) = bytes.as_chunks::<4>();
+        assert!(partial.is_empty(), "the checksum reads whole words");
+        self.absorb(words, |&b| u32::from_le_bytes(b));
+    }
+
+    /// Feeds words one by one up to a lane-0 boundary, then eight at a
+    /// time with the lanes in locals, then the rest one by one.
+    #[inline]
+    fn absorb<T>(&mut self, items: &[T], word: impl Fn(&T) -> u32) {
+        let head = items.len().min((LANES - self.next) % LANES);
+        let (head, body) = items.split_at(head);
+        let (blocks, tail) = body.as_chunks::<LANES>();
+        head.iter().for_each(|w| self.push(word(w)));
+        let mut lanes = self.lanes;
+        for block in blocks {
+            for (h, w) in lanes.iter_mut().zip(block) {
+                *h = Fnv1a::step(*h, u64::from(word(w)));
+            }
+        }
+        self.lanes = lanes;
+        tail.iter().for_each(|w| self.push(word(w)));
+    }
+
+    #[inline]
+    fn push(&mut self, w: u32) {
+        self.lanes[self.next] = Fnv1a::step(self.lanes[self.next], u64::from(w));
+        self.next = (self.next + 1) % LANES;
+    }
+
+    pub(crate) fn finish(&self) -> u64 {
+        self.lanes
+            .iter()
+            .fold(Fnv1a::OFFSET_BASIS, |h, &lane| Fnv1a::step(h, lane))
+    }
+}
+
+/// The version 3 checksum of an offsets payload, as the file stores it,
+/// followed by an adjacency section.
+pub(crate) fn checksum_sections(offsets: &[u8], adjacency: &[u32]) -> u64 {
+    let mut hash = LaneHash::new();
+    hash.update_le_bytes(offsets);
+    hash.update_words(adjacency);
+    hash.finish()
+}
+
+/// An offsets section as the file stores it: every entry little-endian at
+/// `width`.
+pub(crate) fn offsets_section(
+    offsets: impl ExactSizeIterator<Item = u64>,
+    width: OffsetsWidth,
+) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(offsets.len() * width.bytes());
+    match width {
+        OffsetsWidth::U32 => {
+            for o in offsets {
+                bytes.extend_from_slice(&narrow_index(o as usize).to_le_bytes());
+            }
+        }
+        OffsetsWidth::U64 => {
+            for o in offsets {
+                bytes.extend_from_slice(&o.to_le_bytes());
+            }
+        }
+    }
+    bytes
+}
+
+/// A graph's offsets section as the file stores it.
+fn graph_offsets_section(graph: GraphRef<'_>, width: OffsetsWidth) -> Vec<u8> {
+    offsets_section(graph.offsets().iter().map(|&o| o as u64), width)
 }
 
 /// Quick check whether `bytes` begin with the binary CSR magic. Used for
@@ -485,11 +629,12 @@ pub fn is_binary_header(bytes: &[u8]) -> bool {
 }
 
 /// Content hash of a graph: FNV-1a 64 over the vertex count, the directed
-/// adjacency-entry count and the sections checksum of the graph's canonical
-/// binary CSR encoding. Two graphs hash equal exactly when their binary CSR
-/// files would be byte-identical, whatever representation they currently
-/// live in — so the hash is a storage-independent identity for "the same
-/// graph bytes", usable as a cache key by serving layers.
+/// adjacency-entry count and the version 3 sections checksum of the
+/// graph's canonical binary CSR encoding. Two graphs hash equal exactly
+/// when their binary CSR files would be byte-identical, whatever
+/// representation they currently live in — so the hash is a
+/// storage-independent identity for "the same graph bytes", usable as a
+/// cache key by serving layers.
 ///
 /// This pays one `O(V + E)` checksum pass — the same pass `write_binary`
 /// (and therefore `chordal convert`) performs, so the hash of a parsed text
@@ -498,20 +643,22 @@ pub fn is_binary_header(bytes: &[u8]) -> bool {
 /// already in the 48-byte header, so hashing costs no page faults.
 pub fn content_hash<'a>(graph: impl Into<GraphRef<'a>>) -> u64 {
     let graph = graph.into();
-    let checksum = checksum_sections(graph, offsets_width(graph.num_directed_edges() as u64));
+    let offsets = graph_offsets_section(graph, offsets_width(graph.num_directed_edges() as u64));
     content_hash_parts(
         graph.num_vertices() as u64,
         graph.num_directed_edges() as u64,
-        checksum,
+        checksum_sections(&offsets, graph.adjacency()),
     )
 }
 
 /// [`content_hash`] computed from a parsed binary CSR [`Header`] alone —
 /// the zero-parse path: a serving layer can derive the cache key of a
 /// binary graph file from its first 48 bytes, without touching the offsets
-/// or adjacency sections. The `checksum` header field is the same FNV-1a
-/// value `chordal convert --verify` validates, so a verified conversion
-/// pins the cache key.
+/// or adjacency sections. The `checksum` header field is the value
+/// `chordal convert --verify` validates, so a verified conversion pins the
+/// cache key. For a version 3 file the key equals [`content_hash`] of its
+/// graph; a v1 or v2 file keeps the key of its byte-FNV checksum
+/// (module docs, "Checksum stability").
 pub fn content_hash_from_header(header: &Header) -> u64 {
     content_hash_parts(
         header.num_vertices,
@@ -530,27 +677,7 @@ fn content_hash_parts(num_vertices: u64, num_directed_edges: u64, checksum: u64)
     hasher.finish()
 }
 
-fn checksum_sections(graph: GraphRef<'_>, width: OffsetsWidth) -> u64 {
-    let mut hasher = Fnv1a::new();
-    match width {
-        OffsetsWidth::U32 => {
-            for &o in graph.offsets() {
-                hasher.update(&narrow_index(o).to_le_bytes());
-            }
-        }
-        OffsetsWidth::U64 => {
-            for &o in graph.offsets() {
-                hasher.update(&(o as u64).to_le_bytes());
-            }
-        }
-    }
-    for &w in graph.adjacency() {
-        hasher.update(&w.to_le_bytes());
-    }
-    hasher.finish()
-}
-
-/// Serialises the canonical v2 section table for a header: the two
+/// Serialises the canonical section table for a header: the two
 /// mandatory sections, offsets first, packed immediately after the table.
 /// Shared by [`write_binary`] and the streaming converter so both emit
 /// byte-identical prologues.
@@ -576,15 +703,16 @@ pub(crate) fn section_table_bytes(header: &Header) -> Vec<u8> {
     buf
 }
 
-/// Writes a graph in the binary CSR format (version 2). Two passes over the
-/// graph: one to compute the checksum (which lives in the header, before
-/// the data it covers), one to stream the sections.
+/// Writes a graph in the binary CSR format (version 3). The checksum lives
+/// in the header, before the data it covers, so the offsets section is
+/// encoded once and hashed with the adjacency before anything is written.
 pub fn write_binary<'a, W: Write>(
     graph: impl Into<GraphRef<'a>>,
     writer: W,
 ) -> Result<(), GraphError> {
     let graph = graph.into();
     let width = offsets_width(graph.num_directed_edges() as u64);
+    let offsets = graph_offsets_section(graph, width);
     let header = Header {
         version: FORMAT_VERSION,
         sorted: graph.is_sorted(),
@@ -592,23 +720,12 @@ pub fn write_binary<'a, W: Write>(
         num_vertices: graph.num_vertices() as u64,
         num_directed_edges: graph.num_directed_edges() as u64,
         num_canonical_edges: graph.num_canonical_edges() as u64,
-        checksum: checksum_sections(graph, width),
+        checksum: checksum_sections(&offsets, graph.adjacency()),
     };
     let mut w = std::io::BufWriter::new(writer);
     w.write_all(&header.to_bytes())?;
     w.write_all(&section_table_bytes(&header))?;
-    match width {
-        OffsetsWidth::U32 => {
-            for &o in graph.offsets() {
-                w.write_all(&narrow_index(o).to_le_bytes())?;
-            }
-        }
-        OffsetsWidth::U64 => {
-            for &o in graph.offsets() {
-                w.write_all(&(o as u64).to_le_bytes())?;
-            }
-        }
-    }
+    w.write_all(&offsets)?;
     for &nb in graph.adjacency() {
         w.write_all(&nb.to_le_bytes())?;
     }
@@ -693,19 +810,54 @@ mod tests {
         CsrGraph::from_canonical_edges(5, &[(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
     }
 
-    /// Canonical prologue length of a v2 file with the two mandatory
+    /// Canonical prologue length of a v2 or v3 file with the two mandatory
     /// sections: header + section count + padding + two table entries.
     const V2_PROLOGUE: usize = HEADER_LEN + 8 + 2 * SECTION_ENTRY_LEN;
 
-    /// Re-encodes a canonical v2 buffer as the equivalent legacy v1 file:
-    /// same header with version 1 stamped, section table dropped, payloads
-    /// immediately after the header. The checksum field is untouched — it
-    /// covers only the payload bytes, which are identical in both versions.
-    fn downgrade_to_v1(v2: &[u8]) -> Vec<u8> {
-        let mut v1 = Vec::with_capacity(v2.len() - (V2_PROLOGUE - HEADER_LEN));
-        v1.extend_from_slice(&v2[..HEADER_LEN]);
-        v1[8..12].copy_from_slice(&FORMAT_VERSION_V1.to_le_bytes());
-        v1.extend_from_slice(&v2[V2_PROLOGUE..]);
+    /// The two section payloads of an encoded file, offsets first.
+    fn payloads(bytes: &[u8]) -> (&[u8], &[u8]) {
+        let h = Header::parse(bytes).unwrap();
+        let layout = SectionLayout::locate(&h, bytes).unwrap();
+        (
+            &bytes[layout.offsets_pos..layout.offsets_pos + h.offsets_len()],
+            &bytes[layout.adjacency_pos..layout.adjacency_pos + h.adjacency_len()],
+        )
+    }
+
+    /// Byte FNV-1a over a file's section payloads: the v1 and v2 seal.
+    fn byte_fnv_seal(bytes: &[u8]) -> u64 {
+        let (offsets, adjacency) = payloads(bytes);
+        let mut hasher = Fnv1a::new();
+        hasher.update(offsets);
+        hasher.update(adjacency);
+        hasher.finish()
+    }
+
+    /// The lane checksum over a file's section payloads: the v3 seal.
+    fn lane_seal(bytes: &[u8]) -> u64 {
+        let (offsets, adjacency) = payloads(bytes);
+        let mut hasher = LaneHash::new();
+        hasher.update_le_bytes(offsets);
+        hasher.update_le_bytes(adjacency);
+        hasher.finish()
+    }
+
+    /// A copy of a sectioned file with `version` stamped and `checksum`
+    /// written into its header.
+    fn restamped(bytes: &[u8], version: u32, checksum: u64) -> Vec<u8> {
+        let mut copy = bytes.to_vec();
+        copy[8..12].copy_from_slice(&version.to_le_bytes());
+        copy[40..48].copy_from_slice(&checksum.to_le_bytes());
+        copy
+    }
+
+    /// Re-encodes a canonical v3 buffer as the equivalent legacy v1 file:
+    /// same header with version 1 stamped and the payloads re-sealed with
+    /// byte FNV-1a, section table dropped, payloads immediately after the
+    /// header.
+    fn downgrade_to_v1(v3: &[u8]) -> Vec<u8> {
+        let mut v1 = restamped(v3, FORMAT_VERSION_V1, byte_fnv_seal(v3));
+        v1.drain(HEADER_LEN..V2_PROLOGUE);
         v1
     }
 
@@ -750,16 +902,115 @@ mod tests {
     #[test]
     fn checksum_and_content_hash_stable_across_versions() {
         let g = sample();
-        let mut v2 = Vec::new();
-        write_binary(&g, &mut v2).unwrap();
-        let v1 = downgrade_to_v1(&v2);
+        let mut v3 = Vec::new();
+        write_binary(&g, &mut v3).unwrap();
+        let v1 = downgrade_to_v1(&v3);
+        let v2 = restamped(&v3, FORMAT_VERSION_V2, byte_fnv_seal(&v3));
         let h1 = Header::parse(&v1).unwrap();
         let h2 = Header::parse(&v2).unwrap();
-        // The checksum covers only the payload bytes, so the version bump
-        // does not move serve-tier cache keys.
+        let h3 = Header::parse(&v3).unwrap();
+        // Byte FNV-1a covers only the payload bytes, so the v1 -> v2 bump
+        // did not move serve-tier cache keys.
         assert_eq!(h1.checksum, h2.checksum);
         assert_eq!(content_hash_from_header(&h1), content_hash_from_header(&h2));
-        assert_eq!(content_hash(&g), content_hash_from_header(&h1));
+        // The v3 key is the graph's content hash; the v2 key is another.
+        assert_eq!(content_hash(&g), content_hash_from_header(&h3));
+        assert_ne!(content_hash_from_header(&h2), content_hash_from_header(&h3));
+    }
+
+    #[test]
+    fn lane_checksum_matches_its_known_answers() {
+        // Computed by an independent implementation of the module spec.
+        assert_eq!(LaneHash::new().finish(), 0x52fc_c39e_bac1_808d);
+        let words: Vec<u32> = (0..10).collect();
+        let mut h = LaneHash::new();
+        h.update_words(&words);
+        assert_eq!(h.finish(), 0x68b8_bb0e_e692_7176);
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let mut h = LaneHash::new();
+        h.update_le_bytes(&bytes);
+        assert_eq!(h.finish(), 0x68b8_bb0e_e692_7176);
+    }
+
+    #[test]
+    fn lane_checksum_does_not_depend_on_how_the_stream_is_split() {
+        // A lane-by-lane statement of the spec, one word at a time.
+        let spec = |words: &[u32]| {
+            let step = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+            let mut lanes = [0xcbf2_9ce4_8422_2325u64; 8];
+            for (i, &w) in words.iter().enumerate() {
+                lanes[i % 8] = step(lanes[i % 8], u64::from(w));
+            }
+            lanes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &l| step(h, l))
+        };
+        let words: Vec<u32> = (0..1000u32).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
+        let want = spec(&words);
+        for piece in [1, 3, 7, 8, 9, 64, 999] {
+            let mut by_words = LaneHash::new();
+            let mut by_bytes = LaneHash::new();
+            for chunk in words.chunks(piece) {
+                by_words.update_words(chunk);
+                let bytes: Vec<u8> = chunk.iter().flat_map(|w| w.to_le_bytes()).collect();
+                by_bytes.update_le_bytes(&bytes);
+            }
+            assert_eq!(by_words.finish(), want, "pieces of {piece} words");
+            assert_eq!(by_bytes.finish(), want, "pieces of {piece} words as bytes");
+        }
+    }
+
+    #[test]
+    fn every_flipped_section_byte_fails_verification() {
+        let g = sample();
+        let mut v3 = Vec::new();
+        write_binary(&g, &mut v3).unwrap();
+        let seal = lane_seal(&v3);
+        let h = Header::parse(&v3).unwrap();
+        assert_eq!(h.checksum, seal);
+        let adjacency_pos = V2_PROLOGUE + h.offsets_len();
+        for at in V2_PROLOGUE..v3.len() {
+            let mut copy = v3.clone();
+            copy[at] ^= 0xff;
+            // The checksum itself moves, whatever the check that fires.
+            assert_ne!(lane_seal(&copy), seal, "byte {at}");
+            let err = read_mapped(&copy).unwrap_err();
+            // Opening never reads the adjacency, so only the checksum can
+            // refuse a flip there; an offsets flip may fail the decode.
+            if at >= adjacency_pos {
+                assert!(
+                    err.to_string().contains("checksum mismatch"),
+                    "byte {at}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_v2_copy_verifies_and_keeps_its_byte_fnv_key() {
+        let g = sample();
+        let mut v3 = Vec::new();
+        write_binary(&g, &mut v3).unwrap();
+        let v2 = restamped(&v3, FORMAT_VERSION_V2, byte_fnv_seal(&v3));
+        assert_eq!(read_mapped(&v2).unwrap(), g);
+        let h = Header::parse(&v2).unwrap();
+        assert_eq!(h.version, FORMAT_VERSION_V2);
+        assert_eq!(
+            content_hash_from_header(&h),
+            content_hash_parts(5, 10, byte_fnv_seal(&v3))
+        );
+    }
+
+    #[test]
+    fn cross_sealed_copies_are_refused() {
+        let g = sample();
+        let mut v3 = Vec::new();
+        write_binary(&g, &mut v3).unwrap();
+        for copy in [
+            restamped(&v3, FORMAT_VERSION, byte_fnv_seal(&v3)),
+            restamped(&v3, FORMAT_VERSION_V2, lane_seal(&v3)),
+        ] {
+            let err = read_mapped(&copy).unwrap_err();
+            assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        }
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! that happens to be misaligned) the file is copied into an 8-aligned
 //! owned buffer, byte-swapping where needed; the public API is identical.
 
-use super::format::{decode_offsets, Header, SectionLayout};
+use super::format::{
+    checksum_sections, decode_offsets, Fnv1a, Header, SectionLayout, FORMAT_VERSION,
+};
 use crate::{GraphError, GraphRef, VertexId};
 use memmap2::Mmap;
 use std::fs::File;
@@ -195,39 +197,33 @@ impl MmapCsrGraph {
         }
     }
 
-    /// Recomputes the FNV-1a checksum over the offsets and adjacency
-    /// sections and compares it against the header, then checks what the
-    /// checksum cannot: that every adjacency entry names a vertex below
-    /// `num_vertices` ([`GraphError::VertexOutOfRange`]), and — if the
-    /// header claims sorted adjacency
-    /// ([`FLAG_SORTED`](super::format::FLAG_SORTED)) — that every neighbor
-    /// list really is sorted ascending
-    /// ([`GraphError::SortedFlagViolation`]). These checks piggyback on the
-    /// checksum walk: the adjacency pages are already resident, so they add
-    /// no extra I/O. `O(file size)`; faults in every page.
+    /// Recomputes the checksum over the offsets and adjacency sections —
+    /// the lane checksum for a version 3 file, byte FNV-1a for versions 1
+    /// and 2 ([format docs](super::format)) — and compares it against the
+    /// header, then checks what the checksum cannot: that every adjacency
+    /// entry names a vertex below `num_vertices`
+    /// ([`GraphError::VertexOutOfRange`]), and — if the header claims
+    /// sorted adjacency ([`FLAG_SORTED`](super::format::FLAG_SORTED)) — that
+    /// every neighbor list really is sorted ascending
+    /// ([`GraphError::SortedFlagViolation`]). These checks follow the
+    /// checksum walk while the adjacency pages are resident, so they add no
+    /// extra I/O. `O(file size)`; faults in every page.
     pub fn verify_checksum(&self) -> Result<(), GraphError> {
-        let mut hasher = super::format::Fnv1a::new();
-        let bytes = self.backing.bytes();
-        let offsets =
-            &bytes[self.layout.offsets_pos..self.layout.offsets_pos + self.header.offsets_len()];
-        #[cfg(target_endian = "little")]
-        {
-            hasher.update(offsets);
-            hasher.update(
-                &bytes[self.layout.adjacency_pos
-                    ..self.layout.adjacency_pos + self.header.adjacency_len()],
-            );
-        }
-        #[cfg(target_endian = "big")]
-        {
-            // The in-memory adjacency was byte-swapped to native order at
-            // load; hash the on-disk (little-endian) representation.
-            hasher.update(offsets);
-            for &v in self.adjacency() {
-                hasher.update(&v.to_le_bytes());
+        let offsets = &self.backing.bytes()
+            [self.layout.offsets_pos..self.layout.offsets_pos + self.header.offsets_len()];
+        // Both hashers read the adjacency as words and take their
+        // little-endian bytes, so neither depends on the host's byte order.
+        let computed = match self.header.version {
+            FORMAT_VERSION => checksum_sections(offsets, self.adjacency()),
+            _ => {
+                let mut hasher = Fnv1a::new();
+                hasher.update(offsets);
+                for &w in self.adjacency() {
+                    hasher.update(&w.to_le_bytes());
+                }
+                hasher.finish()
             }
-        }
-        let computed = hasher.finish();
+        };
         if computed != self.header.checksum {
             return Err(GraphError::Format(format!(
                 "checksum mismatch: header says {:#018x}, data hashes to {computed:#018x}",
@@ -242,37 +238,89 @@ impl MmapCsrGraph {
         // `convert --verify`, CLI loads) checks both while the pages are
         // still warm.
         let graph = self.view();
-        let n = graph.num_vertices();
-        let out_of_range = |vertex: VertexId| GraphError::VertexOutOfRange {
-            vertex: vertex as u64,
-            num_vertices: n as u64,
-        };
         if self.header.sorted {
-            for v in 0..n as VertexId {
-                let adj = graph.neighbors(v);
-                if let Some(pos) = (1..adj.len()).find(|&i| adj[i] < adj[i - 1]) {
-                    return Err(GraphError::SortedFlagViolation {
-                        vertex: v as u64,
-                        position: pos,
-                    });
-                }
-                // A sorted list is in range iff its last entry is.
-                if let Some(&last) = adj.last().filter(|&&w| w as usize >= n) {
-                    return Err(out_of_range(last));
-                }
-            }
-        } else if let Some(&w) = graph.adjacency().iter().find(|&&w| w as usize >= n) {
-            return Err(out_of_range(w));
+            check_sorted_lists(graph)
+        } else if let Some(&w) = graph
+            .adjacency()
+            .iter()
+            .find(|&&w| w as usize >= graph.num_vertices())
+        {
+            Err(out_of_range(graph, w))
+        } else {
+            Ok(())
         }
-        Ok(())
     }
+}
+
+/// The positions `i` with `adj[i] < adj[i - 1]`. Each block's compares
+/// are summed in `u32`, which no block can overflow and which vectorises
+/// four compares wide where a `usize` sum does two.
+fn count_descents(adj: &[VertexId]) -> usize {
+    const BLOCK: usize = 1 << 16;
+    let next = adj.get(1..).unwrap_or_default();
+    adj.chunks(BLOCK)
+        .zip(next.chunks(BLOCK))
+        .map(|(prev, next)| {
+            let block: u32 = prev.iter().zip(next).map(|(&p, &c)| u32::from(c < p)).sum();
+            block as usize
+        })
+        .sum()
+}
+
+fn out_of_range(graph: GraphRef<'_>, vertex: VertexId) -> GraphError {
+    GraphError::VertexOutOfRange {
+        vertex: vertex as u64,
+        num_vertices: graph.num_vertices() as u64,
+    }
+}
+
+/// Checks a sorted claim and the range of a graph whose header claims
+/// sorted lists, reporting the first violation in vertex order.
+///
+/// A sorted graph's adjacency array descends (`adj[i] < adj[i - 1]`) only
+/// where a new list starts. So one branch-free count of the descents over
+/// the whole array, less the descents at the starts of non-empty lists
+/// (an empty list shares its offset with the next list, so each start
+/// counts once), is zero exactly when every list is sorted. Then each list
+/// is in range iff its last entry is: an `O(V)` check. Only a file that
+/// fails either runs the per-list scan, which names the vertex and
+/// position of the first violation.
+fn check_sorted_lists(graph: GraphRef<'_>) -> Result<(), GraphError> {
+    let (offsets, adj, n) = (graph.offsets(), graph.adjacency(), graph.num_vertices());
+    let descents = count_descents(adj);
+    let mut start_descents = 0;
+    let mut in_range = true;
+    for bounds in offsets.windows(2) {
+        let (start, end) = (bounds[0], bounds[1]);
+        if start < end {
+            start_descents += usize::from(start > 0 && adj[start] < adj[start - 1]);
+            in_range &= (adj[end - 1] as usize) < n;
+        }
+    }
+    if descents == start_descents && in_range {
+        return Ok(());
+    }
+    for v in 0..n as VertexId {
+        let list = graph.neighbors(v);
+        if let Some(position) = (1..list.len()).find(|&i| list[i] < list[i - 1]) {
+            return Err(GraphError::SortedFlagViolation {
+                vertex: v as u64,
+                position,
+            });
+        }
+        // A sorted list is in range iff its last entry is.
+        if let Some(&last) = list.last().filter(|&&w| w as usize >= n) {
+            return Err(out_of_range(graph, last));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::format::{
-        section_table_bytes, write_binary_file, Fnv1a, OffsetsWidth, FORMAT_VERSION,
-        FORMAT_VERSION_V1, HEADER_LEN,
+        content_hash, content_hash_from_header, section_table_bytes, write_binary_file,
+        OffsetsWidth, FORMAT_VERSION_V1, HEADER_LEN,
     };
     use super::*;
     use crate::CsrGraph;
@@ -291,17 +339,57 @@ mod tests {
         SectionLayout::locate(&header, bytes).unwrap().offsets_pos
     }
 
-    /// Sets the last adjacency entry of an encoded file to `value` and
-    /// recomputes the checksum, so only the checks behind it can object.
-    fn set_last_entry(bytes: &mut [u8], value: VertexId) {
+    /// Applies `edit` to the adjacency entries of an encoded v3 file and
+    /// re-seals it with the v3 checksum, so only the checks behind the
+    /// checksum can object.
+    fn edit_adjacency(bytes: &mut [u8], edit: impl FnOnce(&mut [VertexId])) {
         let header = Header::parse(bytes).unwrap();
         let layout = SectionLayout::locate(&header, bytes).unwrap();
-        let end = layout.adjacency_pos + header.adjacency_len();
-        bytes[end - 4..end].copy_from_slice(&value.to_le_bytes());
-        let mut hasher = Fnv1a::new();
-        hasher.update(&bytes[layout.offsets_pos..layout.offsets_pos + header.offsets_len()]);
-        hasher.update(&bytes[layout.adjacency_pos..end]);
-        bytes[40..48].copy_from_slice(&hasher.finish().to_le_bytes());
+        let section = layout.adjacency_pos..layout.adjacency_pos + header.adjacency_len();
+        let mut words: Vec<VertexId> = bytes[section.clone()]
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+            .collect();
+        edit(&mut words);
+        for (b, w) in bytes[section].chunks_exact_mut(4).zip(&words) {
+            b.copy_from_slice(&w.to_le_bytes());
+        }
+        let offsets = &bytes[layout.offsets_pos..layout.offsets_pos + header.offsets_len()];
+        let seal = checksum_sections(offsets, &words);
+        bytes[40..48].copy_from_slice(&seal.to_le_bytes());
+    }
+
+    /// Sets the last adjacency entry of an encoded file to `value`.
+    fn set_last_entry(bytes: &mut [u8], value: VertexId) {
+        edit_adjacency(bytes, |adj| *adj.last_mut().unwrap() = value);
+    }
+
+    /// Writes `g`, applies `edit` to its adjacency (the header still claims
+    /// sorted lists) and returns what `verify_checksum` says.
+    fn verify_edited(tag: &str, g: &CsrGraph, edit: impl FnOnce(&mut [VertexId])) -> GraphError {
+        assert!(g.is_sorted());
+        let path = temp_path(tag);
+        write_binary_file(g, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        edit_adjacency(&mut bytes, edit);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = MmapCsrGraph::open(&path)
+            .unwrap()
+            .verify_checksum()
+            .unwrap_err();
+        let _ = std::fs::remove_file(&path);
+        err
+    }
+
+    /// The per-list scan: the vertex and position of the first descent
+    /// inside one list, in vertex order.
+    fn first_descent(offsets: &[usize], adj: &[VertexId]) -> Option<(u64, usize)> {
+        offsets.windows(2).enumerate().find_map(|(v, w)| {
+            let list = &adj[w[0]..w[1]];
+            (1..list.len())
+                .find(|&i| list[i] < list[i - 1])
+                .map(|i| (v as u64, i))
+        })
     }
 
     #[test]
@@ -483,25 +571,25 @@ mod tests {
         let g = sample();
         let path = temp_path("v1compat");
         write_binary_file(&g, &path).unwrap();
-        // Re-encode the written v2 file as its v1 equivalent: version 1
-        // stamped, section table cut out, payloads right after the header.
-        let v2 = std::fs::read(&path).unwrap();
-        let payload = offsets_pos(&v2);
-        let mut v1 = Vec::with_capacity(HEADER_LEN + (v2.len() - payload));
-        v1.extend_from_slice(&v2[..HEADER_LEN]);
+        // Re-encode the written v3 file as its v1 equivalent: version 1
+        // stamped, the payloads re-sealed with byte FNV-1a, section table
+        // cut out, payloads right after the header.
+        let v3 = std::fs::read(&path).unwrap();
+        let payload = offsets_pos(&v3);
+        let mut seal = Fnv1a::new();
+        seal.update(&v3[payload..]);
+        let mut v1 = Vec::with_capacity(HEADER_LEN + (v3.len() - payload));
+        v1.extend_from_slice(&v3[..HEADER_LEN]);
         v1[8..12].copy_from_slice(&FORMAT_VERSION_V1.to_le_bytes());
-        v1.extend_from_slice(&v2[payload..]);
+        v1[40..48].copy_from_slice(&seal.finish().to_le_bytes());
+        v1.extend_from_slice(&v3[payload..]);
         std::fs::write(&path, &v1).unwrap();
         let m = MmapCsrGraph::open(&path).unwrap();
         assert_eq!(m.header().version, FORMAT_VERSION_V1);
         assert_eq!(m.view().to_csr_graph(), g);
-        // The checksum covers only payload bytes, so it still verifies —
-        // and the content hash (serve cache key) is unchanged.
         m.verify_checksum().unwrap();
-        assert_eq!(
-            super::super::format::content_hash_from_header(m.header()),
-            super::super::format::content_hash(&g),
-        );
+        // Its key follows its byte-FNV checksum, not the v3 content hash.
+        assert_ne!(content_hash_from_header(m.header()), content_hash(&g));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -526,5 +614,128 @@ mod tests {
             "{err:?}"
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn sorted_walk_accepts_isolated_vertices_and_descents_at_list_starts() {
+        for (tag, g) in [
+            // Lists 1: [4, 7], 4: [1, 7], 7: [1, 4, 9], 9: [7]; 0 and the
+            // vertices between the lists are isolated, and the array
+            // descends at the starts of 4's and 7's lists.
+            (
+                "walk_isolated",
+                CsrGraph::from_canonical_edges(10, &[(1, 4), (1, 7), (4, 7), (7, 9)]),
+            ),
+            // Lists 0: [5], 1: [2], 2: [1], 5: [0]: every list start
+            // descends, the last one after two empty lists.
+            (
+                "walk_boundaries",
+                CsrGraph::from_canonical_edges(6, &[(0, 5), (1, 2)]),
+            ),
+            ("walk_no_edges", CsrGraph::empty(4)),
+        ] {
+            let path = temp_path(tag);
+            write_binary_file(&g, &path).unwrap();
+            let m = MmapCsrGraph::open(&path).unwrap();
+            assert!(m.view().is_sorted());
+            m.verify_checksum()
+                .unwrap_or_else(|e| panic!("{tag}: {e:?}"));
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn sorted_walk_reports_the_first_violation_of_the_per_list_scan() {
+        // Lists 0: [1, 2, 3], 1: [0, 2], 2: [0, 1], 3: [0, 5, 7], 4: [],
+        // 5: [3, 6, 7], 6: [5, 7], 7: [3, 5, 6].
+        let g = CsrGraph::from_canonical_edges(
+            8,
+            &[
+                (0, 1),
+                (0, 2),
+                (0, 3),
+                (1, 2),
+                (3, 5),
+                (3, 7),
+                (5, 6),
+                (5, 7),
+                (6, 7),
+            ],
+        );
+        let at = |v: usize, i: usize| g.offsets()[v] + i;
+        // Swaps of entries `i` and `j` of vertex `v`'s list, and the first
+        // violation they make.
+        type Swaps = &'static [(usize, usize, usize)];
+        let descents: [(&str, Swaps, (u64, usize)); 4] = [
+            // The first two entries of a list swapped: position 1.
+            ("walk_pos1", &[(3, 0, 1)], (3, 1)),
+            // The last two entries of the last list swapped.
+            ("walk_last", &[(7, 1, 2)], (7, 2)),
+            // A list right after an empty one.
+            ("walk_after_empty", &[(5, 1, 2)], (5, 2)),
+            // Two violations: the scan names the earlier vertex.
+            ("walk_two", &[(6, 0, 1), (2, 0, 1)], (2, 1)),
+        ];
+        for (tag, swaps, (vertex, position)) in descents {
+            let edit = |adj: &mut [VertexId]| {
+                for &(v, i, j) in swaps {
+                    adj.swap(at(v, i), at(v, j));
+                }
+            };
+            let mut adj = g.adjacency().to_vec();
+            edit(&mut adj);
+            assert_eq!(first_descent(g.offsets(), &adj), Some((vertex, position)));
+            let err = verify_edited(tag, &g, edit);
+            assert!(
+                matches!(
+                    err,
+                    GraphError::SortedFlagViolation { vertex: v, position: p }
+                        if (v, p) == (vertex, position)
+                ),
+                "{tag}: {err:?}"
+            );
+        }
+        // Range and order together: the scan reports whichever vertex
+        // comes first. Vertex 3's last entry past the vertex count keeps
+        // its list sorted.
+        let err = verify_edited("walk_range", &g, |adj| adj[at(3, 2)] = 9);
+        assert!(
+            matches!(
+                err,
+                GraphError::VertexOutOfRange {
+                    vertex: 9,
+                    num_vertices: 8
+                }
+            ),
+            "{err:?}"
+        );
+        let err = verify_edited("walk_range_first", &g, |adj| {
+            adj[at(1, 1)] = 8;
+            adj.swap(at(5, 0), at(5, 1));
+        });
+        assert!(
+            matches!(
+                err,
+                GraphError::VertexOutOfRange {
+                    vertex: 8,
+                    num_vertices: 8
+                }
+            ),
+            "{err:?}"
+        );
+        let err = verify_edited("walk_order_first", &g, |adj| {
+            adj.swap(at(0, 1), at(0, 2));
+            adj[at(7, 2)] = 8;
+        });
+        assert!(
+            matches!(
+                err,
+                GraphError::SortedFlagViolation {
+                    vertex: 0,
+                    position: 2
+                }
+            ),
+            "{err:?}"
+        );
     }
 }

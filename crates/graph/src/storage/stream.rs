@@ -15,7 +15,7 @@
 //!    in-memory window sized by the raw degrees, sort and deduplicate each
 //!    vertex's list, and append the compacted lists to an adjacency spill
 //!    file. Memory: `O(bucket window + V)`.
-//! 4. **Assembly** — with final degrees known, write the v2 prologue
+//! 4. **Assembly** — with final degrees known, write the v3 prologue
 //!    (header + section table) and the offsets section (width chosen by
 //!    the [rule](super::format)), then stream-copy the adjacency spill
 //!    file, hashing both section payloads and patching the checksum into
@@ -28,7 +28,7 @@
 //! removed.
 
 use super::format::{
-    offsets_width, section_table_bytes, Fnv1a, Header, OffsetsWidth, FORMAT_VERSION,
+    offsets_section, offsets_width, section_table_bytes, Header, LaneHash, FORMAT_VERSION,
 };
 use crate::io::scan_edge_list_lines;
 use crate::{GraphError, VertexId};
@@ -275,32 +275,21 @@ pub fn convert_edge_list_to_binary_with<P: AsRef<Path>, Q: AsRef<Path>>(
     // The checksum covers only the section payloads, so the table can be
     // written before hashing starts.
     out.write_all(&section_table_bytes(&header))?;
-    let mut hasher = Fnv1a::new();
-    match width {
-        OffsetsWidth::U32 => {
-            for &o in &final_offsets {
-                let bytes = crate::layout::narrow_index(o as usize).to_le_bytes();
-                hasher.update(&bytes);
-                out.write_all(&bytes)?;
-            }
-        }
-        OffsetsWidth::U64 => {
-            for &o in &final_offsets {
-                let bytes = o.to_le_bytes();
-                hasher.update(&bytes);
-                out.write_all(&bytes)?;
-            }
-        }
-    }
-    let mut adj_reader = BufReader::new(File::open(&adj_path)?);
+    let offsets = offsets_section(final_offsets.into_iter(), width);
+    let mut hasher = LaneHash::new();
+    hasher.update_le_bytes(&offsets);
+    out.write_all(&offsets)?;
+    // The spill file holds exactly the adjacency section, so whole chunks
+    // of it are whole words.
+    let mut adj_reader = File::open(&adj_path)?;
     let mut chunk = vec![0u8; 64 << 10];
-    loop {
-        let n = adj_reader.read(&mut chunk)?;
-        if n == 0 {
-            break;
-        }
-        hasher.update(&chunk[..n]);
+    let mut left = header.adjacency_len();
+    while left > 0 {
+        let n = left.min(chunk.len());
+        adj_reader.read_exact(&mut chunk[..n])?;
+        hasher.update_le_bytes(&chunk[..n]);
         out.write_all(&chunk[..n])?;
+        left -= n;
     }
     out.flush()?;
     let mut out_file = out.into_inner().map_err(|e| e.into_error())?;

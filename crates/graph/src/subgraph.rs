@@ -52,12 +52,18 @@ pub fn induced_subgraph<'a>(
             local_to_global.push(v);
         }
     }
+    // Each edge is pushed from its larger endpoint's scan as
+    // `(smaller, larger)`; a host vertex outside the subset maps to
+    // `NO_VERTEX`, which is larger than every local id, so the one
+    // comparison skips it. The scan ascends, so every vertex's bucket of
+    // larger neighbours arrives in `from_edges` sorted, whatever the order
+    // of the host's lists, and the build sorts nothing on the pool.
     let mut edges = Vec::new();
     for (local_u, &global_u) in local_to_global.iter().enumerate() {
         for &global_v in graph.neighbors(global_u) {
             let local_v = global_to_local[global_v as usize];
-            if local_v != NO_VERTEX && (local_u as VertexId) < local_v {
-                edges.push((local_u as VertexId, local_v));
+            if local_v < local_u as VertexId {
+                edges.push((local_v, local_u as VertexId));
             }
         }
     }

@@ -24,8 +24,9 @@
 //!   forbid serving big graphs) and becomes the first eviction candidate.
 //!   Eviction drops the cache's `Arc`; sessions mid-extraction on the
 //!   evicted graph keep it alive through theirs until they finish.
-//! * **Verified admission.** A binary file must pass its stored FNV-1a
-//!   section checksum before it is admitted: `load_graph` validates
+//! * **Verified admission.** A binary file must pass its stored section
+//!   checksum (the lane checksum of format v3, byte FNV-1a for v1 and v2)
+//!   before it is admitted: `load_graph` validates
 //!   structure only (offsets monotone, counts consistent), so a bit flip
 //!   in the adjacency section would otherwise be served silently forever.
 //!   A failed check quarantines the entry — any resident copy under the

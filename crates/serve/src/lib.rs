@@ -78,7 +78,7 @@
 //! | `missing-arg` / `bad-arg` | required argument absent / value unparsable, or a key the verb does not read | open |
 //! | `not-found` | `EXTRACT graph=` names a hash the cache no longer holds (e.g. evicted) — re-`LOAD` or use `path=` | open |
 //! | `io` | graph file unreadable/undecodable | open |
-//! | `corrupt` | the file failed its FNV-1a section checksum on cache admission; the entry was quarantined (resident copy evicted, `cache.corruptions` bumped) — distinct from `not-found`: the file exists but its bytes are damaged | open |
+//! | `corrupt` | the file failed its section checksum (or the range and sorted-flag checks behind it) on cache admission; the entry was quarantined (resident copy evicted, `cache.corruptions` bumped) — distinct from `not-found`: the file exists but its bytes are damaged | open |
 //! | `overload` | the admission queue is full, the session limit was hit, or the server is shutting down; carries a `retry_after_ms` back-off hint | open (session-limit rejections close) |
 //! | `deadline-exceeded` | the request's `deadline_ms` expired while queued; it did not execute; carries `queue_wait_ns` | open |
 //! | `internal` | a request handler panicked; the admission permit was released by unwinding (the queue is not poisoned) | closed |
@@ -108,12 +108,12 @@
 //! Graphs are cached under
 //! [`chordal_graph::storage::content_hash`]: FNV-1a 64 over the vertex
 //! count, directed adjacency-entry count and the sections checksum of the
-//! graph's canonical binary CSR encoding. For a **binary** file the key is
-//! derived from the 48-byte header alone
+//! graph's canonical binary CSR encoding (format v3's lane checksum). For
+//! a **binary** file the key is derived from the 48-byte header alone
 //! ([`content_hash_from_header`](chordal_graph::storage::content_hash_from_header))
-//! — the header `checksum` field is exactly the FNV-1a value
-//! `chordal convert` writes and `chordal convert --verify` validates, so a
-//! cache hit on a converted graph is **zero-parse**: one header read, then
+//! — the header `checksum` field is exactly the value `chordal convert`
+//! writes and `chordal convert --verify` validates, so a cache hit on a
+//! converted graph is **zero-parse**: one header read, then
 //! the existing mmap (page-cache-shared across every session) serves all
 //! extractions. On a **miss**, admission verifies the stored checksum
 //! against the data sections before the entry may become resident — a
@@ -121,7 +121,9 @@
 //! served; hits skip re-verification because residency implies the check
 //! passed. A **text** file must be parsed once, after which its hash
 //! equals its converted binary's — the two on-disk representations of one
-//! graph share a single cache entry. Entries are evicted LRU when resident
+//! graph share a single cache entry. A v1 or v2 file keeps the key of its
+//! byte-FNV checksum, so it and a v3 file of the same graph are two
+//! entries. Entries are evicted LRU when resident
 //! bytes exceed [`ServeConfig::cache_budget_bytes`]; in-flight extractions
 //! keep evicted graphs alive through their `Arc` until they finish.
 //!

@@ -2,8 +2,8 @@
 //!
 //! Every parallel loop goes through `Engine`, and a loop with an engine in
 //! scope runs on it. So an extraction on the serial engine submits no pool
-//! region, and a fanned-out batch submits one: the fan-out, whose
-//! participants extract serially. Serve's `payload=edges` writes the
+//! region, on sorted or scrambled adjacency, and a fanned-out batch submits
+//! one: the fan-out, whose participants extract serially. Serve's `payload=edges` writes the
 //! result's edges as they are, so a serial `EXTRACT` submits none either.
 //! The test counts regions through `pool_stats()`, which is process-wide,
 //! so it lives alone in this binary: no other test can submit a region
@@ -30,8 +30,11 @@ fn the_configured_engine_bounds_the_regions_of_every_algorithm() {
     // On 256 vertices every per-vertex pool loop runs inline. A 4,096-vertex
     // graph makes the partitioned baseline's builds visible: each partition
     // and the union check go through `CsrGraph::from_edges`, which must not
-    // sort on the pool when its buckets are already sorted.
+    // sort on the pool when its buckets are already sorted. Its copy with
+    // scrambled lists makes Algorithm 1 sort a copy (on the extraction's
+    // engine) and hands the partitions' builds unsorted host lists.
     let large = RmatParams::preset(RmatKind::G, 12, 1).generate();
+    let scrambled = large.with_scrambled_adjacency(7);
     for algorithm in Algorithm::ALL {
         let config = ExtractorConfig::default().with_algorithm(algorithm);
         for repair in [false, true] {
@@ -42,7 +45,7 @@ fn the_configured_engine_bounds_the_regions_of_every_algorithm() {
                     .with_partitions(4)
                     .with_repair(repair),
             );
-            for (k, graph) in graphs.iter().chain([&large]).enumerate() {
+            for (k, graph) in graphs.iter().chain([&large, &scrambled]).enumerate() {
                 let regions = regions_during(|| {
                     serial.extract(graph);
                 });

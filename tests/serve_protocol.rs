@@ -47,21 +47,27 @@ fn default_fixture(tag: &str) -> Fixture {
     Fixture::start(tag, ServeConfig::default())
 }
 
-/// A copy of an encoded graph whose last adjacency entry names the vertex
-/// count — one past the last vertex — with the FNV-1a section checksum
-/// recomputed to match. The last entry is its list's largest, so a sorted
-/// file stays sorted.
+/// A copy of an encoded v3 graph whose last adjacency entry names the
+/// vertex count — one past the last vertex — with the lane section
+/// checksum recomputed to match, so the range check, not the checksum,
+/// refuses it. The last entry is its list's largest, so a sorted file
+/// stays sorted.
 fn with_out_of_range_entry(bytes: &[u8]) -> Vec<u8> {
     let mut bytes = bytes.to_vec();
     let header = Header::parse(&bytes).unwrap();
+    assert_eq!(header.version, 3);
     let layout = SectionLayout::locate(&header, &bytes).unwrap();
     let end = layout.adjacency_pos + header.adjacency_len();
     bytes[end - 4..end].copy_from_slice(&(header.num_vertices as u32).to_le_bytes());
-    // The two sections are adjacent, offsets first.
-    let mut checksum = 0xcbf2_9ce4_8422_2325u64;
-    for &b in &bytes[layout.offsets_pos..end] {
-        checksum = (checksum ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    // The two sections are adjacent, offsets first: one stream of
+    // little-endian words, word i into lane i mod 8, then the lanes folded.
+    let step = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+    let mut lanes = [0xcbf2_9ce4_8422_2325u64; 8];
+    for (i, word) in bytes[layout.offsets_pos..end].chunks_exact(4).enumerate() {
+        let word = u32::from_le_bytes(word.try_into().unwrap());
+        lanes[i % 8] = step(lanes[i % 8], u64::from(word));
     }
+    let checksum = lanes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &l| step(h, l));
     bytes[40..48].copy_from_slice(&checksum.to_le_bytes());
     bytes
 }

@@ -219,11 +219,32 @@ fn every_generator_reproduces_its_pinned_content_hash() {
     // One graph per generator, hashed over its vertex count, offsets and
     // adjacency order. The values were recorded before the graph builders
     // moved to `CsrGraph::from_edges`, so a builder that drops, adds or
-    // reorders one adjacency entry moves a hash.
+    // reorders one adjacency entry moves a hash. They are the content hash
+    // of format v2, which this test keeps as its own copy: byte FNV-1a
+    // over the vertex count, the directed count and the byte FNV-1a of the
+    // u32 little-endian offsets and adjacency.
     use maximal_chordal::generators::chordal_gen::{interval_graph, k_tree};
     use maximal_chordal::generators::structured::grid;
     use maximal_chordal::generators::{gnm, gnp};
-    use maximal_chordal::graph::storage::content_hash;
+    use maximal_chordal::graph::storage::{
+        content_hash, content_hash_from_header, write_binary, Header,
+    };
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+    fn pinned_hash(graph: &CsrGraph) -> u64 {
+        let offsets = graph.offsets().iter().map(|&o| u32::try_from(o).unwrap());
+        let sections = offsets.chain(graph.adjacency().iter().copied());
+        let checksum = fnv1a(sections.flat_map(u32::to_le_bytes));
+        let parts = [
+            graph.num_vertices() as u64,
+            graph.num_directed_edges() as u64,
+            checksum,
+        ];
+        fnv1a(parts.into_iter().flat_map(u64::to_le_bytes))
+    }
     let pinned: Vec<(&str, CsrGraph, u64)> = vec![
         (
             "RMAT-ER(12)",
@@ -256,7 +277,16 @@ fn every_generator_reproduces_its_pinned_content_hash() {
         ("grid", grid(20, 30), 0x6a2f_f232_d2ef_04d0),
     ];
     for (name, graph, hash) in pinned {
-        let got = content_hash(&graph);
+        let got = pinned_hash(&graph);
         assert_eq!(got, hash, "{name}: content hash {got:#018x}");
+        // The v3 content hash is the key of the graph's v3 file.
+        let mut file = Vec::new();
+        write_binary(&graph, &mut file).unwrap();
+        let header = Header::parse(&file).unwrap();
+        assert_eq!(
+            content_hash(&graph),
+            content_hash_from_header(&header),
+            "{name}"
+        );
     }
 }
