@@ -97,9 +97,10 @@ pub fn run(options: &HarnessOptions) -> Vec<RepairPoint> {
             assert_eq!(again.num_chordal_edges(), base.num_chordal_edges());
         }
         // Certify the base once; the timed repairs then use the
-        // assume-chordal entry point the serving path (`RepairExtractor`
-        // over alg1) runs, so the steady state being measured — and locked
-        // allocation-free below — contains no subgraph rebuild at all.
+        // assume-chordal entry point that the registry's post-pass runs
+        // after alg1 (`ExtractorConfig::extract_into` with `repair` set),
+        // so the steady state being measured — and locked allocation-free
+        // below — contains no subgraph rebuild at all.
         assert!(
             is_chordal(&base.subgraph(graph)),
             "alg1 output must be chordal"
@@ -109,10 +110,10 @@ pub fn run(options: &HarnessOptions) -> Vec<RepairPoint> {
         // the allocation delta locks) the steady state. The warm-up goes
         // through the certifying public entry point on purpose, as a
         // differential check against the assume-chordal fast path.
-        let outcome = repair_maximality_with(graph, base.edges(), None, &mut workspace);
+        let outcome = repair_maximality_with(graph, base.edges(), &mut workspace);
         let allocations = workspace.allocations();
         let (elapsed, again) = time_best_of(repeats, || {
-            repair_maximality_assume_chordal(graph, base.edges(), None, &mut workspace)
+            repair_maximality_assume_chordal(graph, base.edges(), &mut workspace)
         });
         assert_eq!(
             again, outcome,
@@ -142,9 +143,8 @@ pub fn run(options: &HarnessOptions) -> Vec<RepairPoint> {
         ));
         if workload.scratch_too {
             // The oracle allocates afresh on every call: no workspace.
-            let (elapsed, reference) = time_best_of(repeats, || {
-                repair_maximality_reference(graph, base.edges(), None)
-            });
+            let (elapsed, reference) =
+                time_best_of(repeats, || repair_maximality_reference(graph, base.edges()));
             assert_eq!(
                 reference, outcome,
                 "the reference repair must agree with the maintainer"

@@ -38,9 +38,9 @@
 //! `sequential`), per-file results and the pool's scheduling counters for
 //! the run.
 //!
-//! All configuration parsing goes through the typed helpers of
-//! `chordal-core` ([`Algorithm::parse`], [`AdjacencyMode::parse`], engine
-//! resolution via the runtime), and every failure is a structured
+//! All extraction configuration parsing goes through one parser of
+//! `chordal-core` ([`ExtractorConfig::from_keys`], which serve shares), and
+//! every failure is a structured
 //! [`ExtractError`] mapped to a distinct exit code: 2 for usage/parse
 //! errors (an unknown flag among them, which also prints the usage text),
 //! 3 for I/O failures (a closed stdout among them), 4 for failed
@@ -51,7 +51,7 @@ use chordal_analysis::degree_assortativity;
 use chordal_analysis::TableRow;
 use chordal_core::connect::stitch_components;
 use chordal_core::verify::{check_maximality, is_chordal, MaximalityReport};
-use chordal_core::{AdjacencyMode, Algorithm, ExtractError, ExtractionSession, ExtractorConfig};
+use chordal_core::{ExtractError, ExtractionSession, ExtractorConfig};
 use chordal_generators::bio::GeneNetworkKind;
 use chordal_generators::rmat::{RmatKind, RmatParams};
 use chordal_graph::io::{write_edge_list_file, write_edges};
@@ -324,24 +324,17 @@ fn cmd_convert(flags: &Flags) -> Result<(), ExtractError> {
     Ok(())
 }
 
-/// Builds the extraction configuration from the shared flag set — the one
-/// dispatch point between CLI spellings and the core registry.
+/// Builds the extraction configuration from the shared flag set through
+/// the core's key parser (serve parses its request arguments with the
+/// same one), on the `pool` engine over every available thread unless the
+/// flags say otherwise. `--repair` is a switch stored as `true`.
 fn extraction_config(flags: &Flags) -> Result<ExtractorConfig, ExtractError> {
-    let threads: usize = parse_number(flags, "threads", chordal_runtime::available_threads())?;
-    let algorithm = Algorithm::parse(flags.get("algorithm").map(String::as_str).unwrap_or("alg1"))?;
-    let adjacency =
-        AdjacencyMode::parse(flags.get("variant").map(String::as_str).unwrap_or("opt"))?;
-    let partitions: usize = parse_number(flags, "partitions", 0)?;
-    ExtractorConfig::default()
-        .with_algorithm(algorithm)
-        .with_adjacency(adjacency)
-        .with_stats(flags.contains_key("stats"))
-        .with_repair(flags.contains_key("repair"))
-        .with_partitions(partitions)
-        .with_engine_name(
-            flags.get("engine").map(String::as_str).unwrap_or("pool"),
-            threads,
-        )
+    let config = ExtractorConfig::from_keys(
+        |key| flags.get(key).map(String::as_str),
+        "pool",
+        chordal_runtime::available_threads(),
+    )?;
+    Ok(config.with_stats(flags.contains_key("stats")))
 }
 
 fn cmd_extract(flags: &Flags) -> Result<(), ExtractError> {

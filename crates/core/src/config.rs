@@ -40,8 +40,8 @@ impl AdjacencyMode {
 
 /// Full configuration of an extraction: which [`Algorithm`] to run and how.
 ///
-/// A config is the single input of the registry
-/// ([`Algorithm::build`] / [`ExtractorConfig::build_extractor`]) and of
+/// A config is the single input of the registry's dispatch
+/// ([`ExtractorConfig::extract_into`]) and of
 /// [`crate::ExtractionSession::new`]. Fields that only concern one
 /// algorithm (the partition count) are ignored by the others.
 #[derive(Debug, Clone)]
@@ -81,6 +81,45 @@ impl Default for ExtractorConfig {
 }
 
 impl ExtractorConfig {
+    /// Builds a configuration from a front end's extraction keys, each
+    /// looked up through `key` (a CLI flag or a serve request argument):
+    /// `algorithm`, `variant`, `threads`, `partitions`, `repair` and
+    /// `engine`. An absent key takes its default: `alg1`, `opt`,
+    /// `default_threads`, 0 partitions (one per engine worker), no repair
+    /// and `default_engine`. `repair` is `true` or `false`. The first
+    /// invalid key, in that order, is the error; a `threads`, `partitions`
+    /// or `repair` value that does not parse is an
+    /// [`ExtractError::InvalidOption`] naming its key.
+    pub fn from_keys<'a>(
+        key: impl Fn(&str) -> Option<&'a str>,
+        default_engine: &str,
+        default_threads: usize,
+    ) -> Result<Self, ExtractError> {
+        let number = |name: &str, default: usize| match key(name) {
+            None => Ok(default),
+            Some(given) => given
+                .parse()
+                .map_err(|_| ExtractError::invalid_option(name, given)),
+        };
+        let algorithm = Algorithm::parse(key("algorithm").unwrap_or("alg1"))?;
+        let adjacency = AdjacencyMode::parse(key("variant").unwrap_or("opt"))?;
+        let threads = number("threads", default_threads)?;
+        let partitions = number("partitions", 0)?;
+        let repair = match key("repair") {
+            None | Some("false") => false,
+            Some("true") => true,
+            Some(given) => return Err(ExtractError::invalid_option("repair", given)),
+        };
+        Self {
+            algorithm,
+            adjacency,
+            partitions,
+            repair,
+            ..Self::default()
+        }
+        .with_engine_name(key("engine").unwrap_or(default_engine), threads)
+    }
+
     /// A serial configuration with the given adjacency mode.
     pub fn serial(adjacency: AdjacencyMode) -> Self {
         Self {
@@ -145,11 +184,6 @@ impl ExtractorConfig {
             self.partitions
         }
     }
-
-    /// Builds the configured algorithm's extractor via the registry.
-    pub fn build_extractor(&self) -> Box<dyn crate::extractor::ChordalExtractor> {
-        self.algorithm.build(self)
-    }
 }
 
 #[cfg(test)]
@@ -199,6 +233,66 @@ mod tests {
             AdjacencyMode::Unsorted
         );
         assert!(AdjacencyMode::parse("fast").is_err());
+    }
+
+    #[test]
+    fn keys_parse_with_front_end_defaults_and_name_the_bad_one() {
+        let parse = |pairs: &[(&str, &str)]| {
+            let pairs = pairs.to_vec();
+            ExtractorConfig::from_keys(
+                |key| pairs.iter().find(|(k, _)| *k == key).map(|&(_, v)| v),
+                "serial",
+                3,
+            )
+        };
+        let c = parse(&[]).unwrap();
+        assert_eq!(c.algorithm, Algorithm::Parallel);
+        assert_eq!(c.adjacency, AdjacencyMode::Sorted);
+        assert_eq!(c.engine, Engine::serial());
+        assert_eq!((c.partitions, c.repair, c.record_stats), (0, false, false));
+        let c = parse(&[
+            ("algorithm", "ref"),
+            ("variant", "unopt"),
+            ("engine", "rayon"),
+            ("threads", "2"),
+            ("partitions", "5"),
+            ("repair", "true"),
+        ])
+        .unwrap();
+        assert_eq!(c.algorithm, Algorithm::Reference);
+        assert_eq!(c.adjacency, AdjacencyMode::Unsorted);
+        assert_eq!((c.engine.name(), c.engine.threads()), ("pool", 2));
+        assert_eq!((c.partitions, c.repair), (5, true));
+        assert!(!parse(&[("repair", "false")]).unwrap().repair);
+        assert_eq!(parse(&[("engine", "pool")]).unwrap().engine.threads(), 3);
+
+        assert!(matches!(
+            parse(&[("algorithm", "magic")]),
+            Err(ExtractError::UnknownAlgorithm(name)) if name == "magic"
+        ));
+        assert!(matches!(
+            parse(&[("variant", "fast")]),
+            Err(ExtractError::UnknownVariant(name)) if name == "fast"
+        ));
+        assert!(matches!(
+            parse(&[("engine", "gpu")]),
+            Err(ExtractError::UnknownEngine(name)) if name == "gpu"
+        ));
+        for key in ["threads", "partitions", "repair"] {
+            assert!(
+                matches!(
+                    parse(&[(key, "x")]),
+                    Err(ExtractError::InvalidOption { option, given })
+                        if option == key && given == "x"
+                ),
+                "{key}"
+            );
+        }
+        // The first bad key in parse order is the one named.
+        assert!(matches!(
+            parse(&[("threads", "x"), ("algorithm", "magic")]),
+            Err(ExtractError::UnknownAlgorithm(_))
+        ));
     }
 
     #[test]

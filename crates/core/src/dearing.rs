@@ -13,140 +13,108 @@
 //! algorithm is inherently sequential — which is precisely the paper's
 //! motivation for Algorithm 1. Complexity is `O(|E| Δ)`.
 
-use crate::extractor::ChordalExtractor;
 use crate::result::ChordalResult;
 use crate::workspace::Workspace;
 use chordal_graph::{Edge, GraphRef, VertexId};
 
-/// The Dearing–Shier–Warner extractor, as a registry citizen.
+/// The Dearing–Shier–Warner extraction (module docs), the registry's
+/// [`crate::Algorithm::Dearing`], reusing `workspace`.
 ///
 /// Ties in the max-cardinality selection are broken by the smallest vertex
 /// id, making every run deterministic.
-#[derive(Debug, Clone, Default)]
-pub struct DearingExtractor {
-    start: VertexId,
-}
-
-impl DearingExtractor {
-    /// Creates the extractor starting from vertex 0.
-    pub fn new() -> Self {
-        Self::default()
+pub(crate) fn extract_dearing_into(
+    graph: GraphRef<'_>,
+    workspace: &mut Workspace,
+) -> ChordalResult {
+    let n = graph.num_vertices();
+    if n == 0 {
+        return ChordalResult::new(0, Vec::new(), 0, None);
     }
 
-    /// Creates the extractor with an explicit preferred start vertex.
-    pub fn with_start(start: VertexId) -> Self {
-        Self { start }
-    }
-}
+    workspace.prepare_plain(n);
+    workspace.prepare_buckets(n);
+    // Workspace mapping: `marks` is the selected set, `lists` the
+    // candidate chordal-neighbour sets (kept sorted by id so the subset
+    // test is a linear merge), `buckets` the lazy bucket queue over
+    // |C(v)|.
+    let selected = &mut workspace.marks;
+    let cand = &mut workspace.lists;
+    let buckets = &mut workspace.buckets;
+    let mut edges: Vec<Edge> = Vec::new();
+    let mut steps = 0usize;
 
-impl ChordalExtractor for DearingExtractor {
-    fn name(&self) -> &'static str {
-        "dearing"
-    }
+    // Seed the traversal order in reverse, so vertex 0 pops first.
+    let mut max_count = 0usize;
+    buckets[0].extend((0..n as VertexId).rev());
 
-    fn extract_into(&self, graph: GraphRef<'_>, workspace: &mut Workspace) -> ChordalResult {
-        let n = graph.num_vertices();
-        if n == 0 {
-            return ChordalResult::new(0, Vec::new(), 0, None);
-        }
-        let start = if (self.start as usize) < n {
-            self.start
-        } else {
-            0
+    let mut remaining = n;
+    while remaining > 0 {
+        // Pick the unselected vertex with the largest candidate set.
+        let v = loop {
+            while max_count > 0 && buckets[max_count].is_empty() {
+                max_count -= 1;
+            }
+            match buckets[max_count].pop() {
+                Some(candidate) => {
+                    let c = candidate as usize;
+                    if !selected[c] && cand[c].len() == max_count {
+                        break candidate;
+                    }
+                }
+                None => {
+                    // Rebuild bucket 0 from untouched vertices (only
+                    // reachable when every remaining vertex still has an
+                    // empty set, e.g. isolated vertices after stale
+                    // pops).
+                    let rebuilt: Vec<VertexId> = (0..n)
+                        .filter(|&v| !selected[v] && cand[v].is_empty())
+                        .map(|v| v as VertexId)
+                        .rev()
+                        .collect();
+                    if rebuilt.is_empty() {
+                        max_count = (0..n)
+                            .filter(|&v| !selected[v])
+                            .map(|v| cand[v].len())
+                            .max()
+                            .unwrap_or(0);
+                    } else {
+                        buckets[0] = rebuilt;
+                    }
+                }
+            }
         };
-
-        workspace.prepare_plain(n);
-        workspace.prepare_buckets(n);
-        // Workspace mapping: `marks` is the selected set, `lists` the
-        // candidate chordal-neighbour sets (kept sorted by id so the subset
-        // test is a linear merge), `buckets` the lazy bucket queue over
-        // |C(v)|.
-        let selected = &mut workspace.marks;
-        let cand = &mut workspace.lists;
-        let buckets = &mut workspace.buckets;
-        let mut edges: Vec<Edge> = Vec::new();
-        let mut steps = 0usize;
-
-        // Seed the traversal order: prefer `start`, then any other vertex,
-        // pushed in reverse so `start` pops first.
-        let mut max_count = 0usize;
-        buckets[0].extend((0..n as VertexId).filter(|&v| v != start).rev());
-        buckets[0].push(start);
-
-        let mut remaining = n;
-        while remaining > 0 {
-            // Pick the unselected vertex with the largest candidate set.
-            let v = loop {
-                while max_count > 0 && buckets[max_count].is_empty() {
-                    max_count -= 1;
-                }
-                match buckets[max_count].pop() {
-                    Some(candidate) => {
-                        let c = candidate as usize;
-                        if !selected[c] && cand[c].len() == max_count {
-                            break candidate;
-                        }
-                    }
-                    None => {
-                        // Rebuild bucket 0 from untouched vertices (only
-                        // reachable when every remaining vertex still has an
-                        // empty set, e.g. isolated vertices after stale
-                        // pops).
-                        let rebuilt: Vec<VertexId> = (0..n)
-                            .filter(|&v| !selected[v] && cand[v].is_empty())
-                            .map(|v| v as VertexId)
-                            .rev()
-                            .collect();
-                        if rebuilt.is_empty() {
-                            max_count = (0..n)
-                                .filter(|&v| !selected[v])
-                                .map(|v| cand[v].len())
-                                .max()
-                                .unwrap_or(0);
-                        } else {
-                            buckets[0] = rebuilt;
-                        }
-                    }
-                }
-            };
-            let vi = v as usize;
-            selected[vi] = true;
-            remaining -= 1;
-            steps += 1;
-            // Accept every edge from v to its candidate set.
-            for &c in &cand[vi] {
-                edges.push((c, v));
+        let vi = v as usize;
+        selected[vi] = true;
+        remaining -= 1;
+        steps += 1;
+        // Accept every edge from v to its candidate set.
+        for &c in &cand[vi] {
+            edges.push((c, v));
+        }
+        // Update unselected neighbours.
+        for &w in graph.neighbors(v) {
+            let wi = w as usize;
+            if selected[wi] {
+                continue;
             }
-            // Update unselected neighbours.
-            for &w in graph.neighbors(v) {
-                let wi = w as usize;
-                if selected[wi] {
-                    continue;
+            if sorted_subset_ids(&cand[wi], &cand[vi]) {
+                insert_sorted(&mut cand[wi], v);
+                let new_len = cand[wi].len();
+                if new_len > max_count {
+                    max_count = new_len;
                 }
-                if sorted_subset_ids(&cand[wi], &cand[vi]) {
-                    insert_sorted(&mut cand[wi], v);
-                    let new_len = cand[wi].len();
-                    if new_len > max_count {
-                        max_count = new_len;
-                    }
-                    buckets[new_len].push(w);
-                }
+                buckets[new_len].push(w);
             }
         }
-
-        ChordalResult::new(n, edges, steps, None)
     }
+
+    ChordalResult::new(n, edges, steps, None)
 }
 
 /// Runs the Dearing–Shier–Warner extraction, starting from vertex 0 of each
 /// connected component, with a throwaway workspace.
 pub fn extract_dearing<'a>(graph: impl Into<GraphRef<'a>>) -> ChordalResult {
-    DearingExtractor::new().extract(graph)
-}
-
-/// Dearing–Shier–Warner extraction with an explicit preferred start vertex.
-pub fn extract_dearing_from<'a>(graph: impl Into<GraphRef<'a>>, start: VertexId) -> ChordalResult {
-    DearingExtractor::with_start(start).extract(graph)
+    extract_dearing_into(graph.into(), &mut Workspace::new())
 }
 
 /// `a ⊆ b` for id-sorted, duplicate-free vectors.
@@ -228,13 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn start_vertex_out_of_range_falls_back() {
-        let g = structured::path(5);
-        let r = extract_dearing_from(&g, 99);
-        assert_eq!(r.num_chordal_edges(), 4);
-    }
-
-    #[test]
     fn deterministic_across_runs() {
         let g = RmatParams::preset(RmatKind::B, 7, 4).generate();
         assert_eq!(extract_dearing(&g).edges(), extract_dearing(&g).edges());
@@ -242,22 +203,21 @@ mod tests {
 
     #[test]
     fn workspace_reuse_is_transparent() {
-        let extractor = DearingExtractor::new();
         let mut ws = Workspace::new();
         let big = RmatParams::preset(RmatKind::G, 7, 2).generate();
         let small = structured::cycle(9);
-        let big_fresh = extractor.extract(&big);
-        let small_fresh = extractor.extract(&small);
+        let big_fresh = extract_dearing(&big);
+        let small_fresh = extract_dearing(&small);
         assert_eq!(
-            extractor.extract_into((&big).into(), &mut ws).edges(),
+            extract_dearing_into((&big).into(), &mut ws).edges(),
             big_fresh.edges()
         );
         assert_eq!(
-            extractor.extract_into((&small).into(), &mut ws).edges(),
+            extract_dearing_into((&small).into(), &mut ws).edges(),
             small_fresh.edges()
         );
         assert_eq!(
-            extractor.extract_into((&big).into(), &mut ws).edges(),
+            extract_dearing_into((&big).into(), &mut ws).edges(),
             big_fresh.edges()
         );
     }

@@ -1,88 +1,40 @@
-//! The extractor trait and the algorithm registry.
+//! The algorithm registry and its one dispatch.
 //!
-//! Every extraction algorithm in this crate — the paper's parallel
-//! Algorithm 1, the sequential reference, the Dearing–Shier–Warner baseline
-//! and the partitioned "nearly chordal" baseline — implements
-//! [`ChordalExtractor`], so front ends dispatch uniformly: parse a name
-//! into an [`Algorithm`], build a boxed extractor from an
-//! [`ExtractorConfig`], and call [`ChordalExtractor::extract_into`] with a
-//! reusable [`Workspace`]. No per-algorithm `match` arms live outside this
-//! registry.
+//! The crate's extraction algorithms — the paper's parallel Algorithm 1,
+//! its bulk-synchronous reading, the Dearing–Shier–Warner baseline and the
+//! partitioned "nearly chordal" baseline — form the closed set
+//! [`Algorithm`]. Front ends parse a name into it, fill one
+//! [`ExtractorConfig`], and call [`ExtractorConfig::extract_into`] with a
+//! reusable [`Workspace`]. Its `match` over [`Algorithm`] is the only
+//! place that runs an algorithm by variant; each arm calls a plain
+//! function of the algorithm's module.
+//!
+//! Extraction operates on a [`GraphRef`], the storage-agnostic view over
+//! heap [`CsrGraph`](chordal_graph::CsrGraph)s and mmap-backed
+//! [`MmapCsrGraph`](chordal_graph::MmapCsrGraph)s, so every algorithm runs
+//! unchanged on either representation.
 
 use crate::config::ExtractorConfig;
-use crate::dearing::DearingExtractor;
 use crate::error::ExtractError;
-use crate::parallel::MaximalChordalExtractor;
-use crate::partitioned::PartitionedExtractor;
-use crate::reference::ReferenceExtractor;
+use crate::repair::repair_result_impl;
 use crate::result::ChordalResult;
 use crate::workspace::Workspace;
+use crate::{dearing, parallel, partitioned, reference};
 use chordal_graph::GraphRef;
-
-/// A maximal-chordal-subgraph extraction algorithm.
-///
-/// Implementations are cheap, immutable handles: all mutable per-run state
-/// lives in the [`Workspace`] passed to [`ChordalExtractor::extract_into`],
-/// so one extractor can serve many graphs (and, with one workspace per
-/// worker, many threads).
-///
-/// Extraction operates on a [`GraphRef`], the storage-agnostic view over
-/// heap [`CsrGraph`](chordal_graph::CsrGraph)s and mmap-backed
-/// [`MmapCsrGraph`](chordal_graph::MmapCsrGraph)s — every algorithm runs
-/// unchanged on either representation.
-pub trait ChordalExtractor: Send + Sync {
-    /// Stable short name of the algorithm (`"alg1"`, `"reference"`,
-    /// `"dearing"`, `"partitioned"`), used in logs and benchmark output.
-    fn name(&self) -> &'static str;
-
-    /// Extracts a chordal edge set from `graph`, using (and growing)
-    /// `workspace` for every scratch buffer the run needs.
-    fn extract_into(&self, graph: GraphRef<'_>, workspace: &mut Workspace) -> ChordalResult;
-
-    /// Convenience wrapper allocating a throwaway [`Workspace`]. Prefer
-    /// [`crate::ExtractionSession`] when extracting repeatedly. (The
-    /// `Sized` bound only keeps the trait object-safe; boxed
-    /// `dyn ChordalExtractor` values keep the same spelling through the
-    /// blanket `Box` impl below.)
-    fn extract<'a>(&self, graph: impl Into<GraphRef<'a>>) -> ChordalResult
-    where
-        Self: Sized,
-    {
-        let mut workspace = Workspace::new();
-        self.extract_into(graph.into(), &mut workspace)
-    }
-}
-
-/// Delegating impl so `Box<dyn ChordalExtractor>` (what [`Algorithm::build`]
-/// returns) is itself an extractor — in particular, the generic
-/// [`ChordalExtractor::extract`] convenience applies to boxed registry
-/// extractors without unsizing gymnastics at call sites.
-impl<T: ChordalExtractor + ?Sized> ChordalExtractor for Box<T> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn extract_into(&self, graph: GraphRef<'_>, workspace: &mut Workspace) -> ChordalResult {
-        (**self).extract_into(graph, workspace)
-    }
-}
 
 /// Registry of every extraction algorithm in this crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
-    /// The paper's multithreaded Algorithm 1
-    /// ([`crate::parallel::MaximalChordalExtractor`]).
+    /// The paper's multithreaded Algorithm 1 ([`crate::parallel`]).
     Parallel,
     /// The bulk-synchronous reading of Algorithm 1, run sequentially: each
     /// iteration tests every vertex against one more parent's set as it
     /// stood when the iteration began. It is the source of Figure 7's
-    /// iteration counts ([`crate::reference::ReferenceExtractor`]).
+    /// iteration counts ([`mod@crate::reference`]).
     Reference,
-    /// The serial Dearing–Shier–Warner baseline
-    /// ([`crate::dearing::DearingExtractor`]).
+    /// The serial Dearing–Shier–Warner baseline ([`crate::dearing`]).
     Dearing,
-    /// The partitioned "nearly chordal" baseline
-    /// ([`crate::partitioned::PartitionedExtractor`]).
+    /// The partitioned "nearly chordal" baseline ([`crate::partitioned`]).
     Partitioned,
 }
 
@@ -134,8 +86,8 @@ impl Algorithm {
     }
 
     /// Registry name of this algorithm with the repair post-pass attached
-    /// (`"alg1+repair"`, ...), as reported by the wrapped extractor built
-    /// for a config with [`ExtractorConfig::repair`] set.
+    /// (`"alg1+repair"`, ...), as [`ExtractorConfig::name`] reports it for
+    /// a config with [`ExtractorConfig::repair`] set.
     pub fn repaired_name(self) -> &'static str {
         match self {
             Algorithm::Parallel => "alg1+repair",
@@ -144,26 +96,55 @@ impl Algorithm {
             Algorithm::Partitioned => "partitioned+repair",
         }
     }
+}
 
-    /// Builds the extractor this variant names, configured by `config`.
-    /// This is the only algorithm dispatch point in the workspace. With
-    /// [`ExtractorConfig::repair`] set, the extractor is wrapped in the
-    /// [`crate::repair::RepairExtractor`] maximality post-pass.
-    pub fn build(self, config: &ExtractorConfig) -> Box<dyn ChordalExtractor> {
-        let inner: Box<dyn ChordalExtractor> = match self {
-            Algorithm::Parallel => Box::new(MaximalChordalExtractor::new(config.clone())),
-            Algorithm::Reference => Box::new(ReferenceExtractor::new(config.record_stats)),
-            Algorithm::Dearing => Box::new(DearingExtractor::new()),
-            Algorithm::Partitioned => Box::new(PartitionedExtractor::new(
-                config.effective_partitions(),
-                config.engine,
-            )),
-        };
-        if config.repair {
-            Box::new(crate::repair::RepairExtractor::new(inner, self))
+impl ExtractorConfig {
+    /// Registry name of the configured extraction: [`Algorithm::name`], or
+    /// [`Algorithm::repaired_name`] when [`ExtractorConfig::repair`] is set.
+    pub fn name(&self) -> &'static str {
+        if self.repair {
+            self.algorithm.repaired_name()
         } else {
-            inner
+            self.algorithm.name()
         }
+    }
+
+    /// Runs the configured algorithm on `graph`, using (and growing)
+    /// `workspace` for every scratch buffer the run needs, then the
+    /// [`crate::repair`] post-pass when [`ExtractorConfig::repair`] is set.
+    /// The post-pass shares the workspace and skips the up-front
+    /// chordality certification when the algorithm
+    /// [guarantees chordal output](Algorithm::guarantees_chordal).
+    pub fn extract_into(&self, graph: GraphRef<'_>, workspace: &mut Workspace) -> ChordalResult {
+        let result = match self.algorithm {
+            Algorithm::Parallel => parallel::extract_into(self, graph, workspace),
+            Algorithm::Reference => {
+                reference::extract_reference_into(graph, workspace, self.record_stats)
+            }
+            Algorithm::Dearing => dearing::extract_dearing_into(graph, workspace),
+            Algorithm::Partitioned => partitioned::extract_partitioned_into(
+                graph,
+                self.effective_partitions(),
+                self.engine,
+                workspace,
+            ),
+        };
+        if self.repair {
+            repair_result_impl(
+                graph,
+                &result,
+                workspace,
+                self.algorithm.guarantees_chordal(),
+            )
+        } else {
+            result
+        }
+    }
+
+    /// [`ExtractorConfig::extract_into`] with a throwaway [`Workspace`].
+    /// Prefer [`crate::ExtractionSession`] when extracting repeatedly.
+    pub fn extract<'a>(&self, graph: impl Into<GraphRef<'a>>) -> ChordalResult {
+        self.extract_into(graph.into(), &mut Workspace::new())
     }
 }
 
@@ -201,9 +182,13 @@ mod tests {
         let graph = structured::cycle(6);
         let config = ExtractorConfig::default().with_engine(chordal_runtime::Engine::serial());
         for algorithm in Algorithm::ALL {
-            let extractor = algorithm.build(&config);
-            assert_eq!(extractor.name(), algorithm.name());
-            let result = extractor.extract(&graph);
+            let config = config.clone().with_algorithm(algorithm);
+            assert_eq!(config.name(), algorithm.name());
+            assert_eq!(
+                config.clone().with_repair(true).name(),
+                algorithm.repaired_name()
+            );
+            let result = config.extract(&graph);
             assert!(
                 result.num_chordal_edges() >= 5,
                 "{algorithm}: a 6-cycle retains at least 5 edges"

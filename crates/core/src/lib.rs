@@ -7,34 +7,36 @@
 //!
 //! # Architecture
 //!
-//! Every algorithm implements the [`ChordalExtractor`] trait and is
-//! constructed through the [`Algorithm`] registry from one
-//! [`ExtractorConfig`]; per-run scratch state lives in a reusable
-//! [`Workspace`], and [`ExtractionSession`] pairs the two for repeated
-//! traffic:
+//! The algorithms form the closed [`Algorithm`] registry. One
+//! [`ExtractorConfig`] names an algorithm and how to run it, and
+//! [`ExtractorConfig::extract_into`] is the one dispatch: a single `match`
+//! over [`Algorithm`] that calls the algorithm's module, then the repair
+//! post-pass when it is configured. Per-run scratch state lives in a
+//! reusable [`Workspace`], and [`ExtractionSession`] pairs a config with a
+//! workspace for repeated traffic:
 //!
-//! * [`Algorithm::Parallel`] → [`parallel::MaximalChordalExtractor`] — the
-//!   paper's Algorithm 1: a fine-grained multithreaded extraction in which
-//!   every vertex walks its *parents* (smaller-id neighbours) in ascending
-//!   order and keeps a growing set of *chordal neighbors*, as one ascending
-//!   pass: a plain loop on one thread, a doacross on the pool, with one
-//!   output on every engine. Both the paper's variants are available:
+//! * [`Algorithm::Parallel`] → [`parallel`] — the paper's Algorithm 1: a
+//!   fine-grained multithreaded extraction in which every vertex walks its
+//!   *parents* (smaller-id neighbours) in ascending order and keeps a
+//!   growing set of *chordal neighbors*, as one ascending pass: a plain
+//!   loop on one thread, a doacross on the pool, with one output on every
+//!   engine. Both the paper's variants are available:
 //!   **Opt** (sorted adjacency, the parents are a prefix) and **Unopt**
 //!   (unsorted adjacency, scan-based parent walk), on any
 //!   [`chordal_runtime::Engine`]. Its oracle is the serial
 //!   [`reference::extract_pull_reference`].
-//! * [`Algorithm::Reference`] → [`reference::ReferenceExtractor`] — the
-//!   bulk-synchronous reading of the pseudocode, sequential: iteration `t`
-//!   tests every vertex against its `t`-th parent's set as it stood when
-//!   the iteration began. Its per-iteration trace is the source of the
+//! * [`Algorithm::Reference`] → [`mod@reference`] — the bulk-synchronous
+//!   reading of the pseudocode, sequential: iteration `t` tests every
+//!   vertex against its `t`-th parent's set as it stood when the iteration
+//!   began. Its per-iteration trace is the source of the
 //!   `figure7` experiment's iteration counts.
-//! * [`Algorithm::Dearing`] → [`dearing::DearingExtractor`] — the serial
-//!   maximal chordal subgraph algorithm of Dearing, Shier and Warner
-//!   (1988), the baseline the paper builds on.
-//! * [`Algorithm::Partitioned`] → [`partitioned::PartitionedExtractor`] —
-//!   the earlier distributed-memory "nearly chordal" approach (partition,
-//!   solve locally, re-add border edges) that the paper discusses and
-//!   rejects for multithreaded use; included for comparison.
+//! * [`Algorithm::Dearing`] → [`dearing`] — the serial maximal chordal
+//!   subgraph algorithm of Dearing, Shier and Warner (1988), the baseline
+//!   the paper builds on.
+//! * [`Algorithm::Partitioned`] → [`partitioned`] — the earlier
+//!   distributed-memory "nearly chordal" approach (partition, solve
+//!   locally, re-add border edges) that the paper discusses and rejects for
+//!   multithreaded use; included for comparison.
 //! * [`verify`] — chordality (MCS + perfect elimination ordering) and
 //!   maximality checkers.
 //! * [`kernels`] — the branch-light sorted-set primitives (adaptive
@@ -79,7 +81,7 @@
 //! assert_eq!(session.workspace().allocations(), allocations); // buffers reused
 //! ```
 //!
-//! Uniform dispatch over the whole registry:
+//! One dispatch over the whole registry:
 //!
 //! ```
 //! use chordal_core::prelude::*;
@@ -88,8 +90,8 @@
 //! let graph = graph_from_edges(4, vec![(0, 1), (1, 2), (2, 3), (0, 3)]);
 //! for algorithm in Algorithm::ALL {
 //!     let config = ExtractorConfig::serial(AdjacencyMode::Sorted).with_algorithm(algorithm);
-//!     let extractor = config.build_extractor();
-//!     let result = extractor.extract(&graph);
+//!     assert_eq!(config.name(), algorithm.name());
+//!     let result = config.extract(&graph);
 //!     assert_eq!(result.num_vertices(), 4, "{algorithm}");
 //! }
 //! ```
@@ -137,8 +139,7 @@ pub mod workspace;
 
 pub use config::{AdjacencyMode, ExtractorConfig};
 pub use error::ExtractError;
-pub use extractor::{Algorithm, ChordalExtractor};
-pub use parallel::MaximalChordalExtractor;
+pub use extractor::Algorithm;
 pub use result::ChordalResult;
 pub use session::{ExtractionSession, SchedulerFeedback};
 pub use stats::IterationStats;
@@ -149,8 +150,7 @@ pub mod prelude {
     pub use crate::config::{AdjacencyMode, ExtractorConfig};
     pub use crate::error::ExtractError;
     pub use crate::extract_maximal_chordal;
-    pub use crate::extractor::{Algorithm, ChordalExtractor};
-    pub use crate::parallel::MaximalChordalExtractor;
+    pub use crate::extractor::Algorithm;
     pub use crate::result::ChordalResult;
     pub use crate::session::ExtractionSession;
     pub use crate::verify;

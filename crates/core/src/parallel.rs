@@ -23,7 +23,7 @@
 //! pool they pack within each piece. The pass copies nothing from the
 //! graph. Each length sits in a [`Published`] array. Arena, start slots
 //! and lengths live in a caller-supplied [`Workspace`]
-//! ([`ChordalExtractor::extract_into`]), so repeated extractions over
+//! ([`ExtractorConfig::extract_into`]), so repeated extractions over
 //! same-sized graphs reuse the buffers.
 //!
 //! # One ascending pass
@@ -46,12 +46,11 @@
 //! The bulk-synchronous reading of the pseudocode, in which iteration `t`
 //! tests every vertex against its `t`-th parent's set as it stood when the
 //! iteration began, is the registry's [`crate::Algorithm::Reference`]
-//! ([`crate::reference::ReferenceExtractor`]). It takes as many iterations
+//! ([`mod@crate::reference`]). It takes as many iterations
 //! as the largest parent count, and its per-iteration trace is the source
 //! of the `figure7` experiment's counts.
 
 use crate::config::{AdjacencyMode, ExtractorConfig};
-use crate::extractor::ChordalExtractor;
 use crate::parent::{first_parent_scan, next_parent_scan};
 use crate::result::ChordalResult;
 use crate::stats::IterationStats;
@@ -60,83 +59,51 @@ use chordal_graph::{Edge, GraphRef, VertexId, NO_VERTEX};
 use chordal_runtime::{Engine, Published};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
-/// Multithreaded maximal chordal subgraph extractor (Algorithm 1 of the
-/// paper).
-#[derive(Debug, Clone)]
-pub struct MaximalChordalExtractor {
-    config: ExtractorConfig,
-}
-
-impl MaximalChordalExtractor {
-    /// Creates an extractor with the given configuration.
-    pub fn new(config: ExtractorConfig) -> Self {
-        Self { config }
+/// Algorithm 1 on `graph`, on `config`'s engine and variant, reusing
+/// `workspace`; the registry's [`crate::Algorithm::Parallel`].
+///
+/// For [`AdjacencyMode::Sorted`] the graph's adjacency lists must be
+/// sorted ascending; if they are not, a sorted copy is made on the
+/// extraction's engine (the cost of that copy is *not* what the paper's
+/// Opt timings include, so benchmarks pre-sort their inputs).
+pub(crate) fn extract_into(
+    config: &ExtractorConfig,
+    graph: GraphRef<'_>,
+    workspace: &mut Workspace,
+) -> ChordalResult {
+    if config.adjacency == AdjacencyMode::Sorted && !graph.is_sorted() {
+        let mut sorted = graph.to_csr_graph();
+        sorted.sort_adjacency(config.engine);
+        return extract_into(config, GraphRef::from(&sorted), workspace);
     }
-
-    /// The extractor's configuration.
-    pub fn config(&self) -> &ExtractorConfig {
-        &self.config
+    let n = graph.num_vertices();
+    let mut stats = config.record_stats.then(IterationStats::new);
+    if n == 0 {
+        return ChordalResult::new(0, Vec::new(), 0, stats);
     }
-
-    /// Extracts a maximal chordal subgraph of `graph` with a throwaway
-    /// workspace. Prefer [`crate::ExtractionSession`] (or
-    /// [`ChordalExtractor::extract_into`]) when extracting repeatedly.
-    pub fn extract<'a>(&self, graph: impl Into<GraphRef<'a>>) -> ChordalResult {
-        let mut workspace = Workspace::new();
-        self.extract_into(graph.into(), &mut workspace)
+    workspace.prepare_pull(graph);
+    let Workspace {
+        clen,
+        cdata,
+        starts,
+        ..
+    } = workspace;
+    let adjacency = Adjacency {
+        mode: config.adjacency,
+        neighbors: graph.adjacency(),
+        offsets: graph.offsets(),
+    };
+    let cdata = &mut cdata[..graph.num_directed_edges()];
+    let starts = &mut starts[..=n];
+    pull(&config.engine, adjacency, clen, cdata, starts);
+    let edges = sorted_edges(clen, cdata, starts);
+    // One pass, in which every vertex with a child serves as a parent.
+    let iterations = usize::from(graph.num_directed_edges() > 0);
+    if let Some(s) = stats.as_mut().filter(|_| iterations == 1) {
+        let parents = (0..n).filter(|&v| adjacency.has_child(v)).count();
+        s.record(parents, edges.len());
     }
-
-    fn run(&self, graph: GraphRef<'_>, workspace: &mut Workspace) -> ChordalResult {
-        let n = graph.num_vertices();
-        let mut stats = self.config.record_stats.then(IterationStats::new);
-        if n == 0 {
-            return ChordalResult::new(0, Vec::new(), 0, stats);
-        }
-        workspace.prepare_pull(graph);
-        let Workspace {
-            clen,
-            cdata,
-            starts,
-            ..
-        } = workspace;
-        let adjacency = Adjacency {
-            mode: self.config.adjacency,
-            neighbors: graph.adjacency(),
-            offsets: graph.offsets(),
-        };
-        let cdata = &mut cdata[..graph.num_directed_edges()];
-        let starts = &mut starts[..=n];
-        pull(&self.config.engine, adjacency, clen, cdata, starts);
-        let edges = sorted_edges(clen, cdata, starts);
-        // One pass, in which every vertex with a child serves as a parent.
-        let iterations = usize::from(graph.num_directed_edges() > 0);
-        if let Some(s) = stats.as_mut().filter(|_| iterations == 1) {
-            let parents = (0..n).filter(|&v| adjacency.has_child(v)).count();
-            s.record(parents, edges.len());
-        }
-        ChordalResult::new(n, edges, iterations, stats)
-    }
-}
-
-impl ChordalExtractor for MaximalChordalExtractor {
-    fn name(&self) -> &'static str {
-        "alg1"
-    }
-
-    /// Extracts a maximal chordal subgraph of `graph`, reusing `workspace`.
-    ///
-    /// For [`AdjacencyMode::Sorted`] the graph's adjacency lists must be
-    /// sorted ascending; if they are not, a sorted copy is made on the
-    /// extraction's engine (the cost of that copy is *not* what the paper's
-    /// Opt timings include, so benchmarks pre-sort their inputs).
-    fn extract_into(&self, graph: GraphRef<'_>, workspace: &mut Workspace) -> ChordalResult {
-        if self.config.adjacency == AdjacencyMode::Sorted && !graph.is_sorted() {
-            let mut sorted = graph.to_csr_graph();
-            sorted.sort_adjacency(self.config.engine);
-            return self.run(GraphRef::from(&sorted), workspace);
-        }
-        self.run(graph, workspace)
-    }
+    ChordalResult::new(n, edges, iterations, stats)
 }
 
 /// The graph as the pass reads it: the flat adjacency array through the
@@ -349,11 +316,11 @@ mod tests {
     }
 
     fn extract_with(graph: &CsrGraph, engine: Engine, adjacency: AdjacencyMode) -> ChordalResult {
-        let config = ExtractorConfig::default()
+        ExtractorConfig::default()
             .with_engine(engine)
             .with_adjacency(adjacency)
-            .with_stats(true);
-        MaximalChordalExtractor::new(config).extract(graph)
+            .with_stats(true)
+            .extract(graph)
     }
 
     #[test]
@@ -462,8 +429,7 @@ mod tests {
                 (3, 5),
             ],
         );
-        let config = ExtractorConfig::serial(AdjacencyMode::Sorted);
-        let r = MaximalChordalExtractor::new(config).extract(&g);
+        let r = ExtractorConfig::serial(AdjacencyMode::Sorted).extract(&g);
         assert_eq!(r.num_chordal_edges(), g.num_edges());
         assert!(verify::is_chordal(&r.subgraph(&g)));
     }
@@ -485,8 +451,7 @@ mod tests {
             // BFS renumbering, as the paper recommends for connectivity.
             let perm = bfs_numbering(&g);
             let g = apply_permutation(&g, &perm).unwrap();
-            let config = ExtractorConfig::serial(AdjacencyMode::Sorted);
-            let r = MaximalChordalExtractor::new(config).extract(&g);
+            let r = ExtractorConfig::serial(AdjacencyMode::Sorted).extract(&g);
             assert!(verify::is_chordal(&r.subgraph(&g)), "seed {seed}");
             let sample = 200;
             let report = verify::check_maximality(&g, r.edges(), Some(sample), seed);
@@ -510,8 +475,9 @@ mod tests {
         // largest parent count.
         let g = RmatParams::preset(RmatKind::B, 9, 5).generate();
         let sync = extract_reference(&g);
-        let config = ExtractorConfig::serial(AdjacencyMode::Sorted).with_stats(true);
-        let async_r = MaximalChordalExtractor::new(config).extract(&g);
+        let async_r = ExtractorConfig::serial(AdjacencyMode::Sorted)
+            .with_stats(true)
+            .extract(&g);
         assert_eq!(async_r.iterations, 1);
         assert!(
             async_r.iterations < sync.iterations,
@@ -524,8 +490,9 @@ mod tests {
     #[test]
     fn asynchronous_semantics_still_produces_chordal_output() {
         let g = RmatParams::preset(RmatKind::B, 8, 2).generate();
-        let config = ExtractorConfig::default().with_engine(Engine::chunked(4));
-        let r = MaximalChordalExtractor::new(config).extract(&g);
+        let r = ExtractorConfig::default()
+            .with_engine(Engine::chunked(4))
+            .extract(&g);
         assert!(verify::is_chordal(&r.subgraph(&g)));
         for &(u, v) in r.edges() {
             assert!(g.has_edge(u, v));
@@ -543,11 +510,7 @@ mod tests {
                     (AdjacencyMode::Sorted, &g),
                     (AdjacencyMode::Unsorted, &scrambled),
                 ] {
-                    let config = ExtractorConfig::default()
-                        .with_engine(engine)
-                        .with_adjacency(adjacency)
-                        .with_stats(true);
-                    let got = MaximalChordalExtractor::new(config).extract(graph);
+                    let got = extract_with(graph, engine, adjacency);
                     assert_eq!(got, expected, "{kind:?} {engine:?} {adjacency:?}");
                 }
             }
@@ -578,23 +541,20 @@ mod tests {
                     (AdjacencyMode::Sorted, &g),
                     (AdjacencyMode::Unsorted, &scrambled),
                 ] {
-                    let extractor = MaximalChordalExtractor::new(
-                        ExtractorConfig::default()
-                            .with_engine(engine)
-                            .with_adjacency(adjacency)
-                            .with_stats(true),
-                    );
-                    let got = extractor.extract_into(graph.into(), &mut workspace);
+                    let config = ExtractorConfig::default()
+                        .with_engine(engine)
+                        .with_adjacency(adjacency)
+                        .with_stats(true);
+                    let got = config.extract_into(graph.into(), &mut workspace);
                     assert_eq!(got, expected, "{engine:?} {adjacency:?}");
                 }
             }
         }
         let grid = structured::grid(6, 7);
         for engine in [Engine::chunked(2), Engine::chunked(4)] {
-            let extractor =
-                MaximalChordalExtractor::new(ExtractorConfig::default().with_engine(engine));
-            let reused = extractor.extract_into((&grid).into(), &mut workspace);
-            assert_eq!(reused, extractor.extract(&grid), "{engine:?}");
+            let config = ExtractorConfig::default().with_engine(engine);
+            let reused = config.extract_into((&grid).into(), &mut workspace);
+            assert_eq!(reused, config.extract(&grid), "{engine:?}");
         }
     }
 
@@ -618,8 +578,7 @@ mod tests {
 
     #[test]
     fn workspace_reuse_matches_fresh_runs_and_stops_allocating() {
-        let extractor =
-            MaximalChordalExtractor::new(ExtractorConfig::serial(AdjacencyMode::Sorted));
+        let config = ExtractorConfig::serial(AdjacencyMode::Sorted);
         let mut workspace = Workspace::new();
         let graphs: Vec<CsrGraph> = (0..3)
             .map(|seed| RmatParams::preset(RmatKind::G, 8, seed).generate())
@@ -628,12 +587,12 @@ mod tests {
         // second pass must neither allocate nor change any result.
         let warm: Vec<ChordalResult> = graphs
             .iter()
-            .map(|g| extractor.extract_into(g.into(), &mut workspace))
+            .map(|g| config.extract_into(g.into(), &mut workspace))
             .collect();
         let allocations = workspace.allocations();
         for (g, first) in graphs.iter().zip(&warm) {
-            let reused = extractor.extract_into(g.into(), &mut workspace);
-            let fresh = extractor.extract(g);
+            let reused = config.extract_into(g.into(), &mut workspace);
+            let fresh = config.extract(g);
             assert_eq!(reused.edges(), fresh.edges());
             assert_eq!(reused.edges(), first.edges());
         }
@@ -657,14 +616,12 @@ mod tests {
                     (AdjacencyMode::Sorted, &g),
                     (AdjacencyMode::Unsorted, &scrambled),
                 ] {
-                    let extractor = MaximalChordalExtractor::new(
-                        ExtractorConfig::default()
-                            .with_engine(engine)
-                            .with_adjacency(adjacency),
-                    );
-                    let reused = extractor.extract_into(graph.into(), &mut workspace);
+                    let config = ExtractorConfig::default()
+                        .with_engine(engine)
+                        .with_adjacency(adjacency);
+                    let reused = config.extract_into(graph.into(), &mut workspace);
                     assert!(verify::is_chordal(&reused.subgraph(graph)));
-                    assert_eq!(reused, extractor.extract(graph), "{engine:?} {adjacency:?}");
+                    assert_eq!(reused, config.extract(graph), "{engine:?} {adjacency:?}");
                 }
             }
         }

@@ -16,8 +16,7 @@
 //! blocks of ids, which is what a typical distribution of a renumbered
 //! graph looks like.
 
-use crate::dearing::DearingExtractor;
-use crate::extractor::ChordalExtractor;
+use crate::dearing::extract_dearing_into;
 use crate::result::ChordalResult;
 use crate::verify::is_chordal;
 use crate::workspace::Workspace;
@@ -50,60 +49,28 @@ impl PartitionedResult {
     }
 }
 
-/// The partitioned baseline as a registry citizen.
+/// The partitioned baseline with `partitions` parts on `engine`, the
+/// registry's [`crate::Algorithm::Partitioned`].
 ///
-/// The trait path returns the combined edge set as a [`ChordalResult`]
-/// (reporting the partition count as its iteration count); callers that
-/// need the border-edge statistics or the honesty flag should use
-/// [`extract_partitioned`] directly. Note that, unlike every other
-/// extractor in the registry, the output is **not** guaranteed chordal —
-/// that deficiency is the paper's motivation for Algorithm 1, and
-/// [`crate::Algorithm::guarantees_chordal`] reports it.
-#[derive(Debug, Clone)]
-pub struct PartitionedExtractor {
+/// It returns the combined edge set as a [`ChordalResult`], reporting the
+/// partition count as its iteration count; callers that need the
+/// border-edge statistics or the honesty flag use [`extract_partitioned`].
+/// Unlike every other algorithm of the registry, its output is **not**
+/// guaranteed chordal — that deficiency is the paper's motivation for
+/// Algorithm 1, and [`crate::Algorithm::guarantees_chordal`] reports it.
+/// Each partition's Dearing run borrows its own child workspace from
+/// `workspace`'s sub-pool, so repeated extractions with the same partition
+/// count reuse every per-part scratch buffer.
+pub(crate) fn extract_partitioned_into(
+    graph: GraphRef<'_>,
     partitions: usize,
     engine: Engine,
-}
-
-impl PartitionedExtractor {
-    /// Creates the extractor with the given partition count. The
-    /// per-partition Dearing runs are the items of one loop on `engine`.
-    pub fn new(partitions: usize, engine: Engine) -> Self {
-        Self {
-            partitions: partitions.max(1),
-            engine,
-        }
-    }
-
-    /// Runs the full pipeline with throwaway per-partition workspaces,
-    /// returning the partition-level report.
-    pub fn extract_report<'a>(&self, graph: impl Into<GraphRef<'a>>) -> PartitionedResult {
-        let graph = graph.into();
-        let partitions = clamp_partitions(graph, self.partitions);
-        let mut subs: Vec<Workspace> = (0..partitions).map(|_| Workspace::new()).collect();
-        extract_partitioned_with(graph, partitions, &mut subs, self.engine)
-    }
-}
-
-impl ChordalExtractor for PartitionedExtractor {
-    fn name(&self) -> &'static str {
-        "partitioned"
-    }
-
-    fn extract_into(&self, graph: GraphRef<'_>, workspace: &mut Workspace) -> ChordalResult {
-        // Each partition's Dearing run borrows its own child workspace from
-        // the session workspace's sub-pool, so repeated extractions with
-        // the same partition count reuse every per-part scratch buffer
-        // instead of allocating per run.
-        let partitions = clamp_partitions(graph, self.partitions);
-        let report = extract_partitioned_with(
-            graph,
-            partitions,
-            workspace.sub_pool(partitions),
-            self.engine,
-        );
-        ChordalResult::new(graph.num_vertices(), report.edges, report.partitions, None)
-    }
+    workspace: &mut Workspace,
+) -> ChordalResult {
+    let partitions = clamp_partitions(graph, partitions);
+    let report =
+        extract_partitioned_with(graph, partitions, workspace.sub_pool(partitions), engine);
+    ChordalResult::new(graph.num_vertices(), report.edges, report.partitions, None)
 }
 
 /// Clamps a requested partition count to `[1, num_vertices]`.
@@ -112,14 +79,17 @@ fn clamp_partitions(graph: GraphRef<'_>, partitions: usize) -> usize {
 }
 
 /// Runs the partitioned baseline with `partitions` parts and throwaway
-/// per-partition workspaces, on an engine of [`pool_size`] threads.
-/// Callers on a repeated path should go through [`PartitionedExtractor`]
-/// and a session workspace instead.
+/// per-partition workspaces, on an engine of [`pool_size`] threads,
+/// returning the partition-level report.
 pub fn extract_partitioned<'a>(
     graph: impl Into<GraphRef<'a>>,
     partitions: usize,
 ) -> PartitionedResult {
-    PartitionedExtractor::new(partitions, Engine::chunked(pool_size())).extract_report(graph)
+    let graph = graph.into();
+    let partitions = clamp_partitions(graph, partitions);
+    let mut workspace = Workspace::new();
+    let subs = workspace.sub_pool(partitions);
+    extract_partitioned_with(graph, partitions, subs, Engine::chunked(pool_size()))
 }
 
 /// The partitioned pipeline over caller-supplied per-partition workspaces
@@ -166,7 +136,7 @@ fn extract_partitioned_with(
             return;
         }
         let sub = induced_subgraph(graph, task.members);
-        let local = DearingExtractor::new().extract_into((&sub.graph).into(), task.workspace);
+        let local = extract_dearing_into((&sub.graph).into(), task.workspace);
         task.edges = local
             .edges()
             .iter()
@@ -293,13 +263,15 @@ mod tests {
     #[test]
     fn repeated_extractions_reuse_the_per_partition_sub_workspaces() {
         let g = RmatParams::preset(RmatKind::G, 8, 3).generate();
-        let extractor = PartitionedExtractor::new(4, Engine::chunked(2));
+        let extract = |workspace: &mut Workspace| {
+            extract_partitioned_into((&g).into(), 4, Engine::chunked(2), workspace)
+        };
         let mut workspace = Workspace::new();
-        let first = extractor.extract_into((&g).into(), &mut workspace);
+        let first = extract(&mut workspace);
         let allocations = workspace.allocations();
         let bytes = workspace.allocated_bytes();
         assert!(bytes > 0, "per-part workspaces must be retained");
-        let second = extractor.extract_into((&g).into(), &mut workspace);
+        let second = extract(&mut workspace);
         assert_eq!(
             first.edges(),
             second.edges(),
@@ -311,7 +283,7 @@ mod tests {
             "same graph and partition count must not grow the sub-pool"
         );
         assert_eq!(workspace.allocated_bytes(), bytes);
-        // The trait path agrees with the standalone pipeline.
+        // The registry path agrees with the standalone pipeline.
         let standalone = extract_partitioned(&g, 4);
         assert_eq!(first.edges().len(), standalone.num_edges());
     }

@@ -1,7 +1,7 @@
 //! Sequential reference implementations of Algorithm 1: two readings of
 //! the paper's pseudocode.
 //!
-//! [`ReferenceExtractor`], the registry's [`crate::Algorithm::Reference`],
+//! [`extract_reference`], the registry's [`crate::Algorithm::Reference`],
 //! follows the pseudocode line by line with plain (non-atomic) data
 //! structures and the bulk-synchronous interpretation of an iteration:
 //! subset tests observe the chordal-neighbour sets and lowest parents as
@@ -15,134 +15,118 @@
 //! tests its set against each of its parents' final sets. The test-suite
 //! checks that the pass equals it on every engine and thread count.
 
-use crate::extractor::ChordalExtractor;
 use crate::parent::{first_parent_scan, next_parent_scan, sorted_subset};
 use crate::result::ChordalResult;
 use crate::stats::IterationStats;
 use crate::workspace::Workspace;
 use chordal_graph::{GraphRef, VertexId, NO_VERTEX};
 
-/// The bulk-synchronous reading of Algorithm 1, as a registry citizen
-/// (module docs).
+/// The bulk-synchronous reading of Algorithm 1 (module docs), reusing
+/// `workspace`; `record_stats` enables the per-iteration queue trace.
 ///
 /// The result is independent of the order in which adjacency lists are
 /// stored (parents are always discovered by scanning), so the Opt and
 /// Unopt variants give one output.
-#[derive(Debug, Clone, Default)]
-pub struct ReferenceExtractor {
+pub(crate) fn extract_reference_into(
+    graph: GraphRef<'_>,
+    workspace: &mut Workspace,
     record_stats: bool,
-}
+) -> ChordalResult {
+    let n = graph.num_vertices();
+    let mut stats = record_stats.then(IterationStats::new);
+    workspace.prepare_plain(n);
+    // Workspace mapping: `ids_a` holds the lowest parents, `lists` the
+    // chordal-neighbour sets, `marks` the queue-membership flags and
+    // `queue_a`/`queue_b` the current/next iteration queues. Taken out
+    // of the workspace so the borrow checker sees disjoint pieces; put
+    // back before returning.
+    let mut lp = std::mem::take(&mut workspace.ids_a);
+    let mut chordal = std::mem::take(&mut workspace.lists);
+    let mut in_queue = std::mem::take(&mut workspace.marks);
+    let mut q1 = std::mem::take(&mut workspace.queue_a);
+    let mut q2 = std::mem::take(&mut workspace.queue_b);
+    let mut clen_frozen = std::mem::take(&mut workspace.ids_b);
+    let mut lp_frozen = std::mem::take(&mut workspace.ids_c);
 
-impl ReferenceExtractor {
-    /// Creates the reference extractor; `record_stats` enables the
-    /// per-iteration queue trace.
-    pub fn new(record_stats: bool) -> Self {
-        Self { record_stats }
+    // Initialisation (lines 4-10): every vertex finds its lowest parent;
+    // the initial queue holds every vertex that is the lowest parent of
+    // someone.
+    for v in 0..n as VertexId {
+        let w = first_parent_scan(graph.neighbors(v), v);
+        if w != NO_VERTEX {
+            lp[v as usize] = w;
+            if !in_queue[w as usize] {
+                in_queue[w as usize] = true;
+                q1.push(w);
+            }
+        }
     }
-}
 
-impl ChordalExtractor for ReferenceExtractor {
-    fn name(&self) -> &'static str {
-        "reference"
-    }
+    let mut iterations = 0usize;
+    // `lp_frozen` holds the bulk-synchronous snapshot of the lowest
+    // parents; like every other buffer it came out of the workspace.
+    while !q1.is_empty() {
+        iterations += 1;
+        // Freeze the state the iteration is allowed to observe.
+        lp_frozen.clear();
+        lp_frozen.extend_from_slice(&lp);
+        clen_frozen.clear();
+        clen_frozen.extend(chordal[..n].iter().map(|c| c.len() as u32));
+        in_queue[..n].fill(false);
+        q2.clear();
+        let mut edges_added = 0usize;
 
-    fn extract_into(&self, graph: GraphRef<'_>, workspace: &mut Workspace) -> ChordalResult {
-        let n = graph.num_vertices();
-        let mut stats = self.record_stats.then(IterationStats::new);
-        workspace.prepare_plain(n);
-        // Workspace mapping: `ids_a` holds the lowest parents, `lists` the
-        // chordal-neighbour sets, `marks` the queue-membership flags and
-        // `queue_a`/`queue_b` the current/next iteration queues. Taken out
-        // of the workspace so the borrow checker sees disjoint pieces; put
-        // back before returning.
-        let mut lp = std::mem::take(&mut workspace.ids_a);
-        let mut chordal = std::mem::take(&mut workspace.lists);
-        let mut in_queue = std::mem::take(&mut workspace.marks);
-        let mut q1 = std::mem::take(&mut workspace.queue_a);
-        let mut q2 = std::mem::take(&mut workspace.queue_b);
-        let mut clen_frozen = std::mem::take(&mut workspace.ids_b);
-        let mut lp_frozen = std::mem::take(&mut workspace.ids_c);
-
-        // Initialisation (lines 4-10): every vertex finds its lowest parent;
-        // the initial queue holds every vertex that is the lowest parent of
-        // someone.
-        for v in 0..n as VertexId {
-            let w = first_parent_scan(graph.neighbors(v), v);
-            if w != NO_VERTEX {
-                lp[v as usize] = w;
-                if !in_queue[w as usize] {
-                    in_queue[w as usize] = true;
-                    q1.push(w);
+        for &v in &q1 {
+            for &w in graph.neighbors(v) {
+                if lp_frozen[w as usize] != v {
+                    continue;
+                }
+                // Subset test C[w] ⊆ C[v] against the frozen prefix of
+                // C[v]. `w`'s set cannot have been touched this
+                // iteration: only its (unique) lowest parent v writes to
+                // it, and that is us.
+                let cv = &chordal[v as usize][..clen_frozen[v as usize] as usize];
+                let accept = sorted_subset(&chordal[w as usize], cv);
+                if accept {
+                    chordal[w as usize].push(v);
+                    edges_added += 1;
+                }
+                // Advance w's lowest parent regardless of acceptance.
+                let x = next_parent_scan(graph.neighbors(w), w, v);
+                if x != NO_VERTEX {
+                    lp[w as usize] = x;
+                    if !in_queue[x as usize] {
+                        in_queue[x as usize] = true;
+                        q2.push(x);
+                    }
+                } else {
+                    lp[w as usize] = NO_VERTEX;
                 }
             }
         }
 
-        let mut iterations = 0usize;
-        // `lp_frozen` holds the bulk-synchronous snapshot of the lowest
-        // parents; like every other buffer it came out of the workspace.
-        while !q1.is_empty() {
-            iterations += 1;
-            // Freeze the state the iteration is allowed to observe.
-            lp_frozen.clear();
-            lp_frozen.extend_from_slice(&lp);
-            clen_frozen.clear();
-            clen_frozen.extend(chordal[..n].iter().map(|c| c.len() as u32));
-            in_queue[..n].fill(false);
-            q2.clear();
-            let mut edges_added = 0usize;
-
-            for &v in &q1 {
-                for &w in graph.neighbors(v) {
-                    if lp_frozen[w as usize] != v {
-                        continue;
-                    }
-                    // Subset test C[w] ⊆ C[v] against the frozen prefix of
-                    // C[v]. `w`'s set cannot have been touched this
-                    // iteration: only its (unique) lowest parent v writes to
-                    // it, and that is us.
-                    let cv = &chordal[v as usize][..clen_frozen[v as usize] as usize];
-                    let accept = sorted_subset(&chordal[w as usize], cv);
-                    if accept {
-                        chordal[w as usize].push(v);
-                        edges_added += 1;
-                    }
-                    // Advance w's lowest parent regardless of acceptance.
-                    let x = next_parent_scan(graph.neighbors(w), w, v);
-                    if x != NO_VERTEX {
-                        lp[w as usize] = x;
-                        if !in_queue[x as usize] {
-                            in_queue[x as usize] = true;
-                            q2.push(x);
-                        }
-                    } else {
-                        lp[w as usize] = NO_VERTEX;
-                    }
-                }
-            }
-
-            if let Some(s) = stats.as_mut() {
-                s.record(q1.len(), edges_added);
-            }
-            std::mem::swap(&mut q1, &mut q2);
+        if let Some(s) = stats.as_mut() {
+            s.record(q1.len(), edges_added);
         }
-
-        let mut edges = Vec::new();
-        for (w, parents) in chordal[..n].iter().enumerate() {
-            for &p in parents {
-                edges.push((p, w as VertexId));
-            }
-        }
-
-        workspace.ids_a = lp;
-        workspace.lists = chordal;
-        workspace.marks = in_queue;
-        workspace.queue_a = q1;
-        workspace.queue_b = q2;
-        workspace.ids_b = clen_frozen;
-        workspace.ids_c = lp_frozen;
-
-        ChordalResult::new(n, edges, iterations, stats)
+        std::mem::swap(&mut q1, &mut q2);
     }
+
+    let mut edges = Vec::new();
+    for (w, parents) in chordal[..n].iter().enumerate() {
+        for &p in parents {
+            edges.push((p, w as VertexId));
+        }
+    }
+
+    workspace.ids_a = lp;
+    workspace.lists = chordal;
+    workspace.marks = in_queue;
+    workspace.queue_a = q1;
+    workspace.queue_b = q2;
+    workspace.ids_b = clen_frozen;
+    workspace.ids_c = lp_frozen;
+
+    ChordalResult::new(n, edges, iterations, stats)
 }
 
 /// Runs the sequential reference extraction with a throwaway workspace.
@@ -155,7 +139,7 @@ pub fn extract_reference_with_stats<'a>(
     graph: impl Into<GraphRef<'a>>,
     record_stats: bool,
 ) -> ChordalResult {
-    ReferenceExtractor::new(record_stats).extract(graph)
+    extract_reference_into(graph.into(), &mut Workspace::new(), record_stats)
 }
 
 /// The oracle of Algorithm 1's pass: one serial pass over the vertices
@@ -366,25 +350,24 @@ mod tests {
 
     #[test]
     fn workspace_reuse_is_transparent() {
-        let extractor = ReferenceExtractor::new(false);
         let mut ws = Workspace::new();
         let small = structured::grid(4, 4);
         let large = structured::grid(7, 7);
         // Run large, then small, then large again: stale state from a
         // bigger previous run must not leak into a smaller one.
-        let large_fresh = extractor.extract(&large);
-        let small_fresh = extractor.extract(&small);
+        let large_fresh = extract_reference(&large);
+        let small_fresh = extract_reference(&small);
         assert_eq!(
-            extractor.extract_into((&large).into(), &mut ws).edges(),
+            extract_reference_into((&large).into(), &mut ws, false).edges(),
             large_fresh.edges()
         );
         assert_eq!(
-            extractor.extract_into((&small).into(), &mut ws).edges(),
+            extract_reference_into((&small).into(), &mut ws, false).edges(),
             small_fresh.edges()
         );
         let allocations = ws.allocations();
         assert_eq!(
-            extractor.extract_into((&large).into(), &mut ws).edges(),
+            extract_reference_into((&large).into(), &mut ws, false).edges(),
             large_fresh.edges()
         );
         assert_eq!(ws.allocations(), allocations);

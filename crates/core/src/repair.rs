@@ -17,9 +17,10 @@
 //! `O(deg u + deg v + explored)` per candidate, no subgraph rebuild, no
 //! per-candidate allocation. The separator test is only sound on a chordal
 //! base, so the input must be certified chordal: [`repair_maximality_with`]
-//! checks it up front, while [`repair_maximality_assume_chordal`] and a
-//! [`RepairExtractor`] over an algorithm with
-//! [`crate::Algorithm::guarantees_chordal`] take the caller's word for it.
+//! checks it up front, while [`repair_maximality_assume_chordal`] and the
+//! registry's post-pass ([`crate::ExtractorConfig::repair`]) after an
+//! algorithm with [`crate::Algorithm::guarantees_chordal`] take the
+//! caller's word for it.
 //! Input that fails the check (only the partitioned baseline produces it)
 //! is repaired by [`repair_maximality_reference`] instead.
 //!
@@ -63,35 +64,27 @@ pub struct RepairOutcome {
 
 /// Greedily adds rejected edges back while chordality is preserved, with a
 /// throwaway [`Workspace`]; see [`repair_maximality_with`].
-///
-/// `limit` bounds how many **distinct** candidate edges are examined
-/// (`None` examines all of them); re-examining a candidate in a later
-/// greedy pass does not consume budget, and candidates beyond the budget
-/// are skipped rather than aborting the pass. Candidates are scanned in
-/// canonical edge order, so the pass is deterministic.
 pub fn repair_maximality<'a>(
     graph: impl Into<GraphRef<'a>>,
     chordal_edges: &[Edge],
-    limit: Option<usize>,
 ) -> RepairOutcome {
-    repair_maximality_with(graph, chordal_edges, limit, &mut Workspace::new())
+    repair_maximality_with(graph, chordal_edges, &mut Workspace::new())
 }
 
 /// Greedily adds rejected edges back while chordality is preserved, reusing
 /// the buffers of `workspace`.
 ///
-/// Candidates are scanned in canonical edge order, greedy passes repeat
-/// until a full pass adds nothing, and `limit` bounds distinct candidates
-/// (see [`repair_maximality`]). The input is certified chordal up front;
+/// Candidates are scanned in canonical edge order, so the pass is
+/// deterministic, and greedy passes repeat until a full pass adds nothing.
+/// The input is certified chordal up front;
 /// a non-chordal input (possible for the partitioned baseline) is repaired
 /// by [`repair_maximality_reference`], which assumes nothing about it.
 pub fn repair_maximality_with<'a>(
     graph: impl Into<GraphRef<'a>>,
     chordal_edges: &[Edge],
-    limit: Option<usize>,
     workspace: &mut Workspace,
 ) -> RepairOutcome {
-    repair_with(graph.into(), chordal_edges, limit, workspace, false)
+    repair_with(graph.into(), chordal_edges, workspace, false)
 }
 
 /// [`repair_maximality_with`] without the up-front chordality
@@ -100,7 +93,7 @@ pub fn repair_maximality_with<'a>(
 /// [`crate::Algorithm::guarantees_chordal`]), so no `edge_subgraph` is
 /// built at all — the whole repair runs on reused [`Workspace`] buffers.
 ///
-/// This is what [`RepairExtractor`] runs for chordality-guaranteeing inner
+/// This is what the registry's post-pass runs after chordality-guaranteeing
 /// algorithms, and what steady-state timing should measure. With a
 /// non-chordal input the call stays memory-safe and terminates, but the
 /// separator test's accept/reject answers — and hence the output — are
@@ -109,10 +102,9 @@ pub fn repair_maximality_with<'a>(
 pub fn repair_maximality_assume_chordal<'a>(
     graph: impl Into<GraphRef<'a>>,
     chordal_edges: &[Edge],
-    limit: Option<usize>,
     workspace: &mut Workspace,
 ) -> RepairOutcome {
-    repair_with(graph.into(), chordal_edges, limit, workspace, true)
+    repair_with(graph.into(), chordal_edges, workspace, true)
 }
 
 /// The test oracle of the repair pass: the same greedy scan as
@@ -123,7 +115,6 @@ pub fn repair_maximality_assume_chordal<'a>(
 pub fn repair_maximality_reference<'a>(
     graph: impl Into<GraphRef<'a>>,
     chordal_edges: &[Edge],
-    limit: Option<usize>,
 ) -> RepairOutcome {
     let graph = graph.into();
     let mut marks = RepairMarks::default();
@@ -131,7 +122,6 @@ pub fn repair_maximality_reference<'a>(
     greedy_repair(
         graph,
         canonical_edges(chordal_edges),
-        limit,
         &mut marks,
         |_, with_candidate| is_chordal(&edge_subgraph(graph, with_candidate)),
     )
@@ -150,24 +140,22 @@ fn canonical_edges(edges: &[Edge]) -> Vec<Edge> {
 
 /// Shared implementation. `assume_chordal` skips the up-front chordality
 /// certification; only callers that *know* the input is chordal
-/// (extractors whose algorithm guarantees it) may set it.
+/// (the registry's post-pass after an algorithm that guarantees it) may set
+/// it.
 fn repair_with(
     graph: GraphRef<'_>,
     chordal_edges: &[Edge],
-    limit: Option<usize>,
     workspace: &mut Workspace,
     assume_chordal: bool,
 ) -> RepairOutcome {
     let edges = canonical_edges(chordal_edges);
     if !assume_chordal && !is_chordal(&edge_subgraph(graph, &edges)) {
-        return repair_maximality_reference(graph, chordal_edges, limit);
+        return repair_maximality_reference(graph, chordal_edges);
     }
     let RepairScratch { marks, incr } =
         workspace.prepare_repair(graph.total_degree(), graph.num_vertices());
     let mut maintainer = IncrementalChordal::from_state(graph.num_vertices(), &edges, incr);
-    greedy_repair(graph, edges, limit, marks, |(u, v), _| {
-        maintainer.try_insert(u, v)
-    })
+    greedy_repair(graph, edges, marks, |(u, v), _| maintainer.try_insert(u, v))
 }
 
 /// Directed CSR slot of the canonical orientation of `(u, v)` in `graph`,
@@ -193,7 +181,6 @@ fn edge_position(graph: GraphRef<'_>, u: VertexId, v: VertexId) -> Option<usize>
 fn greedy_repair(
     graph: GraphRef<'_>,
     mut edges: Vec<Edge>,
-    limit: Option<usize>,
     marks: &mut RepairMarks,
     mut try_add: impl FnMut(Edge, &[Edge]) -> bool,
 ) -> RepairOutcome {
@@ -220,12 +207,6 @@ fn greedy_repair(
                     continue;
                 }
                 if !marks.seen[pos] {
-                    // The budget bounds distinct candidates: unseen
-                    // candidates beyond it are skipped, re-examinations in
-                    // later passes are free.
-                    if limit.is_some_and(|max| examined >= max) {
-                        continue;
-                    }
                     marks.seen[pos] = true;
                     examined += 1;
                 }
@@ -271,13 +252,16 @@ pub fn repair_result_with<'a>(
     repair_result_impl(graph.into(), result, workspace, false)
 }
 
-fn repair_result_impl(
+/// [`repair_result_with`], skipping the up-front chordality certification
+/// when `assume_chordal` is set: the registry's post-pass
+/// ([`crate::ExtractorConfig::extract_into`]).
+pub(crate) fn repair_result_impl(
     graph: GraphRef<'_>,
     result: &ChordalResult,
     workspace: &mut Workspace,
     assume_chordal: bool,
 ) -> ChordalResult {
-    let outcome = repair_with(graph, result.edges(), None, workspace, assume_chordal);
+    let outcome = repair_with(graph, result.edges(), workspace, assume_chordal);
     let mut stats = result.stats.clone();
     if let Some(stats) = &mut stats {
         stats.record(outcome.examined, outcome.added.len());
@@ -288,44 +272,6 @@ fn repair_result_impl(
         result.iterations + 1,
         stats,
     )
-}
-
-/// A registry-level wrapper running the maximality repair post-pass after
-/// an inner extractor.
-///
-/// Built by [`crate::Algorithm::build`] when
-/// [`crate::ExtractorConfig::repair`] is set (CLI flag `--repair`), so
-/// `alg1 + repair` — strictly maximal, like the Dearing baseline — is
-/// reachable through the same dispatch path as every other configuration.
-/// The repair pass shares the extraction [`Workspace`]; when the inner
-/// algorithm guarantees chordal output it skips the up-front chordality
-/// certification.
-pub struct RepairExtractor {
-    inner: Box<dyn crate::ChordalExtractor>,
-    name: &'static str,
-    inner_guarantees_chordal: bool,
-}
-
-impl RepairExtractor {
-    /// Wraps `inner`, taking the repaired registry name for `algorithm`.
-    pub fn new(inner: Box<dyn crate::ChordalExtractor>, algorithm: crate::Algorithm) -> Self {
-        Self {
-            inner,
-            name: algorithm.repaired_name(),
-            inner_guarantees_chordal: algorithm.guarantees_chordal(),
-        }
-    }
-}
-
-impl crate::ChordalExtractor for RepairExtractor {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn extract_into(&self, graph: GraphRef<'_>, workspace: &mut crate::Workspace) -> ChordalResult {
-        let result = self.inner.extract_into(graph, workspace);
-        repair_result_impl(graph, &result, workspace, self.inner_guarantees_chordal)
-    }
 }
 
 #[cfg(test)]
@@ -365,7 +311,7 @@ mod tests {
         assert!(is_chordal(&repaired.subgraph(&g)));
         assert_eq!(
             repaired.edges(),
-            repair_maximality_reference(&g, r.edges(), None).edges
+            repair_maximality_reference(&g, r.edges()).edges
         );
     }
 
@@ -375,7 +321,7 @@ mod tests {
         for seed in 0..3 {
             let g = RmatParams::preset(RmatKind::G, 7, seed).generate();
             let r = extract_maximal_chordal_serial(&g);
-            let outcome = repair_maximality_with(&g, r.edges(), None, &mut workspace);
+            let outcome = repair_maximality_with(&g, r.edges(), &mut workspace);
             let sub = edge_subgraph(&g, &outcome.edges);
             assert!(is_chordal(&sub), "seed {seed}");
             assert!(
@@ -389,7 +335,7 @@ mod tests {
             );
             assert_eq!(
                 outcome,
-                repair_maximality_reference(&g, r.edges(), None),
+                repair_maximality_reference(&g, r.edges()),
                 "seed {seed}"
             );
         }
@@ -401,8 +347,8 @@ mod tests {
             let g = RmatParams::preset(RmatKind::B, 7, seed).generate();
             let r = extract_maximal_chordal_serial(&g);
             let mut ws = Workspace::new();
-            let repaired = repair_maximality_with(&g, r.edges(), None, &mut ws);
-            let reference = repair_maximality_reference(&g, r.edges(), None);
+            let repaired = repair_maximality_with(&g, r.edges(), &mut ws);
+            let reference = repair_maximality_reference(&g, r.edges());
             assert_eq!(repaired, reference, "seed {seed}");
         }
     }
@@ -411,41 +357,10 @@ mod tests {
     fn repair_is_a_no_op_on_already_maximal_output() {
         let g = structured::cycle(8);
         let r = extract_maximal_chordal_serial(&g);
-        let outcome = repair_maximality(&g, r.edges(), None);
+        let outcome = repair_maximality(&g, r.edges());
         assert!(outcome.added.is_empty());
         assert_eq!(outcome.edges.len(), r.num_chordal_edges());
-        assert_eq!(outcome, repair_maximality_reference(&g, r.edges(), None));
-    }
-
-    #[test]
-    fn limit_bounds_distinct_examined_candidates() {
-        let g = structured::grid(6, 6);
-        let r = extract_maximal_chordal_serial(&g);
-        let mut ws = Workspace::new();
-        for limit in [3, 0] {
-            let outcome = repair_maximality_with(&g, r.edges(), Some(limit), &mut ws);
-            assert!(outcome.examined <= limit, "budget {limit}");
-            // A zero budget examines nothing and so adds nothing.
-            assert!(outcome.added.len() <= outcome.examined, "budget {limit}");
-            assert_eq!(
-                outcome,
-                repair_maximality_reference(&g, r.edges(), Some(limit)),
-                "budget {limit}"
-            );
-        }
-    }
-
-    #[test]
-    fn limit_counts_candidates_not_reexaminations() {
-        // The reference drops exactly one edge of the figure-1 gap graph, so
-        // a budget of 1 must examine that single distinct candidate even
-        // though the greedy loop makes a second (confirming) pass.
-        let g = figure1_gap_graph();
-        let r = extract_reference(&g);
-        let outcome = repair_maximality(&g, r.edges(), Some(1));
-        assert_eq!(outcome.examined, 1);
-        assert_eq!(outcome.added.len(), 1);
-        assert_eq!(outcome, repair_maximality_reference(&g, r.edges(), Some(1)));
+        assert_eq!(outcome, repair_maximality_reference(&g, r.edges()));
     }
 
     #[test]
@@ -472,9 +387,9 @@ mod tests {
         let g = RmatParams::preset(RmatKind::G, 8, 2).generate();
         let r = extract_maximal_chordal_serial(&g);
         let mut ws = Workspace::new();
-        let first = repair_maximality_with(&g, r.edges(), None, &mut ws);
+        let first = repair_maximality_with(&g, r.edges(), &mut ws);
         let allocations = ws.allocations();
-        let again = repair_maximality_with(&g, r.edges(), None, &mut ws);
+        let again = repair_maximality_with(&g, r.edges(), &mut ws);
         assert_eq!(first, again);
         assert_eq!(
             ws.allocations(),
@@ -525,13 +440,13 @@ mod tests {
         let cycle = structured::cycle(4);
         let base: Vec<_> = cycle.edges().collect();
         let mut ws = Workspace::new();
-        let repaired = repair_maximality_with(&cycle, &base, None, &mut ws);
-        assert_eq!(repaired, repair_maximality_reference(&cycle, &base, None));
+        let repaired = repair_maximality_with(&cycle, &base, &mut ws);
+        assert_eq!(repaired, repair_maximality_reference(&cycle, &base));
         let chorded = graph_from_edges(4, vec![(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]);
-        let repaired = repair_maximality_with(&chorded, &base, None, &mut ws);
+        let repaired = repair_maximality_with(&chorded, &base, &mut ws);
         assert_eq!(repaired.edges, vec![(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]);
         assert_eq!(repaired.added, vec![(0, 2)]);
-        assert_eq!(repaired, repair_maximality_reference(&chorded, &base, None));
+        assert_eq!(repaired, repair_maximality_reference(&chorded, &base));
     }
 
     #[test]

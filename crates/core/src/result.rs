@@ -13,7 +13,7 @@ pub struct ChordalResult {
     chordal_edges: Vec<Edge>,
     /// Number of iterations of the outer while-loop.
     pub iterations: usize,
-    /// Per-iteration statistics, present when the extractor was configured
+    /// Per-iteration statistics, present when the extraction was configured
     /// with `record_stats`.
     pub stats: Option<IterationStats>,
     /// Wall-clock nanoseconds of the extraction that produced this result,
@@ -91,11 +91,6 @@ impl ChordalResult {
         &self.chordal_edges
     }
 
-    /// Consumes the result and returns the edge vector.
-    pub fn into_edges(self) -> Vec<Edge> {
-        self.chordal_edges
-    }
-
     /// Whether a particular edge was retained. `O(log |EC|)`.
     pub fn contains_edge(&self, u: u32, v: u32) -> bool {
         let key = if u <= v { (u, v) } else { (v, u) };
@@ -121,18 +116,6 @@ impl ChordalResult {
             "result does not belong to this graph"
         );
         edge_subgraph(graph, &self.chordal_edges)
-    }
-
-    /// The chordal neighbours of every vertex (adjacency of the chordal
-    /// subgraph restricted to lower-numbered neighbours, i.e. the paper's
-    /// `C[v]` sets at termination).
-    pub fn chordal_parent_sets(&self) -> Vec<Vec<u32>> {
-        let mut sets = vec![Vec::new(); self.num_vertices];
-        for &(u, v) in &self.chordal_edges {
-            // u < v, so u is a chordal parent of v.
-            sets[v as usize].push(u);
-        }
-        sets
     }
 }
 
@@ -176,15 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn chordal_parent_sets_list_lower_endpoints() {
-        let r = ChordalResult::new(4, vec![(0, 2), (1, 2), (2, 3)], 1, None);
-        let sets = r.chordal_parent_sets();
-        assert_eq!(sets[0], Vec::<u32>::new());
-        assert_eq!(sets[2], vec![0, 1]);
-        assert_eq!(sets[3], vec![2]);
-    }
-
-    #[test]
     fn extract_ns_is_metadata_outside_equality() {
         let mut timed = ChordalResult::new(3, vec![(0, 1)], 1, None);
         let untimed = timed.clone();
@@ -192,12 +166,6 @@ mod tests {
         timed.set_extract_ns(12_345);
         assert_eq!(timed.extract_ns(), 12_345);
         assert_eq!(timed, untimed, "timing must not affect equality");
-    }
-
-    #[test]
-    fn into_edges_returns_sorted_edges() {
-        let r = ChordalResult::new(3, vec![(1, 2), (0, 1)], 1, None);
-        assert_eq!(r.into_edges(), vec![(0, 1), (1, 2)]);
     }
 
     #[test]

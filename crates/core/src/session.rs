@@ -1,4 +1,4 @@
-//! Reusable extraction sessions: one configured extractor plus one owned
+//! Reusable extraction sessions: one [`ExtractorConfig`] plus one owned
 //! [`Workspace`], amortising allocations across runs — and a batch mode
 //! that places whole graphs across the configured engine.
 //!
@@ -50,7 +50,7 @@
 //! persistent worker pool, so batches never spawn threads.
 
 use crate::config::ExtractorConfig;
-use crate::extractor::{Algorithm, ChordalExtractor};
+use crate::extractor::Algorithm;
 use crate::result::ChordalResult;
 use crate::workspace::Workspace;
 use chordal_graph::GraphRef;
@@ -83,23 +83,19 @@ fn plan_batch(edges: &[usize], threads: usize) -> Option<Vec<usize>> {
     Some(order)
 }
 
-/// A configured extractor paired with a reusable [`Workspace`].
+/// An extraction configuration paired with a reusable [`Workspace`].
 pub struct ExtractionSession {
     config: ExtractorConfig,
-    extractor: Box<dyn ChordalExtractor>,
     workspace: Workspace,
     /// Participants the most recent batch fanned out over (0 if none).
     participants: usize,
 }
 
 impl ExtractionSession {
-    /// Builds the session for `config`, constructing the configured
-    /// algorithm through the [`Algorithm`] registry.
+    /// Builds the session for `config`, with an empty workspace.
     pub fn new(config: ExtractorConfig) -> Self {
-        let extractor = config.build_extractor();
         Self {
             config,
-            extractor,
             workspace: Workspace::new(),
             participants: 0,
         }
@@ -120,9 +116,10 @@ impl ExtractionSession {
         self.config.algorithm
     }
 
-    /// The underlying extractor's registry name.
+    /// The registry name of the session's extraction
+    /// ([`ExtractorConfig::name`]).
     pub fn extractor_name(&self) -> &'static str {
-        self.extractor.name()
+        self.config.name()
     }
 
     /// Read access to the owned workspace (its
@@ -138,9 +135,7 @@ impl ExtractionSession {
     /// ([`ChordalResult::extract_ns`]).
     pub fn extract<'a>(&mut self, graph: impl Into<GraphRef<'a>>) -> ChordalResult {
         let start = Instant::now();
-        let mut result = self
-            .extractor
-            .extract_into(graph.into(), &mut self.workspace);
+        let mut result = self.config.extract_into(graph.into(), &mut self.workspace);
         result.set_extract_ns(start.elapsed().as_nanos() as u64);
         result
     }
@@ -214,9 +209,11 @@ impl ExtractionSession {
         // region of its own (`tests/engine_bounds.rs` counts them). Pin the
         // partition count first: "one partition per engine worker"
         // resolves against the configured engine, not the serial one.
-        let mut serial = self.config.clone();
-        serial.partitions = serial.effective_partitions();
-        let extractor = serial.with_engine(Engine::serial()).build_extractor();
+        let serial = self
+            .config
+            .clone()
+            .with_partitions(self.config.effective_partitions())
+            .with_engine(Engine::serial());
         // More participants than the pool runs at once would only start
         // their first (long) graph after the others drained the queue.
         let participants = self
@@ -237,7 +234,7 @@ impl ExtractionSession {
                 let mut next = first;
                 while let Some(&i) = queue.get(next) {
                     let start = Instant::now();
-                    let mut result = extractor.extract_into(views[i], workspace);
+                    let mut result = serial.extract_into(views[i], workspace);
                     result.set_extract_ns(start.elapsed().as_nanos() as u64);
                     slots[i]
                         .set(result)

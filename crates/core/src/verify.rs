@@ -228,11 +228,6 @@ pub fn check_maximality(
     }
 }
 
-/// Convenience wrapper: full (non-sampled) maximality check.
-pub fn is_maximal_chordal_subgraph(graph: &CsrGraph, chordal_edges: &[Edge]) -> bool {
-    check_maximality(graph, chordal_edges, None, 0).is_maximal()
-}
-
 /// Whether adding the edge `(u, v)` to the **chordal** graph `chordal`
 /// keeps it chordal, for a pair that is not already adjacent.
 ///
@@ -390,7 +385,7 @@ mod tests {
             vec![(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)],
         );
         let retained = vec![(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)];
-        assert!(is_maximal_chordal_subgraph(&g, &retained));
+        assert!(check_maximality(&g, &retained, None, 0).is_maximal());
     }
 
     #[test]

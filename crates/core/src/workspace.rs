@@ -7,7 +7,7 @@
 //! cheap for a one-off extraction but dominates short runs under repeated
 //! traffic (benchmark loops, serving-style workloads, batch jobs). A
 //! [`Workspace`] owns all of those buffers and is handed to
-//! [`crate::ChordalExtractor::extract_into`], so consecutive extractions
+//! [`crate::ExtractorConfig::extract_into`], so consecutive extractions
 //! over same-sized graphs reuse the previous run's allocations.
 //!
 //! The [`Workspace::allocations`] counter increments whenever a buffer has
@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU32, AtomicUsize};
 ///
 /// A workspace is not tied to a graph size: buffers grow on demand and are
 /// retained between runs. See [`crate::ExtractionSession`] for the
-/// convenience wrapper that pairs a workspace with a configured extractor.
+/// convenience wrapper that pairs a workspace with an extraction config.
 #[derive(Debug, Default)]
 pub struct Workspace {
     // --- shared state of the parallel extractor -----------------------------

@@ -2,7 +2,7 @@
 //! vertex count, edge count, average degree, maximum degree, degree variance
 //! and edges-per-vertex ratio.
 
-use crate::{CsrGraph, VertexId};
+use crate::CsrGraph;
 
 /// Structural summary of a graph (one row of Table I).
 #[derive(Debug, Clone, PartialEq)]
@@ -59,24 +59,6 @@ impl GraphStats {
     }
 }
 
-/// Histogram of vertex degrees: `hist[d]` is the number of vertices with
-/// degree `d`.
-pub fn degree_histogram(graph: &CsrGraph) -> Vec<usize> {
-    let max_deg = graph.max_degree();
-    let mut hist = vec![0usize; max_deg + 1];
-    for v in 0..graph.num_vertices() {
-        hist[graph.degree(v as VertexId)] += 1;
-    }
-    hist
-}
-
-/// The degree sequence of the graph (unsorted, indexed by vertex).
-pub fn degree_sequence(graph: &CsrGraph) -> Vec<usize> {
-    (0..graph.num_vertices())
-        .map(|v| graph.degree(v as VertexId))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,21 +95,5 @@ mod tests {
         let s = GraphStats::compute(&g);
         assert!((s.avg_degree - 2.0).abs() < 1e-12);
         assert!(s.degree_variance.abs() < 1e-12);
-    }
-
-    #[test]
-    fn degree_histogram_counts_correctly() {
-        let g = graph_from_edges(5, vec![(0, 1), (0, 2), (0, 3), (0, 4)]);
-        let hist = degree_histogram(&g);
-        assert_eq!(hist.len(), 5);
-        assert_eq!(hist[1], 4);
-        assert_eq!(hist[4], 1);
-        assert_eq!(hist[0], 0);
-    }
-
-    #[test]
-    fn degree_sequence_matches_degrees() {
-        let g = graph_from_edges(4, vec![(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(degree_sequence(&g), vec![1, 2, 2, 1]);
     }
 }

@@ -35,31 +35,6 @@ pub fn bfs_levels(graph: &CsrGraph, source: VertexId) -> Vec<u32> {
     dist
 }
 
-/// Breadth-first visit order starting from `source`, restricted to the
-/// component of `source`. The returned vector lists vertices in the order
-/// they were dequeued.
-pub fn bfs_order(graph: &CsrGraph, source: VertexId) -> Vec<VertexId> {
-    let n = graph.num_vertices();
-    let mut order = Vec::new();
-    if (source as usize) >= n {
-        return order;
-    }
-    let mut seen = vec![false; n];
-    let mut queue = VecDeque::new();
-    seen[source as usize] = true;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for &v in graph.neighbors(u) {
-            if !seen[v as usize] {
-                seen[v as usize] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    order
-}
-
 /// A full BFS ordering of *all* vertices: components are visited one after
 /// another, each from its lowest-numbered unvisited vertex. Every vertex
 /// appears exactly once.
@@ -206,9 +181,6 @@ mod tests {
     #[test]
     fn bfs_order_visits_component_once() {
         let g = two_triangles();
-        let order = bfs_order(&g, 0);
-        assert_eq!(order.len(), 3);
-        assert_eq!(order[0], 0);
         let order_all = bfs_order_all(&g);
         assert_eq!(order_all.len(), 6);
         let mut sorted = order_all.clone();

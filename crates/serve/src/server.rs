@@ -27,7 +27,7 @@ use crate::protocol::{
     error_frame, error_frame_with, json_escape, ErrorCode, Request, MAX_REQUEST_BYTES,
 };
 use crate::queue::{AcquireError, AdmissionQueue};
-use chordal_core::{AdjacencyMode, Algorithm, ExtractionSession, ExtractorConfig};
+use chordal_core::{ExtractError, ExtractionSession, ExtractorConfig};
 use chordal_graph::io::write_edges;
 use chordal_graph::storage::FileFormat;
 use std::collections::HashMap;
@@ -688,52 +688,38 @@ fn handle_load(connection: &mut Connection, request: &Request) -> Outcome {
     outcome
 }
 
-/// Builds the extraction configuration named by a request's arguments and
-/// a canonical key for session reuse.
+/// Builds the extraction configuration named by a request's arguments,
+/// through the core's key parser (the CLI's too) with the server's default
+/// engine and thread count, and a canonical key for session reuse. A
+/// `threads`, `partitions` or `repair` value that does not parse reads
+/// "invalid value `x` for `threads`"; an unknown name keeps the core's
+/// wording.
 fn request_config(
     defaults: &ServeConfig,
     request: &Request,
 ) -> Result<(ExtractorConfig, String), String> {
-    let algorithm =
-        Algorithm::parse(request.arg("algorithm").unwrap_or("alg1")).map_err(|e| e.to_string())?;
-    let adjacency =
-        AdjacencyMode::parse(request.arg("variant").unwrap_or("opt")).map_err(|e| e.to_string())?;
-    let engine_name = request.arg("engine").unwrap_or(&defaults.default_engine);
-    let threads = match request.arg("threads") {
-        None => defaults.default_threads,
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| format!("invalid value `{v}` for `threads`"))?,
-    };
-    let partitions = match request.arg("partitions") {
-        None => 0,
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| format!("invalid value `{v}` for `partitions`"))?,
-    };
-    let repair = match request.arg("repair") {
-        None | Some("false") => false,
-        Some("true") => true,
-        Some(other) => return Err(format!("invalid value `{other}` for `repair`")),
-    };
-    let config = ExtractorConfig::default()
-        .with_algorithm(algorithm)
-        .with_adjacency(adjacency)
-        .with_repair(repair)
-        .with_partitions(partitions)
-        .with_engine_name(engine_name, threads)
-        .map_err(|e| e.to_string())?;
+    let config = ExtractorConfig::from_keys(
+        |key| request.arg(key),
+        &defaults.default_engine,
+        defaults.default_threads,
+    )
+    .map_err(|error| match error {
+        ExtractError::InvalidOption { option, given } => {
+            format!("invalid value `{given}` for `{option}`")
+        }
+        other => other.to_string(),
+    })?;
     // Keyed by the resolved engine, so spellings that build one engine
     // (`engine=serial` at any `threads=`, `rayon` and `pool`) share a
     // session and its workspace.
     let key = format!(
         "{}|{:?}|{}x{}|p{}|r{}",
-        algorithm.name(),
-        adjacency,
+        config.algorithm.name(),
+        config.adjacency,
         config.engine.name(),
         config.engine.threads(),
-        partitions,
-        repair,
+        config.partitions,
+        config.repair,
     );
     Ok((config, key))
 }
@@ -1042,5 +1028,12 @@ mod tests {
         assert_eq!(key("engine=rayon threads=2"), pool);
         assert_ne!(pool, serial);
         assert_ne!(key("engine=pool threads=3"), pool);
+    }
+
+    #[test]
+    fn an_unparsable_number_names_its_argument() {
+        let request = Request::parse("EXTRACT path=g threads=many").unwrap();
+        let error = request_config(&ServeConfig::default(), &request).unwrap_err();
+        assert_eq!(error, "invalid value `many` for `threads`");
     }
 }

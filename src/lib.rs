@@ -13,11 +13,11 @@
 //!   gene-correlation networks.
 //! * [`runtime`] — execution engines (serial, and dynamic self-scheduling
 //!   on the persistent worker pool).
-//! * [`core`] — the extraction algorithms behind the
-//!   [`ChordalExtractor`]/[`Algorithm`] registry (the paper's Algorithm 1,
-//!   the sequential reference, the Dearing serial baseline, the partitioned
-//!   baseline), the reusable [`ExtractionSession`] API, verification and
-//!   component stitching.
+//! * [`core`] — the extraction algorithms of the [`Algorithm`] registry
+//!   (the paper's Algorithm 1, the sequential reference, the Dearing serial
+//!   baseline, the partitioned baseline) behind one dispatch,
+//!   [`ExtractorConfig::extract_into`], the reusable [`ExtractionSession`]
+//!   API, verification and component stitching.
 //! * [`analysis`] — clustering coefficients, shortest-path distributions,
 //!   assortativity and chordal-fraction reporting.
 //! * [`serve`] — the resident extraction service behind `chordal serve`:
@@ -99,8 +99,8 @@
 //! ## The algorithm registry
 //!
 //! Every algorithm is reachable through [`Algorithm`] and one
-//! [`ExtractorConfig`] — the CLI, benches and experiments all dispatch this
-//! way:
+//! [`ExtractorConfig`], whose [`ExtractorConfig::extract`] runs it — the
+//! CLI, serve, benches and experiments all dispatch this way:
 //!
 //! ```
 //! use maximal_chordal::prelude::*;
@@ -108,7 +108,7 @@
 //! let graph = graph_from_edges(4, vec![(0, 1), (1, 2), (2, 3), (0, 3)]);
 //! for algorithm in Algorithm::ALL {
 //!     let config = ExtractorConfig::serial(AdjacencyMode::Sorted).with_algorithm(algorithm);
-//!     let result = config.build_extractor().extract(&graph);
+//!     let result = config.extract(&graph);
 //!     assert_eq!(result.num_vertices(), 4, "{algorithm}");
 //! }
 //! ```
@@ -124,8 +124,7 @@ pub use chordal_serve as serve;
 
 pub use chordal_core::{
     extract_maximal_chordal, extract_maximal_chordal_serial, AdjacencyMode, Algorithm,
-    ChordalExtractor, ChordalResult, ExtractError, ExtractionSession, ExtractorConfig,
-    MaximalChordalExtractor,
+    ChordalResult, ExtractError, ExtractionSession, ExtractorConfig,
 };
 
 /// The most commonly used items across the workspace, re-exported for
@@ -139,8 +138,7 @@ pub mod prelude {
     pub use chordal_core::verify::{check_maximality, is_chordal};
     pub use chordal_core::{
         extract_maximal_chordal, extract_maximal_chordal_serial, AdjacencyMode, Algorithm,
-        ChordalExtractor, ChordalResult, ExtractError, ExtractionSession, ExtractorConfig,
-        MaximalChordalExtractor,
+        ChordalResult, ExtractError, ExtractionSession, ExtractorConfig,
     };
     pub use chordal_generators::bio::{CorrelationNetworkParams, GeneNetworkKind};
     pub use chordal_generators::rmat::{RmatKind, RmatParams};

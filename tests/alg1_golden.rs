@@ -165,19 +165,14 @@ fn serial_pass_and_doacross_alternate_on_one_workspace() {
     for _pass in 0..2 {
         for golden in goldens() {
             for (config, graph) in modes(&golden) {
-                let serial = MaximalChordalExtractor::new(config.clone());
-                let fresh = serial.extract(&graph);
-                let [two, three] = doacross_engines()
-                    .map(|e| MaximalChordalExtractor::new(config.clone().with_engine(e)));
-                for extractor in [&serial, &two, &three, &serial] {
-                    let reused = extractor.extract_into((&graph).into(), &mut workspace);
+                let fresh = config.extract(&graph);
+                let [two, three] = doacross_engines().map(|e| config.clone().with_engine(e));
+                for run in [&config, &two, &three, &config] {
+                    let reused = run.extract_into((&graph).into(), &mut workspace);
                     assert_eq!(
-                        reused,
-                        fresh,
+                        reused, fresh,
                         "{}: {:?} {:?}",
-                        golden.name,
-                        extractor.config().engine,
-                        config.adjacency
+                        golden.name, run.engine, config.adjacency
                     );
                 }
             }

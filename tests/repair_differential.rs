@@ -50,8 +50,8 @@ fn repair_matches_the_reference_across_algorithms() {
         let mut session = ExtractionSession::new(serial(algorithm));
         for (name, graph) in workloads() {
             let base = session.extract(&graph);
-            let repaired = repair_maximality_with(&graph, base.edges(), None, &mut workspace);
-            let reference = repair_maximality_reference(&graph, base.edges(), None);
+            let repaired = repair_maximality_with(&graph, base.edges(), &mut workspace);
+            let reference = repair_maximality_reference(&graph, base.edges());
             assert_eq!(
                 repaired, reference,
                 "{algorithm}/{name}: repair and reference must produce identical outcomes"
@@ -70,8 +70,7 @@ fn session_level_repair_matches_the_reference_under_the_configured_pool() {
         let mut unrepaired = ExtractionSession::new(base.clone());
         let mut repaired = ExtractionSession::new(base.with_repair(true));
         for (name, graph) in workloads() {
-            let reference =
-                repair_maximality_reference(&graph, unrepaired.extract(&graph).edges(), None);
+            let reference = repair_maximality_reference(&graph, unrepaired.extract(&graph).edges());
             assert_eq!(
                 repaired.extract(&graph).edges(),
                 reference.edges,
@@ -105,7 +104,7 @@ fn repaired_output_is_strictly_maximal() {
             let base = unrepaired.extract(&graph);
             assert_eq!(
                 result.edges(),
-                repair_maximality_reference(&graph, base.edges(), None).edges,
+                repair_maximality_reference(&graph, base.edges()).edges,
                 "{algorithm} seed {seed}: repair differs from the reference"
             );
         }
@@ -133,27 +132,37 @@ fn repeated_session_repairs_stop_allocating() {
     let base = ExtractionSession::new(serial(Algorithm::Parallel)).extract(&graph);
     assert_eq!(
         first.edges(),
-        repair_maximality_reference(&graph, base.edges(), None).edges
+        repair_maximality_reference(&graph, base.edges()).edges
     );
 }
 
 #[test]
-fn repair_budget_counts_distinct_candidates() {
-    let graph = structured::grid(8, 8);
-    let base = ExtractionSession::new(serial(Algorithm::Parallel)).extract(&graph);
+fn repair_examines_every_rejected_edge_exactly_once() {
+    // `examined` counts distinct candidates: every host edge the input
+    // rejected is examined once, however many greedy passes revisit it. A
+    // second repair of the repaired output adds nothing and examines exactly
+    // the edges that stayed rejected.
     let mut workspace = Workspace::new();
-    for limit in [0usize, 1, 5, 1_000] {
-        let outcome = repair_maximality_with(&graph, base.edges(), Some(limit), &mut workspace);
-        assert!(
-            outcome.examined <= limit,
-            "budget {limit} exceeded ({} examined)",
-            outcome.examined
-        );
-        assert!(outcome.added.len() <= outcome.examined);
-        assert_eq!(
-            outcome,
-            repair_maximality_reference(&graph, base.edges(), Some(limit)),
-            "budget {limit}: repair differs from the reference"
-        );
+    for algorithm in Algorithm::ALL {
+        let mut session = ExtractionSession::new(serial(algorithm));
+        for (name, graph) in workloads() {
+            let base = session.extract(&graph);
+            let rejected = graph.num_canonical_edges() - base.num_chordal_edges();
+            let first = repair_maximality_with(&graph, base.edges(), &mut workspace);
+            assert_eq!(first.examined, rejected, "{algorithm}/{name}");
+            assert_eq!(
+                first.edges.len(),
+                base.num_chordal_edges() + first.added.len(),
+                "{algorithm}/{name}: repair only adds edges"
+            );
+            let again = repair_maximality_with(&graph, &first.edges, &mut workspace);
+            assert!(again.added.is_empty(), "{algorithm}/{name}: not a fixpoint");
+            assert_eq!(again.edges, first.edges, "{algorithm}/{name}");
+            assert_eq!(
+                again.examined,
+                rejected - first.added.len(),
+                "{algorithm}/{name}"
+            );
+        }
     }
 }

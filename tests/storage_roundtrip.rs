@@ -133,13 +133,13 @@ fn repair_pass_is_byte_identical_on_mmap_and_heap() {
         let mapped = disk.mmap();
         let config = ExtractorConfig::serial(AdjacencyMode::Sorted);
         let base = ExtractionSession::new(config).extract(&graph);
-        let on_heap = repair_maximality(&graph, base.edges(), None);
-        let on_mmap = repair_maximality(&mapped, base.edges(), None);
+        let on_heap = repair_maximality(&graph, base.edges());
+        let on_mmap = repair_maximality(&mapped, base.edges());
         assert_eq!(
             on_heap, on_mmap,
             "{tag}: repair outcome diverged between representations"
         );
-        // End to end: the repair-wrapped registry extractor over the mmap.
+        // End to end: the registry's repair post-pass over the mmap.
         let repaired_config = ExtractorConfig::serial(AdjacencyMode::Sorted).with_repair(true);
         let heap_repaired = ExtractionSession::new(repaired_config.clone()).extract(&graph);
         let mmap_repaired = ExtractionSession::new(repaired_config).extract(&mapped);

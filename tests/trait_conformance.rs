@@ -1,14 +1,18 @@
-//! Trait-conformance suite for the `ChordalExtractor` registry: every
-//! [`Algorithm`] × [`Engine`] (serial, pool at three and eight threads)
-//! combination is driven through the same [`ExtractionSession`] API and
-//! checked against the guarantees the registry advertises —
-//! chordality ([`Algorithm::guarantees_chordal`]), maximality
-//! ([`Algorithm::guarantees_maximal`]), and that reusing a session's
-//! [`Workspace`](maximal_chordal::core::Workspace) across consecutive runs
-//! yields exactly what fresh runs yield. Every cell is deterministic, the
-//! pool cells included.
+//! Conformance suite for the [`Algorithm`] registry's one dispatch,
+//! [`ExtractorConfig::extract_into`]: every [`Algorithm`] × [`Engine`]
+//! (serial, pool at three and eight threads) × {plain, repaired} cell is
+//! driven through the same [`ExtractionSession`] API and checked against
+//! the guarantees the registry advertises — chordality
+//! ([`Algorithm::guarantees_chordal`]), maximality
+//! ([`Algorithm::guarantees_maximal`], and the repair post-pass after a
+//! chordal algorithm), the registry name ([`ExtractorConfig::name`]), and
+//! that reusing a [`Workspace`](maximal_chordal::core::Workspace) across
+//! consecutive runs, of one cell or of every cell in turn, yields exactly
+//! what fresh runs yield. Every cell is deterministic, the pool cells
+//! included.
 
 use maximal_chordal::core::verify::{check_maximality, MaximalityReport};
+use maximal_chordal::core::Workspace;
 use maximal_chordal::prelude::*;
 
 /// The serial engine and the pool engine at three and at eight threads
@@ -34,19 +38,31 @@ fn workloads() -> Vec<(String, CsrGraph)> {
     graphs
 }
 
-/// Every cell of the Algorithm × Engine matrix, as a session.
+/// Every cell of the Algorithm × Engine × {plain, repaired} matrix, as a
+/// config.
 fn matrix() -> Vec<(String, ExtractorConfig)> {
     let mut cells = Vec::new();
     for algorithm in Algorithm::ALL {
         for engine in engines() {
-            let config = ExtractorConfig::default()
-                .with_algorithm(algorithm)
-                .with_engine(engine);
-            let label = format!("{algorithm}/{}x{}", engine.name(), engine.threads());
-            cells.push((label, config));
+            for repair in [false, true] {
+                let config = ExtractorConfig::default()
+                    .with_algorithm(algorithm)
+                    .with_engine(engine)
+                    .with_repair(repair);
+                let label = format!("{}/{}x{}", config.name(), engine.name(), engine.threads());
+                cells.push((label, config));
+            }
         }
     }
     cells
+}
+
+/// The session for `config`, checked to report the config's registry
+/// name.
+fn session(config: &ExtractorConfig) -> ExtractionSession {
+    let session = ExtractionSession::new(config.clone());
+    assert_eq!(session.extractor_name(), config.name());
+    session
 }
 
 #[test]
@@ -54,9 +70,7 @@ fn every_algorithm_engine_cell_honours_its_guarantees() {
     for (name, graph) in workloads() {
         for (label, config) in matrix() {
             let algorithm = config.algorithm;
-            let mut session = ExtractionSession::new(config);
-            assert_eq!(session.extractor_name(), algorithm.name());
-            let result = session.extract(&graph);
+            let result = session(&config).extract(&graph);
             // Output edges always come from the host graph.
             for &(u, v) in result.edges() {
                 assert!(graph.has_edge(u, v), "{name} {label}: foreign edge");
@@ -71,9 +85,13 @@ fn every_algorithm_engine_cell_honours_its_guarantees() {
                     "{name} {label}: non-chordal output"
                 );
             }
-            // Maximality, where guaranteed; near-maximality everywhere else
-            // that promises chordal output (bounded sampled violations).
-            if algorithm.guarantees_maximal() {
+            // Maximality, where guaranteed (the repair post-pass makes
+            // chordal output strictly maximal); near-maximality everywhere
+            // else that promises chordal output (bounded sampled
+            // violations).
+            let maximal =
+                algorithm.guarantees_maximal() || (config.repair && algorithm.guarantees_chordal());
+            if maximal {
                 assert!(
                     check_maximality(&graph, result.edges(), Some(120), 11).is_maximal(),
                     "{name} {label}: output must be maximal"
@@ -102,11 +120,11 @@ fn workspace_reuse_across_consecutive_runs_equals_fresh_runs() {
     // must not allocate again.
     for (name, graph) in workloads() {
         for (label, config) in matrix() {
-            let mut session = ExtractionSession::new(config.clone());
+            let mut session = session(&config);
             let first = session.extract(&graph);
             let allocations = session.workspace().allocations();
             let second = session.extract(&graph);
-            let fresh = ExtractionSession::new(config).extract(&graph);
+            let fresh = config.extract(&graph);
             assert_eq!(first.edges(), second.edges(), "{name} {label}");
             assert_eq!(first.edges(), fresh.edges(), "{name} {label}");
             assert_eq!(first.iterations, second.iterations, "{name} {label}");
@@ -120,22 +138,29 @@ fn workspace_reuse_across_consecutive_runs_equals_fresh_runs() {
 }
 
 #[test]
-fn trait_objects_dispatch_uniformly() {
-    // The registry hands out boxed trait objects usable without knowing the
-    // concrete type — the shape the CLI and benches rely on.
-    let graph = maximal_chordal::generators::structured::cycle(12);
-    let extractors: Vec<Box<dyn ChordalExtractor>> = Algorithm::ALL
+fn one_workspace_serves_every_cell_in_turn() {
+    // Every algorithm's arm of the dispatch shares the caller's workspace,
+    // so whatever one arm leaves in it must not leak into the next. One
+    // workspace runs every cell of the matrix on every workload, forwards
+    // and then backwards (so each arm inherits another arm's buffers, grown
+    // on other graphs), and each run must equal a fresh one.
+    let graphs = workloads();
+    let cells = matrix();
+    let fresh: Vec<Vec<ChordalResult>> = cells
         .iter()
-        .map(|algorithm| {
-            ExtractorConfig::serial(AdjacencyMode::Sorted)
-                .with_algorithm(*algorithm)
-                .build_extractor()
-        })
+        .map(|(_, config)| graphs.iter().map(|(_, g)| config.extract(g)).collect())
         .collect();
-    for (algorithm, extractor) in Algorithm::ALL.iter().zip(&extractors) {
-        assert_eq!(extractor.name(), algorithm.name());
-        let result = extractor.extract(&graph);
-        assert!(result.num_chordal_edges() >= 11, "{algorithm}");
+    let mut workspace = Workspace::new();
+    let forwards = (0..cells.len()).flat_map(|c| (0..graphs.len()).map(move |g| (c, g)));
+    let backwards = (0..cells.len())
+        .rev()
+        .flat_map(|c| (0..graphs.len()).rev().map(move |g| (c, g)));
+    for (c, g) in forwards.chain(backwards) {
+        let ((label, config), (name, graph)) = (&cells[c], &graphs[g]);
+        let shared = config.extract_into(graph.into(), &mut workspace);
+        let expected = &fresh[c][g];
+        assert_eq!(shared.edges(), expected.edges(), "{name} {label}");
+        assert_eq!(shared.iterations, expected.iterations, "{name} {label}");
     }
 }
 
@@ -146,26 +171,30 @@ fn batch_extraction_covers_every_algorithm() {
         .collect();
     let refs: Vec<&CsrGraph> = graphs.iter().collect();
     for algorithm in Algorithm::ALL {
-        let config = ExtractorConfig::default()
-            .with_algorithm(algorithm)
-            .with_engine(Engine::chunked(3));
-        let batch = ExtractionSession::new(config.clone()).extract_batch(&refs);
-        assert_eq!(batch.len(), graphs.len(), "{algorithm}");
-        // Every algorithm must match its single-graph runs slot for slot.
-        // The comparison config pins the partition count to what the batch
-        // resolved it to (one per configured-engine worker), mirroring
-        // extract_batch's documented semantics.
-        let serial_config = config
-            .clone()
-            .with_partitions(config.effective_partitions())
-            .with_engine(Engine::serial());
-        let mut single = ExtractionSession::new(serial_config);
-        for (graph, from_batch) in graphs.iter().zip(&batch) {
-            assert_eq!(
-                single.extract(graph).edges(),
-                from_batch.edges(),
-                "{algorithm}"
-            );
+        for repair in [false, true] {
+            let config = ExtractorConfig::default()
+                .with_algorithm(algorithm)
+                .with_engine(Engine::chunked(3))
+                .with_repair(repair);
+            let label = config.name();
+            let batch = session(&config).extract_batch(&refs);
+            assert_eq!(batch.len(), graphs.len(), "{label}");
+            // Every cell must match its single-graph runs slot for slot,
+            // the repaired ones included (the fan-out runs a serial clone of
+            // the whole config). The comparison config pins the partition
+            // count to what the batch resolved it to (one per
+            // configured-engine worker), mirroring extract_batch's
+            // documented semantics.
+            let serial_config = config
+                .clone()
+                .with_partitions(config.effective_partitions())
+                .with_engine(Engine::serial());
+            let mut single = session(&serial_config);
+            for (graph, from_batch) in graphs.iter().zip(&batch) {
+                let expected = single.extract(graph);
+                assert_eq!(expected.edges(), from_batch.edges(), "{label}");
+                assert_eq!(expected.iterations, from_batch.iterations, "{label}");
+            }
         }
     }
 }
