@@ -4,15 +4,21 @@ use super::scaling::{measure_point, PreparedGraph};
 use super::HarnessOptions;
 use crate::impl_to_json;
 use crate::records::ExperimentRecord;
-use crate::workloads::{bio_suite, rmat_suite};
+use crate::workloads::{bio_graph, rmat_graph, NamedGraph};
 use chordal_core::AdjacencyMode;
+use chordal_generators::{rmat::RmatKind, GeneNetworkKind};
 
 /// One speedup row: a graph, a variant and the speedup of `max_threads`
-/// workers over one worker on the pool engine.
+/// workers over one worker on the pool engine, with the memory each
+/// point's workspace kept.
 #[derive(Debug, Clone)]
 pub struct SpeedupRow {
     /// Graph name.
     pub graph: String,
+    /// Vertices of the graph.
+    pub vertices: usize,
+    /// Directed adjacency entries of the graph (2|E|).
+    pub directed_edges: usize,
     /// Engine (`"pool"`).
     pub engine: String,
     /// Variant ("Opt" / "Unopt").
@@ -25,59 +31,78 @@ pub struct SpeedupRow {
     pub parallel_seconds: f64,
     /// `serial_seconds / parallel_seconds`.
     pub speedup: f64,
+    /// Bytes the one-thread point's workspace kept
+    /// (`Workspace::allocated_bytes`).
+    pub serial_workspace_bytes: usize,
+    /// Bytes the full-parallelism point's workspace kept.
+    pub parallel_workspace_bytes: usize,
 }
 
 impl_to_json!(SpeedupRow {
     graph,
+    vertices,
+    directed_edges,
     engine,
     variant,
     threads,
     serial_seconds,
     parallel_seconds,
-    speedup
+    speedup,
+    serial_workspace_bytes,
+    parallel_workspace_bytes
 });
 
-/// Measures Table II: every suite graph × both variants.
+/// Measures Table II: every suite graph × both variants. Each graph is
+/// built just before it is measured and dropped after, so the largest
+/// graph alone sets the peak memory.
 pub fn run(options: &HarnessOptions) -> Vec<SpeedupRow> {
-    let mut graphs = Vec::new();
-    for scale in options.weak_scaling_scales() {
-        graphs.extend(rmat_suite(scale));
-    }
-    graphs.extend(bio_suite(options.genes));
-
     let mut rows = Vec::new();
-    for named in graphs {
-        let prepared = PreparedGraph::new(named);
-        let variants = if options.quick {
-            vec![AdjacencyMode::Sorted]
-        } else {
-            vec![AdjacencyMode::Sorted, AdjacencyMode::Unsorted]
-        };
-        for &variant in &variants {
-            let one = measure_point("table2", &prepared, variant, 1, options.repeats);
-            let many = measure_point(
-                "table2",
-                &prepared,
-                variant,
-                options.max_threads,
-                options.repeats,
-            );
-            rows.push(SpeedupRow {
-                graph: prepared.name.clone(),
-                engine: many.engine,
-                variant: variant.label().to_string(),
-                threads: options.max_threads,
-                serial_seconds: one.seconds,
-                parallel_seconds: many.seconds,
-                speedup: if many.seconds > 0.0 {
-                    one.seconds / many.seconds
-                } else {
-                    f64::NAN
-                },
-            });
+    for scale in options.weak_scaling_scales() {
+        for kind in RmatKind::all() {
+            measure_graph(rmat_graph(kind, scale), options, &mut rows);
         }
     }
+    for kind in GeneNetworkKind::all() {
+        measure_graph(bio_graph(kind, options.genes), options, &mut rows);
+    }
     rows
+}
+
+/// Appends one row per variant of `named` to `rows`.
+fn measure_graph(named: NamedGraph, options: &HarnessOptions, rows: &mut Vec<SpeedupRow>) {
+    let prepared = PreparedGraph::new(named);
+    let variants = if options.quick {
+        vec![AdjacencyMode::Sorted]
+    } else {
+        vec![AdjacencyMode::Sorted, AdjacencyMode::Unsorted]
+    };
+    for &variant in &variants {
+        let one = measure_point("table2", &prepared, variant, 1, options.repeats);
+        let many = measure_point(
+            "table2",
+            &prepared,
+            variant,
+            options.max_threads,
+            options.repeats,
+        );
+        rows.push(SpeedupRow {
+            graph: prepared.name.clone(),
+            vertices: prepared.sorted.num_vertices(),
+            directed_edges: prepared.sorted.num_directed_edges(),
+            engine: many.engine,
+            variant: variant.label().to_string(),
+            threads: options.max_threads,
+            serial_seconds: one.seconds,
+            parallel_seconds: many.seconds,
+            speedup: if many.seconds > 0.0 {
+                one.seconds / many.seconds
+            } else {
+                f64::NAN
+            },
+            serial_workspace_bytes: one.workspace_bytes,
+            parallel_workspace_bytes: many.workspace_bytes,
+        });
+    }
 }
 
 /// Runs, prints and records.
@@ -88,13 +113,27 @@ pub fn run_and_print(options: &HarnessOptions) -> Vec<SpeedupRow> {
         options.max_threads
     );
     println!(
-        "  {:<16} {:>6} {:>7} {:>12} {:>12} {:>9}",
-        "graph", "engine", "variant", "T(1) [s]", "T(max) [s]", "speedup"
+        "  {:<16} {:>6} {:>7} {:>12} {:>12} {:>9} {:>11} {:>11}",
+        "graph",
+        "engine",
+        "variant",
+        "T(1) [s]",
+        "T(max) [s]",
+        "speedup",
+        "WS(1) [MB]",
+        "WS(max) [MB]"
     );
     for r in &rows {
         println!(
-            "  {:<16} {:>6} {:>7} {:>12.4} {:>12.4} {:>9.2}",
-            r.graph, r.engine, r.variant, r.serial_seconds, r.parallel_seconds, r.speedup
+            "  {:<16} {:>6} {:>7} {:>12.4} {:>12.4} {:>9.2} {:>11.2} {:>11.2}",
+            r.graph,
+            r.engine,
+            r.variant,
+            r.serial_seconds,
+            r.parallel_seconds,
+            r.speedup,
+            r.serial_workspace_bytes as f64 / 1e6,
+            r.parallel_workspace_bytes as f64 / 1e6
         );
     }
     let records: Vec<_> = rows
@@ -120,5 +159,10 @@ mod tests {
         assert!(rows.iter().all(|r| r.serial_seconds > 0.0));
         assert!(rows.iter().all(|r| r.parallel_seconds > 0.0));
         assert!(rows.iter().all(|r| r.speedup.is_finite()));
+        for r in &rows {
+            assert!(r.vertices > 0 && r.directed_edges > 0, "{r:?}");
+            assert!(r.serial_workspace_bytes > 0, "{r:?}");
+            assert!(r.parallel_workspace_bytes > 0, "{r:?}");
+        }
     }
 }

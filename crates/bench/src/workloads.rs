@@ -64,11 +64,13 @@ pub fn rmat_graph(kind: RmatKind, scale: u32) -> NamedGraph {
 pub fn bio_suite(genes: usize) -> Vec<NamedGraph> {
     GeneNetworkKind::all()
         .into_iter()
-        .map(|kind| {
-            let graph = kind.network(genes, SUITE_SEED);
-            NamedGraph::new(kind.name().to_string(), graph)
-        })
+        .map(|kind| bio_graph(kind, genes))
         .collect()
+}
+
+/// Builds one gene-correlation network with `genes` genes.
+pub fn bio_graph(kind: GeneNetworkKind, genes: usize) -> NamedGraph {
+    NamedGraph::new(kind.name().to_string(), kind.network(genes, SUITE_SEED))
 }
 
 /// Applies the BFS renumbering the paper recommends (so that the extracted

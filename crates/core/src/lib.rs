@@ -20,7 +20,10 @@
 //!   *parents* (smaller-id neighbours) in ascending order and keeps a
 //!   growing set of *chordal neighbors*, as one ascending pass: a plain
 //!   loop on one thread, a doacross on the pool, with one output on every
-//!   engine. Both the paper's variants are available:
+//!   engine. The sets live in 4,096-entry blocks created on first claim
+//!   and kept in the [`Workspace`], so the pass's memory follows the
+//!   chordal edges |EC| rather than the graph's 2|E| adjacency entries.
+//!   Both the paper's variants are available:
 //!   **Opt** (sorted adjacency, the parents are a prefix) and **Unopt**
 //!   (unsorted adjacency, scan-based parent walk), on any
 //!   [`chordal_runtime::Engine`]. Its oracle is the serial

@@ -15,10 +15,11 @@
 //! incrementing after the first run, which the test-suite (and the quick
 //! start doctests) assert.
 
+use crate::parallel::SetArena;
 use crate::repair::incremental::RepairScratch;
 use chordal_graph::{GraphRef, VertexId, NO_VERTEX};
 use chordal_runtime::Published;
-use std::sync::atomic::{AtomicU32, AtomicUsize};
+use std::sync::atomic::AtomicUsize;
 
 /// Owned, reusable scratch buffers for one extraction at a time.
 ///
@@ -28,15 +29,19 @@ use std::sync::atomic::{AtomicU32, AtomicUsize};
 #[derive(Debug, Default)]
 pub struct Workspace {
     // --- shared state of the parallel extractor -----------------------------
-    /// Published chordal-set length per vertex.
+    /// Published chordal-set length per vertex; once the pass has
+    /// finished, each vertex's count of children in the result, which the
+    /// counting sort of the result edges uses.
     pub(crate) clen: Published,
-    /// Chordal-neighbour arena, one slot per directed edge. Each piece of
-    /// the pass packs its sets from the graph's offset of its first vertex.
-    pub(crate) cdata: Vec<AtomicU32>,
-    /// Per-vertex start of its set in `cdata`, stored before the set's
-    /// length is published; once the pass has finished, the bucket starts
-    /// of the counting sort of the result edges by parent (one more entry
-    /// than vertices).
+    /// The chordal sets: blocks of [`crate::parallel::SET_BLOCK`] entries,
+    /// each created on its first claim and kept across runs, so the arena
+    /// follows |EC| rather than the graph's 2|E| adjacency entries.
+    pub(crate) sets: SetArena,
+    /// Per-vertex start of its set in `sets`, the pair (block, offset) as
+    /// `block · SET_BLOCK + offset`, or the entries themselves for a set
+    /// of at most two, stored before the set's length is published; once
+    /// the sets' edges are listed, the bucket starts of the counting sort
+    /// of the result edges by parent.
     pub(crate) starts: Vec<AtomicUsize>,
     // --- plain scratch shared by the serial algorithms and snapshots -------
     /// u32-per-vertex scratch A (the reference extractor's lowest parents).
@@ -83,7 +88,9 @@ impl Workspace {
     /// unchanged — that is the reuse guarantee [`crate::ExtractionSession`]
     /// is built on.
     pub fn allocations(&self) -> usize {
-        self.allocations + self.subs.iter().map(Workspace::allocations).sum::<usize>()
+        self.allocations
+            + self.sets.blocks_created()
+            + self.subs.iter().map(Workspace::allocations).sum::<usize>()
     }
 
     /// Heap bytes currently retained by the workspace's buffers (counted
@@ -91,6 +98,13 @@ impl Workspace {
     /// the live lengths). Like [`Workspace::allocations`] it is flat across
     /// same-shaped runs; unlike it, it quantifies the serving path's memory
     /// footprint, which benches report per record.
+    ///
+    /// Algorithm 1's share is its per-vertex arrays (a length and a start
+    /// per vertex), a small block directory and the blocks its sets
+    /// claimed: about 4·|EC| bytes plus one partly filled 16 KiB block per
+    /// participant, against the 8·|E| of an arena with a slot per
+    /// adjacency entry. A set longer than a block adds a block of its own
+    /// until the next extraction.
     pub fn allocated_bytes(&self) -> usize {
         use std::mem::size_of;
         let vec_bytes = |cap: usize, elem: usize| cap * elem;
@@ -102,7 +116,7 @@ impl Workspace {
                     .sum::<usize>()
         };
         self.clen.allocated_bytes()
-            + vec_bytes(self.cdata.capacity(), size_of::<AtomicU32>())
+            + self.sets.allocated_bytes()
             + vec_bytes(self.starts.capacity(), size_of::<AtomicUsize>())
             + vec_bytes(self.ids_a.capacity(), size_of::<VertexId>())
             + vec_bytes(self.ids_b.capacity(), size_of::<u32>())
@@ -153,25 +167,21 @@ impl Workspace {
         &mut self.subs[..count]
     }
 
-    /// Sizes the parallel extractor's shared state for `graph` and resets
-    /// every published set length to
-    /// [`chordal_runtime::publish::UNPUBLISHED`]. The arena and the start
-    /// slots are left untouched: every vertex stores its start before it
+    /// Sizes the parallel extractor's shared state for a run over `graph`
+    /// by `participants` and resets every published set length to
+    /// [`chordal_runtime::publish::UNPUBLISHED`]. The blocks and the
+    /// starts are left untouched: every vertex stores its start before it
     /// publishes its length, and a set's live entries are defined by both.
     /// Nothing is copied from the graph: the pass reads its offsets and
     /// adjacency in place ([`GraphRef::offsets`]).
-    pub(crate) fn prepare_pull(&mut self, graph: GraphRef<'_>) {
+    pub(crate) fn prepare_pull(&mut self, graph: GraphRef<'_>, participants: usize) {
         let n = graph.num_vertices();
-        let directed_edges = graph.num_directed_edges();
         let mut grew = self.clen.reset(n);
-        if self.starts.len() <= n {
+        if self.starts.len() < n {
             grew = true;
-            self.starts.resize_with(n + 1, || AtomicUsize::new(0));
+            self.starts.resize_with(n, || AtomicUsize::new(0));
         }
-        if self.cdata.len() < directed_edges {
-            grew = true;
-            self.cdata.resize_with(directed_edges, || AtomicU32::new(0));
-        }
+        grew |= self.sets.prepare(graph.num_directed_edges(), participants);
         if grew {
             self.allocations += 1;
         }
@@ -236,15 +246,15 @@ mod tests {
     fn allocated_bytes_tracks_growth_and_stays_flat_on_reuse() {
         let mut ws = Workspace::new();
         let small = star(63);
-        ws.prepare_pull((&small).into());
+        ws.prepare_pull((&small).into(), 1);
         ws.prepare_plain(64);
         let bytes = ws.allocated_bytes();
-        // At minimum the published lengths and the arena.
-        assert!(bytes >= 64 * 4 + 126 * 4, "bytes {bytes}");
-        ws.prepare_pull((&small).into());
+        // At minimum the published lengths and the set handles.
+        assert!(bytes >= 64 * 4 + 64 * 8, "bytes {bytes}");
+        ws.prepare_pull((&small).into(), 1);
         ws.prepare_plain(64);
         assert_eq!(ws.allocated_bytes(), bytes, "same shape must stay flat");
-        ws.prepare_pull((&star(127)).into());
+        ws.prepare_pull((&star(127)).into(), 1);
         assert!(ws.allocated_bytes() > bytes, "growth must be visible");
     }
 
@@ -252,12 +262,12 @@ mod tests {
     fn prepare_pull_grows_once_per_shape() {
         let mut ws = Workspace::new();
         let graph = star(2);
-        ws.prepare_pull((&graph).into());
+        ws.prepare_pull((&graph).into(), 1);
         let first = ws.allocations();
         assert!(first > 0);
-        ws.prepare_pull((&graph).into());
+        ws.prepare_pull((&graph).into(), 1);
         assert_eq!(ws.allocations(), first, "same shape must not reallocate");
-        ws.prepare_pull((&star(5)).into());
+        ws.prepare_pull((&star(5)).into(), 1);
         assert!(ws.allocations() > first, "growth must be counted");
     }
 
@@ -265,9 +275,9 @@ mod tests {
     fn prepare_pull_resets_the_published_lengths() {
         let mut ws = Workspace::new();
         let graph = star(2);
-        ws.prepare_pull((&graph).into());
+        ws.prepare_pull((&graph).into(), 1);
         ws.clen.publish(1, 9);
-        ws.prepare_pull((&graph).into());
+        ws.prepare_pull((&graph).into(), 1);
         assert_eq!(
             (0..3).map(|v| ws.clen.get_mut(v)).collect::<Vec<_>>(),
             [UNPUBLISHED; 3]

@@ -97,8 +97,12 @@ const JOIN_SPINS: u32 = 1;
 /// Backstop park timeout for a joining thread waiting on active helpers.
 const JOIN_PARK: Duration = Duration::from_micros(200);
 
-/// Regions timed per [`estimated_region_overhead_ns_for`] sample.
+/// Regions timed per [`estimated_region_overhead_ns_for`] round.
 const OVERHEAD_SAMPLES: usize = 64;
+
+/// Rounds [`estimated_region_overhead_ns_for`] may time before it settles
+/// for the regions that every participant joined, however few.
+const OVERHEAD_ROUNDS: usize = 4;
 
 /// Longest wait for an idle pool before one timed calibration region, and
 /// for its helpers to join it.
@@ -441,24 +445,33 @@ pub fn pool_stats() -> PoolStats {
 /// Measured cost of dispatching and joining one (near-empty) parallel
 /// region with `parallelism` participants on this machine, in nanoseconds.
 ///
-/// Calibrated on first call *per participant count* as the median of 64
-/// timed `parallelism`-chunk regions on the shared pool, and memoised per
+/// Calibrated on first call *per participant count* and memoised per
 /// count for the process lifetime. The workloads submit their regions to
 /// an idle pool and every participant joins them, so each region pays the
 /// helpers' wake-ups. A timed region is therefore submitted only once
 /// every worker waits for a ticket, and each of its chunks waits until
 /// every participant holds one; both waits are bounded at 2 ms, for a pool
-/// that other regions keep busy. On a 2-core host, regions timed back to
-/// back read 0.24–0.53 µs or 2.9–4.4 µs, depending on whether the previous
-/// region's helpers were still awake; from an idle pool without the second
-/// wait, 0.44–3.6 µs, depending on whether the submitter drained the
-/// region before its helper woke; with both waits, 6.9–8.2 µs over 32
-/// fresh processes. Keying the sample by participant count is
-/// load-bearing: a region with more participants publishes more tickets and
-/// pays more wake-ups, so a session whose engine runs 8 threads must not
-/// reuse the sample a 2-thread session happened to take first (the
-/// stale-calibration bug). The sample covers ticket publication, the worker
-/// wake-ups, the cursor handshake and the park/unpark join.
+/// that other regions keep busy. A region in which some chunk gave up on
+/// that second wait did not see every participant join, and its time is
+/// mostly the bound itself, so it is no sample: before, two of nine
+/// traced benchmark runs memoised 2.00–2.01 ms, against 6.0–8.5 µs in the
+/// other seven. The estimate is the median of the regions every
+/// participant joined (`median_of_joined`). Regions are timed in rounds
+/// of 64, up to 4 rounds, until at least half of those timed so far
+/// joined. If no region joined in all 4 rounds, the function returns the
+/// 2 ms wait bound: a full join took at least that long on this pool.
+///
+/// On a 2-core host, regions timed back to back read 0.24–0.53 µs or
+/// 2.9–4.4 µs, depending on whether the previous region's helpers were
+/// still awake; from an idle pool without the second wait, 0.44–3.6 µs,
+/// depending on whether the submitter drained the region before its
+/// helper woke; with both waits, 6.9–8.2 µs over 32 fresh processes.
+/// Keying the sample by participant count is load-bearing: a region with
+/// more participants publishes more tickets and pays more wake-ups, so a
+/// session whose engine runs 8 threads must not reuse the sample a
+/// 2-thread session happened to take first (the stale-calibration bug).
+/// The sample covers ticket publication, the worker wake-ups, the cursor
+/// handshake and the park/unpark join.
 ///
 /// `parallelism` is clamped to `[2, pool size + 1]` — the range of
 /// participant counts a region can actually have — so distinct requested
@@ -479,32 +492,57 @@ pub fn estimated_region_overhead_ns_for(parallelism: usize) -> u64 {
     for _ in 0..8 {
         pool.run_region(key, 1, key, |_| {});
     }
-    let mut timings: Vec<u64> = (0..OVERHEAD_SAMPLES)
-        .map(|_| {
-            let idle_by = Instant::now() + IDLE_WAIT;
-            while pool.idle_workers() < pool.shared.workers && Instant::now() < idle_by {
-                thread::yield_now();
-            }
-            // Each chunk waits until every participant holds one, so the
-            // submitter cannot drain the region alone before a woken
-            // helper claims its invitation.
-            let joined = AtomicUsize::new(0);
-            let start = Instant::now();
-            let joined_by = start + IDLE_WAIT;
-            pool.run_region(key, 1, key, |_| {
-                joined.fetch_add(1, Ordering::SeqCst);
-                while joined.load(Ordering::SeqCst) < key && Instant::now() < joined_by {
-                    std::hint::spin_loop();
-                }
-            });
-            start.elapsed().as_nanos() as u64
-        })
-        .collect();
-    timings.sort_unstable();
-    let sample = timings[OVERHEAD_SAMPLES / 2].max(1);
+    let mut timings = Vec::with_capacity(OVERHEAD_SAMPLES);
+    for _ in 0..OVERHEAD_ROUNDS {
+        timings.extend((0..OVERHEAD_SAMPLES).map(|_| time_joined_region(pool, key)));
+        let joined = timings.iter().filter(|&&(_, joined)| joined).count();
+        if 2 * joined >= timings.len() {
+            break;
+        }
+    }
+    let sample = median_of_joined(&mut timings).unwrap_or(IDLE_WAIT.as_nanos() as u64);
     // First writer wins, so the memoised value is stable even when two
     // threads calibrate the same key concurrently.
-    *samples.lock().unwrap().entry(key).or_insert(sample)
+    *samples.lock().unwrap().entry(key).or_insert(sample.max(1))
+}
+
+/// Times one calibration region of `key` one-index chunks on `pool`, once
+/// every worker waits for a ticket (or [`IDLE_WAIT`] has passed). Returns
+/// the nanoseconds and whether every chunk saw all `key` participants
+/// join within [`IDLE_WAIT`].
+fn time_joined_region(pool: &Pool, key: usize) -> (u64, bool) {
+    let idle_by = Instant::now() + IDLE_WAIT;
+    while pool.idle_workers() < pool.shared.workers && Instant::now() < idle_by {
+        thread::yield_now();
+    }
+    // Each chunk waits until every participant holds one, so the submitter
+    // cannot drain the region alone before a woken helper claims its
+    // invitation.
+    let joined = AtomicUsize::new(0);
+    let gave_up = AtomicBool::new(false);
+    let start = Instant::now();
+    let joined_by = start + IDLE_WAIT;
+    pool.run_region(key, 1, key, |_| {
+        joined.fetch_add(1, Ordering::SeqCst);
+        while joined.load(Ordering::SeqCst) < key {
+            if Instant::now() >= joined_by {
+                gave_up.store(true, Ordering::SeqCst);
+                break;
+            }
+            std::hint::spin_loop();
+        }
+    });
+    let elapsed = start.elapsed().as_nanos() as u64;
+    (elapsed, !gave_up.load(Ordering::SeqCst))
+}
+
+/// The median time of the regions every participant joined, or `None` if
+/// none did. `timings` pairs each region's nanoseconds with whether it
+/// joined; the joined ones are moved to the front and sorted.
+fn median_of_joined(timings: &mut [(u64, bool)]) -> Option<u64> {
+    timings.sort_unstable_by_key(|&(ns, joined)| (!joined, ns));
+    let joined = timings.iter().take_while(|&&(_, joined)| joined).count();
+    (joined > 0).then(|| timings[joined / 2].0)
 }
 
 /// Number of shared-pool workers currently waiting for a ticket — a
@@ -585,6 +623,28 @@ mod tests {
         // growing the table without bound.
         assert_eq!(estimated_region_overhead_ns_for(0), narrow);
         assert_eq!(estimated_region_overhead_ns_for(usize::MAX), wide);
+    }
+
+    #[test]
+    fn overhead_estimate_drops_regions_that_did_not_join() {
+        // Every region joined: the plain median.
+        let mut all = [(9, true), (7, true), (8, true), (6, true)];
+        assert_eq!(median_of_joined(&mut all), Some(8));
+        // Regions that timed out sit at the wait bound and must not count,
+        // even when they are most of the round.
+        let bound = IDLE_WAIT.as_nanos() as u64;
+        let mut some = [
+            (bound, false),
+            (7, true),
+            (bound + 3, false),
+            (5, true),
+            (bound, false),
+        ];
+        assert_eq!(median_of_joined(&mut some), Some(7));
+        // No region joined: no estimate.
+        let mut none = [(bound, false), (bound + 1, false)];
+        assert_eq!(median_of_joined(&mut none), None);
+        assert_eq!(median_of_joined(&mut []), None);
     }
 
     #[test]

@@ -28,24 +28,28 @@
 //!
 //! # Owner forms
 //!
-//! [`Published::reset`] and [`Published::get_mut`] reach the slots through
-//! `AtomicU32::get_mut`. They take `&mut self`, so no other thread can hold
+//! [`Published::reset`], [`Published::get_mut`] and [`Published::set_mut`]
+//! reach the slots through `AtomicU32::get_mut`. They take `&mut self`, so no other thread can hold
 //! a reference meanwhile, and whatever handed the array to this thread (a
 //! region join, a spawn) already made every earlier publish visible.
 //!
 //! # Doacross
 //!
-//! [`Published::doacross`] runs a body over `0..n` in ascending order. On an
-//! engine with one thread it is one plain call. On the pool, the region's
-//! participants claim pieces of [`DOACROSS_PIECE`] indices from the
-//! region's one cursor, so pieces are claimed in ascending order and every
-//! claimed piece is being run by the thread that claimed it. If a body only
-//! waits on smaller indices, the lowest unfinished piece never waits: the
-//! pieces below it are finished and its own smaller indices were run first
-//! by the same thread. So some participant always makes progress and the
-//! loop cannot deadlock, whatever the thread count or the pool size.
+//! [`Published::doacross`] runs a body over `0..n` in ascending order, and
+//! hands each participant a state of its own (Algorithm 1 keeps its
+//! staging buffer and its block of the set arena there). On an engine with
+//! one thread it is one plain call with one state. On the pool, each chunk
+//! of a region of [`doacross_participants`] chunks is one participant: it
+//! makes its state when it claims its first piece and then claims pieces
+//! of [`DOACROSS_PIECE`] indices from the doacross's one cursor until none
+//! is left. So pieces are claimed in ascending order and every claimed
+//! piece is being run by the thread that claimed it. If a body only waits
+//! on smaller indices, the lowest unfinished piece never waits: the pieces
+//! below it are finished and its own smaller indices were run first by the
+//! same thread. So some participant always makes progress and the loop
+//! cannot deadlock, whatever the thread count or the pool size.
 
-use crate::pool::Pool;
+use crate::pool::{pool_size, Pool};
 use crate::Engine;
 use std::ops::Range;
 
@@ -53,12 +57,12 @@ use std::ops::Range;
 // chordal-checker facade, so the model tests below explore every
 // interleaving (see docs/concurrency.md).
 #[cfg(not(chordal_model))]
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 #[cfg(not(chordal_model))]
 use std::thread;
 
 #[cfg(chordal_model)]
-use chordal_checker::sync::{AtomicBool, AtomicU32, Ordering};
+use chordal_checker::sync::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 #[cfg(chordal_model)]
 use chordal_checker::thread;
 
@@ -72,6 +76,19 @@ pub const UNPUBLISHED: u32 = u32::MAX;
 /// Smaller pieces keep the participants close together in id order, so a
 /// waiter's parents are more often finished already.
 pub const DOACROSS_PIECE: usize = 64;
+
+/// Participants of a [`Published::doacross`] over `0..n` on `engine`: one
+/// on a one-thread engine or for a single piece, otherwise one per thread
+/// a pool region can hold (the engine's threads, at most the pool's
+/// workers plus the caller), at most one per piece. Each participant has
+/// a state of its own, so a caller sizes per-participant resources by it.
+pub fn doacross_participants(engine: &Engine, n: usize) -> usize {
+    engine
+        .threads()
+        .min(n.div_ceil(DOACROSS_PIECE))
+        .min(pool_size() + 1)
+        .max(1)
+}
 
 /// Failed loads before a waiter starts to yield its core.
 #[cfg(not(chordal_model))]
@@ -209,22 +226,52 @@ impl Published {
         *self.slots[index].get_mut()
     }
 
-    /// Runs `body` over `0..n` in ascending order (module docs): one call
-    /// on a one-thread engine, a doacross over [`DOACROSS_PIECE`]-index
-    /// pieces on the pool. `body` may [`Published::wait`] on indices below
-    /// the start of its range. A panic in a piece aborts the loop: waiters
-    /// return `None`, and the panic reaches the caller.
-    pub fn doacross<F>(&self, engine: &Engine, n: usize, body: F)
+    /// Stores `value` at `index` through the owner form, for a caller that
+    /// reuses the slots once every value has been read (Algorithm 1 counts
+    /// its result edges per parent in them).
+    ///
+    /// # Panics
+    /// Panics if `index` is out of range.
+    #[inline]
+    pub fn set_mut(&mut self, index: usize, value: u32) {
+        *self.slots[index].get_mut() = value;
+    }
+
+    /// Runs `body` over `0..n` in ascending order (module docs), handing it
+    /// each time the state of the participant that runs it: one call with
+    /// one state on a one-thread engine, a doacross over
+    /// [`DOACROSS_PIECE`]-index pieces on the pool, where each of the
+    /// [`doacross_participants`] makes its state with `init` when it claims
+    /// its first piece. `body` may [`Published::wait`] on indices below the
+    /// start of its range. A panic in a piece aborts the loop: waiters
+    /// return `None`, no further piece starts, and the panic reaches the
+    /// caller.
+    pub fn doacross<S, I, F>(&self, engine: &Engine, n: usize, init: I, body: F)
     where
-        F: Fn(Range<usize>) + Sync,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, Range<usize>) + Sync,
     {
-        if engine.threads() <= 1 {
-            body(0..n);
+        let participants = doacross_participants(engine, n);
+        if participants <= 1 {
+            body(&mut init(), 0..n);
             return;
         }
-        Pool::global().run_region(n, DOACROSS_PIECE, engine.threads(), |range| {
+        let next = AtomicUsize::new(0);
+        Pool::global().run_region(participants, 1, participants, |chunk| {
             let _abort = AbortOnUnwind(&self.aborted);
-            body(range);
+            for _participant in chunk {
+                let mut state = None;
+                // Claims carry no data: the cursor's modification order
+                // alone makes them ascending.
+                while !self.aborted.load(Ordering::Relaxed) {
+                    let start = next.fetch_add(DOACROSS_PIECE, Ordering::Relaxed);
+                    if start >= n {
+                        break;
+                    }
+                    let state = state.get_or_insert_with(&init);
+                    body(state, start..(start + DOACROSS_PIECE).min(n));
+                }
+            }
         });
     }
 }
@@ -296,22 +343,80 @@ mod tests {
         ] {
             let mut p = published(n);
             let runs = AtomicUsize::new(0);
-            p.doacross(&engine, n, |range| {
-                for i in range {
-                    runs.fetch_add(1, Ordering::Relaxed);
-                    let value = match i {
-                        0 => 0,
-                        _ => p.wait(dependency(i)).expect("not aborted") + 1,
-                    };
-                    p.publish(i, value);
-                }
-            });
+            p.doacross(
+                &engine,
+                n,
+                || (),
+                |_, range| {
+                    for i in range {
+                        runs.fetch_add(1, Ordering::Relaxed);
+                        let value = match i {
+                            0 => 0,
+                            _ => p.wait(dependency(i)).expect("not aborted") + 1,
+                        };
+                        p.publish(i, value);
+                    }
+                },
+            );
             assert_eq!(runs.into_inner(), n, "{engine:?}");
             for i in 1..n {
                 let j = dependency(i);
                 assert_eq!(p.get_mut(i), p.get_mut(j) + 1, "{engine:?} index {i}");
             }
         }
+    }
+
+    #[test]
+    fn each_participant_runs_its_own_pieces_in_ascending_order() {
+        // Every state records the pieces its participant ran: a state runs
+        // ascending pieces, no two states share a piece, together they
+        // cover `0..n`, and there are at most `doacross_participants`.
+        let n = 40 * DOACROSS_PIECE + 7;
+        for engine in [Engine::serial(), Engine::chunked(2), Engine::chunked(8)] {
+            let p = published(n);
+            let states = std::sync::Mutex::new(Vec::new());
+            struct Ran<'a>(
+                Vec<Range<usize>>,
+                &'a std::sync::Mutex<Vec<Vec<Range<usize>>>>,
+            );
+            impl Drop for Ran<'_> {
+                fn drop(&mut self) {
+                    self.1.lock().unwrap().push(std::mem::take(&mut self.0));
+                }
+            }
+            p.doacross(
+                &engine,
+                n,
+                || Ran(Vec::new(), &states),
+                |ran, range| {
+                    for i in range.clone() {
+                        p.publish(i, 1);
+                    }
+                    ran.0.push(range);
+                },
+            );
+            let states = states.into_inner().unwrap();
+            assert!(
+                !states.is_empty() && states.len() <= doacross_participants(&engine, n),
+                "{engine:?}: {} states",
+                states.len()
+            );
+            let mut covered = Vec::new();
+            for ran in &states {
+                assert!(ran.windows(2).all(|w| w[0].end <= w[1].start), "{engine:?}");
+                covered.extend(ran.iter().flat_map(Clone::clone));
+            }
+            covered.sort_unstable();
+            assert_eq!(covered, (0..n).collect::<Vec<_>>(), "{engine:?}");
+        }
+        assert_eq!(
+            doacross_participants(&Engine::chunked(8), DOACROSS_PIECE),
+            1
+        );
+        assert_eq!(
+            doacross_participants(&Engine::serial(), 10 * DOACROSS_PIECE),
+            1
+        );
     }
 
     #[test]
@@ -324,24 +429,29 @@ mod tests {
         let waiting = AtomicUsize::new(0);
         let gave_up = AtomicUsize::new(0);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            p.doacross(&Engine::chunked(2), n, |range| {
-                if range.start == 0 {
-                    // Give the other participant time to start waiting, but
-                    // do not depend on it: with one participant the second
-                    // piece never starts.
-                    let start = Instant::now();
-                    while waiting.load(Ordering::SeqCst) == 0
-                        && start.elapsed() < Duration::from_millis(200)
-                    {
-                        thread::yield_now();
+            p.doacross(
+                &Engine::chunked(2),
+                n,
+                || (),
+                |_, range| {
+                    if range.start == 0 {
+                        // Give the other participant time to start waiting, but
+                        // do not depend on it: with one participant the second
+                        // piece never starts.
+                        let start = Instant::now();
+                        while waiting.load(Ordering::SeqCst) == 0
+                            && start.elapsed() < Duration::from_millis(200)
+                        {
+                            thread::yield_now();
+                        }
+                        panic!("piece 0 failed");
                     }
-                    panic!("piece 0 failed");
-                }
-                waiting.fetch_add(1, Ordering::SeqCst);
-                if p.wait(0).is_none() {
-                    gave_up.fetch_add(1, Ordering::SeqCst);
-                }
-            });
+                    waiting.fetch_add(1, Ordering::SeqCst);
+                    if p.wait(0).is_none() {
+                        gave_up.fetch_add(1, Ordering::SeqCst);
+                    }
+                },
+            );
         }));
         let payload = outcome.expect_err("the panic must reach the caller");
         let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
