@@ -376,3 +376,186 @@ fn shutdown_verb_stops_the_server() {
         std::thread::sleep(Duration::from_millis(20));
     }
 }
+
+/// `raw` with the value of each timing field (a key ending in `_ns`) and
+/// of each `pool` counter replaced by `#`, and so is the idle-worker count
+/// in an `overload` message. The pool is one per process and the tests of
+/// this file share it, so its counters are not this server's.
+fn masked(raw: &str) -> String {
+    const POOL: [&str; 5] = [
+        "size",
+        "idle_workers",
+        "regions",
+        "tickets",
+        "tickets_dropped",
+    ];
+    let mut out = String::new();
+    let mut rest = raw;
+    while let Some(colon) = rest.find("\":") {
+        let key = &rest[rest[..colon].rfind('"').unwrap() + 1..colon];
+        let masks = key.ends_with("_ns") || POOL.contains(&key);
+        out.push_str(&rest[..colon + 2]);
+        rest = &rest[colon + 2..];
+        if masks {
+            out.push('#');
+            rest = rest.trim_start_matches(|c: char| c.is_ascii_digit());
+        }
+    }
+    out.push_str(rest);
+    match out.split_once(" pool workers idle") {
+        Some((head, tail)) => format!(
+            "{}# pool workers idle{tail}",
+            head.trim_end_matches(|c: char| c.is_ascii_digit())
+        ),
+        None => out,
+    }
+}
+
+/// Polls a counter of the `STATS` reply's `server` object until it reads
+/// `want`.
+fn await_server_stat(client: &mut ServeClient, key: &str, want: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = client.request("STATS").unwrap();
+        if stats
+            .json
+            .path(&["server", key])
+            .and_then(JsonValue::as_u64)
+            == Some(want)
+        {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{key} never read {want}: {}",
+            stats.raw
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// The raw bytes of every frame the server sends, timing values masked:
+/// each success verb, `STATS`, and one error frame per code with its
+/// numeric extras (`internal` needs an injected panic, so the crate's
+/// chaos suite pins that one). A renamed, dropped or reordered field, or a
+/// change in number or string formatting, fails here.
+#[test]
+fn every_frame_keeps_its_bytes() {
+    let mut fixture = Fixture::start(
+        "frames",
+        ServeConfig {
+            max_sessions: 3,
+            max_inflight: 1,
+            max_queue: 1,
+            drain_timeout_ms: 50,
+            test_hooks: true,
+            ..ServeConfig::default()
+        },
+    );
+    let bin = fixture.bin.display().to_string();
+    // The graph's header over a damaged adjacency section: the graph's
+    // cache key, refused on admission.
+    let damaged = fixture.bin.with_extension("damaged.bin");
+    let mut bytes = std::fs::read(&fixture.bin).unwrap();
+    *bytes.last_mut().unwrap() ^= 0xff;
+    std::fs::write(&damaged, &bytes).unwrap();
+    let damaged = damaged.display().to_string();
+
+    let mut client = fixture.client();
+    let mut frame = |line: &str| {
+        let response = client.request(line).unwrap();
+        let announced = response.u64_field("payload_bytes").unwrap_or(0);
+        assert_eq!(response.payload.len() as u64, announced, "{}", response.raw);
+        masked(&response.raw)
+    };
+    let replies = [
+        frame("PING"),
+        frame(&format!("LOAD path={damaged}")),
+        frame(&format!("LOAD path={bin}")),
+        frame("EXTRACT graph=715a4771d5ed0dc2"),
+        frame(&format!(
+            "EXTRACT path={bin} algorithm=reference repair=true payload=edges"
+        )),
+        frame("HOLD ms=1"),
+        frame("FROBNICATE now=1"),
+        frame("LOAD"),
+        frame("PING a\"b\\c\u{1}"),
+        frame("EXTRACT graph=00000000deadbeef"),
+        frame("LOAD path=/nonexistent/graph.bin"),
+        frame("STATS"),
+    ];
+    let _ = std::fs::remove_file(&damaged);
+    let expected = [
+        r#"{"ok":true,"verb":"PING"}"#.to_string(),
+        format!(
+            r#"{{"ok":false,"code":"corrupt","error":"loading {damaged}: graph 715a4771d5ed0dc2 is corrupt: binary graph format error: checksum mismatch: header says 0x4699c87769df0aeb, data hashes to 0xa99989130cdf0aeb"}}"#
+        ),
+        r#"{"ok":true,"verb":"LOAD","graph":"715a4771d5ed0dc2","vertices":128,"edges":788,"canonical_edges":788,"cache":"miss","resident_bytes":6924,"queue_wait_ns":#}"#.to_string(),
+        r#"{"ok":true,"verb":"EXTRACT","graph":"715a4771d5ed0dc2","algorithm":"alg1","vertices":128,"canonical_edges":788,"chordal_edges":218,"iterations":1,"extract_ns":#,"wait_ns":#,"queue_wait_ns":#,"cache":"hit"}"#.to_string(),
+        r#"{"ok":true,"verb":"EXTRACT","graph":"715a4771d5ed0dc2","algorithm":"reference+repair","vertices":128,"canonical_edges":788,"chordal_edges":229,"iterations":16,"extract_ns":#,"wait_ns":#,"queue_wait_ns":#,"cache":"hit","payload_bytes":1280}"#.to_string(),
+        r#"{"ok":true,"verb":"HOLD","held_ms":1,"queue_wait_ns":#}"#.to_string(),
+        r#"{"ok":false,"code":"bad-verb","error":"unknown verb `FROBNICATE`"}"#.to_string(),
+        r#"{"ok":false,"code":"missing-arg","error":"missing required argument `path`"}"#.to_string(),
+        r#"{"ok":false,"code":"bad-arg","error":"argument `a\"b\\c\u0001` is not key=value"}"#.to_string(),
+        r#"{"ok":false,"code":"not-found","error":"graph 00000000deadbeef is not resident (evicted or never loaded); re-LOAD or pass path="}"#.to_string(),
+        r#"{"ok":false,"code":"io","error":"loading /nonexistent/graph.bin: graph I/O error: No such file or directory (os error 2)"}"#.to_string(),
+        concat!(
+            r#"{"ok":true,"verb":"STATS","#,
+            r#""server":{"sessions_active":1,"sessions_total":1,"requests_total":12,"#,
+            r#""extractions_total":2,"overloaded_total":0,"inflight":0,"queue_depth":0,"#,
+            r#""queue_waits":0,"deadline_expired":0,"max_queue_wait_ns":#,"#,
+            r#""max_inflight":1,"max_queue":1,"max_sessions":3},"#,
+            r#""cache":{"entries":1,"resident_bytes":6924,"budget_bytes":268435456,"#,
+            r#""hits":2,"misses":3,"evictions":0,"corruptions":1},"#,
+            r#""pool":{"size":#,"idle_workers":#,"regions":#,"tickets":#,"tickets_dropped":#}}"#
+        )
+        .to_string(),
+    ];
+    for (reply, expected) in replies.iter().zip(&expected) {
+        assert_eq!(reply, expected);
+    }
+    client.send_raw(b"\xff\n").unwrap();
+    assert_eq!(
+        masked(&client.read_response().unwrap().raw),
+        r#"{"ok":false,"code":"bad-frame","error":"request line is not UTF-8"}"#
+    );
+
+    // Admission: `holder` takes the one permit, so a request with no time
+    // to wait expires in the queue; `parked` fills the queue, so the next
+    // request is refused; a fourth connection passes the session limit.
+    let mut holder = fixture.client();
+    holder.send_line("HOLD ms=3000").unwrap();
+    await_server_stat(&mut client, "inflight", 1);
+    assert_eq!(
+        masked(&client.request("HOLD ms=1 deadline_ms=0").unwrap().raw),
+        r#"{"ok":false,"code":"deadline-exceeded","error":"deadline expired while queued; the request did not execute","queue_wait_ns":#}"#
+    );
+    let mut parked = fixture.client();
+    parked.send_line("HOLD ms=1").unwrap();
+    await_server_stat(&mut client, "queue_depth", 1);
+    assert_eq!(
+        masked(&client.request("HOLD ms=1").unwrap().raw),
+        r#"{"ok":false,"code":"overload","error":"admission queue full (1 waiting, 1 in flight, # pool workers idle)","retry_after_ms":10,"queue_depth":1}"#
+    );
+    let mut refused = fixture.client();
+    assert_eq!(
+        masked(&refused.read_response().unwrap().raw),
+        r#"{"ok":false,"code":"overload","error":"session limit reached (3 active)","retry_after_ms":50}"#
+    );
+
+    // `SHUTDOWN` answers; the drain then times out behind `holder` and
+    // answers `parked`, which never ran.
+    assert_eq!(
+        masked(&client.request("SHUTDOWN").unwrap().raw),
+        r#"{"ok":true,"verb":"SHUTDOWN"}"#
+    );
+    fixture.handle.shutdown();
+    assert_eq!(
+        masked(&parked.read_response().unwrap().raw),
+        r#"{"ok":false,"code":"overload","error":"server is shutting down; the request did not execute","queue_wait_ns":#}"#
+    );
+    assert_eq!(
+        masked(&holder.read_response().unwrap().raw),
+        r#"{"ok":true,"verb":"HOLD","held_ms":3000,"queue_wait_ns":#}"#
+    );
+}
