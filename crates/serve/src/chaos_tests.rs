@@ -137,7 +137,10 @@ fn injected_panic_releases_the_permit_and_does_not_poison_the_queue() {
             fixture.bin.display()
         ))
         .unwrap();
-    assert_eq!(crashed.code(), Some("internal"), "{}", crashed.raw);
+    assert_eq!(
+        crashed.raw,
+        r#"{"ok":false,"code":"internal","error":"request handler panicked"}"#
+    );
     assert!(
         victim.read_response().is_err(),
         "a panicked handler closes its connection"
@@ -154,7 +157,12 @@ fn injected_panic_releases_the_permit_and_does_not_poison_the_queue() {
         .unwrap();
     assert!(ok.ok(), "{}", ok.raw);
     assert_eq!(stat(&mut survivor, &["server", "inflight"]), 0);
-    assert_eq!(stat(&mut survivor, &["faults", "panic"]), 1);
+    // `STATS` ends with the fired-fault counters.
+    let stats = survivor.request("STATS").unwrap().raw;
+    assert!(
+        stats.ends_with(r#","faults":{"accept":0,"read":0,"write":0,"slow_read":0,"panic":1}}"#),
+        "{stats}"
+    );
     handle.shutdown();
 }
 
@@ -216,20 +224,35 @@ fn fault_verb_reports_and_clears_the_schedule() {
     // Kinds that cannot fire on this connection's own FAULT/PING traffic:
     // panic fires only inside EXTRACT handling, and prob=0 never draws
     // true. (An armed read fault would hit the very next request read.)
-    assert!(client.request("FAULT kind=panic count=3").unwrap().ok());
-    assert!(client
-        .request("FAULT kind=write seed=9 prob=0")
-        .unwrap()
-        .ok());
-    let report = client.request("FAULT").unwrap();
-    assert!(report.ok(), "{}", report.raw);
-    assert_eq!(report.u64_field("armed"), Some(2));
-    let cleared = client.request("FAULT clear=true").unwrap();
-    assert_eq!(cleared.u64_field("armed"), Some(0));
+    // Each reply's bytes are pinned, as `tests/serve_protocol.rs` pins
+    // the other verbs' frames.
+    let mut reply = |line: &str| client.request(line).unwrap().raw;
+    assert_eq!(
+        reply("FAULT kind=panic count=3"),
+        r#"{"ok":true,"verb":"FAULT","kind":"panic","armed":1}"#
+    );
+    assert_eq!(
+        reply("FAULT kind=write seed=9 prob=0"),
+        r#"{"ok":true,"verb":"FAULT","kind":"write","armed":2}"#
+    );
+    assert_eq!(
+        reply("FAULT"),
+        r#"{"ok":true,"verb":"FAULT","armed":2,"fired":{"accept":0,"read":0,"write":0,"slow_read":0,"panic":0}}"#
+    );
+    assert_eq!(
+        reply("FAULT kind=corrupt-cache count=2"),
+        r#"{"ok":true,"verb":"FAULT","kind":"corrupt-cache","count":2}"#
+    );
+    assert_eq!(
+        reply("FAULT clear=true"),
+        r#"{"ok":true,"verb":"FAULT","armed":0}"#
+    );
     // Disarmed: reads flow untouched.
-    assert!(client.request("PING").unwrap().ok());
-    let bad = client.request("FAULT kind=meteor").unwrap();
-    assert_eq!(bad.code(), Some("bad-arg"), "{}", bad.raw);
+    assert_eq!(reply("PING"), r#"{"ok":true,"verb":"PING"}"#);
+    assert_eq!(
+        reply("FAULT kind=meteor"),
+        r#"{"ok":false,"code":"bad-arg","error":"invalid value `meteor` for `kind`"}"#
+    );
     handle.shutdown();
 }
 
