@@ -7,11 +7,11 @@
 //! two maximal subgraphs can be compared.
 
 use super::HarnessOptions;
-use crate::impl_to_json;
 use crate::records::ExperimentRecord;
 use crate::workloads::{bio_suite, rmat_suite};
 use chordal_analysis::chordal_fraction::chordal_edge_percentage;
 use chordal_core::{Algorithm, ExtractionSession, ExtractorConfig};
+use chordal_serve::impl_to_json;
 
 /// Edge-retention numbers for one graph.
 #[derive(Debug, Clone)]

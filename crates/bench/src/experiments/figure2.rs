@@ -5,11 +5,11 @@
 //! high clustering at low-degree vertices while the synthetic graphs do not.
 
 use super::HarnessOptions;
-use crate::impl_to_json;
 use crate::records::ExperimentRecord;
 use crate::workloads::{bio_suite, rmat_graph};
 use chordal_analysis::clustering::{average_clustering_by_degree, DegreeClustering};
 use chordal_generators::rmat::RmatKind;
+use chordal_serve::impl_to_json;
 
 /// Figure-2 series for one graph.
 #[derive(Debug, Clone)]

@@ -6,11 +6,11 @@
 //! well-separated dense modules and higher iteration counts.
 
 use super::HarnessOptions;
-use crate::impl_to_json;
 use crate::records::ExperimentRecord;
 use crate::workloads::{bio_suite, rmat_graph};
 use chordal_analysis::paths::{shortest_path_distribution, summarize_distribution};
 use chordal_generators::rmat::RmatKind;
+use chordal_serve::impl_to_json;
 
 /// Path-length histogram for one graph.
 #[derive(Debug, Clone)]

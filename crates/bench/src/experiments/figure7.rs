@@ -50,11 +50,11 @@
 //! parents, edges accepted).
 
 use super::HarnessOptions;
-use crate::impl_to_json;
 use crate::records::ExperimentRecord;
 use crate::workloads::{bio_suite, rmat_graph};
 use chordal_core::reference::extract_reference_with_stats;
 use chordal_generators::rmat::RmatKind;
+use chordal_serve::impl_to_json;
 
 /// Queue-size trace of one extraction.
 #[derive(Debug, Clone)]

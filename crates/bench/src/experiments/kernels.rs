@@ -208,7 +208,7 @@ pub fn run_and_print(options: &HarnessOptions) -> Vec<KernelPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::ToJson;
+    use chordal_serve::json::ToJson;
 
     #[test]
     fn ablation_covers_every_family_and_variant() {

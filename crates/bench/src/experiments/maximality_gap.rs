@@ -11,13 +11,13 @@
 //! report zero).
 
 use super::HarnessOptions;
-use crate::impl_to_json;
 use crate::records::ExperimentRecord;
 use crate::workloads::{bfs_renumbered, bio_suite, rmat_suite};
 use chordal_core::dearing::extract_dearing;
 use chordal_core::verify::{check_maximality, MaximalityReport};
 use chordal_core::{extract_maximal_chordal_serial, ChordalResult};
 use chordal_graph::CsrGraph;
+use chordal_serve::impl_to_json;
 
 /// Result of the near-maximality probe for one graph and one algorithm.
 #[derive(Debug, Clone)]

@@ -69,7 +69,7 @@ impl HarnessOptions {
     }
 
     /// Writes records if an output path was configured.
-    pub fn write_records<T: crate::json::ToJson>(&self, records: &[T]) {
+    pub fn write_records<T: chordal_serve::json::ToJson>(&self, records: &[T]) {
         if let Some(path) = &self.out {
             if let Err(err) = crate::records::append_jsonl(path, records) {
                 eprintln!(

@@ -192,7 +192,7 @@ pub fn run_and_print(options: &HarnessOptions) -> Vec<RepairPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::ToJson;
+    use chordal_serve::json::ToJson;
 
     #[test]
     fn ablation_covers_benchmark_scale_and_strategies_agree() {

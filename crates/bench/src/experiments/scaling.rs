@@ -15,35 +15,25 @@ use chordal_core::{AdjacencyMode, ExtractionSession, ExtractorConfig};
 use chordal_generators::rmat::RmatKind;
 use chordal_graph::CsrGraph;
 use chordal_runtime::Engine;
+use std::borrow::Cow;
 
-/// A prepared workload: the sorted graph for the Opt variant and a
-/// deterministically scrambled copy for the Unopt variant (the paper's
-/// unoptimised code stores neighbour lists in generator order).
-pub struct PreparedGraph {
-    /// Display name.
-    pub name: String,
-    /// Sorted-adjacency graph (Opt input).
-    pub sorted: CsrGraph,
-    /// Scrambled-adjacency graph (Unopt input).
-    pub scrambled: CsrGraph,
-}
-
-impl PreparedGraph {
-    /// Prepares a named graph for both variants.
-    pub fn new(named: NamedGraph) -> Self {
-        let scrambled = named.graph.with_scrambled_adjacency(0xC0FFEE);
-        Self {
-            name: named.name,
-            sorted: named.graph,
-            scrambled,
-        }
+/// The input of `variant`: the sorted graph itself for Opt, and for Unopt
+/// a deterministically scrambled copy (the paper's unoptimised code stores
+/// neighbour lists in generator order), so a graph is copied only when an
+/// Unopt point is measured, and only while it is.
+pub fn variant_input(graph: &CsrGraph, variant: AdjacencyMode) -> Cow<'_, CsrGraph> {
+    match variant {
+        AdjacencyMode::Sorted => Cow::Borrowed(graph),
+        AdjacencyMode::Unsorted => Cow::Owned(graph.with_scrambled_adjacency(0xC0FFEE)),
     }
 }
 
-/// Measures one timing point on the pool engine at `threads`.
+/// Measures one timing point of the graph `name` on the pool engine at
+/// `threads`, given its input for `variant` ([`variant_input`]).
 pub fn measure_point(
     experiment: &str,
-    prepared: &PreparedGraph,
+    name: &str,
+    input: &CsrGraph,
     variant: AdjacencyMode,
     threads: usize,
     repeats: usize,
@@ -55,16 +45,12 @@ pub fn measure_point(
     // A session per point: repeats after the first reuse the workspace, so
     // best-of-N measures the steady (allocation-amortised) serving path.
     let mut session = ExtractionSession::new(config);
-    let graph = match variant {
-        AdjacencyMode::Sorted => &prepared.sorted,
-        AdjacencyMode::Unsorted => &prepared.scrambled,
-    };
     let stats_before = chordal_runtime::pool_stats();
-    let (elapsed, result) = time_best_of(repeats, || session.extract(graph));
+    let (elapsed, result) = time_best_of(repeats, || session.extract(input));
     let stats = chordal_runtime::pool_stats();
     ScalingPoint {
         experiment: experiment.to_string(),
-        graph: prepared.name.clone(),
+        graph: name.to_string(),
         engine: engine.name().to_string(),
         variant: variant.label().to_string(),
         threads,
@@ -77,18 +63,20 @@ pub fn measure_point(
     }
 }
 
-/// Runs a full strong-scaling sweep over one prepared graph.
+/// Runs a full strong-scaling sweep over one graph.
 pub fn sweep_graph(
     experiment: &str,
-    prepared: &PreparedGraph,
+    named: &NamedGraph,
     options: &HarnessOptions,
 ) -> Vec<ScalingPoint> {
     let mut points = Vec::new();
     for variant in [AdjacencyMode::Sorted, AdjacencyMode::Unsorted] {
+        let input = variant_input(&named.graph, variant);
         for &threads in &options.threads() {
             points.push(measure_point(
                 experiment,
-                prepared,
+                &named.name,
+                &input,
                 variant,
                 threads,
                 options.repeats,
@@ -116,8 +104,7 @@ pub fn figure4(options: &HarnessOptions) -> Vec<ScalingPoint> {
     let mut all = Vec::new();
     for kind in [RmatKind::Er, RmatKind::G, RmatKind::B] {
         for scale in options.weak_scaling_scales() {
-            let prepared = PreparedGraph::new(rmat_graph(kind, scale));
-            all.extend(sweep_graph("figure4", &prepared, options));
+            all.extend(sweep_graph("figure4", &rmat_graph(kind, scale), options));
         }
     }
     all
@@ -136,8 +123,7 @@ pub fn figure4_and_print(options: &HarnessOptions) -> Vec<ScalingPoint> {
 pub fn figure5(options: &HarnessOptions) -> Vec<ScalingPoint> {
     let mut all = Vec::new();
     for named in bio_suite(options.genes) {
-        let prepared = PreparedGraph::new(named);
-        all.extend(sweep_graph("figure5", &prepared, options));
+        all.extend(sweep_graph("figure5", &named, options));
     }
     all
 }
@@ -158,8 +144,15 @@ mod tests {
 
     #[test]
     fn measure_point_produces_consistent_metadata() {
-        let prepared = PreparedGraph::new(rmat_graph(RmatKind::Er, 8));
-        let p = measure_point("test", &prepared, AdjacencyMode::Sorted, 2, 1);
+        let named = rmat_graph(RmatKind::Er, 8);
+        let p = measure_point(
+            "test",
+            &named.name,
+            &named.graph,
+            AdjacencyMode::Sorted,
+            2,
+            1,
+        );
         assert_eq!(p.threads, 2);
         assert_eq!(p.engine, "pool");
         assert_eq!(p.variant, "Opt");
@@ -174,9 +167,14 @@ mod tests {
 
     #[test]
     fn opt_and_unopt_find_subgraphs_of_similar_size() {
-        let prepared = PreparedGraph::new(rmat_graph(RmatKind::G, 8));
-        let opt = measure_point("test", &prepared, AdjacencyMode::Sorted, 2, 1);
-        let unopt = measure_point("test", &prepared, AdjacencyMode::Unsorted, 2, 1);
+        let named = rmat_graph(RmatKind::G, 8);
+        let sorted = variant_input(&named.graph, AdjacencyMode::Sorted);
+        assert!(matches!(sorted, Cow::Borrowed(_)), "Opt copies nothing");
+        let point = |variant| {
+            let input = variant_input(&named.graph, variant);
+            measure_point("test", &named.name, &input, variant, 2, 1)
+        };
+        let (opt, unopt) = (point(AdjacencyMode::Sorted), point(AdjacencyMode::Unsorted));
         let ratio = opt.chordal_edges as f64 / unopt.chordal_edges as f64;
         assert!(ratio > 0.9 && ratio < 1.1, "ratio {ratio}");
     }

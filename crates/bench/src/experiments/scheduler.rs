@@ -163,7 +163,7 @@ pub fn run_and_print(options: &HarnessOptions) -> Vec<SchedulerPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::ToJson;
+    use chordal_serve::json::ToJson;
 
     #[test]
     fn quick_ablation_covers_every_policy() {

@@ -346,7 +346,7 @@ pub fn run_and_print(options: &HarnessOptions) -> Vec<ServingPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::ToJson;
+    use chordal_serve::json::ToJson;
 
     #[test]
     fn serving_points_cover_both_workloads() {

@@ -176,7 +176,7 @@ pub fn run_and_print(options: &HarnessOptions) -> Vec<StoragePoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::ToJson;
+    use chordal_serve::json::ToJson;
 
     #[test]
     fn cold_start_points_cover_both_representations_and_agree() {

@@ -4,18 +4,20 @@ use super::HarnessOptions;
 use crate::records::ExperimentRecord;
 use crate::workloads::{bio_suite, rmat_suite};
 use chordal_analysis::TableRow;
+use chordal_serve::json::JsonObject;
 
-// `TableRow` lives in chordal-analysis; give it a JSON encoding here so the
-// records file can carry Table I.
-crate::impl_to_json!(TableRow {
-    name,
-    vertices,
-    edges,
-    avg_degree,
-    max_degree,
-    degree_variance,
-    edges_by_vertices
-});
+/// The record of one row. `TableRow` lives in chordal-analysis, so its
+/// fields are written here, in declaration order.
+fn row_json(row: &TableRow) -> JsonObject {
+    JsonObject::new()
+        .field("name", row.name.as_str())
+        .field("vertices", row.vertices)
+        .field("edges", row.edges)
+        .field("avg_degree", row.avg_degree)
+        .field("max_degree", row.max_degree)
+        .field("degree_variance", row.degree_variance)
+        .field("edges_by_vertices", row.edges_by_vertices)
+}
 
 /// Computes the Table-I rows for the configured suite: three R-MAT presets
 /// at three scales plus the four gene-correlation networks.
@@ -44,7 +46,7 @@ pub fn run_and_print(options: &HarnessOptions) -> Vec<TableRow> {
         .iter()
         .map(|r| ExperimentRecord {
             experiment: "table1".to_string(),
-            data: r.clone(),
+            data: row_json(r),
         })
         .collect();
     options.write_records(&records);

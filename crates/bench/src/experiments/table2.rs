@@ -1,12 +1,12 @@
 //! Table II: speedup at full parallelism relative to one thread.
 
-use super::scaling::{measure_point, PreparedGraph};
+use super::scaling::{measure_point, variant_input};
 use super::HarnessOptions;
-use crate::impl_to_json;
 use crate::records::ExperimentRecord;
 use crate::workloads::{bio_graph, rmat_graph, NamedGraph};
 use chordal_core::AdjacencyMode;
 use chordal_generators::{rmat::RmatKind, GeneNetworkKind};
+use chordal_serve::impl_to_json;
 
 /// One speedup row: a graph, a variant and the speedup of `max_threads`
 /// workers over one worker on the pool engine, with the memory each
@@ -70,25 +70,26 @@ pub fn run(options: &HarnessOptions) -> Vec<SpeedupRow> {
 
 /// Appends one row per variant of `named` to `rows`.
 fn measure_graph(named: NamedGraph, options: &HarnessOptions, rows: &mut Vec<SpeedupRow>) {
-    let prepared = PreparedGraph::new(named);
     let variants = if options.quick {
         vec![AdjacencyMode::Sorted]
     } else {
         vec![AdjacencyMode::Sorted, AdjacencyMode::Unsorted]
     };
     for &variant in &variants {
-        let one = measure_point("table2", &prepared, variant, 1, options.repeats);
+        let input = variant_input(&named.graph, variant);
+        let one = measure_point("table2", &named.name, &input, variant, 1, options.repeats);
         let many = measure_point(
             "table2",
-            &prepared,
+            &named.name,
+            &input,
             variant,
             options.max_threads,
             options.repeats,
         );
         rows.push(SpeedupRow {
-            graph: prepared.name.clone(),
-            vertices: prepared.sorted.num_vertices(),
-            directed_edges: prepared.sorted.num_directed_edges(),
+            graph: named.name.clone(),
+            vertices: named.graph.num_vertices(),
+            directed_edges: named.graph.num_directed_edges(),
             engine: many.engine,
             variant: variant.label().to_string(),
             threads: options.max_threads,

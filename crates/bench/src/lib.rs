@@ -4,13 +4,13 @@
 //! figure of the paper and runs the ablations behind the `BENCH_*.json`
 //! snapshots. It is built on the helpers in this library: workload
 //! construction at a configurable scale, simple wall-clock timing, and
-//! serialisable experiment records. The repository benchmark, `perfbench/`,
-//! is a package of its own.
+//! serialisable experiment records, which encode themselves through
+//! `chordal_serve::json::ToJson`, the encoder that also writes every serve
+//! reply. The repository benchmark, `perfbench/`, is a package of its own.
 
 #![deny(missing_docs)]
 
 pub mod experiments;
-pub mod json;
 pub mod records;
 pub mod timing;
 pub mod workloads;

@@ -4,10 +4,11 @@
 //! table *and* appends machine-readable JSON-lines records, so that the
 //! checked-in `BENCH_*.json` snapshots and any downstream plotting can be
 //! regenerated without re-running the sweeps. Records encode themselves through
-//! [`crate::json::ToJson`].
+//! [`ToJson`], the trait of the project's one JSON encoder in
+//! `chordal-serve` (which writes every serve reply too).
 
-use crate::impl_to_json;
-use crate::json::ToJson;
+use chordal_serve::impl_to_json;
+use chordal_serve::json::{JsonObject, ToJson};
 use std::io::Write;
 use std::path::Path;
 
@@ -331,11 +332,10 @@ pub struct ExperimentRecord<T> {
 
 impl<T: ToJson> ToJson for ExperimentRecord<T> {
     fn write_json(&self, out: &mut String) {
-        out.push_str("{\"experiment\":");
-        self.experiment.write_json(out);
-        out.push_str(",\"data\":");
-        self.data.write_json(out);
-        out.push('}');
+        JsonObject::new()
+            .field("experiment", &self.experiment)
+            .field("data", &self.data)
+            .write_json(out);
     }
 }
 

@@ -16,8 +16,7 @@
 //!   the CLI; `#[cfg(test)]` regions and `tests/` code are exempt.
 //! - **R4 no-wall-clock** — `Instant::now` is banned in deterministic
 //!   extraction paths (`crates/core`, `crates/graph`, `crates/runtime`)
-//!   outside the session's `extract_ns` stamp in
-//!   `crates/core/src/session.rs` and the pool's overhead calibration.
+//!   outside the pool's overhead calibration.
 //! - **R5 release-sensitive-asserts** — `debug_assert!` is banned in
 //!   atomic-ordering-sensitive files (pool/publish/queue): an
 //!   invariant worth asserting there must also hold under `--release`.
@@ -72,9 +71,6 @@ const INSTANT_CHECKED_PREFIXES: &[&str] = &["crates/core/", "crates/graph/", "cr
 
 /// Files under the checked prefixes that may read the wall clock.
 const INSTANT_ALLOWLIST: &[&str] = &[
-    // Stamps `ChordalResult::extract_ns`, which serve replies report; no
-    // extraction or placement decision reads the clock.
-    "crates/core/src/session.rs",
     // Per-width region-overhead calibration
     // (`estimated_region_overhead_ns_for`): measuring the wall clock IS the
     // job. Nothing in the pool reads the result (`JOIN_SPINS` is a
@@ -523,8 +519,8 @@ pub fn lint_source(path: &str, src: &str) -> (Vec<Diagnostic>, bool) {
                         line,
                         rule: "no-wall-clock",
                         message: "`Instant::now` in a deterministic extraction path; timing \
-                                  belongs in the session's extract_ns stamp \
-                                  (crates/core/src/session.rs) or bench code"
+                                  belongs in the caller (serve stamps its own extract_ns) \
+                                  or bench code"
                             .to_string(),
                     });
                 }

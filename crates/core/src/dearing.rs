@@ -13,6 +13,7 @@
 //! algorithm is inherently sequential — which is precisely the paper's
 //! motivation for Algorithm 1. Complexity is `O(|E| Δ)`.
 
+use crate::kernels::sorted_subset;
 use crate::result::ChordalResult;
 use crate::workspace::Workspace;
 use chordal_graph::{Edge, GraphRef, VertexId};
@@ -97,7 +98,7 @@ pub(crate) fn extract_dearing_into(
             if selected[wi] {
                 continue;
             }
-            if sorted_subset_ids(&cand[wi], &cand[vi]) {
+            if sorted_subset(&cand[wi], &cand[vi]) {
                 insert_sorted(&mut cand[wi], v);
                 let new_len = cand[wi].len();
                 if new_len > max_count {
@@ -117,12 +118,8 @@ pub fn extract_dearing<'a>(graph: impl Into<GraphRef<'a>>) -> ChordalResult {
     extract_dearing_into(graph.into(), &mut Workspace::new())
 }
 
-/// `a ⊆ b` for id-sorted, duplicate-free vectors.
-fn sorted_subset_ids(a: &[VertexId], b: &[VertexId]) -> bool {
-    crate::parent::sorted_subset(a, b)
-}
-
-fn insert_sorted(v: &mut Vec<VertexId>, x: VertexId) {
+/// Inserts `x` into the ascending, duplicate-free `v`, unless present.
+pub(crate) fn insert_sorted(v: &mut Vec<VertexId>, x: VertexId) {
     match v.binary_search(&x) {
         Ok(_) => {}
         Err(pos) => v.insert(pos, x),

@@ -191,23 +191,7 @@ fn gallop(hay: &[VertexId], base: usize, x: VertexId) -> (bool, usize) {
 /// size of the smallest set" test of the paper's Section V.
 #[inline]
 pub fn sorted_subset(a: &[VertexId], b: &[VertexId]) -> bool {
-    if a.len() > b.len() {
-        return false;
-    }
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() {
-        // a ⊆ b needs at least a.len() - i elements of b left to match.
-        if a.len() - i > b.len() - j {
-            return false;
-        }
-        let (x, y) = (a[i], b[j]);
-        if y > x {
-            return false;
-        }
-        i += (x == y) as usize;
-        j += 1;
-    }
-    true
+    sorted_subset_by(a.len(), |i| a[i], b.len(), |j| b[j])
 }
 
 /// [`sorted_subset`] over *indexed accessors* instead of slices, for sets
@@ -226,6 +210,7 @@ where
     }
     let (mut i, mut j) = (0usize, 0usize);
     while i < len_a {
+        // a ⊆ b needs at least len_a - i elements of b left to match.
         if len_a - i > len_b - j {
             return false;
         }

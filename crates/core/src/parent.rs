@@ -41,16 +41,6 @@ pub fn next_parent_scan(neighbors: &[VertexId], v: VertexId, current: VertexId) 
     best
 }
 
-/// Tests whether sorted slice `a` is a subset of sorted slice `b`
-/// (ascending, duplicate-free) — the paper's `C[w] ⊆ C[v]` acceptance test;
-/// both chordal-neighbour sets are built in ascending order by
-/// construction. Re-exported from [`crate::kernels::sorted_subset`], the
-/// branch-light shared implementation.
-#[inline]
-pub fn sorted_subset(a: &[VertexId], b: &[VertexId]) -> bool {
-    crate::kernels::sorted_subset(a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,17 +76,5 @@ mod tests {
         // vertex 4: parents 0, 2, 3; vertex 0 has none.
         assert_eq!(first_parent_scan(scrambled.neighbors(0), 0), NO_VERTEX);
         assert_eq!(next_parent_scan(scrambled.neighbors(4), 4, 2), 3);
-    }
-
-    #[test]
-    fn sorted_subset_basic_cases() {
-        assert!(sorted_subset(&[], &[]));
-        assert!(sorted_subset(&[], &[1, 2]));
-        assert!(sorted_subset(&[2], &[1, 2, 3]));
-        assert!(sorted_subset(&[1, 3], &[1, 2, 3]));
-        assert!(!sorted_subset(&[1, 4], &[1, 2, 3]));
-        assert!(!sorted_subset(&[0], &[1, 2, 3]));
-        assert!(!sorted_subset(&[1, 2, 3], &[1, 2]));
-        assert!(sorted_subset(&[1, 2, 3], &[1, 2, 3]));
     }
 }

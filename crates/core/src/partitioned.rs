@@ -16,7 +16,7 @@
 //! blocks of ids, which is what a typical distribution of a renumbered
 //! graph looks like.
 
-use crate::dearing::extract_dearing_into;
+use crate::dearing::{extract_dearing_into, insert_sorted};
 use crate::result::ChordalResult;
 use crate::verify::is_chordal;
 use crate::workspace::Workspace;
@@ -170,11 +170,6 @@ fn extract_partitioned_with(
     }
     for list in &mut chordal_adj {
         list.sort_unstable();
-    }
-    fn insert_sorted(list: &mut Vec<VertexId>, x: VertexId) {
-        if let Err(pos) = list.binary_search(&x) {
-            list.insert(pos, x);
-        }
     }
 
     // Border edges: endpoints in different partitions. Added when they close

@@ -15,7 +15,8 @@
 //! tests its set against each of its parents' final sets. The test-suite
 //! checks that the pass equals it on every engine and thread count.
 
-use crate::parent::{first_parent_scan, next_parent_scan, sorted_subset};
+use crate::kernels::sorted_subset;
+use crate::parent::{first_parent_scan, next_parent_scan};
 use crate::result::ChordalResult;
 use crate::stats::IterationStats;
 use crate::workspace::Workspace;
@@ -35,18 +36,19 @@ pub(crate) fn extract_reference_into(
     let n = graph.num_vertices();
     let mut stats = record_stats.then(IterationStats::new);
     workspace.prepare_plain(n);
-    // Workspace mapping: `ids_a` holds the lowest parents, `lists` the
-    // chordal-neighbour sets, `marks` the queue-membership flags and
-    // `queue_a`/`queue_b` the current/next iteration queues. Taken out
-    // of the workspace so the borrow checker sees disjoint pieces; put
-    // back before returning.
-    let mut lp = std::mem::take(&mut workspace.ids_a);
-    let mut chordal = std::mem::take(&mut workspace.lists);
-    let mut in_queue = std::mem::take(&mut workspace.marks);
-    let mut q1 = std::mem::take(&mut workspace.queue_a);
-    let mut q2 = std::mem::take(&mut workspace.queue_b);
-    let mut clen_frozen = std::mem::take(&mut workspace.ids_b);
-    let mut lp_frozen = std::mem::take(&mut workspace.ids_c);
+    // The lowest parents, the chordal-neighbour sets, the queue-membership
+    // flags, the current and next iteration queues, and the iteration's
+    // frozen set lengths and lowest parents.
+    let Workspace {
+        ids_a: lp,
+        lists: chordal,
+        marks: in_queue,
+        queue_a: q1,
+        queue_b: q2,
+        ids_b: clen_frozen,
+        ids_c: lp_frozen,
+        ..
+    } = workspace;
 
     // Initialisation (lines 4-10): every vertex finds its lowest parent;
     // the initial queue holds every vertex that is the lowest parent of
@@ -63,20 +65,18 @@ pub(crate) fn extract_reference_into(
     }
 
     let mut iterations = 0usize;
-    // `lp_frozen` holds the bulk-synchronous snapshot of the lowest
-    // parents; like every other buffer it came out of the workspace.
     while !q1.is_empty() {
         iterations += 1;
         // Freeze the state the iteration is allowed to observe.
         lp_frozen.clear();
-        lp_frozen.extend_from_slice(&lp);
+        lp_frozen.extend_from_slice(lp);
         clen_frozen.clear();
         clen_frozen.extend(chordal[..n].iter().map(|c| c.len() as u32));
         in_queue[..n].fill(false);
         q2.clear();
         let mut edges_added = 0usize;
 
-        for &v in &q1 {
+        for &v in q1.iter() {
             for &w in graph.neighbors(v) {
                 if lp_frozen[w as usize] != v {
                     continue;
@@ -108,7 +108,7 @@ pub(crate) fn extract_reference_into(
         if let Some(s) = stats.as_mut() {
             s.record(q1.len(), edges_added);
         }
-        std::mem::swap(&mut q1, &mut q2);
+        std::mem::swap(q1, q2);
     }
 
     let mut edges = Vec::new();
@@ -117,14 +117,6 @@ pub(crate) fn extract_reference_into(
             edges.push((p, w as VertexId));
         }
     }
-
-    workspace.ids_a = lp;
-    workspace.lists = chordal;
-    workspace.marks = in_queue;
-    workspace.queue_a = q1;
-    workspace.queue_b = q2;
-    workspace.ids_b = clen_frozen;
-    workspace.ids_c = lp_frozen;
 
     ChordalResult::new(n, edges, iterations, stats)
 }

@@ -5,7 +5,7 @@ use chordal_graph::{subgraph::edge_subgraph, CsrGraph, Edge, GraphRef};
 
 /// The chordal edge set `EC` returned by an extraction, together with
 /// iteration metadata.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChordalResult {
     num_vertices: usize,
     /// Chordal edges in canonical `(min, max)` orientation, sorted
@@ -16,26 +16,7 @@ pub struct ChordalResult {
     /// Per-iteration statistics, present when the extraction was configured
     /// with `record_stats`.
     pub stats: Option<IterationStats>,
-    /// Wall-clock nanoseconds of the extraction that produced this result,
-    /// stamped by the session paths (`0` when the producer did not time the
-    /// run). Serve's `EXTRACT` reply reports it as its `extract_ns` field,
-    /// which the benchmark reads; it is *metadata*, excluded from equality
-    /// so timing noise can never make identical extractions compare
-    /// unequal.
-    extract_ns: u64,
 }
-
-impl PartialEq for ChordalResult {
-    fn eq(&self, other: &Self) -> bool {
-        // `extract_ns` is timing metadata, deliberately ignored.
-        self.num_vertices == other.num_vertices
-            && self.chordal_edges == other.chordal_edges
-            && self.iterations == other.iterations
-            && self.stats == other.stats
-    }
-}
-
-impl Eq for ChordalResult {}
 
 impl ChordalResult {
     /// Assembles a result; edges are canonicalised and sorted.
@@ -57,23 +38,7 @@ impl ChordalResult {
             chordal_edges,
             iterations,
             stats,
-            extract_ns: 0,
         }
-    }
-
-    /// Wall-clock nanoseconds of the producing extraction, or `0` when the
-    /// producer did not time the run. Stamped by
-    /// [`crate::ExtractionSession`]'s single and batch paths; reported as
-    /// the `extract_ns` field of serve's `EXTRACT` reply, which the
-    /// benchmark reads.
-    pub fn extract_ns(&self) -> u64 {
-        self.extract_ns
-    }
-
-    /// Stamps the wall-clock duration of the extraction that produced this
-    /// result (see [`ChordalResult::extract_ns`]).
-    pub fn set_extract_ns(&mut self, nanos: u64) {
-        self.extract_ns = nanos;
     }
 
     /// Number of vertices of the host graph.
@@ -156,16 +121,6 @@ mod tests {
         let g = CsrGraph::empty(3);
         let r = ChordalResult::new(3, vec![], 0, None);
         assert_eq!(r.chordal_fraction(&g), 0.0);
-    }
-
-    #[test]
-    fn extract_ns_is_metadata_outside_equality() {
-        let mut timed = ChordalResult::new(3, vec![(0, 1)], 1, None);
-        let untimed = timed.clone();
-        assert_eq!(timed.extract_ns(), 0);
-        timed.set_extract_ns(12_345);
-        assert_eq!(timed.extract_ns(), 12_345);
-        assert_eq!(timed, untimed, "timing must not affect equality");
     }
 
     #[test]

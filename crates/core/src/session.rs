@@ -57,7 +57,6 @@ use chordal_graph::GraphRef;
 use chordal_runtime::{pool_size, Engine};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
 
 /// Scheduler counters of a session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -130,14 +129,9 @@ impl ExtractionSession {
     }
 
     /// Extracts from one graph — heap-resident or mmap-backed, anything
-    /// viewable as a [`GraphRef`] — reusing the session workspace. The
-    /// result carries the measured wall-clock of the run
-    /// ([`ChordalResult::extract_ns`]).
+    /// viewable as a [`GraphRef`] — reusing the session workspace.
     pub fn extract<'a>(&mut self, graph: impl Into<GraphRef<'a>>) -> ChordalResult {
-        let start = Instant::now();
-        let mut result = self.config.extract_into(graph.into(), &mut self.workspace);
-        result.set_extract_ns(start.elapsed().as_nanos() as u64);
-        result
+        self.config.extract_into(graph.into(), &mut self.workspace)
     }
 
     /// The session's scheduler counters.
@@ -233,11 +227,8 @@ impl ExtractionSession {
             .for_each_mut(seats, |first, workspace| {
                 let mut next = first;
                 while let Some(&i) = queue.get(next) {
-                    let start = Instant::now();
-                    let mut result = serial.extract_into(views[i], workspace);
-                    result.set_extract_ns(start.elapsed().as_nanos() as u64);
                     slots[i]
-                        .set(result)
+                        .set(serial.extract_into(views[i], workspace))
                         .expect("each batch slot is written once");
                     next = cursor.fetch_add(1, Ordering::SeqCst);
                 }

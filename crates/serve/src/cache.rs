@@ -100,6 +100,17 @@ pub struct CacheStats {
     pub corruptions: u64,
 }
 
+// The `STATS` reply's `cache` object, in the documented field order.
+crate::impl_to_json!(CacheStats {
+    entries,
+    resident_bytes,
+    budget_bytes,
+    hits,
+    misses,
+    evictions,
+    corruptions
+});
+
 /// One resident graph.
 struct Entry {
     graph: Arc<LoadedGraph>,

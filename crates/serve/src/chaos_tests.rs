@@ -9,7 +9,7 @@
 //! queue (subsequent work still acquires permits).
 
 use crate::client::ServeClient;
-use crate::protocol::JsonValue;
+use crate::json::JsonValue;
 use crate::server::{ServeConfig, Server, ServerHandle};
 use chordal_generators::rmat::{RmatKind, RmatParams};
 use chordal_graph::io::write_edge_list_file;

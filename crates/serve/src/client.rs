@@ -5,7 +5,8 @@
 //! requests are answered in order, so a client is also the natural unit
 //! of closed-loop load (send, wait, repeat).
 
-use crate::protocol::{splitmix64, JsonValue};
+use crate::json::JsonValue;
+use crate::protocol::splitmix64;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;

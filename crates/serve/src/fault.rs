@@ -87,6 +87,14 @@ pub struct FaultCounts {
     pub panic: u64,
 }
 
+crate::impl_to_json!(FaultCounts {
+    accept,
+    read,
+    write,
+    slow_read,
+    panic
+});
+
 /// The armed fault schedule plus fired-fault counters.
 pub struct FaultInjector {
     directives: Mutex<Vec<Directive>>,

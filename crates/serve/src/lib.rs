@@ -14,8 +14,9 @@
 //!
 //! The protocol is line-oriented requests with JSON responses, plus a
 //! length-prefixed binary payload for extraction output. It is hand-rolled
-//! (the build environment has no serde; the encoder mirrors the
-//! JSON-lines encoder of `chordal-bench`).
+//! (the build environment has no serde): every response frame is written
+//! by [`json`], the project's one JSON encoder, which also writes
+//! `chordal-bench`'s experiment records.
 //!
 //! ## Framing
 //!
@@ -38,7 +39,7 @@
 //! |------|-----------|-------|
 //! | `PING` | — | liveness echo |
 //! | `LOAD` | `path=` (required), `format=text\|bin\|auto`, `deadline_ms=N` | loads the graph through the content-hash cache (checksum-verified on admission); replies with the 16-hex-digit `graph` key, vertex/edge counts, `cache=hit\|miss`, resident bytes and `queue_wait_ns` |
-//! | `EXTRACT` | `graph=<16-hex>` **or** `path=` (+`format=`), `algorithm=alg1\|reference\|dearing\|partitioned`, `variant=opt\|unopt`, `engine=serial\|pool` (`rayon` is an alias of `pool`), `threads=N`, `partitions=N`, `repair=true\|false`, `payload=none\|edges`, `deadline_ms=N` | runs one extraction; replies with chordal edge count, iterations, `extract_ns` (extraction proper), `wait_ns` (admission + cache + session setup) and `queue_wait_ns` (time parked in the admission queue), then the edge-list payload when `payload=edges` |
+//! | `EXTRACT` | `graph=<16-hex>` **or** `path=` (+`format=`), `algorithm=alg1\|reference\|dearing\|partitioned`, `variant=opt\|unopt`, `engine=serial\|pool` (`rayon` is an alias of `pool`), `threads=N`, `partitions=N`, `repair=true\|false`, `payload=none\|edges`, `deadline_ms=N` | runs one extraction; replies with chordal edge count, iterations, `extract_ns` (extraction proper), `wait_ns` (admission + configuration + cache) and `queue_wait_ns` (time parked in the admission queue), then the edge-list payload when `payload=edges` |
 //! | `STATS` | — | server/cache/pool introspection (see below) |
 //! | `SHUTDOWN` | — | acknowledges, then stops the server gracefully (drain semantics below) |
 //! | `HOLD` | `ms=N`, `deadline_ms=N` | **test hook** (only with [`ServeConfig::test_hooks`]): occupies one admission permit for `N` ms through the same FIFO queue as real work, so saturation and queueing tests are deterministic instead of timing-dependent |
@@ -157,6 +158,7 @@ pub mod cache;
 pub mod client;
 #[cfg(any(test, feature = "fault-injection"))]
 pub mod fault;
+pub mod json;
 pub mod protocol;
 pub mod queue;
 pub mod server;
@@ -169,6 +171,7 @@ mod chaos_tests;
 
 pub use cache::{CacheError, CacheStats, GraphCache};
 pub use client::{Response, RetryPolicy, ServeClient};
-pub use protocol::{ErrorCode, JsonValue, Request};
+pub use json::JsonValue;
+pub use protocol::{ErrorCode, Request};
 pub use queue::{AcquireError, AdmissionQueue, QueueStats};
 pub use server::{ServeConfig, Server, ServerHandle};

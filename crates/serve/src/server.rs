@@ -12,10 +12,13 @@
 //! Concurrency model: one OS thread per admitted connection (sessions are
 //! long-lived and mostly blocked on socket reads; extraction parallelism
 //! comes from the process-wide persistent worker pool, not from connection
-//! threads). Every connection owns its [`ExtractionSession`]s — workspaces
+//! threads). Every connection owns one [`Workspace`], which each of its
+//! extractions reuses whatever the request's configuration — workspaces
 //! are never shared across connections — while the graph cache and the
 //! pool are shared by all of them. That is exactly the multi-session shape
-//! the pool's region accounting was built for.
+//! the pool's region accounting was built for. The accept loop joins the
+//! threads of connections that have ended, so its registry holds only
+//! live connections.
 //!
 //! See the crate docs for the protocol specification this module
 //! implements.
@@ -23,14 +26,12 @@
 use crate::cache::{CacheError, GraphCache};
 #[cfg(any(test, feature = "fault-injection"))]
 use crate::fault::{FaultInjector, FaultKind};
-use crate::protocol::{
-    error_frame, error_frame_with, json_escape, ErrorCode, Request, MAX_REQUEST_BYTES,
-};
+use crate::json::{JsonObject, ToJson};
+use crate::protocol::{error_frame, ok_frame, ErrorCode, Request, MAX_REQUEST_BYTES};
 use crate::queue::{AcquireError, AdmissionQueue};
-use chordal_core::{ExtractError, ExtractionSession, ExtractorConfig};
+use chordal_core::{ExtractError, ExtractorConfig, Workspace};
 use chordal_graph::io::write_edges;
 use chordal_graph::storage::FileFormat;
-use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -49,11 +50,6 @@ use chordal_checker::time::Instant;
 
 /// How long blocked reads wait before re-checking the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
-
-/// Upper bound on per-connection cached extraction sessions (one per
-/// distinct request configuration). Beyond it an arbitrary session is
-/// dropped — a workspace rebuild, not an error.
-const MAX_SESSIONS_PER_CONNECTION: usize = 8;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -169,35 +165,35 @@ impl Shared {
                 // longer waits. Clients without their own policy can sleep
                 // exactly this long before retrying.
                 let retry_after_ms = ((queue_depth as u64 + 1) * 5).clamp(5, 500);
-                Err(Outcome::reply(error_frame_with(
-                    ErrorCode::Overload,
-                    &format!(
-                        "admission queue full ({queue_depth} waiting, {} in flight, {} pool workers idle)",
-                        self.config.max_inflight,
-                        chordal_runtime::pool_idle_workers()
-                    ),
-                    &[
-                        ("retry_after_ms", retry_after_ms),
-                        ("queue_depth", queue_depth as u64),
-                    ],
-                )))
+                let message = format!(
+                    "admission queue full ({queue_depth} waiting, {} in flight, {} pool workers idle)",
+                    self.config.max_inflight,
+                    chordal_runtime::pool_idle_workers()
+                );
+                Err(Outcome::reply(
+                    error_frame(ErrorCode::Overload, &message)
+                        .field("retry_after_ms", retry_after_ms)
+                        .field("queue_depth", queue_depth),
+                ))
             }
-            Err(AcquireError::DeadlineExceeded { waited_ns }) => {
-                Err(Outcome::reply(error_frame_with(
+            Err(AcquireError::DeadlineExceeded { waited_ns }) => Err(Outcome::reply(
+                error_frame(
                     ErrorCode::DeadlineExceeded,
                     "deadline expired while queued; the request did not execute",
-                    &[("queue_wait_ns", waited_ns)],
-                )))
-            }
+                )
+                .field("queue_wait_ns", waited_ns),
+            )),
             Err(AcquireError::ShuttingDown { waited_ns }) => {
                 self.counters
                     .overloaded_total
                     .fetch_add(1, Ordering::SeqCst);
-                Err(Outcome::reply(error_frame_with(
-                    ErrorCode::Overload,
-                    "server is shutting down; the request did not execute",
-                    &[("queue_wait_ns", waited_ns)],
-                )))
+                Err(Outcome::reply(
+                    error_frame(
+                        ErrorCode::Overload,
+                        "server is shutting down; the request did not execute",
+                    )
+                    .field("queue_wait_ns", waited_ns),
+                ))
             }
         }
     }
@@ -338,7 +334,7 @@ fn accept_loop(
 ) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
-            Ok((stream, _)) => {
+            Ok((mut stream, _)) => {
                 // Injected accept fault: the connection vanishes before it
                 // is serviced, as if the peer (or the kernel) dropped it.
                 #[cfg(any(test, feature = "fault-injection"))]
@@ -352,18 +348,12 @@ fn accept_loop(
                         .counters
                         .overloaded_total
                         .fetch_add(1, Ordering::SeqCst);
-                    let mut stream = stream;
-                    let _ = stream.write_all(
-                        format!(
-                            "{}\n",
-                            error_frame_with(
-                                ErrorCode::Overload,
-                                &format!("session limit reached ({} active)", active),
-                                &[("retry_after_ms", 50)],
-                            )
-                        )
-                        .as_bytes(),
-                    );
+                    let frame = error_frame(
+                        ErrorCode::Overload,
+                        &format!("session limit reached ({active} active)"),
+                    )
+                    .field("retry_after_ms", 50);
+                    let _ = write_frame(&mut stream, &frame.to_json(), &[]);
                     continue;
                 }
                 shared
@@ -383,10 +373,15 @@ fn accept_loop(
                         drop(guard);
                     });
                 match handle {
-                    Ok(handle) => connections
-                        .lock()
-                        .expect("connection registry")
-                        .push(handle),
+                    Ok(handle) => {
+                        let mut registry = connections.lock().expect("connection registry");
+                        // A thread that has exited keeps its stack mapped
+                        // until it is joined.
+                        for ended in registry.extract_if(.., |h| h.is_finished()) {
+                            let _ = ended.join();
+                        }
+                        registry.push(handle);
+                    }
                     Err(_) => {
                         // Spawn failure: the guard above never ran, so the
                         // active count must be released here.
@@ -422,9 +417,9 @@ struct Outcome {
 }
 
 impl Outcome {
-    fn reply(frame: String) -> Outcome {
+    fn reply(frame: JsonObject) -> Outcome {
         Outcome {
-            frame,
+            frame: frame.to_json(),
             payload: Vec::new(),
             close: false,
             shutdown: false,
@@ -443,11 +438,11 @@ impl Outcome {
     }
 }
 
-/// Per-connection state: the extraction sessions this connection has built,
-/// keyed by their canonical configuration string.
+/// Per-connection state: the workspace every extraction of this connection
+/// reuses, whatever its configuration.
 struct Connection {
     shared: Arc<Shared>,
-    sessions: HashMap<String, ExtractionSession>,
+    workspace: Workspace,
 }
 
 /// Reads frames off one connection until EOF, error, or shutdown.
@@ -458,7 +453,7 @@ fn run_connection(stream: TcpStream, shared: Arc<Shared>) {
     let mut writer = stream;
     let mut connection = Connection {
         shared: Arc::clone(&shared),
-        sessions: HashMap::new(),
+        workspace: Workspace::new(),
     };
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
@@ -474,7 +469,7 @@ fn run_connection(stream: TcpStream, shared: Arc<Shared>) {
                 Ok(text) => text.trim_end_matches('\r'),
                 Err(_) => {
                     let frame = error_frame(ErrorCode::BadFrame, "request line is not UTF-8");
-                    if write_frame(&mut writer, &frame, &[]).is_err() {
+                    if write_frame(&mut writer, &frame.to_json(), &[]).is_err() {
                         break 'outer;
                     }
                     continue;
@@ -514,7 +509,7 @@ fn run_connection(stream: TcpStream, shared: Arc<Shared>) {
                 ErrorCode::BadFrame,
                 &format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
             );
-            let _ = write_frame(&mut writer, &frame, &[]);
+            let _ = write_frame(&mut writer, &frame.to_json(), &[]);
             break;
         }
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -562,9 +557,7 @@ fn handle_line(connection: &mut Connection, line: &str) -> Outcome {
         Err(message) => return Outcome::error(ErrorCode::BadArg, &message),
     };
     match request.verb.as_str() {
-        "PING" => reads(&request, &[], || {
-            Outcome::reply("{\"ok\":true,\"verb\":\"PING\"}".to_string())
-        }),
+        "PING" => reads(&request, &[], || Outcome::reply(ok_frame("PING"))),
         "LOAD" => reads(&request, &["path", "format", "deadline_ms"], || {
             handle_load(connection, &request)
         }),
@@ -575,7 +568,7 @@ fn handle_line(connection: &mut Connection, line: &str) -> Outcome {
             Outcome::reply(stats_frame(&connection.shared))
         }),
         "SHUTDOWN" => reads(&request, &[], || {
-            let mut outcome = Outcome::reply("{\"ok\":true,\"verb\":\"SHUTDOWN\"}".to_string());
+            let mut outcome = Outcome::reply(ok_frame("SHUTDOWN"));
             outcome.shutdown = true;
             outcome
         }),
@@ -669,18 +662,16 @@ fn handle_load(connection: &mut Connection, request: &Request) -> Outcome {
     let outcome = match cache.get_or_load(std::path::Path::new(path), format) {
         Ok((graph, hash, hit)) => {
             let view = graph.as_graph_ref();
-            let stats = cache.stats();
-            Outcome::reply(format!(
-                "{{\"ok\":true,\"verb\":\"LOAD\",\"graph\":\"{hash:016x}\",\
-                 \"vertices\":{},\"edges\":{},\"canonical_edges\":{},\
-                 \"cache\":\"{}\",\"resident_bytes\":{},\
-                 \"queue_wait_ns\":{queue_wait_ns}}}",
-                view.num_vertices(),
-                view.num_edges(),
-                view.num_canonical_edges(),
-                if hit { "hit" } else { "miss" },
-                stats.resident_bytes,
-            ))
+            Outcome::reply(
+                ok_frame("LOAD")
+                    .field("graph", format!("{hash:016x}"))
+                    .field("vertices", view.num_vertices())
+                    .field("edges", view.num_edges())
+                    .field("canonical_edges", view.num_canonical_edges())
+                    .field("cache", if hit { "hit" } else { "miss" })
+                    .field("resident_bytes", cache.stats().resident_bytes)
+                    .field("queue_wait_ns", queue_wait_ns),
+            )
         }
         Err(e) => cache_error_outcome(path, e),
     };
@@ -690,15 +681,11 @@ fn handle_load(connection: &mut Connection, request: &Request) -> Outcome {
 
 /// Builds the extraction configuration named by a request's arguments,
 /// through the core's key parser (the CLI's too) with the server's default
-/// engine and thread count, and a canonical key for session reuse. A
-/// `threads`, `partitions` or `repair` value that does not parse reads
-/// "invalid value `x` for `threads`"; an unknown name keeps the core's
-/// wording.
-fn request_config(
-    defaults: &ServeConfig,
-    request: &Request,
-) -> Result<(ExtractorConfig, String), String> {
-    let config = ExtractorConfig::from_keys(
+/// engine and thread count. A `threads`, `partitions` or `repair` value
+/// that does not parse reads "invalid value `x` for `threads`"; an unknown
+/// name keeps the core's wording.
+fn request_config(defaults: &ServeConfig, request: &Request) -> Result<ExtractorConfig, String> {
+    ExtractorConfig::from_keys(
         |key| request.arg(key),
         &defaults.default_engine,
         defaults.default_threads,
@@ -708,20 +695,7 @@ fn request_config(
             format!("invalid value `{given}` for `{option}`")
         }
         other => other.to_string(),
-    })?;
-    // Keyed by the resolved engine, so spellings that build one engine
-    // (`engine=serial` at any `threads=`, `rayon` and `pool`) share a
-    // session and its workspace.
-    let key = format!(
-        "{}|{:?}|{}x{}|p{}|r{}",
-        config.algorithm.name(),
-        config.adjacency,
-        config.engine.name(),
-        config.engine.threads(),
-        config.partitions,
-        config.repair,
-    );
-    Ok((config, key))
+    })
 }
 
 fn handle_extract(connection: &mut Connection, request: &Request) -> Outcome {
@@ -739,8 +713,8 @@ fn handle_extract(connection: &mut Connection, request: &Request) -> Outcome {
     if shared.faults.fire(FaultKind::Panic).is_some() {
         panic!("injected worker panic");
     }
-    let (config, session_key) = match request_config(&shared.config, request) {
-        Ok(built) => built,
+    let config = match request_config(&shared.config, request) {
+        Ok(config) => config,
         Err(message) => return Outcome::error(ErrorCode::BadArg, &message),
     };
     // Resolve the graph: resident hash, or path through the cache.
@@ -786,24 +760,11 @@ fn handle_extract(connection: &mut Connection, request: &Request) -> Outcome {
             )
         }
     };
-    // Session reuse: one ExtractionSession per distinct configuration per
-    // connection, so repeated same-shape requests stop paying workspace
-    // growth. The map is small and bounded; overflow drops an arbitrary
-    // session (a rebuild, not an error).
-    if !connection.sessions.contains_key(&session_key)
-        && connection.sessions.len() >= MAX_SESSIONS_PER_CONNECTION
-    {
-        if let Some(victim) = connection.sessions.keys().next().cloned() {
-            connection.sessions.remove(&victim);
-        }
-    }
-    let session = connection
-        .sessions
-        .entry(session_key)
-        .or_insert_with(|| ExtractionSession::new(config));
     let view = graph.as_graph_ref();
     let wait_ns = wait_start.elapsed().as_nanos() as u64;
-    let result = session.extract(view);
+    let extract_start = Instant::now();
+    let result = config.extract_into(view, &mut connection.workspace);
+    let extract_ns = extract_start.elapsed().as_nanos() as u64;
     shared
         .counters
         .extractions_total
@@ -823,23 +784,20 @@ fn handle_extract(connection: &mut Connection, request: &Request) -> Outcome {
     } else {
         Vec::new()
     };
-    let mut frame = format!(
-        "{{\"ok\":true,\"verb\":\"EXTRACT\",\"graph\":\"{hash:016x}\",\
-         \"algorithm\":\"{}\",\"vertices\":{},\"canonical_edges\":{},\
-         \"chordal_edges\":{},\"iterations\":{},\"extract_ns\":{},\
-         \"wait_ns\":{wait_ns},\"queue_wait_ns\":{queue_wait_ns},\"cache\":\"{}\"",
-        json_escape(session.extractor_name()),
-        view.num_vertices(),
-        view.num_canonical_edges(),
-        result.num_chordal_edges(),
-        result.iterations,
-        result.extract_ns(),
-        if hit { "hit" } else { "miss" },
-    );
+    let mut frame = ok_frame("EXTRACT")
+        .field("graph", format!("{hash:016x}"))
+        .field("algorithm", config.name())
+        .field("vertices", view.num_vertices())
+        .field("canonical_edges", view.num_canonical_edges())
+        .field("chordal_edges", result.num_chordal_edges())
+        .field("iterations", result.iterations)
+        .field("extract_ns", extract_ns)
+        .field("wait_ns", wait_ns)
+        .field("queue_wait_ns", queue_wait_ns)
+        .field("cache", if hit { "hit" } else { "miss" });
     if payload_edges {
-        frame.push_str(&format!(",\"payload_bytes\":{}", payload.len()));
+        frame = frame.field("payload_bytes", payload.len());
     }
-    frame.push('}');
     let mut outcome = Outcome::reply(frame);
     outcome.payload = payload;
     outcome
@@ -860,9 +818,11 @@ fn handle_hold(connection: &mut Connection, request: &Request) -> Outcome {
     };
     std::thread::sleep(Duration::from_millis(ms));
     drop(permit);
-    Outcome::reply(format!(
-        "{{\"ok\":true,\"verb\":\"HOLD\",\"held_ms\":{ms},\"queue_wait_ns\":{queue_wait_ns}}}"
-    ))
+    Outcome::reply(
+        ok_frame("HOLD")
+            .field("held_ms", ms)
+            .field("queue_wait_ns", queue_wait_ns),
+    )
 }
 
 /// The `FAULT` verb (compiled only with the `fault-injection` feature or
@@ -894,21 +854,14 @@ fn handle_fault(connection: &mut Connection, request: &Request) -> Outcome {
     };
     if request.arg("clear") == Some("true") {
         shared.faults.clear();
-        return Outcome::reply("{\"ok\":true,\"verb\":\"FAULT\",\"armed\":0}".to_string());
+        return Outcome::reply(ok_frame("FAULT").field("armed", 0));
     }
     let Some(kind_name) = request.arg("kind") else {
-        let counts = shared.faults.counts();
-        return Outcome::reply(format!(
-            "{{\"ok\":true,\"verb\":\"FAULT\",\"armed\":{},\
-             \"fired\":{{\"accept\":{},\"read\":{},\"write\":{},\
-             \"slow_read\":{},\"panic\":{}}}}}",
-            shared.faults.armed(),
-            counts.accept,
-            counts.read,
-            counts.write,
-            counts.slow_read,
-            counts.panic,
-        ));
+        return Outcome::reply(
+            ok_frame("FAULT")
+                .field("armed", shared.faults.armed())
+                .field("fired", shared.faults.counts()),
+        );
     };
     let count = match parse_u64("count", 1) {
         Ok(count) => count,
@@ -916,9 +869,11 @@ fn handle_fault(connection: &mut Connection, request: &Request) -> Outcome {
     };
     if kind_name == "corrupt-cache" {
         shared.cache.arm_corruption(count);
-        return Outcome::reply(format!(
-            "{{\"ok\":true,\"verb\":\"FAULT\",\"kind\":\"corrupt-cache\",\"count\":{count}}}"
-        ));
+        return Outcome::reply(
+            ok_frame("FAULT")
+                .field("kind", "corrupt-cache")
+                .field("count", count),
+        );
     }
     let Some(kind) = FaultKind::parse(kind_name) else {
         return Outcome::error(
@@ -946,69 +901,54 @@ fn handle_fault(connection: &mut Connection, request: &Request) -> Outcome {
         }
         None => shared.faults.arm(kind, count, ms),
     }
-    Outcome::reply(format!(
-        "{{\"ok\":true,\"verb\":\"FAULT\",\"kind\":\"{}\",\"armed\":{}}}",
-        json_escape(kind_name),
-        shared.faults.armed(),
-    ))
+    Outcome::reply(
+        ok_frame("FAULT")
+            .field("kind", kind_name)
+            .field("armed", shared.faults.armed()),
+    )
 }
 
 /// Builds the `STATS` frame: server counters (including the admission
 /// queue observables), cache snapshot, pool introspection — plus the
 /// fired-fault counters when fault injection is compiled in.
-fn stats_frame(shared: &Arc<Shared>) -> String {
+fn stats_frame(shared: &Shared) -> JsonObject {
     let c = &shared.counters;
     let q = shared.admission.stats();
-    let cache = shared.cache.stats();
     let pool = chordal_runtime::pool_stats();
-    let mut frame = format!(
-        "{{\"ok\":true,\"verb\":\"STATS\",\
-         \"server\":{{\"sessions_active\":{},\"sessions_total\":{},\
-         \"requests_total\":{},\"extractions_total\":{},\
-         \"overloaded_total\":{},\"inflight\":{},\
-         \"queue_depth\":{},\"queue_waits\":{},\"deadline_expired\":{},\
-         \"max_queue_wait_ns\":{},\
-         \"max_inflight\":{},\"max_queue\":{},\"max_sessions\":{}}},\
-         \"cache\":{{\"entries\":{},\"resident_bytes\":{},\"budget_bytes\":{},\
-         \"hits\":{},\"misses\":{},\"evictions\":{},\"corruptions\":{}}},\
-         \"pool\":{{\"size\":{},\"idle_workers\":{},\"regions\":{},\
-         \"tickets\":{},\"tickets_dropped\":{}}}",
-        c.sessions_active.load(Ordering::SeqCst),
-        c.sessions_total.load(Ordering::SeqCst),
-        c.requests_total.load(Ordering::SeqCst),
-        c.extractions_total.load(Ordering::SeqCst),
-        c.overloaded_total.load(Ordering::SeqCst),
-        q.inflight,
-        q.queue_depth,
-        q.queue_waits,
-        q.deadline_expired,
-        q.max_queue_wait_ns,
-        shared.config.max_inflight,
-        shared.config.max_queue,
-        shared.config.max_sessions,
-        cache.entries,
-        cache.resident_bytes,
-        cache.budget_bytes,
-        cache.hits,
-        cache.misses,
-        cache.evictions,
-        cache.corruptions,
-        chordal_runtime::pool_size(),
-        chordal_runtime::pool_idle_workers(),
-        pool.regions,
-        pool.tickets,
-        pool.tickets_dropped,
-    );
+    let server = JsonObject::new()
+        .field("sessions_active", c.sessions_active.load(Ordering::SeqCst))
+        .field("sessions_total", c.sessions_total.load(Ordering::SeqCst))
+        .field("requests_total", c.requests_total.load(Ordering::SeqCst))
+        .field(
+            "extractions_total",
+            c.extractions_total.load(Ordering::SeqCst),
+        )
+        .field(
+            "overloaded_total",
+            c.overloaded_total.load(Ordering::SeqCst),
+        )
+        .field("inflight", q.inflight)
+        .field("queue_depth", q.queue_depth)
+        .field("queue_waits", q.queue_waits)
+        .field("deadline_expired", q.deadline_expired)
+        .field("max_queue_wait_ns", q.max_queue_wait_ns)
+        .field("max_inflight", shared.config.max_inflight)
+        .field("max_queue", shared.config.max_queue)
+        .field("max_sessions", shared.config.max_sessions);
+    let frame = ok_frame("STATS")
+        .field("server", server)
+        .field("cache", shared.cache.stats())
+        .field(
+            "pool",
+            JsonObject::new()
+                .field("size", chordal_runtime::pool_size())
+                .field("idle_workers", chordal_runtime::pool_idle_workers())
+                .field("regions", pool.regions)
+                .field("tickets", pool.tickets)
+                .field("tickets_dropped", pool.tickets_dropped),
+        );
     #[cfg(any(test, feature = "fault-injection"))]
-    {
-        let f = shared.faults.counts();
-        frame.push_str(&format!(
-            ",\"faults\":{{\"accept\":{},\"read\":{},\"write\":{},\
-             \"slow_read\":{},\"panic\":{}}}",
-            f.accept, f.read, f.write, f.slow_read, f.panic,
-        ));
-    }
-    frame.push('}');
+    let frame = frame.field("faults", shared.faults.counts());
     frame
 }
 
@@ -1017,23 +957,43 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spellings_of_one_engine_share_a_session_key() {
-        let key = |args: &str| {
-            let request = Request::parse(&format!("EXTRACT path=g {args}")).unwrap();
-            request_config(&ServeConfig::default(), &request).unwrap().1
-        };
-        let serial = key("engine=serial threads=1");
-        assert_eq!(key("engine=serial threads=4"), serial);
-        let pool = key("engine=pool threads=2");
-        assert_eq!(key("engine=rayon threads=2"), pool);
-        assert_ne!(pool, serial);
-        assert_ne!(key("engine=pool threads=3"), pool);
-    }
-
-    #[test]
     fn an_unparsable_number_names_its_argument() {
         let request = Request::parse("EXTRACT path=g threads=many").unwrap();
         let error = request_config(&ServeConfig::default(), &request).unwrap_err();
         assert_eq!(error, "invalid value `many` for `threads`");
+    }
+
+    // Starts a real server, whose admission queue runs only outside the
+    // model checker.
+    #[cfg(not(chordal_model))]
+    #[test]
+    fn the_registry_holds_only_live_connections() {
+        use crate::client::ServeClient;
+        let mut server = Server::start(ServeConfig::default()).unwrap();
+        let all_ended = |server: &ServerHandle| {
+            let registry = server.connections.lock().unwrap();
+            registry.iter().all(std::thread::JoinHandle::is_finished)
+        };
+        for _ in 0..100 {
+            let mut client = ServeClient::connect(server.addr()).unwrap();
+            assert!(client.request("PING").unwrap().ok());
+            drop(client);
+            // The connection's thread ends before the next accept, which
+            // must then join it.
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while !all_ended(&server) {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "a connection never ended"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let registered = server.connections.lock().unwrap().len();
+        assert!(
+            registered <= 2,
+            "{registered} handles after 100 connections"
+        );
+        server.shutdown();
     }
 }
