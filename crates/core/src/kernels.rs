@@ -7,8 +7,12 @@
 //!
 //! * **intersection** — the triangle checks of the partitioned baseline and
 //!   the clustering analysis ([`intersect_count`], [`intersect_any`]);
-//! * **subset** — Algorithm 1's `C[w] ⊆ C[v]` acceptance test
-//!   ([`sorted_subset`], [`sorted_subset_by`]);
+//! * **subset** — the `C[w] ⊆ C[v]` acceptance test of the reference
+//!   passes and Dearing's baseline ([`sorted_subset`]), and of Algorithm 1
+//!   for a multi-entry `C[w]` against a block-held `C[v]`
+//!   ([`sorted_subset_by`]; the pass tests its far more common shapes,
+//!   a one-entry `C[w]` or a `C[v]` packed in its start slot, without a
+//!   merge);
 //! * **blocked frontier expansion** — the separator form of the chordal
 //!   edge-insertion test used by verification and repair
 //!   ([`SeparatorSearch`]).
@@ -195,10 +199,13 @@ pub fn sorted_subset(a: &[VertexId], b: &[VertexId]) -> bool {
 }
 
 /// [`sorted_subset`] over *indexed accessors* instead of slices, for sets
-/// that live in non-slice storage — the atomic chordal-neighbor arena of
-/// the parallel extractor reads each element with an atomic load, so it
-/// cannot hand out a `&[u32]`. Semantically identical to materialising
-/// both sequences and calling [`sorted_subset`].
+/// that live in non-slice storage — the atomic chordal-set arena of
+/// Algorithm 1 reads each element with an atomic load, so it cannot hand
+/// out a `&[u32]`. Semantically identical to materialising both sequences
+/// and calling [`sorted_subset`]. Algorithm 1 calls it only to test a
+/// multi-entry `C[w]` against a block-held `C[p]`: its data-dependent
+/// early exits mispredict, so the pass tests a one-entry `C[w]` by a
+/// lower bound and a `C[p]` packed in its start slot by comparisons.
 #[inline]
 pub fn sorted_subset_by<A, B>(len_a: usize, a: A, len_b: usize, b: B) -> bool
 where

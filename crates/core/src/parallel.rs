@@ -50,6 +50,18 @@
 //! thread count or the schedule, and equals the serial oracle
 //! [`crate::reference::extract_pull_reference`].
 //!
+//! # Cost
+//!
+//! The pass is bound by the branches of its parent tests, not by memory.
+//! Walking every parent of RMAT-ER/G/B(16) and loading both of its
+//! per-vertex words (length and start) takes 1.5–3 ms per graph on a
+//! 2-core x86-64 host, the pass 5–14 ms. Nearly every test asks whether
+//! `C[w]`'s one entry, its lowest parent, is in `C[p]`, and on ER and G
+//! nearly every `C[p]` that passes the length check sits in its start
+//! slot (on B about half). So those two shapes are tested without a
+//! data-dependent branch (`Directory::contains`): a merge's early exits
+//! would mispredict on nearly every edge.
+//!
 //! The bulk-synchronous reading of the pseudocode, in which iteration `t`
 //! tests every vertex against its `t`-th parent's set as it stood when the
 //! iteration began, is the registry's [`crate::Algorithm::Reference`]
@@ -88,7 +100,7 @@ pub(crate) fn extract_into(
     let n = graph.num_vertices();
     let mut stats = config.record_stats.then(IterationStats::new);
     if n == 0 {
-        return ChordalResult::new(0, Vec::new(), 0, stats);
+        return ChordalResult::from_sorted(0, Vec::new(), 0, stats);
     }
     let participants = doacross_participants(&config.engine, n);
     workspace.prepare_pull(graph, participants);
@@ -107,7 +119,7 @@ pub(crate) fn extract_into(
         let parents = (0..n).filter(|&v| adjacency.has_child(v)).count();
         s.record(parents, edges.len());
     }
-    ChordalResult::new(n, edges, iterations, stats)
+    ChordalResult::from_sorted(n, edges, iterations, stats)
 }
 
 /// The graph as the pass reads it: the flat adjacency array through the
@@ -430,33 +442,54 @@ impl<'a, const BLOCK: usize> Directory<'a, BLOCK> {
         }
     }
 
-    /// Whether `set` is a subset of the set of `len` entries at `start`:
-    /// an ordered merge, since both are sorted ascending (parents are
-    /// accepted in increasing-id order). The arena's entries are atomic,
-    /// so the shared kernel is used through its accessor form with relaxed
-    /// loads (the same instruction as a plain load). A set of at most
-    /// [`INLINE`] entries is read from `start` itself; a set in a block is
-    /// indexed within the block's fixed length, once the lengths allow it.
+    /// Whether the non-empty `set` is a subset of the set of `len` entries
+    /// at `start`. Both are sorted ascending (parents are accepted in
+    /// increasing-id order). The parent test takes one of three shapes,
+    /// and the two that nearly every test takes have no data-dependent
+    /// branch:
+    ///
+    /// * **A set in its start slot** (at most [`INLINE`] entries): its
+    ///   entries are compared with `set`'s one or two through [`inlined`],
+    ///   with `==`, `&` and `|`. The slot's low half holds the last entry
+    ///   of any non-empty set and its high half the first entry of a full
+    ///   slot; the high half of a one-entry slot is zero, so `len` masks
+    ///   it out (`{0} ⊄ {5}`).
+    /// * **A one-entry `set` against a set in a block**: a lower bound over
+    ///   the set's first `len − 1` entries, whose steps depend only on
+    ///   `len` (std's `partition_point`), then one equality with the entry
+    ///   it lands on. Most tests ask whether `w`'s lowest parent is in
+    ///   `C[p]`.
+    /// * **A longer `set` against a set in a block**: an ordered merge
+    ///   ([`crate::kernels::sorted_subset_by`]) after the length check.
+    ///
+    /// The arena's entries are atomic and read with relaxed loads (the same
+    /// instruction as a plain load).
     #[inline]
     fn contains(self, start: usize, len: usize, set: &[VertexId]) -> bool {
-        let subset = |b: &[AtomicU32], at: usize| {
-            crate::kernels::sorted_subset_by(
-                set.len(),
-                |i| set[i],
-                len,
-                |j| b[at + j].load(Ordering::Relaxed),
-            )
-        };
         if len <= INLINE {
-            crate::kernels::sorted_subset_by(set.len(), |i| set[i], len, |j| inlined(start, len, j))
-        } else if len > BLOCK {
-            subset(self.get(start, len), 0)
-        } else {
-            set.len() <= len
-                && subset(
-                    &self.blocks[start / BLOCK].get().expect(PLACED)[..],
-                    start % BLOCK,
-                )
+            let first = inlined(start, INLINE, 0);
+            let last = inlined(start, INLINE, INLINE - 1);
+            return match *set {
+                [x] => ((len != 0) & (x == last)) | ((len == INLINE) & (x == first)),
+                [x, y] => (len == INLINE) & (x == first) & (y == last),
+                _ => false,
+            };
+        }
+        let held = self.get(start, len);
+        match *set {
+            [x] => {
+                let below = held[..len - 1].partition_point(|p| p.load(Ordering::Relaxed) < x);
+                held[below].load(Ordering::Relaxed) == x
+            }
+            _ => {
+                set.len() <= len
+                    && crate::kernels::sorted_subset_by(
+                        set.len(),
+                        |i| set[i],
+                        len,
+                        |j| held[j].load(Ordering::Relaxed),
+                    )
+            }
         }
     }
 }
@@ -1037,6 +1070,82 @@ mod tests {
                         assert_eq!(sets.blocks_created() - created, long, "{engine:?}");
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn every_shape_of_the_parent_test_agrees_with_the_definition_of_subset() {
+        // Every C[p] over a ten-id universe with 0 and the ids just below
+        // NO_VERTEX, held where the pass holds it on eight-entry blocks (at
+        // most INLINE entries in its start slot, up to eight in a block, more
+        // in a long block), against every non-empty C[w] of at most three.
+        let top = NO_VERTEX - 1;
+        let universe = [0, 1, 2, 5, 7, 8, 100, top - 2, top - 1, top];
+        let subsets: Vec<Vec<VertexId>> = (0..1u32 << universe.len())
+            .map(|mask| {
+                let members = universe.iter().enumerate();
+                members
+                    .filter(|&(i, _)| mask >> i & 1 == 1)
+                    .map(|(_, &x)| x)
+                    .collect()
+            })
+            .collect();
+        let mut sets = SetArena::<8>::default();
+        sets.prepare(subsets.iter().map(Vec::len).sum(), 1);
+        let mut writer = Writer::default();
+        let starts: Vec<usize> = subsets
+            .iter()
+            .map(|p| match p.len() {
+                0..=INLINE => inline(p),
+                _ => sets.place(&mut writer, p),
+            })
+            .collect();
+        assert!(sets.blocks_created() > 1 && sets.next_long.load(Ordering::Relaxed) == 11);
+        let directory = sets.directory();
+        for (parent, &start) in subsets.iter().zip(&starts) {
+            for child in subsets.iter().filter(|s| (1..=3).contains(&s.len())) {
+                let subset = child.iter().all(|x| parent.contains(x));
+                let got = directory.contains(start, parent.len(), child);
+                assert_eq!(got, subset, "{child:?} ⊆ {parent:?}");
+            }
+        }
+        // The packing's trap: a one-entry slot's high half reads as 0.
+        assert!(!directory.contains(inline(&[5]), 1, &[0]));
+        assert!(!directory.contains(inline(&[]), 0, &[0]));
+    }
+
+    #[test]
+    fn one_entry_sets_against_long_clique_sets_match_the_pull_oracle() {
+        // A 300-clique on the lowest ids and 3,000 vertices above it, each
+        // joining two clique members a < b: each tests its one-entry set
+        // {a} against C[b], b's whole lower clique, held in a block (and in
+        // a long block of eight-entry blocks). A scrambled numbering of the
+        // same graph mixes in tests that fail and sets of every length.
+        let (k, n) = (300, 3_300);
+        let clique = (0..k).flat_map(|u| (u + 1..k).map(move |v| (u, v)));
+        let joins = (k..n).flat_map(|v| {
+            let a = v * 7 % k;
+            let b = (a + 1 + v * 13 % (k - 1)) % k;
+            [(a, v), (b, v)]
+        });
+        let edges: Vec<Edge> = clique.chain(joins).collect();
+        let relabel = |v: VertexId| v * 1_009 % n;
+        let scrambled = edges.iter().map(|&(u, v)| (relabel(u), relabel(v)));
+        for g in [
+            graph_from_edges(n as usize, edges.iter().copied()),
+            graph_from_edges(n as usize, scrambled),
+        ] {
+            let expected = extract_pull_reference(&g, true);
+            let mut small = SetArena::<8>::default();
+            let (mut clen, mut starts) = (Published::default(), Vec::new());
+            for engine in [Engine::serial(), Engine::chunked(2), Engine::chunked(8)] {
+                let config = ExtractorConfig::default()
+                    .with_engine(engine)
+                    .with_stats(true);
+                assert_eq!(config.extract(&g), expected, "{engine:?}");
+                let edges = pass_with(&g, engine, &mut small, &mut clen, &mut starts);
+                assert_eq!(edges, expected.edges(), "{engine:?} on eight-entry blocks");
             }
         }
     }

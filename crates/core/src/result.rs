@@ -41,6 +41,28 @@ impl ChordalResult {
         }
     }
 
+    /// Assembles a result from edges that are already canonical, sorted
+    /// and distinct, as Algorithm 1's counting sort lists them; debug
+    /// builds check that, release builds trust it.
+    pub(crate) fn from_sorted(
+        num_vertices: usize,
+        chordal_edges: Vec<Edge>,
+        iterations: usize,
+        stats: Option<IterationStats>,
+    ) -> Self {
+        debug_assert!(
+            chordal_edges.iter().all(|&(u, v)| u < v)
+                && chordal_edges.windows(2).all(|pair| pair[0] < pair[1]),
+            "edges must be canonical, sorted and distinct"
+        );
+        Self {
+            num_vertices,
+            chordal_edges,
+            iterations,
+            stats,
+        }
+    }
+
     /// Number of vertices of the host graph.
     pub fn num_vertices(&self) -> usize {
         self.num_vertices

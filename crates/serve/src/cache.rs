@@ -12,10 +12,11 @@
 //! Two properties matter for the serving path:
 //!
 //! * **Zero-parse hits for binary files.** Resolving a path whose file is
-//!   binary CSR reads 48 header bytes, derives the content hash from them,
-//!   and — on a hit — never opens the data sections at all. A text file
-//!   must be parsed once to learn its hash; after that it shares the entry
-//!   with any binary copy of the same graph.
+//!   binary CSR reads 48 header bytes and derives the content hash from
+//!   them. A hit through a path the entry has already verified never opens
+//!   the data sections at all. A text file must be parsed once to learn
+//!   its hash; after that it shares the entry with any binary copy of the
+//!   same graph.
 //! * **Bounded residency.** The cache tracks an estimate of each entry's
 //!   resident bytes (file length for mapped graphs, array footprint for
 //!   heap graphs) and evicts least-recently-used entries whenever the
@@ -32,8 +33,12 @@
 //!   A failed check quarantines the entry — any resident copy under the
 //!   header-claimed hash is evicted, the `corruptions` counter is bumped,
 //!   and the caller gets [`CacheError::Corrupt`] (the wire `corrupt` code)
-//!   instead of garbage bytes. Resident *hits* skip re-verification: an
-//!   entry can only have become resident by passing the check.
+//!   instead of garbage bytes. The header only *claims* a checksum, so a
+//!   damaged copy of a resident graph claims the resident key. Each entry
+//!   therefore records the paths whose files it verified: a hit through
+//!   one of them skips re-verification, and a hit through any other path
+//!   maps that file and verifies it first, answering `corrupt` (with the
+//!   same quarantine) when the check fails.
 
 use chordal_graph::storage::{
     content_hash, content_hash_from_header, detect_format, load_graph, FileFormat, Header,
@@ -42,7 +47,7 @@ use chordal_graph::storage::{
 use chordal_graph::GraphError;
 use std::collections::HashMap;
 use std::io::Read;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// Why a cache resolution failed.
@@ -116,6 +121,18 @@ struct Entry {
     graph: Arc<LoadedGraph>,
     bytes: usize,
     last_used: u64,
+    /// The paths whose files were verified (or parsed) into this entry.
+    verified: Vec<PathBuf>,
+}
+
+/// What a binary path's header key finds in the cache.
+enum Resident {
+    /// The entry, reached through a path it has verified.
+    Verified(Arc<LoadedGraph>),
+    /// An entry that has not verified this path's file.
+    Unverified,
+    /// No entry.
+    Absent,
 }
 
 /// Mutable cache state behind the one lock.
@@ -221,27 +238,43 @@ impl GraphCache {
     /// Looks up a resident graph by its content hash, bumping its LRU
     /// position. Counts a hit or a miss.
     pub fn get(&self, hash: u64) -> Option<Arc<LoadedGraph>> {
+        match self.resident(hash, None) {
+            Resident::Verified(graph) => Some(graph),
+            Resident::Unverified | Resident::Absent => None,
+        }
+    }
+
+    /// Looks up `hash`, through `path` when the key came from that file's
+    /// header. A resident entry counts a hit and bumps its LRU position if
+    /// it has verified `path` (or no path is given); no entry counts a
+    /// miss; an entry that has not verified `path` counts nothing yet,
+    /// since the caller verifies the file first.
+    fn resident(&self, hash: u64, path: Option<&Path>) -> Resident {
         let mut inner = self.inner.lock().expect("cache lock");
         inner.tick += 1;
         let tick = inner.tick;
         match inner.map.get_mut(&hash) {
-            Some(entry) => {
+            Some(entry) if path.is_none_or(|path| entry.verified.iter().any(|p| p == path)) => {
                 entry.last_used = tick;
                 let graph = Arc::clone(&entry.graph);
                 inner.hits += 1;
-                Some(graph)
+                Resident::Verified(graph)
             }
+            Some(_) => Resident::Unverified,
             None => {
                 inner.misses += 1;
-                None
+                Resident::Absent
             }
         }
     }
 
     /// Resolves a path through the cache: derive the content hash as
-    /// cheaply as the format allows, return the resident entry on a hit,
-    /// verify + load + insert + evict-to-budget on a miss. Returns the
-    /// graph, its content hash, and whether the lookup hit.
+    /// cheaply as the format allows, return the resident entry on a hit
+    /// through a path it has verified, verify + load + insert +
+    /// evict-to-budget on a miss. A binary file whose header names a
+    /// resident entry that has not verified its path is loaded and
+    /// verified like a miss, then served from the entry as a hit. Returns
+    /// the graph, its content hash, and whether the lookup hit.
     pub fn get_or_load(
         &self,
         path: &Path,
@@ -265,18 +298,21 @@ impl GraphCache {
             return Err(self.quarantine(hash, "injected cache corruption".to_string()));
         }
         // Binary fast path: the content hash is a function of the header,
-        // so a resident graph costs one 48-byte read — no section parse,
-        // no second mmap. A fast-path lookup that comes up empty already
-        // counted the miss; remember that so the slow path below does not
-        // count the same resolution twice.
+        // so a resident graph that has verified this path costs one 48-byte
+        // read — no section parse, no second mmap. A fast-path lookup that
+        // comes up empty already counted the miss; remember that so the
+        // slow path below does not count the same resolution twice. An
+        // entry that has not verified this path falls through to the
+        // checksum below, which serves it as a hit only if the file passes.
         let mut miss_counted = false;
         if format == FileFormat::Binary {
             if let Some(header) = binary_header(path) {
                 let hash = content_hash_from_header(&header);
-                if let Some(graph) = self.get(hash) {
-                    return Ok((graph, hash, true));
+                match self.resident(hash, Some(path)) {
+                    Resident::Verified(graph) => return Ok((graph, hash, true)),
+                    Resident::Unverified => {}
+                    Resident::Absent => miss_counted = true,
                 }
-                miss_counted = true;
             }
         }
         let loaded = load_graph(path, Some(format))?;
@@ -298,12 +334,16 @@ impl GraphCache {
         };
         // The load above raced nothing (text files can't know their hash
         // before parsing), so re-check residency before inserting: another
-        // session may have loaded the same graph meanwhile.
+        // session may have loaded the same graph meanwhile, or the entry
+        // is resident and this path's file has just been verified for it.
         let mut inner = self.inner.lock().expect("cache lock");
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(entry) = inner.map.get_mut(&hash) {
             entry.last_used = tick;
+            if !entry.verified.iter().any(|p| p == path) {
+                entry.verified.push(path.to_path_buf());
+            }
             let graph = Arc::clone(&entry.graph);
             inner.hits += 1;
             return Ok((graph, hash, true));
@@ -319,6 +359,7 @@ impl GraphCache {
                 graph: Arc::clone(&graph),
                 bytes,
                 last_used: tick,
+                verified: vec![path.to_path_buf()],
             },
         );
         inner.resident_bytes += bytes;
@@ -470,6 +511,37 @@ mod tests {
             Err(CacheError::Corrupt { .. })
         ));
         assert_eq!(cache.stats().corruptions, 2);
+    }
+
+    #[test]
+    fn a_resident_graph_does_not_vouch_for_a_damaged_copy_at_another_path() {
+        let mut scratch = Scratch(Vec::new());
+        let (_, bin) = write_pair(&mut scratch, "intact", 7, 23);
+        let copy = scratch.path("copy.bin");
+        std::fs::copy(&bin, &copy).unwrap();
+        // The damaged copy's header still claims the intact graph's key.
+        let damaged = scratch.path("damaged.bin");
+        let mut bytes = std::fs::read(&bin).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x55;
+        std::fs::write(&damaged, &bytes).unwrap();
+        let cache = GraphCache::new(usize::MAX);
+        let (_, hash, hit) = cache.get_or_load(&bin, None).unwrap();
+        assert!(!hit);
+        // An intact copy at another path passes its check and hits.
+        let (_, copy_hash, copy_hit) = cache.get_or_load(&copy, None).unwrap();
+        assert_eq!((copy_hash, copy_hit), (hash, true));
+        match cache.get_or_load(&damaged, None) {
+            Err(CacheError::Corrupt { claimed_hash, .. }) => assert_eq!(claimed_hash, hash),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.corruptions), (1, 1, 1));
+        // The quarantine evicted the resident copy under the claimed key;
+        // the intact file re-admits it.
+        assert_eq!(stats.entries, 0);
+        let (_, rehash, hit) = cache.get_or_load(&bin, None).unwrap();
+        assert_eq!((rehash, hit), (hash, false));
     }
 
     #[test]

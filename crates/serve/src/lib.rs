@@ -119,10 +119,12 @@
 //! extractions. On a **miss**, admission verifies the stored checksum
 //! against the data sections before the entry may become resident — a
 //! corrupt file is quarantined with a `corrupt` error instead of being
-//! served; hits skip re-verification because residency implies the check
-//! passed. A **text** file must be parsed once, after which its hash
-//! equals its converted binary's — the two on-disk representations of one
-//! graph share a single cache entry. A v1 or v2 file keeps the key of its
+//! served. A hit skips re-verification only through a path whose file the
+//! entry has verified: a damaged copy's header still claims the resident
+//! key, so a hit through any other path verifies that file first. A
+//! **text** file must be parsed once, after which its hash equals its
+//! converted binary's — the two on-disk representations of one graph
+//! share a single cache entry. A v1 or v2 file keeps the key of its
 //! byte-FNV checksum, so it and a v3 file of the same graph are two
 //! entries. Entries are evicted LRU when resident
 //! bytes exceed [`ServeConfig::cache_budget_bytes`]; in-flight extractions
