@@ -48,6 +48,7 @@ pub fn measure_point(
     let stats_before = chordal_runtime::pool_stats();
     let (elapsed, result) = time_best_of(repeats, || session.extract(input));
     let stats = chordal_runtime::pool_stats();
+    let doacross = session.workspace().doacross_counts();
     ScalingPoint {
         experiment: experiment.to_string(),
         graph: name.to_string(),
@@ -57,6 +58,8 @@ pub fn measure_point(
         seconds: elapsed.as_secs_f64(),
         chordal_edges: result.num_chordal_edges(),
         iterations: result.iterations,
+        deferred: doacross.deferred,
+        blocked_waits: doacross.blocked_waits,
         workspace_bytes: session.workspace().allocated_bytes(),
         regions: stats.regions - stats_before.regions,
         region_overhead_ns: chordal_runtime::estimated_region_overhead_ns_for(threads),

@@ -31,6 +31,13 @@ pub struct SpeedupRow {
     pub parallel_seconds: f64,
     /// `serial_seconds / parallel_seconds`.
     pub speedup: f64,
+    /// Edges of the chordal subgraph (equal at both points).
+    pub chordal_edges: usize,
+    /// Vertices the full-parallelism point's last run set aside because a
+    /// parent's set was unpublished.
+    pub deferred: usize,
+    /// Waits of the full-parallelism point's last run that blocked.
+    pub blocked_waits: usize,
     /// Bytes the one-thread point's workspace kept
     /// (`Workspace::allocated_bytes`).
     pub serial_workspace_bytes: usize,
@@ -48,6 +55,9 @@ impl_to_json!(SpeedupRow {
     serial_seconds,
     parallel_seconds,
     speedup,
+    chordal_edges,
+    deferred,
+    blocked_waits,
     serial_workspace_bytes,
     parallel_workspace_bytes
 });
@@ -100,6 +110,9 @@ fn measure_graph(named: NamedGraph, options: &HarnessOptions, rows: &mut Vec<Spe
             } else {
                 f64::NAN
             },
+            chordal_edges: many.chordal_edges,
+            deferred: many.deferred,
+            blocked_waits: many.blocked_waits,
             serial_workspace_bytes: one.workspace_bytes,
             parallel_workspace_bytes: many.workspace_bytes,
         });
@@ -114,7 +127,7 @@ pub fn run_and_print(options: &HarnessOptions) -> Vec<SpeedupRow> {
         options.max_threads
     );
     println!(
-        "  {:<16} {:>6} {:>7} {:>12} {:>12} {:>9} {:>11} {:>11}",
+        "  {:<16} {:>6} {:>7} {:>12} {:>12} {:>9} {:>11} {:>11} {:>10} {:>9} {:>8}",
         "graph",
         "engine",
         "variant",
@@ -122,11 +135,14 @@ pub fn run_and_print(options: &HarnessOptions) -> Vec<SpeedupRow> {
         "T(max) [s]",
         "speedup",
         "WS(1) [MB]",
-        "WS(max) [MB]"
+        "WS(max) [MB]",
+        "EC edges",
+        "deferred",
+        "blocked"
     );
     for r in &rows {
         println!(
-            "  {:<16} {:>6} {:>7} {:>12.4} {:>12.4} {:>9.2} {:>11.2} {:>11.2}",
+            "  {:<16} {:>6} {:>7} {:>12.4} {:>12.4} {:>9.2} {:>11.2} {:>11.2} {:>10} {:>9} {:>8}",
             r.graph,
             r.engine,
             r.variant,
@@ -134,7 +150,10 @@ pub fn run_and_print(options: &HarnessOptions) -> Vec<SpeedupRow> {
             r.parallel_seconds,
             r.speedup,
             r.serial_workspace_bytes as f64 / 1e6,
-            r.parallel_workspace_bytes as f64 / 1e6
+            r.parallel_workspace_bytes as f64 / 1e6,
+            r.chordal_edges,
+            r.deferred,
+            r.blocked_waits
         );
     }
     let records: Vec<_> = rows
@@ -162,6 +181,10 @@ mod tests {
         assert!(rows.iter().all(|r| r.speedup.is_finite()));
         for r in &rows {
             assert!(r.vertices > 0 && r.directed_edges > 0, "{r:?}");
+            assert!(
+                r.chordal_edges > 0 && r.chordal_edges * 2 <= r.directed_edges,
+                "{r:?}"
+            );
             assert!(r.serial_workspace_bytes > 0, "{r:?}");
             assert!(r.parallel_workspace_bytes > 0, "{r:?}");
         }

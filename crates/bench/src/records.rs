@@ -31,6 +31,13 @@ pub struct ScalingPoint {
     pub chordal_edges: usize,
     /// Number of outer iterations.
     pub iterations: usize,
+    /// Vertices the doacross of the last timed run set aside because a
+    /// parent's set was unpublished ([`chordal_core::DoacrossCounts`]); 0 on
+    /// one thread.
+    pub deferred: usize,
+    /// Waits of the last timed run that found their parent's set
+    /// unpublished and blocked; 0 on one thread.
+    pub blocked_waits: usize,
     /// Heap bytes retained by the session workspace after the runs
     /// ([`chordal_core::Workspace::allocated_bytes`]) — the steady-state
     /// memory footprint of the serving path.
@@ -53,6 +60,8 @@ impl_to_json!(ScalingPoint {
     seconds,
     chordal_edges,
     iterations,
+    deferred,
+    blocked_waits,
     workspace_bytes,
     regions,
     region_overhead_ns,
@@ -372,6 +381,8 @@ mod tests {
             seconds: 0.125,
             chordal_edges: 1000,
             iterations: 3,
+            deferred: 12,
+            blocked_waits: 2,
             workspace_bytes: 65_536,
             regions: 40,
             region_overhead_ns: 4_200,
@@ -379,6 +390,7 @@ mod tests {
         let json = p.to_json();
         assert!(json.contains("\"threads\":4"));
         assert!(json.contains("RMAT-ER"));
+        assert!(json.contains("\"deferred\":12,\"blocked_waits\":2"));
         assert!(json.contains("\"workspace_bytes\":65536"));
         assert!(json.contains("\"regions\":40"));
         assert!(json.contains("\"region_overhead_ns\":4200"));

@@ -203,9 +203,10 @@ pub fn sorted_subset(a: &[VertexId], b: &[VertexId]) -> bool {
 /// Algorithm 1 reads each element with an atomic load, so it cannot hand
 /// out a `&[u32]`. Semantically identical to materialising both sequences
 /// and calling [`sorted_subset`]. Algorithm 1 calls it only to test a
-/// multi-entry `C[w]` against a block-held `C[p]`: its data-dependent
-/// early exits mispredict, so the pass tests a one-entry `C[w]` by a
-/// lower bound and a `C[p]` packed in its start slot by comparisons.
+/// multi-entry `C[w]` against a block-held `C[p]`, and only once the set's
+/// signature and its last entry have passed: its data-dependent early
+/// exits mispredict, so the pass tests a one-entry `C[w]` by a lower bound
+/// and a `C[p]` packed in its start slot by comparisons.
 #[inline]
 pub fn sorted_subset_by<A, B>(len_a: usize, a: A, len_b: usize, b: B) -> bool
 where

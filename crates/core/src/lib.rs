@@ -143,6 +143,7 @@ pub mod workspace;
 pub use config::{AdjacencyMode, ExtractorConfig};
 pub use error::ExtractError;
 pub use extractor::Algorithm;
+pub use parallel::DoacrossCounts;
 pub use result::ChordalResult;
 pub use session::{ExtractionSession, SchedulerFeedback};
 pub use stats::IterationStats;

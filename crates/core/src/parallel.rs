@@ -27,7 +27,9 @@
 //! per-vertex start slot, and its set's length in a [`Published`] array.
 //! A set of at most two entries, most sets on R-MAT, skips the blocks:
 //! its entries are packed into the start slot itself, so a child that
-//! tests against it reads no block at all.
+//! tests against it reads no block at all. A longer set's start slot keeps
+//! the start in its low 40 bits and the set's 24-bit signature above them
+//! (`signature`): a one-word Bloom filter with one bit per entry.
 //! Blocks, start slots and lengths live in a caller-supplied
 //! [`Workspace`] ([`ExtractorConfig::extract_into`]), so repeated
 //! extractions reuse them. The pass copies nothing from the graph.
@@ -41,26 +43,61 @@
 //! can asynchronously update" taken to its limit. On a one-thread engine
 //! the pass is a plain loop. On the pool it is a doacross
 //! ([`Published::doacross`]): participants claim 64-vertex pieces in
-//! ascending order, and `w` waits until `|C[p]|` is published. That wait is
-//! an acquire load paired with the release store that ends `p`'s step, so
-//! the block holding `C[p]`, whose creation came first, and the relaxed
-//! stores of `C[p]`'s entries and of its start are visible once it
-//! returns. `w` needs no wait for its first parent: an empty `C[w]` is a
-//! subset of any set. The output depends neither on the engine nor on the
-//! thread count or the schedule, and equals the serial oracle
-//! [`crate::reference::extract_pull_reference`].
+//! ascending order, and `w` reads `C[p]` only once `|C[p]|` is published.
+//! That read is an acquire load paired with the release store that ends
+//! `p`'s step, so the block holding `C[p]`, whose creation came first, and
+//! the relaxed stores of `C[p]`'s entries and of its start are visible
+//! once it returns a length. `w` needs no length for its first parent: an
+//! empty `C[w]` is a subset of any set. The output depends neither on the
+//! engine nor on the thread count or the schedule, and equals the serial
+//! oracle [`crate::reference::extract_pull_reference`].
+//!
+//! # Deferring instead of waiting
+//!
+//! Each `C[w]` depends only on its parents' final sets, so any order that
+//! finishes parents first gives the same sets, and `sorted_edges` sorts
+//! the result wherever the sets were placed. A pool participant therefore
+//! does not spin on a parent it finds unpublished ([`Published::peek`]).
+//! It sets `w` aside on a pending list of its own, with its staged prefix
+//! of `C[w]`, that prefix's signature and the parent where its walk
+//! stopped, and moves on to `w + 1`. A later vertex whose parent is
+//! pending finds that parent unpublished and is set aside too. At the end
+//! of each piece the participant retries its pending vertices in ascending
+//! order without waiting; those still stopped stay. Only when the list is
+//! full (`PENDING`, one piece's worth) or once it has claimed its last
+//! piece does it finish them in ascending order, waiting where it must. The
+//! piece it depends on is usually the other participant's concurrent one,
+//! which is still running when its own piece ends, so finishing at every
+//! piece's end would still block: on RMAT-B(16), a variant that did
+//! blocked about 450 times per two-thread run, the full-list rule about 20
+//! (the pass that spun on every unpublished parent: about 800).
+//!
+//! The pass cannot deadlock. The owner of the lowest unpublished vertex
+//! never blocks: all of that vertex's parents are published, any pending
+//! vertex it could block on would be lower, and fresh vertices never
+//! block. A one-thread pass never meets an unpublished parent, so its loop
+//! keeps no list and no counts (`Pull::run`'s `DEFER` is false there).
+//! [`Workspace::doacross_counts`] reports the deferrals and blocking waits
+//! of the last pass.
 //!
 //! # Cost
 //!
 //! The pass is bound by the branches of its parent tests, not by memory.
 //! Walking every parent of RMAT-ER/G/B(16) and loading both of its
 //! per-vertex words (length and start) takes 1.5–3 ms per graph on a
-//! 2-core x86-64 host, the pass 5–14 ms. Nearly every test asks whether
-//! `C[w]`'s one entry, its lowest parent, is in `C[p]`, and on ER and G
-//! nearly every `C[p]` that passes the length check sits in its start
-//! slot (on B about half). So those two shapes are tested without a
-//! data-dependent branch (`Directory::contains`): a merge's early exits
-//! would mispredict on nearly every edge.
+//! 2-core x86-64 host, the one-thread pass about 4, 4 and 8 ms (minima of
+//! interleaved runs). Nearly every test asks whether `C[w]`'s one entry,
+//! its lowest parent, is in `C[p]`, and on ER and G nearly every `C[p]`
+//! that passes the length check sits in its start slot (on B about half).
+//! So those two shapes are tested without a data-dependent branch
+//! (`Directory::contains`): a merge's early exits would mispredict on
+//! nearly every edge. On RMAT-B(16), 44% of the tests read a block-held
+//! set; the signature rules out 86% of those before the block is read,
+//! and a multi-entry `C[w]` that passes it is missing its last entry, which
+//! the test looks for first, in 56% of the rest. Without the signature and
+//! the deferral, RMAT-B(16)'s one-thread pass took 11.5 ms, now 7.6–7.9,
+//! and its two-thread pass 10.4–11.5 ms, now 5.7 (minima of interleaved
+//! runs).
 //!
 //! The bulk-synchronous reading of the pseudocode, in which iteration `t`
 //! tests every vertex against its `t`-th parent's set as it stood when the
@@ -75,8 +112,9 @@ use crate::result::ChordalResult;
 use crate::stats::IterationStats;
 use crate::workspace::Workspace;
 use chordal_graph::{Edge, GraphRef, VertexId, NO_VERTEX};
-use chordal_runtime::publish::doacross_participants;
+use chordal_runtime::publish::{doacross_participants, DOACROSS_PIECE};
 use chordal_runtime::{Engine, Published};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -100,6 +138,7 @@ pub(crate) fn extract_into(
     let n = graph.num_vertices();
     let mut stats = config.record_stats.then(IterationStats::new);
     if n == 0 {
+        workspace.doacross = DoacrossCounts::default();
         return ChordalResult::from_sorted(0, Vec::new(), 0, stats);
     }
     let participants = doacross_participants(&config.engine, n);
@@ -112,7 +151,8 @@ pub(crate) fn extract_into(
         neighbors: graph.adjacency(),
         offsets: graph.offsets(),
     };
-    let edges = pass(&config.engine, adjacency, clen, sets, &mut starts[..n]);
+    let (edges, doacross) = pass(&config.engine, adjacency, clen, sets, &mut starts[..n]);
+    workspace.doacross = doacross;
     // One pass, in which every vertex with a child serves as a parent.
     let iterations = usize::from(graph.num_directed_edges() > 0);
     if let Some(s) = stats.as_mut().filter(|_| iterations == 1) {
@@ -140,6 +180,12 @@ impl<'a> Adjacency<'a> {
     #[inline]
     fn of(&self, v: usize) -> &'a [VertexId] {
         &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
+    }
+
+    /// How many neighbours `v` has: at most that many parents.
+    #[inline]
+    fn degree(&self, v: usize) -> usize {
+        self.offsets[v + 1] - self.offsets[v]
     }
 
     /// The parents of `w` in ascending order.
@@ -200,17 +246,31 @@ impl Iterator for Parents<'_> {
 }
 
 /// The pass on an arena prepared for `adjacency` ([`SetArena::prepare`]),
-/// then the result edges in canonical order ([`sorted_edges`]). `starts`
-/// has one slot per vertex.
+/// then the result edges in canonical order ([`sorted_edges`]) and what the
+/// doacross did. `starts` has one slot per vertex.
 fn pass<const BLOCK: usize>(
     engine: &Engine,
     adjacency: Adjacency<'_>,
     clen: &mut Published,
     sets: &mut SetArena<BLOCK>,
     starts: &mut [AtomicUsize],
-) -> Vec<Edge> {
-    pull(engine, adjacency, clen, sets, starts);
-    sorted_edges(clen, sets, starts)
+) -> (Vec<Edge>, DoacrossCounts) {
+    let doacross = pull(engine, adjacency, clen, sets, starts);
+    (sorted_edges(clen, sets, starts), doacross)
+}
+
+/// What the doacross of an Algorithm 1 pass did, summed over its
+/// participants when they finish ([`Workspace::doacross_counts`]). A
+/// one-thread pass counts nothing: it never meets an unpublished parent.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DoacrossCounts {
+    /// Vertices set aside because a parent's set was not yet published.
+    pub deferred: usize,
+    /// Waits that found their parent's set unpublished and blocked.
+    pub blocked_waits: usize,
+    /// Times a participant's pending list was full, so that it finished
+    /// every vertex on it before setting another aside.
+    pub full_lists: usize,
 }
 
 /// The pass (module docs): every vertex, in ascending order, tests its set
@@ -218,57 +278,276 @@ fn pass<const BLOCK: usize>(
 /// Each participant builds `C[w]` in its own buffer and places it in
 /// `sets` ([`SetArena::place`]), or packs it into `starts[w]` when it has
 /// at most [`INLINE`] entries. It stores the set's start in `starts[w]` and
-/// then publishes `|C[w]|` to `clen`, so a child that waits on the length
-/// reads the start after it.
+/// then publishes `|C[w]|` to `clen`, so a child that reads the length
+/// reads the start after it. On the pool a participant sets a vertex with
+/// an unpublished parent aside ([`Pull::run`]) and finishes it later.
 fn pull<const BLOCK: usize>(
     engine: &Engine,
     adjacency: Adjacency<'_>,
     clen: &Published,
     sets: &SetArena<BLOCK>,
     starts: &[AtomicUsize],
-) {
+) -> DoacrossCounts {
+    let pull = Pull {
+        adjacency,
+        clen,
+        sets,
+        directory: sets.directory(),
+        starts,
+    };
+    let n = adjacency.num_vertices();
+    if doacross_participants(engine, n) <= 1 {
+        clen.doacross(
+            engine,
+            n,
+            Participant::default,
+            |me, range| pull.run::<false>(me, range),
+            |_| {},
+        );
+        return DoacrossCounts::default();
+    }
+    let [deferred, blocked_waits, full_lists] = [0; 3].map(AtomicUsize::new);
     clen.doacross(
         engine,
-        adjacency.num_vertices(),
-        || (Vec::new(), Writer::default()),
-        |(buffer, writer), range| {
-            let directory = sets.directory();
-            for w in range {
-                // A set holds at most its vertex's degree.
-                let degree = adjacency.offsets[w + 1] - adjacency.offsets[w];
-                if buffer.len() < degree {
-                    buffer.resize(degree, 0);
-                }
-                let set_w = &mut buffer[..degree];
-                let mut len_w = 0;
-                for p in adjacency.parents(w) {
-                    let p_idx = p as usize;
-                    let accept = len_w == 0
-                        || match clen.wait(p_idx) {
-                            Some(len_p) => directory.contains(
-                                starts[p_idx].load(Ordering::Relaxed),
-                                len_p as usize,
-                                &set_w[..len_w],
-                            ),
-                            // A piece below panicked; the caller unwinds.
-                            None => return,
-                        };
-                    if accept {
-                        set_w[len_w] = p;
-                        len_w += 1;
-                    }
-                }
-                let set_w = &set_w[..len_w];
-                let start = if len_w <= INLINE {
-                    inline(set_w)
-                } else {
-                    sets.place(writer, set_w)
-                };
-                starts[w].store(start, Ordering::Relaxed);
-                clen.publish(w, len_w as u32);
-            }
+        n,
+        Participant::default,
+        |me, range| pull.run::<true>(me, range),
+        |me| {
+            pull.retry::<true>(me);
+            // Counts carry no data; the region's join orders them before
+            // the totals are read.
+            deferred.fetch_add(me.counts.deferred, Ordering::Relaxed);
+            blocked_waits.fetch_add(me.counts.blocked_waits, Ordering::Relaxed);
+            full_lists.fetch_add(me.counts.full_lists, Ordering::Relaxed);
         },
     );
+    DoacrossCounts {
+        deferred: deferred.into_inner(),
+        blocked_waits: blocked_waits.into_inner(),
+        full_lists: full_lists.into_inner(),
+    }
+}
+
+/// Vertices a pool participant may hold aside at once: one piece's worth.
+/// On RMAT-B(18), in 11 interleaved two-thread runs on a 2-core host, a
+/// list of 16 took 30.9 ms (median, 443 blocking waits), one of 64 took
+/// 28.7 ms (60) and one of 256 took 29.0 ms (0).
+const PENDING: usize = DOACROSS_PIECE;
+
+/// What every participant of the pass reads and writes.
+#[derive(Clone, Copy)]
+struct Pull<'a, const BLOCK: usize> {
+    adjacency: Adjacency<'a>,
+    clen: &'a Published,
+    sets: &'a SetArena<BLOCK>,
+    directory: Directory<'a, BLOCK>,
+    starts: &'a [AtomicUsize],
+}
+
+/// One participant's own state: the buffer it stages `C[w]` in, the block
+/// it holds, and on the pool the vertices it has set aside, in ascending
+/// order.
+#[derive(Default)]
+struct Participant<'a> {
+    buffer: Vec<VertexId>,
+    writer: Writer<'a>,
+    pending: Vec<Pending<'a>>,
+    counts: DoacrossCounts,
+}
+
+/// A vertex set aside at a parent whose set was not yet published.
+struct Pending<'a> {
+    w: usize,
+    /// The parent whose length was unpublished: the walk resumes there.
+    stalled: VertexId,
+    /// The parents after `stalled`.
+    rest: Parents<'a>,
+    /// `C[w]`'s prefix so far, in `set[..staged.len]`; `set` has `w`'s
+    /// degree.
+    set: Vec<VertexId>,
+    staged: Staged,
+}
+
+/// How much of `C[w]` is staged, and its signature ([`signature`]).
+#[derive(Clone, Copy, Default)]
+struct Staged {
+    len: usize,
+    signature: usize,
+}
+
+impl<'a, const BLOCK: usize> Pull<'a, BLOCK> {
+    /// Runs the vertices of `range` in ascending order. With `DEFER`
+    /// (two or more participants) a vertex whose next parent has an
+    /// unpublished length is set aside ([`Pull::defer`]) instead of
+    /// waited for, and the piece ends by retrying the vertices set aside
+    /// without waiting ([`Pull::retry`]). Without it (one participant)
+    /// every parent is published already, so the loop waits, which never
+    /// spins, and keeps no list.
+    fn run<const DEFER: bool>(self, me: &mut Participant<'a>, range: Range<usize>) {
+        for w in range {
+            let degree = self.adjacency.degree(w);
+            if me.buffer.len() < degree {
+                me.buffer.resize(degree, 0);
+            }
+            let mut parents = self.adjacency.parents(w);
+            let mut staged = Staged::default();
+            // The lowest parent needs no test: an empty `C[w]` is a subset
+            // of any set.
+            if let Some(p) = parents.next() {
+                me.buffer[0] = p;
+                staged = Staged {
+                    len: 1,
+                    signature: signature(p),
+                };
+            }
+            let next = parents.next();
+            let set = &mut me.buffer;
+            let walked = if DEFER {
+                self.walk(next, &mut parents, set, &mut staged, |p| self.clen.peek(p))
+            } else {
+                self.walk(next, &mut parents, set, &mut staged, |p| self.clen.wait(p))
+            };
+            match walked {
+                Ok(()) => self.publish(w, &me.buffer, staged, &mut me.writer),
+                Err(p) if DEFER => {
+                    if !self.defer(me, w, p, parents, staged) {
+                        return;
+                    }
+                }
+                // A piece below panicked; the caller unwinds.
+                Err(_) => return,
+            }
+        }
+        if DEFER && !me.pending.is_empty() {
+            self.retry::<false>(me);
+        }
+    }
+
+    /// Tests the non-empty `C[w]`, staged in `set[..staged.len]`, against
+    /// `next` and then the rest of `parents`, adding each parent whose set
+    /// holds it. `length` reads a parent's published length; the walk stops
+    /// at the first parent it gives none for and returns that parent.
+    #[inline(always)]
+    fn walk(
+        self,
+        mut next: Option<VertexId>,
+        parents: &mut Parents<'a>,
+        set: &mut [VertexId],
+        staged: &mut Staged,
+        mut length: impl FnMut(usize) -> Option<u32>,
+    ) -> Result<(), VertexId> {
+        while let Some(p) = next {
+            let p_idx = p as usize;
+            let Some(len_p) = length(p_idx) else {
+                return Err(p);
+            };
+            let slot = self.starts[p_idx].load(Ordering::Relaxed);
+            let set_w = &set[..staged.len];
+            if self
+                .directory
+                .contains(slot, len_p as usize, set_w, staged.signature)
+            {
+                set[staged.len] = p;
+                staged.len += 1;
+                staged.signature |= signature(p);
+            }
+            next = parents.next();
+        }
+        Ok(())
+    }
+
+    /// Places `C[w]`, the staged `set[..staged.len]`, and publishes its
+    /// length: a set of at most [`INLINE`] entries goes into its start
+    /// slot, a longer one into the arena, with its signature above its
+    /// start.
+    #[inline(always)]
+    fn publish(self, w: usize, set: &[VertexId], staged: Staged, writer: &mut Writer<'a>) {
+        let set = &set[..staged.len];
+        let slot = if staged.len <= INLINE {
+            inline(set)
+        } else {
+            self.sets.place(writer, set) | staged.signature
+        };
+        self.starts[w].store(slot, Ordering::Relaxed);
+        self.clen.publish(w, staged.len as u32);
+    }
+
+    /// Sets `w` aside at `stalled`, with a copy of its staging buffer cut to
+    /// `w`'s degree. (Moving the staging buffer itself into the list and
+    /// recycling the lists' buffers grew each of them to the largest degree
+    /// it had staged, and `serve-mixed`'s peak RSS by about 1 MB.) A full
+    /// list is first finished ([`Pull::retry`]). Returns false if the
+    /// doacross was aborted meanwhile.
+    #[cold]
+    #[inline(never)]
+    fn defer(
+        self,
+        me: &mut Participant<'a>,
+        w: usize,
+        stalled: VertexId,
+        rest: Parents<'a>,
+        staged: Staged,
+    ) -> bool {
+        if me.pending.len() == PENDING {
+            me.counts.full_lists += 1;
+            if !self.retry::<true>(me) {
+                return false;
+            }
+        }
+        let set = me.buffer[..self.adjacency.degree(w)].to_vec();
+        me.pending.push(Pending {
+            w,
+            stalled,
+            rest,
+            set,
+            staged,
+        });
+        me.counts.deferred += 1;
+        true
+    }
+
+    /// Retries the vertices set aside, in ascending order: each finishes,
+    /// or stays on the list at the parent that stopped it again. A later
+    /// vertex may need an earlier one's set, so ascending order lets one
+    /// sweep finish both. With `WAIT` (a full list, and once the
+    /// participant has claimed its last piece) it waits where it must, so
+    /// every vertex finishes unless the doacross was aborted. Returns
+    /// whether the list is empty.
+    ///
+    /// Waiting here cannot deadlock (module docs): the owner of the lowest
+    /// unpublished vertex never blocks.
+    #[cold]
+    #[inline(never)]
+    fn retry<const WAIT: bool>(self, me: &mut Participant<'a>) -> bool {
+        let Participant {
+            pending,
+            writer,
+            counts,
+            ..
+        } = me;
+        pending.retain_mut(|v| {
+            let length = |p| match self.clen.peek(p) {
+                None if WAIT => {
+                    counts.blocked_waits += 1;
+                    // After an abort the wait gives up: the vertex stays.
+                    self.clen.wait(p)
+                }
+                peeked => peeked,
+            };
+            let (rest, set, staged) = (&mut v.rest, &mut v.set, &mut v.staged);
+            match self.walk(Some(v.stalled), rest, set, staged, length) {
+                Ok(()) => {
+                    self.publish(v.w, &v.set, v.staged, writer);
+                    false
+                }
+                Err(p) => {
+                    v.stalled = p;
+                    true
+                }
+            }
+        });
+        pending.is_empty()
+    }
 }
 
 /// EC in canonical sorted order, counting-sorted straight from the blocks
@@ -310,7 +589,7 @@ fn sorted_edges<const BLOCK: usize>(
                 in_blocks += len;
                 longest = longest.max(len);
             }
-            for p in directory.get(start, len) {
+            for p in directory.get(start & START_MASK, len) {
                 list(p.load(Ordering::Relaxed));
             }
         }
@@ -442,11 +721,11 @@ impl<'a, const BLOCK: usize> Directory<'a, BLOCK> {
         }
     }
 
-    /// Whether the non-empty `set` is a subset of the set of `len` entries
-    /// at `start`. Both are sorted ascending (parents are accepted in
-    /// increasing-id order). The parent test takes one of three shapes,
-    /// and the two that nearly every test takes have no data-dependent
-    /// branch:
+    /// Whether the non-empty `set`, whose [`signature`] is `signature`, is a
+    /// subset of the set of `len` entries whose start slot is `slot`. Both
+    /// are sorted ascending (parents are accepted in increasing-id order).
+    /// The parent test takes one of three shapes, and the two that nearly
+    /// every test takes have no data-dependent branch:
     ///
     /// * **A set in its start slot** (at most [`INLINE`] entries): its
     ///   entries are compared with `set`'s one or two through [`inlined`],
@@ -459,37 +738,48 @@ impl<'a, const BLOCK: usize> Directory<'a, BLOCK> {
     ///   `len` (std's `partition_point`), then one equality with the entry
     ///   it lands on. Most tests ask whether `w`'s lowest parent is in
     ///   `C[p]`.
-    /// * **A longer `set` against a set in a block**: an ordered merge
-    ///   ([`crate::kernels::sorted_subset_by`]) after the length check.
+    /// * **A longer `set` against a set in a block**: the same lower bound
+    ///   finds `set`'s last entry first, which is missing in most such
+    ///   tests, and only then does an ordered merge
+    ///   ([`crate::kernels::sorted_subset_by`]) look for the rest of `set`
+    ///   among the entries below it.
+    ///
+    /// A set in a block carries its signature above its start. Before
+    /// either of the last two shapes reads the block, a signature that
+    /// lacks a bit of `signature` rules the set out: some entry of `set`
+    /// is not in it. On RMAT-B(16) this leaves 14% of the block tests.
     ///
     /// The arena's entries are atomic and read with relaxed loads (the same
-    /// instruction as a plain load).
-    #[inline]
-    fn contains(self, start: usize, len: usize, set: &[VertexId]) -> bool {
+    /// instruction as a plain load). Always inlined: the pass calls it from
+    /// several loops, and with a plain `#[inline]` LLVM outlined it, which
+    /// slowed the one-thread pass on RMAT-ER/G(16) by 11–16%.
+    #[inline(always)]
+    fn contains(self, slot: usize, len: usize, set: &[VertexId], signature: usize) -> bool {
         if len <= INLINE {
-            let first = inlined(start, INLINE, 0);
-            let last = inlined(start, INLINE, INLINE - 1);
+            let first = inlined(slot, INLINE, 0);
+            let last = inlined(slot, INLINE, INLINE - 1);
             return match *set {
                 [x] => ((len != 0) & (x == last)) | ((len == INLINE) & (x == first)),
                 [x, y] => (len == INLINE) & (x == first) & (y == last),
                 _ => false,
             };
         }
-        let held = self.get(start, len);
+        if signature & !slot != 0 {
+            return false;
+        }
+        let held = self.get(slot & START_MASK, len);
+        let entry = |j: usize| held[j].load(Ordering::Relaxed);
         match *set {
             [x] => {
                 let below = held[..len - 1].partition_point(|p| p.load(Ordering::Relaxed) < x);
-                held[below].load(Ordering::Relaxed) == x
+                entry(below) == x
             }
-            _ => {
-                set.len() <= len
-                    && crate::kernels::sorted_subset_by(
-                        set.len(),
-                        |i| set[i],
-                        len,
-                        |j| held[j].load(Ordering::Relaxed),
-                    )
+            [ref rest @ .., last] => {
+                let below = held[..len - 1].partition_point(|p| p.load(Ordering::Relaxed) < last);
+                entry(below) == last
+                    && crate::kernels::sorted_subset_by(rest.len(), |i| rest[i], below, entry)
             }
+            [] => true,
         }
     }
 }
@@ -497,6 +787,33 @@ impl<'a, const BLOCK: usize> Directory<'a, BLOCK> {
 /// Sets of at most this many entries live in their start slot itself,
 /// not in a block: a `usize` holds two `u32` ids on a 64-bit target.
 const INLINE: usize = std::mem::size_of::<usize>() / std::mem::size_of::<VertexId>();
+
+/// Bits above the start in a block-held set's start slot, which hold the
+/// set's signature ([`signature`]). A 32-bit target has no room for one:
+/// there every signature is empty and the parent test reads the block.
+#[cfg(target_pointer_width = "64")]
+const SIGNATURE_BITS: u32 = 24;
+#[cfg(not(target_pointer_width = "64"))]
+const SIGNATURE_BITS: u32 = 0;
+
+/// The bits of a start slot that hold a block-held set's start: 40 on a
+/// 64-bit target, enough for a graph of fewer than about 2^39 adjacency
+/// entries ([`SetArena::prepare`] checks it).
+const START_MASK: usize = usize::MAX >> SIGNATURE_BITS;
+
+/// The signature bit of entry `x`, in its place above a start slot's
+/// start: bit `(u64::from(x.wrapping_mul(0x9E37_79B9)) * 24) >> 32` of the
+/// 24 (a multiplicative hash's top bits, scaled). A set's signature is the
+/// OR of its entries' bits, a one-word Bloom filter (Bloom, CACM 1970): a
+/// set whose signature lacks a bit of another's cannot hold that other.
+#[inline]
+fn signature(x: VertexId) -> usize {
+    if SIGNATURE_BITS == 0 {
+        return 0;
+    }
+    let bit = (u64::from(x.wrapping_mul(0x9E37_79B9)) * u64::from(SIGNATURE_BITS)) >> 32;
+    1 << (usize::BITS - SIGNATURE_BITS + bit as u32)
+}
 
 /// A set of at most [`INLINE`] entries packed into a start slot, the first
 /// entry in the highest bits.
@@ -532,8 +849,20 @@ impl<const BLOCK: usize> SetArena<BLOCK> {
     /// entries by `participants`, rewinds both cursors and drops the last
     /// run's long blocks. Returns whether a directory had to grow; the
     /// blocks a run creates count in [`SetArena::blocks_created`].
+    ///
+    /// # Panics
+    /// Panics if a start could exceed the start field of a start slot
+    /// ([`START_MASK`]): a graph of about 2^39 adjacency entries or more
+    /// on a 64-bit target.
     pub(crate) fn prepare(&mut self, adjacency: usize, participants: usize) -> bool {
         let (blocks, long) = Self::bounds(adjacency, participants);
+        let end = blocks
+            .checked_mul(BLOCK)
+            .filter(|&end| end.saturating_sub(1) <= START_MASK);
+        assert!(
+            end.is_some(),
+            "{adjacency} adjacency entries: set starts would not fit a start slot"
+        );
         let grew = self.blocks.len() < blocks || self.long.len() < long;
         if self.blocks.len() < blocks {
             self.blocks.resize_with(blocks, OnceLock::new);
@@ -1020,7 +1349,7 @@ mod tests {
             neighbors: graph.adjacency(),
             offsets: graph.offsets(),
         };
-        pass(&engine, adjacency, clen, sets, &mut starts[..n])
+        pass(&engine, adjacency, clen, sets, &mut starts[..n]).0
     }
 
     /// Places `set` and reads it back from where the arena says it starts.
@@ -1092,27 +1421,161 @@ mod tests {
             })
             .collect();
         let mut sets = SetArena::<8>::default();
-        sets.prepare(subsets.iter().map(Vec::len).sum(), 1);
+        sets.prepare(subsets.iter().map(Vec::len).sum::<usize>() + 16, 1);
         let mut writer = Writer::default();
-        let starts: Vec<usize> = subsets
-            .iter()
-            .map(|p| match p.len() {
-                0..=INLINE => inline(p),
-                _ => sets.place(&mut writer, p),
-            })
-            .collect();
+        let mut slot = |p: &[VertexId]| match p.len() {
+            0..=INLINE => inline(p),
+            _ => sets.place(&mut writer, p) | signature_of(p),
+        };
+        let starts: Vec<usize> = subsets.iter().map(|p| slot(p)).collect();
+        // Two ids with the same signature bit, and a block-held set that
+        // holds the first but not the second: its signature covers sets it
+        // does not hold.
+        let (a, b) = (0..)
+            .flat_map(|b| (0..b).map(move |a| (a, b)))
+            .find(|&(a, b)| a > 2 && signature(a) == signature(b))
+            .expect("24 bits collide");
+        let top_parent = [1, a, b + 1, b + 2];
+        let collides = slot(&top_parent);
         assert!(sets.blocks_created() > 1 && sets.next_long.load(Ordering::Relaxed) == 11);
         let directory = sets.directory();
         for (parent, &start) in subsets.iter().zip(&starts) {
             for child in subsets.iter().filter(|s| (1..=3).contains(&s.len())) {
                 let subset = child.iter().all(|x| parent.contains(x));
-                let got = directory.contains(start, parent.len(), child);
+                let got = directory.contains(start, parent.len(), child, signature_of(child));
                 assert_eq!(got, subset, "{child:?} ⊆ {parent:?}");
             }
         }
         // The packing's trap: a one-entry slot's high half reads as 0.
-        assert!(!directory.contains(inline(&[5]), 1, &[0]));
-        assert!(!directory.contains(inline(&[]), 0, &[0]));
+        assert!(!directory.contains(inline(&[5]), 1, &[0], signature(0)));
+        assert!(!directory.contains(inline(&[]), 0, &[0], signature(0)));
+        // Past the signature: `b` collides with `a`, so only the block
+        // tells the sets apart, whether `b` is `C[w]`'s last entry or an
+        // earlier one whose last entry `C[p]` holds.
+        for (child, subset) in [
+            (vec![b], false),
+            (vec![a], true),
+            (vec![1, b], false),
+            (vec![b, b + 2], false),
+            (vec![1, b, b + 2], false),
+            (vec![1, a, b + 2], true),
+            (vec![a, b + 1, b + 2], true),
+        ] {
+            let covers = signature_of(&child) & !collides == 0;
+            let got = directory.contains(collides, top_parent.len(), &child, signature_of(&child));
+            assert!(covers, "{child:?}'s signature is covered");
+            assert_eq!(got, subset, "{child:?} ⊆ {top_parent:?}");
+        }
+    }
+
+    /// The signature of `set` ([`signature`]).
+    fn signature_of(set: &[VertexId]) -> usize {
+        set.iter().fold(0, |bits, &x| bits | signature(x))
+    }
+
+    /// Vertices `1..n` on a path, each also joined to vertex 0: every
+    /// vertex's one tested parent is the one before it (its lowest parent,
+    /// 0, needs no test), so each vertex waits on its predecessor. A bare
+    /// path never reads a parent at all.
+    fn fan(n: usize) -> CsrGraph {
+        let n = n as VertexId;
+        let spokes = (1..n).map(|w| (0, w));
+        graph_from_edges(n as usize, spokes.chain((2..n).map(|w| (w - 1, w))))
+    }
+
+    #[test]
+    fn the_deferring_pool_pass_matches_the_pull_oracle() {
+        // Graphs whose vertices wait on the piece before theirs: the fan,
+        // where every vertex waits on its predecessor; `complete(150)`,
+        // where each waits on all of its parents; and a graph where every
+        // vertex has a parent 64 ids back, in the previous 64-vertex piece,
+        // besides vertex 0 and its predecessor.
+        let back = (64..4_096).map(|w| (w - 64, w));
+        let piece_back = graph_from_edges(4_096, fan(4_096).edges().chain(back));
+        for g in [fan(4_096), structured::complete(150), piece_back] {
+            let expected = extract_pull_reference(&g, true);
+            let scrambled = g.with_scrambled_adjacency(3);
+            for engine in [Engine::chunked(2), Engine::chunked(8)] {
+                for (adjacency, graph) in [
+                    (AdjacencyMode::Sorted, &g),
+                    (AdjacencyMode::Unsorted, &scrambled),
+                ] {
+                    let got = extract_with(graph, engine, adjacency);
+                    assert_eq!(got, expected, "{engine:?} {adjacency:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_participant_sets_aside_what_it_cannot_finish_and_finishes_it_later() {
+        // Two participants of the fan's pass, interleaved by hand: B runs
+        // [64, 128) before A runs [0, 64), so B sets its whole piece aside
+        // and its list is full. After A's piece, B's next piece [128, 192)
+        // starts by setting 128 aside, which first finishes the full list
+        // without a blocking wait; 129.. wait on 128, and the piece's
+        // retry finishes them all.
+        let g = fan(192);
+        let expected = extract_pull_reference(&g, true);
+        let graph = GraphRef::from(&g);
+        let (mut clen, mut sets) = (Published::default(), SetArena::<8>::default());
+        let mut starts: Vec<AtomicUsize> = (0..192).map(|_| AtomicUsize::new(0)).collect();
+        clen.reset(192);
+        sets.prepare(graph.num_directed_edges(), 2);
+        {
+            let pull = Pull {
+                adjacency: Adjacency {
+                    mode: AdjacencyMode::Sorted,
+                    neighbors: graph.adjacency(),
+                    offsets: graph.offsets(),
+                },
+                clen: &clen,
+                sets: &sets,
+                directory: sets.directory(),
+                starts: &starts,
+            };
+            let (mut a, mut b) = (Participant::default(), Participant::default());
+            pull.run::<true>(&mut b, 64..128);
+            assert_eq!((b.pending.len(), b.counts.deferred), (PENDING, 64));
+            assert_eq!(clen.peek(64), None);
+            pull.run::<true>(&mut a, 0..64);
+            assert!(a.pending.is_empty() && a.counts == DoacrossCounts::default());
+            pull.run::<true>(&mut b, 128..192);
+            let counts = DoacrossCounts {
+                deferred: 128,
+                blocked_waits: 0,
+                full_lists: 1,
+            };
+            assert!(b.pending.is_empty());
+            assert_eq!(b.counts, counts);
+            assert!(pull.retry::<true>(&mut a) && pull.retry::<true>(&mut b));
+        }
+        assert_eq!(
+            sorted_edges(&mut clen, &mut sets, &mut starts),
+            expected.edges()
+        );
+    }
+
+    #[test]
+    fn the_pool_pass_sets_vertices_aside_and_the_serial_pass_never_does() {
+        // Whether the two participants overlap is up to the host; over a
+        // hundred runs of the fan they do, wherever two cores are free.
+        let g = fan(64 * 256);
+        let mut workspace = Workspace::new();
+        let serial = ExtractorConfig::serial(AdjacencyMode::Sorted);
+        let expected = serial.extract_into((&g).into(), &mut workspace);
+        assert_eq!(workspace.doacross_counts(), DoacrossCounts::default());
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+            return;
+        }
+        let pool = ExtractorConfig::default().with_engine(Engine::chunked(2));
+        let overlapped = (0..100).find_map(|_| {
+            assert_eq!(pool.extract_into((&g).into(), &mut workspace), expected);
+            Some(workspace.doacross_counts()).filter(|c| c.deferred > 0 && c.full_lists > 0)
+        });
+        assert!(overlapped.is_some(), "no run set a full list aside");
+        serial.extract_into((&g).into(), &mut workspace);
+        assert_eq!(workspace.doacross_counts(), DoacrossCounts::default());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! incrementing after the first run, which the test-suite (and the quick
 //! start doctests) assert.
 
-use crate::parallel::SetArena;
+use crate::parallel::{DoacrossCounts, SetArena};
 use crate::repair::incremental::RepairScratch;
 use chordal_graph::{GraphRef, VertexId, NO_VERTEX};
 use chordal_runtime::Published;
@@ -72,6 +72,8 @@ pub struct Workspace {
     /// union-find). Retained across repairs, so repeated `alg1 + repair`
     /// traffic stops allocating.
     pub(crate) repair: RepairScratch,
+    /// What the doacross of the last Algorithm 1 pass did.
+    pub(crate) doacross: DoacrossCounts,
     /// Number of buffer-growth events since the workspace was created.
     allocations: usize,
 }
@@ -91,6 +93,14 @@ impl Workspace {
         self.allocations
             + self.sets.blocks_created()
             + self.subs.iter().map(Workspace::allocations).sum::<usize>()
+    }
+
+    /// What the doacross of the last Algorithm 1 pass on this workspace
+    /// did: the vertices its participants set aside and the waits that
+    /// blocked. All zero after a one-thread pass. Kept out of
+    /// [`crate::ChordalResult`], which is equal on every engine.
+    pub fn doacross_counts(&self) -> DoacrossCounts {
+        self.doacross
     }
 
     /// Heap bytes currently retained by the workspace's buffers (counted

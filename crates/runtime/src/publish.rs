@@ -16,10 +16,14 @@
 //! * [`Published::wait`] **acquire**-loads the slot until it holds a value.
 //!   Once it returns, every store the publisher made before publishing is
 //!   visible, so the reader may load the data with relaxed loads, the start
-//!   slot first. The model test `waiter_sees_every_entry_the_length_covers`
-//!   explores this pairing, and the seeded mutant
-//!   `chordal_mutate = "clen_publish"` (which weakens the release to
-//!   relaxed) makes it fail.
+//!   slot first. [`Published::peek`] is the same acquire load without the
+//!   wait: `None` while the slot is unpublished, and once it returns a
+//!   value the same stores are visible. The model tests
+//!   `waiter_sees_every_entry_the_length_covers` and
+//!   `deferred_waiter_sees_every_entry_the_length_covers` (a reader that
+//!   peeks, sets the index aside and waits for it later) explore this
+//!   pairing, and the seeded mutant `chordal_mutate = "clen_publish"`
+//!   (which weakens the release to relaxed) makes both fail.
 //!
 //! A waiter spins `SPINS` times and then yields its core, so a publisher
 //! that shares the core still gets to run. It gives up, returning `None`,
@@ -37,17 +41,30 @@
 //!
 //! [`Published::doacross`] runs a body over `0..n` in ascending order, and
 //! hands each participant a state of its own (Algorithm 1 keeps its
-//! staging buffer and its block of the set arena there). On an engine with
-//! one thread it is one plain call with one state. On the pool, each chunk
-//! of a region of [`doacross_participants`] chunks is one participant: it
-//! makes its state when it claims its first piece and then claims pieces
-//! of [`DOACROSS_PIECE`] indices from the doacross's one cursor until none
-//! is left. So pieces are claimed in ascending order and every claimed
-//! piece is being run by the thread that claimed it. If a body only waits
-//! on smaller indices, the lowest unfinished piece never waits: the pieces
-//! below it are finished and its own smaller indices were run first by the
-//! same thread. So some participant always makes progress and the loop
-//! cannot deadlock, whatever the thread count or the pool size.
+//! staging buffer, its block of the set arena and its pending list there).
+//! On an engine with one thread it is one plain call with one state, then
+//! one call of `finish` on it. On the pool, each chunk of a region of
+//! [`doacross_participants`] chunks is one participant: it makes its state
+//! when it claims its first piece, claims pieces of [`DOACROSS_PIECE`]
+//! indices from the doacross's one cursor until none is left, and then
+//! calls `finish` on its state once, unless the loop was aborted. So
+//! pieces are claimed in ascending order and every claimed piece is being
+//! run by the thread that claimed it.
+//!
+//! A body may wait on smaller indices, or peek at them and set aside the
+//! work that needs one still unpublished, to finish it later: in a later
+//! piece, or in `finish`, where it may wait. The loop cannot deadlock if a
+//! participant blocks only to finish the work it set aside, in ascending
+//! index order, and a fresh index never blocks. Then the participant that
+//! owns the lowest unpublished index never blocks: every index it could
+//! wait on is lower and so published, and any work it set aside that it
+//! could block on would be lower still. (With only waits, this is the
+//! plain doacross argument: the lowest unfinished piece never waits, since
+//! the pieces below it are finished and its own smaller indices were run
+//! first by the same thread.) An unclaimed index lies above every claimed
+//! one, so it cannot be the lowest unpublished while all participants
+//! block. Some participant always makes progress, whatever the thread
+//! count or the pool size.
 
 use crate::pool::{pool_size, Pool};
 use crate::Engine;
@@ -181,6 +198,20 @@ impl Published {
         self.slots[index].load(Ordering::Acquire)
     }
 
+    /// The value at `index` if it is published (the acquire load of
+    /// [`Published::wait`], without the wait), `None` if not yet. A
+    /// doacross participant peeks to set a step aside instead of spinning.
+    ///
+    /// # Panics
+    /// Panics if `index` is out of range.
+    #[inline]
+    pub fn peek(&self, index: usize) -> Option<u32> {
+        match self.load(index) {
+            UNPUBLISHED => None,
+            value => Some(value),
+        }
+    }
+
     /// Waits until `index` is published and returns its value (acquire), or
     /// `None` once the doacross this runs in was aborted.
     ///
@@ -188,10 +219,7 @@ impl Published {
     /// Panics if `index` is out of range.
     #[inline]
     pub fn wait(&self, index: usize) -> Option<u32> {
-        match self.load(index) {
-            UNPUBLISHED => self.wait_slow(index),
-            value => Some(value),
-        }
+        self.peek(index).or_else(|| self.wait_slow(index))
     }
 
     #[cold]
@@ -243,17 +271,23 @@ impl Published {
     /// [`DOACROSS_PIECE`]-index pieces on the pool, where each of the
     /// [`doacross_participants`] makes its state with `init` when it claims
     /// its first piece. `body` may [`Published::wait`] on indices below the
-    /// start of its range. A panic in a piece aborts the loop: waiters
-    /// return `None`, no further piece starts, and the panic reaches the
-    /// caller.
-    pub fn doacross<S, I, F>(&self, engine: &Engine, n: usize, init: I, body: F)
+    /// start of its range, or [`Published::peek`] at them and leave the
+    /// work that needs them for later. Each participant calls `finish` on
+    /// its state once, after its last piece, to finish whatever it left;
+    /// `finish` may wait on any index. A panic in a piece aborts the loop:
+    /// waiters return `None`, no further piece starts, no `finish` runs,
+    /// and the panic reaches the caller.
+    pub fn doacross<S, I, F, G>(&self, engine: &Engine, n: usize, init: I, body: F, finish: G)
     where
         I: Fn() -> S + Sync,
         F: Fn(&mut S, Range<usize>) + Sync,
+        G: Fn(&mut S) + Sync,
     {
         let participants = doacross_participants(engine, n);
         if participants <= 1 {
-            body(&mut init(), 0..n);
+            let mut state = init();
+            body(&mut state, 0..n);
+            finish(&mut state);
             return;
         }
         let next = AtomicUsize::new(0);
@@ -270,6 +304,11 @@ impl Published {
                     }
                     let state = state.get_or_insert_with(&init);
                     body(state, start..(start + DOACROSS_PIECE).min(n));
+                }
+                if let Some(state) = state.as_mut() {
+                    if !self.aborted.load(Ordering::Relaxed) {
+                        finish(state);
+                    }
                 }
             }
         });
@@ -357,6 +396,7 @@ mod tests {
                         p.publish(i, value);
                     }
                 },
+                |_| {},
             );
             assert_eq!(runs.into_inner(), n, "{engine:?}");
             for i in 1..n {
@@ -368,32 +408,36 @@ mod tests {
 
     #[test]
     fn each_participant_runs_its_own_pieces_in_ascending_order() {
-        // Every state records the pieces its participant ran: a state runs
-        // ascending pieces, no two states share a piece, together they
-        // cover `0..n`, and there are at most `doacross_participants`.
+        // Every state records the pieces its participant ran and how often
+        // it was finished: a state runs ascending pieces, no two states
+        // share a piece, together they cover `0..n`, there are at most
+        // `doacross_participants`, and each is finished once, after its
+        // last piece (no piece runs on a finished state).
         let n = 40 * DOACROSS_PIECE + 7;
         for engine in [Engine::serial(), Engine::chunked(2), Engine::chunked(8)] {
             let p = published(n);
             let states = std::sync::Mutex::new(Vec::new());
-            struct Ran<'a>(
-                Vec<Range<usize>>,
-                &'a std::sync::Mutex<Vec<Vec<Range<usize>>>>,
-            );
+            /// The pieces a state ran and how often it was finished.
+            type Record = (Vec<Range<usize>>, usize);
+            struct Ran<'a>(Vec<Range<usize>>, usize, &'a std::sync::Mutex<Vec<Record>>);
             impl Drop for Ran<'_> {
                 fn drop(&mut self) {
-                    self.1.lock().unwrap().push(std::mem::take(&mut self.0));
+                    let ran = (std::mem::take(&mut self.0), self.1);
+                    self.2.lock().unwrap().push(ran);
                 }
             }
             p.doacross(
                 &engine,
                 n,
-                || Ran(Vec::new(), &states),
+                || Ran(Vec::new(), 0, &states),
                 |ran, range| {
+                    assert_eq!(ran.1, 0, "a piece after finish");
                     for i in range.clone() {
                         p.publish(i, 1);
                     }
                     ran.0.push(range);
                 },
+                |ran| ran.1 += 1,
             );
             let states = states.into_inner().unwrap();
             assert!(
@@ -402,7 +446,8 @@ mod tests {
                 states.len()
             );
             let mut covered = Vec::new();
-            for ran in &states {
+            for (ran, finished) in &states {
+                assert_eq!(*finished, 1, "{engine:?}");
                 assert!(ran.windows(2).all(|w| w[0].end <= w[1].start), "{engine:?}");
                 covered.extend(ran.iter().flat_map(Clone::clone));
             }
@@ -428,6 +473,7 @@ mod tests {
         let p = published(n);
         let waiting = AtomicUsize::new(0);
         let gave_up = AtomicUsize::new(0);
+        let finished = AtomicUsize::new(0);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             p.doacross(
                 &Engine::chunked(2),
@@ -451,6 +497,9 @@ mod tests {
                         gave_up.fetch_add(1, Ordering::SeqCst);
                     }
                 },
+                |_| {
+                    finished.fetch_add(1, Ordering::SeqCst);
+                },
             );
         }));
         let payload = outcome.expect_err("the panic must reach the caller");
@@ -461,6 +510,17 @@ mod tests {
             gave_up.load(Ordering::SeqCst),
             "every waiter must give up"
         );
+        assert_eq!(finished.into_inner(), 0, "no participant finishes an abort");
+    }
+
+    #[test]
+    fn peek_sees_a_value_only_once_it_is_published() {
+        let p = published(3);
+        assert_eq!(p.peek(1), None);
+        p.publish(1, 4);
+        assert_eq!((p.peek(1), p.peek(0)), (Some(4), None));
+        p.publish(0, 0);
+        assert_eq!(p.peek(0), Some(0));
     }
 }
 
@@ -507,20 +567,69 @@ mod model_tests {
         writer.join().unwrap();
     }
 
+    /// [`publish_race`] as a deferring participant runs it: it peeks the
+    /// length first, and when it is unpublished it sets the index aside,
+    /// publishes an index of its own meanwhile, and waits in its finish.
+    /// Either way it must read the start and both entries.
+    fn deferred_publish_race() {
+        let mut len = Published::default();
+        len.reset(2);
+        let entries = [0; 4].map(AtomicU32::new);
+        let shared = Arc::new((entries, AtomicUsize::new(0), len));
+        let writer = {
+            let shared = Arc::clone(&shared);
+            thread::spawn(move || {
+                let (entries, start, len) = &*shared;
+                entries[2].store(7, Ordering::Relaxed);
+                entries[3].store(9, Ordering::Relaxed);
+                start.store(2, Ordering::Relaxed);
+                len.publish(0, 2);
+            })
+        };
+        let (entries, start, len) = &*shared;
+        let published = match len.peek(0) {
+            Some(published) => published,
+            None => {
+                len.publish(1, 0);
+                len.wait(0).expect("never aborted")
+            }
+        } as usize;
+        let start = start.load(Ordering::Relaxed);
+        for (k, want) in [7, 9].into_iter().enumerate().take(published) {
+            assert_eq!(
+                entries[start + k].load(Ordering::Relaxed),
+                want,
+                "a waiter saw the length but not every entry it covers"
+            );
+        }
+        writer.join().unwrap();
+    }
+
     /// Under the `clen_publish` mutant the checker must observe the start or
     /// an entry the length covers still at its initial value; with the real
     /// release publish it must pass exhaustively.
     #[test]
     fn waiter_sees_every_entry_the_length_covers() {
+        check_publish(publish_race);
+    }
+
+    /// The same for a participant that peeks, defers and waits in its
+    /// finish.
+    #[test]
+    fn deferred_waiter_sees_every_entry_the_length_covers() {
+        check_publish(deferred_publish_race);
+    }
+
+    fn check_publish(race: fn()) {
         let cfg = Config::dfs(2);
-        let outcome = run(cfg, publish_race);
+        let outcome = run(cfg, race);
         if cfg!(chordal_mutate = "clen_publish") {
             let f = outcome
                 .failure
                 .expect("a relaxed publish must yield a failing schedule");
             assert!(f.message.contains("every entry"), "{}", f.message);
             eprintln!("the clen_publish mutant fails as expected:\n{}", f.report());
-            let again = run(cfg, publish_race);
+            let again = run(cfg, race);
             assert_eq!(
                 f.execution,
                 again.failure.expect("rerun must fail too").execution,
