@@ -266,6 +266,28 @@ fn every_generator_reproduces_its_pinned_content_hash() {
             GeneNetworkKind::Gse5140Unt.network(1_000, 1),
             0x7e88_9cf0_4a9e_009b,
         ),
+        (
+            "GSE5140(CRT)",
+            GeneNetworkKind::Gse5140Crt.network(1_000, 1),
+            0x52db_1d50_756b_b44a,
+        ),
+        (
+            "GSE17072(CTL)",
+            GeneNetworkKind::Gse17072Ctl.network(1_000, 1),
+            0x6c95_955f_d360_a6e6,
+        ),
+        (
+            "GSE17072(NON)",
+            GeneNetworkKind::Gse17072Non.network(1_000, 1),
+            0xd21e_66bc_0a4d_ec03,
+        ),
+        // 1,003 genes: no tile or block width of the correlation kernel
+        // divides it, so the padded lanes and the short last block show.
+        (
+            "GSE17072(NON), 1,003 genes",
+            GeneNetworkKind::Gse17072Non.network(1_003, 1),
+            0x84bc_0881_5a84_ec26,
+        ),
         ("gnm", gnm(500, 2_000, 1), 0x0081_2c0e_08e9_9635),
         ("gnp", gnp(300, 0.05, 1), 0x3981_edd0_c3eb_464e),
         ("k_tree", k_tree(400, 3, 1), 0xcbd9_f2a5_e04a_12b2),
