@@ -17,7 +17,7 @@
 //!   scheduler         Batch-scheduling policy ablation (pool counters)
 //!   repair            Maximality-repair ablation (incremental vs scratch oracle)
 //!   storage           Cold-start ablation: text re-parse vs binary mmap reload
-//!   kernels           Intersection-kernel ablation: merge/gallop/adaptive x skew
+//!   kernels           Kernel ablation: merge/gallop/adaptive x skew, Pearson scalar/blocked
 //!   serving           Closed-loop load against the resident extraction service
 //!   all               Run everything above in order
 //!

@@ -1,5 +1,5 @@
-//! Per-kernel intersection ablation: merge vs gallop vs adaptive across
-//! degree-skew families.
+//! Per-kernel ablations: intersection variants across degree-skew
+//! families, and the Pearson correlation kernel behind the gene networks.
 //!
 //! The extraction stack's hot predicates (triangle tests, subset checks,
 //! separator searches — see [`chordal_core::kernels`]) all reduce to
@@ -11,6 +11,12 @@
 //! experiment measures all three variants on synthetic sorted-list
 //! families spanning the skew spectrum (uniform, 16×, 256×, needle).
 //!
+//! The `pearson` family times the construction of the gene networks: the
+//! per-pair loop ([`correlation_network_reference`], variant `scalar`)
+//! against the blocked kernel ([`correlation_network`], variant
+//! `blocked`), over the expression matrices of the four 3,000-gene
+//! networks (1,000 genes with `--quick`), each at the paper's threshold.
+//!
 //! Each [`KernelPoint`] records `ns_per_edge` (nanoseconds per input
 //! element) and a `bytes_touched` estimate, so the ablation JSON shows
 //! both the time and the traffic story. The `matches` checksum is asserted
@@ -19,10 +25,15 @@
 
 use super::HarnessOptions;
 use crate::records::KernelPoint;
+use crate::workloads::SUITE_SEED;
 use chordal_core::kernels::{
     intersect_count, intersect_count_gallop, intersect_count_merge, GALLOP_RATIO,
 };
-use chordal_graph::VertexId;
+use chordal_generators::bio::{
+    correlation_network, correlation_network_reference, ExpressionMatrix, GeneNetworkKind, LANES,
+    ROWS,
+};
+use chordal_graph::{CsrGraph, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -93,6 +104,79 @@ fn bytes_estimate(variant: &str, len_small: usize, len_large: usize) -> u64 {
 /// An intersection-count kernel under test.
 type CountKernel = fn(&[VertexId], &[VertexId]) -> usize;
 
+/// A correlation-network kernel under test.
+type PearsonKernel = fn(&ExpressionMatrix, f64) -> CsrGraph;
+
+/// Computed bytes one Pearson variant streams over a `genes` x `samples`
+/// matrix. The per-pair loop reads each row once for itself and once for
+/// every earlier row. The blocked kernel reads each tile at or above a
+/// block once for the whole block, plus the block's own rows.
+fn pearson_bytes(variant: &str, genes: usize, samples: usize) -> u64 {
+    let row = 8 * samples as u64;
+    let rows = match variant {
+        "scalar" => genes + genes * genes.saturating_sub(1) / 2,
+        _ => {
+            let tiles = genes.div_ceil(LANES);
+            (0..genes.div_ceil(ROWS))
+                .map(|block| {
+                    let first = block * ROWS;
+                    (tiles - first / LANES) * LANES + ROWS.min(genes - first)
+                })
+                .sum()
+        }
+    };
+    rows as u64 * row
+}
+
+/// The `pearson` family: both correlation kernels over the four gene
+/// networks' expression matrices, best of `repeats` runs each.
+fn pearson_points(quick: bool, repeats: usize) -> Vec<KernelPoint> {
+    let genes = if quick { 1_000 } else { 3_000 };
+    let inputs: Vec<(ExpressionMatrix, f64)> = GeneNetworkKind::all()
+        .into_iter()
+        .map(|kind| {
+            let params = kind.params(genes, SUITE_SEED);
+            (params.synthesize_expression(), params.threshold)
+        })
+        .collect();
+    let samples = inputs[0].0.samples();
+    let pairs = inputs.len() * genes * (genes - 1) / 2;
+    let elements = (pairs * samples) as u64;
+    let variants: [(&str, PearsonKernel); 2] = [
+        ("scalar", correlation_network_reference),
+        ("blocked", correlation_network),
+    ];
+    variants
+        .into_iter()
+        .map(|(variant, kernel)| {
+            let mut best = f64::MAX;
+            let mut matches = 0u64;
+            for _ in 0..repeats {
+                let start = std::time::Instant::now();
+                let mut edges = 0usize;
+                for (matrix, threshold) in &inputs {
+                    edges += kernel(matrix, *threshold).num_edges();
+                }
+                best = best.min(start.elapsed().as_secs_f64());
+                matches = edges as u64;
+            }
+            KernelPoint {
+                experiment: "kernels".to_string(),
+                family: "pearson".to_string(),
+                variant: variant.to_string(),
+                len_small: samples,
+                len_large: genes,
+                pairs,
+                elements,
+                seconds: best,
+                ns_per_edge: best * 1e9 / elements as f64,
+                bytes_touched: inputs.len() as u64 * pearson_bytes(variant, genes, samples),
+                matches,
+            }
+        })
+        .collect()
+}
+
 /// Runs the ablation and returns one point per (family, variant).
 pub fn run(options: &HarnessOptions) -> Vec<KernelPoint> {
     let repeats = options.repeats.max(1);
@@ -147,8 +231,10 @@ pub fn run(options: &HarnessOptions) -> Vec<KernelPoint> {
         }
     }
 
+    points.extend(pearson_points(options.quick, repeats));
+
     // Checksum lock: every variant of a family must count the same
-    // intersections.
+    // intersections (or, for `pearson`, keep the same edges).
     for family in points
         .iter()
         .map(|p| p.family.clone())
@@ -168,7 +254,7 @@ pub fn run(options: &HarnessOptions) -> Vec<KernelPoint> {
 
 /// Runs the ablation with printing and record output.
 pub fn run_and_print(options: &HarnessOptions) -> Vec<KernelPoint> {
-    println!("Intersection kernels: merge vs gallop vs adaptive");
+    println!("Kernels: intersections (merge vs gallop vs adaptive), Pearson (scalar vs blocked)");
     let points = run(options);
     println!(
         "  {:<14} {:>8} {:>9} {:>9} {:>12} {:>10} {:>14}",
@@ -201,6 +287,20 @@ pub fn run_and_print(options: &HarnessOptions) -> Vec<KernelPoint> {
             );
         }
     }
+    let find = |variant: &str| {
+        points
+            .iter()
+            .find(|p| p.family == "pearson" && p.variant == variant)
+    };
+    if let (Some(scalar), Some(blocked)) = (find("scalar"), find("blocked")) {
+        println!(
+            "  pearson: blocked {:.1}x vs scalar ({:.3} vs {:.3} s for {} pairs)",
+            scalar.seconds / blocked.seconds.max(1e-9),
+            blocked.seconds,
+            scalar.seconds,
+            scalar.pairs
+        );
+    }
     options.write_records(&points);
     points
 }
@@ -214,8 +314,12 @@ mod tests {
     fn ablation_covers_every_family_and_variant() {
         let options = HarnessOptions::tiny();
         let points = run(&options);
-        // 4 synthetic families x 3 variants.
-        assert_eq!(points.len(), 12);
+        // 4 synthetic families x 3 variants, then the two Pearson kernels.
+        assert_eq!(points.len(), 14);
+        let pearson: Vec<_> = points.iter().filter(|p| p.family == "pearson").collect();
+        assert_eq!(pearson.len(), 2);
+        assert_eq!(pearson[0].matches, pearson[1].matches);
+        assert!(pearson[0].matches > 0 && pearson[0].pairs == 4 * 1_000 * 999 / 2);
         for family in ["uniform", "skewed-16x", "skewed-256x", "needle"] {
             let of_family: Vec<_> = points.iter().filter(|p| p.family == family).collect();
             assert_eq!(of_family.len(), 3, "{family}");
@@ -242,6 +346,21 @@ mod tests {
             bytes_estimate("adaptive", 256, 65_536),
             bytes_estimate("gallop", 256, 65_536)
         );
+    }
+
+    #[test]
+    fn blocked_pearson_streams_a_block_fraction_of_the_scalar_bytes() {
+        // One block of rows streams each tile once, so at 3,000 genes the
+        // blocked kernel reads far fewer bytes than the per-pair loop.
+        let scalar = pearson_bytes("scalar", 3_000, 60);
+        let blocked = pearson_bytes("blocked", 3_000, 60);
+        assert_eq!(scalar, (3_000 + 3_000 * 2_999 / 2) * 480);
+        assert!(
+            blocked * (ROWS as u64 / 2) < scalar,
+            "{blocked} vs {scalar}"
+        );
+        // A single block reads every tile once, plus its own rows.
+        assert_eq!(pearson_bytes("blocked", LANES, 60), 2 * LANES as u64 * 480);
     }
 
     fn merge_of(l: usize) -> u64 {

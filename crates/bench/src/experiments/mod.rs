@@ -6,7 +6,8 @@
 //! implementation ablation beyond the paper (the `scheduler` batch-policy
 //! sweep, the `repair` maintainer-vs-oracle ablation, the `storage` cold-start
 //! comparison of text re-parse vs binary mmap reload, and the `kernels`
-//! intersection-variant × skew sweep). The `experiments`
+//! intersection-variant × skew sweep with its Pearson-kernel family). The
+//! `experiments`
 //! binary
 //! dispatches to these based on its subcommand; the modules are also
 //! exercised directly by the integration tests at reduced sizes.

@@ -208,24 +208,28 @@ impl_to_json!(StoragePoint {
 });
 
 /// One point of the `kernels` ablation: one intersection variant timed on
-/// one input family of synthetic skewed sorted lists.
+/// one input family of synthetic skewed sorted lists, or one correlation
+/// kernel timed on the gene networks' expression matrices (`pearson`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelPoint {
     /// Experiment id (`"kernels"`).
     pub experiment: String,
     /// Input family (`"uniform"`, `"skewed-16x"`, `"skewed-256x"`,
-    /// `"needle"`).
+    /// `"needle"`, `"pearson"`).
     pub family: String,
-    /// Intersection kernel (`"merge"`, `"gallop"`, `"adaptive"`).
+    /// Kernel: an intersection (`"merge"`, `"gallop"`, `"adaptive"`) or a
+    /// correlation kernel (`"scalar"`, `"blocked"`).
     pub variant: String,
-    /// Length of the smaller input list.
+    /// Length of the smaller input list (`pearson`: samples per gene).
     pub len_small: usize,
-    /// Length of the larger input list.
+    /// Length of the larger input list (`pearson`: genes per matrix).
     pub len_large: usize,
-    /// Number of intersection calls in the timed sweep.
+    /// Number of intersection calls in the timed sweep (`pearson`: gene
+    /// pairs over all matrices).
     pub pairs: usize,
     /// Total elements across both inputs of every pair — the `edge`
-    /// denominator of `ns_per_edge`.
+    /// denominator of `ns_per_edge` (`pearson`: pairs × samples, one
+    /// multiply and add each).
     pub elements: u64,
     /// Best-of wall-clock seconds of the whole sweep.
     pub seconds: f64,
@@ -233,10 +237,13 @@ pub struct KernelPoint {
     pub ns_per_edge: f64,
     /// Estimated bytes the variant reads: merge touches both lists in
     /// full, galloping touches the small list plus `O(log |large|)` probes
-    /// per element.
+    /// per element. `pearson`: the computed bytes of standardised rows the
+    /// per-pair loop streams, or of tiles and block rows the blocked
+    /// kernel streams.
     pub bytes_touched: u64,
-    /// Total intersection size across the sweep — a determinism checksum
-    /// that must agree across the variants of a family.
+    /// Total intersection size across the sweep (`pearson`: edges kept) —
+    /// a determinism checksum that must agree across the variants of a
+    /// family.
     pub matches: u64,
 }
 
