@@ -3,10 +3,11 @@
 //! The paper runs R-MAT graphs at SCALE 24–26 (up to 537 million edges) and
 //! four gene-correlation networks with ~45k genes. The R-MAT sizes exceed
 //! this environment. A gene network of the paper's size does not: one
-//! 45,000-gene GSE17072(NON) network (seed 1, 334,185 edges) takes 5.3 s to
-//! generate with the blocked correlation kernel of
-//! [`chordal_generators::bio`], against 16.6 s with the per-pair loop it
-//! replaced (minimum of 3 runs each, release build, 2-vCPU shared host).
+//! 45,000-gene GSE17072(NON) network (seed 1, 334,185 edges) takes 4.8–5.9 s
+//! to generate with the blocked correlation kernel of
+//! [`chordal_generators::bio`], against 16.2–17.5 s with the per-pair loop
+//! it replaced (the minimum of 3 in-process runs each, measured twice;
+//! release build, 2-vCPU shared host).
 //! The harness builds both families at a smaller, configurable scale;
 //! `experiments table1` prints the resulting sizes (Table I of the paper
 //! lists the originals). Weak-scaling experiments use three consecutive
