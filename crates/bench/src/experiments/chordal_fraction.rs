@@ -8,7 +8,7 @@
 
 use super::HarnessOptions;
 use crate::records::ExperimentRecord;
-use crate::workloads::{bio_suite, rmat_suite};
+use crate::workloads::{bio_suite, rmat_suite, NamedGraph};
 use chordal_analysis::chordal_fraction::chordal_edge_percentage;
 use chordal_core::{Algorithm, ExtractionSession, ExtractorConfig};
 use chordal_serve::impl_to_json;
@@ -49,20 +49,27 @@ pub fn run(options: &HarnessOptions) -> Vec<FractionRow> {
     let mut alg1_session = ExtractionSession::new(ExtractorConfig::default());
     let mut dearing_session = ExtractionSession::with_algorithm(Algorithm::Dearing);
     graphs
-        .into_iter()
-        .map(|named| {
-            let alg1 = alg1_session.extract(&named.graph);
-            let dearing = dearing_session.extract(&named.graph);
-            FractionRow {
-                graph: named.name.clone(),
-                edges: named.graph.num_edges(),
-                algorithm1_edges: alg1.num_chordal_edges(),
-                algorithm1_percent: chordal_edge_percentage(&named.graph, &alg1),
-                dearing_edges: dearing.num_chordal_edges(),
-                dearing_percent: chordal_edge_percentage(&named.graph, &dearing),
-            }
-        })
-        .collect::<Vec<_>>()
+        .iter()
+        .map(|named| fraction_row(named, &mut alg1_session, &mut dearing_session))
+        .collect()
+}
+
+/// One graph's row, extracted through the two sessions.
+fn fraction_row(
+    named: &NamedGraph,
+    alg1_session: &mut ExtractionSession,
+    dearing_session: &mut ExtractionSession,
+) -> FractionRow {
+    let alg1 = alg1_session.extract(&named.graph);
+    let dearing = dearing_session.extract(&named.graph);
+    FractionRow {
+        graph: named.name.clone(),
+        edges: named.graph.num_edges(),
+        algorithm1_edges: alg1.num_chordal_edges(),
+        algorithm1_percent: chordal_edge_percentage(&named.graph, &alg1),
+        dearing_edges: dearing.num_chordal_edges(),
+        dearing_percent: chordal_edge_percentage(&named.graph, &dearing),
+    }
 }
 
 /// Runs, prints and records.
@@ -98,6 +105,26 @@ pub fn run_and_print(options: &HarnessOptions) -> Vec<FractionRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workloads::rmat_graph;
+    use chordal_generators::rmat::RmatKind;
+    use chordal_serve::json::ToJson;
+
+    #[test]
+    fn a_record_keeps_its_bytes() {
+        let named = rmat_graph(RmatKind::B, 8);
+        let record = ExperimentRecord {
+            experiment: "chordal_fraction".to_string(),
+            data: fraction_row(
+                &named,
+                &mut ExtractionSession::new(ExtractorConfig::default()),
+                &mut ExtractionSession::with_algorithm(Algorithm::Dearing),
+            ),
+        };
+        assert_eq!(
+            record.to_json(),
+            r#"{"experiment":"chordal_fraction","data":{"graph":"RMAT-B(8)","edges":1469,"algorithm1_edges":462,"algorithm1_percent":31.449965963240302,"dearing_edges":542,"dearing_percent":36.89584751531655}}"#
+        );
+    }
 
     #[test]
     fn fractions_are_small_but_nonzero() {

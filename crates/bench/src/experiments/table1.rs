@@ -4,6 +4,7 @@ use super::HarnessOptions;
 use crate::records::ExperimentRecord;
 use crate::workloads::{bio_suite, rmat_suite};
 use chordal_analysis::TableRow;
+use chordal_graph::CsrGraph;
 use chordal_serve::json::JsonObject;
 
 /// The record of one row. `TableRow` lives in chordal-analysis, so its
@@ -25,13 +26,18 @@ pub fn run(options: &HarnessOptions) -> Vec<TableRow> {
     let mut rows = Vec::new();
     for scale in options.weak_scaling_scales() {
         for named in rmat_suite(scale) {
-            rows.push(TableRow::compute(&named.name, &named.graph));
+            rows.push(row(&named.name, &named.graph));
         }
     }
     for named in bio_suite(options.genes) {
-        rows.push(TableRow::compute(&named.name, &named.graph));
+        rows.push(row(&named.name, &named.graph));
     }
     rows
+}
+
+/// The row of one named graph.
+fn row(name: &str, graph: &CsrGraph) -> TableRow {
+    TableRow::compute(name, graph)
 }
 
 /// Runs the experiment, prints the table and writes records.
@@ -56,6 +62,20 @@ pub fn run_and_print(options: &HarnessOptions) -> Vec<TableRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chordal_generators::structured;
+    use chordal_serve::json::ToJson;
+
+    #[test]
+    fn a_record_keeps_its_bytes() {
+        let record = ExperimentRecord {
+            experiment: "table1".to_string(),
+            data: row_json(&row("star", &structured::star(5))),
+        };
+        assert_eq!(
+            record.to_json(),
+            r#"{"experiment":"table1","data":{"name":"star","vertices":5,"edges":4,"avg_degree":1.6,"max_degree":4,"degree_variance":1.4400000000000002,"edges_by_vertices":0.8}}"#
+        );
+    }
 
     #[test]
     fn tiny_run_produces_expected_row_count() {

@@ -189,6 +189,7 @@ impl ExtractorConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chordal_runtime::publish::doacross_participants;
 
     #[test]
     fn labels_match_paper_terms() {
@@ -265,6 +266,16 @@ mod tests {
         assert_eq!((c.partitions, c.repair), (5, true));
         assert!(!parse(&[("repair", "false")]).unwrap().repair);
         assert_eq!(parse(&[("engine", "pool")]).unwrap().engine.threads(), 3);
+        // A one-thread pool and a serial engine given a thread count are
+        // both one thread, with one doacross participant.
+        for pairs in [
+            [("engine", "pool"), ("threads", "1")],
+            [("engine", "serial"), ("threads", "4")],
+        ] {
+            let engine = parse(&pairs).unwrap().engine;
+            assert_eq!(engine.threads(), 1, "{pairs:?}");
+            assert_eq!(doacross_participants(&engine, 1 << 20), 1, "{pairs:?}");
+        }
 
         assert!(matches!(
             parse(&[("algorithm", "magic")]),

@@ -2,13 +2,15 @@
 //!
 //! Every parallel loop goes through `Engine`, and a loop with an engine in
 //! scope runs on it. So an extraction on the serial engine submits no pool
-//! region, on sorted or scrambled adjacency, and a fanned-out batch submits
+//! region, on sorted or scrambled adjacency, nor does one on a one-thread
+//! pool engine, which returns the serial result; a fanned-out batch submits
 //! one: the fan-out, whose participants extract serially. Serve's `payload=edges` writes the
 //! result's edges as they are, so a serial `EXTRACT` submits none either.
 //! The test counts regions through `pool_stats()`, which is process-wide,
 //! so it lives alone in this binary: no other test can submit a region
 //! between two reads.
 
+use maximal_chordal::core::DoacrossCounts;
 use maximal_chordal::graph::storage::write_binary_file;
 use maximal_chordal::prelude::*;
 use maximal_chordal::runtime::pool_stats;
@@ -38,20 +40,40 @@ fn the_configured_engine_bounds_the_regions_of_every_algorithm() {
     for algorithm in Algorithm::ALL {
         let config = ExtractorConfig::default().with_algorithm(algorithm);
         for repair in [false, true] {
-            let mut serial = ExtractionSession::new(
-                config
-                    .clone()
-                    .with_engine(Engine::serial())
-                    .with_partitions(4)
-                    .with_repair(repair),
-            );
+            let session = |engine| {
+                ExtractionSession::new(
+                    config
+                        .clone()
+                        .with_engine(engine)
+                        .with_partitions(4)
+                        .with_repair(repair),
+                )
+            };
+            // A one-thread pool engine is the serial engine: no region, no
+            // doacross deferral or wait, the same result.
+            let mut serial = session(Engine::serial());
+            let mut one_thread = session(Engine::chunked(1));
             for (k, graph) in graphs.iter().chain([&large, &scrambled]).enumerate() {
-                let regions = regions_during(|| {
-                    serial.extract(graph);
-                });
+                let mut expected = None;
+                let regions = regions_during(|| expected = Some(serial.extract(graph)));
                 assert_eq!(
                     regions, 0,
                     "{algorithm}, repair {repair}, graph {k}, serial engine"
+                );
+                let mut result = None;
+                let regions = regions_during(|| result = Some(one_thread.extract(graph)));
+                assert_eq!(
+                    regions, 0,
+                    "{algorithm}, repair {repair}, graph {k}, one-thread pool engine"
+                );
+                assert_eq!(
+                    one_thread.workspace().doacross_counts(),
+                    DoacrossCounts::default(),
+                    "{algorithm}, repair {repair}, graph {k}, one-thread pool engine"
+                );
+                assert_eq!(
+                    result, expected,
+                    "{algorithm}, repair {repair}, graph {k}: one-thread pool and serial differ"
                 );
             }
         }
