@@ -4,7 +4,7 @@
 //! negative degree-degree correlation over edges combined with high local
 //! clustering of low-degree vertices.
 
-use chordal_graph::{CsrGraph, VertexId};
+use chordal_graph::CsrGraph;
 
 /// Newman's degree assortativity coefficient: the Pearson correlation of the
 /// degrees at the two ends of every edge. Returns 0 for graphs with no edges
@@ -45,22 +45,6 @@ pub fn degree_assortativity(graph: &CsrGraph) -> f64 {
     cov / (var_x.sqrt() * var_y.sqrt())
 }
 
-/// Average degree of the neighbours of every vertex (0 for isolated
-/// vertices); the classic k_nn(v) quantity whose trend against degree is
-/// another view of assortativity.
-pub fn average_neighbor_degree(graph: &CsrGraph) -> Vec<f64> {
-    (0..graph.num_vertices())
-        .map(|v| {
-            let v = v as VertexId;
-            let neigh = graph.neighbors(v);
-            if neigh.is_empty() {
-                return 0.0;
-            }
-            neigh.iter().map(|&u| graph.degree(u) as f64).sum::<f64>() / neigh.len() as f64
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,19 +81,5 @@ mod tests {
         .generate();
         let r = degree_assortativity(&g);
         assert!((-1.0..=1.0).contains(&r), "r = {r}");
-    }
-
-    #[test]
-    fn average_neighbor_degree_on_star() {
-        let g = structured::star(5);
-        let knn = average_neighbor_degree(&g);
-        assert_eq!(knn[0], 1.0); // centre sees leaves of degree 1
-        assert_eq!(knn[1], 4.0); // leaves see the centre of degree 4
-    }
-
-    #[test]
-    fn average_neighbor_degree_of_isolated_vertex_is_zero() {
-        let g = chordal_graph::CsrGraph::empty(3);
-        assert_eq!(average_neighbor_degree(&g), vec![0.0, 0.0, 0.0]);
     }
 }

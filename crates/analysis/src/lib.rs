@@ -6,20 +6,16 @@
 //! * [`assortativity`] — Newman's degree assortativity coefficient, used in
 //!   the paper's discussion of why the biological networks behave
 //!   differently from the R-MAT inputs.
-//! * [`chordal_fraction`] — percentage of edges retained in the maximal
-//!   chordal subgraph (Section V).
-//! * [`table`] — the structural summary rows of Table I.
+//!
+//! Table I's rows are `chordal_graph::GraphStats`, and Section V's chordal
+//! fraction is `chordal_core::ChordalResult::chordal_fraction`.
 
 #![deny(missing_docs)]
 
 pub mod assortativity;
-pub mod chordal_fraction;
 pub mod clustering;
 pub mod paths;
-pub mod table;
 
 pub use assortativity::degree_assortativity;
-pub use chordal_fraction::chordal_edge_fraction;
 pub use clustering::{average_clustering_by_degree, local_clustering_coefficients};
 pub use paths::shortest_path_distribution;
-pub use table::TableRow;

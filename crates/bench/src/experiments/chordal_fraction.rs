@@ -9,7 +9,6 @@
 use super::HarnessOptions;
 use crate::records::ExperimentRecord;
 use crate::workloads::{bio_suite, rmat_suite, NamedGraph};
-use chordal_analysis::chordal_fraction::chordal_edge_percentage;
 use chordal_core::{Algorithm, ExtractionSession, ExtractorConfig};
 use chordal_serve::impl_to_json;
 
@@ -66,9 +65,9 @@ fn fraction_row(
         graph: named.name.clone(),
         edges: named.graph.num_edges(),
         algorithm1_edges: alg1.num_chordal_edges(),
-        algorithm1_percent: chordal_edge_percentage(&named.graph, &alg1),
+        algorithm1_percent: 100.0 * alg1.chordal_fraction(&named.graph),
         dearing_edges: dearing.num_chordal_edges(),
-        dearing_percent: chordal_edge_percentage(&named.graph, &dearing),
+        dearing_percent: 100.0 * dearing.chordal_fraction(&named.graph),
     }
 }
 

@@ -24,7 +24,6 @@ use chordal_generators::rmat::{RmatKind, RmatParams};
 use chordal_graph::CsrGraph;
 use chordal_runtime::Engine;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The policies the ablation sweeps.
 const POLICIES: [&str; 3] = ["batch", "intra", "fan-out"];
@@ -56,8 +55,9 @@ enum Runner {
     Batch(ExtractionSession),
     /// `extract` per graph on a session over the engine.
     Intra(ExtractionSession),
-    /// One serial session per thread, fanned out over the engine.
-    FanOut(Engine, Vec<Mutex<ExtractionSession>>),
+    /// One serial session per thread, fanned out over the engine at grain
+    /// 1, so each session is a piece of its own.
+    FanOut(Engine, Vec<ExtractionSession>),
 }
 
 impl Runner {
@@ -69,7 +69,7 @@ impl Runner {
             _ => {
                 let serial = config.with_engine(Engine::serial());
                 let sessions = (0..engine.threads())
-                    .map(|_| Mutex::new(ExtractionSession::new(serial.clone())))
+                    .map(|_| ExtractionSession::new(serial.clone()))
                     .collect();
                 Runner::FanOut(engine.with_grain(1), sessions)
             }
@@ -90,8 +90,7 @@ impl Runner {
             Runner::FanOut(engine, sessions) => {
                 let cursor = AtomicUsize::new(0);
                 let chordal_edges = AtomicUsize::new(0);
-                engine.parallel_for(sessions.len(), |p| {
-                    let mut session = sessions[p].lock().expect("fan-out session");
+                engine.for_each_mut(sessions, |_, session| {
                     while let Some(&graph) = graphs.get(cursor.fetch_add(1, Ordering::SeqCst)) {
                         let edges = session.extract(graph).num_chordal_edges();
                         chordal_edges.fetch_add(edges, Ordering::SeqCst);

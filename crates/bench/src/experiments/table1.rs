@@ -3,26 +3,27 @@
 use super::HarnessOptions;
 use crate::records::ExperimentRecord;
 use crate::workloads::{bio_suite, rmat_suite};
-use chordal_analysis::TableRow;
-use chordal_graph::CsrGraph;
+use chordal_graph::{CsrGraph, GraphStats};
 use chordal_serve::json::JsonObject;
 
-/// The record of one row. `TableRow` lives in chordal-analysis, so its
-/// fields are written here, in declaration order.
-fn row_json(row: &TableRow) -> JsonObject {
+/// The record of one row: the name, then `GraphStats`' fields in
+/// declaration order, the last under the paper's column name
+/// (`edges_by_vertices`).
+fn row_json((name, stats): &(String, GraphStats)) -> JsonObject {
     JsonObject::new()
-        .field("name", row.name.as_str())
-        .field("vertices", row.vertices)
-        .field("edges", row.edges)
-        .field("avg_degree", row.avg_degree)
-        .field("max_degree", row.max_degree)
-        .field("degree_variance", row.degree_variance)
-        .field("edges_by_vertices", row.edges_by_vertices)
+        .field("name", name.as_str())
+        .field("vertices", stats.vertices)
+        .field("edges", stats.edges)
+        .field("avg_degree", stats.avg_degree)
+        .field("max_degree", stats.max_degree)
+        .field("degree_variance", stats.degree_variance)
+        .field("edges_by_vertices", stats.edges_per_vertex)
 }
 
-/// Computes the Table-I rows for the configured suite: three R-MAT presets
-/// at three scales plus the four gene-correlation networks.
-pub fn run(options: &HarnessOptions) -> Vec<TableRow> {
+/// Computes the Table-I rows, each a graph's name and statistics, for the
+/// configured suite: three R-MAT presets at three scales plus the four
+/// gene-correlation networks.
+pub fn run(options: &HarnessOptions) -> Vec<(String, GraphStats)> {
     let mut rows = Vec::new();
     for scale in options.weak_scaling_scales() {
         for named in rmat_suite(scale) {
@@ -36,23 +37,23 @@ pub fn run(options: &HarnessOptions) -> Vec<TableRow> {
 }
 
 /// The row of one named graph.
-fn row(name: &str, graph: &CsrGraph) -> TableRow {
-    TableRow::compute(name, graph)
+fn row(name: &str, graph: &CsrGraph) -> (String, GraphStats) {
+    (name.to_string(), GraphStats::compute(graph))
 }
 
 /// Runs the experiment, prints the table and writes records.
-pub fn run_and_print(options: &HarnessOptions) -> Vec<TableRow> {
+pub fn run_and_print(options: &HarnessOptions) -> Vec<(String, GraphStats)> {
     let rows = run(options);
     println!("Table I: properties of the test suite (reduced scale)");
-    println!("{}", TableRow::header());
-    for row in &rows {
-        println!("{}", row.format());
+    println!("{}", GraphStats::header());
+    for (name, stats) in &rows {
+        println!("{}", stats.row(name));
     }
     let records: Vec<_> = rows
         .iter()
-        .map(|r| ExperimentRecord {
+        .map(|row| ExperimentRecord {
             experiment: "table1".to_string(),
-            data: row_json(r),
+            data: row_json(row),
         })
         .collect();
     options.write_records(&records);
@@ -82,9 +83,9 @@ mod tests {
         let rows = run(&HarnessOptions::tiny());
         // quick mode: 1 scale × 3 presets + 4 bio networks.
         assert_eq!(rows.len(), 7);
-        assert!(rows.iter().all(|r| r.vertices > 0));
+        assert!(rows.iter().all(|(_, stats)| stats.vertices > 0));
         // Bio networks have a higher edge/vertex ratio than RMAT-ER at tiny
         // scale? Not necessarily at this size; just check fields are filled.
-        assert!(rows.iter().all(|r| r.edges > 0));
+        assert!(rows.iter().all(|(_, stats)| stats.edges > 0));
     }
 }

@@ -19,7 +19,8 @@ pub struct SpeedupRow {
     pub vertices: usize,
     /// Directed adjacency entries of the graph (2|E|).
     pub directed_edges: usize,
-    /// Engine (`"pool"`).
+    /// Engine of the parallel measurement (`"pool"`, or `"serial"` when
+    /// it has one thread).
     pub engine: String,
     /// Variant ("Opt" / "Unopt").
     pub variant: String,

@@ -19,7 +19,8 @@ pub struct ScalingPoint {
     pub experiment: String,
     /// Graph name (e.g. `"RMAT-B(14)"`).
     pub graph: String,
-    /// Execution engine (`"pool"`).
+    /// Execution engine ([`chordal_runtime::Engine::name`]: `"serial"` at
+    /// one thread, `"pool"` otherwise).
     pub engine: String,
     /// Algorithm variant (`"Opt"` / `"Unopt"`).
     pub variant: String,

@@ -28,12 +28,6 @@ pub fn time_best_of<T>(repeats: usize, mut f: impl FnMut() -> T) -> (Duration, T
     (best, last.expect("at least one repetition"))
 }
 
-/// Formats a duration as fractional seconds with a sensible precision for
-/// tables.
-pub fn format_seconds(d: Duration) -> String {
-    format!("{:.4}", d.as_secs_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,10 +57,5 @@ mod tests {
     fn best_of_zero_clamps_to_one() {
         let (_, v) = time_best_of(0, || 7);
         assert_eq!(v, 7);
-    }
-
-    #[test]
-    fn format_seconds_has_four_decimals() {
-        assert_eq!(format_seconds(Duration::from_millis(1500)), "1.5000");
     }
 }

@@ -48,7 +48,6 @@
 
 use chordal_analysis::clustering::average_clustering;
 use chordal_analysis::degree_assortativity;
-use chordal_analysis::TableRow;
 use chordal_core::connect::stitch_components;
 use chordal_core::verify::{check_maximality, is_chordal, MaximalityReport};
 use chordal_core::{ExtractError, ExtractionSession, ExtractorConfig};
@@ -59,7 +58,7 @@ use chordal_graph::storage::{
     convert_edge_list_to_binary_with, ConvertOptions, FileFormat, LoadedGraph, MmapCsrGraph,
 };
 use chordal_graph::subgraph::edges_subset_of_graph;
-use chordal_graph::{CsrGraph, GraphError, GraphRef};
+use chordal_graph::{CsrGraph, GraphError, GraphRef, GraphStats};
 use chordal_serve::ServeConfig;
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -559,9 +558,8 @@ fn cmd_analyze(flags: &Flags) -> Result<(), ExtractError> {
     // The analysis helpers (clustering, assortativity, chordality) all
     // walk heap adjacency slices, so mmapped inputs materialise once.
     let graph = load_input(input, requested_format(flags)?)?.to_csr_graph();
-    let row = TableRow::compute(input, &graph);
-    say!("{}", TableRow::header())?;
-    say!("{}", row.format())?;
+    say!("{}", GraphStats::header())?;
+    say!("{}", GraphStats::compute(&graph).row(input))?;
     say!(
         "average clustering coefficient: {:.4}",
         average_clustering(&graph)

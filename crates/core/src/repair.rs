@@ -34,10 +34,10 @@
 //!
 //! # Result metadata
 //!
-//! [`repair_result_with`] counts the repair pass as one extra iteration of
-//! the repaired [`ChordalResult`] and — when per-iteration stats were
-//! recorded — appends one aggregate record (`examined` candidates,
-//! `added` edges), keeping the invariants
+//! The registry's post-pass ([`crate::ExtractorConfig::repair`]) counts the
+//! repair pass as one extra iteration of the repaired [`ChordalResult`]
+//! and — when per-iteration stats were recorded — appends one aggregate
+//! record (`examined` candidates, `added` edges), keeping the invariants
 //! `stats.iterations() == result.iterations` and
 //! `stats.total_edges() == result.num_chordal_edges()` intact for repaired
 //! results.
@@ -118,7 +118,7 @@ pub fn repair_maximality_reference<'a>(
 ) -> RepairOutcome {
     let graph = graph.into();
     let mut marks = RepairMarks::default();
-    marks.prepare(graph.total_degree());
+    marks.prepare(graph.num_directed_edges());
     greedy_repair(
         graph,
         canonical_edges(chordal_edges),
@@ -153,7 +153,7 @@ fn repair_with(
         return repair_maximality_reference(graph, chordal_edges);
     }
     let RepairScratch { marks, incr } =
-        workspace.prepare_repair(graph.total_degree(), graph.num_vertices());
+        workspace.prepare_repair(graph.num_directed_edges(), graph.num_vertices());
     let mut maintainer = IncrementalChordal::from_state(graph.num_vertices(), &edges, incr);
     greedy_repair(graph, edges, marks, |(u, v), _| maintainer.try_insert(u, v))
 }
@@ -232,29 +232,15 @@ fn greedy_repair(
     }
 }
 
-/// Convenience wrapper operating on a [`ChordalResult`] with a throwaway
-/// [`Workspace`]; see [`repair_result_with`].
-pub fn repair_result<'a>(graph: impl Into<GraphRef<'a>>, result: &ChordalResult) -> ChordalResult {
-    repair_result_with(graph, result, &mut Workspace::new())
-}
-
 /// Repairs a [`ChordalResult`], returning a new result with the augmented
-/// edge set. The repair pass is counted as one extra iteration, and — when
-/// the inner extraction recorded per-iteration stats — one aggregate stats
-/// record (`examined` candidates as the work proxy, `added.len()` edges) is
-/// appended, so the repaired result keeps the stats invariants of the
-/// unrepaired one.
-pub fn repair_result_with<'a>(
-    graph: impl Into<GraphRef<'a>>,
-    result: &ChordalResult,
-    workspace: &mut Workspace,
-) -> ChordalResult {
-    repair_result_impl(graph.into(), result, workspace, false)
-}
-
-/// [`repair_result_with`], skipping the up-front chordality certification
-/// when `assume_chordal` is set: the registry's post-pass
-/// ([`crate::ExtractorConfig::extract_into`]).
+/// edge set: the registry's post-pass
+/// ([`crate::ExtractorConfig::extract_into`]), which sets `assume_chordal`
+/// to skip the up-front chordality certification after an algorithm that
+/// guarantees a chordal output. The repair pass is counted as one extra
+/// iteration, and — when the inner extraction recorded per-iteration stats
+/// — one aggregate stats record (`examined` candidates as the work proxy,
+/// `added.len()` edges) is appended, so the repaired result keeps the
+/// stats invariants of the unrepaired one.
 pub(crate) fn repair_result_impl(
     graph: GraphRef<'_>,
     result: &ChordalResult,
@@ -306,7 +292,7 @@ mod tests {
         let g = figure1_gap_graph();
         let r = extract_reference(&g);
         assert_eq!(r.num_chordal_edges(), g.num_edges() - 1);
-        let repaired = repair_result(&g, &r);
+        let repaired = repair_result_impl(g.view(), &r, &mut Workspace::new(), false);
         assert_eq!(repaired.num_chordal_edges(), g.num_edges());
         assert!(is_chordal(&repaired.subgraph(&g)));
         assert_eq!(

@@ -109,6 +109,8 @@ impl ChordalResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{dearing::extract_dearing, extract_maximal_chordal_serial};
+    use chordal_generators::{rmat::RmatKind, rmat::RmatParams, structured};
     use chordal_graph::builder::graph_from_edges;
 
     #[test]
@@ -136,6 +138,36 @@ mod tests {
         let sub = r.subgraph(&g);
         assert_eq!(sub.num_edges(), 3);
         assert!(!sub.has_edge(0, 3));
+        let empty = ChordalResult::new(4, vec![], 0, None);
+        assert_eq!(empty.chordal_fraction(&g), 0.0);
+    }
+
+    #[test]
+    fn chordal_input_has_fraction_one() {
+        let g = structured::complete(6);
+        let r = extract_maximal_chordal_serial(&g);
+        assert!((r.chordal_fraction(&g) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cycle_fraction_is_all_but_one_edge() {
+        let g = structured::cycle(10);
+        let r = extract_maximal_chordal_serial(&g);
+        assert!((r.chordal_fraction(&g) - 0.9).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rmat_fraction_is_small_and_comparable_to_dearing() {
+        let g = RmatParams::preset(RmatKind::Er, 10, 7).generate();
+        let fa = extract_maximal_chordal_serial(&g).chordal_fraction(&g);
+        let fb = extract_dearing(&g).chordal_fraction(&g);
+        // Only a small portion of an R-MAT graph is chordal (paper: ~11%
+        // at scale 24-26; smaller scales retain a somewhat larger share).
+        assert!(fa > 0.02 && fa < 0.6, "algorithm-1 fraction {fa}");
+        assert!(fb > 0.02 && fb < 0.6, "dearing fraction {fb}");
+        // The two methods find maximal subgraphs of broadly similar size.
+        let ratio = fa / fb;
+        assert!(ratio > 0.5 && ratio < 1.5, "ratio {ratio}");
     }
 
     #[test]

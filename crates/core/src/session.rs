@@ -34,16 +34,16 @@
 //! children. A serial engine or a single graph has nothing to fan out to:
 //! the graphs run back to back through [`ExtractionSession::extract`].
 //!
-//! No graph of a batch runs with intra-graph parallelism, because on every
-//! measured batch it lost. These measurements predate the pull pass of
-//! [`crate::parallel`]: on a 2-core host, a warm RMAT-G(14) extraction
-//! (129k edges, median of 21 runs) took 2.6–2.7 ms serially and 4.9–5.8 ms
-//! on two threads. The benchmark's `gene-batch` (32 gene networks plus
-//! four RMAT-G(14) graphs) ran five graphs intra-graph under a fixed
-//! 32,768-edge pivot: 34.9 ms per batch, 60 pool regions, 0.58 of perfect
-//! two-thread efficiency. Fanned out longest first, every graph runs in one
-//! region: 20.9–21.3 ms, 0.79–0.93 efficiency, and 18.1 ms once the
-//! participants' one-thread sweeps dropped their atomic read-modify-writes.
+//! No graph of a batch runs with intra-graph parallelism, because on the
+//! measured batch it loses. The `scheduler` experiment
+//! (`BENCH_scheduler.json`) times one mixed batch, 48 RMAT-G(7) graphs and
+//! three RMAT-B(12) graphs, on two threads of a 2-vCPU host, best of 11:
+//! one `extract_batch` took 0.78–0.79 ms in each of three runs, a loop of
+//! intra-graph `extract` calls 1.57–1.68 ms (51 pool regions per batch
+//! against 1), and an input-order fan-out of serial sessions 0.83–0.85 ms.
+//! In three earlier runs, with the host busier, the batch read 0.92–1.58
+//! ms, the input-order fan-out 0.94–1.52 ms (lower in two of them) and the
+//! intra-graph loop 1.57–2.24 ms.
 //!
 //! Fanning out only moves *where* a graph runs: each slot equals a single
 //! run of the same graph. All parallel regions execute on the process-wide

@@ -43,17 +43,6 @@ impl IterationStats {
         self.queue_sizes.push(queue_size);
         self.edges_added.push(edges_added);
     }
-
-    /// The iteration with the largest queue (1-based), or `None` when no
-    /// iterations were recorded. The paper observes this is usually the
-    /// second iteration.
-    pub fn peak_iteration(&self) -> Option<usize> {
-        self.queue_sizes
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &s)| s)
-            .map(|(i, _)| i + 1)
-    }
 }
 
 #[cfg(test)]
@@ -69,7 +58,6 @@ mod tests {
         assert_eq!(s.iterations(), 3);
         assert_eq!(s.total_edges(), 14);
         assert_eq!(s.total_queue_entries(), 38);
-        assert_eq!(s.peak_iteration(), Some(2));
     }
 
     #[test]
@@ -77,6 +65,5 @@ mod tests {
         let s = IterationStats::new();
         assert_eq!(s.iterations(), 0);
         assert_eq!(s.total_edges(), 0);
-        assert_eq!(s.peak_iteration(), None);
     }
 }

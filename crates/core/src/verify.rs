@@ -135,18 +135,6 @@ pub fn is_chordal(graph: &CsrGraph) -> bool {
     is_perfect_elimination_ordering(graph, &elimination)
 }
 
-/// Returns a perfect elimination ordering of a chordal graph, or `None` if
-/// the graph is not chordal.
-pub fn perfect_elimination_ordering(graph: &CsrGraph) -> Option<Vec<VertexId>> {
-    let visit = mcs_order(graph);
-    let elimination: Vec<VertexId> = visit.into_iter().rev().collect();
-    if is_perfect_elimination_ordering(graph, &elimination) {
-        Some(elimination)
-    } else {
-        None
-    }
-}
-
 /// Outcome of a maximality check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MaximalityReport {
@@ -228,36 +216,22 @@ pub fn check_maximality(
     }
 }
 
-/// Whether adding the edge `(u, v)` to the **chordal** graph `chordal`
-/// keeps it chordal, for a pair that is not already adjacent.
-///
-/// Uses the separator characterisation of chordal edge insertion (the
-/// separator form of Ibarra's clique-tree condition; see
-/// [`crate::repair::incremental`] for the proof sketch): `chordal + uv` is
-/// chordal iff `N(u) ∩ N(v)` separates `u` from `v` — vacuously true when
-/// the endpoints lie in different components, since a bridge creates no
-/// cycle. One early-exit breadth-first search instead of a full MCS +
-/// perfect-elimination re-verification per query.
-///
-/// The answer is only meaningful when `chordal` is chordal and `(u, v)` is
-/// not one of its edges; callers certify both (as
-/// [`check_maximality`] does).
-///
-/// The search itself is the shared bidirectional blocked-frontier kernel
-/// ([`crate::kernels::SeparatorSearch`]), the same one the repair
-/// maintainer ([`crate::repair::incremental::IncrementalChordal`]) embeds —
-/// only the adjacency source differs (a CSR graph here, maintained lists
-/// there), which is exactly what the differential suites compare. One-shot
-/// convenience wrapper; loops over many candidates should reuse a
-/// `SeparatorScratch` the way [`check_maximality`] does.
-pub fn addition_preserves_chordality(chordal: &CsrGraph, u: VertexId, v: VertexId) -> bool {
-    SeparatorScratch::new(chordal.num_vertices()).separates(chordal, u, v)
-}
-
-/// Reusable separator-test scratch for loops over many candidate edges (as
-/// in [`check_maximality`]): a thin adapter binding the generic
+/// Reusable separator-test scratch for the candidate edges of
+/// [`check_maximality`]: a thin adapter binding the generic
 /// [`crate::kernels::SeparatorSearch`] frontier kernel to a [`CsrGraph`]'s
 /// sorted hot adjacency array.
+///
+/// Adding a non-adjacent pair `(u, v)` to a **chordal** graph keeps it
+/// chordal iff `N(u) ∩ N(v)` separates `u` from `v` — vacuously true when
+/// the endpoints lie in different components, since a bridge creates no
+/// cycle (the separator form of Ibarra's clique-tree condition; see
+/// [`crate::repair::incremental`] for the proof sketch). One early-exit
+/// breadth-first search answers it, instead of a full MCS +
+/// perfect-elimination re-verification per query. The kernel is the one
+/// the repair maintainer
+/// ([`crate::repair::incremental::IncrementalChordal`]) embeds; only the
+/// adjacency source differs (a CSR graph here, maintained lists there),
+/// which is exactly what the differential suites compare.
 struct SeparatorScratch {
     search: crate::kernels::SeparatorSearch,
 }
@@ -270,7 +244,9 @@ impl SeparatorScratch {
     }
 
     /// Whether `N(u) ∩ N(v)` separates `u` from `v` in `chordal` — i.e.
-    /// whether `chordal + uv` stays chordal. No component information is
+    /// whether `chordal + uv` stays chordal. The answer is only meaningful
+    /// when `chordal` is chordal and `(u, v)` is not one of its edges;
+    /// [`check_maximality`] certifies both. No component information is
     /// assumed, so the kernel's connectivity shortcut stays off.
     fn separates(&mut self, chordal: &CsrGraph, u: VertexId, v: VertexId) -> bool {
         self.search.separates(|w| chordal.neighbors(w), u, v, false)
@@ -320,14 +296,6 @@ mod tests {
     fn four_cycle_plus_chord_is_chordal() {
         let g = graph_from_edges(4, vec![(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]);
         assert!(is_chordal(&g));
-    }
-
-    #[test]
-    fn peo_returned_only_for_chordal_graphs() {
-        assert!(perfect_elimination_ordering(&structured::complete(5)).is_some());
-        assert!(perfect_elimination_ordering(&structured::cycle(6)).is_none());
-        let peo = perfect_elimination_ordering(&chordal_gen::k_tree(20, 2, 9)).unwrap();
-        assert_eq!(peo.len(), 20);
     }
 
     #[test]
@@ -403,7 +371,7 @@ mod tests {
                 let mut augmented = result.edges().to_vec();
                 augmented.push((u, v));
                 assert_eq!(
-                    addition_preserves_chordality(&sub, u, v),
+                    SeparatorScratch::new(sub.num_vertices()).separates(&sub, u, v),
                     is_chordal(&edge_subgraph(&g, &augmented)),
                     "seed {seed}: disagreement on ({u},{v})"
                 );
@@ -415,8 +383,9 @@ mod tests {
     fn bridge_additions_preserve_chordality() {
         // Two disjoint triangles: any cross-component edge is a bridge.
         let g = graph_from_edges(6, vec![(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]);
-        assert!(addition_preserves_chordality(&g, 0, 3));
-        assert!(addition_preserves_chordality(&g, 2, 5));
+        let mut scratch = SeparatorScratch::new(g.num_vertices());
+        assert!(scratch.separates(&g, 0, 3));
+        assert!(scratch.separates(&g, 2, 5));
     }
 
     #[test]

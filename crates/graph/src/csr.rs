@@ -234,12 +234,6 @@ impl CsrGraph {
         self.view().num_directed_edges()
     }
 
-    /// Sum of all degrees (equals `2 * num_edges`).
-    #[inline]
-    pub fn total_degree(&self) -> usize {
-        self.view().total_degree()
-    }
-
     /// Degree of vertex `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {

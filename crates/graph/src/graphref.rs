@@ -140,12 +140,6 @@ impl<'a> GraphRef<'a> {
         self.adjacency.len()
     }
 
-    /// Sum of all degrees (equals `num_directed_edges`).
-    #[inline]
-    pub fn total_degree(self) -> usize {
-        self.num_directed_edges()
-    }
-
     /// Degree of vertex `v`.
     #[inline]
     pub fn degree(self, v: VertexId) -> usize {
@@ -249,7 +243,6 @@ mod tests {
         assert_eq!(r.num_edges(), 3);
         assert_eq!(r.num_canonical_edges(), 3);
         assert_eq!(r.num_directed_edges(), 6);
-        assert_eq!(r.total_degree(), 6);
         assert_eq!(r.degree(1), 2);
         assert_eq!(r.neighbors(1), &[0, 2]);
         assert_eq!(r.offsets(), &[0, 1, 3, 5, 6]);

@@ -57,6 +57,29 @@ impl GraphStats {
             edges_per_vertex: m as f64 / n as f64,
         }
     }
+
+    /// Header line of a Table I listing, aligned with [`GraphStats::row`].
+    pub fn header() -> String {
+        format!(
+            "{:<16} {:>12} {:>14} {:>8} {:>8} {:>12} {:>10}",
+            "Group", "Vertices", "Edges", "AvgDeg", "MaxDeg", "Variance", "E/V"
+        )
+    }
+
+    /// This summary as the fixed-width Table I row of the graph `name`,
+    /// aligned with [`GraphStats::header`].
+    pub fn row(&self, name: &str) -> String {
+        format!(
+            "{:<16} {:>12} {:>14} {:>8.2} {:>8} {:>12.1} {:>10.2}",
+            name,
+            self.vertices,
+            self.edges,
+            self.avg_degree,
+            self.max_degree,
+            self.degree_variance,
+            self.edges_per_vertex
+        )
+    }
 }
 
 #[cfg(test)]
@@ -86,6 +109,22 @@ mod tests {
         assert_eq!(s.vertices, 0);
         assert_eq!(s.edges, 0);
         assert_eq!(s.max_degree, 0);
+    }
+
+    #[test]
+    fn rows_line_up_with_the_header() {
+        let k4 = graph_from_edges(4, vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
+        let header = GraphStats::header();
+        let row = GraphStats::compute(&k4).row("K4");
+        assert_eq!(
+            header,
+            "Group                Vertices          Edges   AvgDeg   MaxDeg     Variance        E/V"
+        );
+        assert_eq!(
+            row,
+            "K4                          4              6     3.00        3          0.0       1.50"
+        );
+        assert_eq!(row.len(), header.len());
     }
 
     #[test]

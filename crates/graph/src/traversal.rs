@@ -137,15 +137,6 @@ pub fn bfs_numbering(graph: &CsrGraph) -> Vec<VertexId> {
     perm
 }
 
-/// Eccentricity-style helper: the largest finite BFS distance from `source`.
-pub fn bfs_eccentricity(graph: &CsrGraph, source: VertexId) -> u32 {
-    bfs_levels(graph, source)
-        .into_iter()
-        .filter(|&d| d != UNREACHABLE)
-        .max()
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,12 +216,5 @@ mod tests {
         let mut sorted = perm.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..6).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn bfs_eccentricity_of_path_endpoint() {
-        let g = graph_from_edges(5, vec![(0, 1), (1, 2), (2, 3), (3, 4)]);
-        assert_eq!(bfs_eccentricity(&g, 0), 4);
-        assert_eq!(bfs_eccentricity(&g, 2), 2);
     }
 }

@@ -1,4 +1,4 @@
-//! Parallel execution engines for the maximal chordal subgraph workspace.
+//! The parallel execution engine of the maximal chordal subgraph workspace.
 //!
 //! The ICPP 2012 paper evaluates its algorithm on two very different
 //! shared-memory machines: a Cray XMT (massive fine-grained multithreading,
@@ -7,28 +7,27 @@
 //! (conventional cache-based multicore). Those are machines, not
 //! schedulers: on both, Algorithm 1 needs one parallel primitive —
 //! participants claiming pieces of an index range through one shared
-//! cursor. This crate provides that primitive plus a serial reference, and
-//! every parallel loop of the workspace goes through it:
+//! cursor. This crate provides that primitive, and every parallel loop of
+//! the workspace goes through it.
 //!
-//! * [`Engine::Pool`] — dynamic self-scheduling on the workspace's single
-//!   **persistent worker pool** (the private `pool` module): a region's
-//!   participants, the calling thread and up to `threads - 1` pool workers,
-//!   claim grain-aligned pieces of the iteration space from one atomic
-//!   counter, the software analogue of the XMT's interleaved scheduling
-//!   over many thread streams and of one thread per Opteron core. A region
-//!   is a ticket push onto already-running workers, never a thread spawn,
-//!   so region-heavy workloads (batch serving, generators, iterative
-//!   extraction) pay queue-transfer costs instead of thread-creation costs.
-//! * [`Engine::Serial`] — single-threaded reference used for speedup
-//!   baselines and determinism tests.
+//! An [`Engine`] is a thread count and a grain. Its regions run on the
+//! workspace's single **persistent worker pool** (the private `pool`
+//! module): a region's participants, the calling thread and up to
+//! `threads - 1` pool workers, claim grain-aligned pieces of the iteration
+//! space from one atomic counter, the software analogue of the XMT's
+//! interleaved scheduling over many thread streams and of one thread per
+//! Opteron core. A region is a ticket push onto already-running workers,
+//! never a thread spawn, so region-heavy workloads (batch serving,
+//! generators) pay queue-transfer costs instead of thread-creation costs.
+//! A one-thread engine, [`Engine::serial`], runs every loop inline in index
+//! order; it is the speedup baseline and the determinism reference.
 //!
-//! Both engines present the same interface, so each loop is written once:
-//! [`Engine::parallel_for_chunks`] runs a body on disjoint pieces,
-//! [`Engine::map_pieces`] collects one result per piece in index order,
-//! and [`Engine::for_each_mut`] hands every item of a mutable slice to a
-//! body. A loop with a configured engine runs on it; a loop without one
-//! (graph construction, the generators, the analysis kernels) runs on an
-//! engine of [`pool_size`] threads. The [`publish`] module adds the one
+//! There are three loops: [`Engine::map_pieces`] collects one result per
+//! piece in index order, [`Engine::for_each_mut`] hands every item of a
+//! mutable slice to a body, and [`Published::doacross`] runs Algorithm 1's
+//! ordered pass. A loop with a configured engine runs on it; a loop without
+//! one (graph construction, the generators, the analysis kernels) runs on
+//! an engine of [`pool_size`] threads. The [`publish`] module adds the one
 //! cross-task wait Algorithm 1 needs, the software form of the XMT's
 //! full/empty bits: a release store of a value, an acquire wait for it, and
 //! a doacross loop whose participants claim small pieces in ascending order
@@ -50,71 +49,66 @@ use pool::Pool;
 use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
 
-/// Default chunk (grain) size of the pool engine.
+/// Default grain of an engine.
 pub const DEFAULT_GRAIN: usize = 256;
 
-/// An execution engine: a thread count and a grain, so `Copy`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Single-threaded execution, in index order.
-    #[default]
-    Serial,
-    /// Dynamic self-scheduling on the persistent worker pool: a region's
-    /// participants claim grain-aligned pieces from one shared cursor.
-    Pool {
-        /// Participants one region may use: the calling thread plus up to
-        /// `threads - 1` pool workers.
-        threads: usize,
-        /// Claims are whole multiples of this many indices; a region of at
-        /// most one grain runs inline.
-        grain: usize,
-    },
+/// An execution engine: a thread count and a grain, so `Copy`. The default
+/// is the serial engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Engine {
+    /// Participants one region may use: the calling thread plus up to
+    /// `threads - 1` pool workers. At least 1.
+    threads: usize,
+    /// Claims are whole multiples of this many indices; a region of at
+    /// most one grain runs inline. At least 1.
+    grain: usize,
+}
+
+impl Default for Engine {
+    fn default() -> Self {
+        Self::serial()
+    }
 }
 
 impl Engine {
-    /// The serial reference engine.
+    /// The serial engine: one thread, so every loop runs inline in index
+    /// order.
     pub fn serial() -> Self {
-        Engine::Serial
+        Self::chunked(1)
     }
 
-    /// A pool engine with `threads` participants and the default grain.
+    /// An engine with `threads` participants and the default grain.
     pub fn chunked(threads: usize) -> Self {
         Self::chunked_with_grain(threads, DEFAULT_GRAIN)
     }
 
-    /// A pool engine with an explicit grain size. Both values are clamped
-    /// to at least 1.
+    /// An engine with an explicit grain size. Both values are clamped to at
+    /// least 1.
     pub fn chunked_with_grain(threads: usize, grain: usize) -> Self {
-        Engine::Pool {
+        Self {
             threads: threads.max(1),
             grain: grain.max(1),
         }
     }
 
-    /// This engine with its grain replaced (the serial engine is returned
-    /// unchanged). Callers with coarse work items — e.g. whole graphs in a
-    /// batch extraction — use grain 1 so every item can be claimed
-    /// independently.
+    /// This engine with its grain replaced. Callers with coarse work items
+    /// — e.g. whole graphs in a batch extraction — use grain 1 so every
+    /// item can be claimed independently.
     pub fn with_grain(self, grain: usize) -> Self {
-        match self {
-            Engine::Serial => Engine::Serial,
-            Engine::Pool { threads, .. } => Self::chunked_with_grain(threads, grain),
-        }
+        Self::chunked_with_grain(self.threads, grain)
     }
 
-    /// Number of worker threads this engine uses (1 for serial).
+    /// Number of participants one region of this engine may use (1 for the
+    /// serial engine).
     pub fn threads(&self) -> usize {
-        match *self {
-            Engine::Serial => 1,
-            Engine::Pool { threads, .. } => threads,
-        }
+        self.threads
     }
 
     /// Constructs an engine from its short name and a worker-thread count,
-    /// or `None` for an unknown name: `"serial"`, or `"pool"` with its
-    /// aliases `"rayon"` and `"chunked"`. This is the single place front
-    /// ends resolve engine names, so the CLI, serve, benchmarks and
-    /// experiments accept the same spellings.
+    /// or `None` for an unknown name: `"serial"` (one thread, whatever the
+    /// count), or `"pool"` with its aliases `"rayon"` and `"chunked"`. This
+    /// is the single place front ends resolve engine names, so the CLI,
+    /// serve, benchmarks and experiments accept the same spellings.
     pub fn by_name(name: &str, threads: usize) -> Option<Self> {
         match name {
             "serial" => Some(Engine::serial()),
@@ -123,55 +117,28 @@ impl Engine {
         }
     }
 
-    /// Short human-readable name used in benchmark output (`"serial"`,
-    /// `"pool"`).
+    /// Short human-readable name used in benchmark output: `"serial"` at
+    /// one thread, `"pool"` otherwise.
     pub fn name(&self) -> &'static str {
-        match self {
-            Engine::Serial => "serial",
-            Engine::Pool { .. } => "pool",
+        if self.threads == 1 {
+            "serial"
+        } else {
+            "pool"
         }
     }
 
-    /// Runs `f` for every index in `0..n`. Iteration order is unspecified for
-    /// the pool engine; `f` must be safe to call concurrently.
-    pub fn parallel_for<F>(&self, n: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.parallel_for_chunks(n, |range| {
-            for i in range {
-                f(i);
-            }
-        });
-    }
-
-    /// Runs `f` on disjoint ranges covering `0..n`. This is the primitive the
-    /// other helpers are built on.
+    /// Runs `f` on disjoint pieces covering `0..n` and returns their
+    /// results in index order: one result when the engine runs the range
+    /// inline, none for an empty range. Each piece writes its result into
+    /// its own slot, so collection takes no lock.
     ///
-    /// The pool engine hands out grain-aligned pieces of
+    /// A pool region hands out grain-aligned pieces of
     /// `⌈⌈n/grain⌉ / (4·threads)⌉ · grain` indices (the last one shorter),
     /// so a region has at most `4·threads` pieces whatever its size, and
     /// four pieces per participant still absorb skewed work. Claiming one
     /// grain at a time instead made two-thread extractions on a 2-core host
     /// 6–21% slower on RMAT-G(13–16) and 1–8% slower on RMAT-B(16), for
     /// 0–3% gained on RMAT-ER(16).
-    pub fn parallel_for_chunks<F>(&self, n: usize, f: F)
-    where
-        F: Fn(Range<usize>) + Sync,
-    {
-        if n == 0 {
-            return;
-        }
-        match self.piece(n) {
-            None => f(0..n),
-            Some(piece) => Pool::global().run_region(n, piece, self.threads(), f),
-        }
-    }
-
-    /// Runs `f` on the pieces [`Engine::parallel_for_chunks`] hands out
-    /// over `0..n` and returns their results in index order: one result on
-    /// the serial engine, none for an empty range. Each piece writes its
-    /// result into its own slot, so collection takes no lock.
     pub fn map_pieces<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send + Sync,
@@ -184,7 +151,7 @@ impl Engine {
             return vec![f(0..n)];
         };
         let slots: Vec<OnceLock<R>> = (0..n.div_ceil(piece)).map(|_| OnceLock::new()).collect();
-        Pool::global().run_region(n, piece, self.threads(), |range| {
+        Pool::global().run_region(n, piece, self.threads, |range| {
             // A piece starts at a multiple of `piece`, so it owns one slot.
             let first = slots[range.start / piece].set(f(range)).is_ok();
             assert!(first, "the region runs each piece once");
@@ -196,8 +163,8 @@ impl Engine {
     }
 
     /// Runs `f(i, &mut items[i])` for every item, on the pieces
-    /// [`Engine::parallel_for_chunks`] hands out over the slice's indices.
-    /// Each piece's sub-slice sits behind its own `Mutex`, which only the
+    /// [`Engine::map_pieces`] hands out over the slice's indices. Each
+    /// piece's sub-slice sits behind its own `Mutex`, which only the
     /// participant that claimed the piece ever locks.
     pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
     where
@@ -212,7 +179,7 @@ impl Engine {
         };
         let n = items.len();
         let pieces: Vec<Mutex<&mut [T]>> = items.chunks_mut(piece).map(Mutex::new).collect();
-        Pool::global().run_region(n, piece, self.threads(), |range| {
+        Pool::global().run_region(n, piece, self.threads, |range| {
             let mut sub = pieces[range.start / piece]
                 .lock()
                 .expect("the region runs each piece once, so no lock is poisoned");
@@ -223,20 +190,17 @@ impl Engine {
     }
 
     /// The piece length of a pool region over `0..n`, or `None` when the
-    /// engine runs the range as one inline call: the serial engine, one
-    /// participant, or a range within one grain (a region submission would
-    /// only add overhead). A region always has at least two pieces, so the
-    /// pool splits it by exactly this length and never runs it inline.
+    /// engine runs the range as one inline call: one thread, or a range
+    /// within one grain (a region submission would only add overhead). A
+    /// region always has at least two pieces, so the pool splits it by
+    /// exactly this length and never runs it inline.
     fn piece(&self, n: usize) -> Option<usize> {
-        match *self {
-            Engine::Pool { threads, grain } if threads > 1 && n > grain => Some(
-                n.div_ceil(grain)
-                    .div_ceil(threads.saturating_mul(4))
-                    .saturating_mul(grain)
-                    .min(n),
-            ),
-            _ => None,
-        }
+        (self.threads > 1 && n > self.grain).then(|| {
+            n.div_ceil(self.grain)
+                .div_ceil(self.threads.saturating_mul(4))
+                .saturating_mul(self.grain)
+                .min(n)
+        })
     }
 }
 
@@ -266,20 +230,18 @@ mod tests {
 
     /// The ranges `engine` hands out over `0..n`, in index order.
     fn ranges(engine: Engine, n: usize) -> Vec<Range<usize>> {
-        let seen = Mutex::new(Vec::new());
-        engine.parallel_for_chunks(n, |r| seen.lock().unwrap().push(r));
-        let mut seen = seen.into_inner().unwrap();
-        seen.sort_by_key(|r| r.start);
-        seen
+        engine.map_pieces(n, |r| r)
     }
 
     #[test]
-    fn parallel_for_visits_every_index_exactly_once() {
+    fn map_pieces_visits_every_index_exactly_once() {
         for engine in engines() {
             let n = 10_000;
             let counters: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            engine.parallel_for(n, |i| {
-                counters[i].fetch_add(1, Ordering::Relaxed);
+            engine.map_pieces(n, |r| {
+                for i in r {
+                    counters[i].fetch_add(1, Ordering::Relaxed);
+                }
             });
             assert!(
                 counters.iter().all(|c| c.load(Ordering::Relaxed) == 1),
@@ -290,11 +252,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_chunks_covers_range_disjointly() {
+    fn map_pieces_covers_range_disjointly() {
         for engine in engines() {
             let n = 4_321;
             let sum = AtomicUsize::new(0);
-            engine.parallel_for_chunks(n, |r| {
+            engine.map_pieces(n, |r| {
                 sum.fetch_add(r.len(), Ordering::Relaxed);
             });
             assert_eq!(sum.load(Ordering::Relaxed), n, "engine {:?}", engine);
@@ -302,10 +264,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_empty_range_is_noop() {
+    fn map_pieces_over_an_empty_range_calls_nothing() {
         for engine in engines() {
             let called = AtomicUsize::new(0);
-            engine.parallel_for(0, |_| {
+            engine.map_pieces(0, |_| {
                 called.fetch_add(1, Ordering::Relaxed);
             });
             assert_eq!(called.load(Ordering::Relaxed), 0);
@@ -347,7 +309,7 @@ mod tests {
     #[test]
     fn pool_stats_and_overhead_are_observable() {
         let before = pool_stats();
-        Engine::chunked(4).parallel_for(50_000, |_| {});
+        Engine::chunked(4).map_pieces(50_000, |_| ());
         let after = pool_stats();
         assert!(after.regions >= before.regions, "regions must not shrink");
         assert!(
@@ -365,19 +327,17 @@ mod tests {
         assert_eq!(Engine::serial().name(), "serial");
         assert_eq!(Engine::chunked(8).threads(), 8);
         assert_eq!(Engine::chunked(8).name(), "pool");
+        assert_eq!(Engine::chunked(1), Engine::serial());
         assert_eq!(
             Engine::chunked_with_grain(0, 0),
-            Engine::Pool {
-                threads: 1,
-                grain: 1
-            },
+            Engine::serial().with_grain(1),
             "constructors clamp to one thread and a grain of one"
         );
         assert_eq!(
             Engine::chunked(3).with_grain(1),
             Engine::chunked_with_grain(3, 1)
         );
-        assert_eq!(Engine::serial().with_grain(1), Engine::Serial);
+        assert_eq!(Engine::serial().with_grain(1).name(), "serial");
         assert!(available_threads() >= 1);
     }
 
@@ -386,14 +346,15 @@ mod tests {
         for name in ["rayon", "pool", "chunked"] {
             assert_eq!(Engine::by_name(name, 3), Some(Engine::chunked(3)), "{name}");
         }
-        assert_eq!(Engine::by_name("serial", 3), Some(Engine::Serial));
+        assert_eq!(Engine::by_name("serial", 3), Some(Engine::serial()));
         assert_eq!(Engine::by_name("pool", 0), Some(Engine::chunked(1)));
+        assert_eq!(Engine::by_name("pool", 1), Some(Engine::serial()));
         assert_eq!(Engine::by_name("xmt", 3), None);
     }
 
     #[test]
     fn default_engine_is_serial() {
-        assert_eq!(Engine::default(), Engine::Serial);
+        assert_eq!(Engine::default(), Engine::serial());
     }
 
     #[test]
@@ -401,15 +362,12 @@ mod tests {
         let engines = [Engine::chunked(4), Engine::chunked_with_grain(2, 16)];
         // Warm-up: the first parallel region spawns the pool workers.
         for engine in &engines {
-            engine.parallel_for(10_000, |_| {});
+            engine.map_pieces(10_000, |_| ());
         }
         for _ in 0..32 {
             for engine in &engines {
-                let sum = AtomicUsize::new(0);
-                engine.parallel_for(10_000, |i| {
-                    sum.fetch_add(i, Ordering::Relaxed);
-                });
-                assert_eq!(sum.load(Ordering::Relaxed), 49_995_000);
+                let sums = engine.map_pieces(10_000, |r| r.sum::<usize>());
+                assert_eq!(sums.into_iter().sum::<usize>(), 49_995_000);
             }
         }
     }
@@ -425,7 +383,6 @@ mod tests {
                 next = r.end;
             }
             assert_eq!(next, n, "engine {engine:?}");
-            assert_eq!(pieces, ranges(engine, n), "engine {engine:?}");
             let squares: Vec<usize> = engine
                 .map_pieces(n, |r| r.map(|i| i * i).collect::<Vec<_>>())
                 .concat();
@@ -458,7 +415,7 @@ mod tests {
     fn region_bodies_run_only_on_pool_workers_or_the_caller() {
         let seen = Mutex::new(std::collections::HashSet::new());
         for _ in 0..32 {
-            Engine::chunked_with_grain(pool_size() + 1, 1).parallel_for(2_000, |_| {
+            Engine::chunked_with_grain(pool_size() + 1, 1).map_pieces(2_000, |_| {
                 seen.lock().unwrap().insert(std::thread::current().id());
             });
         }

@@ -89,7 +89,7 @@ pub const UNPUBLISHED: u32 = u32::MAX;
 /// Indices a doacross participant claims at a time. Measured, not tuned
 /// per call: on the two-thread half of an RMAT-ER/G/B(16) pull pass on a
 /// 2-core host, 64-index pieces took 29–35 ms, 256-index pieces 40–42 ms
-/// and the engine's coarse pieces (`Engine::parallel_for_chunks`) 51–55 ms.
+/// and the engine's coarse pieces (those of `Engine::map_pieces`) 51–55 ms.
 /// Smaller pieces keep the participants close together in id order, so a
 /// waiter's parents are more often finished already.
 pub const DOACROSS_PIECE: usize = 64;

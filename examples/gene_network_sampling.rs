@@ -41,7 +41,7 @@ fn main() {
         "\nchordal sample: {} of {} edges ({:.1}%), {} iterations",
         result.num_chordal_edges(),
         network.num_edges(),
-        chordal_edge_percentage(&network, &result),
+        100.0 * result.chordal_fraction(&network),
         result.iterations
     );
     if let Some(stats) = &result.stats {

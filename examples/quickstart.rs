@@ -45,7 +45,7 @@ fn main() {
     println!(
         "maximal chordal subgraph: {} edges ({:.1}% of the input) in {} iterations",
         result.num_chordal_edges(),
-        chordal_edge_percentage(&graph, &result),
+        100.0 * result.chordal_fraction(&graph),
         result.iterations
     );
 

@@ -11,15 +11,16 @@
 //! * [`graph`] — CSR graph substrate (construction, traversal, statistics).
 //! * [`generators`] — R-MAT, Erdős–Rényi, structured graphs and synthetic
 //!   gene-correlation networks.
-//! * [`runtime`] — execution engines (serial, and dynamic self-scheduling
-//!   on the persistent worker pool).
+//! * [`runtime`] — the execution engine: a thread count and a grain for
+//!   dynamic self-scheduling on the persistent worker pool (one thread is
+//!   the serial engine).
 //! * [`core`] — the extraction algorithms of the [`Algorithm`] registry
 //!   (the paper's Algorithm 1, the sequential reference, the Dearing serial
 //!   baseline, the partitioned baseline) behind one dispatch,
 //!   [`ExtractorConfig::extract_into`], the reusable [`ExtractionSession`]
 //!   API, verification and component stitching.
-//! * [`analysis`] — clustering coefficients, shortest-path distributions,
-//!   assortativity and chordal-fraction reporting.
+//! * [`analysis`] — clustering coefficients, shortest-path distributions
+//!   and assortativity.
 //! * [`serve`] — the resident extraction service behind `chordal serve`:
 //!   TCP protocol, content-hash graph cache, admission control.
 //!
@@ -74,9 +75,9 @@
 //! most `threads` participants take them longest first and extract each
 //! serially into their own reusable workspace. No graph of a batch runs
 //! with intra-graph parallelism (the paper's Algorithm 1 scaling regime,
-//! which `extract` runs on one graph): on every measured batch, serial
-//! runs side by side beat it (the `chordal_core::session` docs give the
-//! numbers). Every parallel region executes on the process-wide persistent
+//! which `extract` runs on one graph): on the measured mixed batch, serial
+//! runs side by side take half its time (the `chordal_core::session` docs
+//! give the numbers). Every parallel region executes on the process-wide persistent
 //! worker pool (sized by `CHORDAL_POOL_THREADS`, default all logical CPUs),
 //! so batches never spawn threads:
 //!
@@ -128,9 +129,10 @@ pub use chordal_core::{
 };
 
 /// The most commonly used items across the workspace, re-exported for
-/// applications and examples.
+/// applications and examples. A result's share of the input's edges is
+/// [`ChordalResult::chordal_fraction`]; Table I's statistics are
+/// [`graph::GraphStats`].
 pub mod prelude {
-    pub use chordal_analysis::chordal_fraction::chordal_edge_percentage;
     pub use chordal_analysis::clustering::average_clustering;
     pub use chordal_analysis::degree_assortativity;
     pub use chordal_core::connect::{stitch_components, stitched_edge_set};
