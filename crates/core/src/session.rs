@@ -41,8 +41,8 @@
 //! one `extract_batch` took 0.78–0.79 ms in each of three runs, a loop of
 //! intra-graph `extract` calls 1.57–1.68 ms (51 pool regions per batch
 //! against 1), and an input-order fan-out of serial sessions 0.83–0.85 ms.
-//! In three earlier runs, with the host busier, the batch read 0.92–1.58
-//! ms, the input-order fan-out 0.94–1.52 ms (lower in two of them) and the
+//! Three earlier runs spread wider: the batch read 0.92–1.58 ms, the
+//! input-order fan-out 0.94–1.52 ms (lower in two of them) and the
 //! intra-graph loop 1.57–2.24 ms.
 //!
 //! Fanning out only moves *where* a graph runs: each slot equals a single
