@@ -1,10 +1,11 @@
 //! Scaling experiments: Figures 4 and 5.
 //!
 //! * **Figure 4** — strong and weak scaling of the Opt/Unopt variants on the
-//!   three R-MAT presets, on the pool engine. The paper's two hardware
-//!   platforms (Cray XMT, AMD Opteron) are machines, not schedulers, so
-//!   one engine stands for both; the paper's Figure 6 (the two platforms on
-//!   the same RMAT-ER / RMAT-B input) is a subset of this sweep.
+//!   three R-MAT presets, one engine per thread count (`serial` at one,
+//!   `pool` above). The paper's two hardware platforms (Cray XMT, AMD
+//!   Opteron) are machines, not schedulers, so one engine stands for both;
+//!   the paper's Figure 6 (the two platforms on the same RMAT-ER / RMAT-B
+//!   input) is a subset of this sweep.
 //! * **Figure 5** — the same sweep on the four gene-correlation networks.
 
 use super::HarnessOptions;
@@ -28,8 +29,9 @@ pub fn variant_input(graph: &CsrGraph, variant: AdjacencyMode) -> Cow<'_, CsrGra
     }
 }
 
-/// Measures one timing point of the graph `name` on the pool engine at
-/// `threads`, given its input for `variant` ([`variant_input`]).
+/// Measures one timing point of the graph `name` on `Engine::chunked(threads)`
+/// (named `serial` at one thread, `pool` otherwise), given its input for
+/// `variant` ([`variant_input`]).
 pub fn measure_point(
     experiment: &str,
     name: &str,

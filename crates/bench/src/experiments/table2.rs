@@ -9,8 +9,7 @@ use chordal_generators::{rmat::RmatKind, GeneNetworkKind};
 use chordal_serve::impl_to_json;
 
 /// One speedup row: a graph, a variant and the speedup of `max_threads`
-/// workers over one worker on the pool engine, with the memory each
-/// point's workspace kept.
+/// workers over one worker, with the memory each point's workspace kept.
 #[derive(Debug, Clone)]
 pub struct SpeedupRow {
     /// Graph name.

@@ -37,13 +37,13 @@
 //! No graph of a batch runs with intra-graph parallelism, because on the
 //! measured batch it loses. The `scheduler` experiment
 //! (`BENCH_scheduler.json`) times one mixed batch, 48 RMAT-G(7) graphs and
-//! three RMAT-B(12) graphs, on two threads of a 2-vCPU host, best of 11:
-//! one `extract_batch` took 0.78–0.79 ms in each of three runs, a loop of
-//! intra-graph `extract` calls 1.57–1.68 ms (51 pool regions per batch
-//! against 1), and an input-order fan-out of serial sessions 0.83–0.85 ms.
-//! Three earlier runs spread wider: the batch read 0.92–1.58 ms, the
-//! input-order fan-out 0.94–1.52 ms (lower in two of them) and the
-//! intra-graph loop 1.57–2.24 ms.
+//! three RMAT-B(12) graphs, on two threads of a 2-vCPU host, best of 11, in
+//! six runs: a loop of intra-graph `extract` calls (51 pool regions per
+//! batch against 1) took 1.57–2.24 ms and lost to the fastest policy in
+//! every run and to `extract_batch` (0.78–1.58 ms) in five of the six; an
+//! input-order fan-out of serial sessions took 0.83–1.52 ms and beat
+//! `extract_batch` in two. On that host the best of 11 moves by up to 2x
+//! between runs, so the runs show a ranking, not a ratio.
 //!
 //! Fanning out only moves *where* a graph runs: each slot equals a single
 //! run of the same graph. All parallel regions execute on the process-wide

@@ -83,12 +83,12 @@ impl Engine {
     }
 
     /// An engine with an explicit grain size. Both values are clamped to at
-    /// least 1.
+    /// least 1; a one-thread engine reads no grain and keeps
+    /// [`DEFAULT_GRAIN`], so engines that run alike are equal.
     pub fn chunked_with_grain(threads: usize, grain: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-            grain: grain.max(1),
-        }
+        let (threads, grain) = (threads.max(1), grain.max(1));
+        let grain = if threads == 1 { DEFAULT_GRAIN } else { grain };
+        Self { threads, grain }
     }
 
     /// This engine with its grain replaced. Callers with coarse work items
@@ -330,14 +330,19 @@ mod tests {
         assert_eq!(Engine::chunked(1), Engine::serial());
         assert_eq!(
             Engine::chunked_with_grain(0, 0),
-            Engine::serial().with_grain(1),
-            "constructors clamp to one thread and a grain of one"
+            Engine::serial(),
+            "constructors clamp to one thread"
+        );
+        assert_eq!(
+            Engine::chunked_with_grain(2, 0),
+            Engine::chunked_with_grain(2, 1),
+            "constructors clamp to a grain of one"
         );
         assert_eq!(
             Engine::chunked(3).with_grain(1),
             Engine::chunked_with_grain(3, 1)
         );
-        assert_eq!(Engine::serial().with_grain(1).name(), "serial");
+        assert_eq!(Engine::serial().with_grain(1), Engine::serial());
         assert!(available_threads() >= 1);
     }
 
