@@ -261,6 +261,40 @@ fn every_generator_reproduces_its_pinned_content_hash() {
             RmatParams::preset(RmatKind::B, 12, 1).generate(),
             0xa478_6988_ec39_7c40,
         ),
+        // Scale 14: 131,072 edges, two 65,536-edge chunks, so the second
+        // chunk's seed shows.
+        (
+            "RMAT-ER(14)",
+            RmatParams::preset(RmatKind::Er, 14, 1).generate(),
+            0x26ce_0680_2ef5_497c,
+        ),
+        (
+            "RMAT-G(14)",
+            RmatParams::preset(RmatKind::G, 14, 1).generate(),
+            0xe5b7_2533_61f6_35d3,
+        ),
+        (
+            "RMAT-B(14)",
+            RmatParams::preset(RmatKind::B, 14, 1).generate(),
+            0x3a7a_e42c_3083_a9cb,
+        ),
+        // Not a preset: 9 × 2^13 = 73,728 edges end in a short chunk, and the
+        // dyadic probabilities put every descent threshold on an exact
+        // multiple of 2^-53.
+        (
+            "R-MAT(13), edge factor 9, 0.5/0.25/0.125/0.125",
+            RmatParams {
+                scale: 13,
+                edge_factor: 9,
+                a: 0.5,
+                b: 0.25,
+                c: 0.125,
+                d: 0.125,
+                seed: 1,
+            }
+            .generate(),
+            0xa8f1_db43_651e_c459,
+        ),
         (
             "GSE5140(UNT)",
             GeneNetworkKind::Gse5140Unt.network(1_000, 1),
