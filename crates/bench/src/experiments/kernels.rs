@@ -1,5 +1,6 @@
 //! Per-kernel ablations: intersection variants across degree-skew
-//! families, and the Pearson correlation kernel behind the gene networks.
+//! families, the Pearson correlation kernel behind the gene networks, and
+//! the R-MAT generator's quadrant descent.
 //!
 //! The extraction stack's hot predicates (triangle tests, subset checks,
 //! separator searches — see [`chordal_core::kernels`]) all reduce to
@@ -17,6 +18,12 @@
 //! `blocked`), over the expression matrices of the four 3,000-gene
 //! networks (1,000 genes with `--quick`), each at the paper's threshold.
 //!
+//! The `rmat` family times R-MAT generation: the float descent
+//! ([`RmatParams::generate_reference`], variant `float`) against the
+//! integer-threshold descent ([`RmatParams::generate`], variant
+//! `threshold`), each building RMAT-ER, RMAT-G and RMAT-B at scale 16
+//! (scale 12 with `--quick`), seed 1.
+//!
 //! Each [`KernelPoint`] records `ns_per_edge` (nanoseconds per input
 //! element) and a `bytes_touched` estimate, so the ablation JSON shows
 //! both the time and the traffic story. The `matches` checksum is asserted
@@ -25,6 +32,7 @@
 
 use super::HarnessOptions;
 use crate::records::KernelPoint;
+use crate::timing::time_best_of;
 use crate::workloads::SUITE_SEED;
 use chordal_core::kernels::{
     intersect_count, intersect_count_gallop, intersect_count_merge, GALLOP_RATIO,
@@ -33,7 +41,8 @@ use chordal_generators::bio::{
     correlation_network, correlation_network_reference, ExpressionMatrix, GeneNetworkKind, LANES,
     ROWS,
 };
-use chordal_graph::{CsrGraph, VertexId};
+use chordal_generators::rmat::{RmatKind, RmatParams};
+use chordal_graph::{CsrGraph, Edge, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -177,6 +186,49 @@ fn pearson_points(quick: bool, repeats: usize) -> Vec<KernelPoint> {
         .collect()
 }
 
+/// An R-MAT generator under test.
+type RmatGenerator = fn(&RmatParams) -> CsrGraph;
+
+/// The `rmat` family: both descents building the three presets, best of
+/// `repeats` runs each. An element is one generated edge (duplicates and
+/// self loops included), and the bytes are the raw edges the sampling
+/// writes.
+fn rmat_points(quick: bool, repeats: usize) -> Vec<KernelPoint> {
+    let scale = if quick { 12 } else { 16 };
+    let inputs = RmatKind::all().map(|kind| RmatParams::preset(kind, scale, 1));
+    let generated = inputs[0].num_generated_edges();
+    let elements = (inputs.len() * generated) as u64;
+    let variants: [(&str, RmatGenerator); 2] = [
+        ("float", RmatParams::generate_reference),
+        ("threshold", RmatParams::generate),
+    ];
+    variants
+        .into_iter()
+        .map(|(variant, generate)| {
+            let (best, edges) = time_best_of(repeats, || {
+                inputs
+                    .iter()
+                    .map(|p| generate(p).num_edges())
+                    .sum::<usize>()
+            });
+            let best = best.as_secs_f64();
+            KernelPoint {
+                experiment: "kernels".to_string(),
+                family: "rmat".to_string(),
+                variant: variant.to_string(),
+                len_small: scale as usize,
+                len_large: generated,
+                pairs: inputs.len(),
+                elements,
+                seconds: best,
+                ns_per_edge: best * 1e9 / elements as f64,
+                bytes_touched: elements * std::mem::size_of::<Edge>() as u64,
+                matches: edges as u64,
+            }
+        })
+        .collect()
+}
+
 /// Runs the ablation and returns one point per (family, variant).
 pub fn run(options: &HarnessOptions) -> Vec<KernelPoint> {
     let repeats = options.repeats.max(1);
@@ -232,9 +284,10 @@ pub fn run(options: &HarnessOptions) -> Vec<KernelPoint> {
     }
 
     points.extend(pearson_points(options.quick, repeats));
+    points.extend(rmat_points(options.quick, repeats));
 
     // Checksum lock: every variant of a family must count the same
-    // intersections (or, for `pearson`, keep the same edges).
+    // intersections (or, for `pearson` and `rmat`, keep the same edges).
     for family in points
         .iter()
         .map(|p| p.family.clone())
@@ -254,7 +307,10 @@ pub fn run(options: &HarnessOptions) -> Vec<KernelPoint> {
 
 /// Runs the ablation with printing and record output.
 pub fn run_and_print(options: &HarnessOptions) -> Vec<KernelPoint> {
-    println!("Kernels: intersections (merge vs gallop vs adaptive), Pearson (scalar vs blocked)");
+    println!(
+        "Kernels: intersections (merge vs gallop vs adaptive), Pearson (scalar vs blocked), \
+         R-MAT (float vs threshold)"
+    );
     let points = run(options);
     println!(
         "  {:<14} {:>8} {:>9} {:>9} {:>12} {:>10} {:>14}",
@@ -287,19 +343,24 @@ pub fn run_and_print(options: &HarnessOptions) -> Vec<KernelPoint> {
             );
         }
     }
-    let find = |variant: &str| {
-        points
-            .iter()
-            .find(|p| p.family == "pearson" && p.variant == variant)
-    };
-    if let (Some(scalar), Some(blocked)) = (find("scalar"), find("blocked")) {
-        println!(
-            "  pearson: blocked {:.1}x vs scalar ({:.3} vs {:.3} s for {} pairs)",
-            scalar.seconds / blocked.seconds.max(1e-9),
-            blocked.seconds,
-            scalar.seconds,
-            scalar.pairs
-        );
+    // Each generator kernel against the reference it must match.
+    for (family, reference, kernel) in [
+        ("pearson", "scalar", "blocked"),
+        ("rmat", "float", "threshold"),
+    ] {
+        let find = |variant: &str| {
+            points
+                .iter()
+                .find(|p| p.family == family && p.variant == variant)
+        };
+        if let (Some(slow), Some(fast)) = (find(reference), find(kernel)) {
+            println!(
+                "  {family}: {kernel} {:.1}x vs {reference} ({:.3} vs {:.3} s)",
+                slow.seconds / fast.seconds.max(1e-9),
+                fast.seconds,
+                slow.seconds
+            );
+        }
     }
     options.write_records(&points);
     points
@@ -314,12 +375,21 @@ mod tests {
     fn ablation_covers_every_family_and_variant() {
         let options = HarnessOptions::tiny();
         let points = run(&options);
-        // 4 synthetic families x 3 variants, then the two Pearson kernels.
-        assert_eq!(points.len(), 14);
+        // 4 synthetic families x 3 variants, then the two Pearson kernels
+        // and the two R-MAT descents.
+        assert_eq!(points.len(), 16);
         let pearson: Vec<_> = points.iter().filter(|p| p.family == "pearson").collect();
         assert_eq!(pearson.len(), 2);
         assert_eq!(pearson[0].matches, pearson[1].matches);
         assert!(pearson[0].matches > 0 && pearson[0].pairs == 4 * 1_000 * 999 / 2);
+        let rmat: Vec<_> = points.iter().filter(|p| p.family == "rmat").collect();
+        assert_eq!(rmat.len(), 2);
+        assert_eq!(
+            (rmat[0].variant.as_str(), rmat[1].variant.as_str()),
+            ("float", "threshold")
+        );
+        assert_eq!(rmat[0].matches, rmat[1].matches);
+        assert!(rmat[0].matches > 0 && rmat[0].elements == 3 * (8 << 12));
         for family in ["uniform", "skewed-16x", "skewed-256x", "needle"] {
             let of_family: Vec<_> = points.iter().filter(|p| p.family == family).collect();
             assert_eq!(of_family.len(), 3, "{family}");

@@ -12,12 +12,15 @@
 //! * `fan-out` — one serial session per thread, taking the graphs in input
 //!   order from a shared cursor (the experiment fans them out itself).
 //!
-//! Every point carries the pool's scheduling counters (regions, dropped
-//! tickets) and the calibrated per-region dispatch overhead, so a timing
-//! can be traced back to the dispatch costs behind it.
+//! Every point keeps the best of its repeats (`seconds`) and their median
+//! and quartiles, so a record shows its own spread. It also carries the
+//! pool's scheduling counters (regions, dropped tickets) and the calibrated
+//! per-region dispatch overhead, so a timing can be traced back to the
+//! dispatch costs behind it.
 
 use super::HarnessOptions;
 use crate::records::SchedulerPoint;
+use crate::timing::{percentile, time_once};
 use crate::workloads::SUITE_SEED;
 use chordal_core::{ExtractionSession, ExtractorConfig};
 use chordal_generators::rmat::{RmatKind, RmatParams};
@@ -117,12 +120,10 @@ pub fn run(options: &HarnessOptions) -> Vec<SchedulerPoint> {
         // timed repeats measure the steady serving path.
         let chordal_edges = runner.run(&refs);
         let stats_before = chordal_runtime::pool_stats();
-        let mut best = f64::MAX;
-        for _ in 0..options.repeats.max(1) {
-            let start = std::time::Instant::now();
-            runner.run(&refs);
-            best = best.min(start.elapsed().as_secs_f64());
-        }
+        let mut seconds: Vec<f64> = (0..options.repeats.max(1))
+            .map(|_| time_once(|| runner.run(&refs)).0.as_secs_f64())
+            .collect();
+        seconds.sort_by(f64::total_cmp);
         let stats = chordal_runtime::pool_stats();
         points.push(SchedulerPoint {
             experiment: "scheduler".to_string(),
@@ -130,7 +131,10 @@ pub fn run(options: &HarnessOptions) -> Vec<SchedulerPoint> {
             threads,
             policy: policy.to_string(),
             batch_graphs: graphs.len(),
-            seconds: best,
+            seconds: seconds[0],
+            median_seconds: percentile(&seconds, 50),
+            q1_seconds: percentile(&seconds, 25),
+            q3_seconds: percentile(&seconds, 75),
             chordal_edges,
             regions: stats.regions - stats_before.regions,
             region_overhead_ns: chordal_runtime::estimated_region_overhead_ns_for(threads),
@@ -146,13 +150,21 @@ pub fn run_and_print(options: &HarnessOptions) -> Vec<SchedulerPoint> {
     println!("Scheduler ablation: batch placement policies on a mixed batch");
     let points = run(options);
     println!(
-        "  {:<7} {:>8} {:>8} {:>10} {:>9} {:>14}",
-        "engine", "threads", "policy", "seconds", "regions", "overhead(ns)"
+        "  {:<7} {:>8} {:>8} {:>10} {:>10} {:>10} {:>10} {:>9} {:>14}",
+        "engine", "threads", "policy", "seconds", "q1", "median", "q3", "regions", "overhead(ns)"
     );
     for p in &points {
         println!(
-            "  {:<7} {:>8} {:>8} {:>10.4} {:>9} {:>14}",
-            p.engine, p.threads, p.policy, p.seconds, p.regions, p.region_overhead_ns
+            "  {:<7} {:>8} {:>8} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>9} {:>14}",
+            p.engine,
+            p.threads,
+            p.policy,
+            p.seconds,
+            p.q1_seconds,
+            p.median_seconds,
+            p.q3_seconds,
+            p.regions,
+            p.region_overhead_ns
         );
     }
     options.write_records(&points);
@@ -176,6 +188,8 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing {policy}"));
             assert_eq!(p.engine, "pool");
             assert!(p.seconds > 0.0);
+            assert!(p.seconds <= p.q1_seconds);
+            assert!(p.q1_seconds <= p.median_seconds && p.median_seconds <= p.q3_seconds);
             assert!(p.chordal_edges > 0);
             assert!(p.region_overhead_ns >= 1);
             assert_eq!(p.batch_graphs, 10);
@@ -184,6 +198,7 @@ mod tests {
             assert!(json.contains("\"experiment\":\"scheduler\""));
             assert!(json.contains("\"batch_graphs\":10"));
             assert!(json.contains("\"tickets_dropped\":"));
+            assert!(json.contains("\"median_seconds\":"));
             assert!(
                 p.load_ns > 0 && json.contains("\"load_ns\":"),
                 "workload build time must be recorded"

@@ -33,6 +33,7 @@
 
 use super::HarnessOptions;
 use crate::records::ServingPoint;
+use crate::timing::percentile;
 use crate::workloads::SUITE_SEED;
 use chordal_generators::rmat::{RmatKind, RmatParams};
 use chordal_graph::io::write_edge_list_file;
@@ -87,15 +88,6 @@ fn stats_counters(response: &Response) -> Counters {
         cache_evictions: field(&["cache", "evictions"]),
         tickets_dropped: field(&["pool", "tickets_dropped"]),
     }
-}
-
-/// Nearest-rank percentile of an ascending slice.
-fn percentile(sorted: &[u64], pct: usize) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (sorted.len() * pct).div_ceil(100).max(1);
-    sorted[rank - 1]
 }
 
 /// Drives `clients` closed-loop clients for `requests_per_client` requests

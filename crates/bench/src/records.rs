@@ -84,6 +84,12 @@ pub struct SchedulerPoint {
     pub batch_graphs: usize,
     /// Best wall-clock seconds over the repeats.
     pub seconds: f64,
+    /// Median wall-clock seconds over the repeats (nearest rank).
+    pub median_seconds: f64,
+    /// First quartile of the repeats' seconds (nearest rank).
+    pub q1_seconds: f64,
+    /// Third quartile of the repeats' seconds (nearest rank).
+    pub q3_seconds: f64,
     /// Total chordal edges across the batch.
     pub chordal_edges: usize,
     /// Pool regions attributable to the timed runs (delta).
@@ -107,6 +113,9 @@ impl_to_json!(SchedulerPoint {
     policy,
     batch_graphs,
     seconds,
+    median_seconds,
+    q1_seconds,
+    q3_seconds,
     chordal_edges,
     regions,
     region_overhead_ns,
@@ -216,21 +225,25 @@ pub struct KernelPoint {
     /// Experiment id (`"kernels"`).
     pub experiment: String,
     /// Input family (`"uniform"`, `"skewed-16x"`, `"skewed-256x"`,
-    /// `"needle"`, `"pearson"`).
+    /// `"needle"`, `"pearson"`, `"rmat"`).
     pub family: String,
-    /// Kernel: an intersection (`"merge"`, `"gallop"`, `"adaptive"`) or a
-    /// correlation kernel (`"scalar"`, `"blocked"`).
+    /// Kernel: an intersection (`"merge"`, `"gallop"`, `"adaptive"`), a
+    /// correlation kernel (`"scalar"`, `"blocked"`) or an R-MAT descent
+    /// (`"float"`, `"threshold"`).
     pub variant: String,
-    /// Length of the smaller input list (`pearson`: samples per gene).
+    /// Length of the smaller input list (`pearson`: samples per gene;
+    /// `rmat`: the scale, levels per edge).
     pub len_small: usize,
-    /// Length of the larger input list (`pearson`: genes per matrix).
+    /// Length of the larger input list (`pearson`: genes per matrix;
+    /// `rmat`: generated edges per graph).
     pub len_large: usize,
     /// Number of intersection calls in the timed sweep (`pearson`: gene
-    /// pairs over all matrices).
+    /// pairs over all matrices; `rmat`: graphs generated).
     pub pairs: usize,
     /// Total elements across both inputs of every pair — the `edge`
     /// denominator of `ns_per_edge` (`pearson`: pairs × samples, one
-    /// multiply and add each).
+    /// multiply and add each; `rmat`: generated edges, duplicates and self
+    /// loops included).
     pub elements: u64,
     /// Best-of wall-clock seconds of the whole sweep.
     pub seconds: f64,
@@ -240,11 +253,12 @@ pub struct KernelPoint {
     /// full, galloping touches the small list plus `O(log |large|)` probes
     /// per element. `pearson`: the computed bytes of standardised rows the
     /// per-pair loop streams, or of tiles and block rows the blocked
-    /// kernel streams.
+    /// kernel streams. `rmat`: the raw edges the sampling writes, 8 bytes
+    /// each.
     pub bytes_touched: u64,
-    /// Total intersection size across the sweep (`pearson`: edges kept) —
-    /// a determinism checksum that must agree across the variants of a
-    /// family.
+    /// Total intersection size across the sweep (`pearson` and `rmat`:
+    /// edges of the built graphs) — a determinism checksum that must agree
+    /// across the variants of a family.
     pub matches: u64,
 }
 
@@ -413,6 +427,9 @@ mod tests {
             policy: "batch".into(),
             batch_graphs: 17,
             seconds: 0.01,
+            median_seconds: 0.5,
+            q1_seconds: 0.25,
+            q3_seconds: 0.75,
             chordal_edges: 999,
             regions: 21,
             region_overhead_ns: 5_000,
@@ -423,6 +440,9 @@ mod tests {
         assert!(json.contains("\"experiment\":\"scheduler\""));
         assert!(json.contains("\"policy\":\"batch\""));
         assert!(json.contains("\"batch_graphs\":17"));
+        assert!(json.contains(
+            "\"seconds\":0.01,\"median_seconds\":0.5,\"q1_seconds\":0.25,\"q3_seconds\":0.75,"
+        ));
         assert!(json.contains("\"tickets_dropped\":0"));
         assert!(json.contains("\"load_ns\":1500000"));
     }

@@ -1,7 +1,8 @@
 //! Minimal wall-clock timing helpers for the `experiments` binary.
 //!
 //! The figure-regeneration binary needs stable, quick numbers, so it uses
-//! a best-of-N wall clock measurement.
+//! a best-of-N wall clock measurement; [`percentile`] summarises a sorted
+//! set of samples where a record shows their spread.
 
 use std::time::{Duration, Instant};
 
@@ -26,6 +27,16 @@ pub fn time_best_of<T>(repeats: usize, mut f: impl FnMut() -> T) -> (Duration, T
         last = Some(value);
     }
     (best, last.expect("at least one repetition"))
+}
+
+/// Nearest-rank percentile (`pct` in `0..=100`) of an ascending slice, or
+/// `T::default()` (zero) for an empty one.
+pub fn percentile<T: Copy + Default>(sorted: &[T], pct: usize) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    let rank = (sorted.len() * pct).div_ceil(100).max(1);
+    sorted[rank - 1]
 }
 
 #[cfg(test)]
@@ -57,5 +68,14 @@ mod tests {
     fn best_of_zero_clamps_to_one() {
         let (_, v) = time_best_of(0, || 7);
         assert_eq!(v, 7);
+    }
+
+    #[test]
+    fn percentile_takes_the_nearest_rank() {
+        let eleven: Vec<u64> = (1..=11).collect();
+        let ranks = [0, 25, 50, 75, 100].map(|pct| percentile(&eleven, pct));
+        assert_eq!(ranks, [1, 3, 6, 9, 11]);
+        assert_eq!(percentile(&[0.5_f64], 75), 0.5);
+        assert_eq!(percentile::<u64>(&[], 50), 0);
     }
 }

@@ -43,7 +43,12 @@
 //! every run and to `extract_batch` (0.78–1.58 ms) in five of the six; an
 //! input-order fan-out of serial sessions took 0.83–1.52 ms and beat
 //! `extract_batch` in two. On that host the best of 11 moves by up to 2x
-//! between runs, so the runs show a ranking, not a ratio.
+//! between runs, so the runs show a ranking, not a ratio. Nine later runs,
+//! whose records also hold each policy's median and quartiles, kept it:
+//! intra-graph runs had the slowest median in all nine (1.72–3.14 ms), and
+//! `extract_batch` had the best time in all nine (0.85–1.26 ms against the
+//! fan-out's 0.93–1.32 ms), though the fan-out's median was the lower in
+//! three.
 //!
 //! Fanning out only moves *where* a graph runs: each slot equals a single
 //! run of the same graph. All parallel regions execute on the process-wide

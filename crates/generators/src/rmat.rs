@@ -10,11 +10,25 @@
 //! * **RMAT-G**  `{0.45, 0.15, 0.15, 0.25}` — skewed, scale-free-like;
 //! * **RMAT-B**  `{0.55, 0.15, 0.15, 0.15}` — strongly skewed, very high
 //!   maximum degree and dense local communities.
+//!
+//! Each edge descends `scale` levels of the adjacency matrix, one draw per
+//! level picking a quadrant. The draw is `rng.gen::<f64>()`, which is
+//! exactly `k·2^-53` with `k = next_u64() >> 11`, so `r < t` holds exactly
+//! when `k < ⌈t·2^53⌉`. [`RmatParams::generate`] therefore compares the raw
+//! `k` with three integer thresholds, computed once per graph from `a`,
+//! `a + b` and `a + b + c`, and sets each level's two bits without a
+//! branch. [`RmatParams::generate_reference`] keeps the float descent (an
+//! `if r < a … else if r < a + b …` chain) as the oracle; both share the
+//! chunk seeds and the RNG stream, one `next_u64` per level, so they build
+//! the same graph bit for bit.
 
-use chordal_graph::{CsrGraph, VertexId};
+use chordal_graph::{CsrGraph, Edge, VertexId};
 use chordal_runtime::{pool_size, Engine};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
+
+/// Edges sampled from one seeded RNG; the last chunk may be shorter.
+const CHUNK: usize = 1 << 16;
 
 /// The paper's three R-MAT presets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,10 +112,15 @@ impl RmatParams {
         self.num_vertices() * self.edge_factor
     }
 
-    /// Validates that the probabilities are non-negative and sum to ~1.
+    /// Validates that the probabilities are finite, non-negative and sum
+    /// to ~1.
     pub fn validate(&self) -> Result<(), String> {
+        let probabilities = [self.a, self.b, self.c, self.d];
+        if !probabilities.iter().all(|p| p.is_finite()) {
+            return Err("R-MAT probabilities must be finite".into());
+        }
         let sum = self.a + self.b + self.c + self.d;
-        if self.a < 0.0 || self.b < 0.0 || self.c < 0.0 || self.d < 0.0 {
+        if probabilities.iter().any(|&p| p < 0.0) {
             return Err("R-MAT probabilities must be non-negative".into());
         }
         if (sum - 1.0).abs() > 1e-9 {
@@ -120,34 +139,93 @@ impl RmatParams {
     /// adjacency. The raw edges (duplicates and self loops included, as
     /// produced by the recursive quadrant descent) are sampled on an engine
     /// of [`pool_size`] threads in chunks of 65,536 edges, each seeded from
-    /// its index, so the output does not depend on the schedule.
+    /// its index and written in place into one edge vector, so the output
+    /// does not depend on the schedule.
+    ///
+    /// Each level compares the raw draw `k = next_u64() >> 11` with the
+    /// integer thresholds `⌈t·2^53⌉` of `t = a`, `a + b` and `a + b + c`:
+    /// the float draw is exactly `k·2^-53`, so `r < t` ⇔ `k < ⌈t·2^53⌉`,
+    /// and the graph equals [`RmatParams::generate_reference`]'s bit for
+    /// bit (the chunk seeds and the RNG stream are the same).
     pub fn generate(&self) -> CsrGraph {
-        self.validate().expect("invalid R-MAT parameters");
-        let m = self.num_generated_edges();
+        let thresholds = Thresholds::new(self.a, self.b, self.c);
         let scale = self.scale;
-        let (a, b, c, _d) = (self.a, self.b, self.c, self.d);
-        let chunk = 1usize << 16;
-        let chunks = m.div_ceil(chunk);
+        self.generate_with(|rng| thresholds.sample_edge(rng, scale))
+    }
+
+    /// [`RmatParams::generate`] with the float descent: each level draws
+    /// `r = rng.gen::<f64>()` and picks the first quadrant whose cumulative
+    /// probability exceeds it. It shares the chunking and seeding with
+    /// `generate`, so only the per-level descent differs; it is the tests'
+    /// oracle and the `float` variant of `experiments kernels`.
+    pub fn generate_reference(&self) -> CsrGraph {
+        let (scale, a, b, c) = (self.scale, self.a, self.b, self.c);
+        self.generate_with(|rng| sample_edge_reference(rng, scale, a, b, c))
+    }
+
+    /// Samples every chunk's edges with `sample_edge`, then builds the graph.
+    fn generate_with(&self, sample_edge: impl Fn(&mut StdRng) -> Edge + Sync) -> CsrGraph {
+        self.validate().expect("invalid R-MAT parameters");
         let seed = self.seed;
-        let edges: Vec<(VertexId, VertexId)> = Engine::chunked_with_grain(pool_size(), 1)
-            .map_pieces(chunks, |range| {
-                let mut local = Vec::new();
-                for ci in range {
-                    let count = chunk.min(m - ci * chunk);
-                    let mut rng =
-                        StdRng::seed_from_u64(seed ^ ((ci as u64) << 20).wrapping_add(ci as u64));
-                    local.extend((0..count).map(|_| sample_edge(&mut rng, scale, a, b, c)));
-                }
-                local
-            })
-            .concat();
+        let mut edges: Vec<Edge> = vec![(0, 0); self.num_generated_edges()];
+        let mut chunks: Vec<&mut [Edge]> = edges.chunks_mut(CHUNK).collect();
+        Engine::chunked_with_grain(pool_size(), 1).for_each_mut(&mut chunks, |ci, chunk| {
+            let mut rng = StdRng::seed_from_u64(seed ^ ((ci as u64) << 20).wrapping_add(ci as u64));
+            for edge in chunk.iter_mut() {
+                *edge = sample_edge(&mut rng);
+            }
+        });
         CsrGraph::from_edges(self.num_vertices(), edges)
             .expect("generated edges are always in range")
     }
 }
 
-/// Samples a single edge by recursive quadrant descent.
-fn sample_edge<R: Rng>(rng: &mut R, scale: u32, a: f64, b: f64, c: f64) -> (VertexId, VertexId) {
+/// The descent's three cumulative probabilities `t` as thresholds `T` on
+/// the raw draw: `k < T` exactly when the float draw `k·2^-53` is below `t`.
+struct Thresholds {
+    a: u64,
+    ab: u64,
+    abc: u64,
+}
+
+impl Thresholds {
+    /// The thresholds of `a`, `a + b` and `a + b + c`, summed as the float
+    /// descent sums them.
+    fn new(a: f64, b: f64, c: f64) -> Self {
+        Self {
+            a: threshold(a),
+            ab: threshold(a + b),
+            abc: threshold(a + b + c),
+        }
+    }
+
+    /// Samples a single edge: each level's `u` bit is `k ≥ T_ab` (quadrant
+    /// c or d) and its `v` bit is `T_a ≤ k < T_ab` (b) or `k ≥ T_abc` (d),
+    /// exactly the quadrant the float chain picks. `a ≤ a + b ≤ a + b + c`
+    /// for non-negative `b` and `c`, so the thresholds are ordered.
+    #[inline(always)]
+    fn sample_edge<R: RngCore>(&self, rng: &mut R, scale: u32) -> Edge {
+        let (mut u, mut v) = (0u32, 0u32);
+        for _ in 0..scale {
+            let k = rng.next_u64() >> 11;
+            let u_bit = k >= self.ab;
+            let v_bit = ((k >= self.a) & !u_bit) | (k >= self.abc);
+            u = (u << 1) | u32::from(u_bit);
+            v = (v << 1) | u32::from(v_bit);
+        }
+        (u, v)
+    }
+}
+
+/// `⌈t·2^53⌉`, the least raw draw `k` whose float `k·2^-53` is not below
+/// `t`. Scaling a finite `t ≥ 0` by `2^53` is exact, so only the ceiling
+/// rounds; a `t` at or above 1 passes every draw (`k < 2^53`).
+fn threshold(t: f64) -> u64 {
+    (t * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Samples a single edge by recursive quadrant descent on float draws.
+fn sample_edge_reference<R: Rng>(rng: &mut R, scale: u32, a: f64, b: f64, c: f64) -> Edge {
     let mut u: u64 = 0;
     let mut v: u64 = 0;
     for _ in 0..scale {
@@ -205,6 +283,133 @@ mod tests {
         p.a = -0.1;
         p.b = 0.6;
         assert!(p.validate().is_err());
+        // NaN compares false with everything, so neither the sign nor the
+        // sum check alone would catch it.
+        let mut p = RmatParams::preset(RmatKind::Er, 10, 3);
+        p.a = f64::NAN;
+        assert_eq!(
+            p.validate(),
+            Err("R-MAT probabilities must be finite".into())
+        );
+        let mut p = RmatParams::preset(RmatKind::Er, 10, 3);
+        p.d = f64::NAN;
+        assert!(p.validate().is_err());
+        let mut p = RmatParams::preset(RmatKind::Er, 10, 3);
+        p.c = f64::INFINITY;
+        assert!(p.validate().is_err());
+    }
+
+    /// Quadrant probabilities `(a, b, c, d)` the threshold descent is
+    /// checked on: the presets, Graph500's, a non-dyadic and a dyadic set,
+    /// and sets whose mass sits on one quadrant or on three.
+    const PROBABILITY_SETS: [(f64, f64, f64, f64); 10] = [
+        (0.25, 0.25, 0.25, 0.25),
+        (0.45, 0.15, 0.15, 0.25),
+        (0.55, 0.15, 0.15, 0.15),
+        (0.57, 0.19, 0.19, 0.05),
+        (0.1, 0.2, 0.3, 0.4),
+        (0.5, 0.25, 0.125, 0.125),
+        (1.0, 0.0, 0.0, 0.0),
+        (0.0, 1.0, 0.0, 0.0),
+        (0.0, 0.0, 0.0, 1.0),
+        (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0),
+    ];
+
+    /// A source that returns one word forever, so a test picks the raw draw.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn integer_thresholds_agree_with_float_draws_at_every_boundary() {
+        let mut cutoffs: Vec<f64> = PROBABILITY_SETS
+            .iter()
+            .flat_map(|&(a, b, c, _)| [a, a + b, a + b + c])
+            .collect();
+        let ulp = f64::EPSILON / 2.0;
+        cutoffs.extend([
+            5e-324,
+            f64::MIN_POSITIVE,
+            ulp,
+            0.1 + 0.2,
+            1.0 - ulp,
+            1.0 + 2.0 * ulp,
+        ]);
+        for t in cutoffs {
+            let bound = threshold(t);
+            for k in [bound.wrapping_sub(1), bound, bound + 1] {
+                if k >= 1 << 53 {
+                    continue;
+                }
+                let r: f64 = Fixed(k << 11).gen();
+                assert_eq!(k < bound, r < t, "t = {t:e}, k = {k}");
+            }
+        }
+        // Every level's quadrant, at and beside each threshold of each set.
+        for &(a, b, c, _) in &PROBABILITY_SETS {
+            let thresholds = Thresholds::new(a, b, c);
+            for boundary in [thresholds.a, thresholds.ab, thresholds.abc] {
+                for k in [boundary.wrapping_sub(1), boundary, boundary + 1] {
+                    if k >= 1 << 53 {
+                        continue;
+                    }
+                    assert_eq!(
+                        thresholds.sample_edge(&mut Fixed(k << 11), 3),
+                        sample_edge_reference(&mut Fixed(k << 11), 3, a, b, c),
+                        "({a}, {b}, {c}), k = {k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_threshold_descent_samples_the_float_descents_edges() {
+        for &(a, b, c, _) in &PROBABILITY_SETS {
+            let thresholds = Thresholds::new(a, b, c);
+            for seed in 0..20 {
+                for scale in 1..=31 {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut oracle = rng.clone();
+                    for _ in 0..16 {
+                        assert_eq!(
+                            thresholds.sample_edge(&mut rng, scale),
+                            sample_edge_reference(&mut oracle, scale, a, b, c),
+                            "({a}, {b}, {c}), seed {seed}, scale {scale}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn generate_builds_the_reference_graph() {
+        for &(a, b, c, d) in &PROBABILITY_SETS {
+            for scale in 1..=10 {
+                let p = RmatParams {
+                    scale,
+                    edge_factor: 8,
+                    a,
+                    b,
+                    c,
+                    d,
+                    seed: u64::from(scale),
+                };
+                assert_eq!(p.generate(), p.generate_reference(), "{p:?}");
+            }
+        }
+        // Two chunks, the second one short.
+        let p = RmatParams {
+            edge_factor: 9,
+            ..RmatParams::preset(RmatKind::G, 13, 5)
+        };
+        assert_eq!(p.num_generated_edges() % CHUNK, 8_192);
+        assert_eq!(p.generate(), p.generate_reference());
     }
 
     #[test]
