@@ -427,9 +427,9 @@ mod tests {
             policy: "batch".into(),
             batch_graphs: 17,
             seconds: 0.01,
-            median_seconds: 0.5,
-            q1_seconds: 0.25,
-            q3_seconds: 0.75,
+            median_seconds: 0.03,
+            q1_seconds: 0.02,
+            q3_seconds: 0.04,
             chordal_edges: 999,
             regions: 21,
             region_overhead_ns: 5_000,
@@ -441,7 +441,7 @@ mod tests {
         assert!(json.contains("\"policy\":\"batch\""));
         assert!(json.contains("\"batch_graphs\":17"));
         assert!(json.contains(
-            "\"seconds\":0.01,\"median_seconds\":0.5,\"q1_seconds\":0.25,\"q3_seconds\":0.75,"
+            "\"seconds\":0.01,\"median_seconds\":0.03,\"q1_seconds\":0.02,\"q3_seconds\":0.04,"
         ));
         assert!(json.contains("\"tickets_dropped\":0"));
         assert!(json.contains("\"load_ns\":1500000"));
